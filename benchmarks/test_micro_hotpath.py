@@ -10,8 +10,8 @@ against the committed *seed* (pre-optimization) baseline in
 
 ``batch_merge_4way`` is additionally gated *within the same run*: the
 vectorized batched merge must beat the streaming CPU merge on the same
-workload (skipped without numpy, where the batch engine degrades to the
-chunked pure-python fallback).
+workload (skipped without numpy, where the batch backend declines and
+the bench emits no row for it).
 
 Every other row only has to be *no slower* than seed (within noise).
 The baseline file is the contract: re-baselining means deliberately
@@ -93,8 +93,8 @@ def test_batch_merge_beats_cpu_merge(measured):
     from repro.host.batch_merge import BatchMergeEngine
 
     if not BatchMergeEngine(hotpath.OPTIONS, hotpath.ICMP).vectorized:
-        pytest.skip("numpy absent: batch engine runs the pure-python "
-                    "fallback, the floor gates the vectorized path")
+        pytest.skip("numpy absent: the batch backend declines, so "
+                    "there is no batch_merge_4way row to gate")
     _, run = measured
     ratio = run["cpu_merge_4way"] / run["batch_merge_4way"]
     assert ratio >= BATCH_MERGE_MIN_SPEEDUP, (

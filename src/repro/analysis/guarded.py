@@ -98,10 +98,7 @@ SEEDED_CONTRACTS: Dict[str, ClassContract] = {
     "CompactionDriver": ClassContract(
         name="CompactionDriver",
         mutex=("db", "_mutex"),
-        guards={
-            "_busy": ("db", "_mutex"),
-            "_partition_pool": ("_pool_lock",),
-        },
+        guards={"_busy": ("db", "_mutex")},
     ),
     "KVServer": ClassContract(
         name="KVServer",

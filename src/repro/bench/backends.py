@@ -14,13 +14,14 @@ does not mask the merge substrate) and times all three backends on it:
 * ``batch_v<N>`` — the LUDA-style vectorized batched merge
   (:class:`repro.host.batch_merge.BatchMergeEngine`).
 
-``route_v<N>`` rows record what ``Options.accelerator = "auto"`` would
-pick for that point (via :meth:`CompactionScheduler.pick_backend`'s cost
-models) against the backend that actually measured fastest; the row's
-``p50_us`` is the picked backend's measured time, so mis-routing shows
-up directly as wall-clock regression.  ``tools/check_backends.py`` gates
-the batch-vs-cpu speedup floor and the routing hit rate from the same
-``--bench-json`` document.
+A backend that declines the workload (``can_run`` false — ``batch``
+without numpy) gets no rows.  ``route_v<N>`` rows record what
+``Options.accelerator = "auto"`` picks for that point
+(:meth:`CompactionScheduler.pick_backend`) against the backend that
+actually measured fastest; the row's ``p50_us`` is the picked backend's
+measured time, so mis-routing shows up directly as wall-clock
+regression.  ``tools/check_backends.py`` gates the batch-vs-cpu speedup
+floor and the routing hit rate from the same ``--bench-json`` document.
 
 Environment knobs: ``REPRO_BACKENDS_REPEAT`` / ``REPRO_BACKENDS_WARMUP``
 override the per-point sample counts (CI quick mode).
@@ -30,14 +31,11 @@ from __future__ import annotations
 
 import os
 import random
-import time
-from statistics import median
 
-from repro.bench.common import ExperimentResult, scaled
+from repro.bench.common import ExperimentResult, sample_wall, scaled
 from repro.fpga.resources import best_feasible_config
-from repro.host.accelerator import make_backends
-from repro.host.batch_merge import BatchMergeEngine
 from repro.host.device import FcaeDevice
+from repro.host.scheduler import CompactionScheduler
 from repro.lsm.compaction import _BufferFile, compact, table_sources
 from repro.lsm.internal import (
     InternalKeyComparator,
@@ -48,7 +46,6 @@ from repro.lsm.internal import (
 from repro.lsm.options import Options
 from repro.lsm.sstable import TableBuilder, TableReader
 from repro.lsm.version import CompactionSpec, FileMetaData
-from repro.sim.cpu import CpuCostModel
 from repro.util.comparator import BytewiseComparator
 
 ICMP = InternalKeyComparator(BytewiseComparator())
@@ -68,7 +65,7 @@ def _options(value_len: int) -> Options:
     routing cost models estimate with the workload's real geometry."""
     return Options(compression="none", bloom_bits_per_key=0,
                    sstable_size=4 << 20, key_length=16,
-                   value_length=value_len)
+                   value_length=value_len, accelerator="auto")
 
 
 def _merge_inputs(per_table: int, value_len: int, options: Options,
@@ -96,20 +93,6 @@ def _merge_inputs(per_table: int, value_len: int, options: Options,
     return images
 
 
-def _sample(fn, repeat: int, warmup: int) -> tuple[float, float]:
-    for _ in range(warmup):
-        fn()
-    times = []
-    for _ in range(repeat):
-        start = time.perf_counter()
-        fn()
-        times.append(time.perf_counter() - start)
-    times.sort()
-    p50 = median(times)
-    p95 = times[min(len(times) - 1, int(round(0.95 * (len(times) - 1))))]
-    return p50, p95
-
-
 def _spec_for(images: list[bytes],
               readers: list[TableReader]) -> CompactionSpec:
     """A level-0 spec describing the workload, for the cost models."""
@@ -127,16 +110,10 @@ def run(scale: float = 1.0) -> ExperimentResult:
     repeat = int(os.environ.get("REPRO_BACKENDS_REPEAT", DEFAULT_REPEAT))
     warmup = int(os.environ.get("REPRO_BACKENDS_WARMUP", DEFAULT_WARMUP))
 
-    # The batch path's numpy state lands in the title (the --bench-json
-    # schema keeps title/columns/rows only) so tools/check_backends.py
-    # can skip the vectorized-speedup floor on the numpy-less CI leg.
-    vectorized = BatchMergeEngine(_options(64), ICMP).vectorized
-    batch_mode = "vectorized" if vectorized else "pure-python fallback"
     result = ExperimentResult(
         name="backends",
         title="Accelerator backends: measured 4-way merge wall time and "
-              f"cost-model routing (repeat={repeat}, warmup={warmup}, "
-              f"batch={batch_mode})",
+              f"cost-model routing (repeat={repeat}, warmup={warmup})",
         columns=["bench", "p50_us", "p95_us", "mb_per_s", "note"],
     )
 
@@ -152,7 +129,8 @@ def run(scale: float = 1.0) -> ExperimentResult:
         spec = _spec_for(images, readers)
 
         device = FcaeDevice(config, options)
-        batch = BatchMergeEngine(options, ICMP)
+        scheduler = CompactionScheduler(device, options)
+        batch = scheduler.backends["batch"].engine
 
         runners = {
             "cpu": lambda: compact(table_sources(readers), options, ICMP,
@@ -163,15 +141,15 @@ def run(scale: float = 1.0) -> ExperimentResult:
         }
         measured = {}
         for backend, fn in runners.items():
-            p50, p95 = _sample(fn, repeat, warmup)
+            if not scheduler.backends[backend].can_run(spec):
+                continue
+            p50, p95 = sample_wall(fn, repeat, warmup)
             measured[backend] = p50
             result.add_row(f"{backend}_v{value_len}",
                            round(p50 * 1e6, 1), round(p95 * 1e6, 1),
                            round(input_bytes / p50 / 1e6, 2), "")
 
-        backends = make_backends(device, options, ICMP, CpuCostModel())
-        picked = min((b for b in backends.values() if b.can_run(spec)),
-                     key=lambda b: b.estimate_seconds(spec)).name
+        picked = scheduler.pick_backend(spec)
         fastest = min(measured, key=measured.get)
         result.add_row(f"route_v{value_len}",
                        round(measured[picked] * 1e6, 1),
@@ -179,9 +157,6 @@ def run(scale: float = 1.0) -> ExperimentResult:
                        round(input_bytes / measured[picked] / 1e6, 2),
                        f"picked={picked};fastest={fastest}")
 
-    result.notes.append(
-        "numpy batch path: "
-        + ("vectorized" if vectorized else "pure-python fallback"))
     result.notes.append(
         "gate with tools/check_regression.py --perf and "
         "tools/check_backends.py against "

@@ -62,7 +62,7 @@ from repro.bench import (
     table7,
     table8,
 )
-from repro.bench.common import ExperimentResult
+from repro.bench.common import ExperimentResult, wall_percentiles
 from repro.obs.profile import profile_from_registry, render_profile
 
 EXPERIMENTS = {
@@ -102,17 +102,6 @@ ALL_ORDER = ("table5", "fig9", "fig10", "table6", "fig11", "table7",
 
 #: BENCH_*.json schema version understood by tools/check_regression.py.
 BENCH_SCHEMA = 1
-
-
-def wall_percentiles(samples: list[float]) -> tuple[float, float]:
-    """(p50, p95) of wall-time samples (nearest-rank p95)."""
-    ordered = sorted(samples)
-    mid = len(ordered) // 2
-    p50 = (ordered[mid] if len(ordered) % 2
-           else (ordered[mid - 1] + ordered[mid]) / 2)
-    p95 = ordered[min(len(ordered) - 1,
-                      int(round(0.95 * (len(ordered) - 1))))]
-    return p50, p95
 
 
 def suffixed_path(path: str, suffix: str | None) -> str:

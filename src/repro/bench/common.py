@@ -3,8 +3,9 @@ the standard engine/system configurations of the paper's evaluation."""
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from repro.fpga.config import FpgaConfig
 
@@ -89,3 +90,28 @@ def scale_bytes(nbytes: int, scale: float,
                 minimum: Optional[int] = None) -> int:
     floor = minimum if minimum is not None else 16 * 1024 * 1024
     return max(floor, int(nbytes * scale))
+
+
+def wall_percentiles(samples: list[float]) -> tuple[float, float]:
+    """(p50, p95) of wall-time samples (nearest-rank p95)."""
+    ordered = sorted(samples)
+    mid = len(ordered) // 2
+    p50 = (ordered[mid] if len(ordered) % 2
+           else (ordered[mid - 1] + ordered[mid]) / 2)
+    p95 = ordered[min(len(ordered) - 1,
+                      int(round(0.95 * (len(ordered) - 1))))]
+    return p50, p95
+
+
+def sample_wall(fn: Callable[[], object], repeat: int,
+                warmup: int) -> tuple[float, float]:
+    """Wall-time ``fn`` ``repeat`` times after ``warmup`` throwaway runs;
+    returns ``(p50_seconds, p95_seconds)``."""
+    for _ in range(warmup):
+        fn()
+    times = []
+    for _ in range(repeat):
+        start = time.perf_counter()
+        fn()
+        times.append(time.perf_counter() - start)
+    return wall_percentiles(times)

@@ -25,10 +25,13 @@ from __future__ import annotations
 
 import os
 import random
-import time
-from statistics import median
 
-from repro.bench.common import ExperimentResult, scaled, two_input_config
+from repro.bench.common import (
+    ExperimentResult,
+    sample_wall,
+    scaled,
+    two_input_config,
+)
 from repro.fpga.engine import CompactionEngine, simulate_synthetic
 from repro.host.batch_merge import BatchMergeEngine
 from repro.lsm.block import Block, BlockBuilder
@@ -56,22 +59,6 @@ OPTIONS = Options(compression="none", bloom_bits_per_key=0,
 
 DEFAULT_REPEAT = 7
 DEFAULT_WARMUP = 2
-
-
-def _sample(fn, repeat: int, warmup: int) -> tuple[float, float]:
-    """Wall-time ``fn`` ``repeat`` times after ``warmup`` throwaway runs;
-    returns ``(p50_seconds, p95_seconds)``."""
-    for _ in range(warmup):
-        fn()
-    times = []
-    for _ in range(repeat):
-        start = time.perf_counter()
-        fn()
-        times.append(time.perf_counter() - start)
-    times.sort()
-    p50 = median(times)
-    p95 = times[min(len(times) - 1, int(round(0.95 * (len(times) - 1))))]
-    return p50, p95
 
 
 # ----------------------------------------------------------------------
@@ -213,14 +200,14 @@ def run(scale: float = 1.0) -> ExperimentResult:
 
     # -- the same merge through the batched (LUDA-style) engine --------
     batch_engine = BatchMergeEngine(OPTIONS, ICMP)
+    if batch_engine.vectorized:  # else the backend declines: no row
+        def batch_4way():
+            stats = batch_engine.compact([[r] for r in merge_readers],
+                                         drop_deletions=True)
+            assert stats.input_pairs == 4 * n_merge
 
-    def batch_4way():
-        stats = batch_engine.compact([[r] for r in merge_readers],
-                                     drop_deletions=True)
-        assert stats.input_pairs == 4 * n_merge
-
-    _add(result, "batch_merge_4way", batch_4way, merge_bytes,
-         repeat, warmup)
+        _add(result, "batch_merge_4way", batch_4way, merge_bytes,
+             repeat, warmup)
 
     # -- pipeline timing simulator -------------------------------------
     config = two_input_config(16)
@@ -302,6 +289,6 @@ def run(scale: float = 1.0) -> ExperimentResult:
 
 def _add(result: ExperimentResult, name: str, fn, nbytes: int,
          repeat: int, warmup: int) -> None:
-    p50, p95 = _sample(fn, repeat, warmup)
+    p50, p95 = sample_wall(fn, repeat, warmup)
     result.add_row(name, round(p50 * 1e6, 1), round(p95 * 1e6, 1),
                    round(nbytes / p50 / 1e6, 2) if p50 > 0 else 0.0)

@@ -198,36 +198,6 @@ class WallCostModel:
                 + input_bytes * self.per_byte_seconds)
 
 
-@dataclass(frozen=True)
-class BatchCostModel:
-    """Wall model of the LUDA-style batched merge (`repro.host.batch_merge`).
-
-    The vectorized path pays a fixed marshalling cost (array allocation,
-    lexsort setup) and then proceeds at a per-byte vectorized rate, with
-    a small per-row term for the residual Python block/builder loops.
-    The fallback constants describe the pure-Python chunked path used
-    when numpy is absent — slightly worse than the streaming CPU merge,
-    so cost-model routing never picks ``batch`` without numpy.
-    """
-
-    marshal_fixed_seconds: float = 2.5e-3
-    per_pair_seconds: float = 3.6e-6
-    per_byte_seconds: float = 12.0e-9
-    fallback_fixed_seconds: float = 0.5e-3
-    fallback_per_pair_seconds: float = 11.5e-6
-    fallback_per_byte_seconds: float = 26.0e-9
-
-    def merge_seconds(self, input_bytes: int, num_pairs: int,
-                      vectorized: bool = True) -> float:
-        if vectorized:
-            return (self.marshal_fixed_seconds
-                    + num_pairs * self.per_pair_seconds
-                    + input_bytes * self.per_byte_seconds)
-        return (self.fallback_fixed_seconds
-                + num_pairs * self.fallback_per_pair_seconds
-                + input_bytes * self.fallback_per_byte_seconds)
-
-
 #: Streaming CPU merge (`repro.lsm.compaction.compact`): heap pop, parse
 #: and builder add per pair, plus per-byte block/CRC work.
 CPU_WALL_MODEL = WallCostModel(fixed_seconds=0.3e-3,
@@ -239,6 +209,15 @@ CPU_WALL_MODEL = WallCostModel(fixed_seconds=0.3e-3,
 FPGA_SIM_WALL_MODEL = WallCostModel(fixed_seconds=2.0e-3,
                                     per_pair_seconds=14.0e-6,
                                     per_byte_seconds=22.0e-9)
+
+#: LUDA-style batched merge (`repro.host.batch_merge`): a fixed
+#: marshalling cost (array allocation, lexsort setup), then a per-byte
+#: vectorized rate with a small per-row term for the residual Python
+#: block/builder loops.  Without numpy the backend declines the task, so
+#: there is nothing else to price.
+BATCH_WALL_MODEL = WallCostModel(fixed_seconds=2.5e-3,
+                                 per_pair_seconds=3.6e-6,
+                                 per_byte_seconds=12.0e-9)
 
 
 def estimate_pairs(input_bytes: int, user_key_length: int,

@@ -36,7 +36,6 @@ from repro.host.faults import FaultInjector
 from repro.host.near_storage import NearStorageDevice, NearStorageResult
 from repro.host.pcie import PcieModel
 from repro.host.scheduler import CompactionScheduler, SchedulerStats
-from repro.host.splice import SplitTable, combine_regions, split_table_image
 
 __all__ = [
     "AcceleratorBackend",
@@ -55,7 +54,4 @@ __all__ = [
     "NearStorageResult",
     "PcieModel",
     "SchedulerStats",
-    "SplitTable",
-    "combine_regions",
-    "split_table_image",
 ]

@@ -7,15 +7,16 @@ into an :class:`AcceleratorBackend` interface with three registered
 implementations:
 
 ``cpu``
-    The streaming software merge (`repro.lsm.compaction.compact`, or the
-    partitioned sub-compaction splice when configured) — always capable,
-    and the terminal fallback target for faulting accelerators.
+    The streaming software merge (`repro.lsm.compaction.compact`) — the
+    oracle the others are checked against, always capable, and the
+    terminal fallback target for faulting accelerators.
 ``fpga-sim``
     The existing pipeline-sim device (`repro.host.device.FcaeDevice`),
     capability-limited by the engine's input-stream count.
 ``batch``
     The LUDA-style vectorized batched merge
-    (`repro.host.batch_merge.BatchMergeEngine`).
+    (`repro.host.batch_merge.BatchMergeEngine`), capable only when
+    numpy imports and the comparator is bytewise.
 
 Each backend carries a wall-clock cost model
 (:mod:`repro.fpga.cost_model`) estimating how long *this process* would
@@ -30,10 +31,9 @@ from __future__ import annotations
 import time
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import Optional
 
 from repro.fpga.cost_model import (
-    BatchCostModel,
+    BATCH_WALL_MODEL,
     CPU_WALL_MODEL,
     FPGA_SIM_WALL_MODEL,
     WallCostModel,
@@ -41,11 +41,7 @@ from repro.fpga.cost_model import (
 )
 from repro.host.batch_merge import BatchMergeEngine
 from repro.host.device import FcaeDevice
-from repro.lsm.compaction import (
-    OutputTable,
-    compact,
-    make_compaction_sources,
-)
+from repro.lsm.compaction import OutputTable, compact_tables
 from repro.lsm.internal import InternalKeyComparator
 from repro.lsm.options import Options
 from repro.lsm.version import CompactionSpec
@@ -76,7 +72,8 @@ class AcceleratorBackend(ABC):
 
     def can_run(self, spec: CompactionSpec) -> bool:
         """Capability check — ``False`` excludes the backend from
-        routing for this task (e.g. engine input-count limits)."""
+        routing for this task (engine input-count limits, a missing
+        numpy)."""
         return True
 
     @abstractmethod
@@ -125,17 +122,9 @@ class CpuBackend(AcceleratorBackend):
     def run(self, spec: CompactionSpec, input_tables: list,
             parent_tables: list, drop_deletions: bool) -> BackendResult:
         start = time.perf_counter()
-        if self.options.max_subcompactions > 1:
-            from repro.lsm.subcompaction import subcompact
-
-            stats = subcompact(spec.level, input_tables, parent_tables,
+        stats = compact_tables(spec.level, input_tables, parent_tables,
                                self.options, self.comparator,
                                drop_deletions)
-        else:
-            sources = make_compaction_sources(spec.level, input_tables,
-                                              parent_tables)
-            stats = compact(sources, self.options, self.comparator,
-                            drop_deletions)
         wall = time.perf_counter() - start
         # The "software" phase keeps its historical meaning: the *modeled*
         # harness-CPU merge time of the paper's evaluation machine.
@@ -192,22 +181,21 @@ class BatchBackend(AcceleratorBackend):
     name = "batch"
 
     def __init__(self, options: Options, comparator: InternalKeyComparator,
-                 cost_model: Optional[BatchCostModel] = None,
-                 fault_injector=None,
-                 force_fallback: bool = False):
+                 cost_model: WallCostModel = BATCH_WALL_MODEL,
+                 fault_injector=None):
         self.options = options
-        self.engine = BatchMergeEngine(options, comparator,
-                                       force_fallback=force_fallback)
-        self.cost_model = cost_model or BatchCostModel()
+        self.engine = BatchMergeEngine(options, comparator)
+        self.cost_model = cost_model
         self.fault_injector = fault_injector
+
+    def can_run(self, spec: CompactionSpec) -> bool:
+        return self.engine.vectorized
 
     def estimate_seconds(self, spec: CompactionSpec) -> float:
         pairs = estimate_pairs(spec.total_input_bytes,
                                self.options.key_length,
                                self.options.value_length)
-        return self.cost_model.merge_seconds(
-            spec.total_input_bytes, pairs,
-            vectorized=self.engine.vectorized)
+        return self.cost_model.merge_seconds(spec.total_input_bytes, pairs)
 
     def run(self, spec: CompactionSpec, input_tables: list,
             parent_tables: list, drop_deletions: bool) -> BackendResult:
@@ -226,10 +214,7 @@ class BatchBackend(AcceleratorBackend):
 
 def make_backends(device: FcaeDevice, options: Options,
                   comparator: InternalKeyComparator,
-                  cpu_model: CpuCostModel,
-                  batch_cost_model: Optional[BatchCostModel] = None,
-                  batch_force_fallback: bool = False
-                  ) -> dict[str, AcceleratorBackend]:
+                  cpu_model: CpuCostModel) -> dict[str, AcceleratorBackend]:
     """The scheduler's standard backend registry.
 
     The batch backend shares the device's fault injector (when one is
@@ -238,7 +223,6 @@ def make_backends(device: FcaeDevice, options: Options,
     return {backend.name: backend for backend in (
         CpuBackend(options, comparator, cpu_model),
         FpgaSimBackend(device),
-        BatchBackend(options, comparator, cost_model=batch_cost_model,
-                     fault_injector=device.fault_injector,
-                     force_fallback=batch_force_fallback),
+        BatchBackend(options, comparator,
+                     fault_injector=device.fault_injector),
     )}

@@ -24,26 +24,21 @@ The output is byte-identical to :func:`repro.lsm.compaction.compact`
 over the same tables — the equality suite in ``tests/test_accelerator.py``
 holds this across compression, bloom filters and value sizes.
 
-Without numpy (the same optional-dependency idiom as
-``repro.util.crc32c``), or for workloads the vectorized path cannot
-express (non-bytewise comparators, snapshot-preserving merges), the
-engine degrades to a pure-Python *chunked* pipeline: blocks are decoded
-into bounded batches of ``Options.batch_merge_chunk`` entries per input
-stream and merged through the ordinary streaming validity check —
-byte-identical by construction, scalar speed.
+The engine needs numpy (the same optional-dependency idiom as
+``repro.util.crc32c``) and a bytewise comparator.
+:attr:`BatchMergeEngine.vectorized` reports whether both hold; the
+``batch`` backend's ``can_run`` returns it, so when they do not, routing
+sends the task to ``cpu`` instead.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, Optional
-
-from repro.errors import CorruptionError
+from repro.errors import CorruptionError, InvalidArgumentError
 from repro.lsm.block import Block
 from repro.lsm.compaction import (
     CompactionStats,
-    OutputTable,
     _BufferFile,
-    merge_entries,
+    build_output_tables,
 )
 from repro.lsm.internal import (
     InternalKeyComparator,
@@ -55,9 +50,7 @@ from repro.lsm.sstable import (
     BLOCK_TRAILER_SIZE,
     COMPRESSION_NONE,
     COMPRESSION_SNAPPY,
-    BlockHandle,
     TableBuilder,
-    _read_block,
 )
 from repro.compress import snappy
 from repro.util.coding import decode_fixed32, encode_fixed32
@@ -70,12 +63,13 @@ except ImportError:  # pragma: no cover - numpy is present in CI
 
 
 class _DeferredCrcTableBuilder(TableBuilder):
-    """A :class:`TableBuilder` that writes zeroed block-trailer CRCs.
+    """A :class:`TableBuilder` that writes zeroed block-trailer CRCs and
+    fills them for a whole compaction in one :func:`crc32c_many` pass
+    (block offsets never depend on checksum values).
 
     Every other byte of the image — compression decision, handles,
     separators, footer — is produced by the inherited logic, so the
-    final image is byte-identical to the standard builder's once
-    :func:`fill_deferred_crcs` patches the checksums in.
+    sealed image is byte-identical to the standard builder's.
     """
 
     def __init__(self, options: Options, dest: _BufferFile,
@@ -83,42 +77,28 @@ class _DeferredCrcTableBuilder(TableBuilder):
         super().__init__(options, dest, comparator)
         #: (payload offset, payload length including the type byte)
         self.deferred_crcs: list[tuple[int, int]] = []
-        self._crc_dest = dest
 
-    def _write_block(self, contents: bytes) -> BlockHandle:
-        if self._options.compression == "snappy":
-            compressed = snappy.compress(contents)
-            if len(compressed) < len(contents) - len(contents) // 8:
-                payload, block_type = compressed, COMPRESSION_SNAPPY
-            else:
-                payload, block_type = contents, COMPRESSION_NONE
-        else:
-            payload, block_type = contents, COMPRESSION_NONE
-        handle = BlockHandle(self._offset, len(payload))
-        self._dest.append(payload)
-        self._dest.append(bytes((block_type,)))
-        self._dest.append(b"\x00\x00\x00\x00")
-        self.deferred_crcs.append((handle.offset, len(payload) + 1))
-        self._offset += len(payload) + BLOCK_TRAILER_SIZE
-        return handle
+    def _trailer_crc(self, payload: bytes, block_type: int) -> bytes:
+        self.deferred_crcs.append((self._offset, len(payload) + 1))
+        return b"\x00\x00\x00\x00"
 
-
-def fill_deferred_crcs(builders: list[_DeferredCrcTableBuilder]) -> None:
-    """Batch-compute and patch every deferred trailer CRC."""
-    regions = []
-    for builder in builders:
-        view = memoryview(builder._crc_dest.data)
-        regions.extend(view[offset:offset + length]
-                       for offset, length in builder.deferred_crcs)
-    crcs = crc32c_many(regions)
-    del regions  # release memoryviews before mutating the bytearrays
-    pos = 0
-    for builder in builders:
-        data = builder._crc_dest.data
-        for offset, length in builder.deferred_crcs:
-            data[offset + length:offset + length + 4] = encode_fixed32(
-                mask_crc(crcs[pos]))
-            pos += 1
+    @staticmethod
+    def seal(builders: "list[_DeferredCrcTableBuilder]") -> None:
+        """Batch-compute and patch every deferred trailer CRC."""
+        regions = []
+        for builder in builders:
+            view = memoryview(builder._dest.data)
+            regions.extend(view[offset:offset + length]
+                           for offset, length in builder.deferred_crcs)
+        crcs = crc32c_many(regions)
+        del regions  # release memoryviews before mutating the bytearrays
+        pos = 0
+        for builder in builders:
+            data = builder._dest.data
+            for offset, length in builder.deferred_crcs:
+                data[offset + length:offset + length + 4] = encode_fixed32(
+                    mask_crc(crcs[pos]))
+                pos += 1
 
 
 class BatchMergeEngine:
@@ -126,39 +106,32 @@ class BatchMergeEngine:
 
     ``streams`` follows :meth:`repro.host.device.FcaeDevice.compact`'s
     convention: a list of input streams, each a list of TableReaders
-    whose concatenation is sorted.  The vectorized path ignores the
-    stream structure entirely — a global sort does not care which run a
-    row came from.
+    whose concatenation is sorted.  The merge ignores the stream
+    structure entirely — a global sort does not care which run a row
+    came from.
     """
 
     def __init__(self, options: Options,
-                 comparator: InternalKeyComparator,
-                 force_fallback: bool = False):
+                 comparator: InternalKeyComparator):
         self.options = options
         self.comparator = comparator
-        self.force_fallback = force_fallback
 
     @property
     def vectorized(self) -> bool:
-        """True when compactions will take the numpy path."""
-        return (_np is not None and not self.force_fallback
+        """True when this engine can run: numpy imports and the
+        comparator is bytewise (the sort key is the raw key bytes)."""
+        return (_np is not None
                 and getattr(self.comparator, "_bytewise", False))
 
-    def compact(self, streams: list[list], drop_deletions: bool,
-                smallest_snapshot: Optional[int] = None) -> CompactionStats:
-        tables = [t for stream in streams for t in stream]
-        if self.vectorized and smallest_snapshot is None:
-            return self._compact_vectorized(tables, drop_deletions)
-        return self._compact_fallback(streams, drop_deletions,
-                                      smallest_snapshot)
-
-    # ------------------------------------------------------------------
-    # Vectorized path
-    # ------------------------------------------------------------------
-
-    def _compact_vectorized(self, tables: list,
-                            drop_deletions: bool) -> CompactionStats:
-        keys, values = self._bulk_decode(tables)
+    def compact(self, streams: list[list],
+                drop_deletions: bool) -> CompactionStats:
+        if not self.vectorized:
+            raise InvalidArgumentError(
+                "the batch merge engine needs numpy and a bytewise "
+                "comparator; route through CompactionScheduler, which "
+                "sends such tasks to the cpu backend")
+        keys, values = self._bulk_decode(
+            [t for stream in streams for t in stream])
         stats = CompactionStats()
         n = len(keys)
         if n == 0:
@@ -170,9 +143,13 @@ class BatchMergeEngine:
         stats.dropped_tombstones = dropped_tombstones
         stats.output_pairs = len(survivors)
         stats.input_bytes = sum(map(len, keys)) + sum(map(len, values))
-        stats.outputs = self._bulk_encode(keys, values, survivors)
+        picks = survivors.tolist()  # plain ints index lists fastest
+        # Bulk encode: the standard cut rules, block CRCs batch-filled.
+        stats.outputs = build_output_tables(
+            ((keys[i], values[i]) for i in picks), self.options,
+            self.comparator, _DeferredCrcTableBuilder)
         stats.output_bytes = sum(
-            len(keys[i]) + len(values[i]) for i in survivors)
+            len(keys[i]) + len(values[i]) for i in picks)
         return stats
 
     def _bulk_decode(self, tables: list) -> tuple[list, list]:
@@ -214,86 +191,6 @@ class BatchMergeEngine:
                 keys.append(key)
                 values.append(value)
         return keys, values
-
-    def _bulk_encode(self, keys: list, values: list,
-                     survivors) -> list[OutputTable]:
-        """Re-encode survivors with deferred, batch-filled block CRCs."""
-        options, comparator = self.options, self.comparator
-        sstable_size = options.sstable_size
-        outputs: list[OutputTable] = []
-        finished: list[_DeferredCrcTableBuilder] = []
-        dest: Optional[_BufferFile] = None
-        builder: Optional[_DeferredCrcTableBuilder] = None
-
-        def finish_current() -> None:
-            nonlocal dest, builder
-            if builder is None or builder.smallest_key is None:
-                dest, builder = None, None
-                return
-            table_stats = builder.finish()
-            outputs.append(OutputTable(
-                data=dest,  # placeholder: bytes taken after CRC fill
-                smallest=builder.smallest_key,
-                largest=builder.largest_key,
-                stats=table_stats,
-            ))
-            finished.append(builder)
-            dest, builder = None, None
-
-        for i in survivors:
-            if builder is None:
-                dest = _BufferFile()
-                builder = _DeferredCrcTableBuilder(options, dest, comparator)
-            builder.add(keys[i], values[i])
-            if builder.file_size >= sstable_size:
-                finish_current()
-        finish_current()
-        fill_deferred_crcs(finished)
-        for output in outputs:
-            output.data = bytes(output.data.data)
-        return outputs
-
-    # ------------------------------------------------------------------
-    # Pure-Python chunked fallback
-    # ------------------------------------------------------------------
-
-    def _compact_fallback(self, streams: list[list], drop_deletions: bool,
-                          smallest_snapshot: Optional[int]
-                          ) -> CompactionStats:
-        chunk = self.options.batch_merge_chunk
-        sources = [self._chunked_stream(stream, chunk)
-                   for stream in streams if stream]
-        stats = CompactionStats()
-        survivors = merge_entries(sources, self.comparator, drop_deletions,
-                                  stats, smallest_snapshot=smallest_snapshot)
-        stats.outputs = self._build_outputs_deferred(survivors)
-        return stats
-
-    def _chunked_stream(self, tables: list, chunk: int) -> Iterator:
-        """Bulk-decode a concatenated run, ``chunk`` entries at a time."""
-        batch: list = []
-        for table in tables:
-            data = table.image
-            for _, handle in table.index_entries():
-                contents = _read_block(data, handle,
-                                       self.options.paranoid_checks)
-                batch.extend(Block(contents))
-                if len(batch) >= chunk:
-                    yield from batch
-                    batch.clear()
-        yield from batch
-
-    def _build_outputs_deferred(self, entries) -> list[OutputTable]:
-        """The fallback encoder: same deferred-CRC builder, fed from the
-        streaming survivor iterator."""
-        survivors: list[int] = []
-        keys: list = []
-        values: list = []
-        for key, value in entries:
-            survivors.append(len(keys))
-            keys.append(key)
-            values.append(value)
-        return self._bulk_encode(keys, values, survivors)
 
 
 def _merge_order(keys: list, drop_deletions: bool):

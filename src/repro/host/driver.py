@@ -35,7 +35,6 @@ import queue
 import threading
 import time
 
-from repro.analysis import watchdog as lockwatch
 from repro.lsm.options import L0_STOP_TRIGGER
 from repro.lsm.version import CompactionSpec
 from repro.obs.names import DriverMetrics
@@ -61,9 +60,6 @@ class CompactionDriver:
         self._closed = False
         #: File numbers owned by in-flight compactions (DB mutex held).
         self._busy: set[int] = set()
-        #: Lazily created pool for sub-compaction partitions.
-        self._partition_pool = None
-        self._pool_lock = lockwatch.make_lock("driver.pool")
         self._m = DriverMetrics(db.metrics,
                                 inst=db.metrics.instance_label())
         self._threads = [
@@ -212,31 +208,6 @@ class CompactionDriver:
                    for meta in spec.inputs + spec.parents)
 
     # ------------------------------------------------------------------
-    # Sub-compaction dispatch
-    # ------------------------------------------------------------------
-
-    def map_partitions(self, tasks: list) -> list:
-        """Run sub-compaction partition merges across the units.
-
-        ``tasks`` are zero-argument callables (one per key-range
-        partition, see :func:`repro.lsm.subcompaction.subcompact`);
-        results come back in task order.  Partitions share a pool of
-        ``num_units`` threads, so a partitioned merge occupies the same
-        parallel width as the paper's multiple Compaction Units.
-        """
-        if len(tasks) <= 1:
-            return [task() for task in tasks]
-        with self._pool_lock:
-            if self._partition_pool is None:
-                from concurrent.futures import ThreadPoolExecutor
-                self._partition_pool = ThreadPoolExecutor(
-                    max_workers=self.num_units,
-                    thread_name_prefix=f"{self.db.dbname}-part")
-            pool = self._partition_pool
-        return [future.result()
-                for future in [pool.submit(task) for task in tasks]]
-
-    # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
 
@@ -269,10 +240,6 @@ class CompactionDriver:
         self._stop.set()
         for thread in self._threads:
             thread.join(timeout=5.0)
-        with self._pool_lock:
-            if self._partition_pool is not None:
-                self._partition_pool.shutdown(wait=False)
-                self._partition_pool = None
 
     def __repr__(self) -> str:
         return (f"CompactionDriver(units={self.num_units}, "

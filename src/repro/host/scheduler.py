@@ -11,7 +11,8 @@ routes each merge compaction to one of the registered
   level 0 it is the number of overlapping L0 files plus one — and run
   the software merge otherwise ("when S_0 > N - 1, the compaction task
   will be processed completely by the software");
-* ``"cpu"`` / ``"batch"`` force one executor;
+* ``"cpu"`` / ``"batch"`` force one executor (``"batch"`` likewise
+  degrades to the software merge when it cannot run — no numpy);
 * ``"auto"`` picks the argmin of the backends' wall-clock cost models
   (:func:`pick_backend`), excluding backends that cannot run the task.
 
@@ -20,12 +21,11 @@ disjoint output ranges), and recoverable faults from *any* accelerator
 go through bounded retry + backoff before failing over to the CPU merge
 — output bytes are identical either way, so fallback never changes the
 key space.  Statistics land in a :class:`repro.obs.MetricsRegistry` —
-legacy fpga/software route counters, the per-backend
-``scheduler_backend_*`` families, per-phase time, the PCIe share —
-with :class:`SchedulerStats` as a read-only view.  Each routed task
-also emits a ``compaction.route`` trace span with per-phase children
-(marshal → pcie_in → kernel → pcie_out, software, or batch), so a JSONL
-trace reconstructs exactly where offload time went.
+the per-backend ``scheduler_backend_*`` families, per-phase time, the
+PCIe share — with :class:`SchedulerStats` as a read-only view.  Each
+routed task also emits a ``compaction.route`` trace span with per-phase
+children (marshal → pcie_in → kernel → pcie_out, software, or batch), so
+a JSONL trace reconstructs exactly where offload time went.
 """
 
 from __future__ import annotations
@@ -61,15 +61,15 @@ from repro.sim.cpu import CpuCostModel
 class SchedulerStats:
     """Routing and timing view over the scheduler's registry metrics.
 
-    The canonical routing accounting is per *backend* (cpu | fpga-sim |
-    batch): :attr:`backend_tasks` / :attr:`backend_input_bytes` /
+    Routing is accounted once, per *backend* (cpu | fpga-sim | batch):
+    :attr:`backend_tasks` / :attr:`backend_input_bytes` /
     :attr:`backend_seconds` mirror the ``scheduler_backend_*`` metric
-    families.  The historical fpga/software field names remain as
-    aliases over the legacy route counters (fpga = the fpga-sim backend,
-    software = every in-process merge), so ``repro.stats`` and the
-    dashboard keep working; values are re-read from the registry on each
-    access.  ``as_dict`` / :meth:`merge` let exposition and
-    multi-scheduler reports iterate fields instead of hand-copying them.
+    families.  The paper's fpga/software split (Fig 6, Table VIII) is a
+    view derived from them — fpga = the fpga-sim backend, software =
+    every in-process merge (cpu + batch); values are re-read from the
+    registry on each access.  ``as_dict`` / :meth:`merge` let exposition
+    and multi-scheduler reports iterate fields instead of hand-copying
+    them.
     """
 
     #: Integer routing fields and float phase-timing fields, in
@@ -103,23 +103,25 @@ class SchedulerStats:
         return {backend: counter.value for backend, counter
                 in self._metrics.backend_seconds.items()}
 
-    # -- legacy aliases (fpga = fpga-sim, software = cpu + batch) ------
+    # -- the paper's split (fpga = fpga-sim, software = cpu + batch) ---
 
     @property
     def fpga_tasks(self) -> int:
-        return int(self._metrics.tasks["fpga"].value)
+        return self.backend_tasks["fpga-sim"]
 
     @property
     def software_tasks(self) -> int:
-        return int(self._metrics.tasks["software"].value)
+        tasks = self.backend_tasks
+        return tasks["cpu"] + tasks["batch"]
 
     @property
     def fpga_input_bytes(self) -> int:
-        return int(self._metrics.input_bytes["fpga"].value)
+        return self.backend_input_bytes["fpga-sim"]
 
     @property
     def software_input_bytes(self) -> int:
-        return int(self._metrics.input_bytes["software"].value)
+        input_bytes = self.backend_input_bytes
+        return input_bytes["cpu"] + input_bytes["batch"]
 
     @property
     def fpga_faults(self) -> int:
@@ -253,9 +255,10 @@ class CompactionScheduler:
     def pick_backend(self, spec: CompactionSpec) -> str:
         """Backend ``spec`` will route to under ``Options.accelerator``.
 
-        Forced modes return their backend (``"fpga-sim"`` degrades to
-        ``"cpu"`` when the input-stream count exceeds the engine's N —
-        Fig 6's branch); ``"auto"`` returns the argmin of the capable
+        Forced modes return their backend, degraded to ``"cpu"`` when
+        it cannot run the task (``"fpga-sim"`` when the input-stream
+        count exceeds the engine's N — Fig 6's branch; ``"batch"``
+        without numpy); ``"auto"`` returns the argmin of the capable
         backends' wall-clock cost estimates.
         """
         mode = self.options.accelerator
@@ -269,22 +272,11 @@ class CompactionScheduler:
             return "cpu"
         return backend.name
 
-    def should_offload(self, spec: CompactionSpec) -> bool:
-        """Fig 6's branch: FPGA iff the input-stream count fits N."""
-        return self.backends["fpga-sim"].can_run(spec)
-
-    def estimate_costs(self, spec: CompactionSpec) -> dict[str, float]:
-        """Wall-clock estimate per capable backend (routing's inputs)."""
-        return {name: backend.estimate_seconds(spec)
-                for name, backend in self.backends.items()
-                if backend.can_run(spec)}
-
     def __call__(self, spec: CompactionSpec, input_tables: list,
                  parent_tables: list,
                  drop_deletions: bool) -> list[OutputTable]:
         name = self.pick_backend(spec)
         backend = self.backends[name]
-        self._m.tasks[self._legacy_route(name)].inc()
         self._m.backend_tasks[name].inc()
         self._m.task_input_bytes.observe(spec.total_input_bytes)
         self._local.route = name
@@ -302,11 +294,6 @@ class CompactionScheduler:
                     drop_deletions, span)
         finally:
             self.task_window.observe(time.perf_counter() - start)
-
-    @staticmethod
-    def _legacy_route(backend_name: str) -> str:
-        """Fold backend names onto the historical fpga/software routes."""
-        return "fpga" if backend_name == "fpga-sim" else "software"
 
     def _run_with_recovery(self, backend: AcceleratorBackend,
                            spec: CompactionSpec,
@@ -366,8 +353,6 @@ class CompactionScheduler:
                      drop_deletions: bool) -> list[OutputTable]:
         result: BackendResult = backend.run(spec, input_tables,
                                             parent_tables, drop_deletions)
-        route = self._legacy_route(backend.name)
-        self._m.input_bytes[route].inc(result.input_bytes)
         self._m.backend_input_bytes[backend.name].inc(result.input_bytes)
         self._m.backend_seconds[backend.name].inc(result.wall_seconds)
         for phase, seconds in result.phase_seconds.items():

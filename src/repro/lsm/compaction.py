@@ -16,6 +16,7 @@ streams of (internal key, value) pairs sorted newest-source-first, it:
 from __future__ import annotations
 
 import struct
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
@@ -147,35 +148,38 @@ def merge_entries(sources: Iterable[Iterator[KVPair]],
 
 
 def build_output_tables(entries: Iterator[KVPair], options: Options,
-                        comparator: InternalKeyComparator) -> list[OutputTable]:
+                        comparator: InternalKeyComparator,
+                        builder_class: type[TableBuilder] = TableBuilder
+                        ) -> list[OutputTable]:
     """Encode merged entries into >= 0 SSTable images, rolling over at
-    ``Options.sstable_size``."""
-    outputs: list[OutputTable] = []
-    dest: _BufferFile | None = None
+    ``Options.sstable_size``.  ``builder_class`` writes them; its
+    ``seal`` sees all finished builders once before the images are read
+    (the batch backend fills every block checksum there in one pass)."""
+    finished: deque[tuple[_BufferFile, TableBuilder]] = deque()
     builder: TableBuilder | None = None
-
-    def finish_current() -> None:
-        nonlocal dest, builder
-        if builder is None or builder.smallest_key is None:
-            dest, builder = None, None
-            return
-        table_stats = builder.finish()
+    for internal_key, value in entries:
+        if builder is None:
+            dest = _BufferFile()
+            builder = builder_class(options, dest, comparator)
+            finished.append((dest, builder))
+        builder.add(internal_key, value)
+        if builder.file_size >= options.sstable_size:
+            builder.finish()
+            builder = None
+    if builder is not None:
+        builder.finish()
+    builder_class.seal([built for _, built in finished])
+    outputs: list[OutputTable] = []
+    # Popped, so each buffer is freed once its bytes copy exists and the
+    # peak stays one table above the outputs themselves.
+    while finished:
+        dest, builder = finished.popleft()
         outputs.append(OutputTable(
             data=bytes(dest.data),
             smallest=builder.smallest_key,
             largest=builder.largest_key,
-            stats=table_stats,
+            stats=builder.stats,
         ))
-        dest, builder = None, None
-
-    for internal_key, value in entries:
-        if builder is None:
-            dest = _BufferFile()
-            builder = TableBuilder(options, dest, comparator)
-        builder.add(internal_key, value)
-        if builder.file_size >= options.sstable_size:
-            finish_current()
-    finish_current()
     return outputs
 
 
@@ -239,3 +243,17 @@ def make_compaction_sources(
     if parent_tables:
         sources.append(concatenating_iterator(parent_tables))
     return sources
+
+
+def compact_tables(level: int, input_tables: list, parent_tables: list,
+                   options: Options, comparator: InternalKeyComparator,
+                   drop_deletions: bool,
+                   smallest_snapshot: int | None = None) -> CompactionStats:
+    """:func:`compact` over a CompactionSpec's tables — the one CPU merge
+    behind both ``LsmDB``'s default executor and the ``cpu`` backend.
+    Only ``LsmDB`` passes ``smallest_snapshot``: it keeps snapshot
+    merges away from every other executor."""
+    return compact(
+        make_compaction_sources(level, input_tables, parent_tables),
+        options, comparator, drop_deletions,
+        smallest_snapshot=smallest_snapshot)

@@ -38,11 +38,7 @@ from repro.analysis import watchdog as lockwatch
 from repro.errors import DBStateError, NotFoundError
 from repro.lsm.batch import WriteBatch
 from repro.lsm.cache import LRUCache
-from repro.lsm.compaction import (
-    OutputTable,
-    compact,
-    make_compaction_sources,
-)
+from repro.lsm.compaction import OutputTable, compact_tables
 from repro.lsm.env import Env, MemEnv
 from repro.lsm.filenames import (
     current_file_name,
@@ -106,6 +102,13 @@ from repro.obs.window import WindowedHistogram, publish_window
 #: FPGA-backed implementation.
 CompactionExecutor = Callable[
     [CompactionSpec, list, list, bool], list[OutputTable]]
+
+
+def _trace_fields(span) -> dict:
+    """The ``trace`` field of journal events emitted under ``span``
+    (empty when the span carries no trace id)."""
+    trace_id = getattr(span, "trace_id", None)
+    return {} if trace_id is None else {"trace": str(trace_id)}
 
 
 class DbStats:
@@ -896,12 +899,12 @@ class LsmDB:
             self._imm = self._mem
             self._mem = MemTable(self.icmp)
             try:
-                self._build_imm_table_locked(span)
+                meta, start = self._build_flush_table(
+                    self._imm, self.versions.new_file_number(), span)
+                self._install_flush_table_locked(meta, start, span)
             except BaseException:
                 self._restore_imm_after_failed_flush_locked()
                 raise
-            self._imm = None
-            self._write_manifest()
             if self._log is not None:
                 # No active WAL during recovery replay: rotating there
                 # would retire segments that have not been replayed yet.
@@ -909,45 +912,52 @@ class LsmDB:
                 self._retire_old_logs()
             self._refresh_level_gauges_locked()
 
-    def _build_imm_table_locked(self, span) -> None:
-        """Dump ``_imm`` to a level-0 table and install it in the version
-        set.  On failure the partial table file is removed and the caller
-        restores the memtable."""
-        number = self.versions.new_file_number()
+    def _build_flush_table(self, imm: MemTable, number: int,
+                           span) -> tuple[FileMetaData, float]:
+        """Flush step 1: dump ``imm`` to level-0 table file ``number``
+        and close it durably; a partial file is removed on failure.
+        Needs no mutex — ``imm`` is immutable by construction — so the
+        flush worker runs it while foreground writes proceed.  Returns
+        the table's metadata and the step's start time, both inputs of
+        :meth:`_install_flush_table_locked`."""
         name = table_file_name(self.dbname, number)
-        trace_id = getattr(span, "trace_id", None)
-        trace_fields = ({} if trace_id is None
-                        else {"trace": str(trace_id)})
         self.events.emit("flush_start", db=self.dbname, table=number,
-                         **trace_fields)
+                         **_trace_fields(span))
         start = time.perf_counter()
         try:
             dest = self.env.new_writable_file(name)
             builder = TableBuilder(self.options, dest, self.icmp)
-            for internal_key, value in self._imm:
+            for internal_key, value in imm:
                 builder.add(internal_key, value)
             stats = builder.finish()
             self._durable_close(dest)
-            meta = FileMetaData(number, stats.file_bytes,
-                                builder.smallest_key, builder.largest_key)
-            edit = VersionEdit()
-            edit.add_file(0, meta)
-            self.versions.apply(edit)
-            self._open_reader_locked(meta)
         except BaseException:
             if self.env.file_exists(name):
                 self.env.delete_file(name)
             raise
+        return FileMetaData(number, stats.file_bytes, builder.smallest_key,
+                            builder.largest_key), start
+
+    def _install_flush_table_locked(self, meta: FileMetaData, start: float,
+                                    span) -> None:
+        """Flush step 2 (mutex held): add the built table to level 0,
+        account for it, retire ``_imm`` and persist the new version."""
+        edit = VersionEdit()
+        edit.add_file(0, meta)
+        self.versions.apply(edit)
+        self._open_reader_locked(meta)
         self._c["flushes"].inc()
-        self._c["flush_bytes"].inc(stats.file_bytes)
-        self._m.add_level_write(0, stats.file_bytes)
-        span.set(table=number, bytes=stats.file_bytes)
+        self._c["flush_bytes"].inc(meta.file_size)
+        self._m.add_level_write(0, meta.file_size)
+        span.set(table=meta.number, bytes=meta.file_size)
         self.events.emit(
-            "flush_finish", db=self.dbname, table=number,
-            bytes=stats.file_bytes,
+            "flush_finish", db=self.dbname, table=meta.number,
+            bytes=meta.file_size,
             seconds=time.perf_counter() - start,
             write_bytes=int(self._c["write_bytes"].value),
-            **trace_fields)
+            **_trace_fields(span))
+        self._imm = None
+        self._write_manifest()
 
     def _restore_imm_after_failed_flush_locked(self) -> None:
         """A failed flush must not strand writes: fold whatever reached
@@ -987,30 +997,9 @@ class LsmDB:
     def _cpu_executor(self, spec: CompactionSpec, input_tables: list,
                       parent_tables: list,
                       drop_deletions: bool) -> list[OutputTable]:
-        return self._cpu_merge(spec, input_tables, parent_tables,
-                               drop_deletions, smallest_snapshot=None)
-
-    def _cpu_merge(self, spec: CompactionSpec, input_tables: list,
-                   parent_tables: list, drop_deletions: bool,
-                   smallest_snapshot: Optional[int]) -> list[OutputTable]:
-        """The CPU merge path, partitioned into sub-compactions when
-        ``Options.max_subcompactions`` allows (outputs are byte-identical
-        either way)."""
-        if self.options.max_subcompactions > 1:
-            from repro.lsm.subcompaction import subcompact
-
-            mapper = (self._driver.map_partitions
-                      if self._driver is not None else None)
-            stats = subcompact(spec.level, input_tables, parent_tables,
-                               self.options, self.icmp, drop_deletions,
-                               smallest_snapshot=smallest_snapshot,
-                               mapper=mapper)
-        else:
-            sources = make_compaction_sources(spec.level, input_tables,
-                                              parent_tables)
-            stats = compact(sources, self.options, self.icmp, drop_deletions,
-                            smallest_snapshot=smallest_snapshot)
-        return stats.outputs
+        return compact_tables(spec.level, input_tables, parent_tables,
+                              self.options, self.icmp,
+                              drop_deletions).outputs
 
     def _executor_backend(self) -> str:
         """Which backend ran the merge just executed on this thread.
@@ -1057,9 +1046,7 @@ class LsmDB:
                         span) -> list[FileMetaData]:
         base_bytes = sum(m.file_size for m in spec.inputs)
         parent_bytes = sum(m.file_size for m in spec.parents)
-        trace_id = getattr(span, "trace_id", None)
-        trace_fields = ({} if trace_id is None
-                        else {"trace": str(trace_id)})
+        trace_fields = _trace_fields(span)
         self.events.emit(
             "compaction_start", db=self.dbname, level=spec.level,
             output_level=spec.output_level, reason=spec.reason,
@@ -1099,11 +1086,13 @@ class LsmDB:
         # references the new file numbers until the version edit below
         # installs them, so only the number allocation needs the lock.
         new_metas: list[FileMetaData] = []
+        written: list[str] = []
         try:
             for output in outputs:
                 with self._mutex:
                     number = self.versions.new_file_number()
                 name = table_file_name(self.dbname, number)
+                written.append(name)
                 dest = self.env.new_writable_file(name)
                 dest.append(output.data)
                 self._durable_close(dest)
@@ -1111,10 +1100,10 @@ class LsmDB:
                     number, len(output.data),
                     output.smallest, output.largest))
         except BaseException:
-            # Uninstalled outputs are garbage: remove what was written
-            # so a failed compaction leaves no orphan tables behind.
-            for meta in new_metas:
-                name = table_file_name(self.dbname, meta.number)
+            # Uninstalled outputs are garbage: remove what was written,
+            # the table in progress included, so a failed compaction
+            # leaves no orphan tables behind.
+            for name in written:
                 if self.env.file_exists(name):
                     self.env.delete_file(name)
             raise
@@ -1166,18 +1155,18 @@ class LsmDB:
         below every live snapshot (LevelDB's ``last_sequence_for_key``
         rule)."""
         self._m.snapshot_merges.inc()
-        return self._cpu_merge(spec, input_tables, parent_tables,
-                               drop_deletions,
-                               smallest_snapshot=smallest_snapshot)
+        return compact_tables(spec.level, input_tables, parent_tables,
+                              self.options, self.icmp, drop_deletions,
+                              smallest_snapshot=smallest_snapshot).outputs
 
     def _background_flush(self) -> None:
         """Flush worker entry point: dump ``_imm`` to a level-0 table.
 
-        The table build runs *without* the mutex (``_imm`` is immutable
-        by construction), so foreground writes proceed into the fresh
-        memtable meanwhile; only the version-edit install takes the lock.
-        On failure ``_imm`` stays set — its writes remain readable and
-        its WAL segment is retained — and the driver records the error.
+        The table build runs *without* the mutex, so foreground writes
+        proceed into the fresh memtable meanwhile; only the install
+        takes the lock.  On failure ``_imm`` stays set — its writes
+        remain readable and its WAL segment is retained — and the driver
+        records the error.
         """
         with self._mutex:
             imm = self._imm
@@ -1185,44 +1174,9 @@ class LsmDB:
                 return
             number = self.versions.new_file_number()
         with self.tracer.span("flush", db=self.dbname) as span:
-            name = table_file_name(self.dbname, number)
-            trace_id = getattr(span, "trace_id", None)
-            trace_fields = ({} if trace_id is None
-                            else {"trace": str(trace_id)})
-            self.events.emit("flush_start", db=self.dbname, table=number,
-                             **trace_fields)
-            start = time.perf_counter()
-            try:
-                dest = self.env.new_writable_file(name)
-                builder = TableBuilder(self.options, dest, self.icmp)
-                for internal_key, value in imm:
-                    builder.add(internal_key, value)
-                stats = builder.finish()
-                self._durable_close(dest)
-            except BaseException:
-                if self.env.file_exists(name):
-                    self.env.delete_file(name)
-                raise
+            meta, start = self._build_flush_table(imm, number, span)
             with self._mutex:
-                meta = FileMetaData(number, stats.file_bytes,
-                                    builder.smallest_key,
-                                    builder.largest_key)
-                edit = VersionEdit()
-                edit.add_file(0, meta)
-                self.versions.apply(edit)
-                self._open_reader_locked(meta)
-                self._c["flushes"].inc()
-                self._c["flush_bytes"].inc(stats.file_bytes)
-                self._m.add_level_write(0, stats.file_bytes)
-                span.set(table=number, bytes=stats.file_bytes)
-                self.events.emit(
-                    "flush_finish", db=self.dbname, table=number,
-                    bytes=stats.file_bytes,
-                    seconds=time.perf_counter() - start,
-                    write_bytes=int(self._c["write_bytes"].value),
-                    **trace_fields)
-                self._imm = None
-                self._write_manifest()
+                self._install_flush_table_locked(meta, start, span)
                 self._retire_old_logs()
                 self._refresh_level_gauges_locked()
                 self._cond.notify_all()

@@ -84,10 +84,6 @@ class LogWriter:
     def flush(self) -> None:
         self._dest.flush()
 
-    def sync(self) -> None:
-        """Flush then fsync the underlying file (the durability point)."""
-        self._dest.sync()
-
 
 class LogReader:
     """Replays records written by :class:`LogWriter`.

@@ -92,9 +92,7 @@ from repro.obs.slo import (
     SloSpec,
     WindowedCounter,
     build_engine,
-    load_slo_file,
     parse_slo_specs,
-    parse_slo_toml,
 )
 from repro.obs.dashboard import render_dashboard, run_dashboard
 from repro.obs.timeline import TimelineRecorder
@@ -230,12 +228,10 @@ __all__ = [
     "current_timeline",
     "current_tracer",
     "install",
-    "load_slo_file",
     "merge_counts",
     "names",
     "parse_prometheus_text",
     "parse_slo_specs",
-    "parse_slo_toml",
     "publish_window",
     "quantile_label",
     "read_events",

@@ -172,19 +172,18 @@ def _stall_section(lines: list[str], snapshot: dict) -> None:
 
 
 def _routing_section(lines: list[str], snapshot: dict) -> None:
-    tasks = snapshot.get("scheduler_tasks_total", {})
+    tasks = snapshot.get("scheduler_backend_tasks_total", {})
     if not tasks or sum(tasks.values()) == 0:
         return
-    by_route: dict[str, float] = {}
+    by_backend: dict[str, float] = {}
     for key, value in tasks.items():
-        labels = _labels(key)
-        by_route[labels.get("route", "?")] = \
-            by_route.get(labels.get("route", "?"), 0) + value
-    total = sum(by_route.values())
+        backend = _labels(key).get("backend", "?")
+        by_backend[backend] = by_backend.get(backend, 0) + value
+    total = sum(by_backend.values())
     _section(lines, "compaction routing:")
-    for route in sorted(by_route):
-        share = by_route[route] / total if total else 0.0
-        lines.append(f"  {route:<10} {int(by_route[route]):>6} "
+    for backend in sorted(by_backend):
+        share = by_backend[backend] / total if total else 0.0
+        lines.append(f"  {backend:<10} {int(by_backend[backend]):>6} "
                      f"({share:.1%})")
 
 

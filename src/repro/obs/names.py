@@ -102,10 +102,6 @@ FAMILIES: tuple[tuple, ...] = (
     ("lsm_block_cache_usage_bytes", "gauge",
      "Bytes of payload currently cached.", None),
     # -- Compaction scheduler (Fig 6 / Table VIII) --------------------
-    ("scheduler_tasks_total", "counter",
-     "Merge compactions by route (fpga|software).", None),
-    ("scheduler_input_bytes_total", "counter",
-     "Compaction input bytes by route.", None),
     ("scheduler_phase_seconds_total", "counter",
      "Modeled seconds per offload phase "
      "(marshal|pcie_in|kernel|pcie_out|software|batch).", None),
@@ -347,7 +343,6 @@ class LsmMetrics:
 class SchedulerMetrics:
     """The compaction scheduler's bound children."""
 
-    ROUTES = ("fpga", "software")
     PHASES = ("marshal", "pcie_in", "kernel", "pcie_out", "software",
               "batch")
     BACKENDS = ("cpu", "fpga-sim", "batch")
@@ -355,12 +350,6 @@ class SchedulerMetrics:
     def __init__(self, registry: MetricsRegistry, inst: str):
         self.registry = registry
         self.labels = {"inst": inst}
-        self.tasks = {route: _counter(
-            registry, "scheduler_tasks_total", route=route, **self.labels)
-            for route in self.ROUTES}
-        self.input_bytes = {route: _counter(
-            registry, "scheduler_input_bytes_total", route=route,
-            **self.labels) for route in self.ROUTES}
         self.backend_tasks = {backend: _counter(
             registry, "scheduler_backend_tasks_total", backend=backend,
             **self.labels) for backend in self.BACKENDS}

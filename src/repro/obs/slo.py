@@ -7,8 +7,7 @@ answer to "are we violating the SLO, and how fast?":
 * :class:`SloSpec` — a declarative objective: *latency* ("99% of gets
   under 5 ms") or *availability* ("99.9% of ops succeed"), scoped to an
   operation and a tenant (``"*"`` wildcards).  Specs parse from plain
-  dicts, from TOML (``[[slo]]`` array-of-tables), and ride into the
-  store via ``Options.slo_specs``.
+  dicts and ride into the store via ``Options.slo_specs``.
 * :class:`SloEngine` — per-(spec, tenant) good/bad accounting over a
   sliding window ring, Google-SRE-style **multi-window multi-burn-rate**
   alerting (the default policies pair a 5m/1h fast burn at 14.4x with a
@@ -45,8 +44,7 @@ from repro.obs.events import NULL_JOURNAL
 
 __all__ = [
     "BurnPolicy", "DEFAULT_POLICIES", "SloSpec", "SloEngine",
-    "WindowedCounter", "parse_slo_specs", "parse_slo_toml",
-    "load_slo_file",
+    "WindowedCounter", "parse_slo_specs",
 ]
 
 
@@ -168,14 +166,12 @@ class SloSpec:
 
     @classmethod
     def from_dict(cls, data: dict) -> "SloSpec":
-        """Build a spec from a plain mapping (dict literal or one TOML
-        ``[[slo]]`` table).
+        """Build a spec from a plain mapping.
 
         Policies come either as ``policies = [{name=..., short_seconds=...,
         long_seconds=..., factor=...}, ...]`` or as flat scalar keys
         (``fast_short``/``fast_long``/``fast_factor`` and the ``slow_*``
-        trio) so the mini-TOML fallback parser, which only understands
-        scalars, can still configure them."""
+        trio) overriding single fields of the default policies."""
         data = dict(data)
         policies = data.pop("policies", None)
         if policies is not None:
@@ -232,77 +228,6 @@ def parse_slo_specs(specs) -> tuple:
         seen.add(spec.name)
         out.append(spec)
     return tuple(out)
-
-
-# ----------------------------------------------------------------------
-# TOML loading.  Python 3.11+ ships tomllib; on 3.10 we fall back to a
-# deliberately tiny parser that understands exactly the subset the SLO
-# file format needs: ``[[slo]]`` array-of-tables with scalar values.
-# ----------------------------------------------------------------------
-
-try:  # pragma: no cover - which branch runs depends on the interpreter
-    import tomllib as _tomllib
-except ImportError:  # pragma: no cover
-    _tomllib = None
-
-
-def _parse_scalar(raw: str, lineno: int):
-    raw = raw.strip()
-    if len(raw) >= 2 and raw[0] == raw[-1] and raw[0] in ("'", '"'):
-        return raw[1:-1]
-    if raw in ("true", "false"):
-        return raw == "true"
-    try:
-        if any(ch in raw for ch in ".eE") and not raw.startswith("0x"):
-            return float(raw)
-        return int(raw)
-    except ValueError:
-        raise InvalidArgumentError(
-            f"SLO TOML line {lineno}: unsupported value {raw!r} "
-            f"(mini parser accepts strings, numbers, booleans)") from None
-
-
-def _mini_toml_slo(text: str) -> list:
-    """``[[slo]]`` tables of scalar ``key = value`` pairs, nothing else."""
-    tables: list[dict] = []
-    current: Optional[dict] = None
-    for lineno, line in enumerate(text.splitlines(), 1):
-        line = line.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if line == "[[slo]]":
-            current = {}
-            tables.append(current)
-            continue
-        if line.startswith("["):
-            raise InvalidArgumentError(
-                f"SLO TOML line {lineno}: only [[slo]] tables are "
-                f"supported, got {line!r}")
-        if "=" not in line:
-            raise InvalidArgumentError(
-                f"SLO TOML line {lineno}: expected key = value, got "
-                f"{line!r}")
-        if current is None:
-            raise InvalidArgumentError(
-                f"SLO TOML line {lineno}: key outside a [[slo]] table")
-        key, raw = line.split("=", 1)
-        current[key.strip()] = _parse_scalar(raw, lineno)
-    return tables
-
-
-def parse_slo_toml(text: str) -> tuple:
-    """Parse SLO specs from TOML text (``[[slo]]`` array-of-tables)."""
-    if _tomllib is not None:
-        tables = _tomllib.loads(text).get("slo", [])
-    else:
-        tables = _mini_toml_slo(text)
-    return parse_slo_specs(tables)
-
-
-def load_slo_file(path: str) -> tuple:
-    """Read ``path`` and parse it with :func:`parse_slo_toml`."""
-    with open(path) as handle:
-        return parse_slo_toml(handle.read())
 
 
 # ----------------------------------------------------------------------

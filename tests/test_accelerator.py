@@ -2,10 +2,11 @@
 round-trips, cost-model routing and fault-forced failover.
 
 The core contract under test: every backend (streaming CPU merge,
-pipeline-sim device, LUDA-style batched merge — vectorized *and*
-pure-python fallback) produces **byte-identical** output SSTables for
-the same inputs, so routing and fault failover are pure performance
-decisions that never change the key space.
+pipeline-sim device, LUDA-style batched merge) produces
+**byte-identical** output SSTables for the same inputs, so routing and
+fault failover are pure performance decisions that never change the key
+space.  Without numpy the batch backend declines and its tasks run on
+``cpu`` — same bytes again.
 """
 
 import dataclasses
@@ -17,7 +18,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import repro.host.batch_merge as batch_merge
-from repro.fpga.config import CONFIG_2_INPUT, CONFIG_9_INPUT
+from repro.errors import InvalidArgumentError
+from repro.fpga.config import CONFIG_9_INPUT
 from repro.host.accelerator import AcceleratorBackend, BackendResult
 from repro.host.batch_merge import BatchMergeEngine
 from repro.host.device import FcaeDevice
@@ -48,15 +50,21 @@ def small_options(**overrides) -> Options:
     return Options(**base)
 
 
+# The ids predate the decline-to-cpu rule; kept so node ids stay stable.
 @pytest.fixture(params=[False, True], ids=["numpy", "fallback"])
-def forced_fallback(request, monkeypatch):
-    """Run the batch engine on both codepaths: vectorized (when numpy is
-    importable) and the chunked pure-python fallback."""
+def no_numpy(request, monkeypatch):
+    """Run with numpy as installed (skipped when it is not) and with it
+    hidden from the batch engine, which then declines every task."""
     if request.param:
         monkeypatch.setattr(batch_merge, "_np", None)
     elif batch_merge._np is None:
-        pytest.skip("numpy not installed; only the fallback path exists")
+        pytest.skip("numpy not installed; only the decline path exists")
     return request.param
+
+
+def routed_to(name: str, no_numpy: bool) -> str:
+    """Backend a task forced to ``name`` actually runs on."""
+    return "cpu" if name == "batch" and no_numpy else name
 
 
 def build_table(entries, options) -> bytes:
@@ -108,8 +116,7 @@ class TestCrossBackendEquality:
 
     @pytest.mark.parametrize("compression,bloom", [("none", 0),
                                                    ("snappy", 10)])
-    def test_backends_byte_identical(self, forced_fallback, compression,
-                                     bloom):
+    def test_backends_byte_identical(self, no_numpy, compression, bloom):
         options = small_options(compression=compression,
                                 bloom_bits_per_key=bloom)
         images = overlapping_l0_tables(options)
@@ -122,13 +129,13 @@ class TestCrossBackendEquality:
             scheduler = CompactionScheduler(device, run_options)
             outputs[name] = output_bytes(
                 scheduler(spec, readers, [], drop_deletions=True))
-            assert scheduler.last_route() == name
-            assert scheduler.stats.backend_tasks[name] == 1
+            ran_on = routed_to(name, no_numpy)
+            assert scheduler.last_route() == ran_on
+            assert scheduler.stats.backend_tasks[ran_on] == 1
         assert outputs["cpu"] == outputs["fpga-sim"] == outputs["batch"]
         assert outputs["cpu"]  # non-empty
 
-    def test_batch_engine_matches_compact_with_parents(
-            self, forced_fallback):
+    def test_batch_engine_matches_compact_with_parents(self, no_numpy):
         options = small_options()
         images = overlapping_l0_tables(options, num_tables=2)
         parent = build_table(
@@ -142,17 +149,24 @@ class TestCrossBackendEquality:
             drop_deletions=False)
 
         readers = [TableReader(img, ICMP, options) for img in images]
+        streams = [[r] for r in readers] + [[TableReader(parent, ICMP,
+                                                         options)]]
         engine = BatchMergeEngine(options, ICMP)
-        got = engine.compact(
-            [[r] for r in readers] + [[TableReader(parent, ICMP,
-                                                   options)]],
-            drop_deletions=False)
+        if not engine.vectorized:
+            # Nothing else to run: the engine says so instead of merging
+            # some other way.
+            with pytest.raises(InvalidArgumentError, match="numpy"):
+                engine.compact(streams, drop_deletions=False)
+            return
+        got = engine.compact(streams, drop_deletions=False)
         assert output_bytes(got.outputs) == output_bytes(
             reference.outputs)
         assert got.input_pairs == reference.input_pairs
         assert got.dropped_shadowed == reference.dropped_shadowed
 
 
+@pytest.mark.skipif(batch_merge._np is None,
+                    reason="drives the batch engine directly; needs numpy")
 class TestBulkCodecRoundTrip:
     """Hypothesis: the batch engine's bulk decode → merge-order → bulk
     re-encode agrees with the streaming merge on arbitrary entry sets."""
@@ -267,14 +281,29 @@ class TestRouting:
                                 backends={"batch": _StubBackend(
                                     "batch", 1.0)})
 
-    def test_legacy_should_offload_still_fig6(self):
-        options = small_options()
+    @pytest.mark.parametrize("accelerator", ["batch", "auto"])
+    def test_without_numpy_batch_declines_to_cpu(self, monkeypatch,
+                                                 accelerator):
+        monkeypatch.setattr(batch_merge, "_np", None)
+        options = small_options(accelerator=accelerator)
+        images = overlapping_l0_tables(options)
+        readers = [TableReader(img, ICMP, options) for img in images]
+        reference = output_bytes(compact(
+            table_sources(readers), options, ICMP,
+            drop_deletions=True).outputs)
+
         scheduler = CompactionScheduler(
-            FcaeDevice(CONFIG_2_INPUT, options), options)
-        spec = self._spec()
-        assert scheduler.should_offload(spec)
-        assert scheduler.estimate_costs(spec).keys() == {
-            "cpu", "fpga-sim", "batch"}
+            FcaeDevice(CONFIG_9_INPUT, options), options)
+        readers = [TableReader(img, ICMP, options) for img in images]
+        spec = spec_for(images, readers)
+        assert not scheduler.backends["batch"].can_run(spec)
+        got = output_bytes(scheduler(spec, readers, [],
+                                     drop_deletions=True))
+        assert got == reference
+        assert scheduler.last_route() == "cpu"
+        assert scheduler.stats.backend_tasks == {
+            "cpu": 1, "fpga-sim": 0, "batch": 0}
+        assert scheduler.stats.fpga_fallbacks == 0
 
 
 class TestFaultFallback:
@@ -283,7 +312,7 @@ class TestFaultFallback:
 
     @pytest.mark.parametrize("accelerator", ["fpga-sim", "batch"])
     def test_fallback_preserves_bytes_and_tags_backend(
-            self, forced_fallback, accelerator):
+            self, no_numpy, accelerator):
         options = small_options(accelerator=accelerator)
         images = overlapping_l0_tables(options)
 
@@ -305,6 +334,15 @@ class TestFaultFallback:
                                      drop_deletions=True))
 
         assert got == reference
+        if routed_to(accelerator, no_numpy) == "cpu":
+            # Declined before it ran: nothing to fault, nothing to fail
+            # over from.
+            assert scheduler.last_route() == "cpu"
+            assert scheduler.stats.fpga_fallbacks == 0
+            assert injector.injected_faults == 0
+            assert not [e for e in journal.events
+                        if e["type"] in ("fault", "retry", "fallback")]
+            return
         assert scheduler.last_route() == "fallback"
         assert scheduler.stats.fpga_fallbacks == 1
         assert injector.faults_by_backend == {accelerator: 2}
@@ -317,7 +355,7 @@ class TestFaultFallback:
         faults = [e for e in journal.events if e["type"] == "fault"]
         assert {e["backend"] for e in faults} == {accelerator}
 
-    def test_fault_free_batch_route_counts(self, forced_fallback):
+    def test_fault_free_batch_route_counts(self, no_numpy):
         options = small_options(accelerator="batch")
         images = overlapping_l0_tables(options)
         device = FcaeDevice(CONFIG_9_INPUT, options)
@@ -326,11 +364,52 @@ class TestFaultFallback:
         spec = spec_for(images, readers)
         scheduler(spec, readers, [], drop_deletions=True)
         stats = scheduler.stats
-        assert stats.backend_tasks["batch"] == 1
-        assert stats.backend_tasks["cpu"] == 0
-        assert stats.backend_input_bytes["batch"] == sum(
+        ran_on = routed_to("batch", no_numpy)
+        idle = ({"cpu", "batch"} - {ran_on}).pop()
+        assert stats.backend_tasks[ran_on] == 1
+        assert stats.backend_tasks[idle] == 0
+        assert stats.backend_input_bytes[ran_on] == sum(
             len(img) for img in images)
-        assert stats.backend_seconds["batch"] > 0
-        # Legacy alias: in-process merges fold onto the software route.
+        assert stats.backend_seconds[ran_on] > 0
+        # Either way it is an in-process merge: the software side of the
+        # paper's fpga/software split.
         assert stats.software_tasks == 1
         assert stats.fpga_tasks == 0
+
+    def test_paper_split_is_a_view_of_the_backend_counters(self):
+        """One fpga-sim task, one batch (or, without numpy, cpu) task and
+        one fault-forced fallback through one scheduler: the fpga /
+        software fields equal sums over the per-backend counters."""
+        options = small_options()
+        images = overlapping_l0_tables(options)
+        injector = FaultInjector()
+        device = FcaeDevice(CONFIG_9_INPUT, options,
+                            fault_injector=injector)
+        scheduler = CompactionScheduler(device, options, max_retries=1)
+
+        def run(accelerator):
+            scheduler.options = dataclasses.replace(
+                options, accelerator=accelerator)
+            readers = [TableReader(img, ICMP, options) for img in images]
+            scheduler(spec_for(images, readers), readers, [],
+                      drop_deletions=True)
+            return scheduler.last_route()
+
+        assert run("fpga-sim") == "fpga-sim"
+        in_process = run("batch")
+        assert in_process in ("batch", "cpu")
+        injector.timeout_every = 1  # the attempt and its retry fault
+        assert run("fpga-sim") == "fallback"
+
+        stats = scheduler.stats
+        tasks, nbytes = stats.backend_tasks, stats.backend_input_bytes
+        assert tasks["fpga-sim"] == 2 and tasks[in_process] == 1
+        assert stats.fpga_fallbacks == 1
+        assert stats.fpga_tasks == tasks["fpga-sim"]
+        assert stats.software_tasks == tasks["cpu"] + tasks["batch"]
+        assert stats.fpga_input_bytes == nbytes["fpga-sim"] > 0
+        assert stats.software_input_bytes == nbytes["cpu"] + nbytes["batch"]
+        # The fallback's bytes ran on cpu, so they count as software.
+        assert nbytes["cpu"] > 0
+        assert (stats.fpga_tasks + stats.software_tasks
+                == sum(tasks.values()))

@@ -66,14 +66,20 @@ class TestRenderDashboard:
         registry = MetricsRegistry()
         registry.counter("lsm_tenant_ops_total", "Tenant ops.",
                          tenant="gold", op="put").inc(1500)
-        registry.counter("scheduler_tasks_total", "Tasks.",
-                         route="fpga").inc(3)
-        registry.counter("scheduler_tasks_total", route="software").inc(1)
+        registry.counter("scheduler_backend_tasks_total", "Tasks.",
+                         backend="fpga-sim").inc(2)
+        registry.counter("scheduler_backend_tasks_total",
+                         backend="batch").inc(5)
+        registry.counter("scheduler_backend_tasks_total",
+                         backend="cpu").inc(1)
         frame = render_dashboard(registry)
         assert "tenant ops:" in frame
         assert "put=1.50k" in frame
         assert "compaction routing:" in frame
-        assert "(75.0%)" in frame
+        routing = frame[frame.index("compaction routing:"):].splitlines()
+        assert [line.split() for line in routing[1:4]] == [
+            ["batch", "5", "(62.5%)"], ["cpu", "1", "(12.5%)"],
+            ["fpga-sim", "2", "(25.0%)"]]
 
 
 class TestRunDashboard:

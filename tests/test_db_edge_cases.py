@@ -1,10 +1,14 @@
 """DB edge cases: binary keys, big values, degraded configurations."""
 
+import errno
+import random
+
 import pytest
 
 from repro.errors import NotFoundError
 from repro.lsm import LsmDB, Options, WriteBatch
 from repro.lsm.env import MemEnv
+from repro.lsm.filenames import table_file_name
 
 
 class TestBinaryKeys:
@@ -165,3 +169,67 @@ class TestFlushFailure:
         with pytest.raises(OSError):
             db.flush()
         assert set(env.list_dir("flaky3")) == before
+
+
+class TableSyncFailEnv(MemEnv):
+    """MemEnv where the ``fail_at``-th table file opened from now on
+    raises EIO from ``sync()`` (0 = never)."""
+
+    def __init__(self):
+        super().__init__()
+        self.fail_at = 0
+
+    def new_writable_file(self, name):
+        dest = super().new_writable_file(name)
+        if name.endswith(".ldb") and self.fail_at > 0:
+            self.fail_at -= 1
+            if self.fail_at == 0:
+                def sync():
+                    raise OSError(errno.EIO, f"injected EIO syncing {name}")
+                dest.sync = sync
+        return dest
+
+
+class TestCompactionFailure:
+    @pytest.mark.parametrize("fail_at", [1, 2])
+    def test_failed_compaction_leaves_no_orphan_table(self, options,
+                                                      fail_at):
+        """An output table whose durable close fails is removed along
+        with the outputs already written, the DB keeps serving every
+        key, and a retry of the compaction succeeds."""
+        env = TableSyncFailEnv()
+        db = LsmDB("orphan", options, env=env, auto_compact=False)
+        rng = random.Random(fail_at)
+        expected = {}
+        for table in range(4):
+            for i in range(150):
+                key = f"k{(i * 7 + table) % 400:04d}".encode()
+                # Incompressible, so the merge rolls over several tables.
+                expected[key] = rng.randbytes(48)
+                db.put(key, expected[key])
+            db.flush()
+
+        def live_tables():
+            return {table_file_name("orphan", meta.number)
+                    for files in db.versions.current.files
+                    for meta in files}
+
+        def table_files():
+            return {f"orphan/{name}" for name in env.list_dir("orphan")
+                    if name.endswith(".ldb")}
+
+        before = live_tables()
+        assert len(before) == 4 and table_files() == before
+        env.fail_at = fail_at
+        with pytest.raises(OSError):
+            db.compact_once()
+        assert env.fail_at == 0  # the armed sync did fire
+        assert live_tables() == before
+        assert table_files() == before
+        for key, value in expected.items():
+            assert db.get(key) == value
+
+        assert db.compact_once()
+        assert db.versions.current.num_files(0) == 0
+        assert table_files() == live_tables()
+        assert dict(db.scan()) == expected

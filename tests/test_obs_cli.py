@@ -264,7 +264,7 @@ class TestLsmCli:
         with open(metrics_path) as handle:
             parsed = parse_prometheus_text(handle.read())
         samples = parsed["samples"]
-        tasks = samples["scheduler_tasks_total"]
+        tasks = samples["scheduler_backend_tasks_total"]
         assert sum(tasks.values()) >= 1
         assert sum(samples["lsm_compactions_total"].values()) >= 1
 

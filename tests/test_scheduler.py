@@ -40,25 +40,27 @@ class TestRouting:
         options = small_options()
         scheduler = CompactionScheduler(
             FcaeDevice(CONFIG_9_INPUT, options), options)
-        assert scheduler.should_offload(spec_with_inputs(0, 4, 3))
+        assert scheduler.pick_backend(
+            spec_with_inputs(0, 4, 3)) == "fpga-sim"
 
     def test_level0_overflows_n2(self):
         options = small_options()
         scheduler = CompactionScheduler(
             FcaeDevice(CONFIG_2_INPUT, options), options)
-        assert not scheduler.should_offload(spec_with_inputs(0, 4, 3))
+        assert scheduler.pick_backend(spec_with_inputs(0, 4, 3)) == "cpu"
 
     def test_deep_level_always_two_streams(self):
         options = small_options()
         scheduler = CompactionScheduler(
             FcaeDevice(CONFIG_2_INPUT, options), options)
-        assert scheduler.should_offload(spec_with_inputs(3, 5, 7))
+        assert scheduler.pick_backend(
+            spec_with_inputs(3, 5, 7)) == "fpga-sim"
 
     def test_level0_exceeding_nine_falls_back(self):
         options = small_options()
         scheduler = CompactionScheduler(
             FcaeDevice(CONFIG_9_INPUT, options), options)
-        assert not scheduler.should_offload(spec_with_inputs(0, 10, 2))
+        assert scheduler.pick_backend(spec_with_inputs(0, 10, 2)) == "cpu"
 
 
 class TestDbIntegration:

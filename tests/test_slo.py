@@ -1,6 +1,6 @@
-"""SLO engine: spec parsing (dicts, flat policies, TOML and the
-mini-TOML fallback), windowed good/bad accounting, multi-window
-burn-rate alert transitions on a fake clock, exemplar journal events."""
+"""SLO engine: spec parsing (dicts, flat policies), windowed good/bad
+accounting, multi-window burn-rate alert transitions on a fake clock,
+exemplar journal events."""
 
 import io
 
@@ -15,11 +15,8 @@ from repro.obs.slo import (
     SloEngine,
     SloSpec,
     WindowedCounter,
-    _mini_toml_slo,
     build_engine,
-    load_slo_file,
     parse_slo_specs,
-    parse_slo_toml,
 )
 
 
@@ -92,54 +89,6 @@ class TestSpecParsing:
                 {"name": "a", "objective": "availability", "target": 0.9},
                 {"name": "a", "objective": "availability", "target": 0.5},
             ])
-
-
-SLO_TOML = """
-# the SLO file format: one [[slo]] table per objective
-[[slo]]
-name = "put-latency"
-objective = "latency"
-target = 0.999
-threshold_seconds = 0.005
-op = "put"
-fast_short = 60.0
-
-[[slo]]
-name = "availability"
-objective = "availability"
-target = 0.99
-tenant = "gold"
-"""
-
-
-class TestTomlParsing:
-    def test_parse_slo_toml(self):
-        specs = parse_slo_toml(SLO_TOML)
-        assert [s.name for s in specs] == ["put-latency", "availability"]
-        assert specs[0].threshold_seconds == 0.005
-        assert specs[0].policies[0].short_seconds == 60.0
-        assert specs[1].tenant == "gold"
-
-    def test_mini_parser_matches_tomllib_subset(self):
-        # The 3.10 fallback must agree with tomllib on the scalar subset.
-        tables = _mini_toml_slo(SLO_TOML)
-        specs = parse_slo_specs(tables)
-        assert [s.name for s in specs] == ["put-latency", "availability"]
-        assert specs[0].policies[0].short_seconds == 60.0
-
-    def test_mini_parser_rejects_nested_tables(self):
-        with pytest.raises(InvalidArgumentError, match=r"\[\[slo\]\]"):
-            _mini_toml_slo("[server]\nport = 1\n")
-
-    def test_mini_parser_rejects_key_outside_table(self):
-        with pytest.raises(InvalidArgumentError, match="outside"):
-            _mini_toml_slo("name = 'x'\n")
-
-    def test_load_slo_file(self, tmp_path):
-        path = tmp_path / "slo.toml"
-        path.write_text(SLO_TOML)
-        specs = load_slo_file(str(path))
-        assert len(specs) == 2
 
 
 class TestWindowedCounter:

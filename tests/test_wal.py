@@ -118,14 +118,6 @@ class TestAppendSeeding:
         writer = LogWriter(dest)
         assert writer._block_offset == 123
 
-    def test_sync_reaches_destination(self):
-        env = MemEnv()
-        dest = env.new_writable_file("log")
-        writer = LogWriter(dest)
-        writer.add_record(b"r")
-        writer.sync()
-        assert dest.sync_count == 1
-
 
 class TestBatchedWrites:
     def test_interleaved_sizes(self):

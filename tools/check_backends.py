@@ -13,9 +13,9 @@ runner's absolute speed):
 * **speedup floor** — at the largest value-size sweep point, the batch
   backend's measured p50 must beat the streaming CPU merge by at least
   ``--min-speedup`` (default 2.0x).  Skipped (with a notice) when the
-  run's notes say the batch path ran the pure-python fallback — the
-  floor is a claim about the vectorized path, and the numpy-less CI leg
-  must not fail it vacuously.
+  run has no ``batch_v*`` rows at all — without numpy the batch backend
+  declines every task and the bench emits no rows for it, so the
+  numpy-less CI leg has nothing to gate.
 * **routing accuracy** — across all ``route_v<N>`` rows, the cost
   model's pick must equal the measured-fastest backend on at least
   ``--min-route-accuracy`` of the sweep points (default 0.8).  A pick
@@ -62,8 +62,7 @@ def parse_note(note: str) -> dict[str, str]:
 
 
 def check(rows: list[list], columns: list[str], min_speedup: float,
-          min_route_accuracy: float, vectorized: bool,
-          tie_tol: float = 0.15) -> list[str]:
+          min_route_accuracy: float, tie_tol: float = 0.15) -> list[str]:
     name_col = columns.index("bench")
     p50_col = columns.index("p50_us")
     note_col = columns.index("note")
@@ -79,12 +78,11 @@ def check(rows: list[list], columns: list[str], min_speedup: float,
     largest = value_sizes[-1]
     cpu = p50.get(f"cpu_v{largest}")
     batch = p50.get(f"batch_v{largest}")
-    if cpu is None or batch is None:
+    if not any(name.startswith("batch_v") for name in p50):
+        print(f"NOTICE: no batch_v* rows (the batch backend declined: "
+              f"no numpy) — skipping the {min_speedup}x floor")
+    elif cpu is None or batch is None:
         failures.append(f"v{largest}: missing cpu/batch rows")
-    elif not vectorized:
-        print(f"NOTICE: batch ran the pure-python fallback — "
-              f"skipping the {min_speedup}x floor (measured "
-              f"{cpu / batch:.2f}x at v{largest})")
     else:
         speedup = cpu / batch
         line = (f"v{largest}: batch {batch:.0f}us vs cpu {cpu:.0f}us "
@@ -149,21 +147,13 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     try:
-        with open(args.run) as handle:
-            doc = json.load(handle)
         rows, columns = load_rows(args.run)
     except (OSError, ValueError, json.JSONDecodeError) as error:
         print(f"ERROR: {error}", file=sys.stderr)
         return 2
 
-    title = doc["experiments"]["backends"].get("title", "")
-    # The bench stamps the numpy state into its notes; fall back to the
-    # title when notes are absent from the JSON schema.
-    notes = " ".join(doc["experiments"]["backends"].get("notes", []))
-    vectorized = "fallback" not in (notes + title)
-
     failures = check(rows, columns, args.min_speedup,
-                     args.min_route_accuracy, vectorized, args.tie_tol)
+                     args.min_route_accuracy, args.tie_tol)
     if failures:
         print(f"BACKEND GATE FAILED ({len(failures)} violation(s)):",
               file=sys.stderr)

@@ -34,7 +34,7 @@ def build_rows(scale: float) -> dict:
     from repro.bench import hotpath
 
     rows: dict[str, object] = {}
-    original = hotpath._sample
+    original = hotpath.sample_wall
 
     def capture(fn, repeat, warmup):
         rows[_pending.pop()] = fn
@@ -47,12 +47,12 @@ def build_rows(scale: float) -> dict:
         _pending.append(name)
         original_add(result, name, fn, nbytes, repeat, warmup)
 
-    hotpath._sample = capture
+    hotpath.sample_wall = capture
     hotpath._add = add_capture
     try:
         hotpath.run(scale=scale)
     finally:
-        hotpath._sample = original
+        hotpath.sample_wall = original
         hotpath._add = original_add
     return rows
 
