@@ -4,19 +4,17 @@ A contract is the Python analog of Clang's ``GUARDED_BY`` annotation
 set for one class:
 
 * ``mutex`` — the primary mutex as an attribute path relative to
-  ``self`` (``("_mutex",)`` for ``LsmDB``, ``("db", "_mutex")`` for
-  ``CompactionDriver``, which shares its DB's mutex).
+  ``self`` (``("_mutex",)`` for ``LsmDB``).
 * ``guards`` — attribute name -> mutex path that must be held to
   *mutate* it.
 * ``guarded_reads`` — attributes whose *reads* must also be under the
   mutex (multi-word invariants, e.g. a dict resized concurrently).
 
-Contracts come from three sources, merged in order:
+Contracts are declared in one place, the class's own source:
 
-1. The seeded registry below (the concurrent core of the repo).
-2. ``# guarded_by: <mutex>`` trailing comments on ``self.X = ...``
+1. ``# guarded_by: <mutex>`` trailing comments on ``self.X = ...``
    assignments in ``__init__`` (add ``, reads`` to also guard loads).
-3. ``# mutex: <attr>`` on a class line, or auto-detection: a class
+2. ``# mutex: <attr>`` on a class line, or auto-detection: a class
    whose ``__init__`` creates exactly one ``threading.Lock/RLock`` (or
    ``make_lock``/``make_rlock``) gets it as primary mutex.
 
@@ -31,7 +29,7 @@ import re
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
-__all__ = ["ClassContract", "SEEDED_CONTRACTS", "build_contract"]
+__all__ = ["ClassContract", "build_contract"]
 
 Path = Tuple[str, ...]
 
@@ -76,54 +74,6 @@ def _path_from_text(text: str) -> Path:
     return tuple(text.split("."))
 
 
-# Seeded for the concurrent core.  Attributes listed here are the ones
-# multiple threads genuinely touch; single-owner fields stay free.
-SEEDED_CONTRACTS: Dict[str, ClassContract] = {
-    "LsmDB": ClassContract(
-        name="LsmDB",
-        mutex=("_mutex",),
-        guards={
-            "_mem": ("_mutex",),
-            "_imm": ("_mutex",),
-            "_writers": ("_mutex",),
-            "_wal_writing": ("_mutex",),
-            "_bg_error": ("_mutex",),
-            "_snapshots": ("_mutex",),
-            "_log": ("_mutex",),
-            "_log_file": ("_mutex",),
-            "_log_number": ("_mutex",),
-            "_readers": ("_mutex",),
-        },
-    ),
-    "CompactionDriver": ClassContract(
-        name="CompactionDriver",
-        mutex=("db", "_mutex"),
-        guards={"_busy": ("db", "_mutex")},
-    ),
-    "KVServer": ClassContract(
-        name="KVServer",
-        mutex=("_conns_lock",),
-        guards={"_conns": ("_conns_lock",)},
-    ),
-    "ShardGate": ClassContract(
-        name="ShardGate",
-        mutex=("_lock",),
-        guards={
-            "_busy": ("_lock",),
-            "_last_time": ("_lock",),
-            "_last_stalled": ("_lock",),
-            "rejections": ("_lock",),
-        },
-    ),
-    "MetricsRegistry": ClassContract(
-        name="MetricsRegistry",
-        mutex=("_lock",),
-        guards={"_families": ("_lock",)},
-        guarded_reads={"_families"},
-    ),
-}
-
-
 def _is_lock_factory_call(node: ast.expr) -> bool:
     """``threading.Lock()``, ``RLock()``, ``make_lock(...)`` etc."""
     if not isinstance(node, ast.Call):
@@ -158,15 +108,9 @@ def _condition_wrapped_lock(node: ast.expr) -> Optional[Path]:
 
 def build_contract(classdef: ast.ClassDef,
                    comments: Dict[int, List[str]]) -> ClassContract:
-    """Merge the seeded contract (if any) with source annotations and
-    auto-detected lock attributes for ``classdef``."""
-    seeded = SEEDED_CONTRACTS.get(classdef.name)
-    contract = ClassContract(
-        name=classdef.name,
-        mutex=seeded.mutex if seeded else None,
-        guards=dict(seeded.guards) if seeded else {},
-        guarded_reads=set(seeded.guarded_reads) if seeded else set(),
-    )
+    """The contract ``classdef``'s source annotations and auto-detected
+    lock attributes declare."""
+    contract = ClassContract(name=classdef.name)
 
     # class-line ``# mutex:`` annotation
     for text in comments.get(classdef.lineno, []):

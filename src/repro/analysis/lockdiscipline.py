@@ -11,8 +11,8 @@ LD001 ``unguarded-locked-call``
     the caller carries a ``# holds: _mutex`` annotation.
 
 LD002 ``guarded-attr-escape``
-    A guarded attribute (seeded registry + ``# guarded_by:`` comments,
-    see :mod:`repro.analysis.guarded`) is mutated — assigned, augmented,
+    A guarded attribute (``# guarded_by:`` comments, see
+    :mod:`repro.analysis.guarded`) is mutated — assigned, augmented,
     deleted, subscript-stored, or hit with a mutating method such as
     ``.append``/``.pop`` — outside the guarding mutex.  ``__init__`` is
     exempt (no concurrent access before construction completes).

@@ -63,6 +63,7 @@ from repro.bench import (
     table8,
 )
 from repro.bench.common import ExperimentResult, wall_percentiles
+from repro.obs import SinkError, add_sink_flags, flag_sinks
 from repro.obs.profile import profile_from_registry, render_profile
 
 EXPERIMENTS = {
@@ -112,22 +113,14 @@ def suffixed_path(path: str, suffix: str | None) -> str:
     return f"{root}.{suffix}{ext}" if ext else f"{path}.{suffix}"
 
 
-def _write_sinks(args, suffix: str | None, registry, timeline) -> int:
+def _write_sinks(args, sinks, suffix: str | None, registry,
+                 timeline) -> int:
     """Flush one experiment's metrics/trace/profile outputs; returns a
     non-zero status on I/O failure."""
     status = 0
-    if registry is not None and args.metrics_out:
-        path = suffixed_path(args.metrics_out, suffix)
-        try:
-            obs.write_prometheus(path, registry,
-                                 overwrite=args.overwrite)
-            print(f"metrics written to {path}")
-        except FileExistsError as error:
-            print(f"error: {error}", file=sys.stderr)
-            status = 2
-        except OSError as error:
-            print(f"error: cannot write {path}: {error}", file=sys.stderr)
-            status = 2
+    if args.metrics_out:
+        status = sinks.write_metrics(
+            registry, suffixed_path(args.metrics_out, suffix))
     if timeline is not None and args.chrome_trace:
         path = suffixed_path(args.chrome_trace, suffix)
         try:
@@ -152,6 +145,50 @@ def _write_sinks(args, suffix: str | None, registry, timeline) -> int:
     return status
 
 
+def _regenerate(name: str, args, sinks, suffix: str | None,
+                bench_doc: dict | None) -> tuple[ExperimentResult, int]:
+    """Run one experiment ``--warmup`` + ``--repeat`` times, print it,
+    record it in ``bench_doc`` and flush its sinks; returns the result
+    and an exit status."""
+    want_registry = bool(args.chrome_trace or args.profile or args.top)
+    want_timeline = bool(args.chrome_trace or args.profile)
+    samples: list[float] = []
+    result = registry = timeline = None
+    for run_no in range(args.warmup + args.repeat):
+        # A fresh registry/timeline per run: in `all` mode nothing
+        # bleeds between experiments, across repeats each timed
+        # sample starts clean; sinks flush the final run only.
+        timeline = obs.TimelineRecorder() if want_timeline else None
+        with sinks.installed(want_registry, timeline) as registry:
+            started = time.perf_counter()
+            result = EXPERIMENTS[name](scale=args.scale)
+            if run_no >= args.warmup:
+                samples.append(time.perf_counter() - started)
+    p50, p95 = wall_percentiles(samples)
+    print(result.format())
+    if args.top and registry is not None:
+        from repro.obs.dashboard import render_dashboard
+        print(render_dashboard(registry))
+    if len(samples) > 1:
+        print(f"[{name} regenerated: wall p50 {p50:.2f}s / "
+              f"p95 {p95:.2f}s over {len(samples)} runs"
+              f" ({args.warmup} warmup)]")
+    else:
+        print(f"[{name} regenerated in {p50:.1f}s]")
+    print()
+    if bench_doc is not None:
+        bench_doc["experiments"][name] = {
+            "title": result.title,
+            "columns": [str(c) for c in result.columns],
+            "rows": result.rows,
+            "wall_seconds": {"p50": round(p50, 6),
+                             "p95": round(p95, 6),
+                             "repeat": args.repeat,
+                             "warmup": args.warmup},
+        }
+    return result, _write_sinks(args, sinks, suffix, registry, timeline)
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="fcae-bench",
@@ -169,17 +206,7 @@ def main(argv: list[str] | None = None) -> int:
                              "(default 0)")
     parser.add_argument("--markdown", metavar="PATH",
                         help="also write results as markdown")
-    parser.add_argument("--metrics-out", metavar="PATH",
-                        help="write a Prometheus text-format metrics dump")
-    parser.add_argument("--trace-out", metavar="PATH",
-                        help="stream span traces as JSONL (appends)")
-    parser.add_argument("--events-out", metavar="PATH",
-                        help="stream flight-recorder events (flushes, "
-                             "compactions, stalls, faults) as JSONL "
-                             "(appends)")
-    parser.add_argument("--overwrite", action="store_true",
-                        help="replace an existing --metrics-out file "
-                             "instead of failing")
+    add_sink_flags(parser)
     parser.add_argument("--chrome-trace", metavar="PATH",
                         help="record the pipeline event timeline and write "
                              "Chrome trace-event JSON (Perfetto-loadable)")
@@ -198,29 +225,6 @@ def main(argv: list[str] | None = None) -> int:
 
     multi = args.experiment == "all"
     experiment_names = ALL_ORDER if multi else (args.experiment,)
-    want_registry = bool(args.metrics_out or args.trace_out
-                         or args.chrome_trace or args.profile
-                         or args.top)
-    want_timeline = bool(args.chrome_trace or args.profile)
-
-    tracer = None
-    if args.trace_out:
-        try:
-            tracer = obs.Tracer(sink_path=args.trace_out, keep_spans=False)
-        except OSError as error:
-            print(f"error: cannot open {args.trace_out}: {error}",
-                  file=sys.stderr)
-            return 2
-    events = None
-    if args.events_out:
-        try:
-            events = obs.EventJournal(sink_path=args.events_out,
-                                      keep_events=False)
-        except OSError as error:
-            print(f"error: cannot open {args.events_out}: {error}",
-                  file=sys.stderr)
-            return 2
-
     bench_doc = None
     if args.bench_json:
         bench_doc = {"schema": BENCH_SCHEMA, "tool": "fcae-bench",
@@ -229,64 +233,15 @@ def main(argv: list[str] | None = None) -> int:
     results: list[ExperimentResult] = []
     status = 0
     try:
-        for name in experiment_names:
-            samples: list[float] = []
-            result = registry = timeline = None
-            for run_no in range(args.warmup + args.repeat):
-                # A fresh registry/timeline per run: in `all` mode nothing
-                # bleeds between experiments, across repeats each timed
-                # sample starts clean; sinks flush the final run only.
-                registry = timeline = None
-                if want_registry:
-                    registry = obs.MetricsRegistry()
-                    obs.names.register_all(registry)
-                if want_timeline:
-                    timeline = obs.TimelineRecorder()
-                token = None
-                if (registry is not None or tracer is not None
-                        or events is not None):
-                    token = obs.install(registry=registry, tracer=tracer,
-                                        timeline=timeline, events=events)
-                started = time.perf_counter()
-                try:
-                    result = EXPERIMENTS[name](scale=args.scale)
-                finally:
-                    if token is not None:
-                        obs.uninstall(token)
-                if run_no >= args.warmup:
-                    samples.append(time.perf_counter() - started)
-            p50, p95 = wall_percentiles(samples)
-            results.append(result)
-            print(result.format())
-            if args.top and registry is not None:
-                from repro.obs.dashboard import render_dashboard
-                print(render_dashboard(registry))
-            if len(samples) > 1:
-                print(f"[{name} regenerated: wall p50 {p50:.2f}s / "
-                      f"p95 {p95:.2f}s over {len(samples)} runs"
-                      f" ({args.warmup} warmup)]")
-            else:
-                print(f"[{name} regenerated in {p50:.1f}s]")
-            print()
-            if bench_doc is not None:
-                bench_doc["experiments"][name] = {
-                    "title": result.title,
-                    "columns": [str(c) for c in result.columns],
-                    "rows": result.rows,
-                    "wall_seconds": {"p50": round(p50, 6),
-                                     "p95": round(p95, 6),
-                                     "repeat": args.repeat,
-                                     "warmup": args.warmup},
-                }
-            status |= _write_sinks(args, name if multi else None,
-                                   registry, timeline)
-    finally:
-        if tracer is not None:
-            tracer.close()
-            print(f"trace written to {args.trace_out}")
-        if events is not None:
-            events.close()
-            print(f"events written to {args.events_out}")
+        with flag_sinks(args, out=sys.stdout) as sinks:
+            for name in experiment_names:
+                result, wrote = _regenerate(
+                    name, args, sinks, name if multi else None, bench_doc)
+                results.append(result)
+                status |= wrote
+    except SinkError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
     if bench_doc is not None:
         try:
             with open(args.bench_json, "w") as handle:

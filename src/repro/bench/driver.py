@@ -50,12 +50,11 @@ def _run_mode(label: str, pairs: list[tuple[bytes, bytes]],
     write_wall = time.perf_counter() - start
     db.compact_range()
     total_wall = time.perf_counter() - start
-    stall_hist = db._m.stall_seconds
     row = {
         "write_wall": write_wall,
         "total_wall": total_wall,
-        "stall_episodes": stall_hist.count,
-        "stall_seconds": stall_hist.sum,
+        "stall_episodes": db.stats.stall_episodes,
+        "stall_seconds": db.stats.stall_seconds,
         "compactions": db.stats.compactions,
         "flushes": db.stats.flushes,
     }

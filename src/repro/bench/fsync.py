@@ -7,8 +7,9 @@ modes trade against:
 
 * ``none``/``flush`` — no fsyncs; the throughput ceiling (and the
   durability floor).
-* ``always`` — one fsync per commit, serialized under the writer lock:
-  throughput collapses to ~1/(writers × fsync latency).
+* ``always`` — one fsync per commit, one commit at a time through the
+  writer queue: throughput collapses to ~1/fsync latency whatever the
+  writer count.
 * ``interval`` — periodic fsync; near-ceiling throughput, bounded loss.
 * ``group`` — LevelDB-style group commit: the queue leader splices all
   waiting batches into one WAL record and pays one fsync for the whole
@@ -66,17 +67,14 @@ def _run_mode(mode: str, ops_per_writer: int) -> dict:
     wall = time.perf_counter() - start
 
     ops = WRITERS * ops_per_writer
-    syncs = int(db._m.wal_syncs.value)
-    groups = db._m.group_commit_batches.count
-    avg_group = (db._m.group_commit_batches.sum / groups) if groups else 1.0
     db.close()
     return {
         "mode": mode,
         "ops": ops,
         "wall": wall,
         "kops": ops / wall / 1e3,
-        "syncs": syncs,
-        "avg_group": avg_group,
+        "syncs": db.stats.wal_syncs,
+        "avg_group": db.stats.mean_group_size,
     }
 
 

@@ -268,7 +268,7 @@ def run(scale: float = 1.0) -> ExperimentResult:
          repeat, warmup)
 
     null_journal = db_off.events
-    windows = db_off._windows
+    windows = db_off.latency_window("put")
     assert isinstance(null_journal, NullJournal) and windows is None
 
     def disabled_obs_primitives():

@@ -9,23 +9,25 @@ multiple Compaction Units, where at most ``num_units`` merge tasks can be
 outstanding on the card and further demand simply waits (the version
 set's scores keep re-kicking until no level is over budget).
 
-Scheduling protocol (all shared state is guarded by the DB mutex):
+The driver schedules; the DB decides.  It owns the threads and the two
+queues and nothing else — which compaction to run, which files are busy,
+when a writer may proceed and what a failure means are the DB's, behind
+its mutex.  Everything the driver asks of its DB is four maintenance
+entry points:
 
-* ``kick`` enqueues a compaction token iff the queue has a free slot
-  (``put_nowait``); a dropped kick is harmless because every completion
-  re-kicks while ``needs_compaction()`` holds.
-* A unit worker picks its :class:`CompactionSpec` **at execution time**
-  under the mutex — never from the token — so it always sees the current
-  version.  Files of in-flight compactions are tracked in a busy-set;
-  any pick that touches a busy file is discarded (the pick is retried on
-  the next kick), which keeps concurrent unit outputs disjoint.
-* Completions install their version edit under the mutex (inside
-  ``LsmDB.run_compaction``), notify throttled writers, and re-kick.
+* ``flush_immutable()`` — dump the immutable memtable, if any;
+* ``compact_once(level_hint)`` — pick (at execution time, so the pick
+  sees the current version), merge and install one compaction;
+* ``maintenance_failed(error)`` — park a worker's failure, so the write
+  path surfaces it as :class:`~repro.errors.DBStateError` instead of an
+  exception from some later ``put``;
+* ``maintenance_pending()`` — what :meth:`close` must still drain;
 
-Failures never reach a writer as an exception from ``put``: a worker
-records the first error via ``LsmDB._set_background_error_locked`` and the
-write path surfaces it as :class:`~repro.errors.DBStateError`.  Device
-faults normally never get that far — the scheduler's retry/fallback
+plus ``tracer`` (to re-activate a token's trace context), ``metrics``
+and ``dbname``.  ``kick`` enqueues a compaction token iff the queue has
+a free slot; a dropped kick is harmless because every completion
+re-kicks while the version needs compaction.  Device faults normally
+never reach ``maintenance_failed`` — the scheduler's retry/fallback
 absorbs them (see :mod:`repro.host.scheduler`).
 """
 
@@ -35,15 +37,7 @@ import queue
 import threading
 import time
 
-from repro.lsm.options import L0_STOP_TRIGGER
-from repro.lsm.version import CompactionSpec
 from repro.obs.names import DriverMetrics
-
-#: Level value for "no level preference" (the L0 stall path enqueues
-#: ``0`` to force level-0 relief).  Queue tokens are ``(level,
-#: trace_context)`` tuples so the trace minted at the kicking write
-#: follows the task onto the worker thread.
-_ANY_LEVEL = -1
 
 
 class CompactionDriver:
@@ -54,22 +48,22 @@ class CompactionDriver:
             raise ValueError("num_units must be >= 1")
         self.db = db
         self.num_units = num_units
+        #: Tokens are ``(level hint or None, trace context)``: the trace
+        #: minted at the kicking write follows the task onto the worker.
         self._tasks: queue.Queue[tuple] = queue.Queue(maxsize=num_units)
         self._flush_q: queue.Queue[tuple] = queue.Queue(maxsize=1)
         self._stop = threading.Event()
         self._closed = False
-        #: File numbers owned by in-flight compactions (DB mutex held).
-        self._busy: set[int] = set()
         self._m = DriverMetrics(db.metrics,
                                 inst=db.metrics.instance_label())
+        workers = [("flush", self._flush_q, "flush",
+                    lambda _hint: db.flush_immutable())] + [
+            (f"unit{unit}", self._tasks, "compaction", db.compact_once)
+            for unit in range(num_units)]
         self._threads = [
-            threading.Thread(target=self._flush_loop,
-                             name=f"{db.dbname}-flush", daemon=True)
-        ] + [
-            threading.Thread(target=self._unit_loop, args=(unit,),
-                             name=f"{db.dbname}-unit{unit}", daemon=True)
-            for unit in range(num_units)
-        ]
+            threading.Thread(target=self._work, args=args, daemon=True,
+                             name=f"{db.dbname}-{name}")
+            for name, *args in workers]
         for thread in self._threads:
             thread.start()
 
@@ -79,24 +73,23 @@ class CompactionDriver:
 
     def kick(self, level: int | None = None, ctx=None) -> None:
         """Queue one compaction token; drops silently when the unit
-        queue is full (a later completion re-kicks).  ``ctx`` is a
+        queue is full (a later completion re-kicks).  ``level=0`` asks
+        for level-0 relief (the stalled write path).  ``ctx`` is a
         :class:`repro.obs.TraceContext` the worker re-activates, so the
         compaction's spans stitch under the kicking write's trace."""
-        if self._stop.is_set() or self._closed:
-            return
-        try:
-            self._tasks.put_nowait(
-                (_ANY_LEVEL if level is None else level, ctx))
-        except queue.Full:
-            return
-        self._m.queue_depth.set(self._tasks.qsize())
+        if not self._closed:
+            self._offer(self._tasks, (level, ctx))
+            self._m.queue_depth.set(self._tasks.qsize())
 
     def kick_flush(self, ctx=None) -> None:
         """Queue the flush token (idempotent: one immutable memtable)."""
-        if self._stop.is_set() or self._closed:
-            return
+        if not self._closed:
+            self._offer(self._flush_q, (None, ctx))
+
+    @staticmethod
+    def _offer(target: queue.Queue, token: tuple) -> None:
         try:
-            self._flush_q.put_nowait((0, ctx))
+            target.put_nowait(token)
         except queue.Full:
             pass
 
@@ -110,102 +103,27 @@ class CompactionDriver:
     # Workers
     # ------------------------------------------------------------------
 
-    def _next(self, source: queue.Queue):
-        """Block for the next token; ``None`` means shut down (stop set
-        and the queue fully drained)."""
+    def _work(self, source: queue.Queue, kind: str, run) -> None:
+        """One worker: take tokens from ``source`` until shut down (stop
+        set and the queue drained), ``run(level hint)`` each under its
+        trace context, and park — never lose — a failure."""
+        db = self.db
         while True:
             try:
-                return source.get(timeout=0.05)
+                hint, ctx = source.get(timeout=0.05)
             except queue.Empty:
                 if self._stop.is_set():
-                    return None
-
-    def _flush_loop(self) -> None:
-        db = self.db
-        while True:
-            token = self._next(self._flush_q)
-            if token is None:
-                return
-            _, ctx = token
-            self._m.tasks["flush"].inc()
-            try:
-                with db.tracer.activate(ctx):
-                    db._background_flush()
-            except Exception as error:  # noqa: BLE001 — reported, not lost
-                with db._mutex:
-                    db._set_background_error_locked(error)
-            finally:
-                self._flush_q.task_done()
-                with db._mutex:
-                    db._cond.notify_all()
-
-    def _unit_loop(self, unit: int) -> None:
-        db = self.db
-        while True:
-            token = self._next(self._tasks)
-            if token is None:
-                return
-            level, ctx = token
+                    return
+                continue
             self._m.queue_depth.set(self._tasks.qsize())
             try:
                 with db.tracer.activate(ctx):
-                    self._run_one(None if level == _ANY_LEVEL else level)
+                    if run(hint):
+                        self._m.tasks[kind].inc()
             except Exception as error:  # noqa: BLE001 — reported, not lost
-                with db._mutex:
-                    db._set_background_error_locked(error)
+                db.maintenance_failed(error)
             finally:
-                self._tasks.task_done()
-                with db._mutex:
-                    db._cond.notify_all()
-
-    def _run_one(self, level_hint: int | None) -> None:
-        """Pick under the mutex, merge outside it, install inside it."""
-        db = self.db
-        with db._mutex:
-            if db._closed or db._bg_error is not None:
-                return
-            spec = self._pick_locked(level_hint)
-            if spec is None:
-                return
-            for meta in spec.inputs + spec.parents:
-                self._busy.add(meta.number)
-        try:
-            self._m.tasks["compaction"].inc()
-            db.run_compaction(spec)
-        finally:
-            with db._mutex:
-                for meta in spec.inputs + spec.parents:
-                    self._busy.discard(meta.number)
-        if db.versions.needs_compaction():
-            # Still inside the worker's activated context: a cascading
-            # compaction stays on the trace that triggered this one.
-            self.kick(ctx=db.tracer.current_context())
-
-    def _pick_locked(self, level_hint: int | None) -> CompactionSpec | None:
-        """Choose a compaction for the current version (DB mutex held).
-
-        An explicit level-0 hint (or L0 at the stop trigger) prefers a
-        forced level-0 compaction so stalled writers unblock; otherwise
-        the version set's score-based pick decides.  Picks overlapping
-        the busy-set are discarded — the files are already being
-        compacted and their completion re-kicks.
-        """
-        versions = self.db.versions
-        l0_files = versions.current.num_files(0)
-        if (level_hint == 0 or l0_files >= L0_STOP_TRIGGER) and l0_files:
-            spec = versions.pick_compaction(level=0)
-            if spec is not None and not self._overlaps_busy(spec):
-                return spec
-        if not versions.needs_compaction():
-            return None
-        spec = versions.pick_compaction()
-        if spec is None or self._overlaps_busy(spec):
-            return None
-        return spec
-
-    def _overlaps_busy(self, spec: CompactionSpec) -> bool:
-        return any(meta.number in self._busy
-                   for meta in spec.inputs + spec.parents)
+                source.task_done()
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -223,17 +141,12 @@ class CompactionDriver:
         self._closed = True
         deadline = time.monotonic() + timeout
         while time.monotonic() < deadline:
-            with self.db._mutex:
-                bg_error = self.db._bg_error
-                imm_pending = self.db._imm is not None
-            if bg_error is not None:
+            pending = self.db.maintenance_pending()
+            if pending == "failed":
                 break
-            if imm_pending:
-                # Re-queue directly: self._closed suppresses kick_flush.
-                try:
-                    self._flush_q.put_nowait((0, None))
-                except queue.Full:
-                    pass
+            if pending == "flush":
+                # Not kick_flush: self._closed already suppresses it.
+                self._offer(self._flush_q, (None, None))
             elif self.idle():
                 break
             time.sleep(0.005)
@@ -243,4 +156,4 @@ class CompactionDriver:
 
     def __repr__(self) -> str:
         return (f"CompactionDriver(units={self.num_units}, "
-                f"queued={self._tasks.qsize()}, busy={len(self._busy)})")
+                f"queued={self._tasks.qsize()})")

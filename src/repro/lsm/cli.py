@@ -30,11 +30,11 @@ from __future__ import annotations
 import argparse
 import sys
 
-from repro import obs
 from repro.errors import NotFoundError, ReproError
 from repro.lsm.db import LsmDB
 from repro.lsm.env import OsEnv
 from repro.lsm.options import Options
+from repro.obs import SinkError, add_sink_flags, flag_sinks
 
 
 def _cli_options(args) -> Options:
@@ -47,10 +47,9 @@ def _cli_options(args) -> Options:
 
 
 def _open_db(args) -> LsmDB:
-    executor = None
     scheduler = None
     options = _cli_options(args)
-    if getattr(args, "fpga", 0):
+    if args.fpga:
         from repro.fpga.resources import best_feasible_config
         from repro.host.device import FcaeDevice
         from repro.host.scheduler import CompactionScheduler
@@ -58,11 +57,8 @@ def _open_db(args) -> LsmDB:
         config = best_feasible_config(args.fpga)
         device = FcaeDevice(config, options)
         scheduler = CompactionScheduler(device, options)
-        executor = scheduler
-    db = LsmDB(args.db, options, env=OsEnv(),
-               compaction_executor=executor)
-    db._cli_scheduler = scheduler
-    return db
+    return LsmDB(args.db, options, env=OsEnv(),
+                 compaction_executor=scheduler)
 
 
 def cmd_put(args) -> int:
@@ -133,7 +129,7 @@ def cmd_fill(args) -> int:
 
 def _print_watch_line(db: LsmDB, count: int) -> None:
     """One ``--watch`` progress line: windowed put-latency percentiles."""
-    window = db._windows["put"] if db._windows else None
+    window = db.latency_window("put")
     if window is None:
         return
     quantiles = " ".join(
@@ -179,20 +175,14 @@ def cmd_top(args) -> int:
 
 
 def _print_offload_stats(db: LsmDB) -> None:
-    scheduler = getattr(db, "_cli_scheduler", None)
-    if scheduler is None:
+    # Only the --fpga scheduler keeps stats; the CPU executor has none.
+    stats = getattr(db.compaction_executor, "stats", None)
+    if stats is None:
         return
-    stats = scheduler.stats
     print(f"offload: {stats.fpga_tasks} on FPGA "
           f"({stats.fpga_kernel_seconds * 1e3:.1f} ms kernel, "
           f"{stats.fpga_pcie_seconds * 1e3:.2f} ms PCIe), "
           f"{stats.software_tasks} in software")
-
-
-def cmd_serve(args) -> int:
-    from repro.service.cli import cmd_serve as service_serve
-
-    return service_serve(args)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -210,16 +200,7 @@ def build_parser() -> argparse.ArgumentParser:
                              **kwargs)
         cmd.add_argument("--fpga", type=int, default=0, metavar="N",
                          help="offload compactions to an N-input engine")
-        cmd.add_argument("--metrics-out", metavar="PATH",
-                         help="write a Prometheus text-format metrics dump")
-        cmd.add_argument("--trace-out", metavar="PATH",
-                         help="stream span traces as JSONL (appends)")
-        cmd.add_argument("--events-out", metavar="PATH",
-                         help="stream flight-recorder events as JSONL "
-                              "(appends)")
-        cmd.add_argument("--overwrite", action="store_true",
-                         help="replace an existing --metrics-out file "
-                              "instead of failing")
+        add_sink_flags(cmd)
         cmd.set_defaults(func=func)
         return cmd
 
@@ -247,79 +228,23 @@ def build_parser() -> argparse.ArgumentParser:
                      help="refresh interval (default 2s)")
     top.add_argument("--iterations", type=int, default=0, metavar="N",
                      help="stop after N refreshes (0 = until ^C)")
-
-    from repro.lsm.options import WAL_SYNC_MODES
-    serve = sub.add_parser(
-        "serve", help="run the sharded KV server over this store "
-                      "(client: python -m repro.service)")
-    serve.add_argument("root", help="directory holding the shard DBs")
-    serve.add_argument("--host", default="127.0.0.1")
-    serve.add_argument("--port", type=int, default=7707)
-    serve.add_argument("--shards", type=int, default=4)
-    serve.add_argument("--workers", type=int, default=16)
-    serve.add_argument("--wal-sync", default="group",
-                       choices=WAL_SYNC_MODES)
-    serve.add_argument("--stall-threshold", type=float, default=0.5)
-    serve.add_argument("--ready-fd", type=int, default=-1)
-    serve.set_defaults(func=cmd_serve, metrics_out=None, trace_out=None,
-                       events_out=None, overwrite=False)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    registry = tracer = events = token = None
-    if args.metrics_out or args.trace_out or args.events_out:
-        registry = obs.MetricsRegistry()
-        obs.names.register_all(registry)
-        if args.trace_out:
-            try:
-                tracer = obs.Tracer(sink_path=args.trace_out,
-                                    keep_spans=False)
-            except OSError as error:
-                print(f"error: cannot open {args.trace_out}: {error}",
-                      file=sys.stderr)
-                return 2
-        if args.events_out:
-            try:
-                events = obs.EventJournal(sink_path=args.events_out,
-                                          keep_events=False)
-            except OSError as error:
-                print(f"error: cannot open {args.events_out}: {error}",
-                      file=sys.stderr)
-                return 2
-        token = obs.install(registry=registry, tracer=tracer,
-                            events=events)
-    status = 0
     try:
-        status = args.func(args)
-    except ReproError as error:
+        with flag_sinks(args, out=sys.stderr) as sinks:
+            with sinks.installed() as registry:
+                try:
+                    status = args.func(args)
+                except ReproError as error:
+                    print(f"error: {error}", file=sys.stderr)
+                    status = 2
+            return sinks.write_metrics(registry) or status
+    except SinkError as error:
         print(f"error: {error}", file=sys.stderr)
-        status = 2
-    finally:
-        if token is not None:
-            obs.uninstall(token)
-        if tracer is not None:
-            tracer.close()
-            print(f"trace written to {args.trace_out}", file=sys.stderr)
-        if events is not None:
-            events.close()
-            print(f"events written to {args.events_out}", file=sys.stderr)
-        if registry is not None and args.metrics_out:
-            try:
-                obs.write_prometheus(args.metrics_out, registry,
-                                     overwrite=args.overwrite)
-            except FileExistsError as error:
-                print(f"error: {error}", file=sys.stderr)
-                status = status or 2
-            except OSError as error:
-                print(f"error: cannot write {args.metrics_out}: {error}",
-                      file=sys.stderr)
-                status = status or 2
-            else:
-                print(f"metrics written to {args.metrics_out}",
-                      file=sys.stderr)
-    return status
+        return 2
 
 
 if __name__ == "__main__":

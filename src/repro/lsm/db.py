@@ -23,8 +23,13 @@ Concurrency model: two modes.
   stall durations published to the ``lsm_write_stall_seconds`` histogram.
 
 Either way every public operation is safe to call from multiple threads:
-state mutations hold ``_mutex``, scans capture an immutable version (plus
-materialized memtable contents when a driver is live) before iterating.
+state mutations hold ``_mutex``; scans capture the memtables, an immutable
+version and a sequence under it, then iterate beside writers (the skiplist
+is insert-only and the sequence filter hides anything newer).
+
+Every write commits through one path — the writer queue in
+:meth:`LsmDB.write` — whatever ``Options.wal_sync`` says; the mode only
+picks a row of :data:`_WAL_POLICY`.
 """
 
 from __future__ import annotations
@@ -74,34 +79,38 @@ from repro.lsm.version import (
     VersionSet,
 )
 from repro.lsm.wal import LogReader, LogWriter
-from repro.util.coding import (
-    decode_fixed32,
-    decode_fixed64,
-    encode_fixed32,
-    encode_fixed64,
-    get_length_prefixed_slice,
-    put_length_prefixed_slice,
-)
 
 from repro.obs import (
     current_events,
-    merge_counts,
     resolve_events,
     resolve_registry,
     resolve_tracer,
 )
 from repro.obs.events import EventJournal, NullJournal, TeeJournal
-from repro.obs.names import LsmMetrics
+from repro.obs.names import DbStats, LsmMetrics
+from repro.obs.opobserver import OpObserver
 from repro.obs.registry import MetricsRegistry
 from repro.obs.report import render_db_report, render_level_stats
-from repro.obs.slo import build_engine
-from repro.obs.window import WindowedHistogram, publish_window
 
 #: A compaction executor turns (spec, input tables, parent tables,
 #: drop_deletions) into output table images.  ``repro.host`` provides the
 #: FPGA-backed implementation.
 CompactionExecutor = Callable[
     [CompactionSpec, list, list, bool], list[OutputTable]]
+
+
+#: All the commit path knows about an ``Options.wal_sync`` mode:
+#: (followers may join the leader's group, by LevelDB's size rule;
+#:  flush the record to the OS before the acknowledgement;
+#:  fsync it too — "no", "due" once ``wal_sync_interval_seconds`` passed
+#:  since the last fsync, or "yes").
+_WAL_POLICY = {
+    "none": (False, False, "no"),
+    "flush": (False, True, "no"),
+    "interval": (False, True, "due"),
+    "always": (False, True, "yes"),
+    "group": (True, True, "yes"),
+}
 
 
 def _trace_fields(span) -> dict:
@@ -111,67 +120,14 @@ def _trace_fields(span) -> dict:
     return {} if trace_id is None else {"trace": str(trace_id)}
 
 
-class DbStats:
-    """Operational counters, in the spirit of LevelDB's
-    ``GetProperty("leveldb.stats")``.
-
-    A read-only view over the database's metrics registry (the registry
-    is the single source of truth; this class keeps the historical
-    attribute names).  Counter fields resolve via ``__getattr__`` from
-    :data:`FIELDS`, so exposition code can iterate :meth:`as_dict`
-    instead of hand-copying field lists.
-    """
-
-    #: Counter fields, in reporting order.
-    FIELDS = ("writes", "write_bytes", "reads", "read_hits", "flushes",
-              "flush_bytes", "compactions", "compaction_input_bytes",
-              "compaction_output_bytes", "stalls", "block_cache_hits",
-              "block_cache_misses")
-
-    def __init__(self, metrics: LsmMetrics):
-        self._metrics = metrics
-
-    def __getattr__(self, name: str):
-        if name in DbStats.FIELDS:
-            return int(self._metrics.value(name))
-        raise AttributeError(name)
-
-    @property
-    def write_amplification(self) -> float:
-        """(flushed + compacted) bytes per user byte written."""
-        if self.write_bytes == 0:
-            return 0.0
-        return ((self.flush_bytes + self.compaction_output_bytes)
-                / self.write_bytes)
-
-    @property
-    def block_cache_hit_ratio(self) -> float:
-        """Hits over lookups (0.0 before any lookup)."""
-        total = self.block_cache_hits + self.block_cache_misses
-        return self.block_cache_hits / total if total else 0.0
-
-    def as_dict(self) -> dict[str, int]:
-        """Counter fields as a plain dict, in :data:`FIELDS` order."""
-        return {field: getattr(self, field) for field in DbStats.FIELDS}
-
-    @staticmethod
-    def merge(*stats: "DbStats | dict") -> dict[str, int]:
-        """Field-wise sum across databases (shard aggregation)."""
-        return merge_counts(
-            s if isinstance(s, dict) else s.as_dict() for s in stats)
-
-    def __repr__(self) -> str:
-        inner = ", ".join(f"{k}={v}" for k, v in self.as_dict().items())
-        return f"DbStats({inner})"
-
-
 class _Writer:
-    """One queued commit in the group-commit protocol.
+    """One queued commit.
 
     Writers park in :attr:`LsmDB._writers`; the front writer is the
-    *leader* — it splices the queued batches into one WAL record, pays a
-    single flush+fsync for the group, and marks every member ``done``
-    (with the shared ``error`` if the commit failed)."""
+    *leader* — it commits its group (itself alone unless the mode lets
+    groups grow) as one WAL record with one persist step, and marks
+    every member ``done`` (with the shared ``error`` if the commit
+    failed)."""
 
     __slots__ = ("batch", "done", "error")
 
@@ -255,17 +211,6 @@ class LsmDB:
         self.tracer = resolve_tracer(tracer)
         self._m = LsmMetrics(self.metrics, db=dbname,
                              inst=self.metrics.instance_label())
-        self._windows: Optional[dict[str, WindowedHistogram]] = None
-        if self.options.latency_window_seconds > 0:
-            self._windows = {
-                op: WindowedHistogram(
-                    window_seconds=self.options.latency_window_seconds)
-                for op in ("get", "put", "write")}
-            for op, window in self._windows.items():
-                publish_window(
-                    self.metrics, "lsm_op_latency_window_seconds",
-                    "Sliding-window operation latency quantiles.",
-                    window, op=op, **self._m.labels)
         self._c = self._m.counters
         self.icmp = InternalKeyComparator(self.options.comparator)
         self.versions = VersionSet(self.options, self.icmp)
@@ -275,15 +220,20 @@ class LsmDB:
                      miss_counter=self._c["block_cache_misses"],
                      usage_gauge=self._m.cache_usage)
             if self.options.block_cache_capacity > 0 else None)
-        self._executor = compaction_executor or self._cpu_executor
+        #: How merge compactions execute (the CPU reference merge
+        #: unless the caller passed a scheduler).
+        self.compaction_executor = compaction_executor or self._cpu_executor
         self.auto_compact = auto_compact
-        self._mem = MemTable(self.icmp)
-        self._imm: Optional[MemTable] = None
-        self._readers: dict[int, TableReader] = {}
+        self._mem = MemTable(self.icmp)  # guarded_by: _mutex
+        self._imm: Optional[MemTable] = None  # guarded_by: _mutex
+        self._readers: dict[int, TableReader] = {}  # guarded_by: _mutex
         self._closed = False
-        self._log: Optional[LogWriter] = None
-        self._log_file = None
-        self._log_number = 0
+        self._log: Optional[LogWriter] = None  # guarded_by: _mutex
+        self._log_file = None  # guarded_by: _mutex
+        self._log_number = 0  # guarded_by: _mutex
+        #: File numbers owned by in-flight compactions: a pick touching
+        #: one is discarded, which keeps concurrent outputs disjoint.
+        self._busy: set[int] = set()  # guarded_by: _mutex
         self.stall_events = 0
         self.stats = DbStats(self._m)
         #: Re-entrant so the synchronous mode's inline maintenance can
@@ -291,13 +241,14 @@ class LsmDB:
         #: Instrumented by the lock watchdog when REPRO_LOCK_WATCHDOG=1.
         self._mutex = lockwatch.make_rlock("lsm.mutex")
         self._cond = lockwatch.make_condition(self._mutex)
-        #: Group-commit writer queue (``wal_sync="group"``): front is
-        #: the leader, the rest wait on ``_writers_cond``.
+        #: Writer queue: front is the leader, the rest wait on
+        #: ``_writers_cond``.
         self._writers: deque[_Writer] = deque()  # guarded_by: _mutex
         self._writers_cond = lockwatch.make_condition(self._mutex)
-        #: True while the leader runs WAL I/O outside the mutex; log
-        #: rotation must wait for it (the segment being synced would
-        #: otherwise be closed mid-fsync).
+        #: True while the leader runs WAL I/O outside the mutex; nothing
+        #: swaps the memtable or rotates the log meanwhile (the leader's
+        #: batch would land in the new memtable while its record sits in
+        #: the segment being retired).
         self._wal_writing = False  # guarded_by: _mutex
         self._last_wal_sync = time.monotonic()
         #: Live snapshot sequences → refcount (satellite: snapshot
@@ -330,27 +281,14 @@ class LsmDB:
             # journal (last opened DB wins; diagnostics, not state).
             lockwatch.get().attach_journal(self.events)
 
-        #: SLO engine (None unless Options.slo_specs is non-empty);
-        #: scores get/put/write latencies per tenant and emits
-        #: slo_alert / exemplar events into this DB's journal.
-        self._slo = build_engine(self.options.slo_specs,
-                                 registry=self.metrics,
-                                 events=self.events)
-        if self._slo is not None and self._windows is not None:
-            for op, window in self._windows.items():
-                window.exemplar_threshold = self._slo.threshold_for(op)
-        #: One flag gating every per-op observation (windows, tenants,
-        #: SLO scoring) so the disabled hot path stays a single check.
-        self._op_obs = (self._windows is not None
-                        or self._slo is not None)
-        #: (op, tenant) -> lazily-published per-tenant window / counter.
-        self._tenant_windows: dict[tuple[str, str],
-                                   WindowedHistogram] = {}
-        self._tenant_op_counters: dict[tuple[str, str], object] = {}
-        #: Trace id of the last write-stall episode: when a foreground
-        #: op has no active span of its own, its tail exemplar is
-        #: attributed to the stall that delayed it.
-        self._last_stall_trace = None
+        #: Per-op latency windows, tenant counters and SLO scoring (the
+        #: engine emits slo_alert / exemplar events into this DB's
+        #: journal); None unless ``Options.latency_window_seconds`` or
+        #: ``Options.slo_specs`` turn them on, so the disabled hot path
+        #: stays a single check.
+        self._ops = OpObserver.build(self.options, self.metrics,
+                                     self._m.labels, self.tracer,
+                                     self.events)
         self._opened_monotonic = time.monotonic()
 
         with self._mutex:
@@ -380,27 +318,9 @@ class LsmDB:
             snapshot = record  # last full snapshot wins
         if snapshot is None:
             return
-        last_sequence = decode_fixed64(snapshot, 0)
-        next_file = decode_fixed64(snapshot, 8)
-        pos = 16
-        edit = VersionEdit()
-        num_levels = decode_fixed32(snapshot, pos)
-        pos += 4
-        for level in range(num_levels):
-            count = decode_fixed32(snapshot, pos)
-            pos += 4
-            for _ in range(count):
-                number = decode_fixed64(snapshot, pos)
-                size = decode_fixed64(snapshot, pos + 8)
-                pos += 16
-                smallest, pos = get_length_prefixed_slice(snapshot, pos)
-                largest, pos = get_length_prefixed_slice(snapshot, pos)
-                edit.add_file(level, FileMetaData(number, size, smallest, largest))
-        self.versions.apply(edit)
-        self.versions.last_sequence = last_sequence
-        self.versions.reuse_file_number(next_file - 1)
-        for level in range(NUM_LEVELS):
-            for meta in self.versions.current.files[level]:
+        self.versions.restore_snapshot(snapshot)
+        for files in self.versions.current.files:
+            for meta in files:
                 self._open_reader_locked(meta)
 
     def _replay_logs_locked(self) -> None:
@@ -436,23 +356,11 @@ class LsmDB:
         dest.close()
 
     def _write_manifest(self) -> None:
-        snapshot = bytearray()
-        snapshot += encode_fixed64(self.versions.last_sequence)
-        snapshot += encode_fixed64(self.versions.next_file_number)
-        snapshot += encode_fixed32(NUM_LEVELS)
-        for level in range(NUM_LEVELS):
-            files = self.versions.current.files[level]
-            snapshot += encode_fixed32(len(files))
-            for meta in files:
-                snapshot += encode_fixed64(meta.number)
-                snapshot += encode_fixed64(meta.file_size)
-                put_length_prefixed_slice(snapshot, meta.smallest)
-                put_length_prefixed_slice(snapshot, meta.largest)
+        snapshot = self.versions.encode_snapshot()
         manifest_number = self.versions.new_file_number()
         manifest_name = manifest_file_name(self.dbname, manifest_number)
         dest = self.env.new_writable_file(manifest_name)
-        writer = LogWriter(dest)
-        writer.add_record(bytes(snapshot))
+        LogWriter(dest).add_record(snapshot)
         self._durable_close(dest)
         current = self.env.new_writable_file(current_file_name(self.dbname))
         current.append(manifest_name.encode())
@@ -464,10 +372,10 @@ class LsmDB:
                 self.env.delete_file(f"{self.dbname}/{name}")
 
     def _new_log_locked(self) -> None:
-        # Never retire a segment a group-commit leader is still syncing
-        # (the leader runs WAL I/O outside the mutex).
-        while self._wal_writing:
-            self._writers_cond.wait()
+        # Whoever rotates the log does so between appends: the queue
+        # leader (making room before its own, or maintaining inline
+        # after it) or flush() once it has waited the leader out.
+        assert not self._wal_writing
         if self._log_file is not None:
             self._log_file.close()
         self._log_number = self.versions.new_file_number()
@@ -483,93 +391,32 @@ class LsmDB:
         if self._closed:
             raise DBStateError("database is closed")
 
+    def _observed(self, op: str, tenant: Optional[str], call, *args):
+        """``call(*args)`` as foreground operation ``op``, timed by the
+        observer when there is one."""
+        if self._ops is None:
+            return call(*args)
+        return self._ops.timed(op, tenant, call, *args)
+
     def put(self, key: bytes, value: bytes,
             tenant: Optional[str] = None) -> None:
         batch = WriteBatch()
         batch.put(key, value)
-        if not self._op_obs:
-            self.write(batch)
-            return
-        start = time.perf_counter()
-        ok = False
-        try:
-            self.write(batch, tenant=tenant)
-            ok = True
-        finally:
-            self._observe_op("put", time.perf_counter() - start,
-                             tenant, ok)
+        self._observed("put", tenant, self.write, batch, tenant)
 
     def delete(self, key: bytes, tenant: Optional[str] = None) -> None:
         batch = WriteBatch()
         batch.delete(key)
-        if not self._op_obs:
-            self.write(batch)
-            return
-        start = time.perf_counter()
-        ok = False
-        try:
-            self.write(batch, tenant=tenant)
-            ok = True
-        finally:
-            self._observe_op("delete", time.perf_counter() - start,
-                             tenant, ok)
-
-    def _observe_op(self, op: str, seconds: float,
-                    tenant: Optional[str], ok: bool = True) -> None:
-        """Fold one foreground operation into the observability surface:
-        the aggregate window, the per-tenant window and op counter, and
-        the SLO engine.  Only called when ``_op_obs`` is set."""
-        ctx = self.tracer.current_context()
-        if ctx is not None:
-            trace = str(ctx.trace_id)
-        elif self._last_stall_trace is not None:
-            trace = str(self._last_stall_trace)
-        else:
-            trace = None
-        self._last_stall_trace = None
-        if self._windows is not None:
-            window = self._windows.get(op)
-            if window is not None:
-                window.observe(seconds, trace_id=trace)
-            if tenant is not None:
-                key = (op, tenant)
-                tenant_window = self._tenant_windows.get(key)
-                if tenant_window is None:
-                    tenant_window = WindowedHistogram(
-                        window_seconds=self.options
-                        .latency_window_seconds)
-                    if self._slo is not None:
-                        tenant_window.exemplar_threshold = \
-                            self._slo.threshold_for(op, tenant)
-                    self._tenant_windows[key] = tenant_window
-                    publish_window(
-                        self.metrics, "lsm_op_latency_window_seconds",
-                        "Sliding-window operation latency quantiles.",
-                        tenant_window, op=op, tenant=tenant,
-                        **self._m.labels)
-                tenant_window.observe(seconds, trace_id=trace)
-        if tenant is not None:
-            key = (op, tenant)
-            counter = self._tenant_op_counters.get(key)
-            if counter is None:
-                counter = self.metrics.counter(
-                    "lsm_tenant_ops_total",
-                    "Operations by tenant and op.",
-                    tenant=tenant, op=op, **self._m.labels)
-                self._tenant_op_counters[key] = counter
-            counter.inc()
-        if self._slo is not None:
-            self._slo.record(op, seconds, ok=ok,
-                             tenant=tenant if tenant is not None
-                             else "default",
-                             trace_id=trace)
+        self._observed("delete", tenant, self.write, batch, tenant)
 
     def tenant_op_counts(self) -> dict:
         """``{tenant: {op: count}}`` for every tenant-attributed op."""
-        out: dict = {}
-        for (op, tenant), counter in self._tenant_op_counters.items():
-            out.setdefault(tenant, {})[op] = int(counter.value)
-        return out
+        return self._ops.tenant_op_counts() if self._ops is not None else {}
+
+    def latency_window(self, op: str):
+        """The sliding latency window of ``op`` (``get`` / ``put`` /
+        ``write``), or None when ``Options.latency_window_seconds`` is 0."""
+        return self._ops.window(op) if self._ops is not None else None
 
     def uptime_seconds(self) -> float:
         """Seconds since this handle opened (monotonic clock)."""
@@ -586,20 +433,13 @@ class LsmDB:
     @property
     def slo_engine(self):
         """The DB's :class:`repro.obs.slo.SloEngine`, or None."""
-        return self._slo
+        return self._ops.slo if self._ops is not None else None
 
     def _check_bg_error_locked(self) -> None:
         if self._bg_error is not None:
             raise DBStateError(
                 f"background maintenance failed: {self._bg_error!r}"
             ) from self._bg_error
-
-    def _set_background_error_locked(self, error: BaseException) -> None:
-        """Record the first background failure (mutex held) and wake any
-        throttled writers so they surface it instead of hanging."""
-        if self._bg_error is None:
-            self._bg_error = error
-        self._cond.notify_all()
 
     def write(self, batch: WriteBatch,
               tenant: Optional[str] = None) -> None:
@@ -608,72 +448,21 @@ class LsmDB:
         returns) only after the WAL bytes have reached the durability
         point the configured mode promises."""
         self._check_open()
-        if not len(batch):
-            return
-        start = time.perf_counter() if self._op_obs else 0.0
-        if self.options.wal_sync == "group":
-            self._group_commit(batch)
-        else:
-            with self._mutex:
-                self._write_locked(batch)
-        if self._op_obs:
-            self._observe_op("write", time.perf_counter() - start, tenant)
+        if len(batch):
+            self._observed("write", tenant, self._commit, batch)
 
-    def _write_locked(self, batch: WriteBatch) -> None:
-        """The non-group commit path (mutex held)."""
-        if self._driver is not None:
-            self._check_bg_error_locked()
-            self._make_room_for_write_locked()
-        sequence = self.versions.last_sequence + 1
-        self._c["writes"].inc(len(batch))
-        self._c["write_bytes"].inc(batch.byte_size())
-        self._log.add_record(batch.serialize(sequence))
-        self._persist_wal_locked()
-        next_seq = batch.apply_to_memtable(self._mem, sequence)
-        self.versions.last_sequence = next_seq - 1
-        self._maintain_after_write_locked()
-
-    def _maintain_after_write_locked(self) -> None:
-        if self._driver is not None:
-            if self.versions.needs_compaction():
-                # Mint a trace context here so the compaction this
-                # write triggers stitches back to it across the
-                # driver's queue and worker threads.
-                self._driver.kick(ctx=self.tracer.mint_context())
-        elif self.auto_compact:
-            self._maybe_maintain_locked()
-
-    def _persist_wal_locked(self) -> None:
-        """Push the just-appended WAL record to this mode's durability
-        point before the writer is acknowledged (mutex held)."""
-        mode = self.options.wal_sync
-        if mode == "none":
-            return
-        self._log.flush()
-        if mode == "always":
-            self._sync_wal(self._log_file)
-        elif mode == "interval":
-            if (time.monotonic() - self._last_wal_sync
-                    >= self.options.wal_sync_interval_seconds):
-                self._sync_wal(self._log_file)
-
-    def _sync_wal(self, log_file) -> None:
-        """fsync one WAL segment, timed into ``lsm_wal_sync_seconds``."""
-        started = time.perf_counter()
-        log_file.sync()
-        self._last_wal_sync = time.monotonic()
-        self._m.wal_syncs.inc()
-        self._m.wal_sync_seconds.observe(time.perf_counter() - started)
-
-    def _group_commit(self, batch: WriteBatch) -> None:
-        """LevelDB-style group commit (``wal_sync="group"``).
+    def _commit(self, batch: WriteBatch) -> None:
+        """The one commit path (LevelDB's ``DBImpl::Write``).
 
         Every writer enqueues and waits; the queue front becomes the
-        leader.  The leader splices the queued batches into one WAL
-        record, releases the mutex for the flush+fsync (so new writers
-        can line up into the *next* group meanwhile — that overlap is
-        the whole throughput win), then reacquires it to apply the
-        spliced batch to the memtable and wake the group."""
+        leader.  The leader makes room, collects its group (itself alone
+        unless the mode lets groups grow), splices the batches into one
+        WAL record, and releases the mutex for the append + persist — so
+        readers never wait behind an fsync, and new writers line up into
+        the *next* group meanwhile (that overlap is group commit's whole
+        throughput win).  It then re-takes the mutex to apply the group
+        to the memtable, wake it, and run or kick maintenance."""
+        grow, flush, sync = _WAL_POLICY[self.options.wal_sync]
         writer = _Writer(batch)
         with self._mutex:
             self._writers.append(writer)
@@ -686,14 +475,13 @@ class LsmDB:
             # This thread leads the commit.
             if self._driver is not None:
                 try:
-                    self._check_bg_error_locked()
                     self._make_room_for_write_locked()
                 except BaseException as exc:
                     self._finish_group_locked([writer], exc)
                     raise
-            group = self._build_group_locked()
+            group = self._build_group_locked() if grow else [writer]
             if len(group) == 1:
-                spliced = group[0].batch
+                spliced = batch
             else:
                 spliced = WriteBatch()
                 for member in group:
@@ -705,24 +493,45 @@ class LsmDB:
         error: Optional[BaseException] = None
         try:
             log.add_record(record)
-            log.flush()
-            self._sync_wal(log_file)
+            if flush:
+                log.flush()
+            if sync == "yes" or (
+                    sync == "due"
+                    and time.monotonic() - self._last_wal_sync
+                    >= self.options.wal_sync_interval_seconds):
+                self._sync_wal(log_file)
         except BaseException as exc:
             error = exc
         with self._mutex:
             self._wal_writing = False
             if error is None:
-                for member in group:
-                    self._c["writes"].inc(len(member.batch))
-                    self._c["write_bytes"].inc(member.batch.byte_size())
+                self._c["writes"].inc(len(spliced))
+                self._c["write_bytes"].inc(spliced.byte_size())
                 next_seq = spliced.apply_to_memtable(self._mem, sequence)
                 self.versions.last_sequence = next_seq - 1
-                self._m.group_commit_batches.observe(len(group))
+                if grow:
+                    self._m.group_commit_batches.observe(len(group))
             self._finish_group_locked(group, error)
             if error is None:
-                self._maintain_after_write_locked()
+                if self._driver is None:
+                    if self.auto_compact:
+                        self._maybe_maintain_locked()
+                elif self.versions.needs_compaction():
+                    # Mint a trace context here so the compaction this
+                    # write triggers stitches back to it across the
+                    # driver's queue and worker threads.
+                    self._driver.kick(ctx=self.tracer.mint_context())
         if error is not None:
             raise error
+
+    def _sync_wal(self, log_file) -> None:
+        """fsync one WAL segment, timed into ``lsm_wal_sync_seconds``.
+        The commit path calls it with the mutex released."""
+        started = time.perf_counter()
+        log_file.sync()
+        self._last_wal_sync = time.monotonic()
+        self._m.wal_syncs.inc()
+        self._m.wal_sync_seconds.observe(time.perf_counter() - started)
 
     def _build_group_locked(self) -> list[_Writer]:
         """Collect the leader's group from the queue front (mutex held).
@@ -824,13 +633,13 @@ class LsmDB:
         self._m.stall_seconds.observe(waited)
         self.events.emit("stall_finish", db=self.dbname, reason=reason,
                          seconds=waited, **trace_fields)
-        if ctx is not None:
-            self._last_stall_trace = ctx.trace_id
+        if ctx is not None and self._ops is not None:
+            self._ops.note_stall(ctx.trace_id)
         self._check_bg_error_locked()
 
     def _swap_memtable_locked(self) -> None:
         """Make the active memtable immutable, rotate the WAL, and queue
-        the flush (mutex held, ``_imm`` must be empty)."""
+        the flush (mutex held, ``_imm`` empty, no WAL append in flight)."""
         self._imm = self._mem
         self._mem = MemTable(self.icmp)
         # New writes land in a fresh log; the old segment is retired only
@@ -855,10 +664,8 @@ class LsmDB:
                 self.stall_events += 1
                 self._c["stalls"].inc()
                 while self.versions.current.num_files(0) >= L0_STOP_TRIGGER:
-                    spec = self.versions.pick_compaction(level=0)
-                    if spec is None:
+                    if not self.compact_once(level_hint=0):
                         break
-                    self.run_compaction(spec)
                 did_work = True
             self._flush_memtable_locked()
             did_work = True
@@ -876,21 +683,36 @@ class LsmDB:
         installed the table (or surfaces the background error)."""
         self._check_open()
         with self._mutex:
-            if self._driver is not None:
-                if len(self._mem):
-                    while self._imm is not None and self._bg_error is None:
-                        self._driver.kick_flush()
-                        self._cond.wait(timeout=0.05)
-                    self._check_bg_error_locked()
-                    if len(self._mem):
-                        self._swap_memtable_locked()
-                while self._imm is not None and self._bg_error is None:
-                    self._driver.kick_flush()
-                    self._cond.wait(timeout=0.05)
-                self._check_bg_error_locked()
-                return
             if len(self._mem):
-                self._flush_memtable_locked()
+                self._await_swappable_locked()
+                if self._driver is None:
+                    self._flush_memtable_locked()
+                elif len(self._mem):
+                    self._swap_memtable_locked()
+            if self._driver is not None:
+                self._await_maintenance_locked(
+                    lambda: self._imm is None, self._driver.kick_flush)
+
+    def _await_swappable_locked(self) -> None:
+        """Block (mutex held) until the active memtable may be swapped
+        out: the previous immutable one has been flushed, and no leader
+        is mid-append (see ``_wal_writing``)."""
+        while self._wal_writing or self._imm is not None:
+            if self._wal_writing:
+                self._writers_cond.wait()
+            else:
+                self._await_maintenance_locked(
+                    lambda: self._imm is None, self._driver.kick_flush)
+        self._check_bg_error_locked()
+
+    def _await_maintenance_locked(self, done, kick) -> None:
+        """Block (mutex held) until the background driver has made
+        ``done()`` true, re-kicking it meanwhile; raises the parked
+        background error instead of waiting forever."""
+        while not done() and self._bg_error is None:
+            kick()
+            self._cond.wait(timeout=0.05)
+        self._check_bg_error_locked()
 
     def _flush_memtable_locked(self) -> None:
         if not len(self._mem):
@@ -910,7 +732,7 @@ class LsmDB:
                 # would retire segments that have not been replayed yet.
                 self._new_log_locked()
                 self._retire_old_logs()
-            self._refresh_level_gauges_locked()
+            self._m.refresh_levels(self.versions.current)
 
     def _build_flush_table(self, imm: MemTable, number: int,
                            span) -> tuple[FileMetaData, float]:
@@ -995,11 +817,15 @@ class LsmDB:
         return self._readers[meta.number]
 
     def _cpu_executor(self, spec: CompactionSpec, input_tables: list,
-                      parent_tables: list,
-                      drop_deletions: bool) -> list[OutputTable]:
+                      parent_tables: list, drop_deletions: bool,
+                      smallest_snapshot: Optional[int] = None
+                      ) -> list[OutputTable]:
+        """The CPU reference merge.  With ``smallest_snapshot`` it keeps,
+        per user key, the newest version at or below every live snapshot
+        (LevelDB's ``last_sequence_for_key`` rule)."""
         return compact_tables(spec.level, input_tables, parent_tables,
-                              self.options, self.icmp,
-                              drop_deletions).outputs
+                              self.options, self.icmp, drop_deletions,
+                              smallest_snapshot=smallest_snapshot).outputs
 
     def _executor_backend(self) -> str:
         """Which backend ran the merge just executed on this thread.
@@ -1009,23 +835,62 @@ class LsmDB:
         merge) in thread-local state precisely so this read is safe with
         multiple compaction units; executors without ``last_route`` are
         the plain CPU reference merge."""
-        last_route = getattr(self._executor, "last_route", None)
+        last_route = getattr(self.compaction_executor, "last_route", None)
         if callable(last_route):
             return last_route() or "cpu"
         return "cpu"
 
-    def compact_once(self) -> bool:
+    def compact_once(self, level_hint: Optional[int] = None) -> bool:
         """Pick and execute one merge compaction; returns False when no
-        compaction is due."""
+        compaction is due (or every candidate's files are already being
+        compacted by another unit, or background maintenance already
+        failed).  ``level_hint=0`` forces level-0 relief, the stalled
+        write path's request.  A live driver is re-kicked while more is
+        due."""
         self._check_open()
         with self._mutex:
+            if self._bg_error is not None:
+                return False
             with self.tracer.span("compaction.pick", db=self.dbname) as span:
-                spec = self.versions.pick_compaction()
+                spec = self._pick_compaction_locked(level_hint)
                 span.set(picked=spec is not None)
-        if spec is None:
-            return False
-        self.run_compaction(spec)
+            if spec is None:
+                return False
+            files = [meta.number for meta in spec.inputs + spec.parents]
+            self._busy.update(files)
+        try:
+            self.run_compaction(spec)
+        finally:
+            with self._mutex:
+                self._busy.difference_update(files)
+                self._cond.notify_all()
+        self._kick_if_due()
         return True
+
+    def _pick_compaction_locked(self, level_hint: Optional[int]
+                                ) -> Optional[CompactionSpec]:
+        """Choose a compaction for the current version (mutex held).
+
+        A level-0 hint (or L0 at the stop trigger) prefers a forced
+        level-0 compaction so stalled writers unblock; otherwise the
+        version set's score-based pick decides.  Picks overlapping the
+        busy-set are discarded — those files are already being compacted
+        and their completion re-kicks.
+        """
+        versions = self.versions
+        l0_files = versions.current.num_files(0)
+        if (level_hint == 0 or l0_files >= L0_STOP_TRIGGER) and l0_files:
+            spec = versions.pick_compaction(level=0)
+            if spec is not None and not self._overlaps_busy_locked(spec):
+                return spec
+        spec = versions.pick_compaction()  # None unless a score is >= 1
+        if spec is None or self._overlaps_busy_locked(spec):
+            return None
+        return spec
+
+    def _overlaps_busy_locked(self, spec: CompactionSpec) -> bool:
+        return any(meta.number in self._busy
+                   for meta in spec.inputs + spec.parents)
 
     def run_compaction(self, spec: CompactionSpec) -> list[FileMetaData]:
         """Execute ``spec`` through the configured executor and install
@@ -1035,7 +900,8 @@ class LsmDB:
         background workers overlap with the write path and each other);
         reader capture before and version-edit install after both hold
         it.  Callers in background mode must guarantee the spec's files
-        are not concurrently compacted (the driver's busy-set does)."""
+        are not concurrently compacted (:meth:`compact_once`'s busy-set
+        does)."""
         with self.tracer.span("compaction", db=self.dbname,
                               level=spec.level,
                               output_level=spec.output_level,
@@ -1069,13 +935,15 @@ class LsmDB:
             # Live snapshots: route to the snapshot-preserving CPU merge
             # (the FPGA engine keeps only the newest version per key, so
             # offloading here could drop versions a snapshot still needs).
-            outputs = self._snapshot_merge(
+            self._m.snapshot_merges.inc()
+            outputs = self._cpu_executor(
                 spec, input_tables, parent_tables, drop, smallest_snapshot)
             span.set(snapshot_merge=True,
                      smallest_snapshot=smallest_snapshot)
             backend = "cpu"
         else:
-            outputs = self._executor(spec, input_tables, parent_tables, drop)
+            outputs = self.compaction_executor(
+                spec, input_tables, parent_tables, drop)
             backend = self._executor_backend()
 
         # Write and durably close the output tables *before* taking the
@@ -1144,62 +1012,73 @@ class LsmDB:
                     self.env.delete_file(
                         table_file_name(self.dbname, old.number))
                 self._write_manifest()
-            self._refresh_level_gauges_locked()
+            self._m.refresh_levels(self.versions.current)
             self._cond.notify_all()
         return new_metas
 
-    def _snapshot_merge(self, spec: CompactionSpec, input_tables: list,
-                        parent_tables: list, drop_deletions: bool,
-                        smallest_snapshot: int) -> list[OutputTable]:
-        """CPU merge that keeps, per user key, the newest version at or
-        below every live snapshot (LevelDB's ``last_sequence_for_key``
-        rule)."""
-        self._m.snapshot_merges.inc()
-        return compact_tables(spec.level, input_tables, parent_tables,
-                              self.options, self.icmp, drop_deletions,
-                              smallest_snapshot=smallest_snapshot).outputs
+    # -- Maintenance entry points: all the background driver calls ------
 
-    def _background_flush(self) -> None:
-        """Flush worker entry point: dump ``_imm`` to a level-0 table.
+    def flush_immutable(self) -> bool:
+        """Dump the immutable memtable to a level-0 table; False when
+        there is none (or the DB is closed).
 
         The table build runs *without* the mutex, so foreground writes
         proceed into the fresh memtable meanwhile; only the install
         takes the lock.  On failure ``_imm`` stays set — its writes
-        remain readable and its WAL segment is retained — and the driver
-        records the error.
+        remain readable and its WAL segment is retained.
         """
         with self._mutex:
             imm = self._imm
             if imm is None or self._closed:
-                return
+                return False
             number = self.versions.new_file_number()
         with self.tracer.span("flush", db=self.dbname) as span:
             meta, start = self._build_flush_table(imm, number, span)
             with self._mutex:
                 self._install_flush_table_locked(meta, start, span)
                 self._retire_old_logs()
-                self._refresh_level_gauges_locked()
+                self._m.refresh_levels(self.versions.current)
                 self._cond.notify_all()
-        if self.versions.needs_compaction():
-            # Still inside the flush's activated context: the compaction
-            # this flush triggers joins the same trace.
+        self._kick_if_due()
+        return True
+
+    def _kick_if_due(self) -> None:
+        if self._driver is not None and self.versions.needs_compaction():
+            # Still inside the worker's activated context: a cascading
+            # compaction stays on the trace that triggered this one.
             self._driver.kick(ctx=self.tracer.current_context())
+
+    def maintenance_failed(self, error: BaseException) -> None:
+        """Park the first background failure and wake any throttled
+        writers so they surface it instead of hanging."""
+        with self._mutex:
+            if self._bg_error is None:
+                self._bg_error = error
+            self._cond.notify_all()
+
+    def maintenance_pending(self) -> Optional[str]:
+        """What a closing driver still has to wait for: ``"failed"``
+        (a parked error — nothing more will run), ``"flush"`` (the
+        immutable memtable awaits its flush), or None."""
+        with self._mutex:
+            if self._bg_error is not None:
+                return "failed"
+            return "flush" if self._imm is not None else None
 
     def compact_range(self) -> None:
         """Compact until no level is over budget (full maintenance).
 
         In background mode this drains the driver: it keeps kicking and
-        waiting until no compaction is due and all workers are idle."""
+        waiting until no compaction is due, running or awaiting a
+        flush."""
         self.flush()
         if self._driver is not None:
             with self._mutex:
-                while self._bg_error is None:
-                    if (not self.versions.needs_compaction()
-                            and self._driver.idle()):
-                        break
-                    self._driver.kick(ctx=self.tracer.mint_context())
-                    self._cond.wait(timeout=0.05)
-                self._check_bg_error_locked()
+                self._await_maintenance_locked(
+                    lambda: not (self.versions.needs_compaction()
+                                 or self._busy or self._imm is not None),
+                    lambda: self._driver.kick(
+                        ctx=self.tracer.mint_context()))
             return
         while self.versions.needs_compaction():
             if not self.compact_once():
@@ -1254,18 +1133,13 @@ class LsmDB:
         self._check_open()
         if snapshot is not None:
             snapshot._check_owner(self)
-        start = time.perf_counter() if self._op_obs else 0.0
+        return self._observed("get", tenant, self._get, key, snapshot)
+
+    def _get(self, key: bytes, snapshot: "Snapshot | None") -> bytes:
         with self._mutex:
-            sequence = (snapshot.sequence if snapshot is not None
-                        else self.versions.last_sequence)
-            try:
-                return self._get_at_locked(key, sequence)
-            finally:
-                if self._op_obs:
-                    # NotFoundError is a successful lookup of an absent
-                    # key, not an availability failure.
-                    self._observe_op("get",
-                                     time.perf_counter() - start, tenant)
+            return self._get_at_locked(
+                key, snapshot.sequence if snapshot is not None
+                else self.versions.last_sequence)
 
     def _get_at_locked(self, key: bytes, snapshot: int) -> bytes:
         self._c["reads"].inc()
@@ -1317,28 +1191,15 @@ class LsmDB:
         lookup = (encode_internal_key(start, MAX_SEQUENCE, 0x1)
                   if start is not None else None)
 
-        def mem_source(mem: MemTable):
-            for internal_key, value in mem:
-                if (lookup is not None
-                        and self.icmp.compare(internal_key, lookup) < 0):
-                    continue
-                yield internal_key, value
-
         with self._mutex:
             visible_sequence = (snapshot.sequence if snapshot is not None
                                 else self.versions.last_sequence)
-            sources = []
-            if self._driver is not None:
-                # Background mode: the skiplist may be concurrently
-                # mutated, so snapshot the memtable contents up front.
-                # Table readers are immutable byte images, safe to keep.
-                sources.append(iter(list(mem_source(self._mem))))
-                if self._imm is not None:
-                    sources.append(iter(list(mem_source(self._imm))))
-            else:
-                sources.append(mem_source(self._mem))
-                if self._imm is not None:
-                    sources.append(mem_source(self._imm))
+            # Memtables iterate lazily beside writers: the skiplist is
+            # insert-only and links a node only after its own pointers
+            # are set, and the sequence filter below hides anything
+            # committed after this point.
+            sources = [mem.iter_from(lookup)
+                       for mem in (self._mem, self._imm) if mem is not None]
             for level in range(NUM_LEVELS):
                 files = self.versions.current.files[level]
                 if level == 0:
@@ -1382,58 +1243,14 @@ class LsmDB:
             return [self.versions.current.level_bytes(level)
                     for level in range(NUM_LEVELS)]
 
-    def _refresh_level_gauges_locked(self) -> None:
-        """Publish per-level file counts, sizes and amplification gauges
-        after shape changes (mutex held)."""
-        for level in range(NUM_LEVELS):
-            self._m.set_level(level,
-                              self.versions.current.num_files(level),
-                              self.versions.current.level_bytes(level))
-        for row in self._level_amplification_locked():
-            self._m.set_level_amp(row["level"], row["write_amp"],
-                                  row["space_amp"], row["read_amp"])
-
-    def _level_amplification_locked(self) -> list[dict]:
-        """Per-level amplification rows (mutex held).
-
-        * write amp: bytes installed into the level (flush output for
-          L0, compaction output below) over user write bytes — the
-          per-level decomposition of :attr:`DbStats.write_amplification`;
-        * space amp: level bytes over the bytes of the last non-empty
-          level (the logical dataset size estimate);
-        * read amp: sorted runs a point lookup may touch — the L0 file
-          count, and 1 for any non-empty deeper level.
-        """
-        write_bytes = self._c["write_bytes"].value
-        sizes = [self.versions.current.level_bytes(level)
-                 for level in range(NUM_LEVELS)]
-        last_bytes = next((size for size in reversed(sizes) if size), 0)
-        rows = []
-        for level in range(NUM_LEVELS):
-            files = self.versions.current.num_files(level)
-            level_writes = self._m.level_write_bytes(level)
-            rows.append({
-                "level": level,
-                "files": files,
-                "bytes": sizes[level],
-                "write_bytes": level_writes,
-                "read_bytes": self._m.level_read_bytes(level),
-                "write_amp": (level_writes / write_bytes
-                              if write_bytes else 0.0),
-                "space_amp": (sizes[level] / last_bytes
-                              if last_bytes else 0.0),
-                "read_amp": (float(files) if level == 0
-                             else (1.0 if sizes[level] else 0.0)),
-            })
-        return rows
-
     def level_amplification(self) -> list[dict]:
         """Per-level amplification accounting, one dict per level with
         ``level``, ``files``, ``bytes``, ``write_bytes``, ``read_bytes``,
-        ``write_amp``, ``space_amp`` and ``read_amp`` keys."""
+        ``write_amp``, ``space_amp`` and ``read_amp`` keys (defined at
+        :meth:`repro.obs.names.LsmMetrics.level_amplification`)."""
         self._check_open()
         with self._mutex:
-            return self._level_amplification_locked()
+            return self._m.level_amplification(self.versions.current)
 
     def property(self, name: str) -> str:
         """LevelDB-style ``GetProperty``.
@@ -1468,45 +1285,11 @@ class LsmDB:
 
     def approximate_size(self, start: bytes, end: bytes) -> int:
         """Approximate on-disk bytes occupied by user keys in
-        ``[start, end)`` (LevelDB's ``GetApproximateSizes``).
-
-        Counts the file-size share of every table whose range intersects
-        the query, scaled by the overlap fraction assuming uniform keys
-        within a table.
-        """
+        ``[start, end)`` (see :meth:`Version.approximate_size`)."""
         self._check_open()
-        user_cmp = self.options.comparator.compare
-        if user_cmp(start, end) >= 0:
-            return 0
-        total = 0
         with self._mutex:
-            files_by_level = [list(self.versions.current.files[level])
-                              for level in range(NUM_LEVELS)]
-        for level in range(NUM_LEVELS):
-            for meta in files_by_level[level]:
-                file_small, file_large = meta.user_range()
-                if (user_cmp(file_large, start) < 0
-                        or user_cmp(file_small, end) >= 0):
-                    continue
-                contained = (user_cmp(start, file_small) <= 0
-                             and user_cmp(file_large, end) < 0)
-                if contained:
-                    total += meta.file_size
-                else:
-                    # Partial overlap: charge half as a coarse estimate
-                    # (LevelDB uses index-block offsets; half-file keeps
-                    # the estimate monotone without opening the table).
-                    total += meta.file_size // 2
-        return total
-
-    def table_reader(self, number: int) -> TableReader:
-        """Open reader for file ``number`` (used by the FPGA host layer)."""
-        with self._mutex:
-            for level in range(NUM_LEVELS):
-                for meta in self.versions.current.files[level]:
-                    if meta.number == number:
-                        return self._open_reader_locked(meta)
-        raise NotFoundError(f"table {number}")
+            version = self.versions.current
+        return version.approximate_size(start, end)
 
     def close(self) -> None:
         if self._closed:

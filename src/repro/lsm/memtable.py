@@ -96,7 +96,15 @@ class MemTable:
 
     def __iter__(self) -> Iterator[tuple[bytes, bytes]]:
         """Yield ``(internal_key, value)`` in internal-key order."""
-        for entry in self._table:
+        return self.iter_from()
+
+    def iter_from(self, start: Optional[bytes] = None
+                  ) -> Iterator[tuple[bytes, bytes]]:
+        """Like iteration, from the first entry whose internal key is
+        >= ``start`` (one skiplist seek, no walk); from the top if None."""
+        entries = (self._table if start is None else
+                   self._table.iter_from(encode_varint32(len(start)) + start))
+        for entry in entries:
             internal_key, pos = get_length_prefixed_slice(entry, 0)
             value, _ = get_length_prefixed_slice(entry, pos)
             yield internal_key, value

@@ -24,6 +24,14 @@ from repro.lsm.options import (
     NUM_LEVELS,
     Options,
 )
+from repro.util.coding import (
+    decode_fixed32,
+    decode_fixed64,
+    encode_fixed32,
+    encode_fixed64,
+    get_length_prefixed_slice,
+    put_length_prefixed_slice,
+)
 
 
 @dataclass(frozen=True)
@@ -110,6 +118,35 @@ class Version:
                     i = 0
         return result
 
+    def approximate_size(self, start: bytes, end: bytes) -> int:
+        """Approximate on-disk bytes occupied by user keys in
+        ``[start, end)`` (LevelDB's ``GetApproximateSizes``).
+
+        Counts the file-size share of every table whose range intersects
+        the query, scaled by the overlap fraction assuming uniform keys
+        within a table.
+        """
+        user_cmp = self.comparator.user_comparator.compare
+        if user_cmp(start, end) >= 0:
+            return 0
+        total = 0
+        for files in self.files:
+            for meta in files:
+                file_small, file_large = meta.user_range()
+                if (user_cmp(file_large, start) < 0
+                        or user_cmp(file_small, end) >= 0):
+                    continue
+                contained = (user_cmp(start, file_small) <= 0
+                             and user_cmp(file_large, end) < 0)
+                if contained:
+                    total += meta.file_size
+                else:
+                    # Partial overlap: charge half as a coarse estimate
+                    # (LevelDB uses index-block offsets; half-file keeps
+                    # the estimate monotone without opening the table).
+                    total += meta.file_size // 2
+        return total
+
     def files_for_key(self, user_key: bytes) -> list[tuple[int, FileMetaData]]:
         """(level, file) pairs possibly containing ``user_key``, in
         newest-first search order: L0 newest→oldest, then deeper levels."""
@@ -147,10 +184,6 @@ class VersionSet:
         self._next_file_number += 1
         return number
 
-    @property
-    def next_file_number(self) -> int:
-        return self._next_file_number
-
     def reuse_file_number(self, number: int) -> None:
         """Advance the counter past externally recovered numbers."""
         self._next_file_number = max(self._next_file_number, number + 1)
@@ -175,6 +208,45 @@ class VersionSet:
         version = Version(self.comparator, new_files)
         self.current = version
         return version
+
+    def encode_snapshot(self) -> bytes:
+        """The whole version state as one MANIFEST record: fixed64
+        last_sequence, fixed64 next_file_number, fixed32 levels; per
+        level a fixed32 count, then per file fixed64 number, fixed64
+        size, length-prefixed smallest and largest internal keys."""
+        record = bytearray()
+        record += encode_fixed64(self.last_sequence)
+        record += encode_fixed64(self._next_file_number)
+        record += encode_fixed32(NUM_LEVELS)
+        for files in self.current.files:
+            record += encode_fixed32(len(files))
+            for meta in files:
+                record += encode_fixed64(meta.number)
+                record += encode_fixed64(meta.file_size)
+                put_length_prefixed_slice(record, meta.smallest)
+                put_length_prefixed_slice(record, meta.largest)
+        return bytes(record)
+
+    def restore_snapshot(self, record: bytes) -> None:
+        """Install the state :meth:`encode_snapshot` wrote."""
+        last_sequence = decode_fixed64(record, 0)
+        next_file = decode_fixed64(record, 8)
+        num_levels = decode_fixed32(record, 16)
+        pos = 20
+        edit = VersionEdit()
+        for level in range(num_levels):
+            count = decode_fixed32(record, pos)
+            pos += 4
+            for _ in range(count):
+                number = decode_fixed64(record, pos)
+                size = decode_fixed64(record, pos + 8)
+                smallest, pos = get_length_prefixed_slice(record, pos + 16)
+                largest, pos = get_length_prefixed_slice(record, pos)
+                edit.add_file(level, FileMetaData(number, size, smallest,
+                                                  largest))
+        self.apply(edit)
+        self.last_sequence = last_sequence
+        self.reuse_file_number(next_file - 1)
 
     def _check_disjoint(self, files: list[FileMetaData], level: int) -> None:
         user_cmp = self.comparator.user_comparator
@@ -289,10 +361,6 @@ class CompactionSpec:
     @property
     def output_level(self) -> int:
         return self.level + 1
-
-    @property
-    def total_input_files(self) -> int:
-        return len(self.inputs) + len(self.parents)
 
     @property
     def total_input_bytes(self) -> int:

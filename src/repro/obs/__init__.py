@@ -17,6 +17,8 @@ substrate those numbers flow through:
   replay loader;
 * :mod:`repro.obs.window` — sliding-window histograms for per-interval
   tail latency (p50/p95/p99/p999);
+* :mod:`repro.obs.opobserver` — the store's per-operation telemetry
+  (latency windows, tenant counters, SLO scoring), off its mutex;
 * :mod:`repro.obs.exposition` — Prometheus text format (and a parser);
 * :mod:`repro.obs.report` — the LevelDB-style ``repro.stats`` /
   ``repro.levelstats`` properties;
@@ -29,6 +31,11 @@ substrate those numbers flow through:
 * :mod:`repro.obs.profile` — critical-path attribution of kernel runs
   (which module bounds throughput) and the ``--profile`` report.
 
+Both CLIs take the same ``--metrics-out`` / ``--trace-out`` /
+``--events-out`` / ``--overwrite`` flags: :func:`add_sink_flags` declares
+them and :func:`flag_sinks` opens, installs, reports and closes what
+they name.
+
 Instrumented components resolve their sinks in this order: an explicit
 ``metrics=`` / ``tracer=`` / ``events=`` constructor argument, then the
 process-wide set installed by :func:`install` / :func:`scoped` (how the
@@ -38,8 +45,11 @@ registry and the no-op tracer/journal.
 
 from __future__ import annotations
 
+import sys
 from contextlib import contextmanager
 from typing import Iterator, Optional
+
+from repro.errors import ReproError
 
 from repro.obs.registry import (
     BYTES_BUCKETS,
@@ -128,13 +138,8 @@ def uninstall(token: tuple = (None, None, None, None)) -> None:
     """Restore the defaults captured by :func:`install`."""
     global _installed_registry, _installed_tracer
     global _installed_timeline, _installed_events
-    # Accept the historical shorter tokens for compatibility.
-    registry, tracer = token[0], token[1]
-    timeline = token[2] if len(token) > 2 else None
-    events = token[3] if len(token) > 3 else None
-    _installed_registry, _installed_tracer = registry, tracer
-    _installed_timeline = timeline
-    _installed_events = events
+    (_installed_registry, _installed_tracer, _installed_timeline,
+     _installed_events) = token
 
 
 @contextmanager
@@ -149,6 +154,96 @@ def scoped(registry: Optional[MetricsRegistry] = None,
         yield
     finally:
         uninstall(token)
+
+
+class SinkError(ReproError):
+    """A sink path named on the command line cannot be opened."""
+
+
+def add_sink_flags(parser) -> None:
+    """Declare the four sink flags on an ``argparse`` parser."""
+    parser.add_argument("--metrics-out", metavar="PATH",
+                        help="write a Prometheus text-format metrics dump")
+    parser.add_argument("--trace-out", metavar="PATH",
+                        help="stream span traces as JSONL (appends)")
+    parser.add_argument("--events-out", metavar="PATH",
+                        help="stream flight-recorder events (flushes, "
+                             "compactions, stalls, faults) as JSONL "
+                             "(appends)")
+    parser.add_argument("--overwrite", action="store_true",
+                        help="replace an existing --metrics-out file "
+                             "instead of failing")
+
+
+class FlagSinks:
+    """The sinks one command line asked for (see :func:`flag_sinks`)."""
+
+    def __init__(self, args, tracer, events, out):
+        self._args = args
+        self.tracer = tracer
+        self.events = events
+        self._out = out
+
+    @contextmanager
+    def installed(self, want_registry: bool = False,
+                  timeline=None) -> Iterator[Optional[MetricsRegistry]]:
+        """Install the sinks process-wide around one run.  Yields that
+        run's fresh registry (every family pre-registered), or None when
+        no flag — nor ``want_registry`` — needs one."""
+        args = self._args
+        registry = None
+        if (want_registry or args.metrics_out or args.trace_out
+                or args.events_out):
+            registry = MetricsRegistry()
+            names.register_all(registry)
+        with scoped(registry=registry, tracer=self.tracer,
+                    timeline=timeline, events=self.events):
+            yield registry
+
+    def write_metrics(self, registry, path: Optional[str] = None) -> int:
+        """Dump ``registry`` to ``--metrics-out`` (or ``path``, a
+        per-experiment variant of it); returns an exit status."""
+        path = path or self._args.metrics_out
+        if registry is None or not path:
+            return 0
+        try:
+            write_prometheus(path, registry,
+                             overwrite=self._args.overwrite)
+        except FileExistsError as error:
+            print(f"error: {error}", file=sys.stderr)
+            return 2
+        except OSError as error:
+            print(f"error: cannot write {path}: {error}", file=sys.stderr)
+            return 2
+        print(f"metrics written to {path}", file=self._out)
+        return 0
+
+
+@contextmanager
+def flag_sinks(args, out) -> Iterator[FlagSinks]:
+    """Open the span tracer and event journal the :func:`add_sink_flags`
+    flags in ``args`` name; they live for the whole command.  On exit
+    close them and say on ``out`` where they went.  Raises
+    :class:`SinkError` when a path cannot be opened."""
+    tracer = events = None
+    try:
+        try:
+            if args.trace_out:
+                tracer = Tracer(sink_path=args.trace_out, keep_spans=False)
+            if args.events_out:
+                events = EventJournal(sink_path=args.events_out,
+                                      keep_events=False)
+        except OSError as error:
+            raise SinkError(
+                f"cannot open {error.filename}: {error}") from error
+        yield FlagSinks(args, tracer, events, out)
+    finally:
+        if tracer is not None:
+            tracer.close()
+            print(f"trace written to {args.trace_out}", file=out)
+        if events is not None:
+            events.close()
+            print(f"events written to {args.events_out}", file=out)
 
 
 def current_registry() -> Optional[MetricsRegistry]:
@@ -204,6 +299,7 @@ __all__ = [
     "Counter",
     "EventJournal",
     "Exemplar",
+    "FlagSinks",
     "Gauge",
     "Histogram",
     "JournalSummary",
@@ -213,6 +309,7 @@ __all__ = [
     "NULL_TRACER",
     "NullJournal",
     "NullTracer",
+    "SinkError",
     "SloEngine",
     "SloSpec",
     "Span",
@@ -222,11 +319,13 @@ __all__ = [
     "Tracer",
     "WindowedCounter",
     "WindowedHistogram",
+    "add_sink_flags",
     "build_engine",
     "current_events",
     "current_registry",
     "current_timeline",
     "current_tracer",
+    "flag_sinks",
     "install",
     "merge_counts",
     "names",

@@ -22,6 +22,7 @@ from repro.obs.registry import (
     BYTES_BUCKETS,
     SECONDS_BUCKETS,
     MetricsRegistry,
+    merge_counts,
 )
 
 #: Group-commit batch-count buckets (batches per spliced WAL record).
@@ -161,8 +162,9 @@ FAMILIES: tuple[tuple, ...] = (
     ("driver_queue_depth", "gauge",
      "Compaction tasks queued for the driver's units.", None),
     ("driver_tasks_total", "counter",
-     "Tasks executed by the background driver, by kind "
-     "(flush|compaction).", None),
+     "Tasks the background driver completed, by kind "
+     "(flush|compaction); a token that found nothing to do or whose "
+     "task failed is not counted.", None),
     # -- PCIe link (Table VIII) ---------------------------------------
     ("fpga_pcie_transfers_total", "counter",
      "DMA transfers by direction (in|out).", None),
@@ -236,7 +238,7 @@ def _histogram(registry: MetricsRegistry, name: str, **labels):
 
 class LsmMetrics:
     """The store's bound children.  ``counters[field]`` is keyed by the
-    short field names that :class:`repro.lsm.db.DbStats` exposes."""
+    short field names that :class:`DbStats` exposes."""
 
     def __init__(self, registry: MetricsRegistry, db: str, inst: str):
         self.registry = registry
@@ -279,28 +281,12 @@ class LsmMetrics:
             registry, "lsm_snapshots_live", **self.labels)
         self.snapshot_merges = _counter(
             registry, "lsm_snapshot_merges_total", **self.labels)
-        self._level_files: dict[int, object] = {}
-        self._level_bytes: dict[int, object] = {}
         self._level_write_bytes: dict[int, object] = {}
         self._level_read_bytes: dict[int, object] = {}
-        self._level_amps: dict[tuple[str, int], object] = {}
+        self._level_gauges: dict[tuple[str, int], object] = {}
 
     def value(self, field: str) -> float:
         return self.counters[field].value
-
-    def set_level(self, level: int, files: int, nbytes: int) -> None:
-        gauge_f = self._level_files.get(level)
-        if gauge_f is None:
-            gauge_f = self._level_files[level] = _gauge(
-                self.registry, "lsm_level_files",
-                level=str(level), **self.labels)
-        gauge_b = self._level_bytes.get(level)
-        if gauge_b is None:
-            gauge_b = self._level_bytes[level] = _gauge(
-                self.registry, "lsm_level_bytes",
-                level=str(level), **self.labels)
-        gauge_f.set(files)
-        gauge_b.set(nbytes)
 
     def add_level_write(self, level: int, nbytes: int) -> None:
         """Bytes installed into ``level`` (flush or compaction output)."""
@@ -328,16 +314,140 @@ class LsmMetrics:
         counter = self._level_read_bytes.get(level)
         return counter.value if counter is not None else 0.0
 
-    def set_level_amp(self, level: int, write_amp: float,
-                      space_amp: float, read_amp: float) -> None:
-        for name, value in (("lsm_level_write_amp", write_amp),
-                            ("lsm_level_space_amp", space_amp),
-                            ("lsm_level_read_amp", read_amp)):
-            gauge = self._level_amps.get((name, level))
-            if gauge is None:
-                gauge = self._level_amps[(name, level)] = _gauge(
-                    self.registry, name, level=str(level), **self.labels)
-            gauge.set(value)
+    def level_amplification(self, version) -> list[dict]:
+        """Per-level amplification rows of ``version`` (a
+        :class:`repro.lsm.version.Version`), one dict per level:
+
+        * write amp: bytes installed into the level (flush output for
+          L0, compaction output below) over user write bytes — the
+          per-level decomposition of ``DbStats.write_amplification``;
+        * space amp: level bytes over the bytes of the last non-empty
+          level (the logical dataset size estimate);
+        * read amp: sorted runs a point lookup may touch — the L0 file
+          count, and 1 for any non-empty deeper level.
+        """
+        write_bytes = self.counters["write_bytes"].value
+        sizes = [version.level_bytes(level)
+                 for level in range(len(version.files))]
+        last_bytes = next((size for size in reversed(sizes) if size), 0)
+        rows = []
+        for level, size in enumerate(sizes):
+            files = version.num_files(level)
+            level_writes = self.level_write_bytes(level)
+            rows.append({
+                "level": level,
+                "files": files,
+                "bytes": size,
+                "write_bytes": level_writes,
+                "read_bytes": self.level_read_bytes(level),
+                "write_amp": (level_writes / write_bytes
+                              if write_bytes else 0.0),
+                "space_amp": size / last_bytes if last_bytes else 0.0,
+                "read_amp": (float(files) if level == 0
+                             else (1.0 if size else 0.0)),
+            })
+        return rows
+
+    def refresh_levels(self, version) -> None:
+        """Publish ``version``'s per-level file counts, sizes and
+        amplification gauges (called after every shape change)."""
+        for row in self.level_amplification(version):
+            level = row["level"]
+            for name, field in (("lsm_level_files", "files"),
+                                ("lsm_level_bytes", "bytes"),
+                                ("lsm_level_write_amp", "write_amp"),
+                                ("lsm_level_space_amp", "space_amp"),
+                                ("lsm_level_read_amp", "read_amp")):
+                gauge = self._level_gauges.get((name, level))
+                if gauge is None:
+                    gauge = self._level_gauges[(name, level)] = _gauge(
+                        self.registry, name, level=str(level),
+                        **self.labels)
+                gauge.set(row[field])
+
+
+class DbStats:
+    """Operational counters, in the spirit of LevelDB's
+    ``GetProperty("leveldb.stats")``.
+
+    A read-only view over the database's metrics registry (the registry
+    is the single source of truth; this class keeps the historical
+    attribute names).  Counter fields resolve via ``__getattr__`` from
+    :data:`FIELDS`, so exposition code can iterate :meth:`as_dict`
+    instead of hand-copying field lists.
+    """
+
+    #: Counter fields, in reporting order.
+    FIELDS = ("writes", "write_bytes", "reads", "read_hits", "flushes",
+              "flush_bytes", "compactions", "compaction_input_bytes",
+              "compaction_output_bytes", "stalls", "block_cache_hits",
+              "block_cache_misses")
+
+    def __init__(self, metrics: LsmMetrics):
+        self._metrics = metrics
+
+    def __getattr__(self, name: str):
+        if name in DbStats.FIELDS:
+            return int(self._metrics.value(name))
+        raise AttributeError(name)
+
+    @property
+    def write_amplification(self) -> float:
+        """(flushed + compacted) bytes per user byte written."""
+        if self.write_bytes == 0:
+            return 0.0
+        return ((self.flush_bytes + self.compaction_output_bytes)
+                / self.write_bytes)
+
+    @property
+    def block_cache_hit_ratio(self) -> float:
+        """Hits over lookups (0.0 before any lookup)."""
+        total = self.block_cache_hits + self.block_cache_misses
+        return self.block_cache_hits / total if total else 0.0
+
+    # Views of the write path's histograms.  Not in FIELDS: as_dict()
+    # and the repro.stats text list counters only.
+
+    @property
+    def stall_seconds(self) -> float:
+        """Foreground time lost to maintenance (the
+        ``lsm_write_stall_seconds`` sum)."""
+        return self._metrics.stall_seconds.sum
+
+    @property
+    def stall_episodes(self) -> int:
+        """Observations behind :attr:`stall_seconds`."""
+        return self._metrics.stall_seconds.count
+
+    @property
+    def wal_syncs(self) -> int:
+        """WAL fsyncs issued by the commit path."""
+        return int(self._metrics.wal_syncs.value)
+
+    @property
+    def group_commits(self) -> int:
+        """Groups committed under ``wal_sync="group"``."""
+        return self._metrics.group_commit_batches.count
+
+    @property
+    def mean_group_size(self) -> float:
+        """Writer batches per group commit (1.0 before any)."""
+        groups = self._metrics.group_commit_batches
+        return groups.sum / groups.count if groups.count else 1.0
+
+    def as_dict(self) -> dict[str, int]:
+        """Counter fields as a plain dict, in :data:`FIELDS` order."""
+        return {field: getattr(self, field) for field in DbStats.FIELDS}
+
+    @staticmethod
+    def merge(*stats: "DbStats | dict") -> dict[str, int]:
+        """Field-wise sum across databases (shard aggregation)."""
+        return merge_counts(
+            s if isinstance(s, dict) else s.as_dict() for s in stats)
+
+    def __repr__(self) -> str:
+        inner = ", ".join(f"{k}={v}" for k, v in self.as_dict().items())
+        return f"DbStats({inner})"
 
 
 class SchedulerMetrics:

@@ -24,13 +24,11 @@ def _counter_block(title: str, counts: dict) -> list[str]:
     return lines
 
 
-def render_db_report(db, scheduler=None) -> str:
-    """The text behind ``LsmDB.property("repro.stats")``.
-
-    ``db`` is duck-typed (an :class:`repro.lsm.db.LsmDB`); ``scheduler``
-    defaults to the db's compaction executor when that executor carries
-    mergeable stats (the FPGA offload case).
-    """
+def render_db_report(db) -> str:
+    """The text behind ``LsmDB.property("repro.stats")`` (``db`` is a
+    :class:`repro.lsm.db.LsmDB`); an offload block follows when its
+    compaction executor keeps stats (the FPGA scheduler does, the plain
+    CPU merge is a bare callable)."""
     stats = db.stats
     lines = ["repro.stats", "", "                         Compactions",
              "level   files     size(MB)"]
@@ -42,27 +40,21 @@ def render_db_report(db, scheduler=None) -> str:
         lines.append(f"level {level}   {files:5d} {nbytes / 1e6:12.2f}")
     lines.append("")
     lines.append(f"sequence: {db.versions.last_sequence}")
-    uptime = getattr(db, "uptime_seconds", None)
-    if uptime is not None:
-        lines.append(f"uptime_seconds: {uptime():.3f}")
-    segments = getattr(db, "journal_segments", None)
-    if segments is not None:
-        lines.append(f"journal_segments: {segments()}")
+    lines.append(f"uptime_seconds: {db.uptime_seconds():.3f}")
+    lines.append(f"journal_segments: {db.journal_segments()}")
     lines.append(f"write_amplification: {stats.write_amplification:.3f}")
     lines.append("")
     lines.extend(_counter_block("counters:", stats.as_dict()))
-    tenant_ops = getattr(db, "tenant_op_counts", None)
-    if tenant_ops is not None:
-        counts = tenant_ops()
-        if counts:
-            lines.append("")
-            lines.extend(_counter_block(
-                "tenant ops:",
-                {f"{tenant}/{op}": n
-                 for tenant, ops in sorted(counts.items())
-                 for op, n in sorted(ops.items())}))
+    tenant_ops = db.tenant_op_counts()
+    if tenant_ops:
+        lines.append("")
+        lines.extend(_counter_block(
+            "tenant ops:",
+            {f"{tenant}/{op}": n
+             for tenant, ops in sorted(tenant_ops.items())
+             for op, n in sorted(ops.items())}))
 
-    cache = getattr(db, "block_cache", None)
+    cache = db.block_cache
     if cache is not None:
         lines.append("")
         lines.append(
@@ -71,16 +63,7 @@ def render_db_report(db, scheduler=None) -> str:
             f"({int(stats.block_cache_hits)} hits / "
             f"{int(stats.block_cache_misses)} misses)")
 
-    if scheduler is None:
-        executor_stats = getattr(getattr(db, "_executor", None),
-                                 "stats", None)
-        if executor_stats is not None and hasattr(executor_stats,
-                                                  "as_dict"):
-            scheduler_stats = executor_stats
-        else:
-            scheduler_stats = None
-    else:
-        scheduler_stats = scheduler.stats
+    scheduler_stats = getattr(db.compaction_executor, "stats", None)
     if scheduler_stats is not None:
         lines.append("")
         lines.extend(_counter_block("offload (scheduler):",

@@ -5,10 +5,9 @@ flush → compaction pick → route → fpga kernel/pcie/marshal or software
 merge — against **both** clocks that matter in this repo:
 
 * **wall clock** (``time.perf_counter``): what the host actually spent;
-* **simulated time**: either read from a :class:`repro.sim.clock.
-  VirtualClock` attached to the tracer, or supplied as a *modeled*
-  duration by the cost models (PCIe transfer seconds, kernel cycles →
-  seconds) via :meth:`Tracer.phase`.
+* **simulated time**: either read from a clock object attached to the
+  tracer, or supplied as a *modeled* duration by the cost models (PCIe
+  transfer seconds, kernel cycles → seconds) via :meth:`Tracer.phase`.
 
 Finished spans stream to a JSONL sink (one object per line, children
 before parents because spans are emitted at completion) and/or accumulate
@@ -160,9 +159,8 @@ class Tracer:
     Parameters
     ----------
     sim_clock:
-        A ``repro.sim.clock.VirtualClock`` (anything with a ``.now``
-        float attribute); when present, spans record simulated start/end
-        timestamps alongside wall-clock ones.
+        Anything with a ``.now`` float attribute; when present, spans
+        record simulated start/end timestamps alongside wall-clock ones.
     sink_path / sink:
         Stream finished spans to a file as JSON lines.  ``sink_path`` is
         opened (and closed by :meth:`close`); ``sink`` is any writable

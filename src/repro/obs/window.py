@@ -223,3 +223,27 @@ def publish_window(registry: MetricsRegistry, name: str, help_text: str,
             callback=lambda q=q: (window.percentile(q)
                                   if window.count else None),
             quantile=quantile_label(q), **labels)
+
+
+def open_op_window(registry: MetricsRegistry, name: str, help_text: str,
+                   window_seconds: float, op: str,
+                   tenant: Optional[str] = None, slo=None, clock=None,
+                   **labels) -> WindowedHistogram:
+    """Create and publish one operation-latency window.
+
+    Its exemplar threshold is the tightest latency threshold ``slo`` (a
+    :class:`repro.obs.slo.SloEngine`, or None) applies to ``op`` for
+    ``tenant`` (any tenant when None); its quantiles publish as ``name``
+    labelled ``op`` (and ``tenant`` when given) plus ``labels``.  Shared
+    by the store (wall clock) and the open-loop simulator (``clock``
+    reads simulated time)."""
+    threshold = None
+    if slo is not None:
+        threshold = slo.threshold_for(
+            op, tenant if tenant is not None else "*")
+    window = WindowedHistogram(window_seconds=window_seconds, clock=clock,
+                               exemplar_threshold=threshold)
+    if tenant is not None:
+        labels["tenant"] = tenant
+    publish_window(registry, name, help_text, window, op=op, **labels)
+    return window

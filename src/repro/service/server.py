@@ -44,11 +44,11 @@ class ShardGate:
         self.stall_threshold = stall_threshold
         self.window_seconds = window_seconds
         self._lock = lockwatch.make_lock("service.gate")
-        self._last_time = time.monotonic()
-        self._last_stalled = db._m.stall_seconds.sum
-        self._busy = False
+        self._last_time = time.monotonic()  # guarded_by: _lock
+        self._last_stalled = db.stats.stall_seconds  # guarded_by: _lock
+        self._busy = False  # guarded_by: _lock
         #: Writes refused with BUSY (monotone; surfaced in stats).
-        self.rejections = 0
+        self.rejections = 0  # guarded_by: _lock
 
     def admit(self) -> bool:
         """True when a write may proceed; False → respond BUSY."""
@@ -56,7 +56,7 @@ class ShardGate:
         with self._lock:
             elapsed = now - self._last_time
             if elapsed >= self.window_seconds:
-                stalled = self._db._m.stall_seconds.sum
+                stalled = self._db.stats.stall_seconds
                 self._busy = ((stalled - self._last_stalled)
                               > self.stall_threshold * elapsed)
                 self._last_time = now
@@ -137,10 +137,10 @@ class KVService:
                 "start": start.hex() if start is not None else None,
                 "end": end.hex() if end is not None else None,
                 "levels": db.level_file_counts(),
-                "writes": int(db._m.counters["writes"].value),
-                "group_commits": db._m.group_commit_batches.count,
-                "wal_syncs": int(db._m.wal_syncs.value),
-                "stall_seconds": db._m.stall_seconds.sum,
+                "writes": db.stats.writes,
+                "group_commits": db.stats.group_commits,
+                "wal_syncs": db.stats.wal_syncs,
+                "stall_seconds": db.stats.stall_seconds,
                 "busy_rejections": self.gates[i].rejections,
             })
         out = {
@@ -241,7 +241,7 @@ class KVServer:
             max_workers=max_workers, thread_name_prefix="kv-handler")
         self._accept_thread: Optional[threading.Thread] = None
         self._running = threading.Event()
-        self._conns: set[socket.socket] = set()
+        self._conns: set[socket.socket] = set()  # guarded_by: _conns_lock
         self._conns_lock = lockwatch.make_lock("service.conns")
 
     def start(self) -> None:
@@ -265,6 +265,12 @@ class KVServer:
         if not self._running.is_set():
             return
         self._running.clear()
+        try:
+            # close() alone leaves accept() asleep (the join below then
+            # burns its whole timeout); shutdown() wakes it.
+            self._listener.shutdown(socket.SHUT_RDWR)
+        except OSError:
+            pass
         self._listener.close()
         if self._accept_thread is not None:
             self._accept_thread.join(timeout=5)

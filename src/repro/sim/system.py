@@ -232,15 +232,34 @@ class SystemSimulator:
                 return
             self._inflight.remove(earliest)
             self.model.apply(earliest.task)
+            self._on_compaction_applied(earliest)
             self._schedule_compactions(earliest.finish)
+
+    # Hook points for subclasses that narrate the run (journal events,
+    # traces); the closed-loop simulator itself needs none of them.
+
+    def _on_compaction_applied(self, job: "_Inflight") -> None:
+        """``job``'s outputs were just installed in the shape model."""
+
+    def _on_flush(self, start: float, finish: float) -> None:
+        """A memtable flush was scheduled over ``[start, finish]``."""
 
     def _earliest_inflight_finish(self) -> Optional[float]:
         if not self._inflight:
             return None
         return min(job.finish for job in self._inflight)
 
+    def _stall(self, reason: str, until: float) -> float:
+        """The writer waits until ``until`` — one write-pause episode
+        (``reason``: ``l0_stop`` or ``flush_backlog``).  Returns the
+        seconds waited."""
+        waited = max(0.0, until - self._writer_clock)
+        self._record_stall(waited)
+        self._writer_clock = max(self._writer_clock, until)
+        return waited
+
     def _record_stall(self, waited: float) -> None:
-        """One write-pause episode: result list + stall histogram."""
+        """Fold one episode into the result list + stall histogram."""
         self.result.stall_seconds += waited
         if waited > 0:
             self.result.stall_waits.append(waited)
@@ -332,9 +351,53 @@ class SystemSimulator:
     # Foreground loop
     # ------------------------------------------------------------------
 
+    def _wait_while_stopped(self) -> bool:
+        """L0 stop: block the writer until a compaction completes, as
+        LevelDB's MakeRoomForWrite does.  True if it had to wait."""
+        stalled = False
+        while self.model.stopped:
+            finish = self._earliest_inflight_finish()
+            if finish is None:
+                # Nothing running that could relieve L0 — force one.
+                self._schedule_compactions(self._writer_clock)
+                finish = self._earliest_inflight_finish()
+                if finish is None:
+                    break
+            self._stall("l0_stop", finish)
+            stalled = True
+            self._settle(self._writer_clock)
+        return stalled
+
+    def _swap_and_flush(self, flush_cpu: float) -> None:
+        """The memtable is full: wait for the previous flush (there is
+        one immutable memtable), then schedule this one's."""
+        if self._flush_done > self._writer_clock:
+            self._stall("flush_backlog", self._flush_done)
+        self._settle(self._writer_clock)
+
+        if self.config.mode == "leveldb":
+            start = max(self._writer_clock, self._bg_clock)
+            cpu_done = start + flush_cpu
+            self._bg_clock = cpu_done
+        else:
+            # Single host core: the writer itself encodes the table,
+            # overlapping the FPGA kernel (the paper's co-design win).
+            start = self._writer_clock
+            cpu_done = start + flush_cpu
+            self._writer_clock = cpu_done
+        flush_finish = self.disk.reserve_write(cpu_done,
+                                               self._l0_file_bytes)
+        self._flush_done = flush_finish
+        self.result.flush_seconds += flush_cpu
+        self.result.memtables_flushed += 1
+        self._on_flush(start, flush_finish)
+        obs.current_tracer().record_sim_span(
+            "sim.flush", start, flush_finish, bytes=self._l0_file_bytes)
+        self.model.add_l0_file(self._l0_file_bytes)
+        self._schedule_compactions(flush_finish)
+
     def run(self) -> SystemResult:
-        config = self.config
-        target = config.data_size_bytes
+        target = self.config.data_size_bytes
         write_cost = self.cpu.write_seconds(self.options.key_length,
                                             self.options.value_length)
         flush_cpu = self.cpu.flush_seconds(self._l0_file_bytes)
@@ -342,21 +405,7 @@ class SystemSimulator:
         user_written = 0
         while user_written < target:
             self._settle(self._writer_clock)
-
-            # L0 stop: block until a compaction completes, as LevelDB's
-            # MakeRoomForWrite does.
-            while self.model.stopped:
-                finish = self._earliest_inflight_finish()
-                if finish is None:
-                    # Nothing running that could relieve L0 — force one.
-                    self._schedule_compactions(self._writer_clock)
-                    finish = self._earliest_inflight_finish()
-                    if finish is None:
-                        break
-                waited = max(0.0, finish - self._writer_clock)
-                self._record_stall(waited)
-                self._writer_clock = max(self._writer_clock, finish)
-                self._settle(self._writer_clock)
+            self._wait_while_stopped()
 
             # Fill one memtable.
             fill = self._entries_per_mem * write_cost
@@ -368,49 +417,24 @@ class SystemSimulator:
                 self.result.slowdown_writes += self._entries_per_mem
             self._writer_clock += fill
 
-            # Swap: wait for the previous flush (one immutable memtable).
-            if self._flush_done > self._writer_clock:
-                waited = self._flush_done - self._writer_clock
-                self._record_stall(waited)
-                self._writer_clock = self._flush_done
-            self._settle(self._writer_clock)
-
-            # Flush the immutable memtable.
-            if config.mode == "leveldb":
-                start = max(self._writer_clock, self._bg_clock)
-                cpu_done = start + flush_cpu
-                self._bg_clock = cpu_done
-            else:
-                # Single host core: the writer itself encodes the table,
-                # overlapping the FPGA kernel (the paper's co-design win).
-                start = self._writer_clock
-                cpu_done = start + flush_cpu
-                self._writer_clock = cpu_done
-            flush_finish = self.disk.reserve_write(cpu_done,
-                                                   self._l0_file_bytes)
-            self._flush_done = flush_finish
-            self.result.flush_seconds += flush_cpu
-            self.result.memtables_flushed += 1
-            obs.current_tracer().record_sim_span(
-                "sim.flush", start, flush_finish,
-                bytes=self._l0_file_bytes)
-            self.model.add_l0_file(self._l0_file_bytes)
-            self._schedule_compactions(flush_finish)
-
+            self._swap_and_flush(flush_cpu)
             user_written += self._user_per_mem
 
-        # Drain outstanding work.
-        end = self._writer_clock
-        end = max(end, self._flush_done)
+        self.result.user_bytes = user_written
+        self._drain()
+        return self.result
+
+    def _drain(self) -> None:
+        """Let outstanding flush and compaction work finish; the run
+        ends when the last of it does."""
+        end = max(self._writer_clock, self._flush_done)
         while self._inflight:
             finish = self._earliest_inflight_finish()
             end = max(end, finish)
             self._settle(finish)
-        self.result.user_bytes = user_written
         self.result.elapsed_seconds = end
         self.result.write_amplification = (
             self.model.stats.write_amplification())
-        return self.result
 
 
 def simulate_fillrandom(config: SystemConfig) -> SystemResult:
@@ -629,12 +653,6 @@ class OpenLoopTenantStats:
         return _percentile(self.service_seconds, percentile)
 
     @property
-    def mean_latency(self) -> float:
-        if not self.latencies:
-            return 0.0
-        return sum(self.latencies) / len(self.latencies)
-
-    @property
     def mean_queue_delay(self) -> float:
         """Mean (latency − service): pure queueing/stall delay."""
         if not self.latencies:
@@ -763,6 +781,8 @@ class OpenLoopSimulator(SystemSimulator):
         self._pending_stall_trace: Optional[str] = None
         self._tenant_windows: dict = {}
         self._mem_entries = 0
+        #: The tenant whose write is in progress (stalls land on it).
+        self._writing: Optional[_TenantState] = None
 
     # -- journal plumbing ----------------------------------------------
 
@@ -770,24 +790,9 @@ class OpenLoopSimulator(SystemSimulator):
         self._trace_seq += 1
         return f"sim-{self._trace_seq:04d}"
 
-    def _emit_stall(self, reason: str, start: float, waited: float,
-                    trace: Optional[str]) -> None:
-        fields = {"reason": reason}
-        if trace is not None:
-            fields["trace"] = trace
-        self.events.emit("stall_start", sim_ts=round(start, 9), **fields)
-        self.events.emit("stall_finish", sim_ts=round(start + waited, 9),
-                         seconds=round(waited, 9), **fields)
-
-    def _earliest_inflight_trace(self) -> Optional[str]:
-        if not self._inflight:
-            return None
-        earliest = min(self._inflight, key=lambda j: j.finish)
-        return self._task_trace.get(id(earliest.task))
-
     # -- compaction hooks (journal events around the base backends) ----
 
-    def _note_compaction_start(self, task, start: float, finish: float,
+    def _note_compaction_start(self, task, start: float,
                                backend: str) -> None:
         trace = self._next_trace()
         self._task_trace[id(task)] = trace
@@ -799,34 +804,55 @@ class OpenLoopSimulator(SystemSimulator):
 
     def _run_software_task(self, task, now, on_writer_core):
         finish = super()._run_software_task(task, now, on_writer_core)
-        self._note_compaction_start(task, now, finish, "software")
+        self._note_compaction_start(task, now, "software")
         return finish
 
     def _run_fpga_task(self, task, now):
         finish = super()._run_fpga_task(task, now)
-        self._note_compaction_start(task, now, finish, "fpga")
+        self._note_compaction_start(task, now, "fpga")
         return finish
 
-    def _settle(self, until: float) -> None:
-        # Base loop plus a compaction_finish event per applied task.
-        while self._inflight:
-            earliest = min(self._inflight, key=lambda j: j.finish)
-            if earliest.finish > until:
-                return
-            self._inflight.remove(earliest)
-            self.model.apply(earliest.task)
-            task = earliest.task
-            trace = self._task_trace.pop(id(task), None)
-            start = self._task_start.pop(id(task), earliest.finish)
-            if trace is not None:
-                self.events.emit(
-                    "compaction_finish", trace=trace, level=task.level,
-                    output_level=task.output_level,
-                    input_bytes=task.input_bytes,
-                    output_bytes=task.output_bytes,
-                    seconds=round(earliest.finish - start, 9),
-                    sim_ts=round(earliest.finish, 9))
-            self._schedule_compactions(earliest.finish)
+    def _on_compaction_applied(self, job: _Inflight) -> None:
+        task = job.task
+        trace = self._task_trace.pop(id(task), None)
+        start = self._task_start.pop(id(task), job.finish)
+        if trace is not None:
+            self.events.emit(
+                "compaction_finish", trace=trace, level=task.level,
+                output_level=task.output_level,
+                input_bytes=task.input_bytes,
+                output_bytes=task.output_bytes,
+                seconds=round(job.finish - start, 9),
+                sim_ts=round(job.finish, 9))
+
+    def _on_flush(self, start: float, finish: float) -> None:
+        trace = self._flush_trace = self._next_trace()
+        self.events.emit("flush_start", trace=trace,
+                         sim_ts=round(start, 9))
+        self.events.emit("flush_finish", trace=trace,
+                         bytes=self._l0_file_bytes,
+                         seconds=round(finish - start, 9),
+                         sim_ts=round(finish, 9))
+
+    def _stall(self, reason: str, until: float) -> float:
+        # The wait delays the tenant writing now (and, for a flush
+        # backlog, the *next* op via the writer clock); hand the op the
+        # trace of the work being waited on for exemplar attribution.
+        start = self._writer_clock
+        if reason == "l0_stop":  # waiting on the earliest compaction
+            relief = min(self._inflight, key=lambda j: j.finish)
+            trace = self._task_trace.get(id(relief.task))
+        else:
+            trace = self._flush_trace
+        waited = super()._stall(reason, until)
+        self._writing.stats.stall_seconds += waited
+        fields = {"reason": reason}
+        if trace is not None:
+            fields["trace"] = self._pending_stall_trace = trace
+        self.events.emit("stall_start", sim_ts=round(start, 9), **fields)
+        self.events.emit("stall_finish", sim_ts=round(start + waited, 9),
+                         seconds=round(waited, 9), **fields)
+        return waited
 
     # -- per-tenant metric plumbing ------------------------------------
 
@@ -836,20 +862,15 @@ class OpenLoopSimulator(SystemSimulator):
         key = (tenant, op)
         window = self._tenant_windows.get(key)
         if window is None:
-            from repro.obs.window import WindowedHistogram, publish_window
-            threshold = (self.slo.threshold_for(op, tenant)
-                         if self.slo is not None else None)
-            window = WindowedHistogram(
-                window_seconds=self._latency_window_seconds,
-                clock=lambda: self._writer_clock,
-                exemplar_threshold=threshold)
-            publish_window(
+            from repro.obs.window import open_op_window
+            window = self._tenant_windows[key] = open_op_window(
                 self._registry, "sim_op_latency_window_seconds",
                 "Sliding-window open-loop arrival-to-completion latency "
                 "quantiles on *simulated* time, by tenant/op/quantile — "
                 "coordinated-omission free (includes queueing delay).",
-                window, sim=self.config.mode, tenant=tenant, op=op)
-            self._tenant_windows[key] = window
+                self._latency_window_seconds, op, tenant=tenant,
+                slo=self.slo, clock=lambda: self._writer_clock,
+                sim=self.config.mode)
         return window
 
     def _record_op(self, state: _TenantState, op: str, arrival: float,
@@ -890,26 +911,9 @@ class OpenLoopSimulator(SystemSimulator):
 
     def _do_write(self, state: _TenantState, arrival: float,
                   write_cost: float, flush_cpu: float) -> None:
+        self._writing = state
         self._settle(max(self._writer_clock, arrival))
-        stalled = False
-        # L0 stop: block until a compaction completes (MakeRoomForWrite).
-        while self.model.stopped:
-            finish = self._earliest_inflight_finish()
-            if finish is None:
-                self._schedule_compactions(self._writer_clock)
-                finish = self._earliest_inflight_finish()
-                if finish is None:
-                    break
-            relief = self._earliest_inflight_trace()
-            waited = max(0.0, finish - self._writer_clock)
-            self._record_stall(waited)
-            state.stats.stall_seconds += waited
-            stalled = True
-            self._emit_stall("l0_stop", self._writer_clock, waited, relief)
-            if relief is not None:
-                self._pending_stall_trace = relief
-            self._writer_clock = max(self._writer_clock, finish)
-            self._settle(self._writer_clock)
+        stalled = self._wait_while_stopped()
 
         start = max(self._writer_clock, arrival)
         service = write_cost
@@ -926,50 +930,7 @@ class OpenLoopSimulator(SystemSimulator):
         if self._mem_entries >= self._entries_per_mem:
             self._mem_entries = 0
             self.result.user_bytes += self._user_per_mem
-            self._flush_memtable(state, flush_cpu)
-
-    def _flush_memtable(self, state: _TenantState,
-                        flush_cpu: float) -> None:
-        # Swap: wait for the previous flush (one immutable memtable).
-        # The wait delays the *next* op via the writer clock; hand it
-        # that flush's trace for exemplar attribution.
-        if self._flush_done > self._writer_clock:
-            waited = self._flush_done - self._writer_clock
-            self._record_stall(waited)
-            state.stats.stall_seconds += waited
-            self._emit_stall("flush_backlog", self._writer_clock, waited,
-                             self._flush_trace)
-            if self._flush_trace is not None:
-                self._pending_stall_trace = self._flush_trace
-            self._writer_clock = self._flush_done
-        self._settle(self._writer_clock)
-
-        trace = self._next_trace()
-        if self.config.mode == "leveldb":
-            start = max(self._writer_clock, self._bg_clock)
-            cpu_done = start + flush_cpu
-            self._bg_clock = cpu_done
-        else:
-            # Single host core: the writer itself encodes the table.
-            start = self._writer_clock
-            cpu_done = start + flush_cpu
-            self._writer_clock = cpu_done
-        flush_finish = self.disk.reserve_write(cpu_done,
-                                               self._l0_file_bytes)
-        self._flush_done = flush_finish
-        self._flush_trace = trace
-        self.result.flush_seconds += flush_cpu
-        self.result.memtables_flushed += 1
-        self.events.emit("flush_start", trace=trace,
-                         sim_ts=round(start, 9))
-        self.events.emit("flush_finish", trace=trace,
-                         bytes=self._l0_file_bytes,
-                         seconds=round(flush_finish - start, 9),
-                         sim_ts=round(flush_finish, 9))
-        obs.current_tracer().record_sim_span(
-            "sim.flush", start, flush_finish, bytes=self._l0_file_bytes)
-        self.model.add_l0_file(self._l0_file_bytes)
-        self._schedule_compactions(flush_finish)
+            self._swap_and_flush(flush_cpu)
 
     def run(self) -> OpenLoopResult:
         options = self.options
@@ -1006,15 +967,7 @@ class OpenLoopSimulator(SystemSimulator):
                 self._do_read(state, arrival, read_hit_cost,
                               read_miss_extra)
 
-        # Drain outstanding background work.
-        end = max(self._writer_clock, self._flush_done)
-        while self._inflight:
-            finish = self._earliest_inflight_finish()
-            end = max(end, finish)
-            self._settle(finish)
-        self.result.elapsed_seconds = end
-        self.result.write_amplification = (
-            self.model.stats.write_amplification())
+        self._drain()
 
         firing: list = []
         transitions: list = []

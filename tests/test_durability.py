@@ -13,13 +13,16 @@ commit"):
   sequence-order prefix of the acknowledged ones, values intact.
 """
 
+import sys
 import threading
+import time
 
 import pytest
 
 from repro.errors import InvalidArgumentError, NotFoundError
 from repro.lsm import LsmDB, Options, WriteBatch
 from repro.lsm.faultenv import CrashEnv, SlowSyncEnv
+from repro.lsm.internal import parse_internal_key
 from repro.lsm.options import WAL_SYNC_MODES
 
 
@@ -228,6 +231,103 @@ class TestGroupCommit:
         db = LsmDB("adb", options, env=env)
         write_acked(db, 20)
         assert int(db._m.wal_syncs.value) == 20
+        db.close()
+
+
+class TestOneCommitPath:
+    """Every ``wal_sync`` mode commits through the writer queue: the
+    leader appends and persists with the mutex released."""
+
+    @pytest.mark.parametrize("mode", ["interval", "always", "group"])
+    def test_get_does_not_wait_behind_an_fsync(self, mode):
+        env = SlowSyncEnv(sync_latency=0.0)
+        options = make_options(mode, wal_sync_interval_seconds=0.0)
+        db = LsmDB("rdb", options, env=env)
+        db.put(b"seen", b"1")
+        env.sync_latency = 0.3
+        writer = threading.Thread(target=db.put, args=(b"slow", b"2"))
+        writer.start()
+        time.sleep(0.05)  # the writer is inside its fsync by now
+        assert db.get(b"seen") == b"1"
+        # The lookup came back while the fsync was still running.
+        assert writer.is_alive()
+        writer.join(timeout=10)
+        assert not writer.is_alive()
+        assert db.get(b"slow") == b"2"
+        db.close()
+
+    @pytest.mark.parametrize("mode", ["always", "group"])
+    def test_flush_racing_a_commit_in_flight_loses_nothing(self, mode):
+        """The leader's batch is in the WAL but not yet in the memtable
+        while it fsyncs.  A flush must wait it out *before* swapping the
+        memtable: swapping first would land the batch in the new
+        memtable and then retire the segment holding its only record."""
+        env = SlowSyncEnv(CrashEnv(), sync_latency=0.0)
+        options = make_options(mode)
+        db = LsmDB("fdb", options, env=env)
+        db.put(b"before", b"0")
+        env.sync_latency = 0.3
+        writer = threading.Thread(target=db.put, args=(b"inflight", b"1"))
+        writer.start()
+        time.sleep(0.05)  # the writer is inside its fsync by now
+        env.sync_latency = 0.0
+        db.flush()
+        writer.join(timeout=10)
+        assert not writer.is_alive()
+        env.inner.crash("power")
+        db2 = LsmDB("fdb", options, env=env)
+        assert db2.get(b"before") == b"0"
+        assert db2.get(b"inflight") == b"1"
+        db2.close()
+
+    @pytest.mark.parametrize("mode", WAL_SYNC_MODES)
+    def test_eight_writers(self, mode):
+        """More writers than cores on a short switch interval: every
+        commit gets its own contiguous sequence range, every
+        acknowledged key is readable, and fsyncs are counted per commit
+        (``always``), per group (``group``) or never (``none``/``flush``)."""
+        writers, per_writer = 8, 40
+        env = SlowSyncEnv(sync_latency=1e-4)
+        options = make_options(mode, wal_sync_interval_seconds=3600.0)
+        db = LsmDB("qdb", options, env=env)
+        errors = []
+
+        def worker(t):
+            try:
+                for i in range(per_writer):
+                    db.put(f"t{t}-{i:04d}".encode(), b"v%d" % i)
+            except Exception as error:  # noqa: BLE001
+                errors.append(error)
+
+        threads = [threading.Thread(target=worker, args=(t,))
+                   for t in range(writers)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert errors == []
+        assert not any(thread.is_alive() for thread in threads)
+
+        commits = writers * per_writer
+        sequences = sorted(parse_internal_key(internal_key).sequence
+                           for internal_key, _ in db._mem)
+        assert sequences == list(range(1, commits + 1))
+        assert db.versions.last_sequence == commits
+        for t in range(writers):
+            for i in range(per_writer):
+                assert db.get(f"t{t}-{i:04d}".encode()) == b"v%d" % i
+        assert db.stats.writes == commits
+        if mode == "always":
+            assert db.stats.wal_syncs == commits
+        elif mode == "group":
+            assert db.stats.wal_syncs == db.stats.group_commits <= commits
+        elif mode in ("none", "flush"):
+            assert db.stats.wal_syncs == 0
         db.close()
 
 

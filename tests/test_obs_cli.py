@@ -249,6 +249,24 @@ class TestAllModeRegistryReset:
         assert suffixed_path("m.prom", None) == "m.prom"
 
 
+class TestSharedSinkFlags:
+    def test_unopenable_sink_path_exits_2_in_both_clis(self, tmp_path,
+                                                       capsys):
+        missing = str(tmp_path / "no" / "such" / "dir" / "out.jsonl")
+        assert lsm_main(["stats", str(tmp_path / "db"),
+                         "--trace-out", missing]) == 2
+        assert bench_main(["table7", "--events-out", missing]) == 2
+        assert capsys.readouterr().err.count("cannot open") == 2
+
+    def test_existing_metrics_file_needs_overwrite(self, tmp_path):
+        db = str(tmp_path / "db")
+        metrics_path = str(tmp_path / "m.prom")
+        args = ["put", db, "k", "v", "--metrics-out", metrics_path]
+        assert lsm_main(args) == 0
+        assert lsm_main(args) == 2
+        assert lsm_main(args + ["--overwrite"]) == 0
+
+
 class TestLsmCli:
     def test_fill_and_compact_with_observability(self, tmp_path):
         db = str(tmp_path / "db")

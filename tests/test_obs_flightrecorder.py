@@ -7,6 +7,8 @@ import random
 
 import pytest
 
+from repro.errors import NotFoundError
+from repro.lsm.batch import WriteBatch
 from repro.lsm.db import LsmDB
 from repro.lsm.options import Options
 from repro.obs.events import EventJournal, replay
@@ -62,6 +64,38 @@ class TestStatsReport:
         assert "uptime_seconds:" in report
         assert "journal_segments: 0" in report
         assert "tenant ops:" not in report
+
+
+class TestOpScoring:
+    def test_failure_scored_once_against_the_outermost_op(self, registry):
+        """A put is timed around the write it makes: a success is a good
+        put and a good write, a failure one bad op — not two."""
+        db = LsmDB("slodb", small_options(slo_specs=[
+            {"name": "avail", "objective": "availability",
+             "target": 0.99}]), metrics=registry)
+
+        def scored(outcome):
+            return registry.get_value("slo_events_total", slo="avail",
+                                      tenant="default", outcome=outcome)
+
+        db.put(b"a", b"1")
+        assert (scored("good"), scored("bad")) == (2, 0)
+
+        def torn_append(record):
+            raise OSError("disk gone")
+        db._log.add_record = torn_append
+        with pytest.raises(OSError):
+            db.put(b"b", b"2")
+        assert (scored("good"), scored("bad")) == (2, 1)
+        batch = WriteBatch()
+        batch.put(b"c", b"3")
+        with pytest.raises(OSError):
+            db.write(batch)
+        assert (scored("good"), scored("bad")) == (2, 2)
+        # an absent key is a good get, not an availability failure
+        with pytest.raises(NotFoundError):
+            db.get(b"b")
+        assert (scored("good"), scored("bad")) == (3, 2)
 
 
 class TestReplayEqualsLiveRegistry:
