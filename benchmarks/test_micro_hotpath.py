@@ -11,7 +11,9 @@ against the committed *seed* (pre-optimization) baseline in
 ``batch_merge_4way`` is additionally gated *within the same run*: the
 vectorized batched merge must beat the streaming CPU merge on the same
 workload (skipped without numpy, where the batch backend declines and
-the bench emits no row for it).
+the bench emits no row for it).  ``snappy_compress_4k`` is gated the
+same way against ``snappy_compress_4k_scalar``: the numpy leg of the
+block compressor must stay >= 2x the scalar loop it is checked against.
 
 Every other row only has to be *no slower* than seed (within noise).
 The baseline file is the contract: re-baselining means deliberately
@@ -48,6 +50,11 @@ NOISE_REL_TOL = 0.35
 #: value size — see BENCH_backends.json).  Measured ~1.5x; gated at
 #: 1.25x for shared-runner noise.
 BATCH_MERGE_MIN_SPEEDUP = 1.25
+
+#: Same-run floor: `snappy.compress`'s numpy leg vs its scalar leg on one
+#: 4 KiB half-compressible data block.  Measured 2.7-2.9x; the block
+#: compressor is the top row of the e2e write budget, so it is gated.
+SNAPPY_BULK_MIN_SPEEDUP = 2.0
 
 #: The disabled flight-recorder's per-op residue (NullJournal call +
 #: windows-off guard) must stay below this fraction of the bare put/get
@@ -101,6 +108,20 @@ def test_batch_merge_beats_cpu_merge(measured):
         f"batch_merge_4way only {ratio:.2f}x faster than cpu_merge_4way "
         f"({run['cpu_merge_4way']}us vs {run['batch_merge_4way']}us), "
         f"floor is {BATCH_MERGE_MIN_SPEEDUP}x")
+
+
+def test_snappy_numpy_leg_beats_scalar_leg(measured):
+    from repro.compress import snappy
+
+    if snappy._np is None:
+        pytest.skip("numpy absent: snappy_compress_4k is the scalar leg")
+    _, run = measured
+    ratio = run["snappy_compress_4k_scalar"] / run["snappy_compress_4k"]
+    assert ratio >= SNAPPY_BULK_MIN_SPEEDUP, (
+        f"snappy_compress_4k only {ratio:.2f}x faster than its scalar leg "
+        f"({run['snappy_compress_4k_scalar']}us vs "
+        f"{run['snappy_compress_4k']}us), floor is "
+        f"{SNAPPY_BULK_MIN_SPEEDUP}x")
 
 
 def test_obs_overhead_near_zero_when_disabled(measured):

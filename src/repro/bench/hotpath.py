@@ -2,12 +2,13 @@
 whole reproduction stands on.
 
 Unlike the paper-figure experiments (deterministic model output), these
-rows measure Python execution speed of the four hottest paths — CRC32C,
-varint decode, block codec, SSTable build/scan, the end-to-end CPU merge
-and the pipeline timing simulator — with a repeat/warmup harness that
-reports p50/p95 wall times instead of a single noisy sample.  The
-``obs_*`` rows bound the flight recorder's cost: put/get loops with
-observability off vs on, plus the disabled path's per-op residue.
+rows measure Python execution speed of the hottest paths — CRC32C, the
+snappy block codec, varint decode, block codec, SSTable build/scan, the
+end-to-end CPU merge and the pipeline timing simulator — with a
+repeat/warmup harness that reports p50/p95 wall times instead of a
+single noisy sample.  The ``obs_*`` rows bound the flight recorder's
+cost: put/get loops with observability off vs on, plus the disabled
+path's per-op residue.
 
 ``fcae-bench hotpath --bench-json BENCH_hotpath.json`` emits the rows in
 the schema ``tools/check_regression.py`` understands; the committed
@@ -23,6 +24,7 @@ override the per-bench sample counts (CI quick mode).
 
 from __future__ import annotations
 
+import hashlib
 import os
 import random
 
@@ -32,6 +34,7 @@ from repro.bench.common import (
     scaled,
     two_input_config,
 )
+from repro.compress import snappy
 from repro.fpga.engine import CompactionEngine, simulate_synthetic
 from repro.host.batch_merge import BatchMergeEngine
 from repro.lsm.block import Block, BlockBuilder
@@ -51,8 +54,8 @@ from repro.util.crc32c import crc32c
 from repro.util.varint import decode_varint64, encode_varint64
 
 ICMP = InternalKeyComparator(BytewiseComparator())
-#: Codec-focused options: no snappy (its cost is its own benchmark in
-#: the substrate suite) and no bloom filter, so the rows isolate the
+#: Codec-focused options: no snappy (the ``snappy_*`` rows time it on its
+#: own) and no bloom filter, so the other rows isolate the
 #: merge/block/crc paths this suite guards.
 OPTIONS = Options(compression="none", bloom_bits_per_key=0,
                   sstable_size=1 << 20)
@@ -105,6 +108,26 @@ def _merge_inputs(per_table: int, seed: int = 11
     return images, sum(len(img) for img in images)
 
 
+def _half_compressible_block() -> bytes:
+    """One data block of the end-to-end benchmark's shape (built here,
+    not imported from it): 16 B user keys; 128 B values of an 8 B
+    per-key version, 60 B of hash output and 60 B of one byte, so snappy
+    keeps about 0.55 of it.  Versions are small, as they are after a fill
+    that draws keys with replacement: most tails are the same byte run."""
+    rng = random.Random(7)
+    builder = BlockBuilder(16)
+    # 28 such entries are a 4 KiB block.
+    for sequence, k in enumerate(sorted(rng.sample(range(33_000), 28)), 1):
+        version = rng.choice((1, 1, 1, 2, 2, 3))
+        head = version.to_bytes(8, "big")
+        key = f"{k:016d}".encode()
+        builder.add(
+            encode_internal_key(key, sequence, TYPE_VALUE),
+            head + hashlib.shake_128(head + key).digest(60)
+            + bytes([version]) * 60)
+    return builder.finish()
+
+
 # ----------------------------------------------------------------------
 # The suite
 # ----------------------------------------------------------------------
@@ -126,6 +149,20 @@ def run(scale: float = 1.0) -> ExperimentResult:
     # -- crc32c over a 4 KB block-sized payload ------------------------
     payload = bytes(range(256)) * 16
     _add(result, "crc32c_4k", lambda: crc32c(payload), len(payload),
+         repeat, warmup)
+
+    # -- snappy over one 4 KB data block -------------------------------
+    # `compress` takes the numpy leg when numpy imports; the `_scalar`
+    # row times the loop that defines the format, from the same run.
+    raw_block = _half_compressible_block()
+    compressed_block = snappy.compress(raw_block)
+    _add(result, "snappy_compress_4k", lambda: snappy.compress(raw_block),
+         len(raw_block), repeat, warmup)
+    _add(result, "snappy_compress_4k_scalar",
+         lambda: snappy._compress_fragment(raw_block, bytearray()),
+         len(raw_block), repeat, warmup)
+    _add(result, "snappy_decompress_4k",
+         lambda: snappy.decompress(compressed_block), len(raw_block),
          repeat, warmup)
 
     # -- bulk varint decode --------------------------------------------

@@ -46,13 +46,7 @@ from repro.lsm.internal import (
     TYPE_DELETION,
 )
 from repro.lsm.options import Options
-from repro.lsm.sstable import (
-    BLOCK_TRAILER_SIZE,
-    COMPRESSION_NONE,
-    COMPRESSION_SNAPPY,
-    TableBuilder,
-)
-from repro.compress import snappy
+from repro.lsm.sstable import TableBuilder, _read_block
 from repro.util.coding import decode_fixed32, encode_fixed32
 from repro.util.crc32c import crc32c_many, mask_crc, unmask_crc
 
@@ -161,24 +155,15 @@ class BatchMergeEngine:
             data = table.image
             view = memoryview(data)
             for _, handle in table.index_entries():
-                end = handle.offset + handle.size + BLOCK_TRAILER_SIZE
-                if end > len(data):
-                    raise CorruptionError("block handle overruns file")
+                # Bounds-checked and decoded by the reader's own routine;
+                # its per-block CRC is off because ours is batched below.
+                contents.append(_read_block(data, handle, verify=False))
                 if self.options.paranoid_checks:
                     stored = unmask_crc(decode_fixed32(
                         data, handle.offset + handle.size + 1))
                     pending_crc.append((view[
                         handle.offset:handle.offset + handle.size + 1],
                         stored))
-                block_type = data[handle.offset + handle.size]
-                payload = data[handle.offset:handle.offset + handle.size]
-                if block_type == COMPRESSION_NONE:
-                    contents.append(payload)
-                elif block_type == COMPRESSION_SNAPPY:
-                    contents.append(snappy.decompress(payload))
-                else:
-                    raise CorruptionError(
-                        f"unknown block compression type {block_type}")
         if pending_crc:
             checked = crc32c_many([region for region, _ in pending_crc])
             for computed, (_, stored) in zip(checked, pending_crc):
