@@ -20,10 +20,12 @@ LD002 ``guarded-attr-escape``
 
 LD003 ``blocking-under-mutex``
     A direct blocking call (``sync()``/``fsync``, socket I/O,
-    ``time.sleep``, ``select.select``) while a mutex is held — the bug
-    class group commit exists to avoid.  Error severity; waivable with
-    ``# lint: waive[LD003] reason`` when the hold is the documented
-    contract (e.g. ``wal_sync="always"``).
+    ``time.sleep``, ``select.select``, or an ``Env`` reading a whole file
+    or creating one: ``read_file`` / ``new_writable_file`` /
+    ``new_appendable_file`` on a receiver named ``env``) while a mutex is
+    held — the bug class group commit exists to avoid.  Error severity;
+    waivable with ``# lint: waive[LD003] reason`` when the hold is the
+    documented contract (e.g. ``wal_sync="always"``).
 
 LD004 ``blocking-chain-under-mutex``
     Same as LD003 but transitive: a self-method whose body (or callees)
@@ -59,6 +61,14 @@ _BLOCKING_ATTRS = {
     "sendto": "socket sendto",
     "accept": "socket accept",
     "connect": "socket connect",
+}
+
+#: file I/O through an ``Env``: blocking when the receiver is one (its
+#: last name is ``env`` / ``*_env`` — the pass infers no types)
+_BLOCKING_ENV_ATTRS = {
+    "read_file": "env read_file (whole-file read)",
+    "new_writable_file": "env new_writable_file (file create)",
+    "new_appendable_file": "env new_appendable_file (file open)",
 }
 
 #: module-level blocking calls: (module name, attr) -> description
@@ -164,6 +174,12 @@ class _ClassChecker:
         if mod in _BLOCKING_MODULE_CALLS:
             return _BLOCKING_MODULE_CALLS[mod]
         if isinstance(call.func, ast.Attribute):
+            receiver = call.func.value
+            name = (receiver.attr if isinstance(receiver, ast.Attribute)
+                    else getattr(receiver, "id", ""))
+            if (call.func.attr in _BLOCKING_ENV_ATTRS
+                    and name.lstrip("_").split("_")[-1] == "env"):
+                return _BLOCKING_ENV_ATTRS[call.func.attr]
             return _BLOCKING_ATTRS.get(call.func.attr)
         return None
 

@@ -4,7 +4,8 @@ whole reproduction stands on.
 Unlike the paper-figure experiments (deterministic model output), these
 rows measure Python execution speed of the hottest paths — CRC32C, the
 snappy block codec, varint decode, block codec, SSTable build/scan, the
-end-to-end CPU merge and the pipeline timing simulator — with a
+end-to-end CPU merge, point lookups through a three-level store and the
+pipeline timing simulator — with a
 repeat/warmup harness that reports p50/p95 wall times instead of a
 single noisy sample.  The ``obs_*`` rows bound the flight recorder's
 cost: put/get loops with observability off vs on, plus the disabled
@@ -35,6 +36,7 @@ from repro.bench.common import (
     two_input_config,
 )
 from repro.compress import snappy
+from repro.errors import NotFoundError
 from repro.fpga.engine import CompactionEngine, simulate_synthetic
 from repro.host.batch_merge import BatchMergeEngine
 from repro.lsm.block import Block, BlockBuilder
@@ -108,24 +110,46 @@ def _merge_inputs(per_table: int, seed: int = 11
     return images, sum(len(img) for img in images)
 
 
+def _half_compressible_value(key: bytes, version: int) -> bytes:
+    """A value of the end-to-end benchmark's shape (built here, not
+    imported from it): 128 B — an 8 B per-key version, 60 B of hash
+    output and 60 B of one byte, so snappy keeps about 0.55 of it."""
+    head = version.to_bytes(8, "big")
+    return (head + hashlib.shake_128(head + key).digest(60)
+            + bytes([version]) * 60)
+
+
 def _half_compressible_block() -> bytes:
-    """One data block of the end-to-end benchmark's shape (built here,
-    not imported from it): 16 B user keys; 128 B values of an 8 B
-    per-key version, 60 B of hash output and 60 B of one byte, so snappy
-    keeps about 0.55 of it.  Versions are small, as they are after a fill
-    that draws keys with replacement: most tails are the same byte run."""
+    """One data block of that shape: 16 B user keys under
+    :func:`_half_compressible_value`.  Versions are small, as they are
+    after a fill that draws keys with replacement: most tails are the
+    same byte run."""
     rng = random.Random(7)
     builder = BlockBuilder(16)
     # 28 such entries are a 4 KiB block.
     for sequence, k in enumerate(sorted(rng.sample(range(33_000), 28)), 1):
         version = rng.choice((1, 1, 1, 2, 2, 3))
-        head = version.to_bytes(8, "big")
         key = f"{k:016d}".encode()
-        builder.add(
-            encode_internal_key(key, sequence, TYPE_VALUE),
-            head + hashlib.shake_128(head + key).digest(60)
-            + bytes([version]) * 60)
+        builder.add(encode_internal_key(key, sequence, TYPE_VALUE),
+                    _half_compressible_value(key, version))
     return builder.finish()
+
+
+def _three_level_db(records: int) -> LsmDB:
+    """``records`` even 16 B keys loaded in shuffled order into an
+    in-memory store whose geometry pushes tables down to level 2 — at
+    6,500 records about seven times its 128 KiB block cache, so a get
+    re-reads (checksums and decompresses) most blocks it touches, as in
+    the e2e read workloads."""
+    db = LsmDB("hotpath-get", Options(
+        write_buffer_size=32 << 10, sstable_size=16 << 10,
+        max_level0_size=64 << 10, block_cache_capacity=128 << 10))
+    keys = [f"{2 * i:016d}".encode() for i in range(records)]
+    random.Random(13).shuffle(keys)
+    for key in keys:
+        db.put(key, _half_compressible_value(key, 1))
+    assert all(db.level_file_counts()[:3]), "levels 0-2 must hold tables"
+    return db
 
 
 # ----------------------------------------------------------------------
@@ -144,7 +168,8 @@ def run(scale: float = 1.0) -> ExperimentResult:
     )
 
     (n_block, n_table, n_merge, n_varint, n_pairs, n_tail,
-     n_obs) = scaled([256, 2000, 1000, 3000, 1500, 2400, 1200], scale)
+     n_obs, n_get) = scaled([256, 2000, 1000, 3000, 1500, 2400, 1200, 300],
+                            scale)
 
     # -- crc32c over a 4 KB block-sized payload ------------------------
     payload = bytes(range(256)) * 16
@@ -268,6 +293,34 @@ def run(scale: float = 1.0) -> ExperimentResult:
 
     _add(result, "engine_tail_run", engine_tail, len(head) + len(tail),
          repeat, warmup)
+
+    # -- point lookups through a three-level store ----------------------
+    # The read path as the e2e budget shows it (memtable miss, one bloom
+    # probe per candidate table, index seek, block fetch, block seek):
+    # present keys, then absent ones that end at the filters.
+    db_records = 6500
+    read_db = _three_level_db(db_records)
+    rng = random.Random(17)
+    present = [f"{2 * i:016d}".encode()
+               for i in rng.sample(range(db_records), n_get)]
+    missing = [f"{2 * i + 1:016d}".encode()
+               for i in rng.sample(range(db_records), n_get)]
+
+    def get_hits():
+        for key in present:
+            read_db.get(key)
+
+    def get_absent():
+        for key in missing:
+            try:
+                read_db.get(key)
+            except NotFoundError:
+                continue
+            raise AssertionError("absent key found")
+
+    _add(result, "db_get_hit", get_hits, n_get * (16 + 128), repeat, warmup)
+    _add(result, "db_get_absent", get_absent, n_get * 16, repeat, warmup)
+    read_db.close()
 
     # -- observability overhead on the put/get path --------------------
     # Same put+get loop against two memtable-only stores: one with the

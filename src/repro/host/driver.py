@@ -117,7 +117,9 @@ class CompactionDriver:
                 continue
             self._m.queue_depth.set(self._tasks.qsize())
             try:
-                with db.tracer.activate(ctx):
+                # A token kicked without a context (a waiter re-kicking)
+                # may be the one that finds the work: trace it anyway.
+                with db.tracer.activate(ctx or db.tracer.mint_context()):
                     if run(hint):
                         self._m.tasks[kind].inc()
             except Exception as error:  # noqa: BLE001 — reported, not lost

@@ -15,9 +15,10 @@ parse.
 This module is on the hot path of every compaction and read, so the codec
 trades a little clarity for bulk decoding: the restart array is unpacked
 in a single ``struct`` call, the three per-entry varints take an inlined
-single-byte fast path (lengths < 128 cover virtually every real entry),
-and keys are rebuilt by slice concatenation instead of a mutable
-scratch ``bytearray``.  Block images may be ``bytes``, ``bytearray`` or
+fast path (single-byte key lengths, value lengths of one or two bytes:
+virtually every real entry) on both the encode and the decode side, and
+keys are rebuilt by slice concatenation instead of a mutable scratch
+``bytearray``.  Block images may be ``bytes``, ``bytearray`` or
 ``memoryview`` — decoding never copies the image, only the yielded
 entries are materialized as ``bytes``.
 """
@@ -74,11 +75,16 @@ class BlockBuilder:
         non_shared = len(key) - shared
         value_len = len(value)
         buffer = self._buffer
-        if shared < 0x80 and non_shared < 0x80 and value_len < 0x80:
-            # Single-byte varints: the overwhelmingly common case.
+        if shared < 0x80 and non_shared < 0x80 and value_len < 0x4000:
+            # Single-byte key lengths and a value length of one or two
+            # bytes: the overwhelmingly common case.
             buffer.append(shared)
             buffer.append(non_shared)
-            buffer.append(value_len)
+            if value_len < 0x80:
+                buffer.append(value_len)
+            else:
+                buffer.append(value_len & 0x7F | 0x80)
+                buffer.append(value_len >> 7)
         else:
             buffer += encode_varint32(shared)
             buffer += encode_varint32(non_shared)
@@ -105,6 +111,15 @@ class BlockBuilder:
         self._finished = False
 
 
+def _entry_lengths(data, offset: int) -> tuple[int, int, int, int]:
+    """``(shared, non_shared, value_len, key delta offset)`` of the entry
+    at ``offset``: the general case behind the decoders' inlined one."""
+    shared, pos = decode_varint32(data, offset)
+    non_shared, pos = decode_varint32(data, pos)
+    value_len, pos = decode_varint32(data, pos)
+    return shared, non_shared, value_len, pos
+
+
 class Block:
     """Read-side view of a block image.
 
@@ -129,46 +144,26 @@ class Block:
         self._restarts = struct.unpack_from(
             f"<{self._num_restarts}I", contents, self._restarts_offset)
 
-    def _restart_point(self, index: int) -> int:
-        return self._restarts[index]
-
-    def _parse_entry(self, offset: int) -> tuple[int, int, int, int]:
-        """Return (shared, non_shared, value_len, key_delta_offset)."""
-        shared, pos = decode_varint32(self._data, offset)
-        non_shared, pos = decode_varint32(self._data, pos)
-        value_len, pos = decode_varint32(self._data, pos)
-        if pos + non_shared + value_len > self._restarts_offset:
-            raise CorruptionError("block entry overruns restart array")
-        return shared, non_shared, value_len, pos
-
-    def _iter_from_offset(self, offset: int,
-                          last_key: bytes = b"") -> Iterator[tuple[bytes, bytes]]:
+    def _iter_from_offset(self, offset: int) -> Iterator[tuple[bytes, bytes]]:
         data = self._data
         limit = self._restarts_offset
         materialize = not self._is_bytes
-        key = last_key
+        key = b""
         try:
             while offset < limit:
-                # Inlined varint32 x3; multi-byte lengths fall back to the
-                # shared decoder.
-                byte = data[offset]
-                if byte < 0x80:
-                    shared = byte
-                    pos = offset + 1
-                else:
-                    shared, pos = decode_varint32(data, offset)
-                byte = data[pos]
-                if byte < 0x80:
-                    non_shared = byte
-                    pos += 1
-                else:
-                    non_shared, pos = decode_varint32(data, pos)
-                byte = data[pos]
-                if byte < 0x80:
-                    value_len = byte
-                    pos += 1
-                else:
-                    value_len, pos = decode_varint32(data, pos)
+                # The three lengths, inlined for single-byte key lengths
+                # with a value length of one or two bytes.
+                shared = data[offset]
+                non_shared = data[offset + 1]
+                value_len = data[offset + 2]
+                pos = offset + 3
+                if (shared | non_shared | value_len) >= 0x80:
+                    if (shared | non_shared) < 0x80 and data[pos] < 0x80:
+                        value_len = value_len & 0x7F | data[pos] << 7
+                        pos += 1
+                    else:
+                        shared, non_shared, value_len, pos = _entry_lengths(
+                            data, offset)
                 value_start = pos + non_shared
                 offset = value_start + value_len
                 if offset > limit:
@@ -197,32 +192,94 @@ class Block:
             return
         yield from self._iter_from_offset(0)
 
-    def _key_at_restart(self, index: int) -> bytes:
-        offset = self._restarts[index]
-        shared, non_shared, _, pos = self._parse_entry(offset)
-        if shared != 0:
-            raise CorruptionError("restart entry has shared bytes")
-        return bytes(self._data[pos:pos + non_shared])
+    def _seek_restart(self, target: bytes, compare) -> int:
+        """Offset of the last restart point whose key is < ``target``
+        (of the first one when there is none): binary search over the
+        restart keys, each read in place."""
+        data = self._data
+        limit = self._restarts_offset
+        restarts = self._restarts
+        lo, hi = 0, self._num_restarts - 1
+        try:
+            while lo < hi:
+                mid = (lo + hi + 1) >> 1
+                offset = restarts[mid]
+                shared = data[offset]
+                non_shared = data[offset + 1]
+                value_len = data[offset + 2]
+                pos = offset + 3
+                if (shared | non_shared | value_len) >= 0x80:
+                    if (shared | non_shared) < 0x80 and data[pos] < 0x80:
+                        value_len = value_len & 0x7F | data[pos] << 7
+                        pos += 1
+                    else:
+                        shared, non_shared, value_len, pos = _entry_lengths(
+                            data, offset)
+                if pos + non_shared + value_len > limit:
+                    raise CorruptionError(
+                        "block entry overruns restart array")
+                if shared:
+                    raise CorruptionError("restart entry has shared bytes")
+                if compare(bytes(data[pos:pos + non_shared]), target) < 0:
+                    lo = mid
+                else:
+                    hi = mid - 1
+        except IndexError:
+            raise CorruptionError("truncated block entry") from None
+        return restarts[lo]
 
     def seek(self, target: bytes,
              comparator: Comparator) -> Optional[tuple[bytes, bytes]]:
-        """First entry with key >= ``target`` under ``comparator``."""
-        for key, value in self.iter_from(target, comparator):
-            return key, value
+        """First entry with key >= ``target`` under ``comparator``: the
+        first item of :meth:`iter_from`, found by one direct loop that
+        rebuilds keys along a single restart interval and slices only
+        the value it returns."""
+        compare = comparator.compare
+        data = self._data
+        limit = self._restarts_offset
+        materialize = not self._is_bytes
+        offset = self._seek_restart(target, compare)
+        key = b""
+        try:
+            while offset < limit:
+                shared = data[offset]
+                non_shared = data[offset + 1]
+                value_len = data[offset + 2]
+                pos = offset + 3
+                if (shared | non_shared | value_len) >= 0x80:
+                    if (shared | non_shared) < 0x80 and data[pos] < 0x80:
+                        value_len = value_len & 0x7F | data[pos] << 7
+                        pos += 1
+                    else:
+                        shared, non_shared, value_len, pos = _entry_lengths(
+                            data, offset)
+                value_start = pos + non_shared
+                offset = value_start + value_len
+                if offset > limit:
+                    raise CorruptionError(
+                        "block entry overruns restart array")
+                delta = data[pos:value_start]
+                if materialize:
+                    delta = bytes(delta)
+                if shared:
+                    if shared > len(key):
+                        raise CorruptionError(
+                            "shared prefix longer than previous key")
+                    key = key[:shared] + delta
+                else:
+                    key = delta
+                if compare(key, target) >= 0:
+                    value = data[value_start:offset]
+                    return key, bytes(value) if materialize else value
+        except IndexError:
+            raise CorruptionError("truncated block entry") from None
         return None
 
     def iter_from(self, target: bytes,
                   comparator: Comparator) -> Iterator[tuple[bytes, bytes]]:
         """Iterate entries with key >= ``target``."""
-        # Binary search restart points for the last one with key < target.
-        lo, hi = 0, self._num_restarts - 1
-        while lo < hi:
-            mid = (lo + hi + 1) // 2
-            if comparator.compare(self._key_at_restart(mid), target) < 0:
-                lo = mid
-            else:
-                hi = mid - 1
         compare = comparator.compare
-        for key, value in self._iter_from_offset(self._restarts[lo]):
+        for key, value in self._iter_from_offset(
+                self._seek_restart(target, compare)):
             if compare(key, target) >= 0:
                 yield key, value

@@ -7,8 +7,8 @@ the read-path experiments report them.
 
 The cache is thread-safe: readers on foreground threads and the
 background compaction driver's workers share one instance, so every
-structural operation holds a private lock (the bound obs counters carry
-their own registry lock).
+structural operation, the ``hits`` / ``misses`` tallies included, holds a
+private lock (the bound obs counters carry their own registry lock).
 """
 
 from __future__ import annotations
@@ -51,14 +51,15 @@ class LRUCache:
     def get(self, key: Hashable) -> Optional[bytes]:
         with self._lock:
             value = self._entries.get(key)
-            if value is not None:
+            if value is None:
+                self.misses += 1
+            else:
+                self.hits += 1
                 self._entries.move_to_end(key)
         if value is None:
-            self.misses += 1
             if self._miss_counter is not None:
                 self._miss_counter.inc()
             return None
-        self.hits += 1
         if self._hit_counter is not None:
             self._hit_counter.inc()
         return value

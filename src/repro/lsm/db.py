@@ -23,9 +23,11 @@ Concurrency model: two modes.
   stall durations published to the ``lsm_write_stall_seconds`` histogram.
 
 Either way every public operation is safe to call from multiple threads:
-state mutations hold ``_mutex``; scans capture the memtables, an immutable
-version and a sequence under it, then iterate beside writers (the skiplist
-is insert-only and the sequence filter hides anything newer).
+state mutations hold ``_mutex``; ``get`` and ``scan`` take no lock — they
+load the published :class:`_ReadView` (memtables, an immutable version and
+its open tables) and a sequence, then search beside writers, flushes and
+compactions (the skiplist is insert-only and the sequence filter hides
+anything newer).  DESIGN.md "Read path" has the argument.
 
 Every write commits through one path — the writer queue in
 :meth:`LsmDB.write` — whatever ``Options.wal_sync`` says; the mode only
@@ -37,7 +39,7 @@ from __future__ import annotations
 import time
 from collections import deque
 from itertools import islice
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterator, NamedTuple, Optional
 
 from repro.analysis import watchdog as lockwatch
 from repro.errors import DBStateError, NotFoundError
@@ -54,13 +56,16 @@ from repro.lsm.filenames import (
     parse_manifest_number,
     table_file_name,
 )
+from repro.lsm.filter import BloomFilterPolicy
 from repro.lsm.internal import (
     InternalKeyComparator,
+    MARK_FIELDS_SIZE,
     MAX_SEQUENCE,
     TYPE_DELETION,
     TYPE_VALUE,
     encode_internal_key,
     extract_user_key,
+    make_lookup_key,
     parse_internal_key,
 )
 from repro.lsm.iterator import merging_iterator
@@ -75,6 +80,7 @@ from repro.lsm.sstable import TableBuilder, TableReader
 from repro.lsm.version import (
     CompactionSpec,
     FileMetaData,
+    Version,
     VersionEdit,
     VersionSet,
 )
@@ -135,6 +141,19 @@ class _Writer:
         self.batch = batch
         self.done = False
         self.error: Optional[BaseException] = None
+
+
+class _ReadView(NamedTuple):
+    """Everything a read needs, frozen at one publish (RocksDB's
+    SuperVersion).  ``tables`` maps exactly ``version``'s file numbers to
+    their open readers.  A view is never edited: state changes publish a
+    new one, and a superseded table is freed when the last view or live
+    scan naming it is — CPython's reference count is the unref."""
+
+    mem: MemTable
+    imm: Optional[MemTable]
+    version: Version
+    tables: dict[int, TableReader]
 
 
 class _EnvTextSink:
@@ -226,7 +245,10 @@ class LsmDB:
         self.auto_compact = auto_compact
         self._mem = MemTable(self.icmp)  # guarded_by: _mutex
         self._imm: Optional[MemTable] = None  # guarded_by: _mutex
-        self._readers: dict[int, TableReader] = {}  # guarded_by: _mutex
+        #: What ``get`` / ``scan`` read, without the mutex: republished
+        #: wherever ``_mem``, ``_imm`` or ``versions.current`` changes.
+        self._view = _ReadView(  # guarded_by: _mutex
+            self._mem, None, self.versions.current, {})
         self._closed = False
         self._log: Optional[LogWriter] = None  # guarded_by: _mutex
         self._log_file = None  # guarded_by: _mutex
@@ -291,8 +313,8 @@ class LsmDB:
                                      self.events)
         self._opened_monotonic = time.monotonic()
 
+        self._recover()
         with self._mutex:
-            self._recover_locked()
             self._new_log_locked()
 
         self._driver = None
@@ -304,14 +326,17 @@ class LsmDB:
     # Recovery & manifest
     # ------------------------------------------------------------------
 
-    def _recover_locked(self) -> None:
+    def _recover(self) -> None:
+        """Rebuild state from MANIFEST and WAL.  Runs from ``__init__``,
+        before another thread can reach the DB: files are read with no
+        mutex held, state changes take it."""
         current = current_file_name(self.dbname)
         if self.env.file_exists(current):
             manifest_name = self.env.read_file(current).decode().strip()
-            self._replay_manifest_locked(manifest_name)
-        self._replay_logs_locked()
+            self._replay_manifest(manifest_name)
+        self._replay_logs()
 
-    def _replay_manifest_locked(self, manifest_name: str) -> None:
+    def _replay_manifest(self, manifest_name: str) -> None:
         data = self.env.read_file(manifest_name)
         snapshot: Optional[bytes] = None
         for record in LogReader(data):
@@ -319,11 +344,15 @@ class LsmDB:
         if snapshot is None:
             return
         self.versions.restore_snapshot(snapshot)
-        for files in self.versions.current.files:
-            for meta in files:
-                self._open_reader_locked(meta)
+        opened = {
+            meta.number: self._open_table(
+                meta.number,
+                self.env.read_file(table_file_name(self.dbname, meta.number)))
+            for files in self.versions.current.files for meta in files}
+        with self._mutex:
+            self._publish_view_locked(opened)
 
-    def _replay_logs_locked(self) -> None:
+    def _replay_logs(self) -> None:
         log_numbers = sorted(
             number for name in self.env.list_dir(self.dbname)
             if (number := parse_log_number(name)) is not None)
@@ -337,11 +366,13 @@ class LsmDB:
             self.versions.reuse_file_number(number)
             if (self._mem.approximate_memory_usage
                     >= self.options.write_buffer_size):
-                self._flush_memtable_locked()
+                with self._mutex:
+                    self._flush_memtable_locked()
         if len(self._mem):
             # Like LevelDB's RecoverLogFile: recovered writes go straight
             # to a level-0 table so retiring the old WAL cannot lose them.
-            self._flush_memtable_locked()
+            with self._mutex:
+                self._flush_memtable_locked()
         for number in log_numbers:
             if self.env.file_exists(log_file_name(self.dbname, number)):
                 self.env.delete_file(log_file_name(self.dbname, number))
@@ -379,9 +410,13 @@ class LsmDB:
         if self._log_file is not None:
             self._log_file.close()
         self._log_number = self.versions.new_file_number()
-        self._log_file = self.env.new_writable_file(
-            log_file_name(self.dbname, self._log_number))
+        self._log_file = self._create_log_file(self._log_number)
         self._log = LogWriter(self._log_file)
+
+    def _create_log_file(self, number: int):
+        """A log rotation's one blocking step; as in LevelDB it runs
+        under the mutex, and from here the lint reports it as LD004."""
+        return self.env.new_writable_file(log_file_name(self.dbname, number))
 
     # ------------------------------------------------------------------
     # Write path
@@ -642,6 +677,7 @@ class LsmDB:
         the flush (mutex held, ``_imm`` empty, no WAL append in flight)."""
         self._imm = self._mem
         self._mem = MemTable(self.icmp)
+        self._publish_view_locked()
         # New writes land in a fresh log; the old segment is retired only
         # after the immutable memtable reaches level 0.
         self._new_log_locked()
@@ -720,10 +756,11 @@ class LsmDB:
         with self.tracer.span("flush", db=self.dbname) as span:
             self._imm = self._mem
             self._mem = MemTable(self.icmp)
+            self._publish_view_locked()
             try:
-                meta, start = self._build_flush_table(
+                meta, reader, start = self._build_flush_table(
                     self._imm, self.versions.new_file_number(), span)
-                self._install_flush_table_locked(meta, start, span)
+                self._install_flush_table_locked(meta, reader, start, span)
             except BaseException:
                 self._restore_imm_after_failed_flush_locked()
                 raise
@@ -734,13 +771,14 @@ class LsmDB:
                 self._retire_old_logs()
             self._m.refresh_levels(self.versions.current)
 
-    def _build_flush_table(self, imm: MemTable, number: int,
-                           span) -> tuple[FileMetaData, float]:
-        """Flush step 1: dump ``imm`` to level-0 table file ``number``
-        and close it durably; a partial file is removed on failure.
-        Needs no mutex — ``imm`` is immutable by construction — so the
-        flush worker runs it while foreground writes proceed.  Returns
-        the table's metadata and the step's start time, both inputs of
+    def _build_flush_table(self, imm: MemTable, number: int, span
+                           ) -> tuple[FileMetaData, TableReader, float]:
+        """Flush step 1: dump ``imm`` to level-0 table file ``number``,
+        close it durably and read it back into a reader; a partial file
+        is removed on failure.  Needs no mutex — ``imm`` is immutable by
+        construction — so the flush worker runs it while foreground
+        writes proceed.  Returns the table's metadata, its reader and
+        the step's start time, the inputs of
         :meth:`_install_flush_table_locked`."""
         name = table_file_name(self.dbname, number)
         self.events.emit("flush_start", db=self.dbname, table=number,
@@ -753,21 +791,23 @@ class LsmDB:
                 builder.add(internal_key, value)
             stats = builder.finish()
             self._durable_close(dest)
+            reader = self._open_table(number, self.env.read_file(name))
         except BaseException:
             if self.env.file_exists(name):
                 self.env.delete_file(name)
             raise
         return FileMetaData(number, stats.file_bytes, builder.smallest_key,
-                            builder.largest_key), start
+                            builder.largest_key), reader, start
 
-    def _install_flush_table_locked(self, meta: FileMetaData, start: float,
+    def _install_flush_table_locked(self, meta: FileMetaData,
+                                    reader: TableReader, start: float,
                                     span) -> None:
         """Flush step 2 (mutex held): add the built table to level 0,
-        account for it, retire ``_imm`` and persist the new version."""
+        account for it, retire ``_imm``, publish, and persist the new
+        version."""
         edit = VersionEdit()
         edit.add_file(0, meta)
         self.versions.apply(edit)
-        self._open_reader_locked(meta)
         self._c["flushes"].inc()
         self._c["flush_bytes"].inc(meta.file_size)
         self._m.add_level_write(0, meta.file_size)
@@ -779,6 +819,7 @@ class LsmDB:
             write_bytes=int(self._c["write_bytes"].value),
             **_trace_fields(span))
         self._imm = None
+        self._publish_view_locked({meta.number: reader})
         self._write_manifest()
 
     def _restore_imm_after_failed_flush_locked(self) -> None:
@@ -796,6 +837,7 @@ class LsmDB:
                          extract_user_key(internal_key), value)
         self._mem = restored
         self._imm = None
+        self._publish_view_locked()
 
     def _retire_old_logs(self) -> None:
         """Delete WAL segments older than the active one (their contents
@@ -809,12 +851,22 @@ class LsmDB:
     # Compaction
     # ------------------------------------------------------------------
 
-    def _open_reader_locked(self, meta: FileMetaData) -> TableReader:
-        if meta.number not in self._readers:
-            data = self.env.read_file(table_file_name(self.dbname, meta.number))
-            self._readers[meta.number] = TableReader(
-                data, self.icmp, self.options, self.block_cache, meta.number)
-        return self._readers[meta.number]
+    def _open_table(self, number: int, image: bytes) -> TableReader:
+        return TableReader(image, self.icmp, self.options, self.block_cache,
+                           number)
+
+    def _publish_view_locked(
+            self, opened: Optional[dict[int, TableReader]] = None) -> None:
+        """Store the read view of the state as it is now (mutex held,
+        state consistent): the memtables, the current version, and a
+        reader per file of it — carried over from the view being
+        replaced, or one of ``opened`` for a file this change adds."""
+        known = {**self._view.tables, **(opened or {})}
+        version = self.versions.current
+        self._view = _ReadView(
+            self._mem, self._imm, version,
+            {meta.number: known[meta.number]
+             for files in version.files for meta in files})
 
     def _cpu_executor(self, spec: CompactionSpec, input_tables: list,
                       parent_tables: list, drop_deletions: bool,
@@ -919,8 +971,9 @@ class LsmDB:
             input_bytes=spec.total_input_bytes, **trace_fields)
         start = time.perf_counter()
         with self._mutex:
-            input_tables = [self._open_reader_locked(m) for m in spec.inputs]
-            parent_tables = [self._open_reader_locked(m) for m in spec.parents]
+            tables = self._view.tables
+            input_tables = [tables[m.number] for m in spec.inputs]
+            parent_tables = [tables[m.number] for m in spec.parents]
             if spec.level == 0:
                 # Newest-first so the merge meets newer versions first
                 # (the internal-key order already guarantees it; this
@@ -946,14 +999,16 @@ class LsmDB:
                 spec, input_tables, parent_tables, drop)
             backend = self._executor_backend()
 
-        # Write and durably close the output tables *before* taking the
-        # mutex: fsyncing N tables under the DB lock would stall every
-        # writer for the whole disk flush (the exact bug class the
-        # lock-discipline lint's LD003/LD004 rules exist to catch — the
-        # analyzer found this running under the mutex).  Nothing
-        # references the new file numbers until the version edit below
-        # installs them, so only the number allocation needs the lock.
+        # Write and durably close the output tables, and open a reader
+        # on each image, *before* taking the mutex: fsyncing N tables
+        # under the DB lock would stall every writer for the whole disk
+        # flush (the exact bug class the lock-discipline lint's
+        # LD003/LD004 rules exist to catch — the analyzer found this
+        # running under the mutex).  Nothing references the new file
+        # numbers until the version edit below installs them, so only
+        # the number allocation needs the lock.
         new_metas: list[FileMetaData] = []
+        opened: dict[int, TableReader] = {}
         written: list[str] = []
         try:
             for output in outputs:
@@ -964,6 +1019,7 @@ class LsmDB:
                 dest = self.env.new_writable_file(name)
                 dest.append(output.data)
                 self._durable_close(dest)
+                opened[number] = self._open_table(number, output.data)
                 new_metas.append(FileMetaData(
                     number, len(output.data),
                     output.smallest, output.largest))
@@ -1005,10 +1061,10 @@ class LsmDB:
                 for meta in new_metas:
                     edit.add_file(spec.output_level, meta)
                 self.versions.apply(edit)
-                for meta in new_metas:
-                    self._open_reader_locked(meta)
+                self._publish_view_locked(opened)
+                # Safe while views and scans still read the inputs: a
+                # TableReader never goes back to its file.
                 for old in spec.inputs + spec.parents:
-                    self._readers.pop(old.number, None)
                     self.env.delete_file(
                         table_file_name(self.dbname, old.number))
                 self._write_manifest()
@@ -1033,9 +1089,9 @@ class LsmDB:
                 return False
             number = self.versions.new_file_number()
         with self.tracer.span("flush", db=self.dbname) as span:
-            meta, start = self._build_flush_table(imm, number, span)
+            meta, reader, start = self._build_flush_table(imm, number, span)
             with self._mutex:
-                self._install_flush_table_locked(meta, start, span)
+                self._install_flush_table_locked(meta, reader, start, span)
                 self._retire_old_logs()
                 self._m.refresh_levels(self.versions.current)
                 self._cond.notify_all()
@@ -1128,7 +1184,9 @@ class LsmDB:
             tenant: Optional[str] = None) -> bytes:
         """Return the value of ``key`` (newest, or as of ``snapshot``).
 
-        Raises :class:`NotFoundError` when absent or deleted.
+        Raises :class:`NotFoundError` when absent or deleted.  Takes no
+        lock: the lookup runs over the published read view (see
+        :meth:`_get`), beside writers, flushes and compactions.
         """
         self._check_open()
         if snapshot is not None:
@@ -1136,45 +1194,35 @@ class LsmDB:
         return self._observed("get", tenant, self._get, key, snapshot)
 
     def _get(self, key: bytes, snapshot: "Snapshot | None") -> bytes:
-        with self._mutex:
-            return self._get_at_locked(
-                key, snapshot.sequence if snapshot is not None
-                else self.versions.last_sequence)
-
-    def _get_at_locked(self, key: bytes, snapshot: int) -> bytes:
+        # Two attribute loads, no mutex — the view first, then the
+        # sequence: one read before the view could predate a merge the
+        # view already contains (DESIGN.md "Read path").
+        view = self._view
+        sequence = (snapshot.sequence if snapshot is not None
+                    else self.versions.last_sequence)
         self._c["reads"].inc()
-        try:
-            value = self._mem.get(key, snapshot)
-        except NotFoundError:
-            raise NotFoundError(key) from None
-        if value is not None:
-            self._c["read_hits"].inc()
-            return value
-        if self._imm is not None:
-            try:
-                value = self._imm.get(key, snapshot)
-            except NotFoundError:
-                raise NotFoundError(key) from None
-            if value is not None:
-                self._c["read_hits"].inc()
-                return value
-        lookup = encode_internal_key(key, snapshot, 0x1)
-        for _level, meta in self.versions.current.files_for_key(key):
-            reader = self._open_reader_locked(meta)
-            if not reader.key_may_match(key):
-                continue
-            entry = reader.get(lookup)
-            if entry is None:
-                continue
-            internal_key, value = entry
-            if extract_user_key(internal_key) != key:
-                continue
-            parsed = parse_internal_key(internal_key)
-            if parsed.is_deletion:
+        lookup = make_lookup_key(key, sequence)
+        value = view.mem.get(key, sequence, lookup)
+        if value is None and view.imm is not None:
+            value = view.imm.get(key, sequence, lookup)
+        if value is None:
+            key_hash = BloomFilterPolicy.hash_key(key)
+            tables = view.tables
+            for _level, meta in view.version.files_for_key(key):
+                reader = tables[meta.number]
+                if not reader.key_may_match(key, key_hash):
+                    continue
+                entry = reader.get(lookup)
+                if (entry is not None
+                        and entry[0][:-MARK_FIELDS_SIZE] == key):
+                    if parse_internal_key(entry[0]).is_deletion:
+                        raise NotFoundError(key)
+                    value = entry[1]
+                    break
+            else:
                 raise NotFoundError(key)
-            self._c["read_hits"].inc()
-            return value
-        raise NotFoundError(key)
+        self._c["read_hits"].inc()
+        return value
 
     def scan(self, start: Optional[bytes] = None,
              end: Optional[bytes] = None,
@@ -1183,36 +1231,29 @@ class LsmDB:
         """Range scan over live user keys in ``[start, end)``.
 
         With ``snapshot``, entries newer than the snapshot's sequence are
-        invisible.
+        invisible.  Like :meth:`get` it takes no lock; the generator
+        keeps its read view — memtables and tables — alive until it is
+        exhausted or dropped, whatever flushes and compactions do
+        meanwhile.
         """
         self._check_open()
         if snapshot is not None:
             snapshot._check_owner(self)
         lookup = (encode_internal_key(start, MAX_SEQUENCE, 0x1)
                   if start is not None else None)
-
-        with self._mutex:
-            visible_sequence = (snapshot.sequence if snapshot is not None
-                                else self.versions.last_sequence)
-            # Memtables iterate lazily beside writers: the skiplist is
-            # insert-only and links a node only after its own pointers
-            # are set, and the sequence filter below hides anything
-            # committed after this point.
-            sources = [mem.iter_from(lookup)
-                       for mem in (self._mem, self._imm) if mem is not None]
-            for level in range(NUM_LEVELS):
-                files = self.versions.current.files[level]
-                if level == 0:
-                    ordered = sorted(files, key=lambda f: f.number,
-                                     reverse=True)
-                else:
-                    ordered = files
-                for meta in ordered:
-                    reader = self._open_reader_locked(meta)
-                    if lookup is not None:
-                        sources.append(reader.iter_from(lookup))
-                    else:
-                        sources.append(iter(reader))
+        view = self._view  # before the sequence: see _get
+        visible_sequence = (snapshot.sequence if snapshot is not None
+                            else self.versions.last_sequence)
+        # Memtables iterate lazily beside writers: the skiplist is
+        # insert-only and links a node only after its own pointers are
+        # set, and the sequence filter below hides anything committed
+        # after this point.
+        sources = [mem.iter_from(lookup)
+                   for mem in (view.mem, view.imm) if mem is not None]
+        for meta in view.version.files_in_range(start, end):
+            reader = view.tables[meta.number]
+            sources.append(reader.iter_from(lookup) if lookup is not None
+                           else iter(reader))
         user_cmp = self.options.comparator.compare
         last_user: Optional[bytes] = None
         for internal_key, value in merging_iterator(sources, self.icmp.compare):

@@ -10,6 +10,7 @@ needs no out-of-band metadata.
 from __future__ import annotations
 
 import math
+import struct
 from typing import Iterable
 
 _SEED = 0xBC9F1D34
@@ -20,13 +21,9 @@ _U32 = 0xFFFFFFFF
 def _leveldb_hash(data: bytes, seed: int = _SEED) -> int:
     """LevelDB's ``util/hash.cc`` — a Murmur-like 32-bit hash."""
     h = (seed ^ (len(data) * _MULT)) & _U32
-    pos = 0
-    limit = len(data) - len(data) % 4
-    while pos < limit:
-        word = int.from_bytes(data[pos:pos + 4], "little")
-        pos += 4
-        h = (h + word) & _U32
-        h = (h * _MULT) & _U32
+    pos = len(data) - len(data) % 4
+    for word in struct.unpack_from(f"<{pos // 4}I", data):
+        h = ((h + word) * _MULT) & _U32
         h ^= h >> 16
     rest = len(data) - pos
     if rest == 3:
@@ -72,9 +69,14 @@ class BloomFilterPolicy:
         array.append(self._k)
         return bytes(array)
 
+    #: The one hash a lookup needs: compute it once per key, then probe
+    #: every table's filter with :meth:`hash_may_match`.
+    hash_key = staticmethod(_leveldb_hash)
+
     @staticmethod
-    def key_may_match(key: bytes, filter_data: bytes) -> bool:
-        """Probe; ``True`` may be a false positive, ``False`` is definitive."""
+    def hash_may_match(h: int, filter_data: bytes) -> bool:
+        """Probe with ``h = hash_key(key)``; ``True`` may be a false
+        positive, ``False`` is definitive."""
         if len(filter_data) < 2:
             return False
         k = filter_data[-1]
@@ -82,7 +84,6 @@ class BloomFilterPolicy:
             # Reserved for future encodings; err on returning true.
             return True
         bits = (len(filter_data) - 1) * 8
-        h = _leveldb_hash(key)
         delta = ((h >> 17) | (h << 15)) & _U32
         for _ in range(k):
             bit = h % bits
@@ -90,3 +91,9 @@ class BloomFilterPolicy:
                 return False
             h = (h + delta) & _U32
         return True
+
+    @staticmethod
+    def key_may_match(key: bytes, filter_data: bytes) -> bool:
+        """``hash_may_match(hash_key(key), filter_data)``."""
+        return BloomFilterPolicy.hash_may_match(_leveldb_hash(key),
+                                                filter_data)

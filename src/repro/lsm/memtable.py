@@ -17,11 +17,12 @@ from typing import Iterator, Optional
 
 from repro.errors import NotFoundError
 from repro.lsm.internal import (
+    MARK_FIELDS_SIZE,
     TYPE_DELETION,
     TYPE_VALUE,
     InternalKeyComparator,
     encode_internal_key,
-    extract_user_key,
+    make_lookup_key,
     parse_internal_key,
 )
 from repro.lsm.skiplist import SkipList
@@ -70,29 +71,31 @@ class MemTable:
     def delete(self, sequence: int, user_key: bytes) -> None:
         self.add(sequence, TYPE_DELETION, user_key, b"")
 
-    def get(self, user_key: bytes, sequence: int) -> Optional[bytes]:
+    def get(self, user_key: bytes, sequence: int,
+            lookup: Optional[bytes] = None) -> Optional[bytes]:
         """Newest value of ``user_key`` visible at snapshot ``sequence``.
 
         Returns the value, raises :class:`NotFoundError` if a deletion
         tombstone is the newest entry, or returns ``None`` when the key is
         absent from this memtable (the caller falls through to SSTables).
+        ``lookup`` is ``make_lookup_key(user_key, sequence)`` when the
+        caller already has it.
         """
-        lookup = encode_internal_key(user_key, sequence, TYPE_VALUE)
-        probe = encode_varint32(len(lookup)) + lookup
-        for entry in self._table.iter_from(probe):
-            internal_key, pos = get_length_prefixed_slice(entry, 0)
-            if extract_user_key(internal_key) != user_key:
-                return None
-            parsed = parse_internal_key(internal_key)
-            if parsed.sequence > sequence:
-                # Entry newer than the snapshot (possible when iter_from
-                # lands mid-run); keep scanning.
-                continue
-            if parsed.is_deletion:
-                raise NotFoundError(user_key)
-            value, _ = get_length_prefixed_slice(entry, pos)
-            return value
-        return None
+        if lookup is None:
+            lookup = make_lookup_key(user_key, sequence)
+        # One seek: the first entry at or after the lookup key is the
+        # newest version of ``user_key`` at or below ``sequence``, or
+        # belongs to another key.
+        entry = self._table.seek(encode_varint32(len(lookup)) + lookup)
+        if entry is None:
+            return None
+        internal_key, pos = get_length_prefixed_slice(entry, 0)
+        if internal_key[:-MARK_FIELDS_SIZE] != user_key:
+            return None
+        if parse_internal_key(internal_key).is_deletion:
+            raise NotFoundError(user_key)
+        value, _ = get_length_prefixed_slice(entry, pos)
+        return value
 
     def __iter__(self) -> Iterator[tuple[bytes, bytes]]:
         """Yield ``(internal_key, value)`` in internal-key order."""

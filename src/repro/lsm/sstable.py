@@ -235,6 +235,13 @@ class TableReader:
     """Random and sequential access over an SSTable image.
 
     ``file_number`` namespaces entries in the shared block cache.
+
+    Immutable once constructed and safe to share between threads: the
+    index and filter are decoded (and checksummed) here, data blocks come
+    out of ``data`` on demand, and the ``Env`` is never touched — which is
+    why :class:`repro.lsm.db.LsmDB` may delete a compacted-away file while
+    readers still hold its table.  A reader that fetches blocks from the
+    file instead (pread) must defer that deletion to the last unref.
     """
 
     def __init__(self, data: bytes, comparator: Comparator,
@@ -289,41 +296,44 @@ class TableReader:
             self._cache.put(cache_key, contents)
         return contents
 
-    def key_may_match(self, user_key: bytes) -> bool:
-        """Bloom-filter probe; True can be a false positive."""
+    def key_may_match(self, user_key: bytes,
+                      key_hash: Optional[int] = None) -> bool:
+        """Bloom-filter probe; True can be a false positive.  A caller
+        probing several tables for one key passes
+        ``BloomFilterPolicy.hash_key(user_key)`` and pays for it once."""
         if self._filter_data is None:
             return True
-        return BloomFilterPolicy.key_may_match(user_key, self._filter_data)
+        if key_hash is None:
+            key_hash = BloomFilterPolicy.hash_key(user_key)
+        return BloomFilterPolicy.hash_may_match(key_hash, self._filter_data)
+
+    def _block(self, handle_bytes: bytes) -> Block:
+        """The data block an index entry's value points at."""
+        handle, _ = BlockHandle.decode(handle_bytes, 0)
+        return Block(self._block_contents(handle))
 
     def get(self, target: bytes) -> Optional[tuple[bytes, bytes]]:
         """First entry with internal key >= ``target``, or ``None``."""
         index_entry = self._index_block.seek(target, self._comparator)
         if index_entry is None:
             return None
-        handle, _ = BlockHandle.decode(index_entry[1], 0)
-        block = Block(self._block_contents(handle))
-        return block.seek(target, self._comparator)
+        return self._block(index_entry[1]).seek(target, self._comparator)
 
     def __iter__(self) -> Iterator[tuple[bytes, bytes]]:
         """Yield every (internal key, value) in order."""
         for _, handle_bytes in self._index_block:
-            handle, _ = BlockHandle.decode(handle_bytes, 0)
-            block = Block(self._block_contents(handle))
-            yield from block
+            yield from self._block(handle_bytes)
 
     def iter_from(self, target: bytes) -> Iterator[tuple[bytes, bytes]]:
-        """Yield entries with internal key >= ``target`` in order."""
-        started = False
-        for index_key, handle_bytes in self._index_block:
-            if not started and self._comparator.compare(index_key, target) < 0:
-                continue
-            handle, _ = BlockHandle.decode(handle_bytes, 0)
-            block = Block(self._block_contents(handle))
-            if not started:
-                yield from block.iter_from(target, self._comparator)
-                started = True
-            else:
-                yield from block
+        """Yield entries with internal key >= ``target`` in order: seek
+        the index, start inside the first block at or after ``target``."""
+        index = self._index_block.iter_from(target, self._comparator)
+        for _, handle_bytes in index:
+            yield from self._block(handle_bytes).iter_from(
+                target, self._comparator)
+            break
+        for _, handle_bytes in index:
+            yield from self._block(handle_bytes)
 
     def index_entries(self) -> list[tuple[bytes, BlockHandle]]:
         """Decoded index block — used by the FPGA host marshaller."""

@@ -14,7 +14,9 @@ numbers, and picks the next compaction the way LevelDB v1.1 does:
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
+from functools import cmp_to_key
 from typing import Optional
 
 from repro.errors import InvalidArgumentError
@@ -32,6 +34,7 @@ from repro.util.coding import (
     get_length_prefixed_slice,
     put_length_prefixed_slice,
 )
+from repro.util.comparator import BytewiseComparator
 
 
 @dataclass(frozen=True)
@@ -62,13 +65,23 @@ class VersionEdit:
 
 
 class Version:
-    """Immutable snapshot of the level structure."""
+    """Immutable snapshot of the level structure: level 0 in file-number
+    order, every deeper level sorted by smallest key and disjoint (what
+    :meth:`VersionSet.apply` installs).  Lookups go through a search
+    index built from those lists on first use — safe without a lock,
+    because racing builders compute the same value."""
 
     def __init__(self, comparator: InternalKeyComparator,
                  files: Optional[list[list[FileMetaData]]] = None):
         self.comparator = comparator
         self.files: list[list[FileMetaData]] = (
             files if files is not None else [[] for _ in range(NUM_LEVELS)])
+        #: User keys order exactly as ``bytes`` do (the test
+        #: ``InternalKeyComparator`` makes for its own fast path), so the
+        #: index may be searched with native comparison and ``bisect``.
+        self._bytewise = (type(comparator.user_comparator)
+                          is BytewiseComparator)
+        self._index: Optional[tuple] = None
 
     def num_files(self, level: int) -> int:
         return len(self.files[level])
@@ -147,24 +160,71 @@ class Version:
                     total += meta.file_size // 2
         return total
 
+    def _build_index(self) -> tuple:
+        """Set and return ``_index = (level0, deeper)``: level 0
+        newest-first as ``(smallest, largest, (0, file))`` with user keys,
+        and for every non-empty deeper level ``(largest user keys,
+        smallest user keys, (level, file) pairs)``."""
+        # Newer L0 files have larger file numbers.
+        level0 = [(*f.user_range(), (0, f)) for f in sorted(
+            self.files[0], key=lambda f: f.number, reverse=True)]
+        deeper = []
+        for level in range(1, NUM_LEVELS):
+            files = self.files[level]
+            if files:
+                smallests, largests = zip(*(f.user_range() for f in files))
+                deeper.append((largests, smallests,
+                               [(level, f) for f in files]))
+        self._index = (level0, deeper)
+        return self._index
+
+    def _first_reaching(self, largests: tuple, user_key: bytes) -> int:
+        """Index of the first file of a sorted level whose largest user
+        key is >= ``user_key`` (``len(largests)`` when none is)."""
+        if self._bytewise:
+            return bisect_left(largests, user_key)
+        order = cmp_to_key(self.comparator.user_comparator.compare)
+        return bisect_left(largests, order(user_key), key=order)
+
     def files_for_key(self, user_key: bytes) -> list[tuple[int, FileMetaData]]:
         """(level, file) pairs possibly containing ``user_key``, in
-        newest-first search order: L0 newest→oldest, then deeper levels."""
-        user_cmp = self.comparator.user_comparator
-        result: list[tuple[int, FileMetaData]] = []
-        level0 = [f for f in self.files[0]
-                  if user_cmp.compare(f.user_range()[0], user_key) <= 0
-                  and user_cmp.compare(user_key, f.user_range()[1]) <= 0]
-        # Newer L0 files have larger file numbers.
-        level0.sort(key=lambda f: f.number, reverse=True)
-        result.extend((0, f) for f in level0)
-        for level in range(1, NUM_LEVELS):
-            for meta in self.files[level]:
-                small, large = meta.user_range()
-                if (user_cmp.compare(small, user_key) <= 0
-                        and user_cmp.compare(user_key, large) <= 0):
-                    result.append((level, meta))
-                    break  # levels >= 1 are disjoint: at most one file
+        newest-first search order: L0 newest→oldest, then deeper levels
+        (disjoint: at most one file each, found by binary search)."""
+        if not self._bytewise:
+            return self._overlapping(user_key, user_key, closed=True)
+        level0, deeper = self._index or self._build_index()
+        result = [hit for small, large, hit in level0
+                  if small <= user_key <= large]
+        for largests, smallests, hits in deeper:
+            i = bisect_left(largests, user_key)
+            if i < len(hits) and smallests[i] <= user_key:
+                result.append(hits[i])
+        return result
+
+    def files_in_range(self, start: Optional[bytes],
+                       end: Optional[bytes]) -> list[FileMetaData]:
+        """Files that may hold a user key in ``[start, end)`` (``None`` =
+        unbounded), in :meth:`files_for_key`'s order."""
+        return [f for _level, f in self._overlapping(start, end, closed=False)]
+
+    def _overlapping(self, start: Optional[bytes], end: Optional[bytes],
+                     closed: bool) -> list[tuple[int, FileMetaData]]:
+        """(level, file) pairs whose user range meets ``[start, end)`` —
+        ``[start, end]`` when ``closed`` — under any comparator."""
+        compare = self.comparator.user_comparator.compare
+        level0, deeper = self._index or self._build_index()
+        # A file lies past the range when compare(its smallest, end) is
+        # >= 0 — > 0 when ``end`` itself is included.
+        beyond = 1 if closed else 0
+        result = [hit for small, large, hit in level0
+                  if (start is None or compare(large, start) >= 0)
+                  and (end is None or compare(small, end) < beyond)]
+        for largests, smallests, hits in deeper:
+            i = 0 if start is None else self._first_reaching(largests, start)
+            while i < len(hits) and (
+                    end is None or compare(smallests[i], end) < beyond):
+                result.append(hits[i])
+                i += 1
         return result
 
 

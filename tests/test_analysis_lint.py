@@ -47,6 +47,7 @@ CORPUS_CASES = [
     ("corpus_unguarded_locked_call.py", "LD001"),
     ("corpus_guard_escape.py", "LD002"),
     ("corpus_blocking_under_mutex.py", "LD003"),
+    ("corpus_env_read_under_mutex.py", "LD003"),
     ("corpus_unknown_metric.py", "CT001"),
     ("corpus_unknown_event.py", "CT002"),
 ]

@@ -143,3 +143,89 @@ def test_seek_property(keys, probe):
         assert found is None
     else:
         assert found == (expected, b"v")
+
+
+# ----------------------------------------------------------------------
+# seek() is a direct loop: it must stay "the first item of iter_from()"
+# ----------------------------------------------------------------------
+
+def first_of_iter_from(block, probe):
+    return next(block.iter_from(probe, CMP), None)
+
+
+VALUE_LENGTHS = st.sampled_from([0, 1, 127, 128, 300, 16_383, 16_384])
+IMAGE_TYPES = st.sampled_from([bytes, bytearray, memoryview])
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sets(st.binary(min_size=0, max_size=12), min_size=1, max_size=40),
+       st.data(), st.sampled_from([1, 2, 16]), IMAGE_TYPES)
+def test_seek_is_first_of_iter_from(keys, data, restart_interval, image_type):
+    ordered = sorted(keys)
+    # Long values are drawn sparingly: one 16 KiB value per block is
+    # enough to cross the two- and three-byte varint boundaries.
+    lengths = [data.draw(VALUE_LENGTHS) if i % 7 == 0 else (i % 3) * 64
+               for i in range(len(ordered))]
+    entries = [(k, bytes([i % 251]) * n)
+               for i, (k, n) in enumerate(zip(ordered, lengths))]
+    builder = BlockBuilder(restart_interval)
+    for key, value in entries:
+        builder.add(key, value)
+    block = Block(image_type(builder.finish()))
+    assert list(block) == entries
+    probes = set(keys) | {b"", b"\xff" * 13}
+    probes |= {k + b"\x00" for k in keys} | {k[:-1] for k in keys if k}
+    for probe in probes:
+        found = block.seek(probe, CMP)
+        assert found == first_of_iter_from(block, probe)
+        assert found == next(((k, v) for k, v in entries if k >= probe),
+                             None)
+        if found is not None:
+            assert type(found[0]) is bytes and type(found[1]) is bytes
+
+
+def _image(entries: bytes, restarts) -> bytes:
+    import struct
+    return entries + struct.pack(f"<{len(restarts) + 1}I", *restarts,
+                                 len(restarts))
+
+
+def _entry(shared: int, key_delta: bytes, value: bytes) -> bytes:
+    return bytes([shared, len(key_delta), len(value)]) + key_delta + value
+
+
+class TestMalformedSeek:
+    """Images a builder never writes: seek() raises what iter_from()
+    raises on them."""
+
+    CASES = {
+        # The second entry claims 40 value bytes; the block holds 2.
+        "entry overruns the restart array": (
+            _image(_entry(0, b"a", b"1") + bytes([1, 1, 40]) + b"bxx", [0]),
+            b"ab"),
+        # The last entry's value length is a varint that never ends.
+        "truncated entry": (
+            _image(_entry(0, b"a", b"1") + bytes([0, 1]) + b"\x80" * 5,
+                   [0]),
+            b"b"),
+        # shared = 5 after a one-byte key.
+        "shared prefix longer than the previous key": (
+            _image(_entry(0, b"a", b"1") + _entry(5, b"b", b"2"), [0]),
+            b"b"),
+        # The second restart point lands on an entry with shared = 1.
+        "restart entry with shared bytes": (
+            _image(_entry(0, b"a", b"1") + _entry(1, b"b", b"2")
+                   + _entry(0, b"c", b"3"), [0, 5, 10]),
+            b"c"),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    @pytest.mark.parametrize("image_type", [bytes, bytearray, memoryview])
+    def test_seek_raises_like_iter_from(self, name, image_type):
+        image, probe = self.CASES[name]
+        block = Block(image_type(image))
+        with pytest.raises(CorruptionError) as from_iter:
+            first_of_iter_from(block, probe)
+        with pytest.raises(CorruptionError) as from_seek:
+            block.seek(probe, CMP)
+        assert str(from_seek.value) == str(from_iter.value)

@@ -2,6 +2,7 @@
 
 import errno
 import random
+import threading
 
 import pytest
 
@@ -158,6 +159,48 @@ class TestFlushFailure:
         db.flush()
         assert db.get(b"before") == b"1"
         assert db.get(b"after") == b"2"
+
+    def test_reader_sees_every_write_across_failing_flushes(self, options):
+        """A reader running throughout: the view published at the swap,
+        the one a failed flush republishes and the retry's each hold
+        every committed write."""
+        env = FlakyEnv()
+        db = LsmDB("flaky4", options, env=env, auto_compact=False)
+        committed = [0]
+        stop = threading.Event()
+        errors = []
+
+        def key(i):
+            return f"k{i:04d}".encode()
+
+        def reader():
+            try:
+                while not stop.is_set():
+                    count = committed[0]
+                    for i in range(0, count, 7):
+                        assert db.get(key(i)) == b"v" * 64
+                    assert len(list(db.scan())) >= count
+            except BaseException as error:  # noqa: BLE001
+                errors.append(error)
+
+        thread = threading.Thread(target=reader)
+        thread.start()
+        try:
+            for _ in range(6):
+                for _ in range(40):
+                    db.put(key(committed[0]), b"v" * 64)
+                    committed[0] += 1
+                env.fail_next = 1
+                with pytest.raises(OSError):
+                    db.flush()
+                assert db.get(key(committed[0] - 1)) == b"v" * 64
+            db.flush()
+        finally:
+            stop.set()
+            thread.join(timeout=30)
+        assert not thread.is_alive() and errors == []
+        assert db.versions.current.num_files(0) == 1
+        assert len(dict(db.scan())) == committed[0] == 240
 
     def test_partial_table_file_removed(self, options):
         env = FlakyEnv()

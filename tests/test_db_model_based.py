@@ -1,6 +1,8 @@
 """Model-based test: LsmDB must behave exactly like a dict under any
 interleaving of puts, deletes, gets, scans, flushes, compactions and
-reopens — with either the CPU or the FPGA compaction executor."""
+reopens — with either the CPU or the FPGA compaction executor — and a
+scan left suspended across any of them still yields the snapshot it
+started from."""
 
 import pytest
 from hypothesis import settings
@@ -8,6 +10,7 @@ from hypothesis.stateful import (
     RuleBasedStateMachine,
     initialize,
     invariant,
+    precondition,
     rule,
 )
 from hypothesis import strategies as st
@@ -37,6 +40,7 @@ class DbMachine(RuleBasedStateMachine):
         self.options = _options()
         self.env = MemEnv()
         self.model: dict[bytes, bytes] = {}
+        self.iterator = None
         self._open()
 
     def _executor(self):
@@ -80,11 +84,29 @@ class DbMachine(RuleBasedStateMachine):
         self.db.close()
         self._open()
 
+    @precondition(lambda self: self.iterator is None and self.model)
+    @rule()
+    def open_iterator(self):
+        """Start a scan and leave it suspended: whatever the later rules
+        flush, compact away (deleting the files it reads) or reopen, it
+        must go on to yield the snapshot it started from."""
+        self.iterator = self.db.scan()
+        self.snapshot = sorted(self.model.items())
+        assert next(self.iterator) == self.snapshot[0]
+
+    @precondition(lambda self: self.iterator is not None)
+    @rule()
+    def drain_iterator(self):
+        assert list(self.iterator) == self.snapshot[1:]
+        self.iterator = None
+
     @invariant()
     def scan_matches_model(self):
         assert dict(self.db.scan()) == self.model
 
     def teardown(self):
+        if self.iterator is not None:
+            self.drain_iterator()
         self.db.close()
 
 

@@ -21,6 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.lsm.block import Block, BlockBuilder
+from repro.lsm.filter import BloomFilterPolicy
 from repro.lsm.internal import (
     InternalKeyComparator,
     TYPE_VALUE,
@@ -211,3 +212,44 @@ class TestSstableRoundTrip:
         image = build_table_image(entries, options, ICMP)
         for buf in kinds_of(image):
             assert list(TableReader(buf, ICMP, options)) == entries
+
+
+# ----------------------------------------------------------------------
+# Bloom probe split: one hash per lookup, many filters probed with it
+# ----------------------------------------------------------------------
+
+class TestBloomHashSplit:
+    #: Keys of every length 0-9 (all four tail cases of the hash, with
+    #: and without whole words before them), some in the filter.
+    KEYS = [bytes(range(65, 65 + n)) for n in range(10)] + [
+        bytes([n]) * n for n in range(10)]
+
+    @pytest.mark.parametrize("bits_per_key", [1, 4, 10, 20, 43, 60])
+    def test_hash_then_probe_equals_key_probe(self, bits_per_key):
+        policy = BloomFilterPolicy(bits_per_key)
+        filters = [policy.create_filter(self.KEYS[:cut])
+                   for cut in (0, 1, 7, len(self.KEYS))]
+        # A filter whose trailing byte says k > 30 is a reserved
+        # encoding: every probe answers "maybe"; a stub answers "no".
+        filters += [filters[-1][:-1] + b"\x1f", b"\x06", b""]
+        for data in filters:
+            for key in self.KEYS:
+                assert (BloomFilterPolicy.hash_may_match(
+                            BloomFilterPolicy.hash_key(key), data)
+                        == BloomFilterPolicy.key_may_match(key, data))
+        full = filters[3]
+        assert all(BloomFilterPolicy.key_may_match(k, full)
+                   for k in self.KEYS)
+
+    def test_table_reader_takes_the_precomputed_hash(self):
+        entries = [(encode_internal_key(b"k%04d" % i, i + 1, TYPE_VALUE),
+                    b"v") for i in range(0, 400, 2)]
+        reader = TableReader(
+            build_table_image(entries, Options(bloom_bits_per_key=10), ICMP),
+            ICMP, Options())
+        for i in range(400):
+            key = b"k%04d" % i
+            assert (reader.key_may_match(key, BloomFilterPolicy.hash_key(key))
+                    == reader.key_may_match(key))
+            if i % 2 == 0:
+                assert reader.key_may_match(key)

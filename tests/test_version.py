@@ -1,6 +1,10 @@
 """Version set: level bookkeeping, overlap queries, compaction picking."""
 
+import functools
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import InvalidArgumentError
 from repro.lsm.internal import (
@@ -8,9 +12,14 @@ from repro.lsm.internal import (
     TYPE_VALUE,
     encode_internal_key,
 )
-from repro.lsm.options import L0_COMPACTION_TRIGGER, Options
-from repro.lsm.version import FileMetaData, VersionEdit, VersionSet
-from repro.util.comparator import BytewiseComparator
+from repro.lsm.options import L0_COMPACTION_TRIGGER, NUM_LEVELS, Options
+from repro.lsm.version import (
+    FileMetaData,
+    Version,
+    VersionEdit,
+    VersionSet,
+)
+from repro.util.comparator import BytewiseComparator, Comparator
 
 
 def ikey(user: bytes, seq: int = 1) -> bytes:
@@ -169,3 +178,124 @@ class TestPicking:
         spec2 = versions.pick_compaction()
         assert spec2 is not None
         assert not versions.is_bottommost_level_for(spec2)
+
+
+# ----------------------------------------------------------------------
+# files_for_key / files_in_range against the linear scans they replaced
+# ----------------------------------------------------------------------
+
+class ReverseComparator(Comparator):
+    """Bytewise order, reversed: exercises the comparator-driven index."""
+
+    @property
+    def name(self) -> str:
+        return "test.ReverseComparator"
+
+    def compare(self, a: bytes, b: bytes) -> int:
+        return (a < b) - (a > b)
+
+
+def linear_files_for_key(version, user_key):
+    """``Version.files_for_key`` as it was before the search index: the
+    oracle, kept here only."""
+    user_cmp = version.comparator.user_comparator
+    level0 = [f for f in version.files[0]
+              if user_cmp.compare(f.user_range()[0], user_key) <= 0
+              and user_cmp.compare(user_key, f.user_range()[1]) <= 0]
+    level0.sort(key=lambda f: f.number, reverse=True)
+    result = [(0, f) for f in level0]
+    for level in range(1, NUM_LEVELS):
+        for candidate in version.files[level]:
+            small, large = candidate.user_range()
+            if (user_cmp.compare(small, user_key) <= 0
+                    and user_cmp.compare(user_key, large) <= 0):
+                result.append((level, candidate))
+                break
+    return result
+
+
+def linear_files_in_range(version, start, end):
+    """Every file whose user range meets ``[start, end)``, in the order
+    ``LsmDB.scan`` used to open them."""
+    user_cmp = version.comparator.user_comparator.compare
+    result = []
+    for level, files in enumerate(version.files):
+        if level == 0:
+            files = sorted(files, key=lambda f: f.number, reverse=True)
+        for candidate in files:
+            small, large = candidate.user_range()
+            if start is not None and user_cmp(large, start) < 0:
+                continue
+            if end is not None and user_cmp(small, end) >= 0:
+                continue
+            result.append(candidate)
+    return result
+
+
+USER_KEYS = st.binary(min_size=0, max_size=3)
+
+
+@st.composite
+def layouts(draw):
+    """(comparator, files per level, probe keys): overlapping L0 files,
+    sorted disjoint deeper levels, and probes that include every
+    boundary plus random keys below, between and above them."""
+    user_cmp = draw(st.sampled_from([BytewiseComparator(),
+                                     ReverseComparator()]))
+    order = functools.cmp_to_key(user_cmp.compare)
+    number = iter(range(1, 1000))
+    files = [[] for _ in range(NUM_LEVELS)]
+    bounds = set()
+    for _ in range(draw(st.integers(0, 4))):
+        small, large = sorted(draw(st.tuples(USER_KEYS, USER_KEYS)),
+                              key=order)
+        files[0].append(meta(next(number), small, large))
+        bounds.update((small, large))
+    for level in range(1, draw(st.integers(1, 4))):
+        cuts = sorted(draw(st.sets(USER_KEYS, max_size=8)), key=order)
+        cuts = cuts[:len(cuts) - len(cuts) % 2]
+        widths = draw(st.lists(st.booleans(), min_size=len(cuts) // 2,
+                               max_size=len(cuts) // 2))
+        for i, single in zip(range(0, len(cuts), 2), widths):
+            # Some files hold one key: smallest == largest.
+            small, large = cuts[i], cuts[i] if single else cuts[i + 1]
+            files[level].append(meta(next(number), small, large))
+            bounds.update((small, large))
+    probes = sorted(bounds | draw(st.sets(USER_KEYS, max_size=6)),
+                    key=order)
+    return user_cmp, files, probes
+
+
+class TestSearchIndex:
+    @settings(max_examples=150, deadline=None)
+    @given(layouts())
+    def test_files_for_key_matches_linear_scan(self, layout):
+        user_cmp, files, probes = layout
+        version = Version(InternalKeyComparator(user_cmp), files)
+        for probe in probes:
+            assert (version.files_for_key(probe)
+                    == linear_files_for_key(version, probe))
+
+    @settings(max_examples=100, deadline=None)
+    @given(layouts())
+    def test_files_in_range_matches_linear_scan(self, layout):
+        user_cmp, files, probes = layout
+        version = Version(InternalKeyComparator(user_cmp), files)
+        for start in [None] + probes:
+            for end in [None] + probes:
+                assert (version.files_in_range(start, end)
+                        == linear_files_in_range(version, start, end))
+
+    def test_index_built_once_per_version(self, versions):
+        edit = VersionEdit()
+        edit.add_file(1, meta(1, b"a", b"m"))
+        versions.apply(edit)
+        version = versions.current
+        version.files_for_key(b"b")
+        index = version._index
+        version.files_for_key(b"q")
+        version.files_in_range(None, None)
+        assert version._index is index
+        edit = VersionEdit()
+        edit.add_file(1, meta(2, b"n", b"z"))
+        assert versions.apply(edit)._index is None
