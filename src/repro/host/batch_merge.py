@@ -6,9 +6,10 @@ input entries into contiguous arrays, compute the merge order and the
 validity of every entry at once with data-parallel primitives, then bulk
 re-encode the survivors.  This module is that engine on numpy:
 
-1. **Bulk decode** — walk each input table's index block, checksum every
-   data block in one :func:`repro.util.crc32c.crc32c_many` call, and
-   materialize (internal key, value) lists per the normal block codec.
+1. **Bulk decode** — walk each input table's index block, read every
+   data block through the reader's own routine (bounds, checksum under
+   ``paranoid_checks``, decompression) and materialize (internal key,
+   value) lists per the normal block codec.
 2. **Vectorized merge** — pad the user keys into one ``(n, W)`` byte
    matrix viewed as big-endian u64 columns; ``np.lexsort`` over (key
    columns, key length, inverted trailer) yields exactly the internal-key
@@ -16,9 +17,7 @@ re-encode the survivors.  This module is that engine on numpy:
    tombstones are rows whose trailer type byte is ``TYPE_DELETION`` —
    both reduce to boolean masks (LUDA's validity check).
 3. **Bulk encode** — replay the survivors through the standard
-   :class:`~repro.lsm.sstable.TableBuilder` cut rules with the block
-   trailer CRCs deferred, then batch-fill every CRC at the end (block
-   offsets never depend on checksum values).
+   :class:`~repro.lsm.sstable.TableBuilder`.
 
 The output is byte-identical to :func:`repro.lsm.compaction.compact`
 over the same tables — the equality suite in ``tests/test_accelerator.py``
@@ -35,64 +34,19 @@ from __future__ import annotations
 
 from repro.errors import CorruptionError, InvalidArgumentError
 from repro.lsm.block import Block
-from repro.lsm.compaction import (
-    CompactionStats,
-    _BufferFile,
-    build_output_tables,
-)
+from repro.lsm.compaction import CompactionStats, build_output_tables
 from repro.lsm.internal import (
     InternalKeyComparator,
     MARK_FIELDS_SIZE,
     TYPE_DELETION,
 )
 from repro.lsm.options import Options
-from repro.lsm.sstable import TableBuilder, _read_block
-from repro.util.coding import decode_fixed32, encode_fixed32
-from repro.util.crc32c import crc32c_many, mask_crc, unmask_crc
+from repro.lsm.sstable import _read_block
 
 try:
     import numpy as _np
 except ImportError:  # pragma: no cover - numpy is present in CI
     _np = None
-
-
-class _DeferredCrcTableBuilder(TableBuilder):
-    """A :class:`TableBuilder` that writes zeroed block-trailer CRCs and
-    fills them for a whole compaction in one :func:`crc32c_many` pass
-    (block offsets never depend on checksum values).
-
-    Every other byte of the image — compression decision, handles,
-    separators, footer — is produced by the inherited logic, so the
-    sealed image is byte-identical to the standard builder's.
-    """
-
-    def __init__(self, options: Options, dest: _BufferFile,
-                 comparator) -> None:
-        super().__init__(options, dest, comparator)
-        #: (payload offset, payload length including the type byte)
-        self.deferred_crcs: list[tuple[int, int]] = []
-
-    def _trailer_crc(self, payload: bytes, block_type: int) -> bytes:
-        self.deferred_crcs.append((self._offset, len(payload) + 1))
-        return b"\x00\x00\x00\x00"
-
-    @staticmethod
-    def seal(builders: "list[_DeferredCrcTableBuilder]") -> None:
-        """Batch-compute and patch every deferred trailer CRC."""
-        regions = []
-        for builder in builders:
-            view = memoryview(builder._dest.data)
-            regions.extend(view[offset:offset + length]
-                           for offset, length in builder.deferred_crcs)
-        crcs = crc32c_many(regions)
-        del regions  # release memoryviews before mutating the bytearrays
-        pos = 0
-        for builder in builders:
-            data = builder._dest.data
-            for offset, length in builder.deferred_crcs:
-                data[offset + length:offset + length + 4] = encode_fixed32(
-                    mask_crc(crcs[pos]))
-                pos += 1
 
 
 class BatchMergeEngine:
@@ -138,43 +92,24 @@ class BatchMergeEngine:
         stats.output_pairs = len(survivors)
         stats.input_bytes = sum(map(len, keys)) + sum(map(len, values))
         picks = survivors.tolist()  # plain ints index lists fastest
-        # Bulk encode: the standard cut rules, block CRCs batch-filled.
         stats.outputs = build_output_tables(
             ((keys[i], values[i]) for i in picks), self.options,
-            self.comparator, _DeferredCrcTableBuilder)
+            self.comparator)
         stats.output_bytes = sum(
             len(keys[i]) + len(values[i]) for i in picks)
         return stats
 
     def _bulk_decode(self, tables: list) -> tuple[list, list]:
-        """Decode every entry of every table; checksums are verified for
-        all blocks in one batched CRC pass."""
-        contents: list = []
-        pending_crc: list = []  # (region, stored crc)
-        for table in tables:
-            data = table.image
-            view = memoryview(data)
-            for _, handle in table.index_entries():
-                # Bounds-checked and decoded by the reader's own routine;
-                # its per-block CRC is off because ours is batched below.
-                contents.append(_read_block(data, handle, verify=False))
-                if self.options.paranoid_checks:
-                    stored = unmask_crc(decode_fixed32(
-                        data, handle.offset + handle.size + 1))
-                    pending_crc.append((view[
-                        handle.offset:handle.offset + handle.size + 1],
-                        stored))
-        if pending_crc:
-            checked = crc32c_many([region for region, _ in pending_crc])
-            for computed, (_, stored) in zip(checked, pending_crc):
-                if computed != stored:
-                    raise CorruptionError("block checksum mismatch")
+        """Decode every entry of every table."""
         keys: list = []
         values: list = []
-        for image in contents:
-            for key, value in Block(image):
-                keys.append(key)
-                values.append(value)
+        for table in tables:
+            data = table.image
+            for _, handle in table.index_entries():
+                for key, value in Block(_read_block(
+                        data, handle, self.options.paranoid_checks)):
+                    keys.append(key)
+                    values.append(value)
         return keys, values
 
 

@@ -16,7 +16,6 @@ streams of (internal key, value) pairs sorted newest-source-first, it:
 from __future__ import annotations
 
 import struct
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
@@ -148,39 +147,33 @@ def merge_entries(sources: Iterable[Iterator[KVPair]],
 
 
 def build_output_tables(entries: Iterator[KVPair], options: Options,
-                        comparator: InternalKeyComparator,
-                        builder_class: type[TableBuilder] = TableBuilder
+                        comparator: InternalKeyComparator
                         ) -> list[OutputTable]:
     """Encode merged entries into >= 0 SSTable images, rolling over at
-    ``Options.sstable_size``.  ``builder_class`` writes them; its
-    ``seal`` sees all finished builders once before the images are read
-    (the batch backend fills every block checksum there in one pass)."""
-    finished: deque[tuple[_BufferFile, TableBuilder]] = deque()
+    ``Options.sstable_size``."""
+    outputs: list[OutputTable] = []
     builder: TableBuilder | None = None
     for internal_key, value in entries:
         if builder is None:
             dest = _BufferFile()
-            builder = builder_class(options, dest, comparator)
-            finished.append((dest, builder))
+            builder = TableBuilder(options, dest, comparator)
         builder.add(internal_key, value)
         if builder.file_size >= options.sstable_size:
-            builder.finish()
+            outputs.append(_finish_table(builder, dest))
             builder = None
     if builder is not None:
-        builder.finish()
-    builder_class.seal([built for _, built in finished])
-    outputs: list[OutputTable] = []
-    # Popped, so each buffer is freed once its bytes copy exists and the
-    # peak stays one table above the outputs themselves.
-    while finished:
-        dest, builder = finished.popleft()
-        outputs.append(OutputTable(
-            data=bytes(dest.data),
-            smallest=builder.smallest_key,
-            largest=builder.largest_key,
-            stats=builder.stats,
-        ))
+        outputs.append(_finish_table(builder, dest))
     return outputs
+
+
+def _finish_table(builder: TableBuilder, dest: _BufferFile) -> OutputTable:
+    table_stats = builder.finish()
+    return OutputTable(
+        data=bytes(dest.data),
+        smallest=builder.smallest_key,
+        largest=builder.largest_key,
+        stats=table_stats,
+    )
 
 
 def compact(sources: Iterable[Iterator[KVPair]], options: Options,

@@ -147,24 +147,12 @@ class TableBuilder:
         handle = BlockHandle(self._offset, len(payload))
         self._dest.append(payload)
         self._dest.append(bytes((block_type,)))
-        self._dest.append(self._trailer_crc(payload, block_type))
-        self._offset += len(payload) + BLOCK_TRAILER_SIZE
-        return handle
-
-    def _trailer_crc(self, payload: bytes, block_type: int) -> bytes:
-        """The four checksum bytes of the block about to land at
-        ``self._offset``: masked CRC32C over payload + type byte."""
         # Extend the payload CRC with the type byte instead of copying the
         # whole payload to concatenate one byte.
-        return encode_fixed32(
-            mask_crc(crc32c(bytes((block_type,)), crc32c(payload))))
-
-    @staticmethod
-    def seal(builders: "list[TableBuilder]") -> None:
-        """Called by :func:`repro.lsm.compaction.build_output_tables`
-        with every finished builder of one compaction, before their
-        images are read.  Trailers are complete here; a subclass whose
-        :meth:`_trailer_crc` defers them fills them in."""
+        self._dest.append(encode_fixed32(
+            mask_crc(crc32c(bytes((block_type,)), crc32c(payload)))))
+        self._offset += len(payload) + BLOCK_TRAILER_SIZE
+        return handle
 
     @property
     def file_size(self) -> int:
@@ -185,9 +173,6 @@ class TableBuilder:
         metaindex = BlockBuilder(1)
         if self._filter_policy is not None and self._filter_keys:
             filter_data = self._filter_policy.create_filter(self._filter_keys)
-            # A finished builder may be held until its compaction seals:
-            # it must not pin a copy of every user key meanwhile.
-            self._filter_keys = []
             filter_handle = self._write_block(filter_data)
             metaindex.add(f"filter.{self._filter_policy.name}".encode(),
                           filter_handle.encode())

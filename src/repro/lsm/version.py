@@ -234,7 +234,7 @@ class VersionSet:
     def __init__(self, options: Options, comparator: InternalKeyComparator):
         self.options = options
         self.comparator = comparator
-        self.current = Version(comparator)
+        self._install(Version(comparator))
         self._next_file_number = 1
         self.compact_pointer: list[bytes] = [b""] * NUM_LEVELS
         self.last_sequence = 0
@@ -265,8 +265,23 @@ class VersionSet:
                 key=lambda f: (f.smallest, f.number))
             self._check_disjoint(new_files[level], level)
         new_files[0].sort(key=lambda f: f.number)
-        version = Version(self.comparator, new_files)
+        return self._install(Version(self.comparator, new_files))
+
+    def _install(self, version: Version) -> Version:
+        """Make ``version`` current and score it: ``_score`` is the
+        (score, level) of its most urgent compaction, due when the score
+        is >= 1.  Versions are immutable, so it is computed here once,
+        not on every write's :meth:`needs_compaction`."""
+        best_score = version.num_files(0) / float(L0_COMPACTION_TRIGGER)
+        best_level = 0
+        for level in range(1, NUM_LEVELS - 1):
+            score = (version.level_bytes(level)
+                     / float(self.options.max_bytes_for_level(level)))
+            if score > best_score:
+                best_score = score
+                best_level = level
         self.current = version
+        self._score = (best_score, best_level)
         return version
 
     def encode_snapshot(self) -> bytes:
@@ -320,23 +335,8 @@ class VersionSet:
     # Compaction picking
     # ------------------------------------------------------------------
 
-    def compaction_score(self) -> tuple[float, int]:
-        """(score, level) of the most urgent compaction; score >= 1 means
-        a compaction is due."""
-        best_score = (self.current.num_files(0)
-                      / float(L0_COMPACTION_TRIGGER))
-        best_level = 0
-        for level in range(1, NUM_LEVELS - 1):
-            score = (self.current.level_bytes(level)
-                     / float(self.options.max_bytes_for_level(level)))
-            if score > best_score:
-                best_score = score
-                best_level = level
-        return best_score, best_level
-
     def needs_compaction(self) -> bool:
-        score, _ = self.compaction_score()
-        return score >= 1.0
+        return self._score[0] >= 1.0
 
     def pick_compaction(self, level: Optional[int] = None
                         ) -> Optional["CompactionSpec"]:
@@ -347,7 +347,7 @@ class VersionSet:
         the most urgent compaction elsewhere may not touch L0 at all).
         """
         if level is None:
-            score, level = self.compaction_score()
+            score, level = self._score
             if score < 1.0:
                 return None
             reason = "files" if level == 0 else "size"

@@ -27,9 +27,9 @@ FIRST = 2
 MIDDLE = 3
 LAST = 4
 
-# CRC of the type byte, pre-extended with payload, matching LevelDB which
-# checksums type || payload.
-_TYPE_NAMES = {FULL: "FULL", FIRST: "FIRST", MIDDLE: "MIDDLE", LAST: "LAST"}
+# A record's checksum covers type || payload (LevelDB's ``type_crc_``):
+# the CRC of each possible type byte, extended over the payload in place.
+_TYPE_CRC = tuple(crc32c(bytes([record_type])) for record_type in range(256))
 
 
 class LogWriter:
@@ -74,7 +74,7 @@ class LogWriter:
                 break
 
     def _emit(self, record_type: int, payload: bytes) -> None:
-        crc = mask_crc(crc32c(bytes([record_type]) + payload))
+        crc = mask_crc(crc32c(payload, _TYPE_CRC[record_type]))
         header = (encode_fixed32(crc)
                   + len(payload).to_bytes(2, "little")
                   + bytes([record_type]))
@@ -120,7 +120,7 @@ class LogReader:
                 self._fail("truncated record payload")
                 return
             payload = data[payload_start:payload_end]
-            if crc32c(bytes([record_type]) + payload) != stored_crc:
+            if crc32c(payload, _TYPE_CRC[record_type]) != stored_crc:
                 self._fail("bad record CRC")
                 return
             pos = payload_end

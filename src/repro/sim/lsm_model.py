@@ -68,6 +68,9 @@ class LsmShapeModel:
                  l0_survival: float = 0.92,
                  deep_survival: float = 0.98):
         self.options = options
+        #: Level byte budgets, index = level (0 unused: file-count limited).
+        self._budgets = [0] + [options.max_bytes_for_level(level)
+                               for level in range(1, NUM_LEVELS - 1)]
         self.l0_files = 0
         self.l0_bytes = 0
         self.level_bytes = [0] * NUM_LEVELS  # index 0 unused (l0_* above)
@@ -102,8 +105,7 @@ class LsmShapeModel:
         best_score = self.l0_files / float(L0_COMPACTION_TRIGGER)
         best_level = 0
         for level in range(1, NUM_LEVELS - 1):
-            budget = self.options.max_bytes_for_level(level)
-            score = self.level_bytes[level] / float(budget)
+            score = self.level_bytes[level] / float(self._budgets[level])
             if score > best_score:
                 best_score = score
                 best_level = level
@@ -145,7 +147,7 @@ class LsmShapeModel:
         for level in range(1, NUM_LEVELS - 1):
             if level in self._busy_levels:
                 continue
-            if self.level_bytes[level] > self.options.max_bytes_for_level(level):
+            if self.level_bytes[level] > self._budgets[level]:
                 return level
         return None
 
@@ -177,7 +179,7 @@ class LsmShapeModel:
         # before the level shrinks below budget; batching the sweep into
         # one task keeps the event count tractable without changing the
         # bytes moved.
-        budget = self.options.max_bytes_for_level(level)
+        budget = self._budgets[level]
         file_bytes = min(self.level_bytes[level],
                          max(sstable, self.level_bytes[level] - budget))
         # Expected overlap: the file covers file_bytes/level_bytes of the

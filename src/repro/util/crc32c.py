@@ -6,25 +6,35 @@ checksum.  The polynomial here is the Castagnoli polynomial 0x1EDC6F41
 (reflected form 0x82F63B78), the same one used by LevelDB/RocksDB, iSCSI
 and ext4.
 
-Three update paths share the same byte-table semantics and are verified
-against the same golden vectors:
+CRC is GF(2)-linear: from a zero state, ``raw(M) = XOR_i C[n-1-i][M[i]]``
+where ``C[d][b]`` is the state contribution of byte ``b`` followed by
+``d`` zero bytes, and a running state enters as an XOR into the first
+four message bytes.  Every leg below computes that one function and is
+held to the same golden vectors; they differ in how many table entries a
+call touches and where those entries live:
 
 * tiny inputs (< ``_BULK_MIN`` bytes) use the classic byte-at-a-time
   loop — lowest constant cost;
-* with numpy available, larger inputs use a *contribution table*: CRC is
-  GF(2)-linear, so ``raw(M) = XOR_i F[n-1-i][M[i]]`` where ``F[d][b]`` is
-  the state contribution of byte ``b`` followed by ``d`` zero bytes.  One
-  fancy-index gather plus an XOR reduction handles a whole 4 KB chunk,
-  and the running state is carried across chunks through the same table
-  (``shift_m(c)`` decomposes over the four state bytes into rows
-  ``m-1..m-4`` of ``F``);
-* otherwise a pure-Python slice-by-8 loop over 64-bit words with paired
-  16-bit tables (four 64 Ki-entry tables, two message bytes per lookup).
-
-:func:`crc32c_many` extends the same algebra *across* messages: the
-batched-merge backend checksums every block of a compaction in one call,
-so the per-call numpy dispatch cost is paid once per batch instead of
-once per block (see that function's docstring for the layout).
+* with numpy, inputs below ``_TWO_LEVEL_MIN`` take the *one-level* leg:
+  one gather of ``n`` entries from ``C`` (row = distance from the end)
+  and one XOR reduce.  Row ``d`` is 1 KiB from row ``d + 1``, so every
+  message byte is its own cache line — cheap for a 170-byte WAL record,
+  ruinous for a block (4,096 lines spread over 4 MiB: 41–57 µs in a
+  running store, though 19 µs in a loop over one payload);
+* longer inputs take the *two-level* kernel, whose tables stay in cache.
+  Level 1 cuts the chunk into ``_SEG``-byte segments, right-aligned, and
+  reduces each to its own 32-bit raw state with the first ``_SEG`` rows
+  of ``C`` only (64 KiB at ``_SEG`` = 64).  Level 2 shifts each segment
+  value over the ``k`` segments that follow it with four byte lookups in
+  a ``(_CHUNK / _SEG, 4, 256)`` table of ``C`` rows ``k * _SEG - 1 - j``
+  (512 KiB for the 8 KiB chunk, of which a block touches the last
+  ``4 * n / _SEG`` 1 KiB rows, contiguous).  ``_SEG`` trades the two: at 32
+  level 2 doubles, at 128 and 256 level 1 leaves L1 — 64 measured best
+  or equal at 2.2 and 4.2 KB.  Messages over ``_CHUNK`` bytes loop,
+  carrying the state;
+* without numpy, a pure-Python slice-by-8 loop over 64-bit words with
+  paired 16-bit tables (four 64 Ki-entry tables, two message bytes per
+  lookup).
 
 All tables are built lazily on first bulk use, so importing this module
 stays cheap for callers that only checksum short records.
@@ -42,8 +52,22 @@ _U32 = 0xFFFFFFFF
 #: the bulk paths' fixed setup cost exceeds the per-byte savings.
 _BULK_MIN = 64
 
-#: Chunk length of the numpy contribution table (rows = zero-distance).
-_CHUNK = 4096
+#: Segment length of the two-level kernel's first level.
+_SEG = 64
+
+#: Longest run one two-level pass covers.  Twice the 4 KiB block size,
+#: because an uncompressed data block is a little *over* 4 KiB and would
+#: otherwise pay a second pass for its last hundred bytes.
+_CHUNK = 8192
+
+#: Inputs from this length on take the two-level kernel; it is also the
+#: one-level table's row count (1 KiB each).  Timed on distinct inputs,
+#: µs per call one-level / two-level: 5.0 / 8.4 at 170 B, 6.3 / 9.6 at
+#: 700 B, 6.9 / 10.1 at 1,024 B, 8.8 / 10.4 at 1,536 B, 10.1 / 11.0 at
+#: 1,792 B, 12.4 / 11.7 at 2,048 B.  That crossover near 2 KB is a loop
+#: over nothing else on a 2 MiB L2; the constant sits below it because a
+#: running store does not leave 2 MiB of table in L2 between calls.
+_TWO_LEVEL_MIN = 1536
 
 try:
     import numpy as _np
@@ -63,36 +87,55 @@ def _build_table() -> list[int]:
 
 _TABLE = _build_table()
 
-# Lazily built bulk-path state (see _ensure_numpy_tables / _ensure_slice8).
-_F = None           # numpy (CHUNK, 256) contribution table
-_IDX_DESC = None    # numpy arange(CHUNK-1, -1, -1) for row gathers
+# Lazily built bulk-path state (see _build_numpy_tables / _ensure_slice8).
+_NUMPY_TABLES = None
 _SLICE8 = None      # four 64 Ki-entry paired-byte tables
 _STEP8 = struct.Struct("<Q")
 
-# Batched-path state (see crc32c_many): eight numpy paired-16-bit tables
-# covering a 16-byte step, plus the zero-padding correction table
-# Z[n] = crc32c(n zero bytes), grown incrementally as longer blocks show
-# up.  _ZRAW carries the un-finalized state so growth resumes where the
-# last build stopped.
-_MANY_K = 16
-_MANY_TABLES = None
-_Z = [0]
-_ZRAW = _U32
 
-
-def _ensure_numpy_tables() -> None:
-    global _F, _IDX_DESC
-    if _F is not None:
-        return
-    t0 = _np.array(_TABLE, dtype=_np.uint32)
-    table = _np.empty((_CHUNK, 256), dtype=_np.uint32)
-    table[0] = t0
+def _build_numpy_tables() -> tuple:
+    """Set and return ``_NUMPY_TABLES = (contrib, one_level_offsets,
+    segment_offsets, shift, shift_offsets)``, all flat: a table entry is
+    ``table[offset + byte]`` and every offsets array is right-aligned,
+    so ``offsets[-n:]`` serves an ``n``-byte run.  Racing first callers
+    build equal tuples."""
+    global _NUMPY_TABLES
+    # Little-endian, so a uint8 view of a state lists its bytes low first.
+    u4 = _np.dtype("<u4")
+    t0 = _np.array(_TABLE, dtype=u4)
     eight = _np.uint32(8)
-    for distance in range(1, _CHUNK):
-        prev = table[distance - 1]
-        table[distance] = t0[prev & 0xFF] ^ (prev >> eight)
-    _IDX_DESC = _np.arange(_CHUNK - 1, -1, -1)
-    _F = table
+    # contrib[d][b]: byte b followed by d zero bytes.  The one-level leg
+    # reads every row, level 1 only the first _SEG.
+    contrib = _np.empty((_TWO_LEVEL_MIN, 256), dtype=u4)
+    contrib[0] = t0
+    for distance in range(1, _TWO_LEVEL_MIN):
+        prev = contrib[distance - 1]
+        contrib[distance] = t0[prev & 0xFF] ^ (prev >> eight)
+    # shift[-1 - k][j][b]: state byte j = b moved over k segments, i.e.
+    # contrib row k * _SEG - 1 - j; k = 0 is the identity.  Each group
+    # is the one before it moved over one more segment.
+    one_seg = contrib[_SEG - 4:_SEG][::-1]
+    count = _CHUNK // _SEG
+    shift = _np.empty((count, 4, 256), dtype=u4)
+    group = (_np.arange(256, dtype=u4)[None, :]
+             << (eight * _np.arange(4, dtype=u4))[:, None])
+    shift[-1] = group
+    for k in range(1, count):
+        group = (one_seg[0][group & 0xFF]
+                 ^ one_seg[1][(group >> eight) & 0xFF]
+                 ^ one_seg[2][(group >> _np.uint32(16)) & 0xFF]
+                 ^ one_seg[3][group >> _np.uint32(24)])
+        shift[-1 - k] = group
+    descending = _np.arange(_TWO_LEVEL_MIN - 1, -1, -1)
+    from_end = _np.arange(_CHUNK - 1, -1, -1)
+    _NUMPY_TABLES = (
+        contrib.ravel(),
+        (descending * 256).astype(_np.uint32),
+        (from_end % _SEG * 256).astype(_np.uint16),
+        shift.ravel(),
+        (_np.arange(count * 4) * 256).astype(_np.uint32),
+    )
+    return _NUMPY_TABLES
 
 
 def _ensure_slice8() -> None:
@@ -124,28 +167,39 @@ def _crc_bytes(data, crc: int) -> int:
 
 
 def _crc_numpy(data, crc: int) -> int:
-    _ensure_numpy_tables()
-    arr = _np.frombuffer(data, dtype=_np.uint8)
-    table, idx_desc = _F, _IDX_DESC
-    n = len(arr)
-    pos = 0
-    while pos < n:
-        length = min(_CHUNK, n - pos)
-        chunk = arr[pos:pos + length]
-        if length < 4:
-            # Too short for the 4-row shift decomposition below.
-            return _crc_bytes(chunk.tolist(), crc)
-        # raw contribution of this chunk: one gather + one XOR reduce.
-        raw = int(_np.bitwise_xor.reduce(
-            table[idx_desc[_CHUNK - length:], chunk]))
-        # Carry the running state across `length` bytes: shift_m over the
-        # four state bytes maps to rows m-1..m-4 (length >= _BULK_MIN).
-        crc = (int(table[length - 1, crc & 0xFF])
-               ^ int(table[length - 2, (crc >> 8) & 0xFF])
-               ^ int(table[length - 3, (crc >> 16) & 0xFF])
-               ^ int(table[length - 4, crc >> 24])
-               ^ raw)
-        pos += length
+    (contrib, one_level_offsets, segment_offsets, shift,
+     shift_offsets) = _NUMPY_TABLES or _build_numpy_tables()
+    xor_reduce = _np.bitwise_xor.reduce
+    message = _np.frombuffer(data, dtype=_np.uint8)
+    for pos in range(0, len(message), _CHUNK):
+        run = message[pos:pos + _CHUNK]
+        n = len(run)
+        if n < _BULK_MIN:
+            # What a long message leaves after its last full chunk.
+            crc = _crc_bytes(run.tolist(), crc)
+            continue
+        two_level = n >= _TWO_LEVEL_MIN
+        # Flat table index of every byte, the running state folded into
+        # the first four: offsets are multiples of 256, so the XOR lands
+        # on the byte part alone.
+        indices = run + (segment_offsets if two_level
+                         else one_level_offsets)[-n:]
+        indices[:4] ^= _np.frombuffer(crc.to_bytes(4, "little"),
+                                      dtype=_np.uint8)
+        if not two_level:
+            crc = int(xor_reduce(contrib.take(indices)))
+            continue
+        # Level 1.  The first segment may be short: its missing leading
+        # entries stay zero, which is what absent bytes contribute.
+        segments = -(-n // _SEG)
+        gathered = _np.zeros(segments * _SEG, dtype=contrib.dtype)
+        contrib.take(indices, mode="clip",
+                     out=gathered[segments * _SEG - n:])
+        values = xor_reduce(gathered.reshape(segments, _SEG), axis=1)
+        # Level 2: four lookups per segment value, by its distance from
+        # the end.
+        crc = int(xor_reduce(shift.take(
+            values.view(_np.uint8) + shift_offsets[-4 * segments:])))
     return crc
 
 
@@ -164,8 +218,8 @@ def _crc_slice8(data, crc: int) -> int:
 def crc32c(data, value: int = 0) -> int:
     """Return the CRC32C of ``data``, extending a running ``value``.
 
-    ``data`` may be ``bytes``, ``bytearray`` or a ``memoryview`` — no
-    copies are made on any path.
+    ``data`` may be ``bytes``, ``bytearray`` or a ``memoryview`` — the
+    message is not copied on any path.
     """
     crc = value ^ _U32
     if len(data) < _BULK_MIN:
@@ -177,114 +231,11 @@ def crc32c(data, value: int = 0) -> int:
     return crc ^ _U32
 
 
-def _ensure_many_tables() -> None:
-    """Build the eight paired-16-bit tables for the 16-byte batched step.
-
-    Table ``j`` folds message bytes ``2j`` and ``2j+1`` of a 16-byte
-    chunk: ``tables[j][lo | hi << 8] = contribution of byte lo followed
-    by (15-2j) zeros XOR byte hi followed by (14-2j) zeros``.  ~2 MB
-    total, built once on first :func:`crc32c_many` call.
-    """
-    global _MANY_TABLES
-    if _MANY_TABLES is not None:
-        return
-    # byte_tables[k][b] = contribution of byte b followed by k zeros.
-    byte_tables = [_TABLE]
-    for _ in range(_MANY_K - 1):
-        prev = byte_tables[-1]
-        byte_tables.append([_TABLE[v & 0xFF] ^ (v >> 8) for v in prev])
-    words = _np.arange(65536)
-    lo_idx = words & 0xFF
-    hi_idx = words >> 8
-    tables = []
-    for j in range(_MANY_K // 2):
-        lo = _np.array(byte_tables[_MANY_K - 1 - 2 * j], dtype=_np.uint32)
-        hi = _np.array(byte_tables[_MANY_K - 2 - 2 * j], dtype=_np.uint32)
-        tables.append(lo[lo_idx] ^ hi[hi_idx])
-    _MANY_TABLES = tables
-
-
-def _zeros_crc_table(maxlen: int):
-    """``Z[n] = crc32c(n zero bytes)`` for n in 0..maxlen, grown lazily."""
-    global _ZRAW
-    table, state = _TABLE, _ZRAW
-    while len(_Z) <= maxlen:
-        state = table[state & 0xFF] ^ (state >> 8)
-        _Z.append(state ^ _U32)
-    _ZRAW = state
-    return _np.asarray(_Z, dtype=_np.uint64)
-
-
 def crc32c_many(blocks) -> list[int]:
-    """CRC32C of every message in ``blocks``, batched.
-
-    With numpy, all messages are right-aligned (left-zero-padded) into
-    one C-order ``(B, W)`` uint8 matrix, viewed as little-endian 16-bit
-    columns, and advanced 16 bytes per step with one 64 Ki-entry table
-    lookup per two message bytes; the running state folds into the
-    step's first two 16-bit lanes.  Leading pad zeros are free — a zero
-    byte under zero state contributes nothing — and the final states are
-    corrected per row with ``Z[len]``, the CRC of that many zero bytes.
-    This amortizes numpy's per-call dispatch across the whole batch:
-    ~2.5x faster than per-block :func:`crc32c` at SSTable block sizes.
-
-    Blocks are bucketed by length class (``len.bit_length()``) before
-    padding, so one outlier message — an SSTable's index block next to
-    thousands of data blocks — cannot inflate the padded width of the
-    whole batch: within a bucket lengths differ by at most 2x.
-
-    Without numpy (or for small batches) it degrades to per-block
-    :func:`crc32c` — same values, scalar speed.
-    """
-    if _np is None or len(blocks) < 2:
-        return [crc32c(b) for b in blocks]
-    buckets: dict[int, list[int]] = {}
-    for index, block in enumerate(blocks):
-        buckets.setdefault(len(block).bit_length(), []).append(index)
-    if len(buckets) == 1:
-        return _crc32c_many_bucket(blocks)
-    out = [0] * len(blocks)
-    for indices in buckets.values():
-        if len(indices) == 1:
-            out[indices[0]] = crc32c(blocks[indices[0]])
-        else:
-            for index, value in zip(indices, _crc32c_many_bucket(
-                    [blocks[i] for i in indices])):
-                out[index] = value
-    return out
-
-
-def _crc32c_many_bucket(blocks) -> list[int]:
-    """The padded-matrix batch kernel for similarly-sized ``blocks``."""
-    _ensure_many_tables()
-    count = len(blocks)
-    lens = _np.fromiter((len(b) for b in blocks), dtype=_np.int64,
-                        count=count)
-    maxlen = int(lens.max())
-    if maxlen == 0:
-        return [0] * count
-    width = ((maxlen + _MANY_K - 1) // _MANY_K) * _MANY_K
-    mat = _np.zeros((count, width), dtype=_np.uint8)
-    for row, block in enumerate(blocks):
-        if block:
-            mat[row, width - len(block):] = _np.frombuffer(
-                block, dtype=_np.uint8)
-    lanes = mat.view("<u2")
-    tables = _MANY_TABLES
-    half = _MANY_K // 2
-    state = _np.zeros(count, dtype=_np.uint32)
-    mask16 = _np.uint32(0xFFFF)
-    shift16 = _np.uint32(16)
-    for step in range(width // _MANY_K):
-        base = step * half
-        acc = tables[0][lanes[:, base] ^ (state & mask16)]
-        acc ^= tables[1][lanes[:, base + 1] ^ (state >> shift16)]
-        for j in range(2, half):
-            acc ^= tables[j][lanes[:, base + j]]
-        state = acc
-    zeros = _zeros_crc_table(maxlen)
-    final = (state.astype(_np.uint64) ^ zeros[lens]).astype(_np.uint32)
-    return [int(v) for v in final]
+    """``[crc32c(b) for b in blocks]``.  Nothing under ``src/`` calls
+    this; the name stays because ``benchmarks/e2e/layers.py`` wraps it by
+    attribute (see ROADMAP)."""
+    return [crc32c(block) for block in blocks]
 
 
 def mask_crc(crc: int) -> int:
