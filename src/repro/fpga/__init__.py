@@ -16,7 +16,6 @@ Module map (paper Figs 2-5):
 * :mod:`repro.fpga.comparer` — Key Compare + Validity Check.
 * :mod:`repro.fpga.transfer` — Key-Value Transfer.
 * :mod:`repro.fpga.encoder` — Data Block Encoder + Index Block Encoder.
-* :mod:`repro.fpga.stream` — Stream Downsizer / Upsizer.
 * :mod:`repro.fpga.cost_model` — the analytic periods of Tables II/III.
 * :mod:`repro.fpga.pipeline_sim` — item-granularity timing composition.
 * :mod:`repro.fpga.resources` — BRAM/FF/LUT estimator (Table VII).

@@ -8,9 +8,9 @@ decompresses it and emits decoded (internal key, value) pairs into the
 input's key/value FIFOs.
 
 The two are split ("Decoder Separation", §V-B1) so the index walk is
-hidden behind data-block decoding; the :class:`DecoderTiming` captures
-both the optimized behaviour and the basic single-read-pointer variant
-where the index fetch stalls the stream.
+hidden behind data-block decoding; what that saves over the basic
+single-read-pointer variant, where the index fetch stalls the stream, is
+charged by :class:`repro.fpga.pipeline_sim.PipelineTimer`.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from repro.errors import FpgaProtocolError
-from repro.fpga.config import FpgaConfig, PipelineVariant
 from repro.fpga.dram import Dram
 from repro.lsm.block import Block
 from repro.lsm.sstable import BLOCK_TRAILER_SIZE, BlockHandle, _read_block
@@ -99,47 +98,13 @@ class DataBlockDecoder:
             first = False
 
 
-@dataclass(frozen=True)
-class DecoderTiming:
-    """Cycle accounting for one decoder chain."""
-
-    config: FpgaConfig
-
-    def pair_service_cycles(self, key_len: int, value_len: int) -> float:
-        """Steady-state decode cost of one pair (Table II/III)."""
-        if self.config.variant in (PipelineVariant.BASIC,
-                                   PipelineVariant.SPLIT_BLOCKS,
-                                   PipelineVariant.KV_SEPARATION):
-            # Value path is byte-serial before §V-D's widening.
-            return key_len + value_len
-        return key_len + value_len / self.config.value_width
-
-    def block_boundary_cycles(self, compressed_size: int) -> float:
-        """Extra cycles when the stream crosses into a new data block."""
-        extra = float(self.config.dram_read_latency)
-        if self.config.variant is PipelineVariant.BASIC:
-            # Single read pointer (Fig 2): the pipeline stalls while the
-            # pointer returns to the index block, parses one entry
-            # (~an index-entry's worth of bytes plus a second DRAM trip)
-            # and seeks back to the data region.
-            extra += 2 * self.config.dram_read_latency + 24
-        if self.config.variant in (PipelineVariant.BASIC,):
-            stream_width = 1
-        else:
-            stream_width = self.config.w_in
-        # First beats of the block must arrive before decode can start.
-        extra += min(compressed_size, 64) / stream_width
-        return extra
-
-
 class DecoderChain:
     """Functional composition: index walk feeding block decode."""
 
     def __init__(self, dram: Dram, tables: list[SSTableLayout],
-                 config: FpgaConfig, comparator: Comparator | None = None):
+                 comparator: Comparator | None = None):
         self.index_decoder = IndexBlockDecoder(dram, tables)
         self.data_decoder = DataBlockDecoder(dram)
-        self.timing = DecoderTiming(config)
         self._comparator = comparator
         self._last_key: bytes | None = None
 

@@ -112,10 +112,3 @@ class Encoder:
         self._finish_table()
         return self.outputs
 
-    def key_service_cycles(self, key_len: int) -> float:
-        """Data Block Encoder per-pair cost: ``L_key`` (Table III)."""
-        return float(key_len)
-
-    def flush_cycles(self, block_bytes: int) -> float:
-        """AXI write time for a flushed block at ``W_out`` bytes/cycle."""
-        return block_bytes / self._config.w_out

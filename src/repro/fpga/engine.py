@@ -115,7 +115,7 @@ class CompactionEngine:
                 f"N={self.config.num_inputs}")
         timer = PipelineTimer(self.config, metrics=self.metrics)
         comparer = Comparer(self.comparator, drop_deletions)
-        transfer = KeyValueTransfer(self.config)
+        transfer = KeyValueTransfer()
         encoder = Encoder(self.options, self.comparator, self.config)
 
         input_bytes = sum(t.index_size + t.data_size
@@ -123,7 +123,7 @@ class CompactionEngine:
 
         cursors = []
         for input_no, tables in enumerate(inputs):
-            chain = DecoderChain(dram, tables, self.config, self.comparator)
+            chain = DecoderChain(dram, tables, self.comparator)
             cursors.append(_HeadCursor(iter(chain), input_no))
         for cursor in cursors:
             if cursor.head is not None:

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.fpga.config import FpgaConfig, PipelineVariant
 from repro.fpga.fifo import Fifo
 
 
@@ -33,8 +32,7 @@ class TransferResult:
 class KeyValueTransfer:
     """Selects/drops the winner's copy-key and value streams."""
 
-    def __init__(self, config: FpgaConfig):
-        self._config = config
+    def __init__(self):
         self.pairs_forwarded = 0
         self.pairs_dropped = 0
         self.value_bytes_forwarded = 0
@@ -50,15 +48,3 @@ class KeyValueTransfer:
         self.value_bytes_forwarded += len(value)
         return TransferResult(internal_key, value, dropped=False)
 
-    def service_cycles(self, key_len: int, value_len: int) -> float:
-        """Per-pair transfer time for the configured variant."""
-        if self._config.variant is PipelineVariant.BASIC:
-            # Key and value are one fused stream through the compare path.
-            return float(key_len + value_len)
-        if self._config.variant is PipelineVariant.SPLIT_BLOCKS:
-            # Still fused key-value, but pipelined with the index walk.
-            return float(max(key_len, value_len))
-        if self._config.variant is PipelineVariant.KV_SEPARATION:
-            # Separated but byte-serial value path (V widening is §V-D).
-            return float(max(key_len, value_len))
-        return float(max(key_len, value_len / self._config.value_width))

@@ -21,11 +21,12 @@ entry points:
 * ``maintenance_failed(error)`` — park a worker's failure, so the write
   path surfaces it as :class:`~repro.errors.DBStateError` instead of an
   exception from some later ``put``;
-* ``maintenance_pending()`` — what :meth:`close` must still drain;
+* ``maintenance_pending()`` — what is still owed: the flush
+  :meth:`close` must drain, the compaction a finished step re-kicks;
 
 plus ``tracer`` (to re-activate a token's trace context), ``metrics``
 and ``dbname``.  ``kick`` enqueues a compaction token iff the queue has
-a free slot; a dropped kick is harmless because every completion
+a free slot; a dropped kick is harmless because every finished step
 re-kicks while the version needs compaction.  Device faults normally
 never reach ``maintenance_failed`` — the scheduler's retry/fallback
 absorbs them (see :mod:`repro.host.scheduler`).
@@ -122,6 +123,10 @@ class CompactionDriver:
                 with db.tracer.activate(ctx or db.tracer.mint_context()):
                     if run(hint):
                         self._m.tasks[kind].inc()
+                        if "compaction" in db.maintenance_pending():
+                            # Still inside the activated context: the
+                            # cascade stays on the trace that began it.
+                            self.kick(ctx=db.tracer.current_context())
             except Exception as error:  # noqa: BLE001 — reported, not lost
                 db.maintenance_failed(error)
             finally:
@@ -144,9 +149,9 @@ class CompactionDriver:
         deadline = time.monotonic() + timeout
         while time.monotonic() < deadline:
             pending = self.db.maintenance_pending()
-            if pending == "failed":
+            if "failed" in pending:
                 break
-            if pending == "flush":
+            if "flush" in pending:
                 # Not kick_flush: self._closed already suppresses it.
                 self._offer(self._flush_q, (None, None))
             elif self.idle():

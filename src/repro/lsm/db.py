@@ -7,22 +7,34 @@ the one FCAE offloads) run through a pluggable *compaction executor*, so
 the same database can be driven by the CPU reference merge or by the FPGA
 engine of :mod:`repro.host` without touching the storage format.
 
-Concurrency model: two modes.
+Maintenance is one path.  Before it builds its group the commit leader
+makes room (:meth:`LsmDB._make_room_for_write_locked`, LevelDB's
+``MakeRoomForWrite``): a full memtable is swapped out — rotate the WAL,
+then swap, so a failed rotation changes nothing — and from then on a
+*step* is due: :meth:`LsmDB.flush_immutable` while there is an immutable
+memtable, else :meth:`LsmDB.compact_once` while the version needs it.
+When to swap, when a writer stalls and what a failure means do not depend
+on who executes a step; that is the one switch,
+:meth:`LsmDB._maintain_locked`:
 
-* **Synchronous** (default): deterministic, effectively single-threaded —
-  maintenance runs inline inside ``write`` (``auto_compact=True``), as the
-  seed reproduction always did.  Timing questions are answered by the
+* **no workers** (default): the thread that finds a step due runs it, in
+  a loop, the mutex still held through the re-entrant lock — deterministic
+  and effectively single-threaded, as the seed reproduction always was.
+  A failure raises to that caller.  Timing questions are answered by the
   discrete-event simulator in :mod:`repro.sim`.
-* **Background** (``background_compaction=True``): the paper's Fig 6
-  workflow on real threads.  A full memtable is swapped out under the DB
-  mutex and handed to :class:`repro.host.driver.CompactionDriver`; merge
-  compactions run on ``num_units`` worker threads fed by a bounded task
-  queue, and completions install version edits back under the mutex.  The
-  write path then throttles for real: LevelDB's L0 slowdown (per-write
-  sleep) and stop (block until an L0 compaction lands) triggers, with
-  stall durations published to the ``lsm_write_stall_seconds`` histogram.
+* **a driver** (``background_compaction=True``): the paper's Fig 6
+  workflow on real threads.  A step is a token for
+  :class:`repro.host.driver.CompactionDriver`'s flush worker or one of its
+  ``num_units`` unit workers; a writer with room goes on, one without
+  waits on ``_cond`` — LevelDB's L0 slowdown (one short wait per write)
+  and stop (block until an L0 compaction lands) triggers.  A worker's
+  failure is parked and surfaces to writers as ``DBStateError``.
 
-Either way every public operation is safe to call from multiple threads:
+Either way a blocked writer is one stall episode: one
+``lsm_write_stall_seconds`` observation, one ``stall_start`` /
+``stall_finish`` pair, one ``write.stall`` span.
+
+Every public operation is safe to call from multiple threads:
 state mutations hold ``_mutex``; ``get`` and ``scan`` take no lock — they
 load the published :class:`_ReadView` (memtables, an immutable version and
 its open tables) and a sequence, then search beside writers, flushes and
@@ -38,6 +50,7 @@ from __future__ import annotations
 
 import time
 from collections import deque
+from contextlib import contextmanager
 from itertools import islice
 from typing import Callable, Iterator, NamedTuple, Optional
 
@@ -61,8 +74,6 @@ from repro.lsm.internal import (
     InternalKeyComparator,
     MARK_FIELDS_SIZE,
     MAX_SEQUENCE,
-    TYPE_DELETION,
-    TYPE_VALUE,
     encode_internal_key,
     extract_user_key,
     make_lookup_key,
@@ -189,8 +200,9 @@ class LsmDB:
     compaction_executor:
         Override how merge compactions execute (CPU reference by default).
     auto_compact:
-        Run flushes/compactions inline when thresholds trip.  Disable for
-        manual control in tests and offload demos.
+        Writers make room: swap a full memtable, get due flushes and
+        compactions run.  Disable for manual control in tests and
+        offload demos (nothing runs unless asked); a driver implies it.
     metrics:
         A :class:`repro.obs.MetricsRegistry` to publish into; defaults to
         the process-wide registry installed by :func:`repro.obs.install`
@@ -206,8 +218,7 @@ class LsmDB:
     background_compaction:
         Run flushes and merge compactions on background threads via a
         :class:`repro.host.driver.CompactionDriver`; the write path then
-        throttles (L0 slowdown/stop) instead of maintaining inline.
-        Mutually exclusive with inline ``auto_compact`` maintenance.
+        throttles (L0 slowdown/stop) instead of running them itself.
     num_units:
         Number of concurrent compaction workers (the paper's Compaction
         Units) and the bound of the driver's task queue.  Only meaningful
@@ -242,7 +253,7 @@ class LsmDB:
         #: How merge compactions execute (the CPU reference merge
         #: unless the caller passed a scheduler).
         self.compaction_executor = compaction_executor or self._cpu_executor
-        self.auto_compact = auto_compact
+        self.auto_compact = auto_compact or background_compaction
         self._mem = MemTable(self.icmp)  # guarded_by: _mutex
         self._imm: Optional[MemTable] = None  # guarded_by: _mutex
         #: What ``get`` / ``scan`` read, without the mutex: republished
@@ -258,7 +269,7 @@ class LsmDB:
         self._busy: set[int] = set()  # guarded_by: _mutex
         self.stall_events = 0
         self.stats = DbStats(self._m)
-        #: Re-entrant so the synchronous mode's inline maintenance can
+        #: Re-entrant so a thread running its own maintenance steps can
         #: nest public calls; the background workers never re-enter.
         #: Instrumented by the lock watchdog when REPRO_LOCK_WATCHDOG=1.
         self._mutex = lockwatch.make_rlock("lsm.mutex")
@@ -278,8 +289,8 @@ class LsmDB:
         self._snapshots: dict[int, int] = {}  # guarded_by: _mutex
         #: First unrecoverable background failure; surfaced to writers.
         self._bg_error: Optional[BaseException] = None  # guarded_by: _mutex
-        #: Per-write sleep applied once when L0 crosses the slowdown
-        #: trigger (LevelDB uses 1ms; kept short for tests).
+        #: What a write gives the workers once L0 crosses the slowdown
+        #: trigger (LevelDB sleeps 1ms; kept short for tests).
         self.slowdown_sleep_seconds = 0.001
 
         self.env.create_dir(dbname)
@@ -313,11 +324,11 @@ class LsmDB:
                                      self.events)
         self._opened_monotonic = time.monotonic()
 
+        #: Who runs maintenance steps; None (this thread) through recovery.
+        self._driver = None
         self._recover()
         with self._mutex:
             self._new_log_locked()
-
-        self._driver = None
         if background_compaction:
             from repro.host.driver import CompactionDriver
             self._driver = CompactionDriver(self, num_units=num_units)
@@ -366,13 +377,10 @@ class LsmDB:
             self.versions.reuse_file_number(number)
             if (self._mem.approximate_memory_usage
                     >= self.options.write_buffer_size):
-                with self._mutex:
-                    self._flush_memtable_locked()
-        if len(self._mem):
-            # Like LevelDB's RecoverLogFile: recovered writes go straight
-            # to a level-0 table so retiring the old WAL cannot lose them.
-            with self._mutex:
-                self._flush_memtable_locked()
+                self.flush()
+        # Like LevelDB's RecoverLogFile: recovered writes go straight to
+        # a level-0 table so retiring the old WAL cannot lose them.
+        self.flush()
         for number in log_numbers:
             if self.env.file_exists(log_file_name(self.dbname, number)):
                 self.env.delete_file(log_file_name(self.dbname, number))
@@ -404,14 +412,16 @@ class LsmDB:
 
     def _new_log_locked(self) -> None:
         # Whoever rotates the log does so between appends: the queue
-        # leader (making room before its own, or maintaining inline
-        # after it) or flush() once it has waited the leader out.
+        # leader making room before its own, or flush() once it has
+        # waited the leader out.  The new segment exists before the old
+        # one is closed: a failed creation costs a file number, no more.
         assert not self._wal_writing
+        number = self.versions.new_file_number()
+        log_file = self._create_log_file(number)
         if self._log_file is not None:
             self._log_file.close()
-        self._log_number = self.versions.new_file_number()
-        self._log_file = self._create_log_file(self._log_number)
-        self._log = LogWriter(self._log_file)
+        self._log_number, self._log_file = number, log_file
+        self._log = LogWriter(log_file)
 
     def _create_log_file(self, number: int):
         """A log rotation's one blocking step; as in LevelDB it runs
@@ -496,7 +506,7 @@ class LsmDB:
         readers never wait behind an fsync, and new writers line up into
         the *next* group meanwhile (that overlap is group commit's whole
         throughput win).  It then re-takes the mutex to apply the group
-        to the memtable, wake it, and run or kick maintenance."""
+        to the memtable and wake it."""
         grow, flush, sync = _WAL_POLICY[self.options.wal_sync]
         writer = _Writer(batch)
         with self._mutex:
@@ -508,7 +518,7 @@ class LsmDB:
                     raise writer.error
                 return
             # This thread leads the commit.
-            if self._driver is not None:
+            if self.auto_compact:
                 try:
                     self._make_room_for_write_locked()
                 except BaseException as exc:
@@ -547,15 +557,6 @@ class LsmDB:
                 if grow:
                     self._m.group_commit_batches.observe(len(group))
             self._finish_group_locked(group, error)
-            if error is None:
-                if self._driver is None:
-                    if self.auto_compact:
-                        self._maybe_maintain_locked()
-                elif self.versions.needs_compaction():
-                    # Mint a trace context here so the compaction this
-                    # write triggers stitches back to it across the
-                    # driver's queue and worker threads.
-                    self._driver.kick(ctx=self.tracer.mint_context())
         if error is not None:
             raise error
 
@@ -600,244 +601,154 @@ class LsmDB:
         self._writers_cond.notify_all()
 
     def _make_room_for_write_locked(self) -> None:
-        """LevelDB's ``MakeRoomForWrite``: real throttling for the
-        background mode (mutex held).
+        """LevelDB's ``MakeRoomForWrite`` (mutex held): what every leader
+        does before it builds its group, whoever runs the steps.
 
-        * L0 at the slowdown trigger → sleep once per write (gentle
-          backpressure that lets the compaction units gain ground);
-        * memtable full but the previous one still flushing → wait;
-        * memtable full and L0 at the stop trigger → block until an L0
-          compaction lands (counted as a stall, duration → histogram);
-        * otherwise swap the memtable and hand it to the flush worker.
+        * the memtable has room → hand over whatever is due (with L0 at
+          the slowdown trigger, giving the workers a moment to gain
+          ground) and go on;
+        * memtable full but the previous one still unflushed → stall;
+        * memtable full and L0 at the stop trigger → stall until an L0
+          compaction lands;
+        * otherwise swap the memtable and go round: the fresh one has
+          room and its predecessor's flush is now due.
         """
-        allow_delay = True
         while True:
             self._check_bg_error_locked()
-            mem_full = (self._mem.approximate_memory_usage
-                        >= self.options.write_buffer_size)
-            l0_files = self.versions.current.num_files(0)
-            if not mem_full:
-                if allow_delay and l0_files >= L0_SLOWDOWN_TRIGGER:
-                    allow_delay = False
-                    self._driver.kick()
-                    self._cond.wait(timeout=self.slowdown_sleep_seconds)
-                    continue
+            if (self._mem.approximate_memory_usage
+                    < self.options.write_buffer_size):
+                if self._maintenance_due_locked():
+                    slow = (self.versions.current.num_files(0)
+                            >= L0_SLOWDOWN_TRIGGER)
+                    self._maintain_locked(
+                        lambda: not self._maintenance_due_locked(),
+                        reason="no_workers",
+                        patience=self.slowdown_sleep_seconds if slow else 0)
                 return
             if self._imm is not None:
-                self._stall_until_locked(
-                    lambda: self._imm is None,
-                    kick=self._driver.kick_flush, reason="imm_full")
+                reason, done = "imm_full", lambda: self._imm is None
+            elif self.versions.current.num_files(0) >= L0_STOP_TRIGGER:
+                reason, done = "l0_stop", lambda: (
+                    self.versions.current.num_files(0) < L0_STOP_TRIGGER)
+            else:
+                self._swap_memtable_locked()
                 continue
-            if l0_files >= L0_STOP_TRIGGER:
-                self._stall_until_locked(
-                    lambda: (self.versions.current.num_files(0)
-                             < L0_STOP_TRIGGER),
-                    kick=lambda ctx=None: self._driver.kick(level=0,
-                                                            ctx=ctx),
-                    reason="l0_stop")
-                continue
-            self._swap_memtable_locked()
-            return
+            self._maintain_locked(done, reason)
 
-    def _stall_until_locked(self, predicate, kick, reason: str) -> None:
-        """Block the writer until ``predicate`` holds (mutex held); the
-        whole episode is one stall observation.
+    def _maintenance_due_locked(self) -> bool:
+        return self._imm is not None or self.versions.needs_compaction()
 
-        The episode gets a trace context (the enclosing one if the
-        caller is traced, a fresh one otherwise) carried by the stall
-        span, the ``stall_*`` events, and the maintenance work the kicks
-        trigger — so a tail-latency exemplar recorded right after the
-        stall resolves back to this episode in the journal."""
-        self.stall_events += 1
-        self._c["stalls"].inc()
+    def _maintain_locked(self, done, reason: Optional[str] = None,
+                         patience: Optional[float] = None) -> None:
+        """Get maintenance steps run until ``done()`` holds (mutex held):
+        the one place that knows who runs them.
+
+        A step is :meth:`flush_immutable` while there is an immutable
+        memtable, else :meth:`compact_once`.
+
+        * With a driver a step is a token for its workers.  The caller
+          re-kicks (a full queue drops tokens) and waits on ``_cond``
+          until ``done()``; a caller that has room passes ``patience``
+          instead — kick, wait at most that long, go on.  A worker's
+          failure is parked in ``_bg_error`` and raised here.
+        * With no workers the caller is the worker, whatever its
+          patience: it runs the steps in this loop, the mutex still held
+          through the re-entrant lock.  A step that finds nothing to do
+          ends the loop; one that fails raises to the caller, nothing
+          parked, and is due again at the next call.
+
+        ``reason`` names the write stall of a writer blocked here until
+        ``done()``: the whole episode is one observation.
+        """
+        driver = self._driver
         ctx = self.tracer.current_context()
         if ctx is None:
             ctx = self.tracer.mint_context()
+
+        def kick() -> None:
+            if self._imm is not None:
+                driver.kick_flush(ctx)
+            if self.versions.needs_compaction():
+                driver.kick(ctx=ctx)
+
+        if driver is not None and patience is not None:
+            kick()
+            if patience:
+                self._cond.wait(timeout=patience)
+            return
+        with self.tracer.activate(ctx), self._stall_episode(reason, ctx):
+            while (not done() and self._bg_error is None
+                   and not self._closed):
+                if driver is not None:
+                    kick()
+                    self._cond.wait(timeout=0.05)
+                elif not (self.flush_immutable() if self._imm is not None
+                          else self.compact_once()):
+                    break
+        self._check_bg_error_locked()
+
+    @contextmanager
+    def _stall_episode(self, reason: Optional[str], ctx) -> Iterator[None]:
+        """Account the enclosed wait as one write stall (no ``reason``:
+        not a writer's wait, nothing is recorded).
+
+        The episode's trace context is carried by the stall span, the
+        ``stall_*`` events, and the maintenance work done or kicked
+        meanwhile — so a tail-latency exemplar recorded right after the
+        stall resolves back to this episode in the journal."""
+        if reason is None:
+            yield
+            return
+        self.stall_events += 1
+        self._c["stalls"].inc()
         trace_fields = {} if ctx is None else {"trace": str(ctx.trace_id)}
         self.events.emit("stall_start", db=self.dbname, reason=reason,
                          **trace_fields)
         start = time.perf_counter()
-        with self.tracer.activate(ctx):
+        try:
             with self.tracer.span("write.stall", db=self.dbname,
                                   reason=reason):
-                while (not predicate() and self._bg_error is None
-                       and not self._closed):
-                    kick(ctx)
-                    self._cond.wait(timeout=0.05)
-        waited = time.perf_counter() - start
-        self._m.stall_seconds.observe(waited)
-        self.events.emit("stall_finish", db=self.dbname, reason=reason,
-                         seconds=waited, **trace_fields)
-        if ctx is not None and self._ops is not None:
-            self._ops.note_stall(ctx.trace_id)
-        self._check_bg_error_locked()
+                yield
+        finally:
+            waited = time.perf_counter() - start
+            self._m.stall_seconds.observe(waited)
+            self.events.emit("stall_finish", db=self.dbname, reason=reason,
+                             seconds=waited, **trace_fields)
+            if ctx is not None and self._ops is not None:
+                self._ops.note_stall(ctx.trace_id)
 
     def _swap_memtable_locked(self) -> None:
-        """Make the active memtable immutable, rotate the WAL, and queue
-        the flush (mutex held, ``_imm`` empty, no WAL append in flight)."""
+        """Rotate the WAL, then make the active memtable immutable
+        (mutex held, ``_imm`` empty, no WAL append in flight); its flush
+        is due from here.  A failed rotation leaves everything as it
+        was.  New writes land in the fresh log; the old segment is
+        retired only after the immutable memtable reaches level 0."""
+        if self._log is not None:
+            # No active WAL during recovery replay: rotating there would
+            # retire segments that have not been replayed yet.
+            self._new_log_locked()
         self._imm = self._mem
         self._mem = MemTable(self.icmp)
         self._publish_view_locked()
-        # New writes land in a fresh log; the old segment is retired only
-        # after the immutable memtable reaches level 0.
-        self._new_log_locked()
-        self._driver.kick_flush(ctx=self.tracer.mint_context())
-
-    def _maybe_maintain_locked(self) -> None:
-        """Inline maintenance for the synchronous mode.  Every episode
-        that does work blocks the foreground write, so its duration feeds
-        the same stall histogram the background mode's waits do — that is
-        the sync-vs-background comparison the driver bench reports."""
-        did_work = False
-        start = time.perf_counter()
-        if (self._mem.approximate_memory_usage
-                >= self.options.write_buffer_size):
-            if self.versions.current.num_files(0) >= L0_STOP_TRIGGER:
-                # Real LevelDB blocks the writer here; inline we count the
-                # event and clear level 0 specifically before proceeding
-                # (a generic pick could choose a deeper level and leave
-                # L0 over the trigger).
-                self.stall_events += 1
-                self._c["stalls"].inc()
-                while self.versions.current.num_files(0) >= L0_STOP_TRIGGER:
-                    if not self.compact_once(level_hint=0):
-                        break
-                did_work = True
-            self._flush_memtable_locked()
-            did_work = True
-        while self.versions.needs_compaction():
-            if not self.compact_once():
-                break
-            did_work = True
-        if did_work:
-            self._m.stall_seconds.observe(time.perf_counter() - start)
 
     def flush(self) -> None:
-        """Force the active memtable to a level-0 SSTable.
-
-        In background mode this blocks until the flush worker has
-        installed the table (or surfaces the background error)."""
+        """Force what the active memtable holds now to a level-0
+        SSTable: returns once the table is installed (or raises what
+        stopped it).  Starts no merge; the next write hands over what
+        this made due."""
         self._check_open()
         with self._mutex:
-            if len(self._mem):
-                self._await_swappable_locked()
-                if self._driver is None:
-                    self._flush_memtable_locked()
-                elif len(self._mem):
+            mem = self._mem
+            while True:
+                self._maintain_locked(lambda: self._imm is None)
+                if self._mem is not mem or not len(mem):
+                    return  # swapped out, by this call or a leader
+                if self._wal_writing:
+                    # A leader is mid-append (see ``_wal_writing``):
+                    # wait it out, then look again.
+                    self._writers_cond.wait()
+                else:
                     self._swap_memtable_locked()
-            if self._driver is not None:
-                self._await_maintenance_locked(
-                    lambda: self._imm is None, self._driver.kick_flush)
-
-    def _await_swappable_locked(self) -> None:
-        """Block (mutex held) until the active memtable may be swapped
-        out: the previous immutable one has been flushed, and no leader
-        is mid-append (see ``_wal_writing``)."""
-        while self._wal_writing or self._imm is not None:
-            if self._wal_writing:
-                self._writers_cond.wait()
-            else:
-                self._await_maintenance_locked(
-                    lambda: self._imm is None, self._driver.kick_flush)
-        self._check_bg_error_locked()
-
-    def _await_maintenance_locked(self, done, kick) -> None:
-        """Block (mutex held) until the background driver has made
-        ``done()`` true, re-kicking it meanwhile; raises the parked
-        background error instead of waiting forever."""
-        while not done() and self._bg_error is None:
-            kick()
-            self._cond.wait(timeout=0.05)
-        self._check_bg_error_locked()
-
-    def _flush_memtable_locked(self) -> None:
-        if not len(self._mem):
-            return
-        with self.tracer.span("flush", db=self.dbname) as span:
-            self._imm = self._mem
-            self._mem = MemTable(self.icmp)
-            self._publish_view_locked()
-            try:
-                meta, reader, start = self._build_flush_table(
-                    self._imm, self.versions.new_file_number(), span)
-                self._install_flush_table_locked(meta, reader, start, span)
-            except BaseException:
-                self._restore_imm_after_failed_flush_locked()
-                raise
-            if self._log is not None:
-                # No active WAL during recovery replay: rotating there
-                # would retire segments that have not been replayed yet.
-                self._new_log_locked()
-                self._retire_old_logs()
-            self._m.refresh_levels(self.versions.current)
-
-    def _build_flush_table(self, imm: MemTable, number: int, span
-                           ) -> tuple[FileMetaData, TableReader, float]:
-        """Flush step 1: dump ``imm`` to level-0 table file ``number``,
-        close it durably and read it back into a reader; a partial file
-        is removed on failure.  Needs no mutex — ``imm`` is immutable by
-        construction — so the flush worker runs it while foreground
-        writes proceed.  Returns the table's metadata, its reader and
-        the step's start time, the inputs of
-        :meth:`_install_flush_table_locked`."""
-        name = table_file_name(self.dbname, number)
-        self.events.emit("flush_start", db=self.dbname, table=number,
-                         **_trace_fields(span))
-        start = time.perf_counter()
-        try:
-            dest = self.env.new_writable_file(name)
-            builder = TableBuilder(self.options, dest, self.icmp)
-            for internal_key, value in imm:
-                builder.add(internal_key, value)
-            stats = builder.finish()
-            self._durable_close(dest)
-            reader = self._open_table(number, self.env.read_file(name))
-        except BaseException:
-            if self.env.file_exists(name):
-                self.env.delete_file(name)
-            raise
-        return FileMetaData(number, stats.file_bytes, builder.smallest_key,
-                            builder.largest_key), reader, start
-
-    def _install_flush_table_locked(self, meta: FileMetaData,
-                                    reader: TableReader, start: float,
-                                    span) -> None:
-        """Flush step 2 (mutex held): add the built table to level 0,
-        account for it, retire ``_imm``, publish, and persist the new
-        version."""
-        edit = VersionEdit()
-        edit.add_file(0, meta)
-        self.versions.apply(edit)
-        self._c["flushes"].inc()
-        self._c["flush_bytes"].inc(meta.file_size)
-        self._m.add_level_write(0, meta.file_size)
-        span.set(table=meta.number, bytes=meta.file_size)
-        self.events.emit(
-            "flush_finish", db=self.dbname, table=meta.number,
-            bytes=meta.file_size,
-            seconds=time.perf_counter() - start,
-            write_bytes=int(self._c["write_bytes"].value),
-            **_trace_fields(span))
-        self._imm = None
-        self._publish_view_locked({meta.number: reader})
-        self._write_manifest()
-
-    def _restore_imm_after_failed_flush_locked(self) -> None:
-        """A failed flush must not strand writes: fold whatever reached
-        the fresh active memtable back on top of the immutable one and
-        reinstate it as ``_mem``, so every committed write stays readable
-        and re-flushable (the WAL segment also still holds them)."""
-        restored = self._imm
-        if restored is None:
-            return
-        for internal_key, value in self._mem:
-            parsed = parse_internal_key(internal_key)
-            restored.add(parsed.sequence,
-                         TYPE_DELETION if parsed.is_deletion else TYPE_VALUE,
-                         extract_user_key(internal_key), value)
-        self._mem = restored
-        self._imm = None
-        self._publish_view_locked()
 
     def _retire_old_logs(self) -> None:
         """Delete WAL segments older than the active one (their contents
@@ -896,9 +807,8 @@ class LsmDB:
         """Pick and execute one merge compaction; returns False when no
         compaction is due (or every candidate's files are already being
         compacted by another unit, or background maintenance already
-        failed).  ``level_hint=0`` forces level-0 relief, the stalled
-        write path's request.  A live driver is re-kicked while more is
-        due."""
+        failed).  ``level_hint=0`` forces a level-0 pick, as L0 at the
+        stop trigger does by itself."""
         self._check_open()
         with self._mutex:
             if self._bg_error is not None:
@@ -916,7 +826,6 @@ class LsmDB:
             with self._mutex:
                 self._busy.difference_update(files)
                 self._cond.notify_all()
-        self._kick_if_due()
         return True
 
     def _pick_compaction_locked(self, level_hint: Optional[int]
@@ -927,7 +836,7 @@ class LsmDB:
         level-0 compaction so stalled writers unblock; otherwise the
         version set's score-based pick decides.  Picks overlapping the
         busy-set are discarded — those files are already being compacted
-        and their completion re-kicks.
+        and the worker that finishes them asks again.
         """
         versions = self.versions
         l0_files = versions.current.num_files(0)
@@ -951,7 +860,7 @@ class LsmDB:
         The merge itself runs outside the DB mutex (so ``num_units``
         background workers overlap with the write path and each other);
         reader capture before and version-edit install after both hold
-        it.  Callers in background mode must guarantee the spec's files
+        it.  Callers beside other workers must guarantee the spec's files
         are not concurrently compacted (:meth:`compact_once`'s busy-set
         does)."""
         with self.tracer.span("compaction", db=self.dbname,
@@ -1072,37 +981,67 @@ class LsmDB:
             self._cond.notify_all()
         return new_metas
 
-    # -- Maintenance entry points: all the background driver calls ------
+    # -- Maintenance entry points: all the background driver calls, and
+    # -- the steps a DB with no workers runs itself ---------------------
 
     def flush_immutable(self) -> bool:
         """Dump the immutable memtable to a level-0 table; False when
         there is none (or the DB is closed).
 
-        The table build runs *without* the mutex, so foreground writes
-        proceed into the fresh memtable meanwhile; only the install
-        takes the lock.  On failure ``_imm`` stays set — its writes
-        remain readable and its WAL segment is retained.
+        The table is built, closed durably and read back with no mutex
+        taken — the memtable is immutable by construction — so beside a
+        flush worker foreground writes proceed into the fresh memtable
+        meanwhile; only the install takes the lock.  On failure the
+        partial file is removed and ``_imm`` stays set: its writes
+        remain readable, its WAL segment is retained, and the flush is
+        still due.
         """
         with self._mutex:
             imm = self._imm
             if imm is None or self._closed:
                 return False
             number = self.versions.new_file_number()
+        name = table_file_name(self.dbname, number)
         with self.tracer.span("flush", db=self.dbname) as span:
-            meta, reader, start = self._build_flush_table(imm, number, span)
+            trace_fields = _trace_fields(span)
+            self.events.emit("flush_start", db=self.dbname, table=number,
+                             **trace_fields)
+            start = time.perf_counter()
+            try:
+                dest = self.env.new_writable_file(name)
+                builder = TableBuilder(self.options, dest, self.icmp)
+                for internal_key, value in imm:
+                    builder.add(internal_key, value)
+                stats = builder.finish()
+                self._durable_close(dest)
+                reader = self._open_table(number, self.env.read_file(name))
+            except BaseException:
+                if self.env.file_exists(name):
+                    self.env.delete_file(name)
+                raise
+            edit = VersionEdit()
+            edit.add_file(0, FileMetaData(number, stats.file_bytes,
+                                          builder.smallest_key,
+                                          builder.largest_key))
             with self._mutex:
-                self._install_flush_table_locked(meta, reader, start, span)
+                self.versions.apply(edit)
+                self._c["flushes"].inc()
+                self._c["flush_bytes"].inc(stats.file_bytes)
+                self._m.add_level_write(0, stats.file_bytes)
+                span.set(table=number, bytes=stats.file_bytes)
+                self.events.emit(
+                    "flush_finish", db=self.dbname, table=number,
+                    bytes=stats.file_bytes,
+                    seconds=time.perf_counter() - start,
+                    write_bytes=int(self._c["write_bytes"].value),
+                    **trace_fields)
+                self._imm = None
+                self._publish_view_locked({number: reader})
+                self._write_manifest()
                 self._retire_old_logs()
                 self._m.refresh_levels(self.versions.current)
                 self._cond.notify_all()
-        self._kick_if_due()
         return True
-
-    def _kick_if_due(self) -> None:
-        if self._driver is not None and self.versions.needs_compaction():
-            # Still inside the worker's activated context: a cascading
-            # compaction stays on the trace that triggered this one.
-            self._driver.kick(ctx=self.tracer.current_context())
 
     def maintenance_failed(self, error: BaseException) -> None:
         """Park the first background failure and wake any throttled
@@ -1112,33 +1051,30 @@ class LsmDB:
                 self._bg_error = error
             self._cond.notify_all()
 
-    def maintenance_pending(self) -> Optional[str]:
-        """What a closing driver still has to wait for: ``"failed"``
-        (a parked error — nothing more will run), ``"flush"`` (the
-        immutable memtable awaits its flush), or None."""
+    def maintenance_pending(self) -> set[str]:
+        """What is still owed, for the driver: ``{"failed"}`` (a parked
+        error — nothing more will run), else any of ``"flush"`` (the
+        immutable memtable awaits its flush: a closing driver drains
+        it) and ``"compaction"`` (a level is over budget: a worker that
+        finished a step asks for another)."""
         with self._mutex:
             if self._bg_error is not None:
-                return "failed"
-            return "flush" if self._imm is not None else None
+                return {"failed"}
+            pending = set()
+            if self._imm is not None:
+                pending.add("flush")
+            if self.versions.needs_compaction():
+                pending.add("compaction")
+            return pending
 
     def compact_range(self) -> None:
-        """Compact until no level is over budget (full maintenance).
-
-        In background mode this drains the driver: it keeps kicking and
-        waiting until no compaction is due, running or awaiting a
-        flush."""
+        """Flush, then compact until no level is over budget and no
+        compaction is running (full maintenance, ``auto_compact`` or
+        not)."""
         self.flush()
-        if self._driver is not None:
-            with self._mutex:
-                self._await_maintenance_locked(
-                    lambda: not (self.versions.needs_compaction()
-                                 or self._busy or self._imm is not None),
-                    lambda: self._driver.kick(
-                        ctx=self.tracer.mint_context()))
-            return
-        while self.versions.needs_compaction():
-            if not self.compact_once():
-                break
+        with self._mutex:
+            self._maintain_locked(
+                lambda: not (self._maintenance_due_locked() or self._busy))
 
     # ------------------------------------------------------------------
     # Read path

@@ -156,19 +156,15 @@ def _levels_section(lines: list[str], snapshot: dict, db) -> None:
 
 
 def _stall_section(lines: list[str], snapshot: dict) -> None:
-    stalls = snapshot.get("lsm_write_stalls_total", {})
     episodes = snapshot.get("lsm_write_stall_seconds", {})
-    total_stalls = sum(stalls.values())
     stall_sum = sum(entry[0] for entry in episodes.values())
     stall_count = sum(entry[1] for entry in episodes.values())
-    if total_stalls == 0 and stall_count == 0:
+    if stall_count == 0:
         return
     _section(lines, "write stalls:")
-    mean = stall_sum / stall_count if stall_count else 0.0
     lines.append(
-        f"  stop-trigger hits: {int(total_stalls)}   episodes: "
-        f"{int(stall_count)}   total {stall_sum:.3f}s   "
-        f"mean {_fmt_seconds(mean).strip()}")
+        f"  episodes: {int(stall_count)}   total {stall_sum:.3f}s   "
+        f"mean {_fmt_seconds(stall_sum / stall_count).strip()}")
 
 
 def _routing_section(lines: list[str], snapshot: dict) -> None:

@@ -49,8 +49,8 @@ FAMILIES: tuple[tuple, ...] = (
     ("lsm_compaction_output_bytes_total", "counter",
      "Bytes written by merge compactions.", None),
     ("lsm_write_stalls_total", "counter",
-     "Writes that hit the L0 stop trigger (the paper's write pause).",
-     None),
+     "Episodes of a writer blocked making room (the paper's write "
+     "pause); one lsm_write_stall_seconds observation each.", None),
     ("lsm_wal_syncs_total", "counter",
      "WAL fsyncs issued by the write path (one per commit under "
      "wal_sync=always, one per spliced group under group, clock-driven "
@@ -62,9 +62,9 @@ FAMILIES: tuple[tuple, ...] = (
      "Writer batches spliced into one WAL record per group commit "
      "(1 = no batching win).", GROUP_BUCKETS),
     ("lsm_write_stall_seconds", "histogram",
-     "Foreground write-path time blocked on maintenance: inline "
-     "flush/compaction episodes in synchronous mode, waits on the "
-     "background driver (memtable handoff, L0 stop) otherwise.",
+     "Foreground write-path time blocked on maintenance, per episode: "
+     "the writer running due flushes/compactions itself (no workers), "
+     "or waiting on a driver's (memtable handoff, L0 stop).",
      SECONDS_BUCKETS),
     ("lsm_snapshots_live", "gauge",
      "Snapshot handles currently registered (compaction preserves "

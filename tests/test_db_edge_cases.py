@@ -6,7 +6,7 @@ import threading
 
 import pytest
 
-from repro.errors import NotFoundError
+from repro.errors import DBStateError, NotFoundError
 from repro.lsm import LsmDB, Options, WriteBatch
 from repro.lsm.env import MemEnv
 from repro.lsm.filenames import table_file_name
@@ -114,71 +114,236 @@ class TestAutoCompactOff:
 
 
 class FlakyEnv(MemEnv):
-    """MemEnv whose next ``new_writable_file`` calls fail on demand."""
+    """MemEnv whose next ``fail_next`` creations of a file ending in
+    ``suffix`` fail (``.ldb``: a flush's table; ``.log``: a WAL
+    segment, the first file a memtable swap creates)."""
 
-    def __init__(self):
+    def __init__(self, suffix):
         super().__init__()
+        self.suffix = suffix
         self.fail_next = 0
 
     def new_writable_file(self, name):
-        if self.fail_next > 0:
+        if name.endswith(self.suffix) and self.fail_next > 0:
             self.fail_next -= 1
             raise OSError(f"injected write failure for {name}")
         return super().new_writable_file(name)
 
 
-class TestFlushFailure:
-    def test_failed_flush_strands_no_writes(self, options):
-        """A flush that dies mid-build must leave every committed write
-        readable and re-flushable (no data stranded in ``_imm``)."""
-        env = FlakyEnv()
-        db = LsmDB("flaky", options, env=env, auto_compact=False)
-        for i in range(200):
-            db.put(f"k{i:04d}".encode(), b"v" * 64)
+#: Who runs maintenance steps: the caller, or a driver's workers.  A step
+#: that fails on the caller's thread raises to it, and the next call
+#: retries it; a worker's failure is parked, and writers and ``flush()``
+#: get ``DBStateError`` from then on, until a reopen.
+WHO_RUNS = pytest.mark.parametrize("background", [False, True],
+                                   ids=["no-workers", "driver"])
+
+VALUE = b"v" * 64
+
+
+def key(i):
+    return f"k{i:04d}".encode()
+
+
+def fill_memtable(db):
+    """Put until the next write has to make room; returns what went in."""
+    expected = {}
+    for i in range(2000):
+        if (int(db.property("repro.approximate-memory-usage"))
+                >= db.options.write_buffer_size):
+            return expected
+        expected[key(i)] = VALUE
+        db.put(key(i), VALUE)
+    raise AssertionError("the memtable never stayed full")
+
+
+def table_files(env, name):
+    return {f"{name}/{f}" for f in env.list_dir(name) if f.endswith(".ldb")}
+
+
+def live_tables(db):
+    return {table_file_name(db.dbname, meta.number)
+            for files in db.versions.current.files for meta in files}
+
+
+def assert_serves(db, expected):
+    """Every committed key is readable by ``get`` and by ``scan``."""
+    for k, v in expected.items():
+        assert db.get(k) == v
+    assert dict(db.scan()) == expected
+
+
+def assert_reopens_clean(env, name, options, expected):
+    """Nothing acknowledged is lost, no table is orphaned, and the
+    reopened DB writes, flushes and compacts."""
+    with LsmDB(name, options, env=env) as db:
+        assert_serves(db, expected)
+        assert table_files(env, name) == live_tables(db)
+        db.put(b"zz-after-reopen", b"1")
+        db.compact_range()
+        assert_serves(db, {**expected, b"zz-after-reopen": b"1"})
+        assert table_files(env, name) == live_tables(db)
+
+
+class TestLogRotationFailure:
+    """A WAL segment that cannot be created costs nothing: the old
+    segment stays open and active and the memtable is not swapped.
+    Rotation runs on the calling thread whoever runs the steps."""
+
+    @WHO_RUNS
+    def test_failed_rotation_in_flush_changes_nothing(self, options,
+                                                      background):
+        env = FlakyEnv(".log")
+        db = LsmDB("rot", options, env=env, auto_compact=False,
+                   background_compaction=background)
+        expected = {key(i): VALUE for i in range(100)}
+        for k, v in expected.items():
+            db.put(k, v)
+        files = set(env.list_dir("rot"))
         env.fail_next = 1
-        with pytest.raises(OSError):
+        with pytest.raises(OSError, match="injected"):
             db.flush()
-        # All writes survived the failure...
-        assert db._imm is None
-        for i in range(0, 200, 13):
-            assert db.get(f"k{i:04d}".encode()) == b"v" * 64
-        assert len(dict(db.scan())) == 200
-        # ...and the retry flushes them to level 0.
+        assert set(env.list_dir("rot")) == files
+        assert db.level_file_counts()[0] == 0
+        assert_serves(db, expected)
+        # The open DB is not wedged: the old segment still takes appends.
+        for i in range(100, 150):
+            expected[key(i)] = VALUE
+            db.put(key(i), VALUE)
         db.flush()
-        assert db.versions.current.num_files(0) == 1
-        assert len(dict(db.scan())) == 200
+        assert db.level_file_counts()[0] == 1
+        assert_serves(db, expected)
+        db.close()
+        assert_reopens_clean(env, "rot", options, expected)
+
+    @WHO_RUNS
+    def test_failed_rotation_on_the_write_path(self, options, background):
+        """The leader that finds the memtable full rotates before it
+        swaps: its put gets the error and is not committed, the next
+        one makes room and goes through."""
+        env = FlakyEnv(".log")
+        db = LsmDB("rot-w", options, env=env,
+                   background_compaction=background)
+        expected = fill_memtable(db)
+        env.fail_next = 1
+        with pytest.raises(OSError, match="injected"):
+            db.put(b"refused", VALUE)
+        with pytest.raises(NotFoundError):
+            db.get(b"refused")
+        assert db.level_file_counts()[0] == 0
+        assert_serves(db, expected)
+        expected[b"accepted"] = VALUE
+        db.put(b"accepted", VALUE)
+        db.flush()
+        # The full memtable that put swapped out, then its own.
+        assert db.level_file_counts()[0] == 2
+        assert_serves(db, expected)
+        db.close()
+        assert_reopens_clean(env, "rot-w", options, expected)
+
+
+class TestFlushFailure:
+    """A flush whose table cannot be created: every committed write
+    stays readable throughout, the partial table is removed, and the
+    immutable memtable stays where it is, its flush still due."""
+
+    def fail_one_flush(self, db, env, background):
+        env.fail_next = 1
+        with pytest.raises(DBStateError if background else OSError):
+            db.flush()
+        assert env.fail_next == 0  # the table's creation did fail
+        assert table_files(env, db.dbname) == live_tables(db)
+
+    def test_failed_flush_strands_no_writes(self, options):
+        self.check_failed_flush(options, background=False)
+
+    def test_failed_flush_by_a_worker_is_parked(self, options):
+        self.check_failed_flush(options, background=True)
+
+    def check_failed_flush(self, options, background):
+        env = FlakyEnv(".ldb")
+        db = LsmDB("flaky", options, env=env, auto_compact=False,
+                   background_compaction=background)
+        expected = {key(i): VALUE for i in range(200)}
+        for k, v in expected.items():
+            db.put(k, v)
+        self.fail_one_flush(db, env, background)
+        assert db.level_file_counts()[0] == 0
+        assert_serves(db, expected)
+        if background:
+            # Parked: nothing more runs on this handle.
+            with pytest.raises(DBStateError):
+                db.put(b"late", b"x")
+            with pytest.raises(DBStateError):
+                db.flush()
+            assert_serves(db, expected)
+        else:
+            # The retry flushes exactly what the failed flush held.
+            db.flush()
+            assert db.level_file_counts()[0] == 1
+            assert table_files(env, "flaky") == live_tables(db)
+            assert_serves(db, expected)
+        db.close()
+        assert_reopens_clean(env, "flaky", options, expected)
 
     def test_writes_after_failed_flush_not_lost(self, options):
-        env = FlakyEnv()
+        env = FlakyEnv(".ldb")
         db = LsmDB("flaky2", options, env=env, auto_compact=False)
         db.put(b"before", b"1")
-        env.fail_next = 1
-        with pytest.raises(OSError):
-            db.flush()
+        self.fail_one_flush(db, env, background=False)
         db.put(b"after", b"2")
+        assert_serves(db, {b"before": b"1", b"after": b"2"})
         db.flush()
-        assert db.get(b"before") == b"1"
-        assert db.get(b"after") == b"2"
+        # The stranded memtable's table, then the one after it.
+        assert db.level_file_counts()[0] == 2
+        assert_serves(db, {b"before": b"1", b"after": b"2"})
+        db.close()
+        assert_reopens_clean(env, "flaky2", options,
+                             {b"before": b"1", b"after": b"2"})
+
+    def test_partial_table_file_removed(self, options):
+        env = FlakyEnv(".ldb")
+        db = LsmDB("flaky3", options, env=env, auto_compact=False)
+        for i in range(50):
+            db.put(key(i), VALUE)
+        self.fail_one_flush(db, env, background=False)
+        assert table_files(env, "flaky3") == set()
+
+    def test_failed_flush_on_the_write_path_is_retried(self, options):
+        """With no workers the writer that swapped runs the flush: its
+        put gets the error and is not committed; the next put retries
+        the flush before anything else."""
+        env = FlakyEnv(".ldb")
+        db = LsmDB("flaky5", options, env=env)
+        expected = fill_memtable(db)
+        env.fail_next = 1
+        with pytest.raises(OSError, match="injected"):
+            db.put(b"refused", VALUE)
+        with pytest.raises(NotFoundError):
+            db.get(b"refused")
+        assert db.level_file_counts()[0] == 0
+        assert_serves(db, expected)
+        expected[b"accepted"] = VALUE
+        db.put(b"accepted", VALUE)
+        assert db.level_file_counts()[0] == 1
+        assert table_files(env, "flaky5") == live_tables(db)
+        assert_serves(db, expected)
 
     def test_reader_sees_every_write_across_failing_flushes(self, options):
-        """A reader running throughout: the view published at the swap,
-        the one a failed flush republishes and the retry's each hold
-        every committed write."""
-        env = FlakyEnv()
+        """A reader running throughout: the view published at the swap
+        outlives every failed flush of it, and the retry's view holds
+        every committed write too."""
+        env = FlakyEnv(".ldb")
         db = LsmDB("flaky4", options, env=env, auto_compact=False)
         committed = [0]
         stop = threading.Event()
         errors = []
-
-        def key(i):
-            return f"k{i:04d}".encode()
 
         def reader():
             try:
                 while not stop.is_set():
                     count = committed[0]
                     for i in range(0, count, 7):
-                        assert db.get(key(i)) == b"v" * 64
+                        assert db.get(key(i)) == VALUE
                     assert len(list(db.scan())) >= count
             except BaseException as error:  # noqa: BLE001
                 errors.append(error)
@@ -188,30 +353,20 @@ class TestFlushFailure:
         try:
             for _ in range(6):
                 for _ in range(40):
-                    db.put(key(committed[0]), b"v" * 64)
+                    db.put(key(committed[0]), VALUE)
                     committed[0] += 1
-                env.fail_next = 1
-                with pytest.raises(OSError):
-                    db.flush()
-                assert db.get(key(committed[0] - 1)) == b"v" * 64
+                self.fail_one_flush(db, env, background=False)
+                assert db.get(key(committed[0] - 1)) == VALUE
             db.flush()
         finally:
             stop.set()
             thread.join(timeout=30)
         assert not thread.is_alive() and errors == []
-        assert db.versions.current.num_files(0) == 1
+        # The first round's memtable, stranded six times over, then one
+        # table for everything written since.
+        assert db.level_file_counts()[0] == 2
+        assert table_files(env, "flaky4") == live_tables(db)
         assert len(dict(db.scan())) == committed[0] == 240
-
-    def test_partial_table_file_removed(self, options):
-        env = FlakyEnv()
-        db = LsmDB("flaky3", options, env=env, auto_compact=False)
-        for i in range(50):
-            db.put(f"k{i:04d}".encode(), b"v" * 64)
-        before = set(env.list_dir("flaky3"))
-        env.fail_next = 1
-        with pytest.raises(OSError):
-            db.flush()
-        assert set(env.list_dir("flaky3")) == before
 
 
 class TableSyncFailEnv(MemEnv):
@@ -237,42 +392,47 @@ class TestCompactionFailure:
     @pytest.mark.parametrize("fail_at", [1, 2])
     def test_failed_compaction_leaves_no_orphan_table(self, options,
                                                       fail_at):
+        self.check_failed_compaction(options, fail_at, background=False)
+
+    @pytest.mark.parametrize("fail_at", [1, 2])
+    def test_failed_compaction_by_a_worker_is_parked(self, options, fail_at):
+        self.check_failed_compaction(options, fail_at, background=True)
+
+    def check_failed_compaction(self, options, fail_at, background):
         """An output table whose durable close fails is removed along
         with the outputs already written, the DB keeps serving every
-        key, and a retry of the compaction succeeds."""
+        key, and a retry of the compaction — on this handle when the
+        caller ran it, after a reopen when a worker did — succeeds."""
         env = TableSyncFailEnv()
-        db = LsmDB("orphan", options, env=env, auto_compact=False)
+        db = LsmDB("orphan", options, env=env, auto_compact=False,
+                   background_compaction=background)
         rng = random.Random(fail_at)
         expected = {}
         for table in range(4):
             for i in range(150):
-                key = f"k{(i * 7 + table) % 400:04d}".encode()
+                k = f"k{(i * 7 + table) % 400:04d}".encode()
                 # Incompressible, so the merge rolls over several tables.
-                expected[key] = rng.randbytes(48)
-                db.put(key, expected[key])
+                expected[k] = rng.randbytes(48)
+                db.put(k, expected[k])
             db.flush()
 
-        def live_tables():
-            return {table_file_name("orphan", meta.number)
-                    for files in db.versions.current.files
-                    for meta in files}
-
-        def table_files():
-            return {f"orphan/{name}" for name in env.list_dir("orphan")
-                    if name.endswith(".ldb")}
-
-        before = live_tables()
-        assert len(before) == 4 and table_files() == before
+        before = live_tables(db)
+        assert len(before) == 4 and table_files(env, "orphan") == before
         env.fail_at = fail_at
-        with pytest.raises(OSError):
-            db.compact_once()
+        with pytest.raises(DBStateError if background else OSError):
+            db.compact_range()
         assert env.fail_at == 0  # the armed sync did fire
-        assert live_tables() == before
-        assert table_files() == before
-        for key, value in expected.items():
-            assert db.get(key) == value
+        assert live_tables(db) == before
+        assert table_files(env, "orphan") == before
+        assert_serves(db, expected)
 
-        assert db.compact_once()
-        assert db.versions.current.num_files(0) == 0
-        assert table_files() == live_tables()
-        assert dict(db.scan()) == expected
+        if background:
+            with pytest.raises(DBStateError):
+                db.put(b"late", b"x")
+            db.close()
+            db = LsmDB("orphan", options, env=env, auto_compact=False)
+        db.compact_range()
+        assert db.level_file_counts()[0] == 0
+        assert table_files(env, "orphan") == live_tables(db)
+        assert_serves(db, expected)
+        db.close()

@@ -1,15 +1,14 @@
 """Functional pipeline modules: decoder chain, comparer, transfer,
-encoders, stream adapters."""
+encoders."""
 
 import pytest
 
 from repro.fpga.comparer import Comparer, KeyCompare, ValidityCheck
-from repro.fpga.config import FpgaConfig, PipelineVariant
+from repro.fpga.config import FpgaConfig
 from repro.fpga.decoder import DecoderChain, SSTableLayout
 from repro.fpga.dram import Dram
 from repro.fpga.encoder import Encoder
 from repro.fpga.fifo import Fifo
-from repro.fpga.stream import StreamDownsizer, StreamUpsizer
 from repro.fpga.transfer import KeyValueTransfer
 from repro.lsm.internal import (
     InternalKeyComparator,
@@ -45,8 +44,7 @@ class TestDecoderChain:
         entries = make_entries(250, value_size=48)
         image = build_table_image(entries, plain_options, ICMP)
         dram, layout = load_layout(image, plain_options)
-        chain = DecoderChain(dram, [layout],
-                             FpgaConfig(), ICMP)
+        chain = DecoderChain(dram, [layout], ICMP)
         decoded = [(p.internal_key, p.value) for p in chain]
         assert decoded == entries
 
@@ -54,7 +52,7 @@ class TestDecoderChain:
         entries = make_entries(250, value_size=48)
         image = build_table_image(entries, plain_options, ICMP)
         dram, layout = load_layout(image, plain_options)
-        chain = DecoderChain(dram, [layout], FpgaConfig(), ICMP)
+        chain = DecoderChain(dram, [layout], ICMP)
         pairs = list(chain)
         boundaries = sum(p.new_block for p in pairs)
         assert boundaries == chain.index_decoder.blocks_decoded
@@ -66,7 +64,7 @@ class TestDecoderChain:
         # concatenating a table whose keys restart from the beginning.
         image = build_table_image(entries, plain_options, ICMP)
         dram, layout = load_layout(image, plain_options)
-        chain = DecoderChain(dram, [layout, layout], FpgaConfig(), ICMP)
+        chain = DecoderChain(dram, [layout, layout], ICMP)
         from repro.errors import FpgaProtocolError
         with pytest.raises(FpgaProtocolError):
             list(chain)
@@ -118,7 +116,7 @@ class TestComparer:
 
 class TestTransfer:
     def test_pops_both_streams(self):
-        transfer = KeyValueTransfer(FpgaConfig())
+        transfer = KeyValueTransfer()
         keys, values = Fifo(2), Fifo(2)
         keys.push(b"key1")
         values.push(b"value1")
@@ -129,20 +127,13 @@ class TestTransfer:
         assert transfer.value_bytes_forwarded == 6
 
     def test_drop_discards(self):
-        transfer = KeyValueTransfer(FpgaConfig())
+        transfer = KeyValueTransfer()
         keys, values = Fifo(1), Fifo(1)
         keys.push(b"k")
         values.push(b"v")
         result = transfer.execute(keys, values, drop=True)
         assert result.dropped
         assert transfer.pairs_dropped == 1
-
-    def test_service_cycles_by_variant(self):
-        full = KeyValueTransfer(FpgaConfig(value_width=16))
-        assert full.service_cycles(24, 1600) == 100.0
-        basic = KeyValueTransfer(FpgaConfig(
-            variant=PipelineVariant.BASIC))
-        assert basic.service_cycles(24, 100) == 124.0
 
 
 class TestEncoder:
@@ -163,28 +154,3 @@ class TestEncoder:
         for output in outputs:
             recovered.extend(TableReader(output.data, ICMP, plain_options))
         assert recovered == entries
-
-    def test_flush_cycles_scale_with_w_out(self):
-        from repro.lsm.options import Options
-        fast = Encoder(Options(), ICMP, FpgaConfig(w_out=64))
-        assert fast.flush_cycles(4096) == 64.0
-
-
-class TestStreamAdapters:
-    def test_downsizer_rates(self):
-        down = StreamDownsizer(64, 16)
-        assert down.cycles_to_emit(4096) == 256
-        assert down.cycles_to_ingest(4096) == 64
-        assert down.cycles_to_emit(0) == 0
-
-    def test_downsizer_rejects_widening(self):
-        with pytest.raises(ValueError):
-            StreamDownsizer(8, 16)
-
-    def test_upsizer_rates(self):
-        up = StreamUpsizer(8, 64)
-        assert up.cycles_to_write(4096) == 64
-
-    def test_upsizer_rejects_narrowing(self):
-        with pytest.raises(ValueError):
-            StreamUpsizer(64, 8)
