@@ -5,9 +5,24 @@ against the committed *seed* (pre-optimization) baseline in
 ``benchmarks/baselines/BENCH_hotpath.json``:
 
 * ``block_decode`` — >= 3x faster than seed (bulk zero-copy decode)
-* ``cpu_merge_4way`` — >= 1.5x faster than seed (whole-path effect)
 
-The two CRC rows are the exception: they checksum 64 *distinct*
+Six rows have a later baseline, each measured with the rows as they
+are now.  Four are the commit before internal keys got a native sort
+key (``memtable_add`` and ``bloom_build_190`` did not exist before it;
+``sstable_build`` and ``cpu_merge_4way`` were re-recorded with them, on
+the sandbox that measured the change: 627,835 / 457 / 4,948 / 25,441 us
+against 102,426 / 40 / 4,791 / 16,641-18,860 us after):
+
+* ``memtable_add`` — >= 3x faster than that parent (measured 6.1x:
+  the skiplist descends on native tuple compares, no callback)
+* ``bloom_build_190`` — >= 5x faster than that parent (measured 11x:
+  the numpy leg of ``create_filter``)
+* ``cpu_merge_4way`` — >= 1.1x faster than that parent (measured
+  1.35-1.5x: ``heapq.merge`` over sort keys; 1.0x is the callback heap)
+* ``sstable_build`` — no floor: the row builds without a filter, and
+  the native order check alone is within noise of the callback (1.0x)
+
+The two CRC rows are another: they checksum 64 *distinct*
 payloads per sample (the seed's row looped over one, which kept a 4 MiB
 table hot and read 19 us where a running store paid 41), so their
 baseline is the commit before the two-level kernel, measured with the
@@ -45,12 +60,14 @@ BASELINE = (pathlib.Path(__file__).parent / "baselines"
             / "BENCH_hotpath.json")
 
 #: bench name -> minimum speedup over the baseline p50 (the seed's, but
-#: for the CRC rows the two-level kernel's parent: see above).
+#: for the CRC, memtable, bloom and merge rows a later parent: see above).
 SPEEDUP_FLOORS = {
     "crc32c_4k": 2.0,
     "crc32c_2k": 1.3,
     "block_decode": 3.0,
-    "cpu_merge_4way": 1.5,
+    "memtable_add": 3.0,
+    "bloom_build_190": 5.0,
+    "cpu_merge_4way": 1.1,
 }
 #: Ungated rows may be up to this much slower than seed before failing
 #: (wall-clock noise allowance on a shared CI box).
@@ -58,9 +75,11 @@ NOISE_REL_TOL = 0.35
 
 #: Same-run floor: the vectorized batched merge vs the streaming CPU
 #: merge on the hotpath workload (~96 B values; the margin widens with
-#: value size — see BENCH_backends.json).  Measured ~1.5x; gated at
-#: 1.25x for shared-runner noise.
-BATCH_MERGE_MIN_SPEEDUP = 1.25
+#: value size — see BENCH_backends.json).  Measured 1.3-1.6x on one
+#: sandbox, where it was 1.9-2.4x before the CPU merge became a
+#: ``heapq.merge`` over sort keys (the batch engine did not slow down);
+#: gated at 1.1x for shared-runner noise.
+BATCH_MERGE_MIN_SPEEDUP = 1.1
 
 #: Same-run floor: `snappy.compress`'s numpy leg vs its scalar leg on one
 #: 4 KiB half-compressible data block.  Measured 2.7-2.9x; the block
@@ -100,6 +119,10 @@ def test_baseline_covers_all_benches(measured):
 
 @pytest.mark.parametrize("bench,floor", sorted(SPEEDUP_FLOORS.items()))
 def test_speedup_floor(measured, bench, floor):
+    from repro.lsm import filter as bloom
+
+    if bench == "bloom_build_190" and bloom._np is None:
+        pytest.skip("numpy absent: create_filter is the scalar loop")
     base, run = measured
     speedup = base[bench] / run[bench]
     assert speedup >= floor, (

@@ -60,9 +60,9 @@ def test_micro_skiplist_insert(benchmark):
         range(10 ** 9), 2000)]
 
     def insert_all():
-        skiplist = SkipList(lambda a, b: (a > b) - (a < b))
+        skiplist = SkipList()
         for key in keys:
-            skiplist.insert(key)
+            skiplist.insert(key, key)
         return skiplist
 
     result = benchmark(insert_all)

@@ -3,9 +3,9 @@ whole reproduction stands on.
 
 Unlike the paper-figure experiments (deterministic model output), these
 rows measure Python execution speed of the hottest paths — CRC32C, the
-snappy block codec, varint decode, block codec, SSTable build/scan, the
-end-to-end CPU merge, point lookups through a three-level store and the
-pipeline timing simulator — with a
+snappy block codec, varint decode, block codec, memtable inserts, bloom
+build, SSTable build/scan, the end-to-end CPU merge, point lookups through
+a three-level store and the pipeline timing simulator — with a
 repeat/warmup harness that reports p50/p95 wall times instead of a
 single noisy sample.  The ``obs_*`` rows bound the flight recorder's
 cost: put/get loops with observability off vs on, plus the disabled
@@ -14,9 +14,9 @@ path's per-op residue.
 ``fcae-bench hotpath --bench-json BENCH_hotpath.json`` emits the rows in
 the schema ``tools/check_regression.py`` understands; the committed
 baseline ``benchmarks/baselines/BENCH_hotpath.json`` holds the *seed*
-(pre-optimization) numbers — for the ``crc32c_*`` rows, which did not
-measure what a store pays until they rotated payloads, those of the
-commit before the two-level kernel — so ``check_regression.py --perf``
+(pre-optimization) numbers — for six rows those of a later parent,
+named in ``benchmarks/test_micro_hotpath.py`` (the ``crc32c_*`` rows did
+not measure what a store pays before) — so ``check_regression.py --perf``
 gates any future PR from regressing below that, and
 ``benchmarks/test_micro_hotpath.py`` asserts the speedup floors against
 the same file.
@@ -44,12 +44,14 @@ from repro.host.batch_merge import BatchMergeEngine
 from repro.lsm.block import Block, BlockBuilder
 from repro.lsm.compaction import _BufferFile, compact, table_sources
 from repro.lsm.db import LsmDB
+from repro.lsm.filter import BloomFilterPolicy
 from repro.lsm.internal import (
     InternalKeyComparator,
     TYPE_DELETION,
     TYPE_VALUE,
     encode_internal_key,
 )
+from repro.lsm.memtable import MemTable
 from repro.lsm.options import Options
 from repro.lsm.sstable import TableBuilder, TableReader
 from repro.obs.events import NullJournal
@@ -170,8 +172,8 @@ def run(scale: float = 1.0) -> ExperimentResult:
     )
 
     (n_block, n_table, n_merge, n_varint, n_pairs, n_tail,
-     n_obs, n_get) = scaled([256, 2000, 1000, 3000, 1500, 2400, 1200, 300],
-                            scale)
+     n_obs, n_get, n_mem) = scaled(
+         [256, 2000, 1000, 3000, 1500, 2400, 1200, 300, 33_000], scale)
 
     # -- crc32c over block-sized payloads ------------------------------
     # One sample is a pass over 64 distinct payloads: a store checksums
@@ -243,6 +245,30 @@ def run(scale: float = 1.0) -> ExperimentResult:
 
     _add(result, "block_seek", seek_block,
          len(probes) * len(block_image) // n_block, repeat, warmup)
+
+    # -- memtable inserts and a table's bloom filter --------------------
+    # `fill_random`'s shape: 16 B keys drawn with replacement, 128 B
+    # values, a new skiplist every 128 KiB, ~190 user keys to a filter.
+    rng = random.Random(29)
+    mem_keys = [b"%016d" % rng.randrange(n_mem) for _ in range(n_mem)]
+    mem_ops = [(sequence, key, _half_compressible_value(key, 1))
+               for sequence, key in enumerate(mem_keys, 1)]
+
+    def fill_memtables():
+        mem = MemTable(ICMP)
+        for sequence, key, value in mem_ops:
+            mem.add(sequence, TYPE_VALUE, key, value)
+            if mem.approximate_memory_usage >= 128 << 10:
+                mem = MemTable(ICMP)
+
+    _add(result, "memtable_add", fill_memtables, n_mem * (16 + 128),
+         repeat, warmup)
+
+    filter_keys = sorted(set(mem_keys))[:190]
+    policy = BloomFilterPolicy(10)
+    _add(result, "bloom_build_190",
+         lambda: policy.create_filter(filter_keys), 16 * len(filter_keys),
+         repeat, warmup)
 
     # -- sstable build → scan ------------------------------------------
     table_entries = _sorted_entries(n_table, seed=3, value_len=64)

@@ -68,8 +68,7 @@ class BatchMergeEngine:
     def vectorized(self) -> bool:
         """True when this engine can run: numpy imports and the
         comparator is bytewise (the sort key is the raw key bytes)."""
-        return (_np is not None
-                and getattr(self.comparator, "_bytewise", False))
+        return _np is not None and self.comparator.bytewise
 
     def compact(self, streams: list[list],
                 drop_deletions: bool) -> CompactionStats:

@@ -15,7 +15,6 @@ streams of (internal key, value) pairs sorted newest-source-first, it:
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
@@ -30,8 +29,6 @@ from repro.lsm.internal import (
 from repro.lsm.iterator import KVPair, merging_iterator
 from repro.lsm.options import Options
 from repro.lsm.sstable import TableBuilder, TableStats
-
-_TRAILER = struct.Struct("<Q")
 
 
 class _BufferFile:
@@ -104,9 +101,8 @@ def merge_entries(sources: Iterable[Iterator[KVPair]],
     # MAX_SEQUENCE marks "no newer entry seen yet".
     last_sequence_for_key = MAX_SEQUENCE
     user_cmp = comparator.user_comparator.compare
-    bytewise = getattr(comparator, "_bytewise", False)
-    unpack_trailer = _TRAILER.unpack_from
-    for internal_key, value in merging_iterator(sources, comparator.compare):
+    bytewise = comparator.bytewise
+    for internal_key, value in merging_iterator(sources, comparator.sort_key):
         if stats is not None:
             stats.input_pairs += 1
             stats.input_bytes += len(internal_key) + len(value)
@@ -115,8 +111,7 @@ def merge_entries(sources: Iterable[Iterator[KVPair]],
         if len(internal_key) < MARK_FIELDS_SIZE:
             raise CorruptionError("internal key shorter than mark fields")
         user_key = internal_key[:-MARK_FIELDS_SIZE]
-        trailer = unpack_trailer(internal_key,
-                                 len(internal_key) - MARK_FIELDS_SIZE)[0]
+        trailer = int.from_bytes(internal_key[-MARK_FIELDS_SIZE:], "little")
         value_type = trailer & 0xFF
         if value_type not in (TYPE_VALUE, TYPE_DELETION):
             raise CorruptionError(f"unknown value type byte {value_type:#x}")
@@ -194,19 +189,12 @@ def compact(sources: Iterable[Iterator[KVPair]], options: Options,
     return stats
 
 
-def table_sources(tables: Iterable, newest_first: bool = True
-                  ) -> list[Iterator[KVPair]]:
-    """Adapt TableReader-like iterables into merge sources.
-
-    ``tables`` arrive newest-first by convention (L0 ordering); since the
-    internal-key comparator already breaks user-key ties by sequence, the
-    source order only matters for the merging iterator's tie rule, which
-    equal internal keys never reach.
-    """
-    sources = [iter(t) for t in tables]
-    if not newest_first:
-        sources.reverse()
-    return sources
+def table_sources(tables: Iterable) -> list[Iterator[KVPair]]:
+    """Adapt TableReader-like iterables into merge sources.  ``tables``
+    arrive newest-first by convention (L0 ordering), which only matters
+    for the merging iterator's tie rule — and equal internal keys never
+    reach it."""
+    return [iter(t) for t in tables]
 
 
 def concatenating_iterator(tables: Iterable) -> Iterator[KVPair]:

@@ -1192,7 +1192,8 @@ class LsmDB:
                            else iter(reader))
         user_cmp = self.options.comparator.compare
         last_user: Optional[bytes] = None
-        for internal_key, value in merging_iterator(sources, self.icmp.compare):
+        for internal_key, value in merging_iterator(sources,
+                                                    self.icmp.sort_key):
             user_key = extract_user_key(internal_key)
             if end is not None and user_cmp(user_key, end) >= 0:
                 return

@@ -5,6 +5,11 @@ Uses LevelDB's double-hashing scheme seeded by a single 32-bit hash
 derived by repeatedly adding a 17-bit rotation delta.  The generated
 filter bytes are appended with a trailing byte recording ``k`` so a reader
 needs no out-of-band metadata.
+
+``create_filter`` has two legs that write the same bytes: a scalar loop,
+and — with numpy, from ``_BULK_MIN_KEYS`` keys on — one that hashes keys
+of equal length as columns of a byte matrix and sets all ``n * k`` probe
+bits in one scatter (the LUDA idiom of ``repro.host.batch_merge``).
 """
 
 from __future__ import annotations
@@ -16,6 +21,16 @@ from typing import Iterable
 _SEED = 0xBC9F1D34
 _MULT = 0xC6A4A793
 _U32 = 0xFFFFFFFF
+
+#: Key sets smaller than this take the scalar loop.  µs scalar / bulk for
+#: 16-byte keys: 8 keys 21 / 21, 16 keys 38 / 22, 190 keys 451 / 36,
+#: 1,000 keys 2,339 / 159.
+_BULK_MIN_KEYS = 12
+
+try:
+    import numpy as _np
+except ImportError:  # pragma: no cover - numpy is present in CI
+    _np = None
 
 
 def _leveldb_hash(data: bytes, seed: int = _SEED) -> int:
@@ -39,6 +54,36 @@ def _leveldb_hash(data: bytes, seed: int = _SEED) -> int:
     return h
 
 
+def _hash_many(keys: list[bytes]):
+    """``_leveldb_hash`` of every key as one uint32 array, in no
+    particular order (a filter is a union).  uint32 array arithmetic
+    wraps, which is the hash's ``& _U32``."""
+    by_length: dict[int, list[bytes]] = {}
+    for key in keys:
+        by_length.setdefault(len(key), []).append(key)
+    hashes = []
+    mult = _np.uint32(_MULT)
+    for length, group in by_length.items():
+        # One row per key, zero-padded to whole little-endian words: the
+        # padded last word is the sum the tail switch falls through to.
+        rows = _np.zeros((len(group), length + -length % 4), dtype=_np.uint8)
+        rows[:, :length] = _np.frombuffer(
+            b"".join(group), dtype=_np.uint8).reshape(len(group), length)
+        words = rows.view("<u4").T
+        h = _np.full(len(group), (_SEED ^ (length * _MULT)) & _U32,
+                     dtype=_np.uint32)
+        for word in words[:length // 4]:
+            h += word
+            h *= mult
+            h ^= h >> 16
+        if length % 4:
+            h += words[-1]
+            h *= mult
+            h ^= h >> 24
+        hashes.append(h)
+    return _np.concatenate(hashes)
+
+
 class BloomFilterPolicy:
     """Builds and probes per-table bloom filters."""
 
@@ -58,6 +103,15 @@ class BloomFilterPolicy:
         bits = max(64, len(keys) * self.bits_per_key)
         nbytes = (bits + 7) // 8
         bits = nbytes * 8
+        if _np is not None and len(keys) >= _BULK_MIN_KEYS:
+            h = _hash_many(keys)
+            delta = (h >> 17) | (h << 15)
+            probes = (h[:, None] + delta[:, None] * _np.arange(
+                self._k, dtype=_np.uint32)) % _np.uint32(bits)
+            bitmap = _np.zeros(bits, dtype=_np.uint8)
+            bitmap[probes.ravel()] = 1
+            return (_np.packbits(bitmap, bitorder="little").tobytes()
+                    + bytes((self._k,)))
         array = bytearray(nbytes)
         for key in keys:
             h = _leveldb_hash(key)

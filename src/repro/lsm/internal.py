@@ -14,6 +14,7 @@ version of each user key first.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cmp_to_key
 
 from repro.errors import CorruptionError
 from repro.util.coding import decode_fixed64, encode_fixed64
@@ -89,17 +90,37 @@ def extract_user_key(internal_key: bytes) -> bytes:
 
 
 class InternalKeyComparator(Comparator):
-    """Orders internal keys: user key asc, then sequence/type desc."""
+    """Orders internal keys: user key asc, then sequence/type desc.
+
+    :meth:`compare` defines the order; :meth:`sort_key` maps a key to a
+    value whose native ``<`` is that order, so the ordered containers of
+    the write path (skiplist, merge heap, table builder) compare in C.
+    """
 
     def __init__(self, user_comparator: Comparator):
         self.user_comparator = user_comparator
-        # Bytewise user order lets compare() skip two dispatched calls on
-        # the merge hot path; any other comparator takes the generic path.
         self._bytewise = type(user_comparator) is BytewiseComparator
+        self._user_order = cmp_to_key(user_comparator.compare)
 
     @property
     def name(self) -> str:
         return "leveldb.InternalKeyComparator"
+
+    @property
+    def bytewise(self) -> bool:
+        """True when user keys order exactly as ``bytes`` do, so callers
+        may compare them natively (``<``, ``bisect``, array sorts)."""
+        return self._bytewise
+
+    def sort_key(self, internal_key: bytes) -> tuple:
+        """``sort_key(a) < sort_key(b)`` iff ``compare(a, b) < 0``, and
+        the keys are equal iff it is 0.  Negating the trailer turns
+        "sequence/type descending" into the ascending order of ints."""
+        if len(internal_key) < MARK_FIELDS_SIZE:
+            raise CorruptionError("internal key shorter than mark fields")
+        user_key = internal_key[:-MARK_FIELDS_SIZE]
+        return (user_key if self._bytewise else self._user_order(user_key),
+                -int.from_bytes(internal_key[-MARK_FIELDS_SIZE:], "little"))
 
     def compare(self, a: bytes, b: bytes) -> int:
         if len(a) < MARK_FIELDS_SIZE or len(b) < MARK_FIELDS_SIZE:

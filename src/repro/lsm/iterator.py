@@ -11,75 +11,20 @@ internal-key order itself, which places newer entries first.
 from __future__ import annotations
 
 import heapq
-from typing import Callable, Iterable, Iterator
+from typing import Any, Callable, Iterable, Iterator
 
 KVPair = tuple[bytes, bytes]
 
 
-class _Cursor:
-    """Pull-based wrapper over an iterator with one-element lookahead."""
-
-    __slots__ = ("_iter", "head", "exhausted")
-
-    def __init__(self, source: Iterator[KVPair]):
-        self._iter = source
-        self.head: KVPair | None = None
-        self.exhausted = False
-        self.advance()
-
-    def advance(self) -> None:
-        try:
-            self.head = next(self._iter)
-        except StopIteration:
-            self.head = None
-            self.exhausted = True
-
-
 def merging_iterator(sources: Iterable[Iterator[KVPair]],
-                     compare: Callable[[bytes, bytes], int]
+                     sort_key: Callable[[bytes], Any]
                      ) -> Iterator[KVPair]:
     """Merge ascending (key, value) streams into one ascending stream.
 
-    When two sources hold keys that compare equal, the *earlier* source
-    wins that round (it is emitted first); callers exploit this by
-    ordering sources newest-first.
+    ``sort_key(key)`` is computed once per entry and its native ``<`` is
+    the order of the streams (``InternalKeyComparator.sort_key``), so the
+    heap compares in C.  When two sources hold keys whose sort keys are
+    equal, the *earlier* source wins that round (it is emitted first);
+    callers exploit this by ordering sources newest-first.
     """
-    cursors = [_Cursor(s) for s in sources]
-    cursors = [c for c in cursors if not c.exhausted]
-
-    # A heap of (KeyWrapper, index) drives selection; the wrapper defers to
-    # the pluggable comparator.
-    class _KeyWrapper:
-        __slots__ = ("key", "rank")
-
-        def __init__(self, key: bytes, rank: int):
-            self.key = key
-            self.rank = rank
-
-        def __lt__(self, other: "_KeyWrapper") -> bool:
-            result = compare(self.key, other.key)
-            if result != 0:
-                return result < 0
-            return self.rank < other.rank
-
-    heap: list[tuple[_KeyWrapper, int]] = []
-    for index, cursor in enumerate(cursors):
-        heap.append((_KeyWrapper(cursor.head[0], index), index))
-    heapq.heapify(heap)
-    while heap:
-        wrapper, index = heapq.heappop(heap)
-        cursor = cursors[index]
-        yield cursor.head
-        cursor.advance()
-        if not cursor.exhausted:
-            heapq.heappush(heap, (_KeyWrapper(cursor.head[0], index), index))
-
-
-def take_while_prefix(source: Iterator[KVPair], limit: bytes,
-                      compare: Callable[[bytes, bytes], int]
-                      ) -> Iterator[KVPair]:
-    """Yield entries while ``key < limit``."""
-    for key, value in source:
-        if compare(key, limit) >= 0:
-            return
-        yield key, value
+    return heapq.merge(*sources, key=lambda entry: sort_key(entry[0]))

@@ -5,10 +5,10 @@ New writes land here first; when :attr:`approximate_memory_usage` crosses
 memtable* and dumped to a level-0 SSTable — the paper's first type of
 compaction.
 
-Entries are stored in a skiplist keyed by
-``varint32(len(internal_key)) || internal_key || varint32(len(value)) || value``
-exactly like LevelDB, so iteration yields internal keys in merge order for
-free.
+Entries live in a skiplist keyed by the comparator's native sort key
+(:meth:`~repro.lsm.internal.InternalKeyComparator.sort_key`), each node
+holding its ``(internal_key, value)`` pair, so inserts and seeks compare
+in C and iteration yields internal keys in merge order for free.
 """
 
 from __future__ import annotations
@@ -26,29 +26,24 @@ from repro.lsm.internal import (
     parse_internal_key,
 )
 from repro.lsm.skiplist import SkipList
-from repro.util.coding import get_length_prefixed_slice
-from repro.util.varint import encode_varint32
 
 
 class MemTable:
     """Sorted in-memory buffer of (internal key, value) entries."""
 
     def __init__(self, comparator: InternalKeyComparator):
-        self._comparator = comparator
-        self._table = SkipList(self._compare_entries)
+        self._sort_key = comparator.sort_key
+        self._table = SkipList()
         self._memory_usage = 0
-
-    def _compare_entries(self, a: bytes, b: bytes) -> int:
-        key_a, _ = get_length_prefixed_slice(a, 0)
-        key_b, _ = get_length_prefixed_slice(b, 0)
-        return self._comparator.compare(key_a, key_b)
 
     def __len__(self) -> int:
         return len(self._table)
 
     @property
     def approximate_memory_usage(self) -> int:
-        """Bytes consumed by stored entries (payload, not node overhead)."""
+        """Bytes of stored entries as LevelDB's arena holds them
+        (``varint32(len) || internal_key || varint32(len) || value``), not
+        Python's node overhead: ``write_buffer_size`` means what it does."""
         return self._memory_usage
 
     def add(self, sequence: int, value_type: int, user_key: bytes,
@@ -56,14 +51,13 @@ class MemTable:
         """Insert one entry.  ``value`` is ignored for deletions' semantics
         but still stored (LevelDB stores an empty value)."""
         internal_key = encode_internal_key(user_key, sequence, value_type)
-        entry = bytearray()
-        entry += encode_varint32(len(internal_key))
-        entry += internal_key
-        entry += encode_varint32(len(value))
-        entry += value
-        entry = bytes(entry)
-        self._table.insert(entry)
-        self._memory_usage += len(entry)
+        self._table.insert(self._sort_key(internal_key),
+                           (internal_key, value))
+        # ``(n.bit_length() + 6) // 7 or 1`` is the size of varint32(n).
+        key_len, value_len = len(internal_key), len(value)
+        self._memory_usage += (
+            ((key_len.bit_length() + 6) // 7 or 1) + key_len
+            + ((value_len.bit_length() + 6) // 7 or 1) + value_len)
 
     def put(self, sequence: int, user_key: bytes, value: bytes) -> None:
         self.add(sequence, TYPE_VALUE, user_key, value)
@@ -86,15 +80,14 @@ class MemTable:
         # One seek: the first entry at or after the lookup key is the
         # newest version of ``user_key`` at or below ``sequence``, or
         # belongs to another key.
-        entry = self._table.seek(encode_varint32(len(lookup)) + lookup)
+        entry = self._table.seek(self._sort_key(lookup))
         if entry is None:
             return None
-        internal_key, pos = get_length_prefixed_slice(entry, 0)
+        internal_key, value = entry
         if internal_key[:-MARK_FIELDS_SIZE] != user_key:
             return None
         if parse_internal_key(internal_key).is_deletion:
             raise NotFoundError(user_key)
-        value, _ = get_length_prefixed_slice(entry, pos)
         return value
 
     def __iter__(self) -> Iterator[tuple[bytes, bytes]]:
@@ -105,9 +98,5 @@ class MemTable:
                   ) -> Iterator[tuple[bytes, bytes]]:
         """Like iteration, from the first entry whose internal key is
         >= ``start`` (one skiplist seek, no walk); from the top if None."""
-        entries = (self._table if start is None else
-                   self._table.iter_from(encode_varint32(len(start)) + start))
-        for entry in entries:
-            internal_key, pos = get_length_prefixed_slice(entry, 0)
-            value, _ = get_length_prefixed_slice(entry, pos)
-            yield internal_key, value
+        return self._table.iter_from(
+            None if start is None else self._sort_key(start))

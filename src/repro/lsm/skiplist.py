@@ -5,36 +5,43 @@ MemTable): a multi-level linked list where each node's tower height is
 geometric with branching factor 4.  Insertion and search are O(log n)
 expected.  The implementation is deterministic given the seed, which keeps
 tests and the simulators reproducible.
+
+Keys order by their own ``<`` — there is no comparator callback — so a
+descent is native comparisons only.  Callers with a custom order store a
+sort key (:meth:`repro.lsm.internal.InternalKeyComparator.sort_key`).
 """
 
 from __future__ import annotations
 
 import random
-from typing import Callable, Iterator, Optional
+from typing import Any, Iterator, Optional
 
 MAX_HEIGHT = 12
-_BRANCHING = 4
+#: Branching factor 4: a tower grows one level per two zero random bits.
+_BRANCHING_BITS = 2
 
 
 class _Node:
-    __slots__ = ("key", "next")
+    __slots__ = ("key", "item", "next")
 
-    def __init__(self, key: Optional[bytes], height: int):
+    def __init__(self, key: Any, item: Any, height: int):
         self.key = key
+        self.item = item
         self.next: list[Optional[_Node]] = [None] * height
 
 
 class SkipList:
-    """Ordered set of byte-string keys.
+    """Ordered map from a natively comparable key to an item.
 
-    ``compare(a, b)`` must return <0/0/>0.  Duplicate inserts raise
+    Lookups and iteration return the items.  Duplicate keys raise
     ``ValueError`` — the memtable guarantees uniqueness by embedding the
-    sequence number in each key.
+    sequence number in each key.  Insert-only: a node is linked only
+    after its own pointers are set, bottom level first, so one writer and
+    any number of unlocked readers may share a list.
     """
 
-    def __init__(self, compare: Callable[[bytes, bytes], int], seed: int = 0xDECAF):
-        self._compare = compare
-        self._head = _Node(None, MAX_HEIGHT)
+    def __init__(self, seed: int = 0xDECAF):
+        self._head = _Node(None, None, MAX_HEIGHT)
         self._max_height = 1
         self._random = random.Random(seed)
         self._size = 0
@@ -44,20 +51,18 @@ class SkipList:
 
     def _random_height(self) -> int:
         height = 1
-        while height < MAX_HEIGHT and self._random.randrange(_BRANCHING) == 0:
+        while (height < MAX_HEIGHT
+               and not self._random.getrandbits(_BRANCHING_BITS)):
             height += 1
         return height
 
-    def _key_is_after_node(self, key: bytes, node: Optional[_Node]) -> bool:
-        return node is not None and self._compare(node.key, key) < 0
-
     def _find_greater_or_equal(
-            self, key: bytes, prev: Optional[list[_Node]] = None) -> Optional[_Node]:
+            self, key: Any, prev: Optional[list[_Node]] = None) -> Optional[_Node]:
         node = self._head
         level = self._max_height - 1
         while True:
             nxt = node.next[level]
-            if self._key_is_after_node(key, nxt):
+            if nxt is not None and nxt.key < key:
                 node = nxt
             else:
                 if prev is not None:
@@ -66,57 +71,35 @@ class SkipList:
                     return nxt
                 level -= 1
 
-    def insert(self, key: bytes) -> None:
-        """Insert ``key``; raises ``ValueError`` if it is already present."""
+    def insert(self, key: Any, item: Any) -> None:
+        """Map ``key`` to ``item``; raises ``ValueError`` if ``key`` is
+        already present."""
         prev: list[_Node] = [self._head] * MAX_HEIGHT
         node = self._find_greater_or_equal(key, prev)
-        if node is not None and self._compare(node.key, key) == 0:
+        if node is not None and node.key == key:
             raise ValueError("duplicate key inserted into skiplist")
         height = self._random_height()
         if height > self._max_height:
-            for level in range(self._max_height, height):
-                prev[level] = self._head
-            self._max_height = height
-        new_node = _Node(key, height)
+            self._max_height = height  # prev is already head up there
+        new_node = _Node(key, item, height)
         for level in range(height):
             new_node.next[level] = prev[level].next[level]
             prev[level].next[level] = new_node
         self._size += 1
 
-    def contains(self, key: bytes) -> bool:
+    def seek(self, key: Any) -> Any:
+        """Item of the smallest stored key >= ``key``, or ``None``."""
         node = self._find_greater_or_equal(key)
-        return node is not None and self._compare(node.key, key) == 0
+        return node.item if node is not None else None
 
-    def seek(self, key: bytes) -> Optional[bytes]:
-        """Smallest stored key >= ``key``, or ``None``."""
-        node = self._find_greater_or_equal(key)
-        return node.key if node is not None else None
+    def __iter__(self) -> Iterator[Any]:
+        return self.iter_from()
 
-    def __iter__(self) -> Iterator[bytes]:
-        node = self._head.next[0]
+    def iter_from(self, key: Any = None) -> Iterator[Any]:
+        """Items of the keys >= ``key`` (of all keys if None), in key
+        order."""
+        node = (self._head.next[0] if key is None
+                else self._find_greater_or_equal(key))
         while node is not None:
-            yield node.key
+            yield node.item
             node = node.next[0]
-
-    def iter_from(self, key: bytes) -> Iterator[bytes]:
-        """Iterate keys >= ``key`` in order."""
-        node = self._find_greater_or_equal(key)
-        while node is not None:
-            yield node.key
-            node = node.next[0]
-
-    def first(self) -> Optional[bytes]:
-        node = self._head.next[0]
-        return node.key if node is not None else None
-
-    def last(self) -> Optional[bytes]:
-        node = self._head
-        level = self._max_height - 1
-        while True:
-            nxt = node.next[level]
-            if nxt is not None:
-                node = nxt
-            elif level == 0:
-                return node.key if node is not self._head else None
-            else:
-                level -= 1

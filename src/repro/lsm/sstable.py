@@ -32,7 +32,7 @@ from repro.lsm.block import Block, BlockBuilder
 from repro.lsm.cache import LRUCache
 from repro.lsm.env import WritableFile
 from repro.lsm.filter import BloomFilterPolicy
-from repro.lsm.internal import extract_user_key
+from repro.lsm.internal import MARK_FIELDS_SIZE, InternalKeyComparator
 from repro.lsm.options import Options
 from repro.util.coding import decode_fixed32, encode_fixed32
 from repro.util.comparator import Comparator
@@ -81,14 +81,15 @@ class TableStats:
 class TableBuilder:
     """Streams sorted (internal key, value) pairs into an SSTable image."""
 
-    def __init__(self, options: Options, dest: WritableFile, comparator: Comparator):
+    def __init__(self, options: Options, dest: WritableFile,
+                 comparator: InternalKeyComparator):
         self._options = options
         self._dest = dest
         self._comparator = comparator
+        self._last_sort_key: tuple = ()  # sorts before every key's
         self._data_block = BlockBuilder(options.block_restart_interval)
         self._index_block = BlockBuilder(1)
         self._pending_handle: Optional[BlockHandle] = None
-        self._last_key = b""
         self._offset = 0
         self._closed = False
         self._filter_keys: list[bytes] = []
@@ -102,20 +103,21 @@ class TableBuilder:
         """Append one entry; keys must be strictly increasing."""
         if self._closed:
             raise InvalidArgumentError("add after finish/abandon")
-        if self._last_key and self._comparator.compare(key, self._last_key) <= 0:
+        sort_key = self._comparator.sort_key(key)
+        if sort_key <= self._last_sort_key:
             raise InvalidArgumentError("keys added out of order")
+        self._last_sort_key = sort_key
         if self._pending_handle is not None:
             # First key after a block boundary: emit a shortened separator.
             separator = self._comparator.find_shortest_separator(
-                self._last_key, key)
+                self.largest_key, key)
             self._index_block.add(separator, self._pending_handle.encode())
             self._pending_handle = None
         if self.smallest_key is None:
             self.smallest_key = key
         self.largest_key = key
-        self._last_key = key
         if self._filter_policy is not None:
-            self._filter_keys.append(extract_user_key(key))
+            self._filter_keys.append(key[:-MARK_FIELDS_SIZE])
         self._data_block.add(key, value)
         self.stats.num_entries += 1
         self.stats.raw_key_bytes += len(key)
@@ -166,7 +168,7 @@ class TableBuilder:
         self._flush_data_block()
         self._closed = True
         if self._pending_handle is not None:
-            successor = self._comparator.find_short_successor(self._last_key)
+            successor = self._comparator.find_short_successor(self.largest_key)
             self._index_block.add(successor, self._pending_handle.encode())
             self._pending_handle = None
 

@@ -34,7 +34,6 @@ from repro.util.coding import (
     get_length_prefixed_slice,
     put_length_prefixed_slice,
 )
-from repro.util.comparator import BytewiseComparator
 
 
 @dataclass(frozen=True)
@@ -76,11 +75,9 @@ class Version:
         self.comparator = comparator
         self.files: list[list[FileMetaData]] = (
             files if files is not None else [[] for _ in range(NUM_LEVELS)])
-        #: User keys order exactly as ``bytes`` do (the test
-        #: ``InternalKeyComparator`` makes for its own fast path), so the
-        #: index may be searched with native comparison and ``bisect``.
-        self._bytewise = (type(comparator.user_comparator)
-                          is BytewiseComparator)
+        #: User keys order exactly as ``bytes`` do, so the index may be
+        #: searched with native comparison and ``bisect``.
+        self._bytewise = comparator.bytewise
         self._index: Optional[tuple] = None
 
     def num_files(self, level: int) -> int:
@@ -382,14 +379,9 @@ class VersionSet:
         return [files[0]] if files else []
 
     def _key_range(self, files: list[FileMetaData]) -> tuple[bytes, bytes]:
-        smallest = files[0].smallest
-        largest = files[0].largest
-        for meta in files[1:]:
-            if self.comparator.compare(meta.smallest, smallest) < 0:
-                smallest = meta.smallest
-            if self.comparator.compare(meta.largest, largest) > 0:
-                largest = meta.largest
-        return smallest, largest
+        sort_key = self.comparator.sort_key
+        return (min((meta.smallest for meta in files), key=sort_key),
+                max((meta.largest for meta in files), key=sort_key))
 
     def is_bottommost_level_for(self, spec: "CompactionSpec") -> bool:
         """True when no level below the output can contain the compacted

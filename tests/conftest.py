@@ -16,6 +16,19 @@ from repro.lsm.internal import (
 )
 from repro.lsm.options import Options
 from repro.lsm.sstable import TableBuilder
+from repro.util.comparator import Comparator
+
+
+class ReverseComparator(Comparator):
+    """Bytewise order, reversed: a user order ``bytes`` do not have, for
+    the comparator-driven paths (version index, sort keys)."""
+
+    @property
+    def name(self) -> str:
+        return "test.ReverseComparator"
+
+    def compare(self, a: bytes, b: bytes) -> int:
+        return (a < b) - (a > b)
 
 
 #: Concurrency-heavy modules where the lock-order watchdog rides along:

@@ -1,9 +1,13 @@
 """Bloom filter: no false negatives, bounded false positives."""
 
+import hashlib
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.lsm import filter as filter_module
 from repro.lsm.filter import BloomFilterPolicy, _leveldb_hash
 
 
@@ -78,3 +82,35 @@ def test_membership_property(keys):
     policy = BloomFilterPolicy(10)
     filter_data = policy.create_filter(keys)
     assert all(policy.key_may_match(k, filter_data) for k in keys)
+
+
+def _golden_corpus():
+    rng = random.Random(0xB100F)
+    for count in (0, 1, 7, 8, 9, 190, 5000):
+        yield [rng.randbytes(16) for _ in range(count)]
+    yield [rng.randbytes(rng.randrange(1, 24)) for _ in range(600)]
+    yield [b""]
+    yield [b"", b"a", b"", b"ab", b"abc"] * 5
+
+
+@pytest.mark.parametrize("bulk_min", [1, 12, 1 << 30],
+                         ids=["bulk", "default", "scalar"])
+def test_filter_bytes_golden(monkeypatch, bulk_min):
+    """Filters are on-disk bytes.  The digest is of the scalar loop's
+    output at the commit before the numpy leg existed; both legs, and
+    the default crossover between them, must reproduce it.  Without
+    numpy all three run the scalar loop."""
+    monkeypatch.setattr(filter_module, "_BULK_MIN_KEYS", bulk_min)
+    digest = hashlib.sha256()
+    for bits_per_key in (1, 10, 16):
+        policy = BloomFilterPolicy(bits_per_key)
+        for keys in _golden_corpus():
+            digest.update(policy.create_filter(keys))
+    assert digest.hexdigest() == (
+        "59d625e5e4d912e38765f455bf227970e97b9c2f844dbaf5c0e0e91978c81ac3")
+
+
+def test_filter_accepts_any_iterable():
+    keys = [b"k%d" % i for i in range(40)]
+    policy = BloomFilterPolicy(10)
+    assert policy.create_filter(iter(keys)) == policy.create_filter(keys)

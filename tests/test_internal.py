@@ -1,6 +1,8 @@
 """Internal-key encoding and the internal-key comparator."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import CorruptionError
 from repro.lsm.internal import (
@@ -16,6 +18,7 @@ from repro.lsm.internal import (
     parse_internal_key,
 )
 from repro.util.comparator import BytewiseComparator
+from tests.conftest import ReverseComparator
 
 ICMP = InternalKeyComparator(BytewiseComparator())
 
@@ -104,3 +107,41 @@ class TestComparator:
         key = encode_internal_key(b"abc", 3, TYPE_VALUE)
         successor = ICMP.find_short_successor(key)
         assert ICMP.compare(key, successor) <= 0
+
+
+#: Few distinct bytes, so draws share prefixes, are proper prefixes of
+#: one another, repeat, and carry ``\x00`` / ``\xff`` anywhere.
+USER_KEYS = st.lists(st.sampled_from([0x00, 0x01, 0x61, 0xFE, 0xFF]),
+                     max_size=5).map(bytes)
+#: Few sequences, so equal user keys meet at equal and differing marks.
+INTERNAL_KEYS = st.builds(
+    encode_internal_key, USER_KEYS,
+    st.sampled_from([0, 1, 2, 255, 256, MAX_SEQUENCE]),
+    st.sampled_from([TYPE_VALUE, TYPE_DELETION]))
+
+
+class TestSortKey:
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from([BytewiseComparator(), ReverseComparator()]),
+           INTERNAL_KEYS, INTERNAL_KEYS)
+    def test_native_order_is_compare(self, user_comparator, a, b):
+        icmp = InternalKeyComparator(user_comparator)
+        order = icmp.compare(a, b)
+        key_a, key_b = icmp.sort_key(a), icmp.sort_key(b)
+        assert (key_a < key_b) == (order < 0)
+        assert (key_a == key_b) == (order == 0)
+        assert (key_a > key_b) == (order > 0)
+
+    def test_bytewise_property(self):
+        assert ICMP.bytewise
+        assert not InternalKeyComparator(ReverseComparator()).bytewise
+
+    def test_short_key_rejected_like_compare(self):
+        short = b"\x00" * (MARK_FIELDS_SIZE - 1)
+        good = encode_internal_key(b"k", 1, TYPE_VALUE)
+        for icmp in (ICMP, InternalKeyComparator(ReverseComparator())):
+            with pytest.raises(CorruptionError):
+                icmp.compare(short, good)
+            with pytest.raises(CorruptionError):
+                icmp.sort_key(short)
+            assert icmp.sort_key(good[-MARK_FIELDS_SIZE:]) is not None

@@ -3,11 +3,12 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.lsm.iterator import merging_iterator, take_while_prefix
+from repro.lsm.iterator import merging_iterator
 
 
-def bytewise(a: bytes, b: bytes) -> int:
-    return (a > b) - (a < b)
+def bytewise(key: bytes) -> bytes:
+    """Sort key of the plain ``bytes`` order."""
+    return key
 
 
 def kv(*keys):
@@ -44,6 +45,18 @@ class TestMerging:
         assert merged[0] == (b"k", b"from-first")
         assert merged[1] == (b"k", b"from-second")
 
+    def test_equal_sort_keys_keep_source_order(self):
+        """The tie rule is on the *sort key*: three sources whose keys
+        differ but sort equal come out earliest source first, every
+        round."""
+        sources = [[(b"a2", b""), (b"b2", b"")],
+                   [(b"a0", b""), (b"b0", b"")],
+                   [(b"a1", b""), (b"b1", b"")]]
+        merged = list(merging_iterator(map(iter, sources),
+                                       lambda key: key[:1]))
+        assert [k for k, _ in merged] == [b"a2", b"a0", b"a1",
+                                          b"b2", b"b0", b"b1"]
+
     def test_exhausted_source_removed(self):
         short = kv(b"a")
         long = kv(b"b", b"c", b"d")
@@ -54,17 +67,6 @@ class TestMerging:
         merged = list(merging_iterator(
             [iter([]), iter(kv(b"x")), iter([])], bytewise))
         assert merged == kv(b"x")
-
-
-class TestTakeWhile:
-    def test_stops_at_limit(self):
-        entries = kv(b"a", b"b", b"c", b"d")
-        taken = list(take_while_prefix(iter(entries), b"c", bytewise))
-        assert [k for k, _ in taken] == [b"a", b"b"]
-
-    def test_limit_before_everything(self):
-        entries = kv(b"m")
-        assert list(take_while_prefix(iter(entries), b"a", bytewise)) == []
 
 
 @settings(max_examples=50, deadline=None)

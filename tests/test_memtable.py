@@ -82,3 +82,29 @@ class TestMemoryAccounting:
 
     def test_empty_usage_zero(self, memtable):
         assert memtable.approximate_memory_usage == 0
+
+    def test_usage_is_the_arena_encoding_size(self, memtable):
+        """Swap points, and so every flush and on-disk byte, hang on this
+        number: 208,316 is what the length-prefixed entry blobs of this
+        insert list added up to before nodes stopped storing them (key
+        and value lengths on both sides of each varint32 width)."""
+        sizes = [0, 1, 100, 119, 120, 127, 128, 129, 16383, 16384, 70000]
+        for sequence, size in enumerate(sizes, 1):
+            memtable.put(sequence, b"k" * (size % 200), b"v" * size)
+            memtable.delete(sequence + 100, b"d" * size)
+        assert memtable.approximate_memory_usage == 208316
+        assert len(memtable) == 22
+
+
+class TestDuplicates:
+    def test_same_key_sequence_and_type_raises(self, memtable):
+        memtable.put(7, b"k", b"first")
+        with pytest.raises(ValueError):
+            memtable.put(7, b"k", b"second")
+        assert memtable.get(b"k", 100) == b"first"
+        assert len(memtable) == 1
+
+    def test_same_sequence_other_type_is_another_entry(self, memtable):
+        memtable.put(7, b"k", b"v")
+        memtable.delete(7, b"k")
+        assert len(memtable) == 2

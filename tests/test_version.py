@@ -19,7 +19,8 @@ from repro.lsm.version import (
     VersionEdit,
     VersionSet,
 )
-from repro.util.comparator import BytewiseComparator, Comparator
+from repro.util.comparator import BytewiseComparator
+from tests.conftest import ReverseComparator
 
 
 def ikey(user: bytes, seq: int = 1) -> bytes:
@@ -183,17 +184,6 @@ class TestPicking:
 # ----------------------------------------------------------------------
 # files_for_key / files_in_range against the linear scans they replaced
 # ----------------------------------------------------------------------
-
-class ReverseComparator(Comparator):
-    """Bytewise order, reversed: exercises the comparator-driven index."""
-
-    @property
-    def name(self) -> str:
-        return "test.ReverseComparator"
-
-    def compare(self, a: bytes, b: bytes) -> int:
-        return (a < b) - (a > b)
-
 
 def linear_files_for_key(version, user_key):
     """``Version.files_for_key`` as it was before the search index: the
