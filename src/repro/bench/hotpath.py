@@ -3,9 +3,10 @@ whole reproduction stands on.
 
 Unlike the paper-figure experiments (deterministic model output), these
 rows measure Python execution speed of the hottest paths — CRC32C, the
-snappy block codec, varint decode, block codec, memtable inserts, bloom
-build, SSTable build/scan, the end-to-end CPU merge, point lookups through
-a three-level store and the pipeline timing simulator — with a
+snappy block codec, the block encoder with and without its helper
+process, varint decode, block codec, memtable inserts, bloom build,
+SSTable build/scan, the end-to-end CPU merge, point lookups through a
+three-level store and the pipeline timing simulator — with a
 repeat/warmup harness that reports p50/p95 wall times instead of a
 single noisy sample.  The ``obs_*`` rows bound the flight recorder's
 cost: put/get loops with observability off vs on, plus the disabled
@@ -14,7 +15,7 @@ path's per-op residue.
 ``fcae-bench hotpath --bench-json BENCH_hotpath.json`` emits the rows in
 the schema ``tools/check_regression.py`` understands; the committed
 baseline ``benchmarks/baselines/BENCH_hotpath.json`` holds the *seed*
-(pre-optimization) numbers — for six rows those of a later parent,
+(pre-optimization) numbers — for nine rows those of a later commit,
 named in ``benchmarks/test_micro_hotpath.py`` (the ``crc32c_*`` rows did
 not measure what a store pays before) — so ``check_regression.py --perf``
 gates any future PR from regressing below that, and
@@ -38,6 +39,7 @@ from repro.bench.common import (
     two_input_config,
 )
 from repro.compress import snappy
+from repro.compress.encoder import BlockEncoder
 from repro.errors import NotFoundError
 from repro.fpga.engine import CompactionEngine, simulate_synthetic
 from repro.host.batch_merge import BatchMergeEngine
@@ -123,12 +125,12 @@ def _half_compressible_value(key: bytes, version: int) -> bytes:
             + bytes([version]) * 60)
 
 
-def _half_compressible_block() -> bytes:
+def _half_compressible_block(seed: int = 7) -> bytes:
     """One data block of that shape: 16 B user keys under
     :func:`_half_compressible_value`.  Versions are small, as they are
     after a fill that draws keys with replacement: most tails are the
     same byte run."""
-    rng = random.Random(7)
+    rng = random.Random(seed)
     builder = BlockBuilder(16)
     # 28 such entries are a 4 KiB block.
     for sequence, k in enumerate(sorted(rng.sample(range(33_000), 28)), 1):
@@ -203,6 +205,23 @@ def run(scale: float = 1.0) -> ExperimentResult:
     _add(result, "snappy_decompress_4k",
          lambda: snappy.decompress(compressed_block), len(raw_block),
          repeat, warmup)
+
+    # -- the encode stage of table writing over 120 data blocks ---------
+    # About one `fill_random` merge's output, compressed on this thread
+    # alone, then by a block encoder with its helper process (none with
+    # fewer than two CPUs: the second row then repeats the first).
+    encode_blocks = [_half_compressible_block(seed) for seed in range(120)]
+    encode_bytes = sum(map(len, encode_blocks))
+    _add(result, "encode_blocks_120_host",
+         lambda: [snappy.compress(block) for block in encode_blocks],
+         encode_bytes, repeat, warmup)
+    block_encoder = BlockEncoder()
+    block_encoder.start(timeout=60.0)
+    _add(result, "encode_blocks_120",
+         lambda: list(block_encoder.encode(
+             (block,) for block in encode_blocks)),
+         encode_bytes, repeat, warmup)
+    block_encoder.close()
 
     # -- bulk varint decode --------------------------------------------
     rng = random.Random(5)

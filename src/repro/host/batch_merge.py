@@ -16,8 +16,9 @@ re-encode the survivors.  This module is that engine on numpy:
    order.  Shadowed entries are consecutive rows with equal user keys;
    tombstones are rows whose trailer type byte is ``TYPE_DELETION`` —
    both reduce to boolean masks (LUDA's validity check).
-3. **Bulk encode** — replay the survivors through the standard
-   :class:`~repro.lsm.sstable.TableBuilder`.
+3. **Bulk encode** — hand the survivors to the table writer every
+   executor shares (:func:`~repro.lsm.compaction.build_output_tables`:
+   cut, then compress on two cores, then lay out).
 
 The output is byte-identical to :func:`repro.lsm.compaction.compact`
 over the same tables — the equality suite in ``tests/test_accelerator.py``

@@ -47,10 +47,6 @@ class BlockBuilder:
         self._last_key = b""
         self._finished = False
 
-    @property
-    def is_empty(self) -> bool:
-        return not self._buffer
-
     def current_size_estimate(self) -> int:
         """Bytes the finished block would occupy."""
         return len(self._buffer) + 4 * len(self._restarts) + 4

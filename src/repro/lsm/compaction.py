@@ -28,7 +28,7 @@ from repro.lsm.internal import (
 )
 from repro.lsm.iterator import KVPair, merging_iterator
 from repro.lsm.options import Options
-from repro.lsm.sstable import TableBuilder, TableStats
+from repro.lsm.sstable import TableStats, build_tables
 
 
 class _BufferFile:
@@ -145,30 +145,13 @@ def build_output_tables(entries: Iterator[KVPair], options: Options,
                         comparator: InternalKeyComparator
                         ) -> list[OutputTable]:
     """Encode merged entries into >= 0 SSTable images, rolling over at
-    ``Options.sstable_size``."""
-    outputs: list[OutputTable] = []
-    builder: TableBuilder | None = None
-    for internal_key, value in entries:
-        if builder is None:
-            dest = _BufferFile()
-            builder = TableBuilder(options, dest, comparator)
-        builder.add(internal_key, value)
-        if builder.file_size >= options.sstable_size:
-            outputs.append(_finish_table(builder, dest))
-            builder = None
-    if builder is not None:
-        outputs.append(_finish_table(builder, dest))
-    return outputs
-
-
-def _finish_table(builder: TableBuilder, dest: _BufferFile) -> OutputTable:
-    table_stats = builder.finish()
-    return OutputTable(
-        data=bytes(dest.data),
-        smallest=builder.smallest_key,
-        largest=builder.largest_key,
-        stats=table_stats,
-    )
+    ``Options.sstable_size`` (cut -> encode -> lay out:
+    :func:`repro.lsm.sstable.build_tables`)."""
+    return [OutputTable(data=bytes(dest.data), smallest=builder.smallest_key,
+                        largest=builder.largest_key, stats=builder.stats)
+            for builder, dest in build_tables(
+                entries, options, comparator, _BufferFile,
+                options.sstable_size)]
 
 
 def compact(sources: Iterable[Iterator[KVPair]], options: Options,

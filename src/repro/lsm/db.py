@@ -87,7 +87,7 @@ from repro.lsm.options import (
     NUM_LEVELS,
     Options,
 )
-from repro.lsm.sstable import TableBuilder, TableReader
+from repro.lsm.sstable import TableReader, build_tables
 from repro.lsm.version import (
     CompactionSpec,
     FileMetaData,
@@ -1009,10 +1009,10 @@ class LsmDB:
             start = time.perf_counter()
             try:
                 dest = self.env.new_writable_file(name)
-                builder = TableBuilder(self.options, dest, self.icmp)
-                for internal_key, value in imm:
-                    builder.add(internal_key, value)
-                stats = builder.finish()
+                # A non-empty memtable, no size cut: exactly one table.
+                [(builder, _)] = build_tables(imm, self.options, self.icmp,
+                                              lambda: dest)
+                stats = builder.stats
                 self._durable_close(dest)
                 reader = self._open_table(number, self.env.read_file(name))
             except BaseException:

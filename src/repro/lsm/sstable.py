@@ -24,9 +24,11 @@ deviation in DESIGN.md.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from itertools import starmap
+from typing import Callable, Iterable, Iterator, Optional
 
 from repro.compress import snappy
+from repro.compress.encoder import block_encoder
 from repro.errors import CorruptionError, InvalidArgumentError
 from repro.lsm.block import Block, BlockBuilder
 from repro.lsm.cache import LRUCache
@@ -78,16 +80,73 @@ class TableStats:
     file_bytes: int = 0
 
 
+class BlockCutter:
+    """Cuts sorted entries into raw data blocks: the one place that checks
+    keys strictly increase, applies the ``block_size`` rule and counts
+    what a table's filter and :class:`TableStats` need.
+    :meth:`TableBuilder.add` feeds one per table; :func:`build_tables`
+    one across all the tables it writes."""
+
+    def __init__(self, options: Options, comparator: InternalKeyComparator):
+        self._sort_key = comparator.sort_key
+        self._last_sort_key: tuple = ()  # sorts before every key's
+        self._block = BlockBuilder(options.block_restart_interval)
+        self._block_size = options.block_size
+        self._filter = options.bloom_bits_per_key > 0
+        self.last_key: Optional[bytes] = None
+        self._start_block()
+
+    def _start_block(self) -> None:
+        self.first_key: Optional[bytes] = None  # None: nothing to cut
+        self._filter_keys: list[bytes] = []
+        self._entries = self._key_bytes = self._value_bytes = 0
+
+    def add(self, key: bytes, value: bytes) -> Optional[tuple]:
+        """Append one entry; returns the block it completed, if any."""
+        sort_key = self._sort_key(key)
+        if sort_key <= self._last_sort_key:
+            raise InvalidArgumentError("keys added out of order")
+        self._last_sort_key = sort_key
+        if self.first_key is None:
+            self.first_key = key
+        self.last_key = key
+        if self._filter:
+            self._filter_keys.append(key[:-MARK_FIELDS_SIZE])
+        self._block.add(key, value)
+        self._entries += 1
+        self._key_bytes += len(key)
+        self._value_bytes += len(value)
+        if self._block.current_size_estimate() >= self._block_size:
+            return self.cut()
+        return None
+
+    def cut(self) -> Optional[tuple]:
+        """Complete the block being cut: ``(contents, first key, last
+        key, filter keys, entries, key bytes, value bytes)``, or None
+        when it is empty."""
+        if self.first_key is None:
+            return None
+        block = (self._block.finish(), self.first_key, self.last_key,
+                 self._filter_keys, self._entries, self._key_bytes,
+                 self._value_bytes)
+        self._block.reset()
+        self._start_block()
+        return block
+
+
 class TableBuilder:
-    """Streams sorted (internal key, value) pairs into an SSTable image."""
+    """Streams sorted (internal key, value) pairs into an SSTable image.
+
+    :meth:`add` compresses each block as it is cut, which the FPGA
+    ``Encoder``'s per-block timing needs; :func:`build_tables` writes the
+    same bytes with the blocks compressed on two cores."""
 
     def __init__(self, options: Options, dest: WritableFile,
                  comparator: InternalKeyComparator):
         self._options = options
         self._dest = dest
         self._comparator = comparator
-        self._last_sort_key: tuple = ()  # sorts before every key's
-        self._data_block = BlockBuilder(options.block_restart_interval)
+        self._cutter = BlockCutter(options, comparator)
         self._index_block = BlockBuilder(1)
         self._pending_handle: Optional[BlockHandle] = None
         self._offset = 0
@@ -96,48 +155,57 @@ class TableBuilder:
         self._filter_policy = (BloomFilterPolicy(options.bloom_bits_per_key)
                                if options.bloom_bits_per_key > 0 else None)
         self.stats = TableStats()
-        self.smallest_key: Optional[bytes] = None
-        self.largest_key: Optional[bytes] = None
+        self._smallest: Optional[bytes] = None
+        self._largest: Optional[bytes] = None
+
+    @property
+    def smallest_key(self) -> Optional[bytes]:
+        """The first key added; None before any."""
+        return self._smallest or self._cutter.first_key
+
+    @property
+    def largest_key(self) -> Optional[bytes]:
+        """The last key added; None before any."""
+        cutter = self._cutter
+        return cutter.last_key if cutter.first_key else self._largest
 
     def add(self, key: bytes, value: bytes) -> None:
         """Append one entry; keys must be strictly increasing."""
         if self._closed:
             raise InvalidArgumentError("add after finish/abandon")
-        sort_key = self._comparator.sort_key(key)
-        if sort_key <= self._last_sort_key:
-            raise InvalidArgumentError("keys added out of order")
-        self._last_sort_key = sort_key
+        block = self._cutter.add(key, value)
+        if block is not None:
+            self._append_block(block)
+
+    def _append_block(self, block: tuple,
+                      compressed: Optional[bytes] = None) -> None:
+        """Write a block :class:`BlockCutter` cut (``compressed``: its
+        ``snappy.compress`` output, when already encoded) and record it
+        in the index, the filter keys and the stats."""
+        (contents, first, last, filter_keys, entries, key_bytes,
+         value_bytes) = block
         if self._pending_handle is not None:
             # First key after a block boundary: emit a shortened separator.
             separator = self._comparator.find_shortest_separator(
-                self.largest_key, key)
+                self._largest, first)
             self._index_block.add(separator, self._pending_handle.encode())
-            self._pending_handle = None
-        if self.smallest_key is None:
-            self.smallest_key = key
-        self.largest_key = key
+        self._smallest = self._smallest or first
+        self._largest = last
         if self._filter_policy is not None:
-            self._filter_keys.append(key[:-MARK_FIELDS_SIZE])
-        self._data_block.add(key, value)
-        self.stats.num_entries += 1
-        self.stats.raw_key_bytes += len(key)
-        self.stats.raw_value_bytes += len(value)
-        if self._data_block.current_size_estimate() >= self._options.block_size:
-            self._flush_data_block()
+            self._filter_keys += filter_keys
+        stats = self.stats
+        stats.num_entries += entries
+        stats.raw_key_bytes += key_bytes
+        stats.raw_value_bytes += value_bytes
+        self._pending_handle = self._write_block(contents, compressed)
+        stats.num_data_blocks += 1
+        stats.data_bytes = self._offset
 
-    def _flush_data_block(self) -> None:
-        if self._data_block.is_empty:
-            return
-        contents = self._data_block.finish()
-        handle = self._write_block(contents)
-        self.stats.num_data_blocks += 1
-        self.stats.data_bytes = self._offset
-        self._data_block.reset()
-        self._pending_handle = handle
-
-    def _write_block(self, contents: bytes) -> BlockHandle:
+    def _write_block(self, contents: bytes,
+                     compressed: Optional[bytes] = None) -> BlockHandle:
         if self._options.compression == "snappy":
-            compressed = snappy.compress(contents)
+            if compressed is None:
+                compressed = snappy.compress(contents)
             # Like LevelDB, fall back to raw storage unless compression
             # saves at least 12.5%.
             if len(compressed) < len(contents) - len(contents) // 8:
@@ -165,10 +233,12 @@ class TableBuilder:
         """Flush remaining data, write filter/metaindex/index/footer."""
         if self._closed:
             raise InvalidArgumentError("finish called twice")
-        self._flush_data_block()
+        block = self._cutter.cut()
+        if block is not None:
+            self._append_block(block)
         self._closed = True
         if self._pending_handle is not None:
-            successor = self._comparator.find_short_successor(self.largest_key)
+            successor = self._comparator.find_short_successor(self._largest)
             self._index_block.add(successor, self._pending_handle.encode())
             self._pending_handle = None
 
@@ -194,6 +264,48 @@ class TableBuilder:
         self.stats.file_bytes = self._offset
         self._dest.flush()
         return self.stats
+
+
+def build_tables(entries: Iterable[tuple[bytes, bytes]], options: Options,
+                 comparator: InternalKeyComparator,
+                 new_file: Callable[[], WritableFile],
+                 max_file_size: Optional[int] = None
+                 ) -> Iterator[tuple[TableBuilder, WritableFile]]:
+    """Write ``entries`` as tables, cut -> encode -> lay out, yielding
+    each finished ``(builder, file)``: one :class:`BlockCutter` cuts the
+    stream, :data:`~repro.compress.encoder.block_encoder` compresses the
+    blocks, and each is appended in order to the current table, finished
+    once its ``file_size`` reaches ``max_file_size`` (None: never).
+
+    The bytes are :meth:`TableBuilder.add`'s under the same rule:
+    ``file_size`` grows only when a data block is written, so the
+    streaming cut falls on a block boundary too, and a block's raw bytes
+    depend only on the entries and ``block_size`` -- compressed sizes
+    decide only which table a block lands in.
+    """
+    cutter = BlockCutter(options, comparator)
+
+    def cut() -> Iterator[tuple]:
+        yield from filter(None, starmap(cutter.add, entries))
+        yield from filter(None, [cutter.cut()])
+
+    if options.compression == "snappy":
+        encoded = block_encoder.encode(cut())
+    else:
+        encoded = ((block, None) for block in cut())
+    builder = None
+    for block, compressed in encoded:
+        if builder is None:
+            dest = new_file()
+            builder = TableBuilder(options, dest, comparator)
+        builder._append_block(block, compressed)
+        if max_file_size is not None and builder.file_size >= max_file_size:
+            builder.finish()
+            yield builder, dest
+            builder = None
+    if builder is not None:
+        builder.finish()
+        yield builder, dest
 
 
 def _read_block(data: bytes, handle: BlockHandle, verify: bool) -> bytes:

@@ -9,6 +9,8 @@ reports, ``db.property``) without touching this module.
 
 from __future__ import annotations
 
+from repro.compress.encoder import block_encoder
+
 
 def _fmt(value) -> str:
     if isinstance(value, float) and not float(value).is_integer():
@@ -26,9 +28,10 @@ def _counter_block(title: str, counts: dict) -> list[str]:
 
 def render_db_report(db) -> str:
     """The text behind ``LsmDB.property("repro.stats")`` (``db`` is a
-    :class:`repro.lsm.db.LsmDB`); an offload block follows when its
-    compaction executor keeps stats (the FPGA scheduler does, the plain
-    CPU merge is a bare callable)."""
+    :class:`repro.lsm.db.LsmDB`); the process's block encoder counters
+    (:meth:`repro.compress.encoder.BlockEncoder.stats`) follow, then an
+    offload block when its compaction executor keeps stats (the FPGA
+    scheduler does, the plain CPU merge is a bare callable)."""
     stats = db.stats
     lines = ["repro.stats", "", "                         Compactions",
              "level   files     size(MB)"]
@@ -62,6 +65,11 @@ def render_db_report(db) -> str:
             f"hit_ratio {stats.block_cache_hit_ratio:.3f} "
             f"({int(stats.block_cache_hits)} hits / "
             f"{int(stats.block_cache_misses)} misses)")
+
+    # Process-wide: every DB's tables go through the one encoder.
+    lines.append("")
+    lines.extend(_counter_block("block encoder (process):",
+                                block_encoder.stats()))
 
     scheduler_stats = getattr(db.compaction_executor, "stats", None)
     if scheduler_stats is not None:

@@ -39,6 +39,7 @@ _WATCHDOG_MODULES = {
     "test_durability",
     "test_obs_concurrency",
     "test_service",
+    "test_table_encode",
 }
 
 
