@@ -1,21 +1,6 @@
-"""Extension benches: near-storage, tiered store, write-pause tail."""
+"""Extension bench: the write-pause tail."""
 
-from repro.bench import near_storage, tiered, write_pause
-
-
-def test_bench_near_storage(benchmark, attach_rows):
-    result = benchmark.pedantic(near_storage.run, rounds=1, iterations=1)
-    attach_rows(benchmark, result)
-    assert all(row[5] < 1.0 for row in result.rows)
-
-
-def test_bench_tiered(benchmark, attach_rows):
-    result = benchmark.pedantic(tiered.run, kwargs={"scale": 0.25},
-                                rounds=1, iterations=1)
-    attach_rows(benchmark, result)
-    rows = {row[0]: row for row in result.rows}
-    assert rows["FCAE N=2"][2] == 0
-    assert rows["FCAE N=9"][4] > rows["FCAE N=2"][4]
+from repro.bench import write_pause
 
 
 def test_bench_write_pause(benchmark, attach_rows):

@@ -45,9 +45,7 @@ from repro.bench import (
     driver,
     fsync,
     hotpath,
-    near_storage,
     slo,
-    tiered,
     write_pause,
     fig9,
     fig10,
@@ -88,18 +86,15 @@ EXPERIMENTS = {
     "driver": driver.run,
     "fsync": fsync.run,
     "hotpath": hotpath.run,
-    "near_storage": near_storage.run,
     "slo": slo.run,
-    "tiered": tiered.run,
     "write_pause": write_pause.run,
 }
 
 #: `all` skips the fig15 summary (its four parts run individually).
 ALL_ORDER = ("table5", "fig9", "fig10", "table6", "fig11", "table7",
              "fig12", "fig13", "fig14", "table8", "fig15a", "fig15b",
-             "fig15c", "fig15d", "fig16", "ablation", "near_storage", "tiered",
-             "write_pause", "slo", "driver", "fsync", "hotpath",
-             "backends")
+             "fig15c", "fig15d", "fig16", "ablation", "write_pause", "slo",
+             "driver", "fsync", "hotpath", "backends")
 
 #: BENCH_*.json schema version understood by tools/check_regression.py.
 BENCH_SCHEMA = 1

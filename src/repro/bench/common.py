@@ -3,11 +3,13 @@ the standard engine/system configurations of the paper's evaluation."""
 
 from __future__ import annotations
 
+import statistics
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 from repro.fpga.config import FpgaConfig
+from repro.obs.window import nearest_rank
 
 #: §VII-B: 2-input engine, W_in = W_out = 64, V swept 8..64.
 VALUE_WIDTHS = (8, 16, 32, 64)
@@ -93,14 +95,9 @@ def scale_bytes(nbytes: int, scale: float,
 
 
 def wall_percentiles(samples: list[float]) -> tuple[float, float]:
-    """(p50, p95) of wall-time samples (nearest-rank p95)."""
-    ordered = sorted(samples)
-    mid = len(ordered) // 2
-    p50 = (ordered[mid] if len(ordered) % 2
-           else (ordered[mid - 1] + ordered[mid]) / 2)
-    p95 = ordered[min(len(ordered) - 1,
-                      int(round(0.95 * (len(ordered) - 1))))]
-    return p50, p95
+    """(p50, p95) of wall-time samples: the median and the nearest-rank
+    p95."""
+    return statistics.median(samples), nearest_rank(samples, 95)
 
 
 def sample_wall(fn: Callable[[], object], repeat: int,

@@ -33,7 +33,6 @@ from repro.host.batch_merge import BatchMergeEngine
 from repro.host.device import DeviceResult, FcaeDevice
 from repro.host.driver import CompactionDriver
 from repro.host.faults import FaultInjector
-from repro.host.near_storage import NearStorageDevice, NearStorageResult
 from repro.host.pcie import PcieModel
 from repro.host.scheduler import CompactionScheduler, SchedulerStats
 
@@ -50,8 +49,6 @@ __all__ = [
     "FcaeDevice",
     "FpgaSimBackend",
     "make_backends",
-    "NearStorageDevice",
-    "NearStorageResult",
     "PcieModel",
     "SchedulerStats",
 ]

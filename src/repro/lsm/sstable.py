@@ -275,13 +275,14 @@ def build_tables(entries: Iterable[tuple[bytes, bytes]], options: Options,
     each finished ``(builder, file)``: one :class:`BlockCutter` cuts the
     stream, :data:`~repro.compress.encoder.block_encoder` compresses the
     blocks, and each is appended in order to the current table, finished
-    once its ``file_size`` reaches ``max_file_size`` (None: never).
+    once its ``file_size`` reaches ``max_file_size`` (None: never) and the
+    next block starts a new user key.
 
-    The bytes are :meth:`TableBuilder.add`'s under the same rule:
-    ``file_size`` grows only when a data block is written, so the
-    streaming cut falls on a block boundary too, and a block's raw bytes
-    depend only on the entries and ``block_size`` -- compressed sizes
-    decide only which table a block lands in.
+    With one entry per user key the bytes are :meth:`TableBuilder.add`'s
+    under the same rule: ``file_size`` grows only when a data block is
+    written, so the streaming cut falls on a block boundary too, and a
+    block's raw bytes depend only on the entries and ``block_size`` --
+    compressed sizes decide only which table a block lands in.
     """
     cutter = BlockCutter(options, comparator)
 
@@ -293,16 +294,24 @@ def build_tables(entries: Iterable[tuple[bytes, bytes]], options: Options,
         encoded = block_encoder.encode(cut())
     else:
         encoded = ((block, None) for block in cut())
-    builder = None
+    user_compare = comparator.user_comparator.compare
+    builder = ended_on = None
     for block, compressed in encoded:
+        # A full table is finished at the first block that starts a new
+        # user key: the versions of one key a snapshot merge keeps must
+        # share a table, or the level's user-key ranges overlap.
+        if ended_on is not None and user_compare(
+                block[1][:-MARK_FIELDS_SIZE], ended_on) != 0:
+            builder.finish()
+            yield builder, dest
+            builder = None
         if builder is None:
             dest = new_file()
             builder = TableBuilder(options, dest, comparator)
         builder._append_block(block, compressed)
+        ended_on = None
         if max_file_size is not None and builder.file_size >= max_file_size:
-            builder.finish()
-            yield builder, dest
-            builder = None
+            ended_on = block[2][:-MARK_FIELDS_SIZE]
     if builder is not None:
         builder.finish()
         yield builder, dest

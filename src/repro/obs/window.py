@@ -206,6 +206,20 @@ class WindowedHistogram:
         return self.buckets[-1]
 
 
+def nearest_rank(values: Sequence[float], percentile: float) -> float:
+    """Percentile ``percentile`` in ``[0, 100]`` of a raw sample: the
+    value at rank ``int(p/100 * n)`` of the sorted sample; 0.0 when
+    empty.  The exact counterpart of :meth:`WindowedHistogram.percentile`
+    for callers that keep every observation."""
+    if not 0 <= percentile <= 100:
+        raise InvalidArgumentError("percentile must be in [0, 100]")
+    if not values:
+        return 0.0
+    ordered = sorted(values)
+    rank = int(percentile / 100.0 * len(ordered))
+    return ordered[min(rank, len(ordered) - 1)]
+
+
 def publish_window(registry: MetricsRegistry, name: str, help_text: str,
                    window: WindowedHistogram,
                    quantiles: Sequence[float] = DEFAULT_QUANTILES,

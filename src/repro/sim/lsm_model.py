@@ -217,15 +217,6 @@ class LsmShapeModel:
     def total_bytes(self) -> int:
         return self.l0_bytes + sum(self.level_bytes)
 
-    def populated_depth(self) -> int:
-        """Deepest level holding data."""
-        depth = 0
-        for level in range(NUM_LEVELS - 1, 0, -1):
-            if self.level_bytes[level] > 0:
-                depth = level
-                break
-        return depth
-
     def expected_depth_for(self, total_bytes: int) -> int:
         """Levels a dataset of ``total_bytes`` will occupy."""
         level, budget = 1, self.options.max_level0_size
@@ -236,95 +227,3 @@ class LsmShapeModel:
             budget *= self.options.leveling_ratio
         return level
 
-
-class TieredShapeModel:
-    """Size-tiered / lazy-compaction shape (PebblesDB/SifrDB style).
-
-    The paper's §VII-C motivation for the multi-input engine: modern
-    write-optimized stores allow key-range overlap within a level, so a
-    merge takes *all* of a level's runs at once — often 8+ inputs, which
-    a 2-input engine cannot accept.
-
-    Each level holds up to ``tier_fanout`` overlapping sorted runs; when
-    a level fills, its runs merge into a single run on the next level
-    (write amplification ~1 per crossing — tiering's selling point).
-    Exposes the same interface as :class:`LsmShapeModel` so the system
-    simulator can swap shapes.
-    """
-
-    def __init__(self, options: Options, tier_fanout: int = 8,
-                 survival: float = 0.97):
-        if tier_fanout < 2:
-            raise SimulationError("tier_fanout must be >= 2")
-        self.options = options
-        self.tier_fanout = tier_fanout
-        self.survival = survival
-        self.runs: list[list[int]] = [[] for _ in range(NUM_LEVELS)]
-        self.stats = LevelModelStats()
-        self._busy_levels: set[int] = set()
-
-    # -- ingestion ------------------------------------------------------
-
-    def add_l0_file(self, nbytes: int) -> None:
-        self.runs[0].append(nbytes)
-        self.stats.flushed_bytes += nbytes
-
-    @property
-    def l0_files(self) -> int:
-        return len(self.runs[0])
-
-    @property
-    def slowdown(self) -> bool:
-        return len(self.runs[0]) >= L0_SLOWDOWN_TRIGGER
-
-    @property
-    def stopped(self) -> bool:
-        return len(self.runs[0]) >= L0_STOP_TRIGGER
-
-    # -- picking --------------------------------------------------------
-
-    def _full_levels(self) -> list[int]:
-        full = []
-        for level in range(NUM_LEVELS - 1):
-            threshold = (L0_COMPACTION_TRIGGER if level == 0
-                         else self.tier_fanout)
-            if (len(self.runs[level]) >= threshold
-                    and level not in self._busy_levels):
-                full.append(level)
-        return full
-
-    def needs_compaction(self) -> bool:
-        return bool(self._full_levels())
-
-    def pick_compaction(self) -> ModelCompactionTask | None:
-        full = self._full_levels()
-        if not full:
-            return None
-        level = full[0]  # shallowest first: relieves the write path
-        run_count = len(self.runs[level])
-        input_bytes = sum(self.runs[level])
-        self.runs[level] = []
-        task = ModelCompactionTask(
-            level=level,
-            input_bytes=input_bytes,
-            l0_files_consumed=run_count if level == 0 else 0,
-            fpga_input_count=run_count,
-            output_bytes=int(input_bytes * self.survival),
-        )
-        self._busy_levels.add(level)
-        return task
-
-    def apply(self, task: ModelCompactionTask) -> None:
-        if task.level not in self._busy_levels:
-            raise SimulationError(
-                f"apply for level {task.level} without a pending pick")
-        self._busy_levels.discard(task.level)
-        self.runs[task.output_level].append(task.output_bytes)
-        self.stats.compactions += 1
-        self.stats.compaction_input_bytes += task.input_bytes
-        self.stats.compaction_output_bytes += task.output_bytes
-
-    # -- introspection ----------------------------------------------------
-
-    def total_bytes(self) -> int:
-        return sum(sum(level) for level in self.runs)

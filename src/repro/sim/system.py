@@ -37,6 +37,7 @@ from repro.fpga.config import CONFIG_9_INPUT, FpgaConfig
 from repro.fpga.engine import simulate_synthetic
 from repro.host.pcie import PcieModel
 from repro.lsm.options import Options
+from repro.obs.window import nearest_rank
 from repro.sim.cpu import CpuCostModel
 from repro.sim.disk import DiskModel
 from repro.sim.lsm_model import LsmShapeModel, ModelCompactionTask
@@ -60,10 +61,6 @@ class SystemConfig:
     disk_read_bandwidth: float = 500e6
     disk_write_bandwidth: float = 450e6
     data_size_bytes: int = 1 << 30
-    #: "leveled" (LevelDB) or "tiered" (PebblesDB/SifrDB-style lazy
-    #: compaction, the paper's §VII-C motivation for multi-input FCAE).
-    compaction_style: str = "leveled"
-    tier_fanout: int = 8
     #: Concurrent Compaction Units on the card (fcae mode): each offloaded
     #: task occupies the earliest-free unit, so tasks overlap up to this
     #: many ways (PCIe and disk stay shared).
@@ -74,9 +71,6 @@ class SystemConfig:
             raise InvalidArgumentError(f"unknown mode {self.mode!r}")
         if self.data_size_bytes <= 0:
             raise InvalidArgumentError("data_size_bytes must be positive")
-        if self.compaction_style not in ("leveled", "tiered"):
-            raise InvalidArgumentError(
-                f"unknown compaction style {self.compaction_style!r}")
         if self.num_units < 1:
             raise InvalidArgumentError("num_units must be >= 1")
 
@@ -179,12 +173,7 @@ class SystemSimulator:
         self.cpu = config.cpu
         self.disk = DiskModel(read_bandwidth=config.disk_read_bandwidth,
                               write_bandwidth=config.disk_write_bandwidth)
-        if config.compaction_style == "tiered":
-            from repro.sim.lsm_model import TieredShapeModel
-            self.model = TieredShapeModel(self.options,
-                                          tier_fanout=config.tier_fanout)
-        else:
-            self.model = LsmShapeModel(self.options)
+        self.model = LsmShapeModel(self.options)
         self.result = SystemResult(mode=config.mode, user_bytes=0,
                                    elapsed_seconds=0.0)
         self._writer_clock = 0.0
@@ -619,17 +608,6 @@ class TenantSpec:
             raise InvalidArgumentError("record_count must be positive")
 
 
-def _percentile(values: list, percentile: float) -> float:
-    """Nearest-rank percentile; 0.0 for an empty sample."""
-    if not 0 <= percentile <= 100:
-        raise InvalidArgumentError("percentile must be in [0, 100]")
-    if not values:
-        return 0.0
-    ordered = sorted(values)
-    rank = int(percentile / 100.0 * len(ordered))
-    return ordered[min(rank, len(ordered) - 1)]
-
-
 @dataclass
 class OpenLoopTenantStats:
     """Per-tenant measurements of one open-loop run."""
@@ -647,10 +625,10 @@ class OpenLoopTenantStats:
     service_seconds: list = field(default_factory=list)
 
     def latency_percentile(self, percentile: float) -> float:
-        return _percentile(self.latencies, percentile)
+        return nearest_rank(self.latencies, percentile)
 
     def service_percentile(self, percentile: float) -> float:
-        return _percentile(self.service_seconds, percentile)
+        return nearest_rank(self.service_seconds, percentile)
 
     @property
     def mean_queue_delay(self) -> float:

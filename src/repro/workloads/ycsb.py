@@ -68,12 +68,6 @@ class YcsbWorkload:
         return (self.update_fraction + self.insert_fraction
                 + self.rmw_fraction)
 
-    @property
-    def effective_read_fraction(self) -> float:
-        """Reads per op, counting the read half of RMWs and scans."""
-        return (self.read_fraction + self.scan_fraction
-                + self.rmw_fraction)
-
 
 YCSB_WORKLOADS: dict[str, YcsbWorkload] = {
     "load": YcsbWorkload("load", insert_fraction=1.0),

@@ -2,7 +2,8 @@
 interleaving of puts, deletes, gets, scans, flushes, compactions and
 reopens — with either the CPU or the FPGA compaction executor — and a
 scan left suspended across any of them still yields the snapshot it
-started from."""
+started from, as does a snapshot held across them.  Tables of one block
+make every merge under a held snapshot cut its output."""
 
 import pytest
 from hypothesis import settings
@@ -21,13 +22,16 @@ from repro.host import CompactionScheduler, FcaeDevice
 from repro.lsm import LsmDB, Options
 from repro.lsm.env import MemEnv
 
-KEYS = st.binary(min_size=1, max_size=24)
+#: A few hot keys among arbitrary ones, so that a held snapshot pins
+#: older versions of keys that are rewritten after it.
+KEYS = st.sampled_from([b"hot%d" % i for i in range(3)]) | st.binary(
+    min_size=1, max_size=24)
 VALUES = st.binary(max_size=120)
 
 
 def _options():
-    return Options(write_buffer_size=4 * 1024, sstable_size=4 * 1024,
-                   max_level0_size=16 * 1024, block_size=512,
+    return Options(write_buffer_size=1024, sstable_size=64,
+                   max_level0_size=16 * 1024, block_size=64,
                    compression="snappy", bloom_bits_per_key=8,
                    block_cache_capacity=16 * 1024)
 
@@ -52,6 +56,10 @@ class DbMachine(RuleBasedStateMachine):
     def _open(self):
         self.db = LsmDB("mbdb", self.options, env=self.env,
                         compaction_executor=self._executor())
+        #: Live snapshots with the model each must keep seeing; one is
+        #: taken at open so that merges start out under a snapshot.
+        self.snaps: list = []
+        self.hold_snapshot()
 
     @rule(key=KEYS, value=VALUES)
     def put(self, key, value):
@@ -80,7 +88,15 @@ class DbMachine(RuleBasedStateMachine):
         self.db.compact_range()
 
     @rule()
+    def compact_level0(self):
+        """Flush, then merge level 0 into level 1 however few files it
+        holds."""
+        self.db.flush()
+        self.db.compact_once(level_hint=0)
+
+    @rule()
     def reopen(self):
+        self._release_all()
         self.db.close()
         self._open()
 
@@ -100,13 +116,30 @@ class DbMachine(RuleBasedStateMachine):
         assert list(self.iterator) == self.snapshot[1:]
         self.iterator = None
 
+    @rule()
+    def hold_snapshot(self):
+        self.snaps.append((self.db.snapshot(), dict(self.model)))
+
+    @precondition(lambda self: self.snaps)
+    @rule(pick=st.integers(min_value=0))
+    def release_snapshot(self, pick):
+        snap, _ = self.snaps.pop(pick % len(self.snaps))
+        snap.close()
+
+    def _release_all(self):
+        for snap, _ in self.snaps:
+            snap.close()
+
     @invariant()
     def scan_matches_model(self):
         assert dict(self.db.scan()) == self.model
+        for snap, then in self.snaps:
+            assert dict(self.db.scan(snapshot=snap)) == then
 
     def teardown(self):
         if self.iterator is not None:
             self.drain_iterator()
+        self._release_all()
         self.db.close()
 
 

@@ -10,6 +10,7 @@ from repro.obs.exposition import to_prometheus_text
 from repro.obs.registry import MetricsRegistry
 from repro.obs.window import (
     WindowedHistogram,
+    nearest_rank,
     publish_window,
     quantile_label,
 )
@@ -59,6 +60,23 @@ class TestPercentiles:
             window.observe(value)
         assert window.count == 3
         assert window.sum == pytest.approx(0.006)
+
+
+class TestNearestRank:
+    def test_rank_is_floor_of_p_times_n(self):
+        values = list(range(10, 0, -1))
+        assert nearest_rank(values, 0) == 1
+        assert nearest_rank(values, 50) == 6
+        assert nearest_rank(values, 95) == 10
+        assert nearest_rank(values, 100) == 10
+
+    def test_empty_sample_reads_zero(self):
+        assert nearest_rank([], 99) == 0.0
+
+    @pytest.mark.parametrize("percentile", [-1, 100.5])
+    def test_out_of_range_rejected(self, percentile):
+        with pytest.raises(InvalidArgumentError):
+            nearest_rank([1.0], percentile)
 
 
 class TestExpiry:

@@ -1,9 +1,12 @@
 """Snapshot reads: point-in-time gets and scans."""
 
+import hashlib
+import random
+
 import pytest
 
 from repro.errors import DBStateError, NotFoundError
-from repro.lsm import LsmDB
+from repro.lsm import LsmDB, Options
 from repro.lsm.db import Snapshot
 from repro.lsm.env import MemEnv
 
@@ -226,3 +229,36 @@ class TestSnapshotCompaction:
             snap.close()
         finally:
             db.close()
+
+
+def test_merge_under_snapshot_keeps_each_user_key_in_one_table():
+    """Merges under a held snapshot keep two versions of some user keys;
+    no table may be cut between them, or the level's user-key ranges
+    overlap and the next install fails."""
+    db = LsmDB("split", Options(write_buffer_size=32 << 10,
+                                sstable_size=16 << 10,
+                                max_level0_size=64 << 10), env=MemEnv())
+    rng = random.Random(11)
+    model, snap = {}, None
+    for i in range(4000):
+        if i == 1500:
+            snap, then = db.snapshot(), dict(model)
+        if i == 3000:
+            assert dict(db.scan(snapshot=snap)) == then
+            snap.close()
+        key = b"%016d" % rng.randrange(3000)
+        if i % 29 == 0:
+            db.delete(key)
+            model.pop(key, None)
+        else:
+            head = rng.choice((1, 1, 1, 2, 2, 3)).to_bytes(8, "big")
+            model[key] = (head + hashlib.shake_128(head + key).digest(60)
+                          + head[-1:] * 60)
+            db.put(key, model[key])
+    assert db._m.snapshot_merges.value > 0
+    assert all(db.level_file_counts()[1:3])
+    for files in db.versions.current.files[1:]:
+        ranges = [meta.user_range() for meta in files]
+        assert all(prev[1] < cur[0] for prev, cur in zip(ranges, ranges[1:]))
+    assert dict(db.scan()) == model
+    db.close()

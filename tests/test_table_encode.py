@@ -301,8 +301,31 @@ def test_bulk_path_writes_what_add_writes(keys, block_size, table_blocks,
         entries, options, BYTEWISE)
 
 
-# ----------------------------------------------------------------------
-# The helper's failure rules
+@settings(max_examples=40, deadline=None)
+@given(versions=st.dictionaries(st.binary(min_size=1, max_size=12),
+                                st.integers(1, 6), max_size=120),
+       block_size=st.sampled_from([64, 256]),
+       table_blocks=st.integers(1, 4),
+       compression=st.sampled_from(["snappy", "none"]))
+def test_no_user_key_spans_two_tables(versions, block_size, table_blocks,
+                                      compression):
+    """A merge under a snapshot keeps several versions of one user key:
+    no table boundary falls between them, and every entry is written
+    once, in order."""
+    options = Options(block_size=block_size,
+                      sstable_size=block_size * table_blocks,
+                      compression=compression)
+    sequence = iter(range(1000, 0, -1))
+    entries = [(encode_internal_key(user, next(sequence), TYPE_VALUE),
+                user * 3)
+               for user in sorted(versions)
+               for _ in range(versions[user])]
+    tables = [TableReader(image, BYTEWISE, options)
+              for image, _, _ in _bulk_tables(entries, options, BYTEWISE)]
+    users = [{key[:-8] for key, _ in table} for table in tables]
+    for earlier, later in zip(users, users[1:]):
+        assert max(earlier) < min(later)
+    assert [entry for table in tables for entry in table] == entries
 # ----------------------------------------------------------------------
 
 #: A stand-in helper: reports ready, then reads requests like the real
