@@ -12,7 +12,7 @@ Two halves, one contract:
   worker paths).  Run it as ``python -m repro.analysis src/`` or via
   ``tools/lint.py``.
 * :mod:`repro.analysis.watchdog` — an opt-in instrumented
-  ``Lock``/``RLock``/``Condition`` layer that records the per-thread
+  ``Lock``/``Condition`` layer that records the per-thread
   lock-acquisition graph at runtime, flags cycles (potential ABBA
   deadlocks) and long-hold outliers, and reports through the existing
   journal/metrics plumbing.  Enable with ``REPRO_LOCK_WATCHDOG=1`` or

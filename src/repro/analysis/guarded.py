@@ -15,8 +15,8 @@ Contracts are declared in one place, the class's own source:
 1. ``# guarded_by: <mutex>`` trailing comments on ``self.X = ...``
    assignments in ``__init__`` (add ``, reads`` to also guard loads).
 2. ``# mutex: <attr>`` on a class line, or auto-detection: a class
-   whose ``__init__`` creates exactly one ``threading.Lock/RLock`` (or
-   ``make_lock``/``make_rlock``) gets it as primary mutex.
+   whose ``__init__`` creates exactly one ``threading.Lock`` (or
+   ``make_lock``) gets it as primary mutex.
 
 ``*_locked`` methods and ``# holds: <mutex>`` annotations declare that
 a method runs with the mutex already held.
@@ -38,7 +38,7 @@ _GUARDED_RE = re.compile(
 _MUTEX_RE = re.compile(r"#\s*mutex:\s*([A-Za-z_][\w.]*)")
 _HOLDS_RE = re.compile(r"#\s*holds:\s*([A-Za-z_][\w.]*)")
 
-_LOCK_FACTORIES = {"Lock", "RLock", "make_lock", "make_rlock"}
+_LOCK_FACTORIES = {"Lock", "make_lock"}
 
 
 @dataclass
@@ -75,7 +75,7 @@ def _path_from_text(text: str) -> Path:
 
 
 def _is_lock_factory_call(node: ast.expr) -> bool:
-    """``threading.Lock()``, ``RLock()``, ``make_lock(...)`` etc."""
+    """``threading.Lock()`` or ``make_lock(...)``."""
     if not isinstance(node, ast.Call):
         return False
     func = node.func

@@ -20,10 +20,11 @@ Design constraints:
   and journal emission is deferred until the reporting thread holds no
   instrumented locks (the journal's own lock may be instrumented —
   emitting from inside acquire bookkeeping would self-deadlock).
-* **Condition-compatible.**  ``WatchdogRLock`` implements the private
-  ``_release_save`` / ``_acquire_restore`` / ``_is_owned`` protocol so
-  ``threading.Condition(wrapped_lock).wait()`` fully releases and
-  correctly restores both the real lock and the watchdog's books.
+* **Condition-compatible.**  ``threading.Condition(wrapped_lock)``
+  releases and re-takes a ``WatchdogLock`` through its own ``release`` /
+  ``acquire`` around ``wait()``, so the real lock and the watchdog's
+  books move together.  There is no re-entrant flavour: no lock in the
+  store is taken twice by one thread.
 """
 
 from __future__ import annotations
@@ -36,14 +37,12 @@ from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 __all__ = [
     "LockWatchdog",
     "WatchdogLock",
-    "WatchdogRLock",
     "get",
     "enabled",
     "enable",
     "disable",
     "reset",
     "make_lock",
-    "make_rlock",
     "make_condition",
     "held_by_current_thread",
 ]
@@ -54,14 +53,13 @@ DEFAULT_LONG_HOLD_SECONDS = 0.5
 
 
 class _Held:
-    """One entry in a thread's held-lock stack (reentrant-aware)."""
+    """One entry in a thread's held-lock stack."""
 
-    __slots__ = ("serial", "name", "count", "since")
+    __slots__ = ("serial", "name", "since")
 
     def __init__(self, serial: int, name: str, since: float):
         self.serial = serial
         self.name = name
-        self.count = 1
         self.since = since
 
 
@@ -133,42 +131,24 @@ class LockWatchdog:
 
     # ------------------------------------------------------- bookkeeping
 
-    def note_acquire(self, serial: int, name: str, count: int = 1) -> None:
+    def note_acquire(self, serial: int, name: str) -> None:
         stack = self._stack()
-        for entry in reversed(stack):
-            if entry.serial == serial:
-                entry.count += count
-                return
         entry = _Held(serial, name, self._clock())
-        entry.count = count
         if stack:
             self._note_edge(stack[-1], entry)
         stack.append(entry)
         with self._lock:
             self._acquires[name] = self._acquires.get(name, 0) + 1
 
-    def note_release(self, serial: int, *, full: bool = False) -> int:
-        """Pop one (or all, when ``full``) reentrant holds of ``serial``
-        for this thread; returns the reentry count released."""
+    def note_release(self, serial: int) -> None:
+        """Pop this thread's hold of ``serial``."""
         stack = self._stack()
-        released = 0
         for i in range(len(stack) - 1, -1, -1):
-            entry = stack[i]
-            if entry.serial != serial:
-                continue
-            if full:
-                released = entry.count
-                entry.count = 0
-            else:
-                released = 1
-                entry.count -= 1
-            if entry.count == 0:
-                stack.pop(i)
-                self._note_hold_time(entry)
-            break
+            if stack[i].serial == serial:
+                self._note_hold_time(stack.pop(i))
+                break
         if not stack:
             self._drain_reports()
-        return released
 
     def _note_hold_time(self, entry: _Held) -> None:
         held_for = self._clock() - entry.since
@@ -296,8 +276,8 @@ class LockWatchdog:
             float(len(report["long_holds"])))
 
 
-class _WatchdogLockBase:
-    """Shared acquire/release plumbing for both wrapper flavours."""
+class WatchdogLock:
+    """Instrumented ``threading.Lock``."""
 
     def __init__(self, watchdog: LockWatchdog, name: str, inner):
         self._watchdog = watchdog
@@ -318,6 +298,9 @@ class _WatchdogLockBase:
         self._inner.release()
         self._watchdog.note_release(self._serial)
 
+    def locked(self) -> bool:
+        return self._inner.locked()
+
     def __enter__(self):
         self.acquire()
         return self
@@ -328,33 +311,6 @@ class _WatchdogLockBase:
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (f"<{type(self).__name__} {self.name!r} "
                 f"serial={self._serial}>")
-
-
-class WatchdogLock(_WatchdogLockBase):
-    """Instrumented ``threading.Lock``."""
-
-    def locked(self) -> bool:
-        return self._inner.locked()
-
-
-class WatchdogRLock(_WatchdogLockBase):
-    """Instrumented ``threading.RLock``, Condition-compatible."""
-
-    # Condition protocol -------------------------------------------------
-    def _release_save(self):
-        # Physically release first so any report drain triggered by the
-        # bookkeeping below runs without the real lock held.
-        inner_state = self._inner._release_save()
-        count = self._watchdog.note_release(self._serial, full=True)
-        return (inner_state, count)
-
-    def _acquire_restore(self, state) -> None:
-        inner_state, count = state
-        self._inner._acquire_restore(inner_state)
-        self._watchdog.note_acquire(self._serial, self.name, count=count)
-
-    def _is_owned(self) -> bool:
-        return self._inner._is_owned()
 
 
 # ---------------------------------------------------------------- module API
@@ -410,16 +366,8 @@ def make_lock(name: str) -> Any:
     return WatchdogLock(_watchdog, name, threading.Lock())
 
 
-def make_rlock(name: str) -> Any:
-    """An ``RLock``, instrumented when the watchdog is enabled."""
-    if not _enabled:
-        return threading.RLock()
-    return WatchdogRLock(_watchdog, name, threading.RLock())
-
-
 def make_condition(lock: Any, name: str = "") -> threading.Condition:
-    """A ``Condition`` over ``lock`` (plain or instrumented — the
-    RLock wrapper implements the full Condition lock protocol)."""
+    """A ``Condition`` over ``lock``, plain or instrumented."""
     return threading.Condition(lock)
 
 

@@ -18,10 +18,10 @@ on who executes a step; that is the one switch,
 :meth:`LsmDB._maintain_locked`:
 
 * **no workers** (default): the thread that finds a step due runs it, in
-  a loop, the mutex still held through the re-entrant lock — deterministic
-  and effectively single-threaded, as the seed reproduction always was.
-  A failure raises to that caller.  Timing questions are answered by the
-  discrete-event simulator in :mod:`repro.sim`.
+  a loop, and releases the mutex around each step exactly as a worker
+  runs it — so readers, ``snapshot()``, stats and queueing writers go on
+  meanwhile.  A failure raises to that caller.  Timing questions are
+  answered by the discrete-event simulator in :mod:`repro.sim`.
 * **a driver** (``background_compaction=True``): the paper's Fig 6
   workflow on real threads.  A step is a token for
   :class:`repro.host.driver.CompactionDriver`'s flush worker or one of its
@@ -32,7 +32,13 @@ on who executes a step; that is the one switch,
 
 Either way a blocked writer is one stall episode: one
 ``lsm_write_stall_seconds`` observation, one ``stall_start`` /
-``stall_finish`` pair, one ``write.stall`` span.
+``stall_finish`` pair, one ``write.stall`` span.  Since steps run beside
+each other (a commit leader's, a ``flush()`` or ``compact_range()``
+caller's, the workers'), each claims what it works on under the mutex:
+a flush the immutable memtable (``_flushing``), a merge its files
+(``_busy``).  A caller whose step finds its work claimed waits on
+``_cond`` for the claim to clear, and :meth:`LsmDB.close` waits for
+every claimed step to finish.
 
 Every public operation is safe to call from multiple threads:
 state mutations hold ``_mutex``; ``get`` and ``scan`` take no lock — they
@@ -267,12 +273,14 @@ class LsmDB:
         #: File numbers owned by in-flight compactions: a pick touching
         #: one is discarded, which keeps concurrent outputs disjoint.
         self._busy: set[int] = set()  # guarded_by: _mutex
+        #: True while a flush of ``_imm`` runs: one flush per memtable.
+        self._flushing = False  # guarded_by: _mutex
         self.stall_events = 0
         self.stats = DbStats(self._m)
-        #: Re-entrant so a thread running its own maintenance steps can
-        #: nest public calls; the background workers never re-enter.
-        #: Instrumented by the lock watchdog when REPRO_LOCK_WATCHDOG=1.
-        self._mutex = lockwatch.make_rlock("lsm.mutex")
+        #: Never held across a maintenance step, whoever runs it, and
+        #: never taken twice by one thread.  Instrumented by the lock
+        #: watchdog when REPRO_LOCK_WATCHDOG=1.
+        self._mutex = lockwatch.make_lock("lsm.mutex")
         self._cond = lockwatch.make_condition(self._mutex)
         #: Writer queue: front is the leader, the rest wait on
         #: ``_writers_cond``.
@@ -652,10 +660,12 @@ class LsmDB:
           instead — kick, wait at most that long, go on.  A worker's
           failure is parked in ``_bg_error`` and raised here.
         * With no workers the caller is the worker, whatever its
-          patience: it runs the steps in this loop, the mutex still held
-          through the re-entrant lock.  A step that finds nothing to do
-          ends the loop; one that fails raises to the caller, nothing
-          parked, and is due again at the next call.
+          patience: it runs the steps in this loop, releasing the mutex
+          around each one (:meth:`_run_step`).  A step that finds its
+          work claimed by another thread's running step waits on
+          ``_cond`` for that step to end; one that finds nothing to do
+          with no step running ends the loop; one that fails raises to
+          the caller, nothing parked, and is due again at the next call.
 
         ``reason`` names the write stall of a writer blocked here until
         ``done()``: the whole episode is one observation.
@@ -682,10 +692,21 @@ class LsmDB:
                 if driver is not None:
                     kick()
                     self._cond.wait(timeout=0.05)
-                elif not (self.flush_immutable() if self._imm is not None
-                          else self.compact_once()):
-                    break
+                elif not self._run_step(flush=self._imm is not None):
+                    if not (self._flushing or self._busy):
+                        break
+                    self._cond.wait()  # another thread's step has it
         self._check_bg_error_locked()
+
+    def _run_step(self, flush: bool) -> bool:
+        """Run one maintenance step on this thread, which holds the
+        mutex: released for the step, as a worker runs it, and taken
+        back before this returns or raises."""
+        self._mutex.release()
+        try:
+            return self.flush_immutable() if flush else self.compact_once()
+        finally:
+            self._mutex.acquire()
 
     @contextmanager
     def _stall_episode(self, reason: Optional[str], ctx) -> Iterator[None]:
@@ -741,6 +762,7 @@ class LsmDB:
             mem = self._mem
             while True:
                 self._maintain_locked(lambda: self._imm is None)
+                self._check_open()  # a close() may have ended the wait
                 if self._mem is not mem or not len(mem):
                     return  # swapped out, by this call or a leader
                 if self._wal_writing:
@@ -986,21 +1008,33 @@ class LsmDB:
 
     def flush_immutable(self) -> bool:
         """Dump the immutable memtable to a level-0 table; False when
-        there is none (or the DB is closed).
+        there is none, another thread's flush has it, or the DB is
+        closed.
 
         The table is built, closed durably and read back with no mutex
-        taken — the memtable is immutable by construction — so beside a
-        flush worker foreground writes proceed into the fresh memtable
-        meanwhile; only the install takes the lock.  On failure the
-        partial file is removed and ``_imm`` stays set: its writes
-        remain readable, its WAL segment is retained, and the flush is
-        still due.
+        taken — the memtable is immutable by construction — so foreground
+        writes proceed into the fresh memtable meanwhile; only the claim
+        and the install take the lock.  On failure the partial file is
+        removed and ``_imm`` stays set: its writes remain readable, its
+        WAL segment is retained, and the flush is still due.
         """
         with self._mutex:
             imm = self._imm
-            if imm is None or self._closed:
+            if imm is None or self._flushing or self._closed:
                 return False
+            self._flushing = True
             number = self.versions.new_file_number()
+        try:
+            self._write_level0_table(imm, number)
+        finally:
+            with self._mutex:
+                self._flushing = False
+                self._cond.notify_all()
+        return True
+
+    def _write_level0_table(self, imm: MemTable, number: int) -> None:
+        """Write ``imm`` as table ``number`` and install it (the claimed
+        body of :meth:`flush_immutable`)."""
         name = table_file_name(self.dbname, number)
         with self.tracer.span("flush", db=self.dbname) as span:
             trace_fields = _trace_fields(span)
@@ -1040,8 +1074,6 @@ class LsmDB:
                 self._write_manifest()
                 self._retire_old_logs()
                 self._m.refresh_levels(self.versions.current)
-                self._cond.notify_all()
-        return True
 
     def maintenance_failed(self, error: BaseException) -> None:
         """Park the first background failure and wake any throttled
@@ -1240,26 +1272,29 @@ class LsmDB:
         Raises :class:`NotFoundError` for unknown properties.
         """
         self._check_open()
-        with self._mutex:
-            if name == "repro.stats":
-                return render_db_report(self)
-            if name == "repro.levelstats":
-                return render_level_stats(self)
-            prefix = "repro.num-files-at-level"
-            if name.startswith(prefix):
-                try:
-                    level = int(name[len(prefix):])
-                except ValueError:
-                    raise NotFoundError(name) from None
-                if not 0 <= level < NUM_LEVELS:
-                    raise NotFoundError(name)
+        # The reports take the mutex per read and read the event journal
+        # from the env: rendered with the mutex free.
+        if name == "repro.stats":
+            return render_db_report(self)
+        if name == "repro.levelstats":
+            return render_level_stats(self)
+        prefix = "repro.num-files-at-level"
+        if name.startswith(prefix):
+            try:
+                level = int(name[len(prefix):])
+            except ValueError:
+                raise NotFoundError(name) from None
+            if not 0 <= level < NUM_LEVELS:
+                raise NotFoundError(name)
+            with self._mutex:
                 return str(self.versions.current.num_files(level))
-            if name == "repro.approximate-memory-usage":
+        if name == "repro.approximate-memory-usage":
+            with self._mutex:
                 usage = self._mem.approximate_memory_usage
                 if self._imm is not None:
                     usage += self._imm.approximate_memory_usage
-                return str(usage)
-            raise NotFoundError(name)
+            return str(usage)
+        raise NotFoundError(name)
 
     def approximate_size(self, start: bytes, end: bytes) -> int:
         """Approximate on-disk bytes occupied by user keys in
@@ -1279,9 +1314,11 @@ class LsmDB:
         with self._mutex:
             if self._closed:
                 return
-            # Let queued group commits drain: every writer in the queue
-            # has been promised an acknowledgement or an error.
-            while self._writers or self._wal_writing:
+            # Let queued group commits drain (every writer in the queue
+            # has been promised an acknowledgement or an error) and steps
+            # running on callers' threads install or clean up.
+            while (self._writers or self._wal_writing or self._flushing
+                   or self._busy):
                 self._writers_cond.wait(timeout=0.05)
             if self._log_file is not None:
                 self._log_file.close()

@@ -106,7 +106,7 @@ class CrashEnv(Env):
     def __init__(self) -> None:
         self._files: dict[str, _FileState] = {}
         self._open_files: set[str] = set()
-        self._lock = threading.RLock()
+        self._lock = threading.Lock()
         self._epoch = 0
         #: Total ``sync()`` calls across all files.
         self.syncs = 0

@@ -57,7 +57,7 @@ class Counter:
     __slots__ = ("labels", "_lock", "_value")
 
     def __init__(self, labels: tuple[tuple[str, str], ...],
-                 lock: threading.RLock):
+                 lock: threading.Lock):
         self.labels = labels
         self._lock = lock
         self._value = 0.0
@@ -79,7 +79,7 @@ class Gauge:
     __slots__ = ("labels", "_lock", "_value")
 
     def __init__(self, labels: tuple[tuple[str, str], ...],
-                 lock: threading.RLock):
+                 lock: threading.Lock):
         self.labels = labels
         self._lock = lock
         self._value = 0.0
@@ -155,7 +155,7 @@ class Histogram:
                  "_exemplars")
 
     def __init__(self, labels: tuple[tuple[str, str], ...],
-                 lock: threading.RLock, buckets: Sequence[float]):
+                 lock: threading.Lock, buckets: Sequence[float]):
         self.labels = labels
         self.buckets = tuple(buckets)
         self._lock = lock
@@ -225,7 +225,7 @@ class MetricsRegistry:
     """
 
     def __init__(self) -> None:
-        self._lock = lockwatch.make_rlock("obs.registry")
+        self._lock = lockwatch.make_lock("obs.registry")
         self._families: dict[str, MetricFamily] = {}  # guarded_by: _lock, reads
         self._instances = itertools.count()
 
@@ -353,7 +353,8 @@ class MetricsRegistry:
         exposition behavior."""
         out: dict = {}
         with self._lock:
-            for family in self.collect():
+            for name in sorted(self._families):
+                family = self._families[name]
                 entries = {}
                 for key, child in family.children.items():
                     if family.kind == "histogram":

@@ -35,6 +35,7 @@ class ReverseComparator(Comparator):
 #: every test in these files runs with instrumented locks, and teardown
 #: asserts the acquisition graph stayed acyclic.
 _WATCHDOG_MODULES = {
+    "test_db_edge_cases",
     "test_driver",
     "test_durability",
     "test_obs_concurrency",

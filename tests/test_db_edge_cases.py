@@ -2,14 +2,20 @@
 
 import errno
 import random
+import sys
 import threading
+import time
 
 import pytest
 
 from repro.errors import DBStateError, NotFoundError
 from repro.lsm import LsmDB, Options, WriteBatch
+from repro.lsm.compaction import compact_tables
 from repro.lsm.env import MemEnv
 from repro.lsm.filenames import table_file_name
+from repro.lsm.internal import InternalKeyComparator
+from repro.lsm.options import L0_COMPACTION_TRIGGER
+from repro.obs.events import EventJournal
 
 
 class TestBinaryKeys:
@@ -436,3 +442,187 @@ class TestCompactionFailure:
         assert table_files(env, "orphan") == live_tables(db)
         assert_serves(db, expected)
         db.close()
+
+
+class ParkedMerge:
+    """A compaction executor (the CPU merge) whose next merge, once
+    armed, parks until ``release`` is set: a step held open on the
+    thread that runs it."""
+
+    def __init__(self, options):
+        self.options = options
+        self.icmp = InternalKeyComparator(options.comparator)
+        self.armed = False
+        self.entered = threading.Event()
+        self.release = threading.Event()
+
+    def __call__(self, spec, input_tables, parent_tables, drop):
+        if self.armed:
+            self.armed = False
+            self.entered.set()
+            assert self.release.wait(timeout=30)
+        return compact_tables(spec.level, input_tables, parent_tables,
+                              self.options, self.icmp, drop).outputs
+
+
+def returns_within(call, seconds=1.0):
+    """``call()``'s result, run on another thread; fails instead of
+    hanging when it takes longer than ``seconds``."""
+    result = []
+    thread = threading.Thread(target=lambda: result.append(call()),
+                              daemon=True)
+    thread.start()
+    thread.join(timeout=seconds)
+    assert not thread.is_alive(), f"{call} waited on a running step"
+    return result[0]
+
+
+def fill_level0(db):
+    """Flush tables until a level-0 merge is due; returns what went in."""
+    expected = {}
+    for table in range(L0_COMPACTION_TRIGGER):
+        for i in range(50):
+            expected[key(i * 3 + table)] = VALUE
+            db.put(key(i * 3 + table), VALUE)
+        db.flush()
+    assert db.level_file_counts()[0] == L0_COMPACTION_TRIGGER
+    return expected
+
+
+class TestStepsRunWithoutTheMutex:
+    """With no workers the caller runs a step the way a worker does: with
+    the DB mutex released.  Other callers read, report and queue beside
+    it; steps on different threads never do the same work twice; and
+    ``close()`` waits for a step still running on a caller's thread."""
+
+    def test_other_callers_are_not_blocked_by_a_running_merge(self, options):
+        merge = ParkedMerge(options)
+        db = LsmDB("parked", options, env=MemEnv(), compaction_executor=merge)
+        expected = fill_level0(db)
+        merge.armed = True
+        # A's put leads the commit, finds the merge due and runs it.
+        writer_a = threading.Thread(target=db.put, args=(b"a", VALUE))
+        writer_b = threading.Thread(target=db.put, args=(b"b", VALUE))
+        writer_a.start()
+        try:
+            assert merge.entered.wait(timeout=10)
+            returns_within(db.snapshot).close()
+            level0 = str(L0_COMPACTION_TRIGGER)
+            assert returns_within(db.level_file_counts)[0] == int(level0)
+            assert returns_within(
+                lambda: db.property("repro.num-files-at-level0")) == level0
+            assert "level 0" in returns_within(
+                lambda: db.property("repro.stats"))
+            writer_b.start()
+            deadline = time.monotonic() + 1.0
+            while len(db._writers) < 2 and time.monotonic() < deadline:
+                time.sleep(0.001)
+            assert len(db._writers) == 2, "B's put never joined the queue"
+            assert writer_b.is_alive()  # queued behind A, which leads
+        finally:
+            merge.release.set()
+            writer_a.join(timeout=10)
+            if writer_b.ident is not None:
+                writer_b.join(timeout=10)
+        assert not writer_a.is_alive() and not writer_b.is_alive()
+        assert db.level_file_counts()[0] == 0
+        assert_serves(db, {**expected, b"a": VALUE, b"b": VALUE})
+        db.close()
+
+    def test_concurrent_callers_flush_each_memtable_once(self, options):
+        class LogCountingEnv(MemEnv):
+            logs = 0
+
+            def new_writable_file(self, name):
+                if name.endswith(".log"):
+                    self.logs += 1  # one per rotation: under the DB mutex
+                return super().new_writable_file(name)
+
+        env = LogCountingEnv()
+        journal = EventJournal(keep_events=True)
+        tiny = Options(block_size=512, sstable_size=4 * 1024,
+                       write_buffer_size=2 * 1024,
+                       max_level0_size=16 * 1024, compression="snappy")
+        db = LsmDB("stress", tiny, env=env, events=journal)
+        acked = {}
+        errors = []
+        writing = threading.Event()
+        writing.set()
+
+        def guarded(body):
+            def run():
+                try:
+                    body()
+                except Exception as error:  # noqa: BLE001
+                    errors.append(error)
+            return run
+
+        def writer(wid):
+            for i in range(100):
+                k = f"w{wid}-{i:04d}".encode()
+                db.put(k, k * 6)
+                acked[k] = k * 6
+
+        def while_writing(call):
+            while writing.is_set():
+                call()
+                time.sleep(0.002)
+
+        writers = [threading.Thread(target=guarded(lambda w=w: writer(w)))
+                   for w in range(4)]
+        others = [threading.Thread(target=guarded(lambda c=c: while_writing(c)))
+                  for c in (db.flush, db.compact_range)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-4)  # interleave the six threads finely
+        try:
+            for thread in writers + others:
+                thread.start()
+            for thread in writers:
+                thread.join(timeout=60)
+            writing.clear()
+            for thread in others:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in writers + others)
+        assert errors == []  # no overlapping-files install, no lost race
+        flush_starts = sum(1 for e in journal.events
+                           if e["type"] == "flush_start")
+        swaps = env.logs - 1  # the first segment came with the open
+        assert flush_starts == swaps > L0_COMPACTION_TRIGGER
+        assert db.stats.compactions > 0
+        assert_serves(db, acked)
+        db.close()
+        assert_reopens_clean(env, "stress", tiny, acked)
+
+    def test_close_waits_for_a_running_step(self, options):
+        env = MemEnv()
+        merge = ParkedMerge(options)
+        db = LsmDB("closing", options, env=env, compaction_executor=merge,
+                   auto_compact=False)
+        expected = fill_level0(db)
+        merge.armed = True
+        step = threading.Thread(target=db.compact_range)
+        level0_at_close = []
+        closer = threading.Thread(target=lambda: (
+            db.close(),
+            level0_at_close.append(db.versions.current.num_files(0))))
+        step.start()
+        try:
+            assert merge.entered.wait(timeout=10)
+            # The parked step holds no lock ...
+            assert returns_within(
+                lambda: db.property("repro.num-files-at-level0")) == str(
+                    L0_COMPACTION_TRIGGER)
+            # ... and close() waits for it.
+            closer.start()
+            closer.join(timeout=0.3)
+            assert closer.is_alive()
+        finally:
+            merge.release.set()
+            step.join(timeout=10)
+            if closer.ident is not None:
+                closer.join(timeout=10)
+        assert not step.is_alive() and not closer.is_alive()
+        assert level0_at_close == [0]  # installed before close returned
+        assert_reopens_clean(env, "closing", options, expected)

@@ -15,11 +15,7 @@ import threading
 import pytest
 
 from repro.analysis import watchdog as lockwatch
-from repro.analysis.watchdog import (
-    LockWatchdog,
-    WatchdogLock,
-    WatchdogRLock,
-)
+from repro.analysis.watchdog import LockWatchdog, WatchdogLock
 from repro.lsm import LsmDB, Options
 from repro.lsm.env import MemEnv
 from repro.obs.events import EventJournal
@@ -122,34 +118,22 @@ def test_abba_across_two_threads():
 
 
 # ---------------------------------------------------------------------------
-# Wrapper mechanics: reentrancy, Condition protocol, long holds
+# Wrapper mechanics: Condition protocol, long holds
 # ---------------------------------------------------------------------------
-
-def test_rlock_reentrancy_no_self_edge():
-    wd = LockWatchdog()
-    rl = WatchdogRLock(wd, "m", threading.RLock())
-    with rl:
-        with rl:
-            assert wd.held_names() == ["m"]
-    assert wd.held_names() == []
-    assert wd.edge_count() == 0
-    assert wd.acquires() == {"m": 1}
-
 
 def test_condition_wait_fully_releases_and_restores():
     wd = LockWatchdog()
-    rl = WatchdogRLock(wd, "m", threading.RLock())
-    cond = threading.Condition(rl)
+    lock = WatchdogLock(wd, "m", threading.Lock())
+    cond = threading.Condition(lock)
     waiting = threading.Event()
     seen: list = []
 
     def waiter():
         with cond:
-            with cond:  # reentrant: wait() must release *both* holds
-                seen.append(list(wd.held_names()))
-                waiting.set()
-                cond.wait(timeout=5)
-                seen.append(list(wd.held_names()))
+            seen.append(list(wd.held_names()))
+            waiting.set()
+            cond.wait(timeout=5)
+            seen.append(list(wd.held_names()))
         seen.append(list(wd.held_names()))
 
     thread = threading.Thread(target=waiter)
@@ -161,6 +145,10 @@ def test_condition_wait_fully_releases_and_restores():
     thread.join(timeout=5)
     assert not thread.is_alive()
     assert seen == [["m"], ["m"], []]
+    assert wd.held_names() == []
+    # The waiter's entry and re-take after wait(), and this thread's hold.
+    assert wd.acquires() == {"m": 3}
+    assert wd.edge_count() == 0
 
 
 def test_long_hold_reported():
@@ -220,7 +208,6 @@ def test_factories_return_plain_primitives_when_disabled():
     if lockwatch.enabled():
         pytest.skip("watchdog force-enabled via environment")
     assert not isinstance(lockwatch.make_lock("x"), WatchdogLock)
-    assert not isinstance(lockwatch.make_rlock("x"), WatchdogRLock)
 
 
 # ---------------------------------------------------------------------------
