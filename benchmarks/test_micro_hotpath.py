@@ -23,6 +23,9 @@ compression, so they time the cutter and the layout, not the encoder
 (``sstable_build`` / ``cpu_merge_4way`` measured 1.00x / 1.05x over 8
 alternating pairs), and the no-slower rule below holds them.  The
 ``encode_blocks_120*`` rows are the median of five runs of that change.
+``block_seek`` is the change that made block searches compare native
+sort keys (448 / 482 us at its parent, 246 / 243 us after, run
+alternately); the seed's 1,033 us predates both.
 
 The two CRC rows are another: they checksum 64 *distinct*
 payloads per sample (the seed's row looped over one, which kept a 4 MiB

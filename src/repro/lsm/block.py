@@ -20,7 +20,9 @@ virtually every real entry) on both the encode and the decode side, and
 keys are rebuilt by slice concatenation instead of a mutable scratch
 ``bytearray``.  Block images may be ``bytes``, ``bytearray`` or
 ``memoryview`` — decoding never copies the image, only the yielded
-entries are materialized as ``bytes``.
+entries are materialized as ``bytes``.  Searches map the target and
+each key they visit through ``comparator.sort_key`` and compare the
+results natively: no comparator callback runs per step.
 """
 
 from __future__ import annotations
@@ -188,10 +190,10 @@ class Block:
             return
         yield from self._iter_from_offset(0)
 
-    def _seek_restart(self, target: bytes, compare) -> int:
-        """Offset of the last restart point whose key is < ``target``
-        (of the first one when there is none): binary search over the
-        restart keys, each read in place."""
+    def _seek_restart(self, target, sort_key) -> int:
+        """Offset of the last restart point whose key's ``sort_key`` is
+        < ``target`` (a sort key; the first restart point when there is
+        none): binary search over the restart keys, each read in place."""
         data = self._data
         limit = self._restarts_offset
         restarts = self._restarts
@@ -216,7 +218,7 @@ class Block:
                         "block entry overruns restart array")
                 if shared:
                     raise CorruptionError("restart entry has shared bytes")
-                if compare(bytes(data[pos:pos + non_shared]), target) < 0:
+                if sort_key(bytes(data[pos:pos + non_shared])) < target:
                     lo = mid
                 else:
                     hi = mid - 1
@@ -230,11 +232,12 @@ class Block:
         first item of :meth:`iter_from`, found by one direct loop that
         rebuilds keys along a single restart interval and slices only
         the value it returns."""
-        compare = comparator.compare
+        sort_key = comparator.sort_key
+        target = sort_key(target)
         data = self._data
         limit = self._restarts_offset
         materialize = not self._is_bytes
-        offset = self._seek_restart(target, compare)
+        offset = self._seek_restart(target, sort_key)
         key = b""
         try:
             while offset < limit:
@@ -264,7 +267,7 @@ class Block:
                     key = key[:shared] + delta
                 else:
                     key = delta
-                if compare(key, target) >= 0:
+                if sort_key(key) >= target:
                     value = data[value_start:offset]
                     return key, bytes(value) if materialize else value
         except IndexError:
@@ -274,8 +277,11 @@ class Block:
     def iter_from(self, target: bytes,
                   comparator: Comparator) -> Iterator[tuple[bytes, bytes]]:
         """Iterate entries with key >= ``target``."""
-        compare = comparator.compare
-        for key, value in self._iter_from_offset(
-                self._seek_restart(target, compare)):
-            if compare(key, target) >= 0:
+        sort_key = comparator.sort_key
+        target = sort_key(target)
+        entries = self._iter_from_offset(self._seek_restart(target, sort_key))
+        for key, value in entries:
+            if sort_key(key) >= target:
                 yield key, value
+                break
+        yield from entries

@@ -61,7 +61,7 @@ from itertools import islice
 from typing import Callable, Iterator, NamedTuple, Optional
 
 from repro.analysis import watchdog as lockwatch
-from repro.errors import DBStateError, NotFoundError
+from repro.errors import CorruptionError, DBStateError, NotFoundError
 from repro.lsm.batch import WriteBatch
 from repro.lsm.cache import LRUCache
 from repro.lsm.compaction import OutputTable, compact_tables
@@ -80,6 +80,8 @@ from repro.lsm.internal import (
     InternalKeyComparator,
     MARK_FIELDS_SIZE,
     MAX_SEQUENCE,
+    TYPE_DELETION,
+    TYPE_VALUE,
     encode_internal_key,
     extract_user_key,
     make_lookup_key,
@@ -1183,10 +1185,15 @@ class LsmDB:
                 entry = reader.get(lookup)
                 if (entry is not None
                         and entry[0][:-MARK_FIELDS_SIZE] == key):
-                    if parse_internal_key(entry[0]).is_deletion:
+                    # The mark fields' low byte is the value type.
+                    value_type = entry[0][-MARK_FIELDS_SIZE]
+                    if value_type == TYPE_VALUE:
+                        value = entry[1]
+                        break
+                    if value_type == TYPE_DELETION:
                         raise NotFoundError(key)
-                    value = entry[1]
-                    break
+                    raise CorruptionError(
+                        f"unknown value type byte {value_type:#x}")
             else:
                 raise NotFoundError(key)
         self._c["read_hits"].inc()

@@ -128,16 +128,28 @@ class BloomFilterPolicy:
     hash_key = staticmethod(_leveldb_hash)
 
     @staticmethod
+    def geometry(filter_data: bytes) -> tuple[int, int]:
+        """``(bits, k)`` for :meth:`probe`, read once per filter.  A stub
+        under two bytes gets 0 bits (matches nothing); a reserved k > 30
+        gets k = 0 (matches everything: err on returning true)."""
+        if len(filter_data) < 2:
+            return 0, 0
+        k = filter_data[-1]
+        return (len(filter_data) - 1) * 8, 0 if k > 30 else k
+
+    @staticmethod
     def hash_may_match(h: int, filter_data: bytes) -> bool:
         """Probe with ``h = hash_key(key)``; ``True`` may be a false
         positive, ``False`` is definitive."""
-        if len(filter_data) < 2:
+        return BloomFilterPolicy.probe(
+            h, filter_data, *BloomFilterPolicy.geometry(filter_data))
+
+    @staticmethod
+    def probe(h: int, filter_data: bytes, bits: int, k: int) -> bool:
+        """:meth:`hash_may_match` with the filter's :meth:`geometry`
+        already read."""
+        if not bits:
             return False
-        k = filter_data[-1]
-        if k > 30:
-            # Reserved for future encodings; err on returning true.
-            return True
-        bits = (len(filter_data) - 1) * 8
         delta = ((h >> 17) | (h << 15)) & _U32
         for _ in range(k):
             bit = h % bits

@@ -13,8 +13,8 @@ version of each user key first.
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
-from functools import cmp_to_key
 
 from repro.errors import CorruptionError
 from repro.util.coding import decode_fixed64, encode_fixed64
@@ -33,6 +33,8 @@ MAX_SEQUENCE = (1 << 56) - 1
 
 #: Size of the mark fields ("8 (mark fields)" in the paper's footnote).
 MARK_FIELDS_SIZE = 8
+
+_unpack_trailer = struct.Struct("<Q").unpack_from
 
 
 def pack_sequence_and_type(sequence: int, value_type: int) -> int:
@@ -93,14 +95,15 @@ class InternalKeyComparator(Comparator):
     """Orders internal keys: user key asc, then sequence/type desc.
 
     :meth:`compare` defines the order; :meth:`sort_key` maps a key to a
-    value whose native ``<`` is that order, so the ordered containers of
-    the write path (skiplist, merge heap, table builder) compare in C.
+    value whose native ``<`` is that order, so the ordered containers
+    (skiplist, merge heap, table builder) and the table and block
+    searches compare in C.
     """
 
     def __init__(self, user_comparator: Comparator):
         self.user_comparator = user_comparator
         self._bytewise = type(user_comparator) is BytewiseComparator
-        self._user_order = cmp_to_key(user_comparator.compare)
+        self._user_sort_key = user_comparator.sort_key
 
     @property
     def name(self) -> str:
@@ -116,11 +119,12 @@ class InternalKeyComparator(Comparator):
         """``sort_key(a) < sort_key(b)`` iff ``compare(a, b) < 0``, and
         the keys are equal iff it is 0.  Negating the trailer turns
         "sequence/type descending" into the ascending order of ints."""
-        if len(internal_key) < MARK_FIELDS_SIZE:
+        size = len(internal_key) - MARK_FIELDS_SIZE
+        if size < 0:
             raise CorruptionError("internal key shorter than mark fields")
-        user_key = internal_key[:-MARK_FIELDS_SIZE]
-        return (user_key if self._bytewise else self._user_order(user_key),
-                -int.from_bytes(internal_key[-MARK_FIELDS_SIZE:], "little"))
+        user_key = internal_key[:size]
+        return (user_key if self._bytewise else self._user_sort_key(user_key),
+                -_unpack_trailer(internal_key, size)[0])
 
     def compare(self, a: bytes, b: bytes) -> int:
         if len(a) < MARK_FIELDS_SIZE or len(b) < MARK_FIELDS_SIZE:

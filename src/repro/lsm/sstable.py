@@ -23,6 +23,7 @@ deviation in DESIGN.md.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import starmap
 from typing import Callable, Iterable, Iterator, Optional
@@ -49,7 +50,7 @@ COMPRESSION_NONE = 0
 COMPRESSION_SNAPPY = 1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BlockHandle:
     """Pointer to a block: file offset and payload size (trailer excluded)."""
 
@@ -358,6 +359,7 @@ class TableReader:
                  file_number: int = 0):
         self._data = data
         self._comparator = comparator
+        self._sort_key = comparator.sort_key
         self._options = options or Options()
         self._cache = block_cache
         self._file_number = file_number
@@ -369,9 +371,19 @@ class TableReader:
             raise CorruptionError("bad table magic")
         metaindex_handle, pos = BlockHandle.decode(footer, 0)
         index_handle, _ = BlockHandle.decode(footer, pos)
-        self._index_block = Block(
-            _read_block(data, index_handle, self._options.paranoid_checks))
+        # The index, decoded once: separator keys, their sort keys (what
+        # a lookup bisects) and the data-block handles, index-aligned.
+        self._index_keys: list[bytes] = []
+        self._handles: list[BlockHandle] = []
+        for key, handle_bytes in Block(_read_block(
+                data, index_handle, self._options.paranoid_checks)):
+            self._index_keys.append(key)
+            self._handles.append(BlockHandle.decode(handle_bytes, 0)[0])
+        self._index_order = list(map(self._sort_key, self._index_keys))
         self._filter_data = self._load_filter(metaindex_handle)
+        self._filter_bits, self._filter_k = (
+            (0, 0) if self._filter_data is None
+            else BloomFilterPolicy.geometry(self._filter_data))
 
     def _load_filter(self, metaindex_handle: BlockHandle) -> Optional[bytes]:
         metaindex = Block(_read_block(
@@ -413,40 +425,37 @@ class TableReader:
             return True
         if key_hash is None:
             key_hash = BloomFilterPolicy.hash_key(user_key)
-        return BloomFilterPolicy.hash_may_match(key_hash, self._filter_data)
-
-    def _block(self, handle_bytes: bytes) -> Block:
-        """The data block an index entry's value points at."""
-        handle, _ = BlockHandle.decode(handle_bytes, 0)
-        return Block(self._block_contents(handle))
+        return BloomFilterPolicy.probe(key_hash, self._filter_data,
+                                       self._filter_bits, self._filter_k)
 
     def get(self, target: bytes) -> Optional[tuple[bytes, bytes]]:
-        """First entry with internal key >= ``target``, or ``None``."""
-        index_entry = self._index_block.seek(target, self._comparator)
-        if index_entry is None:
+        """First entry with internal key >= ``target`` in the block whose
+        separator is the first >= ``target``, or ``None``: a point lookup
+        reads one block.  That entry is the table's first >= ``target``
+        whenever the two share a user key.  ``None`` also means that
+        ``target`` fell between a block's last key and its shortened
+        separator, where the next entry has a later user key."""
+        i = bisect_left(self._index_order, self._sort_key(target))
+        if i == len(self._handles):
             return None
-        return self._block(index_entry[1]).seek(target, self._comparator)
+        return Block(self._block_contents(self._handles[i])).seek(
+            target, self._comparator)
 
     def __iter__(self) -> Iterator[tuple[bytes, bytes]]:
         """Yield every (internal key, value) in order."""
-        for _, handle_bytes in self._index_block:
-            yield from self._block(handle_bytes)
+        for handle in self._handles:
+            yield from Block(self._block_contents(handle))
 
     def iter_from(self, target: bytes) -> Iterator[tuple[bytes, bytes]]:
-        """Yield entries with internal key >= ``target`` in order: seek
-        the index, start inside the first block at or after ``target``."""
-        index = self._index_block.iter_from(target, self._comparator)
-        for _, handle_bytes in index:
-            yield from self._block(handle_bytes).iter_from(
+        """Yield entries with internal key >= ``target`` in order: start
+        inside the first block whose separator is >= ``target``."""
+        i = bisect_left(self._index_order, self._sort_key(target))
+        for handle in self._handles[i:i + 1]:
+            yield from Block(self._block_contents(handle)).iter_from(
                 target, self._comparator)
-            break
-        for _, handle_bytes in index:
-            yield from self._block(handle_bytes)
+        for handle in self._handles[i + 1:]:
+            yield from Block(self._block_contents(handle))
 
     def index_entries(self) -> list[tuple[bytes, BlockHandle]]:
         """Decoded index block — used by the FPGA host marshaller."""
-        entries = []
-        for key, handle_bytes in self._index_block:
-            handle, _ = BlockHandle.decode(handle_bytes, 0)
-            entries.append((key, handle))
-        return entries
+        return list(zip(self._index_keys, self._handles))

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from functools import cmp_to_key
 from typing import Optional
 
 from repro.errors import InvalidArgumentError
@@ -75,9 +74,7 @@ class Version:
         self.comparator = comparator
         self.files: list[list[FileMetaData]] = (
             files if files is not None else [[] for _ in range(NUM_LEVELS)])
-        #: User keys order exactly as ``bytes`` do, so the index may be
-        #: searched with native comparison and ``bisect``.
-        self._bytewise = comparator.bytewise
+        self._user_sort_key = comparator.user_comparator.sort_key
         self._index: Optional[tuple] = None
 
     def num_files(self, level: int) -> int:
@@ -158,43 +155,38 @@ class Version:
         return total
 
     def _build_index(self) -> tuple:
-        """Set and return ``_index = (level0, deeper)``: level 0
-        newest-first as ``(smallest, largest, (0, file))`` with user keys,
-        and for every non-empty deeper level ``(largest user keys,
-        smallest user keys, (level, file) pairs)``."""
+        """Set and return ``_index = (level0, deeper)`` over user sort
+        keys: level 0 newest-first as ``(smallest, largest, (0, file))``,
+        and for every non-empty deeper level ``(largests, smallests,
+        (level, file) pairs)``."""
+        user_sort_key = self._user_sort_key
+
+        def user_range(f: FileMetaData) -> tuple:
+            return tuple(map(user_sort_key, f.user_range()))
+
         # Newer L0 files have larger file numbers.
-        level0 = [(*f.user_range(), (0, f)) for f in sorted(
+        level0 = [(*user_range(f), (0, f)) for f in sorted(
             self.files[0], key=lambda f: f.number, reverse=True)]
         deeper = []
         for level in range(1, NUM_LEVELS):
             files = self.files[level]
             if files:
-                smallests, largests = zip(*(f.user_range() for f in files))
+                smallests, largests = zip(*map(user_range, files))
                 deeper.append((largests, smallests,
                                [(level, f) for f in files]))
         self._index = (level0, deeper)
         return self._index
 
-    def _first_reaching(self, largests: tuple, user_key: bytes) -> int:
-        """Index of the first file of a sorted level whose largest user
-        key is >= ``user_key`` (``len(largests)`` when none is)."""
-        if self._bytewise:
-            return bisect_left(largests, user_key)
-        order = cmp_to_key(self.comparator.user_comparator.compare)
-        return bisect_left(largests, order(user_key), key=order)
-
     def files_for_key(self, user_key: bytes) -> list[tuple[int, FileMetaData]]:
         """(level, file) pairs possibly containing ``user_key``, in
         newest-first search order: L0 newest→oldest, then deeper levels
         (disjoint: at most one file each, found by binary search)."""
-        if not self._bytewise:
-            return self._overlapping(user_key, user_key, closed=True)
         level0, deeper = self._index or self._build_index()
-        result = [hit for small, large, hit in level0
-                  if small <= user_key <= large]
+        key = self._user_sort_key(user_key)
+        result = [hit for small, large, hit in level0 if small <= key <= large]
         for largests, smallests, hits in deeper:
-            i = bisect_left(largests, user_key)
-            if i < len(hits) and smallests[i] <= user_key:
+            i = bisect_left(largests, key)
+            if i < len(hits) and smallests[i] <= key:
                 result.append(hits[i])
         return result
 
@@ -202,25 +194,18 @@ class Version:
                        end: Optional[bytes]) -> list[FileMetaData]:
         """Files that may hold a user key in ``[start, end)`` (``None`` =
         unbounded), in :meth:`files_for_key`'s order."""
-        return [f for _level, f in self._overlapping(start, end, closed=False)]
-
-    def _overlapping(self, start: Optional[bytes], end: Optional[bytes],
-                     closed: bool) -> list[tuple[int, FileMetaData]]:
-        """(level, file) pairs whose user range meets ``[start, end)`` —
-        ``[start, end]`` when ``closed`` — under any comparator."""
-        compare = self.comparator.user_comparator.compare
         level0, deeper = self._index or self._build_index()
-        # A file lies past the range when compare(its smallest, end) is
-        # >= 0 — > 0 when ``end`` itself is included.
-        beyond = 1 if closed else 0
-        result = [hit for small, large, hit in level0
-                  if (start is None or compare(large, start) >= 0)
-                  and (end is None or compare(small, end) < beyond)]
+        if start is not None:
+            start = self._user_sort_key(start)
+        if end is not None:
+            end = self._user_sort_key(end)
+        result = [f for small, large, (_level, f) in level0
+                  if (start is None or large >= start)
+                  and (end is None or small < end)]
         for largests, smallests, hits in deeper:
-            i = 0 if start is None else self._first_reaching(largests, start)
-            while i < len(hits) and (
-                    end is None or compare(smallests[i], end) < beyond):
-                result.append(hits[i])
+            i = 0 if start is None else bisect_left(largests, start)
+            while i < len(hits) and (end is None or smallests[i] < end):
+                result.append(hits[i][1])
                 i += 1
         return result
 
@@ -257,9 +242,9 @@ class VersionSet:
             if not 0 <= level < NUM_LEVELS:
                 raise InvalidArgumentError(f"bad level {level}")
             new_files[level].append(meta)
+        sort_key = self.comparator.sort_key
         for level in range(1, NUM_LEVELS):
-            new_files[level].sort(
-                key=lambda f: (f.smallest, f.number))
+            new_files[level].sort(key=lambda f: sort_key(f.smallest))
             self._check_disjoint(new_files[level], level)
         new_files[0].sort(key=lambda f: f.number)
         return self._install(Version(self.comparator, new_files))

@@ -4,11 +4,17 @@ The store orders user keys with a pluggable :class:`Comparator`; the default
 is bytewise (memcmp) order, matching LevelDB.  Comparators also provide the
 two key-shortening hooks LevelDB uses to keep index blocks small:
 ``find_shortest_separator`` and ``find_short_successor``.
+
+Lookups and ordered containers never call :meth:`Comparator.compare`
+per step: they map keys through :meth:`Comparator.sort_key` and compare
+the results natively (``<``, ``bisect``), so a bytewise order costs
+nothing beyond ``bytes`` comparison.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from functools import cmp_to_key
 
 
 class Comparator(ABC):
@@ -22,6 +28,11 @@ class Comparator(ABC):
     @abstractmethod
     def compare(self, a: bytes, b: bytes) -> int:
         """Return <0, 0 or >0 as ``a`` sorts before, equal to, after ``b``."""
+
+    def sort_key(self, key: bytes):
+        """A value whose native order is this order: ``sort_key(a) <
+        sort_key(b)`` iff ``compare(a, b) < 0``, equal iff it is 0."""
+        return cmp_to_key(self.compare)(key)
 
     def find_shortest_separator(self, start: bytes, limit: bytes) -> bytes:
         """Return a key ``k`` with ``start <= k < limit`` that is as short
@@ -44,6 +55,9 @@ class BytewiseComparator(Comparator):
         if a == b:
             return 0
         return -1 if a < b else 1
+
+    def sort_key(self, key: bytes) -> bytes:
+        return key
 
     def find_shortest_separator(self, start: bytes, limit: bytes) -> bytes:
         # Shorten `start` to the common prefix plus one incremented byte,

@@ -60,6 +60,21 @@ class TestApply:
         smalls = [f.user_range()[0] for f in versions.current.files[1]]
         assert smalls == sorted(smalls)
 
+    @pytest.mark.parametrize("user_cmp, smalls", [
+        # As raw bytes, "a\x00" + mark fields sorts before "a" + mark
+        # fields: a level sorted that way fails its overlap check.
+        (BytewiseComparator(), [b"a", b"a\x00"]),
+        (ReverseComparator(), [b"z", b"a"]),
+    ])
+    def test_sorted_levels_follow_the_comparator(self, user_cmp, smalls):
+        versions = VersionSet(Options(max_level0_size=10_000),
+                              InternalKeyComparator(user_cmp))
+        edit = VersionEdit()
+        for number, small in reversed(list(enumerate(smalls, 1))):
+            edit.add_file(1, meta(number, small, small))
+        versions.apply(edit)
+        assert [f.user_range()[0] for f in versions.current.files[1]] == smalls
+
     def test_overlap_in_sorted_level_rejected(self, versions):
         edit = VersionEdit()
         edit.add_file(1, meta(1, b"a", b"m"))
