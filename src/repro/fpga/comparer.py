@@ -27,7 +27,7 @@ from repro.lsm.internal import (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Selection:
     """Outcome of one Comparer round."""
 

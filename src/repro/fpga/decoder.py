@@ -20,8 +20,13 @@ from typing import Iterator
 
 from repro.errors import FpgaProtocolError
 from repro.fpga.dram import Dram
-from repro.lsm.block import Block
-from repro.lsm.sstable import BLOCK_TRAILER_SIZE, BlockHandle, _read_block
+from repro.lsm.block import Block, BlockBuilder
+from repro.lsm.sstable import (
+    BLOCK_TRAILER_SIZE,
+    BlockHandle,
+    TableReader,
+    _read_block,
+)
 from repro.util.comparator import Comparator
 
 
@@ -41,7 +46,16 @@ class SSTableLayout:
     data_size: int
 
 
-@dataclass(frozen=True)
+def extract_index_image(image: bytes, reader: TableReader) -> bytes:
+    """Rebuild a standalone index block image for Index Block Memory
+    from ``reader``, the table over ``image``."""
+    builder = BlockBuilder(1)
+    for key, handle in reader.index_entries():
+        builder.add(key, handle.encode())
+    return builder.finish()
+
+
+@dataclass(slots=True)
 class DecodedPair:
     """One key-value pair leaving a Decoder."""
 
@@ -105,16 +119,18 @@ class DecoderChain:
                  comparator: Comparator | None = None):
         self.index_decoder = IndexBlockDecoder(dram, tables)
         self.data_decoder = DataBlockDecoder(dram)
-        self._comparator = comparator
-        self._last_key: bytes | None = None
+        self._sort_key = (comparator.sort_key if comparator is not None
+                          else None)
 
     def __iter__(self) -> Iterator[DecodedPair]:
+        sort_key = self._sort_key
+        last = None
         for table, handle in self.index_decoder:
             for pair in self.data_decoder.decode_block(table, handle):
-                if self._comparator is not None and self._last_key is not None:
-                    if self._comparator.compare(pair.internal_key,
-                                                self._last_key) <= 0:
+                if sort_key is not None:
+                    order = sort_key(pair.internal_key)
+                    if last is not None and order <= last:
                         raise FpgaProtocolError(
                             "input SSTable stream is not sorted")
-                self._last_key = pair.internal_key
+                    last = order
                 yield pair

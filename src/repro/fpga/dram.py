@@ -6,10 +6,16 @@ versus 1 cycle for on-chip memory, so the design issues *few large* reads
 (whole data blocks) streamed at the AXI width rather than many small ones.
 This model provides a flat byte-addressable space with read/write request
 accounting; the pipeline simulator turns the counters into cycles.
+
+A DMA is modeled by reference: the sparse memory keeps each written
+image as an immutable ``bytes`` object (a host table image is kept as
+it is, any other buffer is frozen once), so its host cost is the data,
+not copies of it.  The accounting charges every byte all the same.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 from repro.errors import FpgaProtocolError
@@ -35,7 +41,10 @@ class Dram:
         self.size = size
         self.stats = DramStats()
         self._flat: bytearray | None = bytearray(size) if materialize else None
-        self._regions: dict[int, bytearray] = {}
+        # Sparse mode: disjoint regions sorted by start, as two aligned
+        # lists so a read finds its region with one bisect.
+        self._starts: list[int] = []
+        self._images: list[bytes] = []
 
     def _check(self, offset: int, length: int) -> None:
         if offset < 0 or length < 0 or offset + length > self.size:
@@ -50,8 +59,28 @@ class Dram:
         self.stats.write_bytes += len(data)
         if self._flat is not None:
             self._flat[offset:offset + len(data)] = data
-        else:
-            self._regions[offset] = bytearray(data)
+        elif data:
+            self._place(offset, data if isinstance(data, bytes)
+                        else bytes(data))
+
+    def _place(self, offset: int, image: bytes) -> None:
+        """Make ``image`` the region at ``offset``: regions it overlaps
+        are cut back to the parts it leaves uncovered (last writer wins)."""
+        starts, images = self._starts, self._images
+        end = offset + len(image)
+        first = bisect_right(starts, offset) - 1
+        if first < 0 or starts[first] + len(images[first]) <= offset:
+            first += 1
+        last = bisect_left(starts, end)
+        new_starts, new_images = [offset], [image]
+        if first < last and starts[first] < offset:
+            new_starts.insert(0, starts[first])
+            new_images.insert(0, images[first][:offset - starts[first]])
+        if first < last and starts[last - 1] + len(images[last - 1]) > end:
+            new_starts.append(end)
+            new_images.append(images[last - 1][end - starts[last - 1]:])
+        starts[first:last] = new_starts
+        images[first:last] = new_images
 
     def read(self, offset: int, length: int) -> bytes:
         """Engine or DMA read; returns exactly ``length`` bytes."""
@@ -60,18 +89,25 @@ class Dram:
         self.stats.read_bytes += length
         if self._flat is not None:
             return bytes(self._flat[offset:offset + length])
-        return self._read_sparse(offset, length)
+        index = bisect_right(self._starts, offset) - 1
+        if index >= 0:
+            start = self._starts[index]
+            image = self._images[index]
+            if offset + length <= start + len(image):
+                return image[offset - start:offset - start + length]
+        return self._assemble(offset, length, max(index, 0))
 
-    def _read_sparse(self, offset: int, length: int) -> bytes:
+    def _assemble(self, offset: int, length: int, index: int) -> bytes:
+        """A read across several regions or a gap; gaps read as zeros."""
         out = bytearray(length)
         end = offset + length
-        for region_start, region in self._regions.items():
-            region_end = region_start + len(region)
-            lo = max(offset, region_start)
-            hi = min(end, region_end)
+        for start, image in zip(self._starts[index:], self._images[index:]):
+            if start >= end:
+                break
+            lo = max(offset, start)
+            hi = min(end, start + len(image))
             if lo < hi:
-                out[lo - offset:hi - offset] = region[lo - region_start:
-                                                      hi - region_start]
+                out[lo - offset:hi - offset] = image[lo - start:hi - start]
         return bytes(out)
 
     def reset_stats(self) -> None:

@@ -23,7 +23,11 @@ from dataclasses import dataclass
 from repro.errors import FpgaResourceError
 from repro.fpga.comparer import Comparer
 from repro.fpga.config import FpgaConfig
-from repro.fpga.decoder import DecoderChain, SSTableLayout
+from repro.fpga.decoder import (
+    DecoderChain,
+    SSTableLayout,
+    extract_index_image,
+)
 from repro.fpga.dram import Dram
 from repro.fpga.encoder import Encoder
 from repro.fpga.pipeline_sim import PipelineTimer, TimingReport, replay_rounds
@@ -133,7 +137,7 @@ class CompactionEngine:
         while len(live) > 1:
             heads = {c.input_no: c.head.internal_key for c in live}
             selection = comparer.round(heads)
-            winner = next(c for c in live if c.input_no == selection.input_no)
+            winner = cursors[selection.input_no]
             pair = winner.head
             timer.comparer_round(
                 live_inputs=list(heads),
@@ -191,7 +195,7 @@ class CompactionEngine:
             table_layouts = []
             for image in images:
                 reader = TableReader(image, self.comparator, self.options)
-                index_image = _extract_index_image(image, reader)
+                index_image = extract_index_image(image, reader)
                 dram.write(offset, image)
                 data_offset = offset
                 index_offset = offset + len(image)
@@ -251,16 +255,6 @@ def _drain_single_input(cursor: _HeadCursor, comparer: Comparer,
         rounds.append((len(pair.internal_key), len(pair.value),
                        selection.drop, flush_bytes, refill))
     replay_rounds(timer, input_no, rounds)
-
-
-def _extract_index_image(image: bytes, reader: TableReader) -> bytes:
-    """Rebuild a standalone index block image from a table's index."""
-    from repro.lsm.block import BlockBuilder
-
-    builder = BlockBuilder(1)
-    for key, handle in reader.index_entries():
-        builder.add(key, handle.encode())
-    return builder.finish()
 
 
 def simulate_synthetic(config: FpgaConfig, pairs_per_input: list[int],

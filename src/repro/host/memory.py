@@ -26,9 +26,8 @@ from dataclasses import dataclass
 
 from repro.errors import FpgaProtocolError
 from repro.fpga.config import FpgaConfig
-from repro.fpga.decoder import SSTableLayout
+from repro.fpga.decoder import SSTableLayout, extract_index_image
 from repro.fpga.dram import Dram
-from repro.lsm.block import BlockBuilder
 from repro.lsm.sstable import TableReader
 from repro.util.coding import (
     decode_fixed32,
@@ -130,14 +129,6 @@ class InputMemoryImage:
     layouts: list[list[SSTableLayout]]
     total_bytes: int
     meta_in_offset: int
-
-
-def extract_index_image(image: bytes, reader: TableReader) -> bytes:
-    """Rebuild a standalone index-block image for Index Block Memory."""
-    builder = BlockBuilder(1)
-    for key, handle in reader.index_entries():
-        builder.add(key, handle.encode())
-    return builder.finish()
 
 
 def marshal_inputs(dram: Dram, config: FpgaConfig,

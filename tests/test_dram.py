@@ -1,9 +1,26 @@
 """Device DRAM model: bounds, sparse regions, traffic accounting."""
 
+import tracemalloc
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import FpgaProtocolError
-from repro.fpga.dram import Dram
+from repro.fpga.config import CONFIG_9_INPUT
+from repro.fpga.dram import Dram, DramStats
+from repro.fpga.engine import CompactionEngine
+from repro.host import device as device_module
+from repro.host.device import FcaeDevice
+from repro.host.memory import align_up, marshal_inputs, write_outputs
+from repro.lsm.internal import InternalKeyComparator
+from repro.lsm.options import Options
+from repro.lsm.sstable import TableReader
+from repro.util.comparator import BytewiseComparator
+
+from tests.conftest import build_table_image, make_entries
+
+ICMP = InternalKeyComparator(BytewiseComparator())
 
 
 class TestAccess:
@@ -62,3 +79,100 @@ class TestStats:
         dram.write(0, b"x")
         dram.reset_stats()
         assert dram.stats.write_requests == 0
+
+
+class TestLastWriterWins:
+    def test_rewrite_at_an_offset_is_the_newest_region(self):
+        dram = Dram(size=1024)
+        dram.write(0, b"A" * 100)
+        dram.write(50, b"B" * 100)
+        dram.write(0, b"C" * 100)
+        assert dram.read(40, 20) == b"C" * 20
+
+    @settings(deadline=None)
+    @given(st.lists(st.tuples(
+               # Few distinct offsets, so rewrites and overlaps are common.
+               st.integers(0, 15).map(lambda i: i * 16),
+               st.binary(max_size=64), st.booleans()),
+               max_size=12),
+           st.lists(st.tuples(st.integers(0, 320), st.integers(0, 64)),
+                    min_size=1, max_size=8))
+    def test_sparse_reads_as_flat(self, writes, reads):
+        sparse, flat = Dram(size=320), Dram(size=320, materialize=True)
+        for offset, data, mutable in writes:
+            for dram in (sparse, flat):
+                dram.write(offset, bytearray(data) if mutable else data)
+        for offset, length in reads:
+            length = min(length, 320 - offset)
+            assert sparse.read(offset, length) == flat.read(offset, length)
+        assert sparse.stats == flat.stats
+
+
+class TestDmaByReference:
+    """A host image written to sparse DRAM is kept, not copied: reading
+    a whole region back returns the very object written."""
+
+    @staticmethod
+    def _runs(options, pairs):
+        runs = []
+        for seed in (1, 2):
+            entries = [(key, (value * 64)[:2048])
+                       for key, value in make_entries(pairs, seed=seed)]
+            runs.append([TableReader(build_table_image(
+                entries, options, ICMP), ICMP, options)])
+        return runs
+
+    def test_inputs_and_outputs_are_the_host_images(self, plain_options):
+        inputs = self._runs(plain_options, 40)
+        dram = Dram()
+        image = marshal_inputs(dram, CONFIG_9_INPUT, inputs)
+        for tables, layouts in zip(inputs, image.layouts):
+            for reader, layout in zip(tables, layouts):
+                assert dram.read(layout.data_offset,
+                                 layout.data_size) is reader.image
+        outputs = CompactionEngine(CONFIG_9_INPUT, plain_options).run(
+            dram, image.layouts).outputs
+        base = dram.size // 2
+        write_outputs(dram, CONFIG_9_INPUT, outputs, base)
+        cursor = align_up(base, CONFIG_9_INPUT.w_out)
+        for output in outputs:
+            cursor = align_up(cursor, CONFIG_9_INPUT.w_out)
+            assert dram.read(cursor, len(output.data)) is output.data
+            cursor += len(output.data)
+
+    def test_a_mutable_buffer_is_frozen_at_write(self):
+        dram = Dram(size=1024)
+        buffer = bytearray(b"before")
+        dram.write(8, buffer)
+        buffer[:] = b"after!"
+        assert dram.read(8, 6) == b"before"
+
+    def test_a_device_compaction_does_not_copy_its_images(self):
+        options = Options(value_length=2048, compression="none")
+        inputs = self._runs(options, 1000)
+        device = FcaeDevice(CONFIG_9_INPUT, options)
+        tracemalloc.start()
+        try:
+            result = device.compact(inputs)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        out_bytes = sum(len(output.data) for output in result.outputs)
+        assert out_bytes > 4_000_000
+        assert peak <= 1.75 * out_bytes
+
+    def test_device_traffic_is_unchanged(self, plain_options, monkeypatch):
+        drams = []
+
+        class Recorded(Dram):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                drams.append(self)
+
+        monkeypatch.setattr(device_module, "Dram", Recorded)
+        device = FcaeDevice(CONFIG_9_INPUT, plain_options)
+        device.compact(self._runs(plain_options, 300))
+        # The counts a copying DRAM model charged for this compaction.
+        assert drams[0].stats == DramStats(
+            read_requests=602, read_bytes=1273298,
+            write_requests=156, write_bytes=2583423)
