@@ -100,6 +100,13 @@ class LockWatchdog:
         with self._lock:
             self._journal = journal
 
+    def detach_journal(self, journal: Any) -> None:
+        """Stop routing reports to ``journal`` if it is still the
+        attached one; reports queue until a journal is attached."""
+        with self._lock:
+            if self._journal is journal:
+                self._journal = None
+
     def reset_state(self) -> None:
         """Drop the graph, findings, and every thread's held stack.
         Only call when no instrumented lock is held (e.g. between

@@ -11,6 +11,11 @@ checks the winner's mark fields:
 * otherwise Keep, and the winner's ``Input No.`` plus the Drop flag go to
   the Key-Value Transfer module.
 
+Both work on :meth:`InternalKeyComparator.sort_key` values, computed
+once per key by the Decoder: ``(user part, -trailer)``, whose native
+order is the internal-key order and whose user parts are equal exactly
+when the user comparator returns 0.
+
 The round costs ``(2 + ceil(log2 N)) * L_key`` cycles — key read,
 compare tree, existence check (Table II/III) — charged by the engine's
 pipeline simulator.
@@ -18,82 +23,62 @@ pipeline simulator.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from repro.lsm.internal import (
-    InternalKeyComparator,
-    extract_user_key,
-    parse_internal_key,
-)
-
-
-@dataclass(slots=True)
-class Selection:
-    """Outcome of one Comparer round."""
-
-    input_no: int
-    internal_key: bytes
-    drop: bool
-    reason: str  # "keep" | "shadowed" | "tombstone"
+from repro.errors import CorruptionError
+from repro.lsm.internal import TYPE_DELETION, TYPE_VALUE
 
 
 class KeyCompare:
     """Selects the smallest head key among inputs."""
 
-    def __init__(self, comparator: InternalKeyComparator):
-        self._comparator = comparator
+    def __init__(self):
         self.rounds = 0
 
-    def select(self, heads: dict[int, bytes]) -> int:
-        """Given ``input_no -> head key`` for non-exhausted inputs, return
-        the winning input number."""
-        if not heads:
+    def select(self, live: list[int], heads: list) -> int:
+        """Given the non-exhausted inputs in ascending order and
+        ``heads[i]``, input *i*'s head sort key, return the winning input
+        number; equal keys go to the lowest input number."""
+        if not live:
             raise ValueError("select with no live inputs")
         self.rounds += 1
-        best_input, best_key = None, None
-        for input_no in sorted(heads):
-            key = heads[input_no]
-            if best_key is None or self._comparator.compare(key, best_key) < 0:
-                best_input, best_key = input_no, key
-        return best_input
+        return min(live, key=heads.__getitem__)
 
 
 class ValidityCheck:
     """Drops shadowed versions and (at the bottom level) tombstones."""
 
-    def __init__(self, comparator: InternalKeyComparator,
-                 drop_deletions: bool):
-        self._user_compare = comparator.user_comparator.compare
+    def __init__(self, drop_deletions: bool):
         self._drop_deletions = drop_deletions
-        self._last_user_key: bytes | None = None
+        self._last_user = None
         self.dropped_shadowed = 0
         self.dropped_tombstones = 0
 
-    def check(self, internal_key: bytes) -> tuple[bool, str]:
-        """Return ``(drop, reason)`` and update the duplicate tracker."""
-        user_key = extract_user_key(internal_key)
-        if (self._last_user_key is not None
-                and self._user_compare(user_key, self._last_user_key) == 0):
+    def check(self, sort_key: tuple) -> bool:
+        """True to Drop the pair whose sort key is ``sort_key``; updates
+        the duplicate tracker."""
+        user, negated_trailer = sort_key
+        if self._last_user is not None and user == self._last_user:
             self.dropped_shadowed += 1
-            return True, "shadowed"
-        self._last_user_key = user_key
-        if self._drop_deletions and parse_internal_key(internal_key).is_deletion:
-            self.dropped_tombstones += 1
-            return True, "tombstone"
-        return False, "keep"
+            return True
+        self._last_user = user
+        if self._drop_deletions:
+            value_type = -negated_trailer & 0xFF
+            if value_type == TYPE_DELETION:
+                self.dropped_tombstones += 1
+                return True
+            if value_type != TYPE_VALUE:
+                raise CorruptionError(
+                    f"unknown value type byte {value_type:#x}")
+        return False
 
 
 class Comparer:
     """Key Compare and Validity Check composed, as in Fig 2."""
 
-    def __init__(self, comparator: InternalKeyComparator,
-                 drop_deletions: bool):
-        self.key_compare = KeyCompare(comparator)
-        self.validity = ValidityCheck(comparator, drop_deletions)
+    def __init__(self, drop_deletions: bool):
+        self.key_compare = KeyCompare()
+        self.validity = ValidityCheck(drop_deletions)
 
-    def round(self, heads: dict[int, bytes]) -> Selection:
-        input_no = self.key_compare.select(heads)
-        internal_key = heads[input_no]
-        drop, reason = self.validity.check(internal_key)
-        return Selection(input_no=input_no, internal_key=internal_key,
-                         drop=drop, reason=reason)
+    def round(self, live: list[int], heads: list) -> tuple[int, bool]:
+        """One selection round: ``(winner, drop)``."""
+        winner = self.key_compare.select(live, heads)
+        return winner, self.validity.check(heads[winner])

@@ -5,7 +5,9 @@ input's index blocks (one per SSTable) and emits data-block descriptors
 (offset, size); the **Data Block Decoder** issues one large DRAM read per
 data block, streams it through the input's Stream Downsizer, Snappy-
 decompresses it and emits decoded (internal key, value) pairs into the
-input's key/value FIFOs.
+input's key/value FIFOs.  The functional model hands the engine the
+whole decoded block at once; the per-pair FIFO timing is the
+:class:`repro.fpga.pipeline_sim.PipelineTimer`'s.
 
 The two are split ("Decoder Separation", §V-B1) so the index walk is
 hidden behind data-block decoding; what that saves over the basic
@@ -16,7 +18,8 @@ charged by :class:`repro.fpga.pipeline_sim.PipelineTimer`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from operator import ge
+from typing import Iterator, NamedTuple
 
 from repro.errors import FpgaProtocolError
 from repro.fpga.dram import Dram
@@ -55,14 +58,13 @@ def extract_index_image(image: bytes, reader: TableReader) -> bytes:
     return builder.finish()
 
 
-@dataclass(slots=True)
-class DecodedPair:
-    """One key-value pair leaving a Decoder."""
+class DecodedBlock(NamedTuple):
+    """One data block leaving a Decoder: its pairs as parallel arrays."""
 
-    internal_key: bytes
-    value: bytes
-    new_block: bool        # first pair of a data block (DRAM fetch happened)
-    block_compressed_size: int
+    keys: tuple[bytes, ...]     # internal keys, in stored order
+    values: tuple[bytes, ...]
+    sort_keys: list             # the comparator's ``sort_key`` of each key
+    fetched: int                # bytes read from DRAM: payload + trailer
 
 
 class IndexBlockDecoder:
@@ -83,54 +85,48 @@ class IndexBlockDecoder:
 
 
 class DataBlockDecoder:
-    """Fetches, decompresses and parses data blocks into pairs."""
+    """Fetches, checks, decompresses and parses data blocks."""
 
-    def __init__(self, dram: Dram, verify_checksums: bool = True):
+    def __init__(self, dram: Dram):
         self._dram = dram
-        self._verify = verify_checksums
-        self.pairs_decoded = 0
-        self.bytes_fetched = 0
 
     def decode_block(self, table: SSTableLayout,
-                     handle: BlockHandle) -> Iterator[DecodedPair]:
-        start = table.data_offset + handle.offset
+                     handle: BlockHandle) -> list[tuple[bytes, bytes]]:
+        """One DRAM read: the block's ``(internal key, value)`` pairs."""
         length = handle.size + BLOCK_TRAILER_SIZE
         if handle.offset + length > table.data_size:
             raise FpgaProtocolError("data block handle outside input region")
-        raw = self._dram.read(start, length)
-        self.bytes_fetched += length
-        contents = _read_block(raw, BlockHandle(0, handle.size), self._verify)
-        first = True
-        for key, value in Block(contents):
-            self.pairs_decoded += 1
-            yield DecodedPair(
-                internal_key=key,
-                value=value,
-                new_block=first,
-                block_compressed_size=length,
-            )
-            first = False
+        raw = self._dram.read(table.data_offset + handle.offset, length)
+        return list(Block(_read_block(raw, BlockHandle(0, handle.size),
+                                      True)))
 
 
 class DecoderChain:
-    """Functional composition: index walk feeding block decode."""
+    """Functional composition: index walk feeding block decode.
+
+    Yields one :class:`DecodedBlock` per DRAM read, with each key's
+    ``comparator.sort_key`` computed once; the engine's Comparer works on
+    those.  The stream must be strictly increasing across blocks and
+    tables."""
 
     def __init__(self, dram: Dram, tables: list[SSTableLayout],
-                 comparator: Comparator | None = None):
+                 comparator: Comparator):
         self.index_decoder = IndexBlockDecoder(dram, tables)
         self.data_decoder = DataBlockDecoder(dram)
-        self._sort_key = (comparator.sort_key if comparator is not None
-                          else None)
+        self._sort_key = comparator.sort_key
 
-    def __iter__(self) -> Iterator[DecodedPair]:
+    def __iter__(self) -> Iterator[DecodedBlock]:
         sort_key = self._sort_key
         last = None
         for table, handle in self.index_decoder:
-            for pair in self.data_decoder.decode_block(table, handle):
-                if sort_key is not None:
-                    order = sort_key(pair.internal_key)
-                    if last is not None and order <= last:
-                        raise FpgaProtocolError(
-                            "input SSTable stream is not sorted")
-                    last = order
-                yield pair
+            pairs = self.data_decoder.decode_block(table, handle)
+            if not pairs:
+                continue
+            keys, values = zip(*pairs)
+            sort_keys = list(map(sort_key, keys))
+            if ((last is not None and sort_keys[0] <= last)
+                    or any(map(ge, sort_keys, sort_keys[1:]))):
+                raise FpgaProtocolError("input SSTable stream is not sorted")
+            last = sort_keys[-1]
+            yield DecodedBlock(keys, values, sort_keys,
+                               handle.size + BLOCK_TRAILER_SIZE)

@@ -1,11 +1,13 @@
 """The assembled FPGA compaction engine (FCAE).
 
-:class:`CompactionEngine` wires N Decoder chains, the Comparer, the
-Key-Value Transfer and the Encoders together.  A run is simultaneously
+:class:`CompactionEngine` wires N Decoder chains, the Comparer and the
+Encoders together; the Key-Value Transfer is the Keep path from the
+winner's decoded block into the Encoder.  A run is simultaneously
 
-* **functional** — it consumes real SSTable images from device DRAM and
-  produces real SSTable images, byte-compatible with the CPU compaction
-  path (tests assert equality against :mod:`repro.lsm.compaction`), and
+* **functional** — it consumes real SSTable images from device DRAM a
+  decoded block at a time and produces real SSTable images,
+  byte-compatible with the CPU compaction path (tests assert equality
+  against :mod:`repro.lsm.compaction`), and
 * **timed** — every event advances the :class:`PipelineTimer`, yielding
   the kernel cycle count that the paper's "compaction speed" metric
   (input bytes / kernel time) is computed from.
@@ -32,7 +34,6 @@ from repro.fpga.dram import Dram
 from repro.fpga.encoder import Encoder
 from repro.fpga.pipeline_sim import PipelineTimer, TimingReport, replay_rounds
 from repro.fpga.resources import estimate_resources
-from repro.fpga.transfer import KeyValueTransfer
 from repro.lsm.compaction import OutputTable
 from repro.lsm.internal import InternalKeyComparator
 from repro.lsm.options import Options
@@ -56,25 +57,6 @@ class EngineResult:
     @property
     def compaction_speed_mbps(self) -> float:
         return self.timing.speed_mbps(self.config)
-
-
-class _HeadCursor:
-    """Functional lookahead of one decoded pair per input — the KV FIFO
-    head the Comparer sees."""
-
-    __slots__ = ("iterator", "head", "input_no")
-
-    def __init__(self, iterator, input_no: int):
-        self.iterator = iterator
-        self.input_no = input_no
-        self.head = None
-        self.advance()
-
-    def advance(self) -> None:
-        try:
-            self.head = next(self.iterator)
-        except StopIteration:
-            self.head = None
 
 
 class CompactionEngine:
@@ -118,52 +100,68 @@ class CompactionEngine:
                 f"{len(inputs)} inputs exceed the engine's "
                 f"N={self.config.num_inputs}")
         timer = PipelineTimer(self.config, metrics=self.metrics)
-        comparer = Comparer(self.comparator, drop_deletions)
-        transfer = KeyValueTransfer()
-        encoder = Encoder(self.options, self.comparator, self.config)
+        comparer = Comparer(drop_deletions)
+        encoder = Encoder(self.options, self.comparator)
 
         input_bytes = sum(t.index_size + t.data_size
                           for tables in inputs for t in tables)
 
-        cursors = []
-        for input_no, tables in enumerate(inputs):
-            chain = DecoderChain(dram, tables, self.comparator)
-            cursors.append(_HeadCursor(iter(chain), input_no))
-        for cursor in cursors:
-            if cursor.head is not None:
-                _time_decode(timer, cursor.input_no, cursor.head)
+        # Per input: its block stream, the current decoded block, the
+        # cursor into it (the KV FIFO head) and the head's sort key.
+        streams = [iter(DecoderChain(dram, tables, self.comparator))
+                   for tables in inputs]
+        blocks = [next(stream, None) for stream in streams]
+        cursors = [0] * len(inputs)
+        heads = [block.sort_keys[0] if block is not None else None
+                 for block in blocks]
+        live = [i for i, block in enumerate(blocks) if block is not None]
+        for input_no in live:
+            block = blocks[input_no]
+            timer.decode_pair(input_no, len(block.keys[0]),
+                              len(block.values[0]), True, block.fetched)
 
-        live = [c for c in cursors if c.head is not None]
-        while len(live) > 1:
-            heads = {c.input_no: c.head.internal_key for c in live}
-            selection = comparer.round(heads)
-            winner = cursors[selection.input_no]
-            pair = winner.head
-            timer.comparer_round(
-                live_inputs=list(heads),
-                winner=selection.input_no,
-                drop=selection.drop,
-                key_len=len(pair.internal_key),
-                value_len=len(pair.value),
-            )
-            if selection.drop:
-                transfer.pairs_dropped += 1
+        select = comparer.round
+        decode_pair = timer.decode_pair
+        # Once one input is left every round has the same winner: its
+        # rounds are recorded and replayed through the timer's
+        # closed-form fast path (see PipelineTimer.uniform_rounds).
+        tail = None
+        while live:
+            if tail is None and len(live) == 1:
+                tail_input, tail = live[0], []
+            winner, drop = select(live, heads)
+            block = blocks[winner]
+            at = cursors[winner]
+            key = block.keys[at]
+            value = block.values[at]
+            flushed = 0 if drop else encoder.add(key, value)
+            if tail is None:
+                timer.comparer_round(live, winner, drop, len(key),
+                                     len(value))
+                if flushed:
+                    timer.block_flush(flushed)
+            # Refill the winner's FIFO from its block, or the next block.
+            at += 1
+            new_block = at == len(block.keys)
+            if new_block:
+                block = blocks[winner] = next(streams[winner], None)
+                at = 0
+            cursors[winner] = at
+            if block is None:
+                live.remove(winner)
+                if tail is not None:
+                    tail.append((len(key), len(value), drop, flushed, None))
+                continue
+            heads[winner] = block.sort_keys[at]
+            if tail is None:
+                decode_pair(winner, len(block.keys[at]),
+                            len(block.values[at]), new_block, block.fetched)
             else:
-                transfer.pairs_forwarded += 1
-                transfer.value_bytes_forwarded += len(pair.value)
-                events = encoder.add(pair.internal_key, pair.value)
-                if events["block_flushed"]:
-                    timer.block_flush(events["block_bytes"])
-            winner.advance()
-            if winner.head is None:
-                live = [c for c in live if c.input_no != winner.input_no]
-            else:
-                _time_decode(timer, winner.input_no, winner.head)
-        if live:
-            # Every remaining round has the same winner, so the timing
-            # collapses to uniform runs the timer extrapolates in closed
-            # form (see PipelineTimer.uniform_rounds).
-            _drain_single_input(live[0], comparer, transfer, encoder, timer)
+                tail.append((len(key), len(value), drop, flushed,
+                             (len(block.keys[at]), len(block.values[at]),
+                              new_block, block.fetched)))
+        if tail:
+            replay_rounds(timer, tail_input, tail)
 
         outputs = encoder.finish()
         timing = timer.finalize(input_bytes)
@@ -210,51 +208,6 @@ class CompactionEngine:
                 offset += (-offset) % self.config.w_in  # alignment
             layouts.append(table_layouts)
         return self.run(dram, layouts, drop_deletions)
-
-
-def _time_decode(timer: PipelineTimer, input_no: int, pair) -> None:
-    timer.decode_pair(
-        input_no,
-        key_len=len(pair.internal_key),
-        value_len=len(pair.value),
-        new_block=pair.new_block,
-        block_compressed_size=pair.block_compressed_size,
-    )
-
-
-def _drain_single_input(cursor: _HeadCursor, comparer: Comparer,
-                        transfer: KeyValueTransfer, encoder: Encoder,
-                        timer: PipelineTimer) -> None:
-    """Consume the last live input.
-
-    The functional pass (validity check, encode, block cuts) runs first,
-    recording each round's pair sizes, drop flag, flush bytes and refill
-    decode; the timing replay then batches runs of identical rounds
-    through the timer's closed-form fast path.  The replayed event
-    sequence is exactly what the per-pair loop would have issued.
-    """
-    input_no = cursor.input_no
-    rounds = []
-    while cursor.head is not None:
-        pair = cursor.head
-        selection = comparer.round({input_no: pair.internal_key})
-        flush_bytes = 0
-        if selection.drop:
-            transfer.pairs_dropped += 1
-        else:
-            transfer.pairs_forwarded += 1
-            transfer.value_bytes_forwarded += len(pair.value)
-            events = encoder.add(pair.internal_key, pair.value)
-            if events["block_flushed"]:
-                flush_bytes = events["block_bytes"]
-        cursor.advance()
-        nxt = cursor.head
-        refill = (None if nxt is None else
-                  (len(nxt.internal_key), len(nxt.value), nxt.new_block,
-                   nxt.block_compressed_size))
-        rounds.append((len(pair.internal_key), len(pair.value),
-                       selection.drop, flush_bytes, refill))
-    replay_rounds(timer, input_no, rounds)
 
 
 def simulate_synthetic(config: FpgaConfig, pairs_per_input: list[int],

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 from repro.errors import SimulationError
 from repro.fpga.config import FpgaConfig, PipelineVariant
-from repro.fpga.cost_model import comparer_period
+from repro.fpga.cost_model import comparer_fanin_term
 
 
 @dataclass
@@ -140,6 +140,22 @@ class PipelineTimer:
                          else obs.current_timeline())
         self._inputs = [_InputTimingState(config.kv_fifo_depth)
                         for _ in range(config.num_inputs)]
+        # Per-config constants of the per-event methods.
+        variant = config.variant
+        self._full = variant is PipelineVariant.FULL
+        self._basic = variant is PipelineVariant.BASIC
+        self._value_width = config.value_width
+        self._dram_latency = config.dram_read_latency
+        self._basic_detour = 2 * config.dram_read_latency + 24
+        self._stream_width = config.w_in if self._full else 1
+        #: before key-value separation the Comparer reads the fused entry
+        self._fused_compare = variant in (PipelineVariant.BASIC,
+                                          PipelineVariant.SPLIT_BLOCKS)
+        self._tree_term = 1 + config.comparer_fanin_depth()
+        self._compare_term = comparer_fanin_term(config.num_inputs)
+        self._kv_separation = variant is PipelineVariant.KV_SEPARATION
+        self._output_width = config.output_buffer_width
+        self._flush_width = config.w_out if self._full else 8
         self._t_comparer = 0.0
         self._t_value_bus = 0.0
         self._t_encoder = 0.0
@@ -179,23 +195,6 @@ class PipelineTimer:
     # Decoder side
     # ------------------------------------------------------------------
 
-    def _decode_service(self, key_len: int, value_len: int, new_block: bool,
-                        block_compressed_size: int) -> float:
-        config = self.config
-        if config.variant is PipelineVariant.FULL:
-            cycles = key_len + value_len / config.value_width
-        else:
-            cycles = float(key_len + value_len)
-        if new_block:
-            cycles += config.dram_read_latency
-            if config.variant is PipelineVariant.BASIC:
-                # Single read pointer: detour through the index block.
-                cycles += 2 * config.dram_read_latency + 24
-            stream_width = (config.w_in
-                            if config.variant is PipelineVariant.FULL else 1)
-            cycles += min(block_compressed_size, 64) / stream_width
-        return cycles
-
     def decode_pair(self, input_no: int, key_len: int, value_len: int,
                     new_block: bool = False,
                     block_compressed_size: int = 4096) -> None:
@@ -206,28 +205,41 @@ class PipelineTimer:
         is always available here.
         """
         state = self._inputs[input_no]
-        if not state.free_slots:
+        free_slots = state.free_slots
+        if not free_slots:
             raise SimulationError(
                 f"decoder for input {input_no} ran more than "
                 f"{self.config.kv_fifo_depth} pairs ahead of the Comparer")
-        slot_available = state.free_slots.popleft()
-        start = max(state.decoder_clock, slot_available)
+        slot_available = free_slots.popleft()
+        clock = state.decoder_clock
+        start = slot_available if slot_available > clock else clock
         # Time the decoder spent blocked on a full FIFO (backpressure).
-        self.report.decoder_backpressure_cycles += max(
-            0.0, slot_available - state.decoder_clock)
-        service = self._decode_service(key_len, value_len, new_block,
-                                       block_compressed_size)
-        self.report.decoder_busy_cycles += service
+        report = self.report
+        blocked = slot_available - clock
+        report.decoder_backpressure_cycles += blocked if blocked > 0.0 else 0.0
+        if self._full:
+            service = key_len + value_len / self._value_width
+        else:
+            service = float(key_len + value_len)
+        if new_block:
+            service += self._dram_latency
+            if self._basic:
+                # Single read pointer: detour through the index block.
+                service += self._basic_detour
+            service += min(block_compressed_size, 64) / self._stream_width
+        report.decoder_busy_cycles += service
         end = start + service
         state.decoder_clock = end
-        state.pending.append(end)
-        state.high_water = max(state.high_water, len(state.pending))
+        pending = state.pending
+        pending.append(end)
+        if len(pending) > state.high_water:
+            state.high_water = len(pending)
         if self._profile_intervals is not None:
             self._mark("decoder", f"decoder[{input_no}]", "decode",
                        start, end,
                        {"key_len": key_len, "value_len": value_len,
                         "new_block": new_block})
-            self._mark_fifo(input_no, end, len(state.pending))
+            self._mark_fifo(input_no, end, len(pending))
 
     # ------------------------------------------------------------------
     # Comparer / transfer / encoder side
@@ -244,58 +256,76 @@ class PipelineTimer:
                        drop: bool, key_len: int, value_len: int) -> float:
         """Run one selection round; returns the time the winner's pair
         left the pipeline (its FIFO slot free time)."""
-        heads_ready = max(self.head_ready_time(i) for i in live_inputs)
-        round_start = max(self._t_comparer, heads_ready)
-        self.report.decoder_stall_cycles += max(
-            0.0, heads_ready - self._t_comparer)
-        if self.config.variant in (PipelineVariant.BASIC,
-                                   PipelineVariant.SPLIT_BLOCKS):
+        inputs = self._inputs
+        heads_ready = -1.0  # every ready time is >= 0
+        for input_no in live_inputs:
+            pending = inputs[input_no].pending
+            if not pending:
+                raise SimulationError(
+                    f"input {input_no} has no decoded head pair")
+            if pending[0] > heads_ready:
+                heads_ready = pending[0]
+        t_comparer = self._t_comparer
+        round_start = heads_ready if heads_ready > t_comparer else t_comparer
+        report = self.report
+        stall = heads_ready - t_comparer
+        report.decoder_stall_cycles += stall if stall > 0.0 else 0.0
+        if self._fused_compare:
             # Before key-value separation the Comparer reads the fused
             # entry — the value rides through the compare path (§V-C's
             # motivation); the tree and existence check still work on
             # keys alone.
-            fanin = self.config.comparer_fanin_depth()
-            round_cycles = (key_len + value_len) + (1 + fanin) * key_len
+            round_cycles = (key_len + value_len) + self._tree_term * key_len
         else:
-            round_cycles = comparer_period(key_len, self.config.num_inputs)
+            round_cycles = self._compare_term * key_len
         round_end = round_start + round_cycles
         self._t_comparer = round_end
-        self.report.comparer_rounds += 1
-        self.report.comparer_busy_cycles += round_cycles
+        report.comparer_rounds += 1
+        report.comparer_busy_cycles += round_cycles
         if self._profile_intervals is not None:
             self._mark("comparer", "comparer", "round", round_start,
                        round_end, {"winner": winner, "drop": drop})
 
         if drop:
-            self.report.pairs_dropped += 1
+            report.pairs_dropped += 1
             slot_free = round_end
         else:
             slot_free = self._run_value_path(round_end, key_len, value_len)
-            self.report.pairs_transferred += 1
-        self._pop_and_refill(winner, slot_free)
+            report.pairs_transferred += 1
+        # The winner's FIFO element is used once: pop it, free its slot.
+        state = inputs[winner]
+        if not state.pending:
+            raise SimulationError(f"pop on empty FIFO for input {winner}")
+        state.pending.popleft()
+        state.free_slots.append(slot_free)
+        if self._profile_intervals is not None:
+            self._mark_fifo(winner, slot_free, len(state.pending))
         return slot_free
 
     def _run_value_path(self, ready: float, key_len: int,
                         value_len: int) -> float:
-        config = self.config
-        start = max(ready, self._t_value_bus)
-        if config.variant is PipelineVariant.FULL:
-            transfer = max(key_len, value_len / config.value_width)
-            staging = value_len / config.output_buffer_width
-        elif config.variant is PipelineVariant.KV_SEPARATION:
-            transfer = float(max(key_len, value_len))
-            staging = value_len / config.output_buffer_width
+        t_value_bus = self._t_value_bus
+        start = t_value_bus if t_value_bus > ready else ready
+        if self._full:
+            moved = value_len / self._value_width
+            transfer = moved if moved > key_len else key_len
+            staging = value_len / self._output_width
+        elif self._kv_separation:
+            transfer = float(value_len if value_len > key_len else key_len)
+            staging = value_len / self._output_width
         else:
             # Fused key-value stream: one serial move, no separate staging.
             transfer = float(key_len + value_len)
             staging = 0.0
         end = start + transfer + staging
-        self.report.value_bus_busy_cycles += transfer + staging
+        report = self.report
+        report.value_bus_busy_cycles += transfer + staging
         self._t_value_bus = end
         # Encoder key work overlaps the value drain on its own resource.
-        encoder_start = max(self._t_encoder, start)
+        t_encoder = self._t_encoder
+        encoder_start = start if start > t_encoder else t_encoder
         self._t_encoder = encoder_start + key_len
-        self.report.encoder_busy_cycles += key_len
+        report.encoder_busy_cycles += key_len
         if self._profile_intervals is not None:
             self._mark("value_bus", "value_bus", "move", start, end,
                        {"value_len": value_len})
@@ -305,26 +335,15 @@ class PipelineTimer:
 
     def block_flush(self, block_bytes: int) -> None:
         """A data block (plus its index entry) streams out over AXI."""
-        width = (self.config.w_out
-                 if self.config.variant is PipelineVariant.FULL else 8)
-        busy = block_bytes / width
-        flush_start = max(self._t_writer,
-                          max(self._t_value_bus, self._t_encoder))
+        busy = block_bytes / self._flush_width
+        drained = max(self._t_value_bus, self._t_encoder)
+        flush_start = max(self._t_writer, drained)
         self._t_writer = flush_start + busy
         self.report.writer_busy_cycles += busy
         self.report.output_bytes += block_bytes
         if self._profile_intervals is not None:
             self._mark("writer", "writer", "block_flush", flush_start,
                        self._t_writer, {"block_bytes": block_bytes})
-
-    def _pop_and_refill(self, input_no: int, slot_free: float) -> None:
-        state = self._inputs[input_no]
-        if not state.pending:
-            raise SimulationError(f"pop on empty FIFO for input {input_no}")
-        state.pending.popleft()
-        state.free_slots.append(slot_free)
-        if self._profile_intervals is not None:
-            self._mark_fifo(input_no, slot_free, len(state.pending))
 
     # ------------------------------------------------------------------
     # Closed-form fast path over uniform runs

@@ -1329,6 +1329,7 @@ class LsmDB:
                 self._writers_cond.wait(timeout=0.05)
             if self._log_file is not None:
                 self._log_file.close()
+            lockwatch.get().detach_journal(self.events)
             if self._own_journal is not None:
                 self._own_journal.close()
             self._closed = True

@@ -71,6 +71,9 @@ class LsmShapeModel:
         #: Level byte budgets, index = level (0 unused: file-count limited).
         self._budgets = [0] + [options.max_bytes_for_level(level)
                                for level in range(1, NUM_LEVELS - 1)]
+        #: ``(level, float budget)`` for the score scan
+        self._score_budgets = [(level, float(self._budgets[level]))
+                               for level in range(1, NUM_LEVELS - 1)]
         self.l0_files = 0
         self.l0_bytes = 0
         self.level_bytes = [0] * NUM_LEVELS  # index 0 unused (l0_* above)
@@ -104,8 +107,9 @@ class LsmShapeModel:
     def compaction_score(self) -> tuple[float, int]:
         best_score = self.l0_files / float(L0_COMPACTION_TRIGGER)
         best_level = 0
-        for level in range(1, NUM_LEVELS - 1):
-            score = self.level_bytes[level] / float(self._budgets[level])
+        level_bytes = self.level_bytes
+        for level, budget in self._score_budgets:
+            score = level_bytes[level] / budget
             if score > best_score:
                 best_score = score
                 best_level = level
@@ -128,7 +132,11 @@ class LsmShapeModel:
         pickable set once a job claims them.
         """
         score, level = self.compaction_score()
-        if score < 1.0 or level in self._busy_levels:
+        if score < 1.0:
+            # Every level is under its trigger (a quotient below 1.0 means
+            # bytes below budget), so the fallback would find none.
+            return None
+        if level in self._busy_levels:
             # A deeper non-busy level may still be over budget.
             candidate = self._fallback_level()
             if candidate is None:

@@ -181,7 +181,13 @@ class SystemSimulator:
         # One clock per Compaction Unit; offloads take the earliest-free.
         self._fpga_clocks = [0.0] * config.num_units
         self._flush_done = 0.0
-        self._inflight: list[_Inflight] = []
+        #: heap of ``(finish, scheduling order, job)``: the earliest
+        #: finish first, and of jobs finishing together the first scheduled
+        self._inflight: list[tuple[float, int, _Inflight]] = []
+        self._scheduled = 0
+        tracer = obs.current_tracer()
+        #: None when spans would go to the no-op tracer
+        self._tracer = None if isinstance(tracer, obs.NullTracer) else tracer
         registry = obs.current_registry()
         self._stall_hist = None
         self._stall_window = None
@@ -215,14 +221,12 @@ class SystemSimulator:
 
     def _settle(self, until: float) -> None:
         """Apply every compaction that completes by ``until``."""
-        while self._inflight:
-            earliest = min(self._inflight, key=lambda j: j.finish)
-            if earliest.finish > until:
-                return
-            self._inflight.remove(earliest)
-            self.model.apply(earliest.task)
-            self._on_compaction_applied(earliest)
-            self._schedule_compactions(earliest.finish)
+        inflight = self._inflight
+        while inflight and inflight[0][0] <= until:
+            job = heapq.heappop(inflight)[2]
+            self.model.apply(job.task)
+            self._on_compaction_applied(job)
+            self._schedule_compactions(job.finish)
 
     # Hook points for subclasses that narrate the run (journal events,
     # traces); the closed-loop simulator itself needs none of them.
@@ -234,9 +238,7 @@ class SystemSimulator:
         """A memtable flush was scheduled over ``[start, finish]``."""
 
     def _earliest_inflight_finish(self) -> Optional[float]:
-        if not self._inflight:
-            return None
-        return min(job.finish for job in self._inflight)
+        return self._inflight[0][0] if self._inflight else None
 
     def _stall(self, reason: str, until: float) -> float:
         """The writer waits until ``until`` — one write-pause episode
@@ -262,23 +264,22 @@ class SystemSimulator:
     # ------------------------------------------------------------------
 
     def _schedule_compactions(self, now: float) -> None:
-        while True:
-            task = self.model.pick_compaction()
-            if task is None:
-                return
-            if self.config.mode == "leveldb":
+        pick = self.model.pick_compaction
+        leveldb = self.config.mode == "leveldb"
+        while (task := pick()) is not None:
+            if leveldb:
                 finish = self._run_software_task(task, now,
                                                  on_writer_core=False)
+            elif task.fpga_input_count <= self.config.fpga.num_inputs:
+                finish = self._run_fpga_task(task, now)
             else:
-                n = self.config.fpga.num_inputs
-                if task.fpga_input_count <= n:
-                    finish = self._run_fpga_task(task, now)
-                else:
-                    # Fig 6: too many overlapping inputs — software path,
-                    # which in FCAE mode costs the single host core.
-                    finish = self._run_software_task(task, now,
-                                                     on_writer_core=True)
-            self._inflight.append(_Inflight(finish, task))
+                # Fig 6: too many overlapping inputs — software path,
+                # which in FCAE mode costs the single host core.
+                finish = self._run_software_task(task, now,
+                                                 on_writer_core=True)
+            self._scheduled += 1
+            heapq.heappush(self._inflight, (finish, self._scheduled,
+                                            _Inflight(finish, task)))
 
     def _run_software_task(self, task: ModelCompactionTask, now: float,
                            on_writer_core: bool) -> float:
@@ -299,10 +300,11 @@ class SystemSimulator:
         write_done = self.disk.reserve_write(max(core_end, read_done),
                                              task.output_bytes)
         finish = max(core_end, write_done)
-        obs.current_tracer().record_sim_span(
-            "sim.compaction", start, finish, route="software",
-            level=task.level, input_bytes=task.input_bytes,
-            on_writer_core=on_writer_core)
+        if self._tracer is not None:
+            self._tracer.record_sim_span(
+                "sim.compaction", start, finish, route="software",
+                level=task.level, input_bytes=task.input_bytes,
+                on_writer_core=on_writer_core)
         return finish
 
     def _run_fpga_task(self, task: ModelCompactionTask, now: float) -> float:
@@ -329,11 +331,12 @@ class SystemSimulator:
         self.result.kernel_seconds += kernel
         self.result.pcie_seconds += pcie_in + pcie_out
         finish = max(out_ready, write_done)
-        obs.current_tracer().record_sim_span(
-            "sim.compaction", start, finish, route="fpga", unit=unit,
-            level=task.level, input_bytes=task.input_bytes,
-            kernel_seconds=kernel, pcie_seconds=pcie_in + pcie_out,
-            marshal_seconds=marshal)
+        if self._tracer is not None:
+            self._tracer.record_sim_span(
+                "sim.compaction", start, finish, route="fpga", unit=unit,
+                level=task.level, input_bytes=task.input_bytes,
+                kernel_seconds=kernel, pcie_seconds=pcie_in + pcie_out,
+                marshal_seconds=marshal)
         return finish
 
     # ------------------------------------------------------------------
@@ -380,8 +383,9 @@ class SystemSimulator:
         self.result.flush_seconds += flush_cpu
         self.result.memtables_flushed += 1
         self._on_flush(start, flush_finish)
-        obs.current_tracer().record_sim_span(
-            "sim.flush", start, flush_finish, bytes=self._l0_file_bytes)
+        if self._tracer is not None:
+            self._tracer.record_sim_span(
+                "sim.flush", start, flush_finish, bytes=self._l0_file_bytes)
         self.model.add_l0_file(self._l0_file_bytes)
         self._schedule_compactions(flush_finish)
 
@@ -818,7 +822,7 @@ class OpenLoopSimulator(SystemSimulator):
         # trace of the work being waited on for exemplar attribution.
         start = self._writer_clock
         if reason == "l0_stop":  # waiting on the earliest compaction
-            relief = min(self._inflight, key=lambda j: j.finish)
+            relief = self._inflight[0][2]
             trace = self._task_trace.get(id(relief.task))
         else:
             trace = self._flush_trace

@@ -4,7 +4,6 @@ encoders."""
 import pytest
 
 from repro.fpga.comparer import Comparer, KeyCompare, ValidityCheck
-from repro.fpga.config import FpgaConfig
 from repro.fpga.decoder import DecoderChain, SSTableLayout
 from repro.fpga.dram import Dram
 from repro.fpga.encoder import Encoder
@@ -16,11 +15,23 @@ from repro.lsm.internal import (
     TYPE_VALUE,
     encode_internal_key,
 )
-from repro.util.comparator import BytewiseComparator
+from repro.util.comparator import BytewiseComparator, Comparator
 
 from tests.conftest import build_table_image, make_entries
 
 ICMP = InternalKeyComparator(BytewiseComparator())
+
+
+class CaseInsensitiveComparator(Comparator):
+    """Orders user keys ignoring ASCII case: distinct bytes, equal keys."""
+
+    @property
+    def name(self) -> str:
+        return "test.CaseInsensitiveComparator"
+
+    def compare(self, a: bytes, b: bytes) -> int:
+        a, b = a.lower(), b.lower()
+        return (a > b) - (a < b)
 
 
 def load_layout(image: bytes, plain_options):
@@ -45,7 +56,8 @@ class TestDecoderChain:
         image = build_table_image(entries, plain_options, ICMP)
         dram, layout = load_layout(image, plain_options)
         chain = DecoderChain(dram, [layout], ICMP)
-        decoded = [(p.internal_key, p.value) for p in chain]
+        decoded = [pair for block in chain
+                   for pair in zip(block.keys, block.values)]
         assert decoded == entries
 
     def test_new_block_flag_set_once_per_block(self, plain_options):
@@ -53,10 +65,12 @@ class TestDecoderChain:
         image = build_table_image(entries, plain_options, ICMP)
         dram, layout = load_layout(image, plain_options)
         chain = DecoderChain(dram, [layout], ICMP)
-        pairs = list(chain)
-        boundaries = sum(p.new_block for p in pairs)
+        blocks = list(chain)
+        boundaries = len(blocks)
         assert boundaries == chain.index_decoder.blocks_decoded
         assert boundaries > 1
+        for block in blocks:
+            assert block.sort_keys == [ICMP.sort_key(k) for k in block.keys]
 
     def test_unsorted_input_detected(self, plain_options):
         entries = make_entries(50)
@@ -72,46 +86,57 @@ class TestDecoderChain:
 
 class TestComparer:
     def test_key_compare_selects_smallest(self):
-        compare = KeyCompare(ICMP)
-        heads = {
-            0: encode_internal_key(b"bbb", 5, TYPE_VALUE),
-            1: encode_internal_key(b"aaa", 1, TYPE_VALUE),
-            2: encode_internal_key(b"ccc", 9, TYPE_VALUE),
-        }
-        assert compare.select(heads) == 1
+        compare = KeyCompare()
+        heads = [ICMP.sort_key(encode_internal_key(user, seq, TYPE_VALUE))
+                 for user, seq in ((b"bbb", 5), (b"aaa", 1), (b"ccc", 9))]
+        assert compare.select([0, 1, 2], heads) == 1
         assert compare.rounds == 1
+        # Equal heads: the lowest input number wins.
+        heads[2] = heads[1]
+        assert compare.select([0, 1, 2], heads) == 1
 
     def test_key_compare_empty_raises(self):
         with pytest.raises(ValueError):
-            KeyCompare(ICMP).select({})
+            KeyCompare().select([], [])
 
     def test_validity_drops_shadowed(self):
-        check = ValidityCheck(ICMP, drop_deletions=False)
+        check = ValidityCheck(drop_deletions=False)
         newer = encode_internal_key(b"k", 9, TYPE_VALUE)
         older = encode_internal_key(b"k", 3, TYPE_VALUE)
-        assert check.check(newer) == (False, "keep")
-        assert check.check(older) == (True, "shadowed")
+        assert check.check(ICMP.sort_key(newer)) is False
+        assert check.check(ICMP.sort_key(older)) is True
         assert check.dropped_shadowed == 1
 
+    def test_validity_shadowing_follows_user_comparator(self):
+        """User keys the comparator calls equal shadow each other even
+        when their bytes differ."""
+        icmp = InternalKeyComparator(CaseInsensitiveComparator())
+        check = ValidityCheck(drop_deletions=False)
+        assert check.check(icmp.sort_key(
+            encode_internal_key(b"KEY", 9, TYPE_VALUE))) is False
+        assert check.check(icmp.sort_key(
+            encode_internal_key(b"key", 3, TYPE_VALUE))) is True
+        assert check.check(icmp.sort_key(
+            encode_internal_key(b"kez", 2, TYPE_VALUE))) is False
+
     def test_validity_drops_tombstone_at_bottom(self):
-        check = ValidityCheck(ICMP, drop_deletions=True)
+        check = ValidityCheck(drop_deletions=True)
         tombstone = encode_internal_key(b"k", 9, TYPE_DELETION)
-        assert check.check(tombstone) == (True, "tombstone")
+        assert check.check(ICMP.sort_key(tombstone)) is True
+        assert check.dropped_tombstones == 1
 
     def test_validity_keeps_tombstone_mid_tree(self):
-        check = ValidityCheck(ICMP, drop_deletions=False)
+        check = ValidityCheck(drop_deletions=False)
         tombstone = encode_internal_key(b"k", 9, TYPE_DELETION)
-        assert check.check(tombstone) == (False, "keep")
+        assert check.check(ICMP.sort_key(tombstone)) is False
 
     def test_composed_round(self):
-        comparer = Comparer(ICMP, drop_deletions=True)
-        heads = {
-            0: encode_internal_key(b"a", 2, TYPE_VALUE),
-            1: encode_internal_key(b"b", 1, TYPE_VALUE),
-        }
-        selection = comparer.round(heads)
-        assert selection.input_no == 0
-        assert not selection.drop
+        comparer = Comparer(drop_deletions=True)
+        heads = [ICMP.sort_key(encode_internal_key(b"a", 2, TYPE_VALUE)),
+                 ICMP.sort_key(encode_internal_key(b"b", 1, TYPE_VALUE))]
+        winner, drop = comparer.round([0, 1], heads)
+        assert winner == 0
+        assert not drop
 
 
 class TestTransfer:
@@ -138,15 +163,17 @@ class TestTransfer:
 
 class TestEncoder:
     def test_builds_standard_tables(self, plain_options):
-        encoder = Encoder(plain_options, ICMP, FpgaConfig())
+        encoder = Encoder(plain_options, ICMP)
         entries = make_entries(300, value_size=64)
-        flushes = tables = 0
+        flushes = flushed_bytes = 0
         for key, value in entries:
-            events = encoder.add(key, value)
-            flushes += events["block_flushed"]
-            tables += events["table_completed"]
+            flushed = encoder.add(key, value)
+            flushes += flushed > 0
+            flushed_bytes += flushed
         outputs = encoder.finish()
         assert flushes >= len(outputs) >= 1
+        # Blocks flushed by add(), plus the tails finish() wrote.
+        assert 0 < flushed_bytes <= sum(o.stats.data_bytes for o in outputs)
         assert sum(o.stats.num_entries for o in outputs) == 300
         # Outputs must parse as standard SSTables.
         from repro.lsm.sstable import TableReader

@@ -187,6 +187,26 @@ def test_cycle_report_reaches_journal_after_stack_drains():
     assert set(events[0]) >= {"locks", "closing_edge", "thread"}
 
 
+def test_closed_db_detaches_its_journal(enabled_watchdog):
+    """A report queued after ``close()`` waits for the next journal
+    instead of vanishing into the closed DB's sink."""
+    db = LsmDB("db", env=MemEnv(), options=Options(event_journal=True))
+    db.close()
+    hold = enabled_watchdog.long_hold_seconds
+    enabled_watchdog.long_hold_seconds = 0.0
+    try:
+        with WatchdogLock(enabled_watchdog, "slow", threading.Lock()):
+            pass
+    finally:
+        enabled_watchdog.long_hold_seconds = hold
+    journal = EventJournal(keep_events=True)
+    enabled_watchdog.attach_journal(journal)
+    with WatchdogLock(enabled_watchdog, "quick", threading.Lock()):
+        pass
+    holds = [e for e in journal.events if e["type"] == "lock_long_hold"]
+    assert [e["lock"] for e in holds] == ["slow"]
+
+
 def test_publish_exports_gauges():
     wd = LockWatchdog()
     a, b = _locks(wd, "A", "B")
