@@ -2,8 +2,7 @@
 
 Exit code 0 when no unwaived error-severity findings remain; warnings
 (LD004 chains) never affect the exit code.  ``--strict`` additionally
-requires every waiver to carry a reason and runs the cross-file schema
-drift check (CT004).
+requires every waiver to carry a reason.
 """
 
 from __future__ import annotations
@@ -64,7 +63,6 @@ def analyze_paths(paths, strict: bool = False) -> List[Finding]:
     for path in _iter_py_files(paths):
         findings.extend(analyze_file(path, metric_names, event_types))
     if strict:
-        findings.extend(contracts_mod.check_schema_drift())
         for finding in findings:
             if finding.waived and not finding.waive_reason:
                 finding.waived = False
@@ -77,12 +75,11 @@ def main(argv=None) -> int:
         prog="python -m repro.analysis",
         description="Concurrency-contract analyzer: lock-discipline "
                     "lint (LD001-LD004) and observability contract "
-                    "lints (CT001-CT004).")
+                    "lints (CT001-CT003).")
     parser.add_argument("paths", nargs="+",
                         help="files or directories to analyze")
     parser.add_argument("--strict", action="store_true",
-                        help="waivers require reasons; run cross-file "
-                             "schema drift check")
+                        help="waivers require reasons")
     parser.add_argument("--format", choices=("text", "json"),
                         default="text", help="findings output format")
     parser.add_argument("--no-warnings", action="store_true",

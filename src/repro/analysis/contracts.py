@@ -9,20 +9,17 @@ CT001 ``unknown-metric-name``
     silent zero on every dashboard.
 
 CT002 ``unknown-event-type``
-    A string literal passed to ``.emit(...)`` that the journal schema
-    (exported by ``tools/validate_events.py``) does not know.  The
-    journal raises at runtime — this catches it at lint time, including
-    on paths no test exercises.
+    A string-literal event type passed to ``record(journals, type, ...)``
+    or a journal's ``emit(type, ...)`` that the journal schema
+    (:mod:`repro.obs.schema`) does not know.  The journal raises at
+    runtime — this catches it at lint time, including on paths no test
+    exercises.
 
 CT003 ``swallowed-base-exception``
     A bare ``except:`` or ``except BaseException:`` handler that
     neither re-raises nor uses the bound exception.  On a worker
     thread this silently eats ``KeyboardInterrupt``/``SystemExit`` and
     the store keeps running half-dead.
-
-CT004 ``event-schema-drift`` (checked once per run, not per file)
-    ``repro.obs.events.EVENT_TYPES`` and the validator's schema table
-    disagree — the single-source-of-truth invariant is broken.
 """
 
 from __future__ import annotations
@@ -34,7 +31,6 @@ from repro.analysis.findings import Finding
 
 __all__ = [
     "check_contracts",
-    "check_schema_drift",
     "metric_family_names",
     "journal_event_types",
 ]
@@ -58,6 +54,10 @@ _METRIC_CALLS: Dict[str, int] = {
     "publish_window": 1,
 }
 
+#: journal call -> index of the positional event-type argument:
+#: a journal's ``emit(type, ...)`` and ``record(journals, type, ...)``.
+_EVENT_CALLS: Dict[str, int] = {"emit": 0, "record": 1}
+
 #: names whose presence in the receiver marks it as a metrics registry
 _REGISTRY_RECEIVERS = ("registry", "metrics")
 
@@ -69,29 +69,9 @@ def metric_family_names() -> FrozenSet[str]:
 
 
 def journal_event_types() -> FrozenSet[str]:
-    """Event types from the validator's exported schema, falling back
-    to the runtime journal's frozen set."""
-    import importlib.util
-    import os
-
-    here = os.path.dirname(os.path.abspath(__file__))
-    for base in (os.getcwd(), os.path.join(here, "..", "..", "..")):
-        candidate = os.path.abspath(
-            os.path.join(base, "tools", "validate_events.py"))
-        if not os.path.exists(candidate):
-            continue
-        spec = importlib.util.spec_from_file_location(
-            "repro_validate_events", candidate)
-        if spec is None or spec.loader is None:
-            continue
-        module = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(module)
-        schema = getattr(module, "event_schema", None)
-        if schema is not None:
-            return frozenset(schema().keys())
     from repro.obs.events import EVENT_TYPES
 
-    return frozenset(EVENT_TYPES)
+    return EVENT_TYPES
 
 
 def _literal_str(node: ast.expr) -> Optional[str]:
@@ -146,15 +126,16 @@ def check_contracts(path: str, tree: ast.Module,
                             message=f"metric name {literal!r} is not "
                                     f"declared in repro.obs.names."
                                     f"FAMILIES"))
-            if (name == "emit" and node.args):
-                literal = _literal_str(node.args[0])
+            type_arg = _EVENT_CALLS.get(name)
+            if type_arg is not None and type_arg < len(node.args):
+                literal = _literal_str(node.args[type_arg])
                 if literal is not None and literal not in event_types:
                     findings.append(Finding(
                         rule="CT002", slug="unknown-event-type",
                         path=path, line=node.lineno,
                         col=node.col_offset + 1,
                         message=f"journal event type {literal!r} is "
-                                f"unknown to the validator schema"))
+                                f"unknown to repro.obs.schema"))
         elif isinstance(node, ast.ExceptHandler):
             finding = _check_handler(path, node)
             if finding is not None:
@@ -194,28 +175,3 @@ def _check_handler(path: str,
         message=f"{what} neither re-raises nor uses the exception — "
                 f"on a worker thread this swallows KeyboardInterrupt/"
                 f"SystemExit")
-
-
-def check_schema_drift() -> List[Finding]:
-    """CT004: runtime EVENT_TYPES vs validator schema equality."""
-    try:
-        from repro.obs.events import EVENT_TYPES
-    except ImportError:
-        return []
-    validator = journal_event_types()
-    runtime = frozenset(EVENT_TYPES)
-    if validator == runtime:
-        return []
-    missing = sorted(runtime - validator)
-    extra = sorted(validator - runtime)
-    parts = []
-    if missing:
-        parts.append(f"runtime-only: {', '.join(missing)}")
-    if extra:
-        parts.append(f"validator-only: {', '.join(extra)}")
-    return [Finding(
-        rule="CT004", slug="event-schema-drift",
-        path="tools/validate_events.py", line=1, col=1,
-        message="journal schema drift between repro.obs.events."
-                "EVENT_TYPES and tools/validate_events.py ("
-                + "; ".join(parts) + ")")]

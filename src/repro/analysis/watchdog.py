@@ -84,7 +84,7 @@ class LockWatchdog:
         self._acquires: Dict[str, int] = {}
         # (event_type, fields) reports awaiting a safe moment to emit.
         self._pending: List[Tuple[str, dict]] = []
-        self._journal: Optional[Any] = None
+        self._journals: tuple = ()
 
     # ------------------------------------------------------------ wiring
 
@@ -94,18 +94,18 @@ class LockWatchdog:
             self._next_serial += 1
             return serial
 
-    def attach_journal(self, journal: Any) -> None:
-        """Route cycle/long-hold reports to an ``EventJournal``-like
-        object (anything with ``emit(type, **fields)``)."""
+    def attach_journal(self, journals: tuple) -> None:
+        """Route cycle/long-hold reports to a DB's journals (a tuple of
+        ``EventJournal`` objects)."""
         with self._lock:
-            self._journal = journal
+            self._journals = journals
 
-    def detach_journal(self, journal: Any) -> None:
-        """Stop routing reports to ``journal`` if it is still the
-        attached one; reports queue until a journal is attached."""
+    def detach_journal(self, journals: tuple) -> None:
+        """Stop routing reports to ``journals`` if they are still the
+        attached ones; reports queue until journals are attached."""
         with self._lock:
-            if self._journal is journal:
-                self._journal = None
+            if self._journals is journals:
+                self._journals = ()
 
     def reset_state(self) -> None:
         """Drop the graph, findings, and every thread's held stack.
@@ -230,15 +230,18 @@ class LockWatchdog:
         if getattr(self._tl, "draining", False):
             return
         with self._lock:
-            journal = self._journal
-            if journal is None or not self._pending:
+            journals = self._journals
+            if not journals or not self._pending:
                 return
             pending, self._pending = self._pending, []
+        # Imported here: repro.obs.events instruments its lock with this
+        # module.
+        from repro.obs.events import record
         self._tl.draining = True
         try:
             for event_type, fields in pending:
                 try:
-                    journal.emit(event_type, **fields)
+                    record(journals, event_type, **fields)
                 except Exception:
                     # Diagnostics must never take down the store; a
                     # closed/invalid journal just drops the report.

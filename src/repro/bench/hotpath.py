@@ -9,8 +9,7 @@ SSTable build/scan, the end-to-end CPU merge, point lookups through a
 three-level store and the pipeline timing simulator — with a
 repeat/warmup harness that reports p50/p95 wall times instead of a
 single noisy sample.  The ``obs_*`` rows bound the flight recorder's
-cost: put/get loops with observability off vs on, plus the disabled
-path's per-op residue.
+cost: put/get loops with observability off vs on.
 
 ``fcae-bench hotpath --bench-json BENCH_hotpath.json`` emits the rows in
 the schema ``tools/check_regression.py`` understands; the committed
@@ -56,7 +55,6 @@ from repro.lsm.internal import (
 from repro.lsm.memtable import MemTable
 from repro.lsm.options import Options
 from repro.lsm.sstable import TableBuilder, TableReader
-from repro.obs.events import NullJournal
 from repro.util.comparator import BytewiseComparator
 from repro.util.crc32c import crc32c
 from repro.util.varint import decode_varint64, encode_varint64
@@ -382,9 +380,7 @@ def run(scale: float = 1.0) -> ExperimentResult:
     # -- observability overhead on the put/get path --------------------
     # Same put+get loop against two memtable-only stores: one with the
     # flight recorder off (default options) and one with the journal and
-    # latency windows on.  `obs_overhead` measures the *disabled* path's
-    # residue — the NullJournal call and the windows-off guard that every
-    # operation pays even when nothing is recording.
+    # latency windows on.
     obs_pairs = [(f"obs{i:012d}".encode(), b"x" * 64)
                  for i in range(n_obs)]
     obs_nbytes = sum(len(k) + len(v) for k, v in obs_pairs)
@@ -412,20 +408,6 @@ def run(scale: float = 1.0) -> ExperimentResult:
     _add(result, "obs_put_get_off", _put_get(db_off), 2 * obs_nbytes,
          repeat, warmup)
     _add(result, "obs_put_get_on", _put_get(db_on), 2 * obs_nbytes,
-         repeat, warmup)
-
-    null_journal = db_off.events
-    windows = db_off.latency_window("put")
-    assert isinstance(null_journal, NullJournal) and windows is None
-
-    def disabled_obs_primitives():
-        for _ in range(n_obs):
-            if windows is not None:
-                raise AssertionError("windows unexpectedly enabled")
-            null_journal.emit("flush_start")
-            null_journal.emit("flush_finish")
-
-    _add(result, "obs_overhead", disabled_obs_primitives, 0,
          repeat, warmup)
 
     result.notes.append(

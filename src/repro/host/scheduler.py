@@ -18,14 +18,17 @@ routes each merge compaction to one of the registered
 
 Accelerator results are verified against the storage contract (sorted,
 disjoint output ranges), and recoverable faults from *any* accelerator
-go through bounded retry + backoff before failing over to the CPU merge
-— output bytes are identical either way, so fallback never changes the
-key space.  Statistics land in a :class:`repro.obs.MetricsRegistry` —
-the per-backend ``scheduler_backend_*`` families, per-phase time, the
-PCIe share — with :class:`SchedulerStats` as a read-only view.  Each
-routed task also emits a ``compaction.route`` trace span with per-phase
-children (marshal → pcie_in → kernel → pcie_out, software, or batch), so
-a JSONL trace reconstructs exactly where offload time went.
+go through bounded retry before failing over to the CPU merge — output
+bytes are identical either way, so fallback never changes the key
+space.  The ``fault`` / ``retry`` / ``fallback`` journal lines go where
+:func:`repro.obs.journals` says: into the journals of the DB whose
+compaction raised them.  Statistics land in a
+:class:`repro.obs.MetricsRegistry` — the per-backend
+``scheduler_backend_*`` families, per-phase time, the PCIe share — with
+:class:`SchedulerStats` as a read-only view.  Each routed task also
+emits a ``compaction.route`` trace span with per-phase children
+(marshal → pcie_in → kernel → pcie_out, software, or batch), so a JSONL
+trace reconstructs exactly where offload time went.
 """
 
 from __future__ import annotations
@@ -46,16 +49,11 @@ from repro.lsm.compaction import OutputTable
 from repro.lsm.internal import InternalKeyComparator
 from repro.lsm.options import Options
 from repro.lsm.version import CompactionSpec
-from repro.obs import (
-    merge_counts,
-    resolve_events,
-    resolve_registry,
-    resolve_tracer,
-)
+from repro.obs import merge_counts, resolve_registry, resolve_tracer
+from repro.obs.events import record
 from repro.obs.names import SchedulerMetrics
 from repro.obs.registry import MetricsRegistry
 from repro.obs.window import WindowedHistogram, publish_window
-from repro.sim.cpu import CpuCostModel
 
 
 class SchedulerStats:
@@ -193,34 +191,28 @@ class CompactionScheduler:
     #: else (corruption, resource misconfiguration) still propagates.
     RECOVERABLE_FAULTS = (FpgaProtocolError, FpgaTimeoutError)
 
+    #: Compaction is house work, so its task window carries a tenant
+    #: label too: dashboards list it next to the user tenants instead of
+    #: in an unlabeled bucket.
+    TENANT = "system"
+    TASK_WINDOW_SECONDS = 60.0
+
     def __init__(self, device: FcaeDevice, options: Options | None = None,
-                 cpu_model: CpuCostModel | None = None,
-                 verify_outputs: bool = True,
                  metrics: Optional[MetricsRegistry] = None,
                  tracer=None,
-                 events=None,
                  max_retries: int = 1,
-                 retry_backoff_seconds: float = 0.0,
-                 fallback_to_software: bool = True,
-                 task_window_seconds: float = 60.0,
-                 tenant: str = "system",
                  backends: Optional[dict[str, AcceleratorBackend]] = None):
         self.device = device
         self.options = options or device.options
         self.comparator = InternalKeyComparator(self.options.comparator)
-        self.cpu_model = cpu_model or device.cpu_model
         self.backends = backends or make_backends(
-            device, self.options, self.comparator, self.cpu_model)
+            device, self.options, self.comparator, device.cpu_model)
         if "cpu" not in self.backends:
             raise ValueError("backend registry must include 'cpu' "
                              "(the terminal fallback target)")
-        self.verify_outputs = verify_outputs
         self.max_retries = max(0, max_retries)
-        self.retry_backoff_seconds = max(0.0, retry_backoff_seconds)
-        self.fallback_to_software = fallback_to_software
         self.metrics = resolve_registry(metrics)
         self.tracer = resolve_tracer(tracer)
-        self.events = resolve_events(events)
         self._m = SchedulerMetrics(self.metrics,
                                    inst=self.metrics.instance_label())
         self.stats = SchedulerStats(self._m)
@@ -229,17 +221,13 @@ class CompactionScheduler:
         #: attribute would race (``LsmDB`` reads it for the journal's
         #: ``backend`` field right after the executor returns).
         self._local = threading.local()
-        #: Compaction is house work, so its task window carries a tenant
-        #: label too ("system" by default): dashboards list it next to
-        #: the user tenants instead of in an unlabeled bucket.
-        self.tenant = tenant
         self.task_window = WindowedHistogram(
-            window_seconds=task_window_seconds)
+            window_seconds=self.TASK_WINDOW_SECONDS)
         publish_window(
             self.metrics, "scheduler_task_window_seconds",
             "Sliding-window compaction task duration quantiles.",
             self.task_window, inst=self._m.labels["inst"],
-            tenant=tenant)
+            tenant=self.TENANT)
 
     def last_route(self) -> Optional[str]:
         """Backend that ran the last task completed on the calling
@@ -300,8 +288,8 @@ class CompactionScheduler:
                            input_tables: list, parent_tables: list,
                            drop_deletions: bool,
                            span) -> list[OutputTable]:
-        """Offload with bounded retry + backoff; degrade to the CPU
-        merge when the accelerator keeps failing (LUDA's CPU fallback).
+        """Offload with bounded retry; degrade to the CPU merge when the
+        accelerator keeps failing (LUDA's CPU fallback).
         Every backend produces byte-identical tables, so failover
         preserves the key space exactly."""
         attempt = 0
@@ -312,23 +300,19 @@ class CompactionScheduler:
             except self.RECOVERABLE_FAULTS as error:
                 kind = self._fault_kind(error)
                 self._m.faults[kind].inc()
-                self.events.emit("fault", kind=kind, level=spec.level,
-                                 attempt=attempt + 1, backend=backend.name)
+                journals = obs.journals()
+                record(journals, "fault", kind=kind, level=spec.level,
+                       attempt=attempt + 1, backend=backend.name)
                 span.set(fault=kind, attempts=attempt + 1)
                 if attempt < self.max_retries:
                     attempt += 1
                     self._m.retries.inc()
-                    self.events.emit("retry", kind=kind, level=spec.level,
-                                     attempt=attempt, backend=backend.name)
-                    if self.retry_backoff_seconds:
-                        time.sleep(self.retry_backoff_seconds
-                                   * (2 ** (attempt - 1)))
+                    record(journals, "retry", kind=kind, level=spec.level,
+                           attempt=attempt, backend=backend.name)
                     continue
-                if not self.fallback_to_software:
-                    raise
                 self._m.fallbacks.inc()
-                self.events.emit("fallback", kind=kind, level=spec.level,
-                                 source=backend.name, target="cpu")
+                record(journals, "fallback", kind=kind, level=spec.level,
+                       source=backend.name, target="cpu")
                 span.set(fallback=True)
                 self._local.route = "fallback"
                 return self._run_backend(self.backends["cpu"], spec,
@@ -370,7 +354,7 @@ class CompactionScheduler:
                     t0 + modeled * 1e6,
                     {"bytes": spec.total_input_bytes, "level": spec.level})
                 timeline.advance_to(t0 + modeled * 1e6)
-        if self.verify_outputs and backend.name != "cpu":
+        if backend.name != "cpu":
             self._verify(result.outputs)
         return result.outputs
 

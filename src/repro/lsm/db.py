@@ -105,13 +105,9 @@ from repro.lsm.version import (
 )
 from repro.lsm.wal import LogReader, LogWriter
 
-from repro.obs import (
-    current_events,
-    resolve_events,
-    resolve_registry,
-    resolve_tracer,
-)
-from repro.obs.events import EventJournal, NullJournal, TeeJournal
+from repro import obs
+from repro.obs import resolve_registry, resolve_tracer
+from repro.obs.events import EventJournal, episode
 from repro.obs.names import DbStats, LsmMetrics
 from repro.obs.opobserver import OpObserver
 from repro.obs.registry import MetricsRegistry
@@ -136,13 +132,6 @@ _WAL_POLICY = {
     "always": (False, True, "yes"),
     "group": (True, True, "yes"),
 }
-
-
-def _trace_fields(span) -> dict:
-    """The ``trace`` field of journal events emitted under ``span``
-    (empty when the span carries no trace id)."""
-    trace_id = getattr(span, "trace_id", None)
-    return {} if trace_id is None else {"trace": str(trace_id)}
 
 
 class _Writer:
@@ -216,13 +205,9 @@ class LsmDB:
         the process-wide registry installed by :func:`repro.obs.install`
         (benchmark CLIs), else a private one.
     tracer:
-        A :class:`repro.obs.Tracer` for flush/compaction spans; defaults
-        to the installed tracer, else a no-op.
-    events:
-        A :class:`repro.obs.EventJournal` for the flight recorder's
-        flush/compaction/stall events; defaults to a DB-directory
-        journal when ``Options.event_journal`` is set, else the
-        installed journal, else a no-op.
+        A :class:`repro.obs.Tracer` for flush/compaction/stall spans;
+        defaults to the installed tracer, else a no-op.  Each of those
+        spans is also written to :attr:`journals`.
     background_compaction:
         Run flushes and merge compactions on background threads via a
         :class:`repro.host.driver.CompactionDriver`; the write path then
@@ -239,7 +224,6 @@ class LsmDB:
                  auto_compact: bool = True,
                  metrics: Optional[MetricsRegistry] = None,
                  tracer=None,
-                 events=None,
                  background_compaction: bool = False,
                  num_units: int = 1):
         self.options = options or Options()
@@ -304,25 +288,20 @@ class LsmDB:
         self.slowdown_sleep_seconds = 0.001
 
         self.env.create_dir(dbname)
-        #: The journal owned by this DB (per-directory flight recorder);
-        #: None when events come from the caller or the installed sinks.
+        #: The per-directory flight recorder, with
+        #: ``Options.event_journal``.
         self._own_journal: Optional[EventJournal] = None
-        if events is None and self.options.event_journal:
+        if self.options.event_journal:
             self._own_journal = EventJournal(
                 sink=_EnvTextSink(self.env.new_appendable_file(
                     event_journal_file_name(dbname))))
-            installed = current_events()
-            # The per-directory journal records regardless; an installed
-            # sink (--events-out) gets the same stream teed in.
-            if isinstance(installed, NullJournal):
-                events = self._own_journal
-            else:
-                events = TeeJournal(self._own_journal, installed)
-        self.events = resolve_events(events)
+        #: Where this DB's episodes and SLO lines go: its own journal
+        #: plus the one installed at open (``--events-out``).
+        self.journals = obs.journals(self._own_journal)
         if lockwatch.enabled():
             # Route lock-cycle / long-hold reports into this DB's
-            # journal (last opened DB wins; diagnostics, not state).
-            lockwatch.get().attach_journal(self.events)
+            # journals (last opened DB wins; diagnostics, not state).
+            lockwatch.get().attach_journal(self.journals)
 
         #: Per-op latency windows, tenant counters and SLO scoring (the
         #: engine emits slo_alert / exemplar events into this DB's
@@ -331,7 +310,7 @@ class LsmDB:
         #: stays a single check.
         self._ops = OpObserver.build(self.options, self.metrics,
                                      self._m.labels, self.tracer,
-                                     self.events)
+                                     self.journals)
         self._opened_monotonic = time.monotonic()
 
         #: Who runs maintenance steps; None (this thread) through recovery.
@@ -724,19 +703,13 @@ class LsmDB:
             return
         self.stall_events += 1
         self._c["stalls"].inc()
-        trace_fields = {} if ctx is None else {"trace": str(ctx.trace_id)}
-        self.events.emit("stall_start", db=self.dbname, reason=reason,
-                         **trace_fields)
         start = time.perf_counter()
         try:
-            with self.tracer.span("write.stall", db=self.dbname,
-                                  reason=reason):
+            with episode(self.tracer, self.journals, "stall",
+                         db=self.dbname, reason=reason):
                 yield
         finally:
-            waited = time.perf_counter() - start
-            self._m.stall_seconds.observe(waited)
-            self.events.emit("stall_finish", db=self.dbname, reason=reason,
-                             seconds=waited, **trace_fields)
+            self._m.stall_seconds.observe(time.perf_counter() - start)
             if ctx is not None and self._ops is not None:
                 self._ops.note_stall(ctx.trace_id)
 
@@ -887,22 +860,16 @@ class LsmDB:
         it.  Callers beside other workers must guarantee the spec's files
         are not concurrently compacted (:meth:`compact_once`'s busy-set
         does)."""
-        with self.tracer.span("compaction", db=self.dbname,
-                              level=spec.level,
-                              output_level=spec.output_level,
-                              input_bytes=spec.total_input_bytes) as span:
-            return self._run_compaction(spec, span)
+        with episode(self.tracer, self.journals, "compaction",
+                     db=self.dbname, level=spec.level,
+                     output_level=spec.output_level, reason=spec.reason,
+                     input_bytes=spec.total_input_bytes) as ep:
+            return self._run_compaction(spec, ep)
 
     def _run_compaction(self, spec: CompactionSpec,
-                        span) -> list[FileMetaData]:
+                        ep) -> list[FileMetaData]:
         base_bytes = sum(m.file_size for m in spec.inputs)
         parent_bytes = sum(m.file_size for m in spec.parents)
-        trace_fields = _trace_fields(span)
-        self.events.emit(
-            "compaction_start", db=self.dbname, level=spec.level,
-            output_level=spec.output_level, reason=spec.reason,
-            input_bytes=spec.total_input_bytes, **trace_fields)
-        start = time.perf_counter()
         with self._mutex:
             tables = self._view.tables
             input_tables = [tables[m.number] for m in spec.inputs]
@@ -924,8 +891,8 @@ class LsmDB:
             self._m.snapshot_merges.inc()
             outputs = self._cpu_executor(
                 spec, input_tables, parent_tables, drop, smallest_snapshot)
-            span.set(snapshot_merge=True,
-                     smallest_snapshot=smallest_snapshot)
+            ep.set(snapshot_merge=True,
+                   smallest_snapshot=smallest_snapshot)
             backend = "cpu"
         else:
             outputs = self.compaction_executor(
@@ -974,17 +941,10 @@ class LsmDB:
             self._m.add_level_read(spec.level, base_bytes)
             if parent_bytes:
                 self._m.add_level_read(spec.output_level, parent_bytes)
-            span.set(output_bytes=output_bytes, output_tables=len(outputs),
-                     backend=backend)
-            self.events.emit(
-                "compaction_finish", db=self.dbname, level=spec.level,
-                output_level=spec.output_level, reason=spec.reason,
-                backend=backend, input_bytes=spec.total_input_bytes,
-                output_bytes=output_bytes, input_bytes_base=base_bytes,
-                input_bytes_parent=parent_bytes,
-                seconds=time.perf_counter() - start,
-                write_bytes=int(self._c["write_bytes"].value),
-                **trace_fields)
+            ep.set(backend=backend, output_bytes=output_bytes,
+                   output_tables=len(outputs), input_bytes_base=base_bytes,
+                   input_bytes_parent=parent_bytes,
+                   write_bytes=int(self._c["write_bytes"].value))
             with self.tracer.span("compaction.install"):
                 edit = VersionEdit()
                 for meta in spec.inputs:
@@ -1038,11 +998,8 @@ class LsmDB:
         """Write ``imm`` as table ``number`` and install it (the claimed
         body of :meth:`flush_immutable`)."""
         name = table_file_name(self.dbname, number)
-        with self.tracer.span("flush", db=self.dbname) as span:
-            trace_fields = _trace_fields(span)
-            self.events.emit("flush_start", db=self.dbname, table=number,
-                             **trace_fields)
-            start = time.perf_counter()
+        with episode(self.tracer, self.journals, "flush", db=self.dbname,
+                     table=number) as ep:
             try:
                 dest = self.env.new_writable_file(name)
                 # A non-empty memtable, no size cut: exactly one table.
@@ -1064,13 +1021,8 @@ class LsmDB:
                 self._c["flushes"].inc()
                 self._c["flush_bytes"].inc(stats.file_bytes)
                 self._m.add_level_write(0, stats.file_bytes)
-                span.set(table=number, bytes=stats.file_bytes)
-                self.events.emit(
-                    "flush_finish", db=self.dbname, table=number,
-                    bytes=stats.file_bytes,
-                    seconds=time.perf_counter() - start,
-                    write_bytes=int(self._c["write_bytes"].value),
-                    **trace_fields)
+                ep.set(bytes=stats.file_bytes,
+                       write_bytes=int(self._c["write_bytes"].value))
                 self._imm = None
                 self._publish_view_locked({number: reader})
                 self._write_manifest()
@@ -1329,7 +1281,7 @@ class LsmDB:
                 self._writers_cond.wait(timeout=0.05)
             if self._log_file is not None:
                 self._log_file.close()
-            lockwatch.get().detach_journal(self.events)
+            lockwatch.get().detach_journal(self.journals)
             if self._own_journal is not None:
                 self._own_journal.close()
             self._closed = True

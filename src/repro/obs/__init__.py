@@ -13,8 +13,9 @@ substrate those numbers flow through:
   time, streamed as JSONL, with trace-context propagation across the
   async driver's thread boundaries;
 * :mod:`repro.obs.events` — the flight recorder: an append-only JSONL
-  event journal of flushes, compactions, stalls and faults, with a
-  replay loader;
+  event journal of flushes, compactions, stalls and faults (each
+  flush, compaction or stall one episode span), with a replay loader;
+* :mod:`repro.obs.schema` — the journal's event schema, stdlib only;
 * :mod:`repro.obs.window` — sliding-window histograms for per-interval
   tail latency (p50/p95/p99/p999);
 * :mod:`repro.obs.opobserver` — the store's per-operation telemetry
@@ -37,10 +38,11 @@ them and :func:`flag_sinks` opens, installs, reports and closes what
 they name.
 
 Instrumented components resolve their sinks in this order: an explicit
-``metrics=`` / ``tracer=`` / ``events=`` constructor argument, then the
-process-wide set installed by :func:`install` / :func:`scoped` (how the
-benchmark CLIs aggregate a whole run into one dump), else a private
-registry and the no-op tracer/journal.
+``metrics=`` / ``tracer=`` constructor argument, then the process-wide
+set installed by :func:`install` / :func:`scoped` (how the benchmark
+CLIs aggregate a whole run into one dump), else a private registry and
+the no-op tracer.  Journal lines go where :func:`journals` says when
+they are recorded.
 """
 
 from __future__ import annotations
@@ -74,12 +76,11 @@ from repro.obs.tracing import (
     spans_to_chrome_trace,
 )
 from repro.obs.events import (
-    NULL_JOURNAL,
     EventJournal,
     JournalSummary,
-    NullJournal,
-    TeeJournal,
-    read_events,
+    episode,
+    open_episode_journals,
+    record,
     replay,
     replay_file,
 )
@@ -262,10 +263,17 @@ def current_tracer() -> Tracer | NullTracer:
         else NULL_TRACER
 
 
-def current_events() -> EventJournal | NullJournal:
-    """The installed event journal, or the shared no-op journal."""
-    return _installed_events if _installed_events is not None \
-        else NULL_JOURNAL
+def journals(own: Optional[EventJournal] = None) -> tuple:
+    """Where a journal line recorded now goes.  Inside an episode open
+    on this thread (:func:`repro.obs.events.episode`), that episode's
+    journals — so a fault raised inside a DB's compaction lands in that
+    DB's journal; anywhere else ``own`` plus the installed
+    (``--events-out``) journal.  An empty tuple: recording is off."""
+    open_journals = open_episode_journals()
+    if open_journals is not None:
+        return open_journals
+    return tuple(journal for journal in (own, _installed_events)
+                 if journal is not None)
 
 
 def resolve_registry(metrics: Optional[MetricsRegistry]
@@ -284,12 +292,6 @@ def resolve_tracer(tracer) -> Tracer | NullTracer:
     return tracer if tracer is not None else current_tracer()
 
 
-def resolve_events(events) -> EventJournal | NullJournal:
-    """Constructor helper: explicit argument > installed default >
-    no-op."""
-    return events if events is not None else current_events()
-
-
 __all__ = [
     "BYTES_BUCKETS",
     "DEFAULT_POLICIES",
@@ -305,15 +307,12 @@ __all__ = [
     "JournalSummary",
     "MetricFamily",
     "MetricsRegistry",
-    "NULL_JOURNAL",
     "NULL_TRACER",
-    "NullJournal",
     "NullTracer",
     "SinkError",
     "SloEngine",
     "SloSpec",
     "Span",
-    "TeeJournal",
     "TimelineRecorder",
     "TraceContext",
     "Tracer",
@@ -321,27 +320,27 @@ __all__ = [
     "WindowedHistogram",
     "add_sink_flags",
     "build_engine",
-    "current_events",
     "current_registry",
     "current_timeline",
     "current_tracer",
+    "episode",
     "flag_sinks",
     "install",
+    "journals",
     "merge_counts",
     "names",
     "parse_prometheus_text",
     "parse_slo_specs",
     "publish_window",
     "quantile_label",
-    "read_events",
     "read_jsonl",
+    "record",
     "render_dashboard",
     "render_db_report",
     "render_level_stats",
     "run_dashboard",
     "replay",
     "replay_file",
-    "resolve_events",
     "resolve_registry",
     "resolve_tracer",
     "scoped",

@@ -17,12 +17,19 @@ Guarantees (enforced under one lock, asserted by
 * every line is written with a single ``write()`` call, so concurrent
   emitters never tear lines.
 
-Event types come in balanced start/finish pairs (``flush_*``,
-``compaction_*``, ``stall_*``) plus point events (``fault``, ``retry``,
-``fallback``, ``journal_open``, ``slo_alert``, ``exemplar``).  Finish
-events for flushes and compactions carry the cumulative user
-``write_bytes`` at that moment, so :func:`replay` can recompute
-write-amplification without having seen the individual writes.
+The types are declared once, in :mod:`repro.obs.schema`.  They come in
+balanced start/finish pairs (``flush_*``, ``compaction_*``, ``stall_*``)
+plus point events (``fault``, ``retry``, ``fallback``, ``journal_open``,
+``slo_alert``, ``exemplar``, the lock watchdog's reports).
+
+A store's flush, compaction or write stall is one *episode*
+(:func:`episode`): the tracer span that times it, whose fields are also
+its ``<kind>_start`` / ``<kind>_finish`` lines.  Point events go through
+:func:`record`.  Both write to a plain tuple of journals; an empty tuple
+means recording is off.  Finish events for flushes and compactions
+carry the cumulative user ``write_bytes`` at that moment, so
+:func:`replay` can recompute write-amplification without having seen
+the individual writes.
 
 ``fault``/``retry`` carry the ``backend`` that raised the injected
 fault; ``fallback`` records the degradation pair (``source`` backend →
@@ -39,36 +46,28 @@ a latency violation back to the compaction/stall span that caused it
 from __future__ import annotations
 
 import json
+import threading
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import IO, Optional
+from typing import IO, Iterator, Optional
 
 from repro.analysis import watchdog as lockwatch
 from repro.errors import InvalidArgumentError
+from repro.obs.schema import EVENT_SCHEMA, SCHEMA_VERSION
+from repro.obs.tracing import read_jsonl
 
-#: Journal schema version stamped on every line.
-SCHEMA_VERSION = 1
-
-#: Every event type the journal accepts.  Must stay equal to the
-#: schema table in ``tools/validate_events.py`` — the analyzer's CT004
-#: check enforces the equality in CI.
-EVENT_TYPES = frozenset({
-    "journal_open",
-    "flush_start", "flush_finish",
-    "compaction_start", "compaction_finish",
-    "stall_start", "stall_finish",
-    "fault", "retry", "fallback",
-    "slo_alert", "exemplar",
-    # Lock watchdog reports (repro.analysis.watchdog).
-    "lock_cycle", "lock_long_hold",
-})
+#: Every event type the journal accepts.
+EVENT_TYPES = frozenset(EVENT_SCHEMA)
 
 #: ``start`` event type -> matching ``finish`` type.
-PAIRED_TYPES = {
-    "flush_start": "flush_finish",
-    "compaction_start": "compaction_finish",
-    "stall_start": "stall_finish",
-}
+PAIRED_TYPES = {etype: spec["pairs_with"]
+                for etype, spec in EVENT_SCHEMA.items()
+                if spec.get("pairs_with")}
+
+#: Episode kind -> the tracer span that times it.
+EPISODE_SPANS = {"flush": "flush", "compaction": "compaction",
+                 "stall": "write.stall"}
 
 
 class EventJournal:
@@ -118,19 +117,19 @@ class EventJournal:
             if ts < self._last_ts:
                 ts = self._last_ts
             self._last_ts = ts
-            record = {"v": SCHEMA_VERSION, "seq": self._seq, "ts": ts,
-                      "type": etype}
-            record.update(fields)
+            line = {"v": SCHEMA_VERSION, "seq": self._seq, "ts": ts,
+                    "type": etype}
+            line.update(fields)
             if self.keep_events:
-                self.events.append(record)
+                self.events.append(line)
             if self._sink is not None:
                 # One write() per line: concurrent emitters cannot tear
                 # lines even if the underlying stream is shared.
-                self._sink.write(json.dumps(record) + "\n")
+                self._sink.write(json.dumps(line) + "\n")
                 flush = getattr(self._sink, "flush", None)
                 if flush is not None:
                     flush()
-        return record
+        return line
 
     def close(self) -> None:
         with self._lock:
@@ -139,55 +138,70 @@ class EventJournal:
             self._sink = None
 
 
-class NullJournal:
-    """Do-nothing journal: the default so instrumented code pays one
-    method call when the flight recorder is disabled."""
-
-    keep_events = False
-    events: list = []
-
-    def emit(self, etype: str, **fields) -> dict:
-        return {}
-
-    def close(self) -> None:
-        pass
+def record(journals: tuple, etype: str, **fields) -> None:
+    """Write one ``etype`` line to each journal in ``journals``."""
+    for journal in journals:
+        journal.emit(etype, **fields)
 
 
-NULL_JOURNAL = NullJournal()
+#: Per thread: the journals of the episodes open on it, innermost last.
+_open_episodes = threading.local()
 
 
-class TeeJournal:
-    """Fan one event stream out to several journals — e.g. the DB's own
-    per-directory ``EVENTS.jsonl`` plus an installed ``--events-out``
-    sink.  Each underlying journal keeps its own seq/ts discipline;
-    :meth:`emit` returns the last journal's record.  Closing is the
-    owners' job: the tee never closes what it did not open."""
-
-    keep_events = False
-    events: list = []
-
-    def __init__(self, *journals):
-        self.journals = tuple(j for j in journals if j is not None)
-
-    def emit(self, etype: str, **fields) -> dict:
-        record: dict = {}
-        for journal in self.journals:
-            record = journal.emit(etype, **fields)
-        return record
-
-    def close(self) -> None:
-        pass
+def open_episode_journals() -> Optional[tuple]:
+    """The journals of the innermost episode open on this thread, or
+    None outside every episode."""
+    stack = getattr(_open_episodes, "stack", None)
+    return stack[-1] if stack else None
 
 
-def read_events(path: str) -> list[dict]:
-    """Load a journal file back into dicts."""
-    events = []
-    with open(path) as handle:
-        for line in handle:
-            line = line.strip()
-            if line:
-                events.append(json.loads(line))
-    return events
+class Episode:
+    """An open flush, compaction or stall: its span, and the fields its
+    finish line will carry."""
+
+    __slots__ = ("span", "fields")
+
+    def __init__(self, span, fields: dict):
+        self.span = span
+        self.fields = fields
+
+    def set(self, **fields) -> None:
+        """Attach ``fields`` to the span and to the finish line."""
+        self.span.set(**fields)
+        self.fields.update(fields)
+
+
+@contextmanager
+def episode(tracer, journals: tuple, kind: str,
+            **fields) -> Iterator[Episode]:
+    """Run the enclosed block as one ``kind`` episode (``flush``,
+    ``compaction`` or ``stall``): a ``tracer`` span named by
+    :data:`EPISODE_SPANS` with ``fields`` as its attributes, and a
+    ``<kind>_start`` line when it opens and a ``<kind>_finish`` line when
+    it closes, both written to ``journals`` from the same fields.  The
+    finish line adds ``seconds``; both add ``trace`` when the span has a
+    trace id.  A flush or compaction that raises writes no finish line;
+    a stall always writes one.  While the block runs, the episode's
+    journals are where :func:`repro.obs.journals` sends this thread's
+    lines."""
+    stack = getattr(_open_episodes, "stack", None)
+    if stack is None:
+        stack = _open_episodes.stack = []
+    with tracer.span(EPISODE_SPANS[kind], **fields) as span:
+        trace = {} if span.trace_id is None \
+            else {"trace": str(span.trace_id)}
+        record(journals, kind + "_start", **fields, **trace)
+        stack.append(journals)
+        start = time.perf_counter()
+        finished = False
+        try:
+            yield Episode(span, fields)
+            finished = True
+        finally:
+            stack.pop()
+            if finished or kind == "stall":
+                record(journals, kind + "_finish", **fields,
+                       seconds=time.perf_counter() - start, **trace)
 
 
 @dataclass
@@ -310,5 +324,6 @@ def replay(events: list[dict]) -> JournalSummary:
 
 
 def replay_file(path: str) -> JournalSummary:
-    """Convenience: :func:`read_events` then :func:`replay`."""
-    return replay(read_events(path))
+    """Convenience: :func:`~repro.obs.tracing.read_jsonl` then
+    :func:`replay`."""
+    return replay(read_jsonl(path))

@@ -54,11 +54,11 @@ class OpObserver:
 
     @classmethod
     def build(cls, options, registry, labels: dict, tracer,
-              events) -> Optional["OpObserver"]:
+              journals: tuple) -> Optional["OpObserver"]:
         """The observer ``options`` asks for, or None when per-op
         telemetry is off entirely."""
         slo = build_engine(options.slo_specs, registry=registry,
-                           events=events)
+                           journals=journals)
         if slo is None and options.latency_window_seconds <= 0:
             return None
         return cls(registry, labels, tracer,

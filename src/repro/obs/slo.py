@@ -40,7 +40,7 @@ import time
 from typing import Optional, Sequence
 
 from repro.errors import InvalidArgumentError
-from repro.obs.events import NULL_JOURNAL
+from repro.obs.events import record
 
 __all__ = [
     "BurnPolicy", "DEFAULT_POLICIES", "SloSpec", "SloEngine",
@@ -324,9 +324,9 @@ class SloEngine:
         Optional :class:`~repro.obs.registry.MetricsRegistry`; when set,
         the engine publishes ``slo_events_total``, ``slo_burn_rate``,
         ``slo_error_budget_remaining`` and ``slo_alerts_total``.
-    events:
-        Journal for ``slo_alert`` / ``exemplar`` events (defaults to the
-        null journal).
+    journals:
+        Tuple of journals for ``slo_alert`` / ``exemplar`` events
+        (empty: not recorded).
     clock:
         Seconds callable (defaults to ``time.monotonic``); simulators
         pass their virtual clock.
@@ -337,14 +337,14 @@ class SloEngine:
         a storm of violations does not flood the journal.
     """
 
-    def __init__(self, specs, registry=None, events=None, clock=None,
+    def __init__(self, specs, registry=None, journals=(), clock=None,
                  eval_interval: float = 1.0,
                  exemplar_min_interval: float = 1.0):
         self.specs = parse_slo_specs(specs)
         if not self.specs:
             raise InvalidArgumentError("SloEngine needs >= 1 spec")
         self._registry = registry
-        self._events = events if events is not None else NULL_JOURNAL
+        self._journals = tuple(journals)
         self._clock = clock if clock is not None else time.monotonic
         self._eval_interval = float(eval_interval)
         self._exemplar_min_interval = float(exemplar_min_interval)
@@ -433,7 +433,7 @@ class SloEngine:
                              "value": seconds,
                              "threshold": spec.threshold_seconds})
         for fields in emit_exemplars:
-            self._events.emit("exemplar", **fields)
+            record(self._journals, "exemplar", **fields)
         now = self._clock()
         if now - self._last_eval >= self._eval_interval:
             self.evaluate()
@@ -519,7 +519,7 @@ class SloEngine:
                          "factor": policy.factor})
         self.alert_log.extend(transitions)
         for fields in transitions:
-            self._events.emit("slo_alert", **fields)
+            record(self._journals, "slo_alert", **fields)
         return transitions
 
     # -- introspection --------------------------------------------------
@@ -538,7 +538,7 @@ class SloEngine:
             return sorted({tenant for _, tenant in self._counters})
 
 
-def build_engine(specs, registry=None, events=None, clock=None,
+def build_engine(specs, registry=None, journals=(), clock=None,
                  **kwargs) -> Optional[SloEngine]:
     """``SloEngine`` when ``specs`` is non-empty, else ``None`` — the
     shape instrumented code wants (one ``is None`` check on the hot
@@ -546,5 +546,5 @@ def build_engine(specs, registry=None, events=None, clock=None,
     specs = tuple(specs or ())
     if not specs:
         return None
-    return SloEngine(specs, registry=registry, events=events,
+    return SloEngine(specs, registry=registry, journals=journals,
                      clock=clock, **kwargs)

@@ -37,6 +37,7 @@ from repro.fpga.config import CONFIG_9_INPUT, FpgaConfig
 from repro.fpga.engine import simulate_synthetic
 from repro.host.pcie import PcieModel
 from repro.lsm.options import Options
+from repro.obs.events import record
 from repro.obs.window import nearest_rank
 from repro.sim.cpu import CpuCostModel
 from repro.sim.disk import DiskModel
@@ -731,7 +732,7 @@ class OpenLoopSimulator(SystemSimulator):
     """
 
     def __init__(self, config: SystemConfig, tenants,
-                 duration_seconds: float, slo_specs=(), events=None,
+                 duration_seconds: float, slo_specs=(),
                  cache_bytes: float = 64e6,
                  latency_window_seconds: float = 60.0):
         super().__init__(config)
@@ -745,14 +746,13 @@ class OpenLoopSimulator(SystemSimulator):
             raise InvalidArgumentError("duration_seconds must be positive")
         self.duration_seconds = float(duration_seconds)
         self.cache_bytes = cache_bytes
-        self.events = obs.resolve_events(events)
         self._registry = obs.current_registry()
         self._latency_window_seconds = latency_window_seconds
         self.slo = None
         if slo_specs:
             from repro.obs.slo import build_engine
             self.slo = build_engine(slo_specs, registry=self._registry,
-                                    events=self.events,
+                                    journals=obs.journals(),
                                     clock=lambda: self._writer_clock)
         self._trace_seq = 0
         self._task_trace: dict[int, str] = {}   # id(task) -> trace
@@ -779,10 +779,10 @@ class OpenLoopSimulator(SystemSimulator):
         trace = self._next_trace()
         self._task_trace[id(task)] = trace
         self._task_start[id(task)] = start
-        self.events.emit(
-            "compaction_start", trace=trace, backend=backend,
-            level=task.level, output_level=task.output_level,
-            input_bytes=task.input_bytes, sim_ts=round(start, 9))
+        record(obs.journals(), "compaction_start", trace=trace,
+               backend=backend, level=task.level,
+               output_level=task.output_level, input_bytes=task.input_bytes,
+               sim_ts=round(start, 9))
 
     def _run_software_task(self, task, now, on_writer_core):
         finish = super()._run_software_task(task, now, on_writer_core)
@@ -799,22 +799,21 @@ class OpenLoopSimulator(SystemSimulator):
         trace = self._task_trace.pop(id(task), None)
         start = self._task_start.pop(id(task), job.finish)
         if trace is not None:
-            self.events.emit(
-                "compaction_finish", trace=trace, level=task.level,
-                output_level=task.output_level,
-                input_bytes=task.input_bytes,
-                output_bytes=task.output_bytes,
-                seconds=round(job.finish - start, 9),
-                sim_ts=round(job.finish, 9))
+            record(obs.journals(), "compaction_finish", trace=trace,
+                   level=task.level, output_level=task.output_level,
+                   input_bytes=task.input_bytes,
+                   output_bytes=task.output_bytes,
+                   seconds=round(job.finish - start, 9),
+                   sim_ts=round(job.finish, 9))
 
     def _on_flush(self, start: float, finish: float) -> None:
         trace = self._flush_trace = self._next_trace()
-        self.events.emit("flush_start", trace=trace,
-                         sim_ts=round(start, 9))
-        self.events.emit("flush_finish", trace=trace,
-                         bytes=self._l0_file_bytes,
-                         seconds=round(finish - start, 9),
-                         sim_ts=round(finish, 9))
+        journals = obs.journals()
+        record(journals, "flush_start", trace=trace,
+               sim_ts=round(start, 9))
+        record(journals, "flush_finish", trace=trace,
+               bytes=self._l0_file_bytes, seconds=round(finish - start, 9),
+               sim_ts=round(finish, 9))
 
     def _stall(self, reason: str, until: float) -> float:
         # The wait delays the tenant writing now (and, for a flush
@@ -831,9 +830,10 @@ class OpenLoopSimulator(SystemSimulator):
         fields = {"reason": reason}
         if trace is not None:
             fields["trace"] = self._pending_stall_trace = trace
-        self.events.emit("stall_start", sim_ts=round(start, 9), **fields)
-        self.events.emit("stall_finish", sim_ts=round(start + waited, 9),
-                         seconds=round(waited, 9), **fields)
+        journals = obs.journals()
+        record(journals, "stall_start", sim_ts=round(start, 9), **fields)
+        record(journals, "stall_finish", sim_ts=round(start + waited, 9),
+               seconds=round(waited, 9), **fields)
         return waited
 
     # -- per-tenant metric plumbing ------------------------------------
@@ -968,11 +968,11 @@ class OpenLoopSimulator(SystemSimulator):
 
 def simulate_open_loop(config: SystemConfig, tenants,
                        duration_seconds: float, slo_specs=(),
-                       events=None, cache_bytes: float = 64e6,
+                       cache_bytes: float = 64e6,
                        latency_window_seconds: float = 60.0
                        ) -> OpenLoopResult:
     """Run the open-loop multi-tenant simulation and return measurements."""
     return OpenLoopSimulator(
         config, tenants, duration_seconds, slo_specs=slo_specs,
-        events=events, cache_bytes=cache_bytes,
+        cache_bytes=cache_bytes,
         latency_window_seconds=latency_window_seconds).run()

@@ -1,6 +1,8 @@
-"""CT002: a journal event type unknown to the validator schema."""
+"""CT002: a journal event type unknown to the schema."""
+
+from repro.obs.events import record
 
 
-def record(journal):
-    journal.emit("flush_start", level=0)
-    journal.emit("flush_strat", level=0)  # VIOLATION CT002
+def note_flush(journals):
+    record(journals, "flush_start", level=0)
+    record(journals, "flush_strat", level=0)  # VIOLATION CT002

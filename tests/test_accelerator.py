@@ -18,6 +18,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import repro.host.batch_merge as batch_merge
+from repro import obs
 from repro.errors import InvalidArgumentError
 from repro.fpga.config import CONFIG_9_INPUT
 from repro.host.accelerator import AcceleratorBackend, BackendResult
@@ -326,12 +327,12 @@ class TestFaultFallback:
         device = FcaeDevice(CONFIG_9_INPUT, options,
                             fault_injector=injector)
         journal = EventJournal(keep_events=True)
-        scheduler = CompactionScheduler(device, options, events=journal,
-                                        max_retries=1)
+        scheduler = CompactionScheduler(device, options, max_retries=1)
         readers = [TableReader(img, ICMP, options) for img in images]
         spec = spec_for(images, readers)
-        got = output_bytes(scheduler(spec, readers, [],
-                                     drop_deletions=True))
+        with obs.scoped(events=journal):
+            got = output_bytes(scheduler(spec, readers, [],
+                                         drop_deletions=True))
 
         assert got == reference
         if routed_to(accelerator, no_numpy) == "cpu":

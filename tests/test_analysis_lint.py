@@ -16,11 +16,7 @@ import pytest
 
 from repro.analysis import run_analysis
 from repro.analysis.cli import analyze_file, analyze_paths, main
-from repro.analysis.contracts import (
-    check_schema_drift,
-    journal_event_types,
-    metric_family_names,
-)
+from repro.analysis.contracts import journal_event_types, metric_family_names
 from repro.analysis.findings import extract_comments, to_json
 from repro.analysis.guarded import build_contract
 from repro.analysis.lockdiscipline import check_lock_discipline
@@ -84,10 +80,6 @@ def test_run_analysis_package_entry_matches_cli():
     packaged = run_analysis([CORPUS])
     assert [(f.rule, f.line) for f in direct] == \
         [(f.rule, f.line) for f in packaged]
-
-
-def test_schema_drift_check_is_quiet():
-    assert check_schema_drift() == []
 
 
 def test_lock_cycle_event_type_known_to_both_sides():

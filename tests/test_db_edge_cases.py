@@ -8,6 +8,7 @@ import time
 
 import pytest
 
+from repro import obs
 from repro.errors import DBStateError, NotFoundError
 from repro.lsm import LsmDB, Options, WriteBatch
 from repro.lsm.compaction import compact_tables
@@ -543,7 +544,8 @@ class TestStepsRunWithoutTheMutex:
         tiny = Options(block_size=512, sstable_size=4 * 1024,
                        write_buffer_size=2 * 1024,
                        max_level0_size=16 * 1024, compression="snappy")
-        db = LsmDB("stress", tiny, env=env, events=journal)
+        with obs.scoped(events=journal):
+            db = LsmDB("stress", tiny, env=env)
         acked = {}
         errors = []
         writing = threading.Event()

@@ -13,6 +13,7 @@ from itertools import islice
 
 import pytest
 
+from repro import obs
 from repro.errors import DBStateError, NotFoundError
 from repro.fpga.config import CONFIG_9_INPUT
 from repro.host.device import FcaeDevice
@@ -515,8 +516,9 @@ class TestStallComparison:
         def run(**kwargs):
             env = SlowTableSyncEnv(seconds=0.003)
             journal = EventJournal(keep_events=True)
-            db = LsmDB("stall-cmp", small_options(), env=env,
-                       metrics=MetricsRegistry(), events=journal, **kwargs)
+            with obs.scoped(events=journal):
+                db = LsmDB("stall-cmp", small_options(), env=env,
+                           metrics=MetricsRegistry(), **kwargs)
             for i in range(n):
                 db.put(key(i), value(i))
             stalled = db.stats.stall_seconds

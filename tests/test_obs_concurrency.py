@@ -11,7 +11,8 @@ import threading
 from repro.lsm.db import LsmDB
 from repro.lsm.env import OsEnv
 from repro.lsm.options import Options
-from repro.obs.events import EventJournal, read_events, replay
+from repro.obs.events import EventJournal, replay
+from repro.obs.tracing import read_jsonl
 from repro.obs.window import WindowedHistogram
 
 
@@ -103,7 +104,7 @@ class TestJournalThroughDriverWorkers:
         live_wa = db.stats.write_amplification
         db.close()
 
-        events = read_events(str(tmp_path / "db" / "EVENTS.jsonl"))
+        events = read_jsonl(str(tmp_path / "db" / "EVENTS.jsonl"))
         seqs = [event["seq"] for event in events]
         assert seqs == list(range(1, len(seqs) + 1))
         timestamps = [event["ts"] for event in events]

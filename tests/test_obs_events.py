@@ -1,21 +1,25 @@
 """EventJournal semantics: schema stamping, monotone clocks, append-only
-sinks, the tee, and :func:`repro.obs.events.replay`'s accounting."""
+sinks, episodes and point lines, and :func:`repro.obs.events.replay`'s
+accounting."""
 
 import io
 import json
 
 import pytest
 
+from repro import obs
 from repro.errors import InvalidArgumentError
 from repro.obs.events import (
     EVENT_TYPES,
+    PAIRED_TYPES,
     EventJournal,
-    NullJournal,
-    TeeJournal,
-    read_events,
+    episode,
+    record,
     replay,
     replay_file,
 )
+from repro.obs.schema import EVENT_SCHEMA
+from repro.obs.tracing import NULL_TRACER, Tracer, read_jsonl
 
 
 class TestEmit:
@@ -67,7 +71,7 @@ class TestSinks:
         second.emit("fault", kind="crc")
         second.close()
 
-        events = read_events(path)
+        events = read_jsonl(path)
         types = [event["type"] for event in events]
         assert types == ["journal_open", "flush_start", "flush_finish",
                          "journal_open", "fault"]
@@ -89,28 +93,89 @@ class TestSinks:
         assert not sink.closed
 
 
-class TestTee:
-    def test_fans_out_to_every_journal(self):
-        left, right = EventJournal(keep_events=True), \
+class TestSchema:
+    def test_types_and_pairs_derive_from_the_one_table(self):
+        assert EVENT_TYPES == frozenset(EVENT_SCHEMA)
+        assert PAIRED_TYPES == {
+            "flush_start": "flush_finish",
+            "compaction_start": "compaction_finish",
+            "stall_start": "stall_finish",
+        }
+
+
+def _lines(journal):
+    return [{k: v for k, v in event.items() if k not in ("v", "seq", "ts")}
+            for event in journal.events[1:]]
+
+
+class TestEpisode:
+    def test_start_and_finish_from_one_field_dict(self):
+        journal = EventJournal(keep_events=True)
+        tracer = Tracer()
+        with episode(tracer, (journal,), "flush", db="db", table=3) as ep:
+            ep.set(bytes=100, write_bytes=40)
+        start, finish = _lines(journal)
+        assert start == {"type": "flush_start", "db": "db", "table": 3}
+        seconds = finish.pop("seconds")
+        assert seconds >= 0.0
+        assert finish == {"type": "flush_finish", "db": "db", "table": 3,
+                          "bytes": 100, "write_bytes": 40}
+        [span] = tracer.spans
+        assert span.name == "flush"
+        assert span.attrs == {"db": "db", "table": 3, "bytes": 100,
+                              "write_bytes": 40}
+
+    def test_span_names_and_trace_ids(self):
+        journal = EventJournal(keep_events=True)
+        tracer = Tracer()
+        with tracer.activate(tracer.mint_context()):
+            with episode(tracer, (journal,), "stall", reason="imm_full"):
+                pass
+            with episode(tracer, (journal,), "compaction", level=1):
+                pass
+        assert [span.name for span in tracer.spans] == \
+            ["write.stall", "compaction"]
+        traces = {event.get("trace") for event in journal.events[1:]}
+        assert traces == {str(tracer.spans[0].trace_id)}
+
+    def test_no_trace_field_without_a_trace_id(self):
+        journal = EventJournal(keep_events=True)
+        with episode(NULL_TRACER, (journal,), "compaction", level=0):
+            pass
+        assert all("trace" not in event for event in journal.events)
+
+    @pytest.mark.parametrize("kind,finished", [
+        ("flush", False), ("compaction", False), ("stall", True)])
+    def test_a_raising_episode_finishes_only_if_a_stall(self, kind,
+                                                         finished):
+        journal = EventJournal(keep_events=True)
+        with pytest.raises(OSError):
+            with episode(NULL_TRACER, (journal,), kind):
+                raise OSError("disk gone")
+        types = [event["type"] for event in journal.events[1:]]
+        assert types == [kind + "_start"] + \
+            ([kind + "_finish"] if finished else [])
+
+    def test_lines_inside_an_episode_go_to_its_journals(self):
+        mine, installed = EventJournal(keep_events=True), \
             EventJournal(keep_events=True)
-        tee = TeeJournal(left, right, None)
-        tee.emit("flush_start", db="db")
-        assert left.events[-1]["type"] == "flush_start"
-        assert right.events[-1]["type"] == "flush_start"
-        # Seq discipline stays per-journal, not shared.
-        assert left.events[-1]["seq"] == right.events[-1]["seq"] == 2
+        with obs.scoped(events=installed):
+            assert obs.journals() == (installed,)
+            assert obs.journals(mine) == (mine, installed)
+            with episode(NULL_TRACER, (mine,), "compaction"):
+                assert obs.journals() == (mine,)
+                record(obs.journals(), "fault", kind="protocol")
+            assert obs.journals() == (installed,)
+        assert obs.journals() == ()
+        assert [e["type"] for e in mine.events] == [
+            "journal_open", "compaction_start", "fault",
+            "compaction_finish"]
+        assert [e["type"] for e in installed.events] == ["journal_open"]
 
-    def test_close_is_not_ownership(self):
-        sink = io.StringIO()
-        journal = EventJournal(sink=sink)
-        TeeJournal(journal).close()
-        journal.emit("fault")  # still writable: tee.close() is a no-op
-        assert "fault" in sink.getvalue()
-
-    def test_null_journal_is_inert(self):
-        null = NullJournal()
-        assert null.emit("flush_start") == {}
-        null.close()
+    def test_empty_tuple_records_nothing(self):
+        record((), "fault", kind="protocol")
+        with episode(NULL_TRACER, (), "flush"):
+            assert obs.journals() == ()
 
 
 class TestReplay:

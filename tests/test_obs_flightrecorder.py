@@ -1,15 +1,23 @@
 """Flight-recorder acceptance: journal replay reproduces the live
 registry's per-level write-amplification, ``repro.levelstats`` reports
-the amplification table, and windowed percentiles reach the Prometheus
-exposition."""
+the amplification table, windowed percentiles reach the Prometheus
+exposition, and device faults reach the DB's own journal."""
 
+import json
 import random
 
 import pytest
 
+from repro import obs
 from repro.errors import NotFoundError
+from repro.fpga.config import CONFIG_9_INPUT
+from repro.host.device import FcaeDevice
+from repro.host.faults import FaultInjector
+from repro.host.scheduler import CompactionScheduler
 from repro.lsm.batch import WriteBatch
 from repro.lsm.db import LsmDB
+from repro.lsm.env import MemEnv
+from repro.lsm.filenames import event_journal_file_name
 from repro.lsm.options import Options
 from repro.obs.events import EventJournal, replay
 from repro.obs.exposition import to_prometheus_text
@@ -101,9 +109,10 @@ class TestOpScoring:
 class TestReplayEqualsLiveRegistry:
     def test_fillrandom_with_background_compaction(self, registry):
         journal = EventJournal(keep_events=True)
-        db = LsmDB("wadb", small_options(), metrics=registry,
-                   events=journal, auto_compact=False,
-                   background_compaction=True, num_units=2)
+        with obs.scoped(events=journal):
+            db = LsmDB("wadb", small_options(), metrics=registry,
+                       auto_compact=False, background_compaction=True,
+                       num_units=2)
         fill(db)
         db.compact_range()
 
@@ -129,8 +138,8 @@ class TestReplayEqualsLiveRegistry:
 
     def test_replay_matches_synchronous_compaction(self, registry):
         journal = EventJournal(keep_events=True)
-        db = LsmDB("syncdb", small_options(), metrics=registry,
-                   events=journal)
+        with obs.scoped(events=journal):
+            db = LsmDB("syncdb", small_options(), metrics=registry)
         fill(db, entries=2500)
         db.flush()
         db.close()
@@ -206,3 +215,51 @@ class TestWindowedExposition:
                        if 'op="put"' in line and 'quantile="p99"' in line)
         assert float(p99_put.split()[-1]) > 0.0
         db.close()
+
+
+class TestDeviceFaultsReachTheDbJournal:
+    """A fault the scheduler absorbs inside a DB's compaction lands in
+    that DB's own journal (and in an installed one), once per journal."""
+
+    def _run(self, installed=None):
+        env = MemEnv()
+        options = Options(event_journal=True, write_buffer_size=32 * 1024,
+                          sstable_size=16 * 1024, accelerator="fpga-sim")
+        device = FcaeDevice(CONFIG_9_INPUT, options,
+                            fault_injector=FaultInjector(
+                                protocol_error_every=1))
+        rng = random.Random(7)
+        with obs.scoped(events=installed):
+            scheduler = CompactionScheduler(device, options)
+            db = LsmDB("faultdb", options, env=env,
+                       compaction_executor=scheduler)
+            for _ in range(6000):
+                db.put(b"key%08d" % rng.randrange(20000),
+                       rng.randbytes(100))
+            db.close()
+        own = [json.loads(line) for line in env.read_file(
+            event_journal_file_name("faultdb")).decode().splitlines()]
+        return scheduler, own
+
+    def test_faults_and_fallbacks_in_the_db_journal(self):
+        scheduler, own = self._run()
+        faults = [e for e in own if e["type"] == "fault"]
+        fallbacks = [e for e in own if e["type"] == "fallback"]
+        assert scheduler.stats.fpga_fallbacks > 0
+        assert len(faults) == scheduler.stats.fpga_faults
+        assert len(fallbacks) == scheduler.stats.fpga_fallbacks
+        assert all("backend" in e for e in faults)
+        assert all("source" in e and "target" in e for e in fallbacks)
+
+    def test_each_journal_gets_each_line_once(self):
+        installed = EventJournal(keep_events=True)
+        scheduler, own = self._run(installed)
+        recovery = ("fault", "retry", "fallback")
+
+        def lines(events):
+            return [(e["type"], e.get("attempt"), e.get("level"))
+                    for e in events if e["type"] in recovery]
+        assert lines(own) == lines(installed.events)
+        assert len(lines(own)) == (scheduler.stats.fpga_faults
+                                   + scheduler.stats.fpga_retries
+                                   + scheduler.stats.fpga_fallbacks)

@@ -125,10 +125,10 @@ class TestSloObservatoryEndToEnd:
         sink = io.StringIO()
         journal = EventJournal(sink=sink, keep_events=True)
         registry = MetricsRegistry()
-        with obs.scoped(registry=registry):
+        with obs.scoped(registry=registry, events=journal):
             result = simulate_open_loop(
                 small_config(), [STORM, GOLD], 1.0,
-                slo_specs=TIGHT_SLO, events=journal)
+                slo_specs=TIGHT_SLO)
         return result, journal, registry
 
     def test_burn_alerts_fire_and_land_in_journal(self):

@@ -124,7 +124,8 @@ def make_engine(clock, registry=None, journal=None):
                    threshold_seconds=0.010, op="put", policies=[
                        {"name": "fast", "short_seconds": 10.0,
                         "long_seconds": 60.0, "factor": 5.0}])
-    return SloEngine((spec,), registry=registry, events=journal,
+    return SloEngine((spec,), registry=registry,
+                     journals=() if journal is None else (journal,),
                      clock=clock, eval_interval=1.0)
 
 

@@ -171,7 +171,7 @@ def test_cycle_report_reaches_journal_after_stack_drains():
     wd = LockWatchdog()
     a, b = _locks(wd, "A", "B")
     journal = EventJournal(keep_events=True)
-    wd.attach_journal(journal)
+    wd.attach_journal((journal,))
     with a:
         with b:
             pass
@@ -200,7 +200,7 @@ def test_closed_db_detaches_its_journal(enabled_watchdog):
     finally:
         enabled_watchdog.long_hold_seconds = hold
     journal = EventJournal(keep_events=True)
-    enabled_watchdog.attach_journal(journal)
+    enabled_watchdog.attach_journal((journal,))
     with WatchdogLock(enabled_watchdog, "quick", threading.Lock()):
         pass
     holds = [e for e in journal.events if e["type"] == "lock_long_hold"]

@@ -26,67 +26,50 @@ carry ``slo``/``tenant``/``policy``/``state``/``burn_short``/
 ``burn_long`` and ``exemplar`` must carry ``slo``/``tenant``/``trace``/
 ``value``.
 
+The event types and their payload fields come from the one schema
+table, ``src/repro/obs/schema.py``, which this script loads by path.
+
 Exit status 0 when the journal passes, 1 with a report when it does not.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import json
+import os
 import sys
 
-SCHEMA_VERSION = 1
 
-#: The event-type schema table — single source of truth, imported by
-#: ``repro.analysis`` (CT002/CT004) so the analyzer and this validator
-#: can never drift apart.  Each entry::
-#:
-#:     type -> {"pairs_with": finish type or None,
-#:              "required": fields checked on every such event,
-#:              "strict_required": fields checked only under --strict}
-EVENT_SCHEMA = {
-    "journal_open": {},
-    "flush_start": {"pairs_with": "flush_finish"},
-    "flush_finish": {"required": ("bytes",)},
-    "compaction_start": {"pairs_with": "compaction_finish"},
-    "compaction_finish": {"required": ("level", "output_level",
-                                       "input_bytes", "output_bytes")},
-    "stall_start": {"pairs_with": "stall_finish"},
-    "stall_finish": {},
-    "fault": {},
-    "retry": {},
-    "fallback": {"strict_required": ("source", "target")},
-    "slo_alert": {"strict_required": ("slo", "tenant", "policy", "state",
-                                      "burn_short", "burn_long")},
-    "exemplar": {"strict_required": ("slo", "tenant", "trace", "value")},
-    # Lock watchdog reports (repro.analysis.watchdog): a detected
-    # lock-order cycle and a long-hold outlier.
-    "lock_cycle": {"strict_required": ("locks", "closing_edge",
-                                       "thread")},
-    "lock_long_hold": {"strict_required": ("lock", "seconds", "thread")},
-}
+def _load_schema():
+    """``repro/obs/schema.py``, loaded by path: the one copy of the
+    table, read without importing the package."""
+    path = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                        os.pardir, "src", "repro", "obs", "schema.py")
+    spec = importlib.util.spec_from_file_location("repro_event_schema",
+                                                  path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
-def event_schema() -> dict:
-    """Exported schema table for external consumers (the analyzer)."""
-    return {etype: dict(spec) for etype, spec in EVENT_SCHEMA.items()}
-
-
-EVENT_TYPES = frozenset(EVENT_SCHEMA)
+_SCHEMA = _load_schema()
+SCHEMA_VERSION = _SCHEMA.SCHEMA_VERSION
+EVENT_TYPES = frozenset(_SCHEMA.EVENT_SCHEMA)
 
 #: ``start`` event type -> matching ``finish`` type.
 PAIRED_TYPES = {etype: spec["pairs_with"]
-                for etype, spec in EVENT_SCHEMA.items()
+                for etype, spec in _SCHEMA.EVENT_SCHEMA.items()
                 if spec.get("pairs_with")}
 
 #: Required payload fields per finish type.
 REQUIRED_FIELDS = {etype: spec["required"]
-                   for etype, spec in EVENT_SCHEMA.items()
+                   for etype, spec in _SCHEMA.EVENT_SCHEMA.items()
                    if spec.get("required")}
 
 #: Extra payload requirements enforced only under ``--strict``.
 STRICT_REQUIRED_FIELDS = {etype: spec["strict_required"]
-                          for etype, spec in EVENT_SCHEMA.items()
+                          for etype, spec in _SCHEMA.EVENT_SCHEMA.items()
                           if spec.get("strict_required")}
 
 
