@@ -1,24 +1,24 @@
-"""Block encoder: SSTable data blocks compressed on two cores.
+"""Codec helper: the store's codec work shared with a second core.
 
-A block's compressed bytes depend on that block alone, so
-:class:`BlockEncoder` runs ``snappy.compress`` on the calling thread and on
-one long-lived helper process (the encode stage of
-:func:`repro.lsm.sstable.build_tables`): the helper takes chunks from the
-head of a window of raw blocks the caller pulls ahead, the caller
-compresses from its tail and waits only when nothing else is left, and
-blocks leave the window in order.  Whoever compresses a block, its bytes
-are ``snappy.compress``'s.  The helper is ``sys.executable -c`` running
-:func:`_serve` -- stdlib and :mod:`repro.compress.snappy` only, default
-``close_fds``, SIGINT ignored, gone at EOF on stdin -- started lazily with
->= 2 CPUs in the affinity mask; it serves one build at a time.  A bad or
-late answer, EOF or a broken pipe kills and reaps it, its blocks go back
-to the caller, and none is started again.  DESIGN.md, "Hot paths & perf
-model", gives the reasoning.
+One helper process serves three requests: **compress** and
+**decompress** split a stream of blocks with the caller (``encode``,
+``decode``: the helper takes chunks from a window's head, the caller
+works from its tail), **build** makes a sealed memtable's table while the
+writer goes on (``submit``, ``finish``).
+
+The helper is ``sys.executable -c`` running :func:`_serve` (stdlib and
+snappy; :mod:`repro.lsm.sstable` from its first build), SIGINT ignored,
+gone at EOF on stdin, started lazily with >= 2 CPUs in the affinity
+mask.  It answers in order; whoever reads an answer files it with its
+request.  A bad or late answer, EOF or a broken pipe kills and reaps it,
+its work goes back to the callers, and none is started again.  DESIGN.md,
+"Hot paths & perf model", gives the reasoning and the split rule.
 """
 
 from __future__ import annotations
 
 import atexit
+import fcntl
 import os
 import select
 import signal
@@ -28,29 +28,45 @@ import sys
 import threading
 import time
 from collections import deque
-from typing import Iterable, Iterator, Sequence
+from dataclasses import dataclass
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from repro.compress import snappy
 from repro.errors import CorruptionError
 from repro.util.varint import decode_varint32
 
-#: A request: up to this many blocks and raw bytes, so a request and its
-#: answer each fit a 64 KiB pipe buffer (a larger block stays with the
-#: caller); at most ``_IN_FLIGHT`` outstanding.
+#: A chunk: up to this many blocks and raw bytes (a larger block stays
+#: with the caller), ``_IN_FLIGHT`` at once, the first one small.
 _CHUNK_BLOCKS = 8
 _CHUNK_BYTES = 36 << 10
 _IN_FLIGHT = 2
-#: Raw blocks held ahead of the encoded prefix.
+_FIRST_CHUNK = 2
+#: Raw blocks held ahead of the finished prefix.
 _WINDOW = 8 * _CHUNK_BLOCKS
-#: An answer is due within this many times the caller's own mean
-#: per-block time for the blocks queued up to it, and the floor at least.
+#: An answer is due within this many times the caller's mean per-block
+#: time for the blocks queued up to it (a build: one per 4 KiB), and the
+#: floor at least.
 _DEADLINE_FACTOR = 50
 _DEADLINE_FLOOR_S = 1.0
+_PIPE_BYTES = 1 << 20  # asked for: room for a sealed memtable's request
 
-# Frames: header, ``count`` little-endian u32 lengths, the blocks.
-_REQUEST = struct.Struct("<4sQI")    # magic, sequence, block count
+# Frames: header, ``count`` little-endian u32 lengths, the parts.
+_REQUEST = struct.Struct("<4sQI")    # kind, sequence, part count
 _ANSWER = struct.Struct("<4sQId")    # ... and the helper's seconds
-_REQUEST_MAGIC, _ANSWER_MAGIC, _READY = b"FCEq", b"FCEa", b"FCEr"
+_COMPRESS, _DECOMPRESS, _BUILD = b"FCEq", b"FCEd", b"FCEb"
+_ANSWER_MAGIC, _READY = b"FCEa", b"FCEr"
+
+#: Request kinds, and their caller and helper units and seconds keys.
+_COUNTERS = {
+    _COMPRESS: ("host_blocks", "host_s", "helper_blocks", "helper_s"),
+    _DECOMPRESS: ("host_decompress_blocks", "host_decompress_s",
+                  "helper_decompress_blocks", "helper_decompress_s"),
+    _BUILD: ("host_build_tables", "host_build_s", "helper_build_tables",
+             "helper_build_s"),
+}
+
+#: True inside the helper, whose builds encode on their own thread.
+_IN_HELPER = False
 
 
 def _cpus() -> int:
@@ -62,69 +78,139 @@ def _cpus() -> int:
 
 def _serve() -> None:
     """The helper: answer requests until stdin (or stdout) closes."""
+    global _IN_HELPER
+    _IN_HELPER = True
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     source, sink = sys.stdin.buffer, sys.stdout.buffer
     try:
         sink.write(_READY)
         sink.flush()
         while len(head := source.read(_REQUEST.size)) == _REQUEST.size:
-            magic, sequence, count = _REQUEST.unpack(head)
+            kind, sequence, count = _REQUEST.unpack(head)
             lengths = struct.unpack(f"<{count}I", source.read(4 * count))
-            raws = [source.read(n) for n in lengths]
-            if magic != _REQUEST_MAGIC or list(map(len, raws)) != list(lengths):
+            parts = [source.read(n) for n in lengths]
+            if kind not in _COUNTERS or list(map(len, parts)) != list(lengths):
                 return
             start = time.perf_counter()
-            outs = [snappy.compress(raw) for raw in raws]
+            if kind == _BUILD:
+                from repro.lsm.sstable import serve_build
+                outs = serve_build(parts)
+            else:
+                outs = [(snappy.compress if kind == _COMPRESS
+                         else snappy.decompress)(part) for part in parts]
             sink.write(b"".join([
-                _ANSWER.pack(_ANSWER_MAGIC, sequence, count,
+                _ANSWER.pack(_ANSWER_MAGIC, sequence, len(outs),
                              time.perf_counter() - start),
-                struct.pack(f"<{count}I", *map(len, outs)), *outs]))
+                struct.pack(f"<{len(outs)}I", *map(len, outs)), *outs]))
             sink.flush()
     except (BrokenPipeError, struct.error):
         return
+
+
+def _pipe_size(pipe) -> int:
+    """Ask for a ``_PIPE_BYTES`` buffer on ``pipe``; the size it has."""
+    try:
+        fcntl.fcntl(pipe.fileno(), fcntl.F_SETPIPE_SZ, _PIPE_BYTES)
+        return fcntl.fcntl(pipe.fileno(), fcntl.F_GETPIPE_SZ)
+    except (AttributeError, OSError):
+        return 64 << 10
 
 
 class _HelperFailure(Exception):
     """The helper broke a rule."""
 
 
+@dataclass(slots=True)
+class _Request:
+    """A chunk's window slots ``[block, out, sent, size]`` or a build."""
+
+    kind: bytes
+    sequence: int
+    slots: Optional[list]
+    blocks: int
+    size: int
+    deadline: float
+    answer: Optional[list] = None
+    done: bool = False
+
+
 class BlockEncoder:
-    """Compresses raw blocks on the calling thread and one helper
-    process.  Thread-safe; one build at a time shares the helper."""
+    """Shares codec work with one helper process.  Thread-safe: one
+    stream at a time splits with it; builds queue beside."""
 
     def __init__(self) -> None:
-        # Held by the build sharing the helper; only ever tried.
+        # Held to send or read; a split holds it for its whole stream.
         self._lock = threading.Lock()
         self._stats_lock = threading.Lock()
         self._proc = None
         self._ready = self._broken = False
-        self._sequence = 0
-        # (sequence, slots, deadline) per unanswered request, oldest
-        # first; one a build left when its source raised is read next.
+        self._sequence = self._pipe_bytes = 0
+        # Unanswered requests, oldest first: the helper answers in order.
         self._in_flight: deque = deque()
-        self._counts = dict(host_blocks=0, host_s=0.0, helper_blocks=0,
-                            helper_s=0.0, failures=0)
+        self._counts = dict.fromkeys(
+            [name for names in _COUNTERS.values() for name in names]
+            + ["wait_s", "failures"], 0)
         atexit.register(self.close)
 
     def encode(self, blocks: Iterable[Sequence]
                ) -> Iterator[tuple[Sequence, bytes]]:
         """Yield ``(block, snappy.compress(block[0]))`` for each of
-        ``blocks`` -- sequences whose first item is a raw block -- in
-        order.  ``blocks`` is pulled on the calling thread."""
-        if (self._broken or _cpus() < 2
-                or not self._lock.acquire(blocking=False)):
-            yield from self._encode_here(blocks)
-            return
+        ``blocks`` (pulled on this thread), in order."""
+        return self._split(blocks, _COMPRESS)
+
+    def decode(self, blocks: Iterable[Sequence]
+               ) -> Iterator[tuple[Sequence, bytes]]:
+        """Yield ``(block, raw)`` for each ``(payload, compressed)`` of
+        ``blocks`` (pulled on this thread), in order: ``raw`` is
+        ``snappy.decompress(payload)``, or ``payload`` if not compressed."""
+        return self._split(blocks, _DECOMPRESS)
+
+    def can_take(self, size: int) -> bool:
+        """Whether a build request of ~``size`` bytes may be submitted."""
+        return self._may_share() and size <= (self._pipe_bytes or _PIPE_BYTES)
+
+    def submit(self, parts: list) -> Optional[_Request]:
+        """Send a :func:`repro.lsm.sstable.build_request` (starting the
+        helper if none runs); None unless it is ready, free and has room
+        for it in its pipe."""
+        if not self._may_share() or not self._lock.acquire(blocking=False):
+            return None
         try:
-            yield from self._encode_shared(iter(blocks))
+            size = _REQUEST.size + 4 * len(parts) + sum(map(len, parts))
+            if (not self._guarded(self._helper_ready) or size + sum(
+                    request.size for request in self._in_flight)
+                    > self._pipe_bytes):
+                return None
+            return self._guarded(self._send_request, _BUILD, parts, None,
+                                 size // 4096 + 1)
         finally:
             self._lock.release()
 
+    def finish(self, request: Optional[_Request],
+               check: Callable[[list], object], here: Callable[[], object]):
+        """``check`` of the helper's answer to ``request`` (raising, it
+        fails the helper), else ``here()``, as within its mean time."""
+        if request is not None:
+            self._await(request)
+            if request.answer:
+                try:
+                    outcome = check(request.answer)
+                except Exception:  # noqa: BLE001 - any flaw rejects it
+                    with self._lock:
+                        self._fail()
+                else:
+                    return outcome
+        start = time.perf_counter()
+        outcome = here()
+        self._account(host_build_tables=1,
+                      host_build_s=time.perf_counter() - start)
+        return outcome
+
     def start(self, timeout: float) -> bool:
         """Start the helper and wait up to ``timeout`` s for it to report
-        ready (builds start it themselves: this is for timing a ready
+        ready (callers start it themselves: this is for timing a ready
         one); False when it may not run, or failed to."""
-        if self._broken or _cpus() < 2:
+        if not self._may_share():
             return False
         with self._lock:
             deadline = time.monotonic() + timeout
@@ -136,19 +222,19 @@ class BlockEncoder:
             return self._ready
 
     def stats(self) -> dict:
-        """Blocks compressed by callers and by the helper, the seconds
-        each took, and helper failures."""
+        """Per request kind, the units and seconds of the callers' and
+        the helper's work; seconds waiting on the helper; failures."""
         with self._stats_lock:
             return dict(self._counts)
 
     def close(self) -> None:
-        """Stop the helper (a later build starts another); one that a
-        build holds for over a second exits with this process."""
+        """Stop the helper (a later caller starts another); one that a
+        caller holds for over a second exits with this process."""
         if not self._lock.acquire(timeout=1.0):
             return
         try:
             proc, self._proc, self._ready = self._proc, None, False
-            self._in_flight.clear()
+            self._drop_in_flight()
             if proc is not None:
                 proc.stdout.close()   # it stops writing, then reading
                 proc.stdin.close()
@@ -156,29 +242,59 @@ class BlockEncoder:
         finally:
             self._lock.release()
 
-    def _encode_here(self, blocks):
-        for block in blocks:
-            start = time.perf_counter()
-            compressed = snappy.compress(block[0])
-            self._account(host_blocks=1, host_s=time.perf_counter() - start)
-            yield block, compressed
+    # -- the split ------------------------------------------------------
 
-    def _encode_shared(self, source):
-        window: deque = deque()  # slots: [block, compressed | None, sent]
+    def _may_share(self) -> bool:
+        return not (self._broken or _IN_HELPER) and _cpus() >= 2
+
+    def _split(self, blocks, kind: bytes):
+        if not self._may_share() or not self._lock.acquire(blocking=False):
+            for block in blocks:
+                yield block, self._work(kind, block)
+            return
+        try:
+            yield from self._shared(iter(blocks), kind)
+        finally:
+            self._lock.release()
+
+    def _work(self, kind: bytes, block) -> bytes:
+        """One block done on the calling thread, and accounted."""
+        if kind == _DECOMPRESS and not block[1]:
+            return block[0]
+        start = time.perf_counter()
+        out = (snappy.compress if kind == _COMPRESS else snappy.decompress)(
+            block[0])
+        units, seconds = _COUNTERS[kind][:2]
+        self._account(**{units: 1, seconds: time.perf_counter() - start})
+        return out
+
+    @staticmethod
+    def _slot(block, kind: bytes) -> list:
+        """A window slot; its size is the raw length."""
+        if kind == _COMPRESS:
+            return [block, None, False, len(block[0])]
+        if not block[1]:
+            return [block, block[0], False, 0]
+        return [block, None, False, decode_varint32(block[0], 0)[0]]
+
+    def _shared(self, source, kind: bytes):
+        window: deque = deque()
         exhausted = False
+        limit = min(_FIRST_CHUNK, _CHUNK_BLOCKS)
         while True:
             if self._in_flight:
                 self._guarded(self._collect, False)
             while window and window[0][1] is not None:
                 slot = window.popleft()
                 yield slot[0], slot[1]
-            if len(self._in_flight) < _IN_FLIGHT:
-                self._guarded(self._offload, window)
+            if len(self._in_flight) < _IN_FLIGHT and self._guarded(
+                    self._offload, window, kind, limit, exhausted):
+                limit = max(1, limit // 2) if exhausted else _CHUNK_BLOCKS
             if not exhausted and len(window) < _WINDOW:
                 block = next(source, None)
                 exhausted = block is None
                 if block is not None:
-                    window.append([block, None, False])
+                    window.append(self._slot(block, kind))
                 continue
             if not window:
                 return
@@ -186,61 +302,101 @@ class BlockEncoder:
                          if slot[1] is None and not slot[2]), None)
             if slot is None:  # all that is left is with the helper
                 self._guarded(self._collect, True)
-                continue
-            start = time.perf_counter()
-            slot[1] = snappy.compress(slot[0][0])
-            self._account(host_blocks=1, host_s=time.perf_counter() - start)
+            else:
+                slot[1] = self._work(kind, slot[0])
 
-    def _guarded(self, step, *args) -> None:
+    def _guarded(self, step, *args):
+        """``step(*args)``; None, the helper failed, if it broke a rule."""
         try:
-            step(*args)
+            return step(*args)
         except (_HelperFailure, OSError):
             self._fail()
+            return None
 
-    def _offload(self, window: deque) -> None:
-        """Send the helper a full chunk from the window's head."""
+    def _offload(self, window: deque, kind: bytes, limit: int,
+                 exhausted: bool) -> Optional[_Request]:
+        """Send up to ``limit`` blocks from the window's head: full chunks
+        while the source lasts, then no more than keeps the helper's
+        queue within what the caller has left; none behind a build."""
+        if any(request.slots is None for request in self._in_flight):
+            return None
         chunk, size = [], 0
         for slot in window:
-            n = len(slot[0][0])
-            if slot[1] is not None or slot[2] or n > _CHUNK_BYTES:
+            if slot[1] is not None or slot[2] or slot[3] > _CHUNK_BYTES:
                 continue
-            if size + n > _CHUNK_BYTES:
+            if size + slot[3] > _CHUNK_BYTES:
                 break
             chunk.append(slot)
-            size += n
-            if len(chunk) == _CHUNK_BLOCKS:
+            size += slot[3]
+            if len(chunk) == limit:
                 break
         else:
-            return
-        if self._broken or not self._helper_ready():
-            return
-        self._sequence += 1
-        raws = [slot[0][0] for slot in chunk]
-        self._send(b"".join([
-            _REQUEST.pack(_REQUEST_MAGIC, self._sequence, len(raws)),
-            struct.pack(f"<{len(raws)}I", *map(len, raws)), *raws]))
+            if not exhausted:
+                return None
+        if exhausted:
+            left = sum(1 for slot in window if slot[1] is None
+                       and not slot[2])
+            queued = sum(request.blocks for request in self._in_flight)
+            del chunk[max(0, (left - queued) // 2):]
+        if not chunk or self._broken or not self._helper_ready():
+            return None
+        request = self._send_request(kind, [slot[0][0] for slot in chunk],
+                                     chunk, len(chunk))
         for slot in chunk:
             slot[2] = True
-        queued = sum(len(sent) for _, sent, _ in self._in_flight) + len(raws)
-        per_block = self._counts["host_s"] / max(self._counts["host_blocks"], 1)
-        self._in_flight.append((self._sequence, chunk, time.monotonic() + max(
-            _DEADLINE_FLOOR_S, _DEADLINE_FACTOR * queued * per_block)))
+        return request
 
-    def _collect(self, wait: bool) -> None:
+    def _send_request(self, kind: bytes, parts: list, slots,
+                      blocks: int) -> _Request:
+        self._sequence += 1
+        frame = b"".join([
+            _REQUEST.pack(kind, self._sequence, len(parts)),
+            struct.pack(f"<{len(parts)}I", *map(len, parts)), *parts])
+        self._send(frame)
+        queued = sum(request.blocks for request in self._in_flight) + blocks
+        per_block = self._counts["host_s"] / max(self._counts["host_blocks"],
+                                                 1)
+        request = _Request(kind, self._sequence, slots, blocks, len(frame),
+                           time.monotonic() + max(
+                               _DEADLINE_FLOOR_S,
+                               _DEADLINE_FACTOR * queued * per_block))
+        self._in_flight.append(request)
+        return request
+
+    def _collect(self, wait: bool) -> bool:
         """Take the answers that have arrived, oldest first -- with
         ``wait``, at least the oldest, by its deadline."""
         while self._in_flight:
-            sequence, chunk, deadline = self._in_flight[0]
             if wait:
-                self._wait(self._proc.stdout, select.POLLIN, deadline)
+                self._wait(self._proc.stdout, select.POLLIN,
+                           self._in_flight[0].deadline)
             elif not self._poll(self._proc.stdout, select.POLLIN, 0):
-                return
+                break
             wait = False
-            outs, seconds = self._receive(sequence, chunk)
-            self._in_flight.popleft()
-            for slot, out in zip(chunk, outs):
-                slot[1] = out
-            self._account(helper_blocks=len(chunk), helper_s=seconds)
+            self._receive(self._in_flight[0])
+            self._in_flight.popleft().done = True
+        return True
+
+    def _await(self, request: _Request) -> None:
+        """Read answers until ``request``'s is in, its deadline (a
+        failure) or the mean local build time passes -- at once, before
+        the helper answered a build (its first imports the table code)."""
+        builds = self._counts["host_build_tables"]
+        until = min(request.deadline, time.monotonic() + (
+            0 if not self._counts["helper_build_tables"]
+            else self._counts["host_build_s"] / builds if builds
+            else _DEADLINE_FLOOR_S))
+        start = time.perf_counter()
+        with self._lock:  # a split holding it files the answer meanwhile
+            while not request.done:
+                if self._poll(self._proc.stdout, select.POLLIN,
+                              until - time.monotonic()):
+                    self._guarded(self._collect, False)
+                elif time.monotonic() >= request.deadline:
+                    self._fail()
+                else:
+                    break
+        self._account(wait_s=time.perf_counter() - start)
 
     # -- the helper -----------------------------------------------------
 
@@ -251,6 +407,8 @@ class BlockEncoder:
             self._proc = subprocess.Popen(
                 self._command(src), stdin=subprocess.PIPE,
                 stdout=subprocess.PIPE)
+            self._pipe_bytes = min(_pipe_size(self._proc.stdin),
+                                   _pipe_size(self._proc.stdout))
             os.set_blocking(self._proc.stdin.fileno(), False)
         elif not self._ready and self._poll(self._proc.stdout,
                                             select.POLLIN, 0):
@@ -272,7 +430,11 @@ class BlockEncoder:
         return bool(poller.poll(max(timeout, 0.0) * 1000))
 
     def _wait(self, pipe, event: int, deadline: float) -> None:
-        if not self._poll(pipe, event, deadline - time.monotonic()):
+        start = time.perf_counter()
+        ready = self._poll(pipe, event, deadline - time.monotonic())
+        if self._ready:
+            self._account(wait_s=time.perf_counter() - start)
+        if not ready:
             raise _HelperFailure("deadline missed")
 
     def _send(self, frame: bytes) -> None:
@@ -295,30 +457,45 @@ class BlockEncoder:
             n -= len(part)
         return b"".join(parts)
 
-    def _receive(self, sequence: int, chunk: list) -> tuple[list, float]:
-        """One answer, checked against the request it answers."""
+    def _receive(self, request: _Request) -> None:
+        """One answer, checked against its request and filed with it."""
         magic, echoed, count, seconds = _ANSWER.unpack(
             self._read(_ANSWER.size))
-        raws = [slot[0][0] for slot in chunk]
-        if (magic, echoed, count) != (_ANSWER_MAGIC, sequence, len(raws)):
+        slots = request.slots
+        if (magic, echoed) != (_ANSWER_MAGIC, request.sequence) or (
+                slots is not None and count != len(slots)):
             raise _HelperFailure("answer does not match its request")
-        lengths = struct.unpack(f"<{count}I", self._read(4 * count))
-        if sum(lengths) > snappy.max_compressed_length(sum(map(len, raws))):
+        lengths = list(struct.unpack(f"<{count}I", self._read(4 * count)))
+        sizes = [slot[3] for slot in slots or ()]
+        if request.kind == _DECOMPRESS and lengths != sizes:
+            raise _HelperFailure("raw length does not match preamble")
+        if sum(lengths) > (snappy.max_compressed_length(sum(sizes))
+                           if request.kind == _COMPRESS
+                           else 2 * request.size + (64 << 10)):
             raise _HelperFailure("answer longer than its request allows")
         body, outs, pos = self._read(sum(lengths)), [], 0
-        for raw, n in zip(raws, lengths):
-            out, pos = body[pos:pos + n], pos + n
-            try:
-                preamble = decode_varint32(out, 0)[0]
-            except CorruptionError:
-                preamble = -1
-            if preamble != len(raw):
-                raise _HelperFailure("preamble does not match its block")
-            outs.append(out)
-        return outs, seconds
+        for n in lengths:
+            outs.append(body[pos:pos + n])
+            pos += n
+        units, seconds_key = _COUNTERS[request.kind][2:]
+        if slots is None:
+            request.answer = outs
+            self._account(helper_build_tables=1, helper_build_s=seconds)
+            return
+        if request.kind == _COMPRESS:
+            for size, out in zip(sizes, outs):
+                try:
+                    preamble = decode_varint32(out, 0)[0]
+                except CorruptionError:
+                    preamble = -1
+                if preamble != size:
+                    raise _HelperFailure("preamble does not match its block")
+        for slot, out in zip(slots, outs):
+            slot[1] = out
+        self._account(**{units: count, seconds_key: seconds})
 
     def _fail(self) -> None:
-        """Kill and reap the helper; its blocks go back to the caller."""
+        """Kill and reap the helper; its work goes back to the callers."""
         proc, self._proc, self._ready = self._proc, None, False
         self._broken = True
         if proc is not None:
@@ -326,11 +503,15 @@ class BlockEncoder:
             proc.wait()
             proc.stdin.close()
             proc.stdout.close()
-        for _, chunk, _ in self._in_flight:
-            for slot in chunk:
+        self._drop_in_flight()
+        self._account(failures=1)
+
+    def _drop_in_flight(self) -> None:
+        for request in self._in_flight:
+            request.done = True
+            for slot in request.slots or ():
                 slot[2] = False
         self._in_flight.clear()
-        self._account(failures=1)
 
     def _account(self, **deltas) -> None:
         with self._stats_lock:
@@ -338,5 +519,6 @@ class BlockEncoder:
                 self._counts[name] += delta
 
 
-#: The process's encoder: one helper per process, shared by every build.
+#: The process's codec helper client: one helper per process, shared by
+#: every table build, batch merge and sealed memtable.
 block_encoder = BlockEncoder()

@@ -6,10 +6,10 @@ input entries into contiguous arrays, compute the merge order and the
 validity of every entry at once with data-parallel primitives, then bulk
 re-encode the survivors.  This module is that engine on numpy:
 
-1. **Bulk decode** — walk each input table's index block, read every
-   data block through the reader's own routine (bounds, checksum under
-   ``paranoid_checks``, decompression) and materialize (internal key,
-   value) lists per the normal block codec.
+1. **Bulk decode** — read and check every data block of every input
+   (bounds, checksum under ``paranoid_checks``), decompress them on two
+   cores (:meth:`~repro.compress.encoder.BlockEncoder.decode`) and
+   materialize (internal key, value) lists per the normal block codec.
 2. **Vectorized merge** — pad the user keys into one ``(n, W)`` byte
    matrix viewed as big-endian u64 columns; ``np.lexsort`` over (key
    columns, key length, inverted trailer) yields exactly the internal-key
@@ -33,6 +33,7 @@ sends the task to ``cpu`` instead.
 
 from __future__ import annotations
 
+from repro.compress.encoder import block_encoder
 from repro.errors import CorruptionError, InvalidArgumentError
 from repro.lsm.block import Block
 from repro.lsm.compaction import CompactionStats, build_output_tables
@@ -42,7 +43,7 @@ from repro.lsm.internal import (
     TYPE_DELETION,
 )
 from repro.lsm.options import Options
-from repro.lsm.sstable import _read_block
+from repro.lsm.sstable import _block_payload
 
 try:
     import numpy as _np
@@ -101,15 +102,16 @@ class BatchMergeEngine:
 
     def _bulk_decode(self, tables: list) -> tuple[list, list]:
         """Decode every entry of every table."""
+        verify = self.options.paranoid_checks
+        payloads = (_block_payload(table.image, handle, verify)
+                    for table in tables
+                    for _, handle in table.index_entries())
         keys: list = []
         values: list = []
-        for table in tables:
-            data = table.image
-            for _, handle in table.index_entries():
-                for key, value in Block(_read_block(
-                        data, handle, self.options.paranoid_checks)):
-                    keys.append(key)
-                    values.append(value)
+        for _, raw in block_encoder.decode(payloads):
+            for key, value in Block(raw):
+                keys.append(key)
+                values.append(value)
         return keys, values
 
 

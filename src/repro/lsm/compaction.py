@@ -28,27 +28,7 @@ from repro.lsm.internal import (
 )
 from repro.lsm.iterator import KVPair, merging_iterator
 from repro.lsm.options import Options
-from repro.lsm.sstable import TableStats, build_tables
-
-
-class _BufferFile:
-    """Minimal in-memory WritableFile for building table images."""
-
-    def __init__(self) -> None:
-        self.data = bytearray()
-
-    def append(self, data: bytes) -> None:
-        self.data += data
-
-    def flush(self) -> None:
-        pass
-
-    def close(self) -> None:
-        pass
-
-    @property
-    def size(self) -> int:
-        return len(self.data)
+from repro.lsm.sstable import TableStats, _BufferFile, build_tables
 
 
 @dataclass
@@ -216,8 +196,11 @@ def compact_tables(level: int, input_tables: list, parent_tables: list,
     """:func:`compact` over a CompactionSpec's tables — the one CPU merge
     behind both ``LsmDB``'s default executor and the ``cpu`` backend.
     Only ``LsmDB`` passes ``smallest_snapshot``: it keeps snapshot
-    merges away from every other executor."""
+    merges away from every other executor.  Inputs are read past the
+    block cache."""
     return compact(
-        make_compaction_sources(level, input_tables, parent_tables),
+        make_compaction_sources(
+            level, [table.merge_input() for table in input_tables],
+            [table.merge_input() for table in parent_tables]),
         options, comparator, drop_deletions,
         smallest_snapshot=smallest_snapshot)

@@ -22,6 +22,10 @@ on who executes a step; that is the one switch,
   runs it — so readers, ``snapshot()``, stats and queueing writers go on
   meanwhile.  A failure raises to that caller.  Timing questions are
   answered by the discrete-event simulator in :mod:`repro.sim`.
+
+  A writer's swap *seals* the memtable it swaps out, the codec helper
+  builds its table meanwhile, and the next swap, ``flush()``,
+  ``compact_range()`` or ``close()`` *lands* it (one ``no_workers`` stall).
 * **a driver** (``background_compaction=True``): the paper's Fig 6
   workflow on real threads.  A step is a token for
   :class:`repro.host.driver.CompactionDriver`'s flush worker or one of its
@@ -61,6 +65,7 @@ from itertools import islice
 from typing import Callable, Iterator, NamedTuple, Optional
 
 from repro.analysis import watchdog as lockwatch
+from repro.compress.encoder import block_encoder
 from repro.errors import CorruptionError, DBStateError, NotFoundError
 from repro.lsm.batch import WriteBatch
 from repro.lsm.cache import LRUCache
@@ -95,7 +100,7 @@ from repro.lsm.options import (
     NUM_LEVELS,
     Options,
 )
-from repro.lsm.sstable import TableReader, build_tables
+from repro.lsm.sstable import TableReader, build_request, build_table
 from repro.lsm.version import (
     CompactionSpec,
     FileMetaData,
@@ -162,6 +167,25 @@ class _ReadView(NamedTuple):
     imm: Optional[MemTable]
     version: Version
     tables: dict[int, TableReader]
+
+
+#: A writer's swap seals a memtable this large to land later.  A smaller
+#: one (a build under 4 ms) lands at once, not a second one for gets; so
+#: does a larger one, whose request would not fit the helper's pipe.
+_SEAL_BYTES = range(32 << 10, 512 << 10)
+
+
+class _Seal(NamedTuple):
+    """A memtable sealed for its flush: table number; ``write_bytes`` and
+    snapshot floor for its landing and the merges up to the next, fixed
+    at a writer's swap (None: live) -- a later snapshot needs no older
+    version of what has landed; the helper's build and its check."""
+
+    number: int
+    write_bytes: Optional[int] = None
+    smallest_snapshot: Optional[int] = None
+    request: object = None
+    check: Optional[Callable] = None
 
 
 class _EnvTextSink:
@@ -261,6 +285,9 @@ class LsmDB:
         self._busy: set[int] = set()  # guarded_by: _mutex
         #: True while a flush of ``_imm`` runs: one flush per memtable.
         self._flushing = False  # guarded_by: _mutex
+        #: A writer's seal of ``_imm`` until claimed; the last landed.
+        self._sealed: Optional[_Seal] = None  # guarded_by: _mutex
+        self._last_landed: Optional[_Seal] = None  # guarded_by: _mutex
         self.stall_events = 0
         self.stats = DbStats(self._m)
         #: Never held across a maintenance step, whoever runs it, and
@@ -594,13 +621,13 @@ class LsmDB:
         does before it builds its group, whoever runs the steps.
 
         * the memtable has room → hand over whatever is due (with L0 at
-          the slowdown trigger, giving the workers a moment to gain
-          ground) and go on;
+          the slowdown trigger, giving the workers a moment) and go on;
+        * memtable full and its predecessor sealed → land that, go round;
         * memtable full but the previous one still unflushed → stall;
         * memtable full and L0 at the stop trigger → stall until an L0
           compaction lands;
-        * otherwise swap the memtable and go round: the fresh one has
-          room and its predecessor's flush is now due.
+        * otherwise swap the memtable (sealing it, with no driver) and go
+          round: the fresh one has room.
         """
         while True:
             self._check_bg_error_locked()
@@ -614,6 +641,9 @@ class LsmDB:
                         reason="no_workers",
                         patience=self.slowdown_sleep_seconds if slow else 0)
                 return
+            if self._sealed is not None:
+                self._land_locked()
+                continue
             if self._imm is not None:
                 reason, done = "imm_full", lambda: self._imm is None
             elif self.versions.current.num_files(0) >= L0_STOP_TRIGGER:
@@ -621,14 +651,25 @@ class LsmDB:
                     self.versions.current.num_files(0) < L0_STOP_TRIGGER)
             else:
                 self._swap_memtable_locked()
+                if (self._driver is None and self._imm.approximate_memory_usage
+                        in _SEAL_BYTES):
+                    self._seal_locked()
                 continue
             self._maintain_locked(done, reason)
 
     def _maintenance_due_locked(self) -> bool:
-        return self._imm is not None or self.versions.needs_compaction()
+        return ((self._imm is not None and self._sealed is None)
+                or self.versions.needs_compaction())
+
+    def _land_locked(self) -> None:
+        """Land the sealed memtable and the merges that makes due."""
+        self._maintain_locked(
+            lambda: self._imm is None and not self.versions.needs_compaction(),
+            reason="no_workers", land=True)
 
     def _maintain_locked(self, done, reason: Optional[str] = None,
-                         patience: Optional[float] = None) -> None:
+                         patience: Optional[float] = None,
+                         land: bool = False) -> None:
         """Get maintenance steps run until ``done()`` holds (mutex held):
         the one place that knows who runs them.
 
@@ -642,11 +683,11 @@ class LsmDB:
           failure is parked in ``_bg_error`` and raised here.
         * With no workers the caller is the worker, whatever its
           patience: it runs the steps in this loop, releasing the mutex
-          around each one (:meth:`_run_step`).  A step that finds its
-          work claimed by another thread's running step waits on
-          ``_cond`` for that step to end; one that finds nothing to do
-          with no step running ends the loop; one that fails raises to
-          the caller, nothing parked, and is due again at the next call.
+          around each one (:meth:`_run_step`).  A step whose work another
+          thread's step claimed waits on ``_cond`` for it; one with
+          nothing to do and no step running ends the loop; one that
+          fails raises to the caller, nothing parked, due again next call.
+          A sealed memtable is landed only with ``land``.
 
         ``reason`` names the write stall of a writer blocked here until
         ``done()``: the whole episode is one observation.
@@ -673,7 +714,8 @@ class LsmDB:
                 if driver is not None:
                     kick()
                     self._cond.wait(timeout=0.05)
-                elif not self._run_step(flush=self._imm is not None):
+                elif not self._run_step(flush=self._imm is not None and (
+                        land or self._sealed is None)):
                     if not (self._flushing or self._busy):
                         break
                     self._cond.wait()  # another thread's step has it
@@ -727,15 +769,30 @@ class LsmDB:
         self._mem = MemTable(self.icmp)
         self._publish_view_locked()
 
+    def _seal_locked(self) -> None:
+        """Seal the memtable a writer just swapped out (mutex held), and
+        send its entries to the codec helper when it can take them."""
+        request = check = None
+        if self.icmp.bytewise and block_encoder.can_take(
+                self._imm.approximate_memory_usage):
+            parts, check = build_request(self._imm, self.options)
+            request = block_encoder.submit(parts)
+        self._sealed = _Seal(self.versions.new_file_number(),
+                             int(self._c["write_bytes"].value),
+                             self._smallest_live_snapshot_locked(),
+                             request, check)
+
     def flush(self) -> None:
         """Force what the active memtable holds now to a level-0
         SSTable: returns once the table is installed (or raises what
-        stopped it).  Starts no merge; the next write hands over what
-        this made due."""
+        stopped it).  A sealed memtable lands first, with its merges;
+        past that this starts none: the next write hands them over."""
         self._check_open()
         with self._mutex:
             mem = self._mem
             while True:
+                if self._sealed is not None:
+                    self._land_locked()
                 self._maintain_locked(lambda: self._imm is None)
                 self._check_open()  # a close() may have ended the wait
                 if self._mem is not mem or not len(mem):
@@ -882,7 +939,10 @@ class LsmDB:
                                key=lambda p: p[0].number, reverse=True)
                 input_tables = [t for _, t in pairs]
             drop = self.versions.is_bottommost_level_for(spec)
-            smallest_snapshot = self._smallest_live_snapshot_locked()
+            floor = self._last_landed  # a writer's seal fixes the floor
+            if floor is None or floor.write_bytes is None:
+                floor = _Seal(0, None, self._smallest_live_snapshot_locked())
+            smallest_snapshot = floor.smallest_snapshot
 
         if smallest_snapshot is not None:
             # Live snapshots: route to the snapshot-preserving CPU merge
@@ -899,14 +959,10 @@ class LsmDB:
                 spec, input_tables, parent_tables, drop)
             backend = self._executor_backend()
 
-        # Write and durably close the output tables, and open a reader
-        # on each image, *before* taking the mutex: fsyncing N tables
-        # under the DB lock would stall every writer for the whole disk
-        # flush (the exact bug class the lock-discipline lint's
-        # LD003/LD004 rules exist to catch — the analyzer found this
-        # running under the mutex).  Nothing references the new file
-        # numbers until the version edit below installs them, so only
-        # the number allocation needs the lock.
+        # Write, durably close and open the outputs *before* taking the
+        # mutex: fsyncing N tables under it would stall every writer (the
+        # bug class lint rules LD003/LD004 catch).  Nothing references
+        # the new numbers until the edit below installs them.
         new_metas: list[FileMetaData] = []
         opened: dict[int, TableReader] = {}
         written: list[str] = []
@@ -944,7 +1000,8 @@ class LsmDB:
             ep.set(backend=backend, output_bytes=output_bytes,
                    output_tables=len(outputs), input_bytes_base=base_bytes,
                    input_bytes_parent=parent_bytes,
-                   write_bytes=int(self._c["write_bytes"].value))
+                   write_bytes=floor.write_bytes
+                   or int(self._c["write_bytes"].value))
             with self.tracer.span("compaction.install"):
                 edit = VersionEdit()
                 for meta in spec.inputs:
@@ -969,60 +1026,70 @@ class LsmDB:
     # -- the steps a DB with no workers runs itself ---------------------
 
     def flush_immutable(self) -> bool:
-        """Dump the immutable memtable to a level-0 table; False when
-        there is none, another thread's flush has it, or the DB is
-        closed.
+        """Seal (unless a writer's swap did) and land the immutable
+        memtable as a level-0 table; False when there is none, another
+        thread's flush has it, or the DB is closed.
 
-        The table is built, closed durably and read back with no mutex
-        taken — the memtable is immutable by construction — so foreground
-        writes proceed into the fresh memtable meanwhile; only the claim
-        and the install take the lock.  On failure the partial file is
-        removed and ``_imm`` stays set: its writes remain readable, its
-        WAL segment is retained, and the flush is still due.
+        The table is built (or the helper's checked), written and opened
+        with no mutex taken — the memtable is immutable — so writes go on
+        into the fresh memtable; only the claim and the install lock.  On
+        failure the partial file is removed and ``_imm`` stays, unsealed:
+        readable, its WAL segment retained, its flush still due.
         """
         with self._mutex:
             imm = self._imm
             if imm is None or self._flushing or self._closed:
                 return False
             self._flushing = True
-            number = self.versions.new_file_number()
+            seal, self._sealed = self._sealed, None
+            if seal is None:
+                seal = _Seal(self.versions.new_file_number())
         try:
-            self._write_level0_table(imm, number)
+            self._write_level0_table(imm, seal)
         finally:
             with self._mutex:
                 self._flushing = False
                 self._cond.notify_all()
         return True
 
-    def _write_level0_table(self, imm: MemTable, number: int) -> None:
-        """Write ``imm`` as table ``number`` and install it (the claimed
-        body of :meth:`flush_immutable`)."""
+    def _write_level0_table(self, imm: MemTable, seal: _Seal) -> None:
+        """Write ``imm`` as table ``seal.number`` and install it (the
+        claimed body of :meth:`flush_immutable`)."""
+        number = seal.number
         name = table_file_name(self.dbname, number)
+
+        def build_here():
+            # A non-empty memtable, no size cut: exactly one table.
+            image, builder = build_table(imm, self.options, self.icmp)
+            return (self._open_table(number, image), builder.stats,
+                    builder.smallest_key, builder.largest_key)
+
         with episode(self.tracer, self.journals, "flush", db=self.dbname,
                      table=number) as ep:
             try:
+                reader, stats, smallest, largest = block_encoder.finish(
+                    seal.request, lambda answer: seal.check(
+                        answer, lambda image: self._open_table(number, image)),
+                    build_here)
                 dest = self.env.new_writable_file(name)
-                # A non-empty memtable, no size cut: exactly one table.
-                [(builder, _)] = build_tables(imm, self.options, self.icmp,
-                                              lambda: dest)
-                stats = builder.stats
+                dest.append(reader.image)
                 self._durable_close(dest)
-                reader = self._open_table(number, self.env.read_file(name))
             except BaseException:
                 if self.env.file_exists(name):
                     self.env.delete_file(name)
                 raise
             edit = VersionEdit()
             edit.add_file(0, FileMetaData(number, stats.file_bytes,
-                                          builder.smallest_key,
-                                          builder.largest_key))
+                                          smallest, largest))
             with self._mutex:
                 self.versions.apply(edit)
                 self._c["flushes"].inc()
                 self._c["flush_bytes"].inc(stats.file_bytes)
                 self._m.add_level_write(0, stats.file_bytes)
                 ep.set(bytes=stats.file_bytes,
-                       write_bytes=int(self._c["write_bytes"].value))
+                       write_bytes=seal.write_bytes
+                       or int(self._c["write_bytes"].value))
+                self._last_landed = seal
                 self._imm = None
                 self._publish_view_locked({number: reader})
                 self._write_manifest()
@@ -1264,6 +1331,8 @@ class LsmDB:
         return version.approximate_size(start, end)
 
     def close(self) -> None:
+        """Drain writes and running steps, land a sealed memtable (a
+        failure leaves it to its WAL segment, for the next open), close."""
         if self._closed:
             return
         if self._driver is not None:
@@ -1279,6 +1348,11 @@ class LsmDB:
             while (self._writers or self._wal_writing or self._flushing
                    or self._busy):
                 self._writers_cond.wait(timeout=0.05)
+            if self._sealed is not None and self._bg_error is None:
+                try:
+                    self._land_locked()
+                except Exception:  # noqa: BLE001 - the WAL still holds it
+                    pass
             if self._log_file is not None:
                 self._log_file.close()
             lockwatch.get().detach_journal(self.journals)

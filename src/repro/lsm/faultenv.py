@@ -135,14 +135,6 @@ class CrashEnv(Env):
             self._open_files.clear()
             self._epoch += 1
 
-    def synced_size(self, name: str) -> int:
-        """Bytes of ``name`` that would survive a power loss."""
-        with self._lock:
-            state = self._files.get(self._norm(name))
-            if state is None:
-                raise NotFoundError(name)
-            return state.synced
-
     def new_writable_file(self, name: str) -> WritableFile:
         name = self._norm(name)
         with self._lock:

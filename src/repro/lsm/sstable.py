@@ -23,9 +23,11 @@ deviation in DESIGN.md.
 
 from __future__ import annotations
 
+import json
+import struct
 from bisect import bisect_left
-from dataclasses import dataclass
-from itertools import starmap
+from dataclasses import astuple, dataclass
+from itertools import chain, starmap
 from typing import Callable, Iterable, Iterator, Optional
 
 from repro.compress import snappy
@@ -38,7 +40,7 @@ from repro.lsm.filter import BloomFilterPolicy
 from repro.lsm.internal import MARK_FIELDS_SIZE, InternalKeyComparator
 from repro.lsm.options import Options
 from repro.util.coding import decode_fixed32, encode_fixed32
-from repro.util.comparator import Comparator
+from repro.util.comparator import BytewiseComparator, Comparator
 from repro.util.crc32c import crc32c, mask_crc, unmask_crc
 from repro.util.varint import VarintCursor, encode_varint64
 
@@ -79,6 +81,21 @@ class TableStats:
     data_bytes: int = 0          # compressed, with trailers
     index_bytes: int = 0
     file_bytes: int = 0
+
+
+class _BufferFile:
+    """Minimal in-memory WritableFile for building table images."""
+
+    def __init__(self) -> None:
+        self.data = bytearray()
+
+    def append(self, data: bytes) -> None:
+        self.data += data
+
+    def flush(self) -> None:
+        pass
+
+    close = flush
 
 
 class BlockCutter:
@@ -318,8 +335,66 @@ def build_tables(entries: Iterable[tuple[bytes, bytes]], options: Options,
         yield builder, dest
 
 
-def _read_block(data: bytes, handle: BlockHandle, verify: bool) -> bytes:
-    """Extract and (if needed) decompress one block payload."""
+def build_table(entries: Iterable[tuple[bytes, bytes]], options: Options,
+                comparator: InternalKeyComparator
+                ) -> tuple[bytes, TableBuilder]:
+    """Sorted ``entries`` as one table image, and its builder."""
+    dest = _BufferFile()
+    [(builder, _)] = build_tables(entries, options, comparator,
+                                  lambda: dest)
+    return bytes(dest.data), builder
+
+
+#: The options a table's bytes depend on (a build request's first part),
+#: and a build answer's TableStats.
+_BUILD_OPTIONS = ("block_size", "block_restart_interval",
+                  "bloom_bits_per_key", "compression")
+_BUILD_STATS = struct.Struct("<7Q")
+
+
+def build_request(entries: Iterable[tuple[bytes, bytes]],
+                  options: Options) -> tuple[list, Callable]:
+    """A memtable's entries as a codec helper build request's parts, and
+    the answer's ``check(answer, open_table)``: the opened table, stats,
+    first and last key; it raises unless the image opens, its data
+    blocks' CRCs verify and its stats and keys are what was sent."""
+    parts = [json.dumps([getattr(options, name)
+                         for name in _BUILD_OPTIONS]).encode()]
+    parts.extend(chain.from_iterable(entries))
+    keys = parts[1::2]
+    expect = (len(keys), sum(map(len, keys)), sum(map(len, parts[2::2])),
+              keys[0], keys[-1])
+
+    def check(answer: list, open_table: Callable[[bytes], "TableReader"]):
+        image, packed, smallest, largest = answer
+        stats = TableStats(*_BUILD_STATS.unpack(packed))
+        reader = open_table(image)
+        handles = [handle for _, handle in reader.index_entries()]
+        for handle in handles:
+            _block_payload(image, handle, True)
+        if ((stats.num_entries, stats.raw_key_bytes, stats.raw_value_bytes,
+             smallest, largest) != expect or stats.file_bytes != len(image)
+                or stats.num_data_blocks != len(handles)):
+            raise CorruptionError("build answer does not match its request")
+        return reader, stats, smallest, largest
+
+    return parts, check
+
+
+def serve_build(parts: list) -> list:
+    """The helper's side of a :func:`build_request`."""
+    options = Options(**dict(zip(_BUILD_OPTIONS, json.loads(parts[0]))))
+    image, builder = build_table(
+        zip(parts[1::2], parts[2::2]), options,
+        InternalKeyComparator(BytewiseComparator()))
+    return [image, _BUILD_STATS.pack(*astuple(builder.stats)),
+            builder.smallest_key, builder.largest_key]
+
+
+def _block_payload(data: bytes, handle: BlockHandle,
+                   verify: bool) -> tuple[bytes, bool]:
+    """One block's stored payload and whether it is snappy-compressed:
+    bounds- and type-checked, CRC-checked with ``verify``."""
     end = handle.offset + handle.size + BLOCK_TRAILER_SIZE
     if end > len(data):
         raise CorruptionError("block handle overruns file")
@@ -333,11 +408,15 @@ def _read_block(data: bytes, handle: BlockHandle, verify: bool) -> bytes:
             handle.offset:handle.offset + handle.size + 1])
         if checked != stored:
             raise CorruptionError("block checksum mismatch")
-    if block_type == COMPRESSION_NONE:
-        return payload
-    if block_type == COMPRESSION_SNAPPY:
-        return snappy.decompress(payload)
-    raise CorruptionError(f"unknown block compression type {block_type}")
+    if block_type not in (COMPRESSION_NONE, COMPRESSION_SNAPPY):
+        raise CorruptionError(f"unknown block compression type {block_type}")
+    return payload, block_type == COMPRESSION_SNAPPY
+
+
+def _read_block(data: bytes, handle: BlockHandle, verify: bool) -> bytes:
+    """Extract and (if needed) decompress one block payload."""
+    payload, compressed = _block_payload(data, handle, verify)
+    return snappy.decompress(payload) if compressed else payload
 
 
 class TableReader:
@@ -445,6 +524,13 @@ class TableReader:
         """Yield every (internal key, value) in order."""
         for handle in self._handles:
             yield from Block(self._block_contents(handle))
+
+    def merge_input(self) -> Iterator[tuple[bytes, bytes]]:
+        """Iteration past the block cache: a merge's input must not evict
+        what readers use (LevelDB's ``fill_cache = false``)."""
+        for handle in self._handles:
+            yield from Block(_read_block(self._data, handle,
+                                         self._options.paranoid_checks))
 
     def iter_from(self, target: bytes) -> Iterator[tuple[bytes, bytes]]:
         """Yield entries with internal key >= ``target`` in order: start

@@ -37,12 +37,11 @@ def main() -> int:
 
     import worker
     import workloads
-    from repro.compress.encoder import BlockEncoder
+    from repro.compress.encoder import block_encoder
     from repro.lsm import db  # noqa: F401  (binds every crc32c caller)
 
     original = importlib.import_module("repro.util.crc32c").crc32c
     calls: dict = collections.defaultdict(lambda: [0, 0.0])
-    waited = [0.0]
 
     def counted(data, value=0):
         start = time.perf_counter()
@@ -60,26 +59,16 @@ def main() -> int:
                 if value is original:
                     setattr(module, attr, counted)
 
-    wait = BlockEncoder._wait
-
-    def timed_wait(self, *args):
-        start = time.perf_counter()
-        try:
-            return wait(self, *args)
-        finally:
-            waited[0] += time.perf_counter() - start
-
     timed = {}
     run = workloads.FillRandom.run
 
     def timed_run(self):
         calls.clear()
-        waited[0] = 0.0
+        waited = block_encoder.stats()["wait_s"]
         outcome = run(self)
-        timed.update(calls, waited=waited[0])
+        timed.update(calls, waited=block_encoder.stats()["wait_s"] - waited)
         return outcome
 
-    BlockEncoder._wait = timed_wait
     workloads.FillRandom.run = timed_run
     result = worker.run_pass("fill_random", args.seed, args.seconds, False)
     wall = result["wall_s"]
