@@ -25,11 +25,7 @@ from dataclasses import dataclass
 from repro.errors import FpgaResourceError
 from repro.fpga.comparer import Comparer
 from repro.fpga.config import FpgaConfig
-from repro.fpga.decoder import (
-    DecoderChain,
-    SSTableLayout,
-    extract_index_image,
-)
+from repro.fpga.decoder import DecoderChain, SSTableLayout
 from repro.fpga.dram import Dram
 from repro.fpga.encoder import Encoder
 from repro.fpga.pipeline_sim import PipelineTimer, TimingReport, replay_rounds
@@ -47,8 +43,6 @@ class EngineResult:
     outputs: list[OutputTable]
     timing: TimingReport
     config: FpgaConfig
-    smallest_keys: list[bytes]
-    largest_keys: list[bytes]
 
     @property
     def kernel_seconds(self) -> float:
@@ -84,6 +78,12 @@ class CompactionEngine:
                     f"{report.lut_pct}% LUT / {report.ff_pct}% FF / "
                     f"{report.bram_pct}% BRAM")
 
+    def _check_input_count(self, count: int) -> None:
+        if count > self.config.num_inputs:
+            raise FpgaResourceError(
+                f"{count} inputs exceed the engine's "
+                f"N={self.config.num_inputs}")
+
     # ------------------------------------------------------------------
     # Functional + timed execution
     # ------------------------------------------------------------------
@@ -95,10 +95,7 @@ class CompactionEngine:
         ``inputs[i]`` lists input *i*'s SSTables in key order (a sorted
         level's files concatenate into one input, per §IV step 2).
         """
-        if len(inputs) > self.config.num_inputs:
-            raise FpgaResourceError(
-                f"{len(inputs)} inputs exceed the engine's "
-                f"N={self.config.num_inputs}")
+        self._check_input_count(len(inputs))
         timer = PipelineTimer(self.config, metrics=self.metrics)
         comparer = Comparer(drop_deletions)
         encoder = Encoder(self.options, self.comparator)
@@ -165,13 +162,8 @@ class CompactionEngine:
 
         outputs = encoder.finish()
         timing = timer.finalize(input_bytes)
-        return EngineResult(
-            outputs=outputs,
-            timing=timing,
-            config=self.config,
-            smallest_keys=[o.smallest for o in outputs],
-            largest_keys=[o.largest for o in outputs],
-        )
+        return EngineResult(outputs=outputs, timing=timing,
+                            config=self.config)
 
     # ------------------------------------------------------------------
     # Convenience wrappers
@@ -181,33 +173,18 @@ class CompactionEngine:
                       drop_deletions: bool = False) -> EngineResult:
         """Load raw SSTable images into a fresh DRAM and run.
 
-        This splits each image into its index region and data region the
-        way the host marshaller does (Fig 7), so tests can drive the
-        engine without the full host layer.
+        The images go through the host's Fig 7/8 marshaller, so tests
+        can drive the engine without the rest of the host layer.
         """
-        dram = Dram(size=max(64 * 1024 * 1024, sum(
-            len(img) for imgs in input_images for img in imgs) * 2 + 1024))
-        offset = 0
-        layouts: list[list[SSTableLayout]] = []
-        for images in input_images:
-            table_layouts = []
-            for image in images:
-                reader = TableReader(image, self.comparator, self.options)
-                index_image = extract_index_image(image, reader)
-                dram.write(offset, image)
-                data_offset = offset
-                index_offset = offset + len(image)
-                dram.write(index_offset, index_image)
-                table_layouts.append(SSTableLayout(
-                    index_offset=index_offset,
-                    index_size=len(index_image),
-                    data_offset=data_offset,
-                    data_size=len(image),
-                ))
-                offset = index_offset + len(index_image)
-                offset += (-offset) % self.config.w_in  # alignment
-            layouts.append(table_layouts)
-        return self.run(dram, layouts, drop_deletions)
+        # repro.host imports this module, so import its marshaller late.
+        from repro.host.memory import marshal_inputs
+
+        self._check_input_count(len(input_images))
+        readers = [[TableReader(image, self.comparator, self.options)
+                    for image in images] for images in input_images]
+        dram = Dram()
+        image = marshal_inputs(dram, self.config, readers)
+        return self.run(dram, image.layouts, drop_deletions)
 
 
 def simulate_synthetic(config: FpgaConfig, pairs_per_input: list[int],

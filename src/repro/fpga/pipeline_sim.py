@@ -1,9 +1,11 @@
 """Item-granularity pipeline timing simulator.
 
-The engine's modules run concurrently in hardware; this simulator
-composes their per-pair service times (from :mod:`repro.fpga.cost_model`
-and the module classes) into a kernel cycle count, honoring the
-synchronization the paper describes:
+The engine's modules run concurrently in hardware; this simulator holds
+the repo's one copy of their per-pair service times, the paper's Tables
+II/III (Decoder ``L_key + L_value / V``, Comparer ``(2 + ceil(log2 N))
+* L_key``, Key-Value Transfer ``max(L_key, L_value / V)``, Encoder
+``L_key``), and charges them event by event into a kernel cycle count,
+honoring the synchronization the paper describes:
 
 * each input's Decoder runs ahead of the Comparer only as far as its
   key/value FIFO depth allows (a FIFO element is usable once, §V-C);
@@ -27,7 +29,6 @@ from dataclasses import dataclass, field
 
 from repro.errors import SimulationError
 from repro.fpga.config import FpgaConfig, PipelineVariant
-from repro.fpga.cost_model import comparer_fanin_term
 
 
 @dataclass
@@ -152,7 +153,7 @@ class PipelineTimer:
         self._fused_compare = variant in (PipelineVariant.BASIC,
                                           PipelineVariant.SPLIT_BLOCKS)
         self._tree_term = 1 + config.comparer_fanin_depth()
-        self._compare_term = comparer_fanin_term(config.num_inputs)
+        self._compare_term = 2 + config.comparer_fanin_depth()
         self._kv_separation = variant is PipelineVariant.KV_SEPARATION
         self._output_width = config.output_buffer_width
         self._flush_width = config.w_out if self._full else 8

@@ -18,9 +18,9 @@ implementations:
     (`repro.host.batch_merge.BatchMergeEngine`), capable only when
     numpy imports and the comparator is bytewise.
 
-Each backend carries a wall-clock cost model
-(:mod:`repro.fpga.cost_model`) estimating how long *this process* would
-take to run a task, so ``Options.accelerator = "auto"`` can route each
+Each backend carries a wall-clock cost model (:class:`WallCostModel`)
+estimating how long *this process* would take to run a task, so
+``Options.accelerator = "auto"`` can route each
 :class:`~repro.lsm.version.CompactionSpec` to the argmin-cost backend.
 All backends produce byte-identical output tables for the same inputs —
 routing is purely a performance decision, never a correctness one.
@@ -32,20 +32,70 @@ import time
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 
-from repro.fpga.cost_model import (
-    BATCH_WALL_MODEL,
-    CPU_WALL_MODEL,
-    FPGA_SIM_WALL_MODEL,
-    WallCostModel,
-    estimate_pairs,
-)
 from repro.host.batch_merge import BatchMergeEngine
 from repro.host.device import FcaeDevice
 from repro.lsm.compaction import OutputTable, compact_tables
-from repro.lsm.internal import InternalKeyComparator
+from repro.lsm.internal import MARK_FIELDS_SIZE, InternalKeyComparator
 from repro.lsm.options import Options
 from repro.lsm.version import CompactionSpec
 from repro.sim.cpu import CpuCostModel
+
+
+# All three backends fit the same affine wall-clock law
+#
+#     seconds = fixed + pairs * per_pair + bytes * per_byte
+#
+# because each is a fixed setup (iterator/array marshalling) plus
+# per-entry work (heap pops or array rows) plus per-byte work (copies,
+# CRCs, block encoding).  Constants are calibrated against the
+# ``bench backends`` sweep on the reference container; they only need to
+# rank backends correctly, not predict absolute times.
+
+
+@dataclass(frozen=True)
+class WallCostModel:
+    """Affine wall-clock estimate for one merge-compaction executor."""
+
+    fixed_seconds: float
+    per_pair_seconds: float
+    per_byte_seconds: float
+
+    def merge_seconds(self, input_bytes: int, num_pairs: int) -> float:
+        return (self.fixed_seconds
+                + num_pairs * self.per_pair_seconds
+                + input_bytes * self.per_byte_seconds)
+
+
+#: Streaming CPU merge (`repro.lsm.compaction.compact`): heap pop, parse
+#: and builder add per pair, plus per-byte block/CRC work.
+CPU_WALL_MODEL = WallCostModel(fixed_seconds=0.3e-3,
+                               per_pair_seconds=10.7e-6,
+                               per_byte_seconds=19.0e-9)
+
+#: Pipeline-sim device (`repro.host.device.FcaeDevice`): the functional
+#: merge plus the behavioral timing pass and DMA/marshal bookkeeping.
+FPGA_SIM_WALL_MODEL = WallCostModel(fixed_seconds=2.0e-3,
+                                    per_pair_seconds=14.0e-6,
+                                    per_byte_seconds=22.0e-9)
+
+#: LUDA-style batched merge (`repro.host.batch_merge`): a fixed
+#: marshalling cost (array allocation, lexsort setup), then a per-byte
+#: vectorized rate with a small per-row term for the residual Python
+#: block/builder loops.  Without numpy the backend declines the task, so
+#: there is nothing else to price.
+BATCH_WALL_MODEL = WallCostModel(fixed_seconds=2.5e-3,
+                                 per_pair_seconds=3.6e-6,
+                                 per_byte_seconds=12.0e-9)
+
+
+def estimate_pairs(input_bytes: int, user_key_length: int,
+                   value_length: int,
+                   pair_overhead_bytes: int = 3) -> int:
+    """Entries a compaction of ``input_bytes`` holds, from the workload's
+    configured key/value lengths (block headers ~3 bytes/entry)."""
+    pair_bytes = (user_key_length + MARK_FIELDS_SIZE + value_length
+                  + pair_overhead_bytes)
+    return max(1, input_bytes // pair_bytes)
 
 
 @dataclass
@@ -106,18 +156,16 @@ class CpuBackend(AcceleratorBackend):
     name = "cpu"
 
     def __init__(self, options: Options, comparator: InternalKeyComparator,
-                 cpu_model: CpuCostModel,
-                 wall_model: WallCostModel = CPU_WALL_MODEL):
+                 cpu_model: CpuCostModel):
         self.options = options
         self.comparator = comparator
         self.cpu_model = cpu_model
-        self.wall_model = wall_model
 
     def estimate_seconds(self, spec: CompactionSpec) -> float:
         pairs = estimate_pairs(spec.total_input_bytes,
                                self.options.key_length,
                                self.options.value_length)
-        return self.wall_model.merge_seconds(spec.total_input_bytes, pairs)
+        return CPU_WALL_MODEL.merge_seconds(spec.total_input_bytes, pairs)
 
     def run(self, spec: CompactionSpec, input_tables: list,
             parent_tables: list, drop_deletions: bool) -> BackendResult:
@@ -145,10 +193,8 @@ class FpgaSimBackend(AcceleratorBackend):
 
     name = "fpga-sim"
 
-    def __init__(self, device: FcaeDevice,
-                 wall_model: WallCostModel = FPGA_SIM_WALL_MODEL):
+    def __init__(self, device: FcaeDevice):
         self.device = device
-        self.wall_model = wall_model
 
     def can_run(self, spec: CompactionSpec) -> bool:
         return spec.fpga_input_count() <= self.device.config.num_inputs
@@ -157,7 +203,8 @@ class FpgaSimBackend(AcceleratorBackend):
         options = self.device.options
         pairs = estimate_pairs(spec.total_input_bytes,
                                options.key_length, options.value_length)
-        return self.wall_model.merge_seconds(spec.total_input_bytes, pairs)
+        return FPGA_SIM_WALL_MODEL.merge_seconds(spec.total_input_bytes,
+                                                 pairs)
 
     def run(self, spec: CompactionSpec, input_tables: list,
             parent_tables: list, drop_deletions: bool) -> BackendResult:
@@ -181,11 +228,9 @@ class BatchBackend(AcceleratorBackend):
     name = "batch"
 
     def __init__(self, options: Options, comparator: InternalKeyComparator,
-                 cost_model: WallCostModel = BATCH_WALL_MODEL,
                  fault_injector=None):
         self.options = options
         self.engine = BatchMergeEngine(options, comparator)
-        self.cost_model = cost_model
         self.fault_injector = fault_injector
 
     def can_run(self, spec: CompactionSpec) -> bool:
@@ -195,7 +240,7 @@ class BatchBackend(AcceleratorBackend):
         pairs = estimate_pairs(spec.total_input_bytes,
                                self.options.key_length,
                                self.options.value_length)
-        return self.cost_model.merge_seconds(spec.total_input_bytes, pairs)
+        return BATCH_WALL_MODEL.merge_seconds(spec.total_input_bytes, pairs)
 
     def run(self, spec: CompactionSpec, input_tables: list,
             parent_tables: list, drop_deletions: bool) -> BackendResult:

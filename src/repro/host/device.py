@@ -114,8 +114,7 @@ class FcaeDevice:
 
         if self.fault_injector is not None:
             self.fault_injector.check(
-                sum(len(t) for tables in inputs for t in tables
-                    if hasattr(t, "__len__")),
+                sum(t.file_size for tables in inputs for t in tables),
                 backend="fpga-sim")
 
         timeline = obs.current_timeline()

@@ -1,8 +1,11 @@
-"""Analytic cost model: the paper's Tables II/III and §V-D1 predicate."""
+"""Device cost model: the paper's Tables II/III periods and the speed
+trends they imply, checked on the pipeline simulator that charges them."""
 
+import pytest
 
 from repro.fpga.config import FpgaConfig
-from repro.fpga import cost_model as cm
+from repro.fpga.engine import simulate_synthetic
+from repro.fpga.pipeline_sim import PipelineTimer
 
 
 def config(n=2, v=16):
@@ -10,85 +13,68 @@ def config(n=2, v=16):
                       w_in=max(v, 8), w_out=64)
 
 
-class TestPeriods:
-    def test_internal_key_length_adds_mark_fields(self):
-        # Paper footnote: L_key = 16 (real) + 8 (mark fields).
-        assert cm.internal_key_length(16) == 24
+def one_round(cfg, key_len, value_len):
+    """Decode one pair on input 0 and pass it through the Keep path."""
+    timer = PipelineTimer(cfg)
+    timer.decode_pair(0, key_len, value_len)
+    timer.comparer_round([0], winner=0, drop=False, key_len=key_len,
+                         value_len=value_len)
+    return timer.finalize(input_bytes=key_len + value_len)
 
+
+def speed(cfg, value_length, pairs_per_input=300):
+    report = simulate_synthetic(cfg, [pairs_per_input] * cfg.num_inputs,
+                                16, value_length)
+    return report.speed_mbps(cfg)
+
+
+class TestPeriods:
     def test_comparer_fanin_term(self):
-        assert cm.comparer_fanin_term(2) == 3    # 2 + ceil(log2 2)
-        assert cm.comparer_fanin_term(9) == 6    # 2 + ceil(log2 9)
+        # 2 + ceil(log2 N) Comparer cycles per key byte.
+        assert one_round(config(n=2), 1, 16).comparer_busy_cycles == 3
+        assert one_round(config(n=9), 1, 16).comparer_busy_cycles == 6
 
     def test_table3_decoder(self):
         # L_key + L_value / V
-        assert cm.decoder_period(24, 1024, 16) == 24 + 64
+        report = one_round(config(v=16), 24, 1024)
+        assert report.decoder_busy_cycles == pytest.approx(24 + 64)
 
     def test_table3_comparer(self):
         # (2 + ceil(log2 N)) * L_key
-        assert cm.comparer_period(24, 2) == 72
-        assert cm.comparer_period(24, 9) == 144
+        assert one_round(config(n=2), 24, 64).comparer_busy_cycles == 72
+        assert one_round(config(n=9), 24, 64).comparer_busy_cycles == 144
 
     def test_table3_transfer(self):
-        assert cm.transfer_period(24, 1024, 64) == 24  # max(24, 16)
-        assert cm.transfer_period(24, 2048, 8) == 256
-
-    def test_table3_encoder(self):
-        assert cm.encoder_period(24) == 24
-
-    def test_table2_basic_periods(self):
-        assert cm.basic_decoder_period(24, 128) == 152
-        assert cm.basic_transfer_period(24, 128) == 128
-
-
-class TestBottleneck:
-    def test_paper_footnote_case_v8(self):
-        # V=8, L_value=1024: decoder period 24+128=152 > comparer 72.
-        breakdown = cm.periods(config(v=8), 24, 1024)
-        assert breakdown.bottleneck_module == "decoder"
-        assert breakdown.bottleneck_cycles == 152
-
-    def test_comparer_bound_at_small_values(self):
-        breakdown = cm.periods(config(v=64), 24, 64)
-        assert breakdown.bottleneck_module == "comparer"
-        assert breakdown.bottleneck_cycles == 72
-
-    def test_predicate_matches_paper_fig15a_analysis(self):
-        # §VII-C3a: N=9, V=8, L_value=128 -> L_key < 3.2, so the decoder
-        # is always the bottleneck for real key lengths.
-        nine = FpgaConfig(num_inputs=9, value_width=8, w_in=8)
-        assert not cm.decoder_is_bottleneck(nine, 24, 128)
-        assert cm.decoder_is_bottleneck(nine, 3, 128)
+        # max(L_key, L_value / V); the value bus then drains the value
+        # into the output buffer at output_buffer_width bytes/cycle.
+        def transfer(v, value_len):
+            cfg = config(v=v)
+            report = one_round(cfg, 24, value_len)
+            return (report.value_bus_busy_cycles
+                    - value_len / cfg.output_buffer_width)
+        assert transfer(64, 1024) == pytest.approx(24)   # max(24, 16)
+        assert transfer(8, 2048) == pytest.approx(256)
 
 
 class TestSpeeds:
     def test_steady_state_positive_and_monotone_in_v(self):
-        speeds = [cm.steady_state_speed_mbps(config(v=v), 16, 1024)
-                  for v in (8, 16, 32, 64)]
+        speeds = [speed(config(v=v), 1024) for v in (8, 16, 32, 64)]
         assert all(s > 0 for s in speeds)
         assert speeds == sorted(speeds)
 
-    def test_serialized_slower_than_ideal(self):
-        cfg = config(v=16)
-        ideal = cm.steady_state_speed_mbps(cfg, 16, 512)
-        realistic = cm.serialized_speed_mbps(cfg, 16, 512)
-        assert realistic < ideal
-
     def test_serialized_speed_increases_with_value_length(self):
         cfg = config(v=16)
-        speeds = [cm.serialized_speed_mbps(cfg, 16, L)
-                  for L in (64, 256, 1024)]
+        speeds = [speed(cfg, L) for L in (64, 256, 1024)]
         assert speeds == sorted(speeds)
 
     def test_nine_input_slower_at_small_values(self):
-        two = cm.serialized_speed_mbps(config(n=2, v=8), 16, 64)
-        nine = cm.serialized_speed_mbps(
-            FpgaConfig(num_inputs=9, value_width=8, w_in=8), 16, 64)
+        two = speed(config(n=2, v=8), 64)
+        nine = speed(FpgaConfig(num_inputs=9, value_width=8, w_in=8), 64)
         assert nine < two
 
     def test_gap_narrows_at_long_values(self):
         def ratio(L):
-            two = cm.serialized_speed_mbps(config(n=2, v=8), 16, L)
-            nine = cm.serialized_speed_mbps(
-                FpgaConfig(num_inputs=9, value_width=8, w_in=8), 16, L)
+            two = speed(config(n=2, v=8), L)
+            nine = speed(FpgaConfig(num_inputs=9, value_width=8, w_in=8), L)
             return nine / two
         assert ratio(2048) > ratio(64)

@@ -155,8 +155,8 @@ class TestTiming:
         run = make_run(43, 500, 1, delete_fraction=0)
         result = engine.run_on_images(
             [[build_table_image(run, plain_options, ICMP)]])
-        assert result.smallest_keys[0] == run[0][0]
-        assert result.largest_keys[-1] == run[-1][0]
+        assert result.outputs[0].smallest == run[0][0]
+        assert result.outputs[-1].largest == run[-1][0]
 
 
 @settings(max_examples=15, deadline=None)

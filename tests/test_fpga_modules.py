@@ -1,5 +1,4 @@
-"""Functional pipeline modules: decoder chain, comparer, transfer,
-encoders."""
+"""Functional pipeline modules: decoder chain, comparer, encoders."""
 
 import pytest
 
@@ -7,8 +6,6 @@ from repro.fpga.comparer import Comparer, KeyCompare, ValidityCheck
 from repro.fpga.decoder import DecoderChain, SSTableLayout
 from repro.fpga.dram import Dram
 from repro.fpga.encoder import Encoder
-from repro.fpga.fifo import Fifo
-from repro.fpga.transfer import KeyValueTransfer
 from repro.lsm.internal import (
     InternalKeyComparator,
     TYPE_DELETION,
@@ -137,28 +134,6 @@ class TestComparer:
         winner, drop = comparer.round([0, 1], heads)
         assert winner == 0
         assert not drop
-
-
-class TestTransfer:
-    def test_pops_both_streams(self):
-        transfer = KeyValueTransfer()
-        keys, values = Fifo(2), Fifo(2)
-        keys.push(b"key1")
-        values.push(b"value1")
-        result = transfer.execute(keys, values, drop=False)
-        assert result.internal_key == b"key1"
-        assert not result.dropped
-        assert keys.is_empty and values.is_empty
-        assert transfer.value_bytes_forwarded == 6
-
-    def test_drop_discards(self):
-        transfer = KeyValueTransfer()
-        keys, values = Fifo(1), Fifo(1)
-        keys.push(b"k")
-        values.push(b"v")
-        result = transfer.execute(keys, values, drop=True)
-        assert result.dropped
-        assert transfer.pairs_dropped == 1
 
 
 class TestEncoder:

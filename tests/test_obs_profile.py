@@ -4,6 +4,7 @@ publication, and contrasting-workload classification."""
 import pytest
 
 from repro import obs
+from repro.bench.common import N9_CONFIG, VALUE_LENGTHS, two_input_config
 from repro.fpga.config import FpgaConfig
 from repro.fpga.engine import simulate_synthetic
 from repro.obs.profile import (
@@ -84,6 +85,21 @@ class TestRunAttribution:
         assert large.attribution.bottleneck == "value_bus"
         assert (small.attribution.bottleneck
                 != large.attribution.bottleneck)
+
+    def test_comparer_share_falls_as_values_grow(self):
+        """Both Fig 12 engines are Comparer-bound at small values, and the
+        Comparer's share of the critical path falls strictly as values
+        grow (the trend §V-D1 derives from Tables II/III)."""
+        for cfg in (two_input_config(8), N9_CONFIG):
+            shares = []
+            for value_length in VALUE_LENGTHS:
+                with obs.scoped(registry=obs.MetricsRegistry()):
+                    report = simulate_synthetic(
+                        cfg, [400] * cfg.num_inputs, 16, value_length)
+                if value_length == 64:
+                    assert report.attribution.bottleneck == "comparer"
+                shares.append(report.attribution.fractions["comparer"])
+            assert all(a > b for a, b in zip(shares, shares[1:])), shares
 
     def test_attributed_cycles_partition_total(self):
         report, _ = self.run(512)

@@ -1,10 +1,11 @@
 """Pipeline timing simulator: synchronization and cycle accounting."""
 
+import math
+
 import pytest
 
 from repro.errors import SimulationError
 from repro.fpga.config import FpgaConfig, PipelineVariant
-from repro.fpga.cost_model import comparer_period
 from repro.fpga.engine import simulate_synthetic
 from repro.fpga.pipeline_sim import PipelineTimer
 
@@ -24,7 +25,7 @@ class TestTimerMechanics:
                              value_len=160)
         report = timer.finalize(input_bytes=200)
         decode = 24 + 160 / 16
-        compare = comparer_period(24, 2)
+        compare = (2 + math.ceil(math.log2(2))) * 24
         transfer = max(24, 160 / 16)
         staging = 160 / 8
         assert report.total_cycles == pytest.approx(
@@ -39,7 +40,7 @@ class TestTimerMechanics:
         assert report.pairs_dropped == 1
         assert report.pairs_transferred == 0
         assert report.total_cycles == pytest.approx(
-            24 + 10 + comparer_period(24, 2))
+            24 + 10 + (2 + math.ceil(math.log2(2))) * 24)
 
     def test_comparer_waits_for_all_heads(self):
         cfg = config()
