@@ -14,20 +14,21 @@ Usage::
 
 ``--metrics-out`` installs a process-wide metrics registry for the run
 and writes a Prometheus text-format dump; ``--trace-out`` streams every
-flush/compaction span (with modeled per-phase durations) as JSONL.
+flush/compaction span (with its modeled phases) as JSONL.
 
-``--chrome-trace`` records the event-level pipeline timeline (one track
-per module, per-input FIFO occupancy counters, host marshal/DMA phases)
-and writes Chrome trace-event JSON — open it in Perfetto or
-``chrome://tracing``.  ``--profile`` runs the critical-path attribution
-pass and writes a machine-readable bottleneck report (it also prints a
+``--chrome-trace`` makes the tracer record the pipeline's per-module
+intervals and per-input FIFO occupancy counters as well, and writes the
+run's spans as Chrome trace-event JSON — wall spans on one track, the
+modeled clock on one track per module or phase; open it in Perfetto or
+``chrome://tracing``.  ``--profile`` writes the critical-path
+bottleneck report from the metrics registry as JSON (it also prints a
 summary).  ``--bench-json`` writes the regenerated tables as JSON for
 ``tools/check_regression.py``.
 
 In ``all`` mode each experiment gets a **fresh** metrics registry and
-timeline, so one experiment's families cannot bleed into the next; the
-``--metrics-out`` / ``--chrome-trace`` / ``--profile`` paths are then
-suffixed per experiment (``m.prom`` → ``m.fig12.prom``).
+modeled timeline, so one experiment's families cannot bleed into the
+next; the ``--metrics-out`` / ``--chrome-trace`` / ``--profile`` paths
+are then suffixed per experiment (``m.prom`` → ``m.fig12.prom``).
 """
 
 from __future__ import annotations
@@ -38,7 +39,6 @@ import os
 import sys
 import time
 
-from repro import obs
 from repro.bench import (
     ablation,
     backends,
@@ -108,20 +108,19 @@ def suffixed_path(path: str, suffix: str | None) -> str:
     return f"{root}.{suffix}{ext}" if ext else f"{path}.{suffix}"
 
 
-def _write_sinks(args, sinks, suffix: str | None, registry,
-                 timeline) -> int:
+def _write_sinks(args, sinks, suffix: str | None, registry) -> int:
     """Flush one experiment's metrics/trace/profile outputs; returns a
     non-zero status on I/O failure."""
     status = 0
     if args.metrics_out:
         status = sinks.write_metrics(
             registry, suffixed_path(args.metrics_out, suffix))
-    if timeline is not None and args.chrome_trace:
+    if args.chrome_trace:
         path = suffixed_path(args.chrome_trace, suffix)
         try:
-            timeline.write_chrome_trace(path)
+            sinks.tracer.write_chrome_trace(path)
             print(f"chrome trace written to {path} "
-                  f"({len(timeline)} events)")
+                  f"({len(sinks.tracer.spans)} events)")
         except OSError as error:
             print(f"error: cannot write {path}: {error}", file=sys.stderr)
             status = 2
@@ -146,15 +145,15 @@ def _regenerate(name: str, args, sinks, suffix: str | None,
     record it in ``bench_doc`` and flush its sinks; returns the result
     and an exit status."""
     want_registry = bool(args.chrome_trace or args.profile or args.top)
-    want_timeline = bool(args.chrome_trace or args.profile)
     samples: list[float] = []
-    result = registry = timeline = None
+    result = registry = None
     for run_no in range(args.warmup + args.repeat):
-        # A fresh registry/timeline per run: in `all` mode nothing
-        # bleeds between experiments, across repeats each timed
+        # A fresh registry and modeled timeline per run: in `all` mode
+        # nothing bleeds between experiments, across repeats each timed
         # sample starts clean; sinks flush the final run only.
-        timeline = obs.TimelineRecorder() if want_timeline else None
-        with sinks.installed(want_registry, timeline) as registry:
+        if args.chrome_trace:
+            sinks.tracer.clear()
+        with sinks.installed(want_registry) as registry:
             started = time.perf_counter()
             result = EXPERIMENTS[name](scale=args.scale)
             if run_no >= args.warmup:
@@ -181,7 +180,7 @@ def _regenerate(name: str, args, sinks, suffix: str | None,
                              "repeat": args.repeat,
                              "warmup": args.warmup},
         }
-    return result, _write_sinks(args, sinks, suffix, registry, timeline)
+    return result, _write_sinks(args, sinks, suffix, registry)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -203,11 +202,12 @@ def main(argv: list[str] | None = None) -> int:
                         help="also write results as markdown")
     add_sink_flags(parser)
     parser.add_argument("--chrome-trace", metavar="PATH",
-                        help="record the pipeline event timeline and write "
-                             "Chrome trace-event JSON (Perfetto-loadable)")
+                        help="record per-module pipeline intervals and "
+                             "write the trace as Chrome trace-event JSON "
+                             "(Perfetto-loadable)")
     parser.add_argument("--profile", metavar="PATH",
                         help="write the critical-path bottleneck report "
-                             "as JSON (implies event recording)")
+                             "as JSON")
     parser.add_argument("--bench-json", metavar="PATH",
                         help="write regenerated tables as machine-readable "
                              "JSON for tools/check_regression.py")
@@ -228,7 +228,8 @@ def main(argv: list[str] | None = None) -> int:
     results: list[ExperimentResult] = []
     status = 0
     try:
-        with flag_sinks(args, out=sys.stdout) as sinks:
+        with flag_sinks(args, out=sys.stdout,
+                        tracks=bool(args.chrome_trace)) as sinks:
             for name in experiment_names:
                 result, wrote = _regenerate(
                     name, args, sinks, name if multi else None, bench_doc)

@@ -89,14 +89,17 @@ class CompactionEngine:
     # ------------------------------------------------------------------
 
     def run(self, dram: Dram, inputs: list[list[SSTableLayout]],
-            drop_deletions: bool = False) -> EngineResult:
+            drop_deletions: bool = False, tracer=None) -> EngineResult:
         """Execute one compaction over device memory.
 
         ``inputs[i]`` lists input *i*'s SSTables in key order (a sorted
-        level's files concatenate into one input, per §IV step 2).
+        level's files concatenate into one input, per §IV step 2).  The
+        run's ``kernel_run`` span goes to ``tracer`` (default: the
+        installed one).
         """
         self._check_input_count(len(inputs))
-        timer = PipelineTimer(self.config, metrics=self.metrics)
+        timer = PipelineTimer(self.config, metrics=self.metrics,
+                              tracer=tracer)
         comparer = Comparer(drop_deletions)
         encoder = Encoder(self.options, self.comparator)
 
@@ -200,8 +203,8 @@ def simulate_synthetic(config: FpgaConfig, pairs_per_input: list[int],
     Table V / Figs 9, 12, 13 benchmarks for wide parameter sweeps.
 
     The run is traced as a synthetic ``compaction`` span with a modeled
-    ``phase:kernel`` child, so benchmark traces carry the same span
-    shape as full-stack offloads.
+    ``kernel_run`` child, so benchmark traces carry the same span shape
+    as full-stack offloads.
     """
     import random
 
@@ -262,7 +265,5 @@ def simulate_synthetic(config: FpgaConfig, pairs_per_input: list[int],
 
         input_bytes = sum(pairs_per_input) * pair_file_bytes
         report = timer.finalize(input_bytes)
-        tracer.phase("phase:kernel", report.kernel_seconds(config),
-                     cycles=report.total_cycles)
         span.set(input_bytes=input_bytes)
     return report

@@ -117,28 +117,31 @@ class PipelineTimer:
     process-wide registry when one is installed; :meth:`finalize` then
     publishes the run into the ``fpga_pipeline_*`` families.
 
-    ``timeline`` (a :class:`repro.obs.TimelineRecorder`, defaulting to
-    the process-wide one) turns on **event-level recording**: every
-    decode, Comparer round, value-path move, encoder key pass and block
-    flush becomes an interval on a per-module track, and KV-FIFO
-    occupancy becomes per-input counter series.  Simulated cycles map to
-    trace microseconds at the configured clock (``us = cycles /
-    clock_mhz``); the run starts at the recorder's cursor
-    (``timeline_origin_us`` overrides) and :meth:`finalize` advances the
-    cursor past it, so consecutive runs and host phases share one
-    contiguous timeline.  When neither a timeline nor a registry is
-    attached the per-event cost is a single attribute check.
+    ``tracer`` (defaulting to the process-wide one) receives the run as
+    one ``kernel_run`` span on the modeled clock: it starts at the
+    tracer's modeled cursor and :meth:`finalize` records it, so
+    consecutive runs and the device's host phases share one contiguous
+    timeline.  A tracer built with ``tracks=True`` also turns on
+    **event-level recording**: every decode, Comparer round, value-path
+    move, encoder key pass and block flush becomes a span on a
+    per-module track, and KV-FIFO occupancy becomes per-input counter
+    series.  Simulated cycles map to modeled seconds at the configured
+    clock (``cycles / (clock_mhz * 1e6)``).  When neither such a tracer
+    nor a registry is attached the per-event cost is a single attribute
+    check, and :meth:`uniform_rounds` keeps its closed-form fast path.
     """
 
-    def __init__(self, config: FpgaConfig, metrics=None, timeline=None,
-                 timeline_origin_us: float | None = None):
+    def __init__(self, config: FpgaConfig, metrics=None, tracer=None):
         from repro import obs
 
         self.config = config
         self.metrics = (metrics if metrics is not None
                         else obs.current_registry())
-        self.timeline = (timeline if timeline is not None
-                         else obs.current_timeline())
+        self.tracer = obs.resolve_tracer(tracer)
+        self._tracks = self.tracer.tracks
+        #: Modeled-clock seconds of cycle 0 and of one cycle.
+        self._origin = self.tracer.sim_cursor
+        self._seconds_per_cycle = 1.0 / (config.clock_mhz * 1e6)
         self._inputs = [_InputTimingState(config.kv_fifo_depth)
                         for _ in range(config.num_inputs)]
         # Per-config constants of the per-event methods.
@@ -163,15 +166,10 @@ class PipelineTimer:
         self._t_writer = 0.0
         self.report = TimingReport()
         #: (module, start_cycles, end_cycles) intervals for the
-        #: critical-path pass; collected whenever any sink is attached.
+        #: critical-path pass; collected whenever a registry or a
+        #: track-recording tracer is attached.
         self._profile_intervals: list[tuple[str, float, float]] | None = (
-            [] if (self.metrics is not None or self.timeline is not None)
-            else None)
-        if self.timeline is not None:
-            self._origin_us = (timeline_origin_us
-                               if timeline_origin_us is not None
-                               else self.timeline.cursor_us)
-            self._us_per_cycle = 1.0 / config.clock_mhz
+            [] if (self.metrics is not None or self._tracks) else None)
 
     # ------------------------------------------------------------------
     # Event recording (no-ops unless a sink is attached)
@@ -180,17 +178,17 @@ class PipelineTimer:
     def _mark(self, module: str, track: str, name: str, start: float,
               end: float, args: dict | None = None) -> None:
         self._profile_intervals.append((module, start, end))
-        if self.timeline is not None:
-            self.timeline.interval(
-                "fpga", track, name,
-                self._origin_us + start * self._us_per_cycle,
-                self._origin_us + end * self._us_per_cycle, args)
+        if self._tracks:
+            self.tracer.record_sim_span(
+                name, self._origin + start * self._seconds_per_cycle,
+                self._origin + end * self._seconds_per_cycle, track=track,
+                **(args or {}))
 
     def _mark_fifo(self, input_no: int, at: float, occupancy: int) -> None:
-        if self.timeline is not None:
-            self.timeline.counter(
-                "fpga", f"fifo[{input_no}]",
-                self._origin_us + at * self._us_per_cycle, occupancy)
+        if self._tracks:
+            self.tracer.counter(
+                f"fifo[{input_no}]",
+                self._origin + at * self._seconds_per_cycle, occupancy)
 
     # ------------------------------------------------------------------
     # Decoder side
@@ -372,8 +370,8 @@ class PipelineTimer:
         by shift-invariance producing exactly the cycle counts the
         per-pair event loop would.  Transients (FIFO filling, a FIFO
         near full changing which ``max()`` binds) are simulated
-        per-pair, as is the whole run when timeline/profile
-        instrumentation is attached — event-level records stay exact.
+        per-pair, as is the whole run when a registry or a track-recording
+        tracer is attached — event-level records stay exact.
 
         Returns the last round's slot-free time, like
         :meth:`comparer_round`.
@@ -485,7 +483,7 @@ class PipelineTimer:
         """Drain the pipeline, close the report, and publish: metrics to
         the attached registry (``fpga_pipeline_*`` including the
         bottleneck attribution), the run's enclosing ``kernel_run``
-        interval to the attached timeline."""
+        span to the tracer."""
         self.report.input_bytes = input_bytes
         self.report.total_cycles = max(
             self._t_comparer, self._t_value_bus, self._t_encoder,
@@ -501,15 +499,13 @@ class PipelineTimer:
             from repro.obs.profile import publish_attribution
             publish_timing_report(self.metrics, self.report, self.config)
             publish_attribution(self.metrics, self.report.attribution)
-        if self.timeline is not None:
-            end_us = (self._origin_us
-                      + self.report.total_cycles * self._us_per_cycle)
-            self.timeline.interval(
-                "fpga", "kernel", "kernel_run", self._origin_us, end_us,
-                {"cycles": self.report.total_cycles,
-                 "clock_mhz": self.config.clock_mhz,
-                 "bottleneck": self.report.attribution.bottleneck})
-            self.timeline.advance_to(end_us)
+        attribution = self.report.attribution
+        self.tracer.record_sim_span(
+            "kernel_run", self._origin,
+            self._origin + self.report.kernel_seconds(self.config),
+            track="kernel", cycles=self.report.total_cycles,
+            clock_mhz=self.config.clock_mhz,
+            bottleneck=attribution.bottleneck if attribution else None)
         return self.report
 
 

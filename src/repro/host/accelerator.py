@@ -38,6 +38,7 @@ from repro.lsm.compaction import OutputTable, compact_tables
 from repro.lsm.internal import MARK_FIELDS_SIZE, InternalKeyComparator
 from repro.lsm.options import Options
 from repro.lsm.version import CompactionSpec
+from repro.obs import resolve_tracer
 from repro.sim.cpu import CpuCostModel
 
 
@@ -110,7 +111,8 @@ class BackendResult:
     wall_seconds: float
     #: Modeled per-phase attribution folded into
     #: ``scheduler_phase_seconds_total`` (marshal/pcie_in/kernel/
-    #: pcie_out for the device, software/batch for host merges).
+    #: pcie_out for the device, software/batch for host merges).  The
+    #: backend records the same phases as spans on its tracer.
     phase_seconds: dict[str, float] = field(default_factory=dict)
 
 
@@ -156,10 +158,11 @@ class CpuBackend(AcceleratorBackend):
     name = "cpu"
 
     def __init__(self, options: Options, comparator: InternalKeyComparator,
-                 cpu_model: CpuCostModel):
+                 cpu_model: CpuCostModel, tracer=None):
         self.options = options
         self.comparator = comparator
         self.cpu_model = cpu_model
+        self.tracer = resolve_tracer(tracer)
 
     def estimate_seconds(self, spec: CompactionSpec) -> float:
         pairs = estimate_pairs(spec.total_input_bytes,
@@ -182,6 +185,8 @@ class CpuBackend(AcceleratorBackend):
             self.options.value_length,
             num_inputs=max(2, spec.fpga_input_count()),
         )
+        self.tracer.phase("phase:software", modeled,
+                          bytes=spec.total_input_bytes, level=spec.level)
         return BackendResult(outputs=stats.outputs,
                              input_bytes=spec.total_input_bytes,
                              wall_seconds=wall,
@@ -193,8 +198,9 @@ class FpgaSimBackend(AcceleratorBackend):
 
     name = "fpga-sim"
 
-    def __init__(self, device: FcaeDevice):
+    def __init__(self, device: FcaeDevice, tracer=None):
         self.device = device
+        self.tracer = resolve_tracer(tracer)
 
     def can_run(self, spec: CompactionSpec) -> bool:
         return spec.fpga_input_count() <= self.device.config.num_inputs
@@ -210,7 +216,8 @@ class FpgaSimBackend(AcceleratorBackend):
             parent_tables: list, drop_deletions: bool) -> BackendResult:
         streams = _device_streams(spec, input_tables, parent_tables)
         start = time.perf_counter()
-        result = self.device.compact(streams, drop_deletions)
+        result = self.device.compact(streams, drop_deletions,
+                                     tracer=self.tracer)
         wall = time.perf_counter() - start
         return BackendResult(
             outputs=result.outputs,
@@ -228,10 +235,11 @@ class BatchBackend(AcceleratorBackend):
     name = "batch"
 
     def __init__(self, options: Options, comparator: InternalKeyComparator,
-                 fault_injector=None):
+                 fault_injector=None, tracer=None):
         self.options = options
         self.engine = BatchMergeEngine(options, comparator)
         self.fault_injector = fault_injector
+        self.tracer = resolve_tracer(tracer)
 
     def can_run(self, spec: CompactionSpec) -> bool:
         return self.engine.vectorized
@@ -251,6 +259,8 @@ class BatchBackend(AcceleratorBackend):
         start = time.perf_counter()
         stats = self.engine.compact(streams, drop_deletions)
         wall = time.perf_counter() - start
+        self.tracer.phase("phase:batch", wall,
+                          bytes=spec.total_input_bytes, level=spec.level)
         return BackendResult(outputs=stats.outputs,
                              input_bytes=spec.total_input_bytes,
                              wall_seconds=wall,
@@ -259,15 +269,17 @@ class BatchBackend(AcceleratorBackend):
 
 def make_backends(device: FcaeDevice, options: Options,
                   comparator: InternalKeyComparator,
-                  cpu_model: CpuCostModel) -> dict[str, AcceleratorBackend]:
-    """The scheduler's standard backend registry.
+                  cpu_model: CpuCostModel,
+                  tracer=None) -> dict[str, AcceleratorBackend]:
+    """The scheduler's standard backend registry; every backend records
+    its modeled phases on ``tracer``.
 
     The batch backend shares the device's fault injector (when one is
     attached) so a fault schedule exercises every accelerator path.
     """
     return {backend.name: backend for backend in (
-        CpuBackend(options, comparator, cpu_model),
-        FpgaSimBackend(device),
+        CpuBackend(options, comparator, cpu_model, tracer=tracer),
+        FpgaSimBackend(device, tracer=tracer),
         BatchBackend(options, comparator,
-                     fault_injector=device.fault_injector),
+                     fault_injector=device.fault_injector, tracer=tracer),
     )}

@@ -83,7 +83,7 @@ class FcaeDevice:
         self.config = config
         #: Optional :class:`repro.host.faults.FaultInjector`; when set,
         #: ``compact`` consults it before touching device memory, so an
-        #: injected fault leaves no partial DMA/timeline state behind.
+        #: injected fault leaves no partial DMA/trace state behind.
         self.fault_injector = fault_injector
         self.options = options or Options()
         self.metrics = (metrics if metrics is not None
@@ -97,18 +97,17 @@ class FcaeDevice:
                               if self.metrics is not None else None)
 
     def compact(self, inputs: list[list[TableReader]],
-                drop_deletions: bool = False) -> DeviceResult:
+                drop_deletions: bool = False, tracer=None) -> DeviceResult:
         """Offload one merge compaction.
 
         ``inputs[i]`` is input *i*'s SSTables in key order.
 
-        When a :class:`repro.obs.TimelineRecorder` is installed, the
-        host-side phases are merged into the same unified trace as the
-        kernel's pipeline events: ``marshal`` and the two DMAs become
-        intervals on the ``host`` process, laid out back-to-back on the
-        modeled clock, and the engine's kernel run lands between them —
-        exactly the marshal → pcie_in → kernel → pcie_out sequence the
-        scheduler's phase metrics aggregate.
+        Every modeled phase is recorded once on ``tracer`` (default: the
+        installed one), in the order it happens on the modeled clock:
+        ``phase:marshal``, ``phase:pcie_in``, the engine's ``kernel_run``
+        (with its per-module intervals when the tracer records tracks)
+        and ``phase:pcie_out`` — the sequence the scheduler's phase
+        metrics aggregate.
         """
         from repro import obs
 
@@ -116,50 +115,24 @@ class FcaeDevice:
             self.fault_injector.check(
                 sum(t.file_size for tables in inputs for t in tables),
                 backend="fpga-sim")
-
-        timeline = obs.current_timeline()
-        # The trace id propagated through the driver's task queue: stamp
-        # it on the DMA/marshal intervals so Perfetto can correlate one
-        # compaction's host spans with its timeline intervals.
-        ctx = obs.current_tracer().current_context()
-        trace_id = ctx.trace_id if ctx is not None else None
+        tracer = obs.resolve_tracer(tracer)
 
         dram = Dram(size=self.dram_size)
         image = marshal_inputs(dram, self.config, inputs)
         input_bytes = image.total_bytes
         marshal_seconds = self.cpu_model.offload_seconds(input_bytes)
         pcie_in = self.pcie.transfer_seconds(input_bytes)
+        tracer.phase("phase:marshal", marshal_seconds, bytes=input_bytes)
+        self._trace_dma(tracer, "phase:pcie_in", input_bytes, pcie_in)
 
-        if timeline is not None:
-            t0 = timeline.cursor_us
-            setup, wire = self.pcie.transfer_breakdown(input_bytes)
-            timeline.interval(
-                "host", "scheduler", "marshal", t0,
-                t0 + marshal_seconds * 1e6,
-                {"bytes": input_bytes, "trace": trace_id})
-            timeline.interval(
-                "host", "pcie", "dma_in", t0 + marshal_seconds * 1e6,
-                t0 + (marshal_seconds + pcie_in) * 1e6,
-                {"bytes": input_bytes, "setup_us": setup * 1e6,
-                 "wire_us": wire * 1e6, "trace": trace_id})
-            # The kernel run (timed inside the engine) starts here.
-            timeline.advance_to(t0 + (marshal_seconds + pcie_in) * 1e6)
-
-        engine_result = self.engine.run(dram, image.layouts, drop_deletions)
+        engine_result = self.engine.run(dram, image.layouts, drop_deletions,
+                                        tracer=tracer)
 
         output_base = self.dram_size // 2
         meta_out_image, output_bytes = write_outputs(
             dram, self.config, engine_result.outputs, output_base)
         pcie_out = self.pcie.transfer_seconds(output_bytes)
-
-        if timeline is not None:
-            t1 = timeline.cursor_us  # kernel end
-            setup, wire = self.pcie.transfer_breakdown(output_bytes)
-            timeline.interval(
-                "host", "pcie", "dma_out", t1, t1 + pcie_out * 1e6,
-                {"bytes": output_bytes, "setup_us": setup * 1e6,
-                 "wire_us": wire * 1e6, "trace": trace_id})
-            timeline.advance_to(t1 + pcie_out * 1e6)
+        self._trace_dma(tracer, "phase:pcie_out", output_bytes, pcie_out)
 
         if self._pcie_metrics is not None:
             self._pcie_metrics.record("in", input_bytes, pcie_in)
@@ -176,3 +149,9 @@ class FcaeDevice:
             input_bytes=input_bytes,
             output_bytes=output_bytes,
         )
+
+    def _trace_dma(self, tracer, name: str, size: int,
+                   seconds: float) -> None:
+        setup, wire = self.pcie.transfer_breakdown(size)
+        tracer.phase(name, seconds, bytes=size, setup_us=setup * 1e6,
+                     wire_us=wire * 1e6)

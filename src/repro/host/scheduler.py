@@ -205,14 +205,15 @@ class CompactionScheduler:
         self.device = device
         self.options = options or device.options
         self.comparator = InternalKeyComparator(self.options.comparator)
+        self.tracer = resolve_tracer(tracer)
         self.backends = backends or make_backends(
-            device, self.options, self.comparator, device.cpu_model)
+            device, self.options, self.comparator, device.cpu_model,
+            tracer=self.tracer)
         if "cpu" not in self.backends:
             raise ValueError("backend registry must include 'cpu' "
                              "(the terminal fallback target)")
         self.max_retries = max(0, max_retries)
         self.metrics = resolve_registry(metrics)
-        self.tracer = resolve_tracer(tracer)
         self._m = SchedulerMetrics(self.metrics,
                                    inst=self.metrics.instance_label())
         self.stats = SchedulerStats(self._m)
@@ -341,19 +342,6 @@ class CompactionScheduler:
         self._m.backend_seconds[backend.name].inc(result.wall_seconds)
         for phase, seconds in result.phase_seconds.items():
             self._m.phase_seconds[phase].inc(seconds)
-            self.tracer.phase(f"phase:{phase}", seconds)
-        modeled = result.phase_seconds.get("software")
-        if modeled is not None:
-            timeline = obs.current_timeline()
-            if timeline is not None:
-                # Software merges join the unified trace on the host
-                # track, on the modeled harness-CPU clock.
-                t0 = timeline.cursor_us
-                timeline.interval(
-                    "host", "scheduler", "software_merge", t0,
-                    t0 + modeled * 1e6,
-                    {"bytes": spec.total_input_bytes, "level": spec.level})
-                timeline.advance_to(t0 + modeled * 1e6)
         if backend.name != "cpu":
             self._verify(result.outputs)
         return result.outputs

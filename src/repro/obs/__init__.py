@@ -9,15 +9,18 @@ substrate those numbers flow through:
   fixed-bucket histograms, grouped into named families;
 * :mod:`repro.obs.names` — the canonical family table (``lsm_*``,
   ``scheduler_*``, ``fpga_pcie_*``, ``fpga_pipeline_*``) and binders;
-* :mod:`repro.obs.tracing` — nested spans over wall-clock and simulated
+* :mod:`repro.obs.tracing` — nested spans over wall-clock and modeled
   time, streamed as JSONL, with trace-context propagation across the
-  async driver's thread boundaries;
+  async driver's thread boundaries; the pipeline simulator's per-module
+  intervals and FIFO counters on the modeled clock (opt-in), and the one
+  Chrome trace-event exporter (Perfetto / ``chrome://tracing``);
 * :mod:`repro.obs.events` — the flight recorder: an append-only JSONL
   event journal of flushes, compactions, stalls and faults (each
   flush, compaction or stall one episode span), with a replay loader;
 * :mod:`repro.obs.schema` — the journal's event schema, stdlib only;
-* :mod:`repro.obs.window` — sliding-window histograms for per-interval
-  tail latency (p50/p95/p99/p999);
+* :mod:`repro.obs.window` — the slot-stamped sliding-window ring:
+  per-interval tail latency (p50/p95/p99/p999) and the SLO engine's
+  good/bad counts;
 * :mod:`repro.obs.opobserver` — the store's per-operation telemetry
   (latency windows, tenant counters, SLO scoring), off its mutex;
 * :mod:`repro.obs.exposition` — Prometheus text format (and a parser);
@@ -27,8 +30,6 @@ substrate those numbers flow through:
   accounting and multi-window burn-rate alerts over the journal;
 * :mod:`repro.obs.dashboard` — the ``lsm top`` terminal dashboard
   rendered from registry snapshots;
-* :mod:`repro.obs.timeline` — bounded-memory pipeline event intervals
-  with Chrome trace-event export (Perfetto / ``chrome://tracing``);
 * :mod:`repro.obs.profile` — critical-path attribution of kernel runs
   (which module bounds throughput) and the ``--profile`` report.
 
@@ -101,56 +102,44 @@ from repro.obs.slo import (
     BurnPolicy,
     SloEngine,
     SloSpec,
-    WindowedCounter,
     build_engine,
     parse_slo_specs,
 )
 from repro.obs.dashboard import render_dashboard, run_dashboard
-from repro.obs.timeline import TimelineRecorder
 
 _installed_registry: Optional[MetricsRegistry] = None
 _installed_tracer: Optional[Tracer] = None
-_installed_timeline: Optional[TimelineRecorder] = None
 _installed_events: Optional[EventJournal] = None
 
 
 def install(registry: Optional[MetricsRegistry] = None,
             tracer: Optional[Tracer] = None,
-            timeline: Optional[TimelineRecorder] = None,
             events: Optional[EventJournal] = None) -> tuple:
     """Install process-wide defaults; returns a token for
     :func:`uninstall` (the previous tuple)."""
-    global _installed_registry, _installed_tracer
-    global _installed_timeline, _installed_events
-    token = (_installed_registry, _installed_tracer, _installed_timeline,
-             _installed_events)
+    global _installed_registry, _installed_tracer, _installed_events
+    token = (_installed_registry, _installed_tracer, _installed_events)
     if registry is not None:
         _installed_registry = registry
     if tracer is not None:
         _installed_tracer = tracer
-    if timeline is not None:
-        _installed_timeline = timeline
     if events is not None:
         _installed_events = events
     return token
 
 
-def uninstall(token: tuple = (None, None, None, None)) -> None:
+def uninstall(token: tuple = (None, None, None)) -> None:
     """Restore the defaults captured by :func:`install`."""
-    global _installed_registry, _installed_tracer
-    global _installed_timeline, _installed_events
-    (_installed_registry, _installed_tracer, _installed_timeline,
-     _installed_events) = token
+    global _installed_registry, _installed_tracer, _installed_events
+    _installed_registry, _installed_tracer, _installed_events = token
 
 
 @contextmanager
 def scoped(registry: Optional[MetricsRegistry] = None,
            tracer: Optional[Tracer] = None,
-           timeline: Optional[TimelineRecorder] = None,
            events: Optional[EventJournal] = None) -> Iterator[None]:
     """Temporarily install default sinks."""
-    token = install(registry=registry, tracer=tracer, timeline=timeline,
-                    events=events)
+    token = install(registry=registry, tracer=tracer, events=events)
     try:
         yield
     finally:
@@ -186,8 +175,8 @@ class FlagSinks:
         self._out = out
 
     @contextmanager
-    def installed(self, want_registry: bool = False,
-                  timeline=None) -> Iterator[Optional[MetricsRegistry]]:
+    def installed(self, want_registry: bool = False
+                  ) -> Iterator[Optional[MetricsRegistry]]:
         """Install the sinks process-wide around one run.  Yields that
         run's fresh registry (every family pre-registered), or None when
         no flag — nor ``want_registry`` — needs one."""
@@ -198,7 +187,7 @@ class FlagSinks:
             registry = MetricsRegistry()
             names.register_all(registry)
         with scoped(registry=registry, tracer=self.tracer,
-                    timeline=timeline, events=self.events):
+                    events=self.events):
             yield registry
 
     def write_metrics(self, registry, path: Optional[str] = None) -> int:
@@ -221,16 +210,18 @@ class FlagSinks:
 
 
 @contextmanager
-def flag_sinks(args, out) -> Iterator[FlagSinks]:
+def flag_sinks(args, out, tracks: bool = False) -> Iterator[FlagSinks]:
     """Open the span tracer and event journal the :func:`add_sink_flags`
-    flags in ``args`` name; they live for the whole command.  On exit
+    flags in ``args`` name (with ``tracks``, a track-recording tracer
+    that keeps its records); they live for the whole command.  On exit
     close them and say on ``out`` where they went.  Raises
     :class:`SinkError` when a path cannot be opened."""
     tracer = events = None
     try:
         try:
-            if args.trace_out:
-                tracer = Tracer(sink_path=args.trace_out, keep_spans=False)
+            if args.trace_out or tracks:
+                tracer = Tracer(sink_path=args.trace_out, keep_spans=tracks,
+                                tracks=tracks)
             if args.events_out:
                 events = EventJournal(sink_path=args.events_out,
                                       keep_events=False)
@@ -241,7 +232,8 @@ def flag_sinks(args, out) -> Iterator[FlagSinks]:
     finally:
         if tracer is not None:
             tracer.close()
-            print(f"trace written to {args.trace_out}", file=out)
+            if args.trace_out:
+                print(f"trace written to {args.trace_out}", file=out)
         if events is not None:
             events.close()
             print(f"events written to {args.events_out}", file=out)
@@ -250,11 +242,6 @@ def flag_sinks(args, out) -> Iterator[FlagSinks]:
 def current_registry() -> Optional[MetricsRegistry]:
     """The installed registry, or None (components then go private)."""
     return _installed_registry
-
-
-def current_timeline() -> Optional[TimelineRecorder]:
-    """The installed event timeline, or None (recording disabled)."""
-    return _installed_timeline
 
 
 def current_tracer() -> Tracer | NullTracer:
@@ -313,15 +300,12 @@ __all__ = [
     "SloEngine",
     "SloSpec",
     "Span",
-    "TimelineRecorder",
     "TraceContext",
     "Tracer",
-    "WindowedCounter",
     "WindowedHistogram",
     "add_sink_flags",
     "build_engine",
     "current_registry",
-    "current_timeline",
     "current_tracer",
     "episode",
     "flag_sinks",

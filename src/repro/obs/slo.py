@@ -8,14 +8,14 @@ answer to "are we violating the SLO, and how fast?":
   under 5 ms") or *availability* ("99.9% of ops succeed"), scoped to an
   operation and a tenant (``"*"`` wildcards).  Specs parse from plain
   dicts and ride into the store via ``Options.slo_specs``.
-* :class:`SloEngine` — per-(spec, tenant) good/bad accounting over a
-  sliding window ring, Google-SRE-style **multi-window multi-burn-rate**
-  alerting (the default policies pair a 5m/1h fast burn at 14.4x with a
-  1h/6h slow burn at 6x), and error-budget-remaining gauges.  Alert
-  transitions are emitted as ``slo_alert`` events into the journal;
-  tail violations that carry a trace id are emitted as ``exemplar``
-  events, closing the loop from "p99 violated" to the compaction or
-  stall span that caused it.
+* :class:`SloEngine` — per-(spec, tenant) good/bad accounting over
+  :mod:`repro.obs.window`'s sliding slot ring, Google-SRE-style
+  **multi-window multi-burn-rate** alerting (the default policies pair
+  a 5m/1h fast burn at 14.4x with a 1h/6h slow burn at 6x), and
+  error-budget-remaining gauges.  Alert transitions are emitted as
+  ``slo_alert`` events into the journal; tail violations that carry a
+  trace id are emitted as ``exemplar`` events, closing the loop from
+  "p99 violated" to the compaction or stall span that caused it.
 
 The engine runs on a pluggable clock: wall time in a live store,
 simulated time in the discrete-event simulators — burn windows slide on
@@ -34,18 +34,22 @@ window makes it not flap).
 
 from __future__ import annotations
 
-import math
 import threading
 import time
 from typing import Optional, Sequence
 
 from repro.errors import InvalidArgumentError
 from repro.obs.events import record
+from repro.obs.window import WindowedHistogram
 
 __all__ = [
     "BurnPolicy", "DEFAULT_POLICIES", "SloSpec", "SloEngine",
-    "WindowedCounter", "parse_slo_specs",
+    "parse_slo_specs",
 ]
+
+#: Good/bad as a two-bucket window: a good operation observes 0.0 (the
+#: first bucket), a bad one 1.0 (the overflow bucket).
+_GOOD_BAD_BUCKETS = (0.0,)
 
 
 class BurnPolicy:
@@ -231,76 +235,6 @@ def parse_slo_specs(specs) -> tuple:
 
 
 # ----------------------------------------------------------------------
-# Sliding good/bad accounting
-# ----------------------------------------------------------------------
-
-
-class _CounterSlice:
-    __slots__ = ("slot", "good", "bad")
-
-    def __init__(self):
-        self.slot = -1
-        self.good = 0
-        self.bad = 0
-
-
-class WindowedCounter:
-    """Slot-stamped ring of good/bad counts over a pluggable clock.
-
-    One ring covers the longest burn window at the resolution of the
-    shortest; :meth:`totals` then reads any sub-window out of the same
-    ring, so the fast and slow policies share storage.  Not internally
-    locked — the :class:`SloEngine` serializes access."""
-
-    __slots__ = ("_slice_seconds", "_clock", "_ring")
-
-    def __init__(self, horizon_seconds: float, slice_seconds: float,
-                 clock):
-        if horizon_seconds <= 0 or slice_seconds <= 0:
-            raise InvalidArgumentError(
-                "horizon and slice width must be positive")
-        self._slice_seconds = float(slice_seconds)
-        self._clock = clock
-        n = int(math.ceil(horizon_seconds / slice_seconds)) + 1
-        self._ring = [_CounterSlice() for _ in range(n)]
-
-    def _slice_for(self, slot: int) -> _CounterSlice:
-        entry = self._ring[slot % len(self._ring)]
-        if entry.slot != slot:
-            entry.slot = slot
-            entry.good = 0
-            entry.bad = 0
-        return entry
-
-    def add(self, good: int = 0, bad: int = 0) -> None:
-        slot = int(self._clock() / self._slice_seconds)
-        entry = self._slice_for(slot)
-        entry.good += good
-        entry.bad += bad
-
-    def totals(self, window_seconds: float) -> tuple[int, int]:
-        """``(good, bad)`` over the trailing ``window_seconds``."""
-        now_slot = int(self._clock() / self._slice_seconds)
-        span = int(math.ceil(window_seconds / self._slice_seconds))
-        span = min(span, len(self._ring))
-        oldest = now_slot - span + 1
-        good = bad = 0
-        for entry in self._ring:
-            if oldest <= entry.slot <= now_slot:
-                good += entry.good
-                bad += entry.bad
-        return good, bad
-
-    def bad_fraction(self, window_seconds: float) -> Optional[float]:
-        """Bad fraction over the window, ``None`` when no samples."""
-        good, bad = self.totals(window_seconds)
-        total = good + bad
-        if total == 0:
-            return None
-        return bad / total
-
-
-# ----------------------------------------------------------------------
 # The engine
 # ----------------------------------------------------------------------
 
@@ -354,8 +288,8 @@ class SloEngine:
         self._horizon = max(p.long_seconds for s in self.specs
                             for p in s.policies)
         self._slice_seconds = shortest / 5.0
-        # (spec index, tenant) -> WindowedCounter
-        self._counters: dict[tuple[int, str], WindowedCounter] = {}
+        # (spec index, tenant) -> good/bad ring
+        self._rings: dict[tuple[int, str], WindowedHistogram] = {}
         # (spec index, tenant, policy name) -> currently firing?
         self._alert_state: dict[tuple[int, str, str], bool] = {}
         self._last_eval = float("-inf")
@@ -380,14 +314,18 @@ class SloEngine:
                       and s.matches(op, tenant)]
         return min(thresholds) if thresholds else None
 
-    def _counter_for(self, index: int, tenant: str) -> WindowedCounter:
+    def _ring_for(self, index: int, tenant: str) -> WindowedHistogram:
+        """The ``(spec, tenant)`` good/bad ring: it covers the longest
+        burn window at the resolution of the shortest, and every policy
+        window is read out of it."""
         key = (index, tenant)
-        counter = self._counters.get(key)
-        if counter is None:
-            counter = WindowedCounter(self._horizon, self._slice_seconds,
-                                      self._clock)
-            self._counters[key] = counter
-        return counter
+        ring = self._rings.get(key)
+        if ring is None:
+            ring = WindowedHistogram(
+                self._horizon, buckets=_GOOD_BAD_BUCKETS, clock=self._clock,
+                slice_seconds=self._slice_seconds)
+            self._rings[key] = ring
+        return ring
 
     def _count_event(self, spec: SloSpec, tenant: str,
                      outcome: str) -> None:
@@ -416,8 +354,8 @@ class SloEngine:
                     bad = (not ok) or seconds > spec.threshold_seconds
                 else:
                     bad = not ok
-                self._counter_for(index, tenant).add(
-                    good=0 if bad else 1, bad=1 if bad else 0)
+                self._ring_for(index, tenant).observe(
+                    1.0 if bad else 0.0)
                 self._count_event(spec, tenant,
                                   "bad" if bad else "good")
                 if (bad and trace_id is not None
@@ -440,12 +378,12 @@ class SloEngine:
 
     # -- evaluation -----------------------------------------------------
 
-    def _burn_rate(self, counter: WindowedCounter, spec: SloSpec,
+    def _burn_rate(self, ring: WindowedHistogram, spec: SloSpec,
                    window_seconds: float) -> Optional[float]:
-        fraction = counter.bad_fraction(window_seconds)
-        if fraction is None:
+        (_, bad), _, total = ring.snapshot(window_seconds)
+        if total == 0:
             return None
-        return fraction / spec.error_budget
+        return bad / total / spec.error_budget
 
     def _count_alert(self, spec: SloSpec, tenant: str, policy: str,
                      state: str) -> None:
@@ -469,10 +407,10 @@ class SloEngine:
         transitions = []
         with self._lock:
             self._last_eval = self._clock()
-            for (index, tenant), counter in self._counters.items():
+            for (index, tenant), ring in self._rings.items():
                 spec = self.specs[index]
                 longest = max(p.long_seconds for p in spec.policies)
-                long_burn = self._burn_rate(counter, spec, longest)
+                long_burn = self._burn_rate(ring, spec, longest)
                 if self._registry is not None and long_burn is not None:
                     self._registry.gauge(
                         "slo_error_budget_remaining",
@@ -481,9 +419,9 @@ class SloEngine:
                         slo=spec.name, tenant=tenant,
                     ).set(max(0.0, 1.0 - long_burn))
                 for policy in spec.policies:
-                    burn_short = self._burn_rate(counter, spec,
+                    burn_short = self._burn_rate(ring, spec,
                                                  policy.short_seconds)
-                    burn_long = self._burn_rate(counter, spec,
+                    burn_long = self._burn_rate(ring, spec,
                                                 policy.long_seconds)
                     if self._registry is not None:
                         for window, burn in (("short", burn_short),
@@ -535,7 +473,7 @@ class SloEngine:
     def tenants(self) -> list[str]:
         """Tenants that have recorded at least one scored operation."""
         with self._lock:
-            return sorted({tenant for _, tenant in self._counters})
+            return sorted({tenant for _, tenant in self._rings})
 
 
 def build_engine(specs, registry=None, journals=(), clock=None,

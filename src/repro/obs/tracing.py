@@ -6,20 +6,25 @@ merge — against **both** clocks that matter in this repo:
 
 * **wall clock** (``time.perf_counter``): what the host actually spent;
 * **simulated time**: either read from a clock object attached to the
-  tracer, or supplied as a *modeled* duration by the cost models (PCIe
-  transfer seconds, kernel cycles → seconds) via :meth:`Tracer.phase`.
+  tracer, or *modeled*: a record a cost model or simulator places on a
+  ``track`` of the modeled clock (a pipeline module, a device phase, a
+  ``sim.*`` activity).  A monotonic cursor stitches modeled records into
+  one contiguous timeline: :meth:`Tracer.phase` starts at it, and every
+  modeled record moves it to its end.
 
 Finished spans stream to a JSONL sink (one object per line, children
 before parents because spans are emitted at completion) and/or accumulate
 in memory for assertions.  The schema per line::
 
-    {"type": "span", "id": 7, "parent": 5, "name": "phase:kernel",
+    {"type": "span", "id": 7, "parent": 5, "name": "kernel_run",
      "start_wall": ..., "end_wall": ..., "wall_seconds": ...,
      "start_sim": ..., "end_sim": ..., "sim_seconds": ...,
-     "attrs": {"level": 1, "route": "fpga"}}
+     "attrs": {"cycles": 1000.0}, "track": "kernel"}
 
 ``sim_seconds`` is the modeled duration when one was recorded, else the
-simulated-clock interval, else ``null``.
+simulated-clock interval, else ``null``; only modeled records have a
+``track``.  A ``"type": "counter"`` record is one sample (``attrs.value``
+at ``start_sim``) of a counter series.
 
 **Trace propagation.**  Work that crosses threads — a write kicks the
 background driver, a worker picks and runs the compaction — would
@@ -49,12 +54,19 @@ class TraceContext(NamedTuple):
     span_id: Optional[int]
 
 
+#: Default cap on retained records (tens of MB of Chrome JSON).
+DEFAULT_MAX_EVENTS = 250_000
+
+
 class Span:
     """One traced phase.  Mutable until its ``with`` block exits."""
 
     __slots__ = ("span_id", "parent_id", "trace_id", "name", "attrs",
                  "start_wall", "end_wall", "start_sim", "end_sim",
-                 "sim_seconds")
+                 "sim_seconds", "track")
+
+    #: The record's ``type`` in the JSONL schema.
+    kind = "span"
 
     def __init__(self, span_id: int, parent_id: Optional[int], name: str,
                  attrs: dict, trace_id: Optional[int] = None):
@@ -68,6 +80,8 @@ class Span:
         self.start_sim: Optional[float] = None
         self.end_sim: Optional[float] = None
         self.sim_seconds: Optional[float] = None
+        #: Modeled-clock track; None for a wall-clock span.
+        self.track: Optional[str] = None
 
     def set(self, **attrs) -> None:
         """Attach attributes to the span (route decision, byte counts)."""
@@ -81,8 +95,8 @@ class Span:
         sim_seconds = self.sim_seconds
         if sim_seconds is None and self.start_sim is not None:
             sim_seconds = (self.end_sim or self.start_sim) - self.start_sim
-        return {
-            "type": "span",
+        data = {
+            "type": self.kind,
             "id": self.span_id,
             "parent": self.parent_id,
             "trace": self.trace_id,
@@ -95,6 +109,16 @@ class Span:
             "sim_seconds": sim_seconds,
             "attrs": self.attrs,
         }
+        if self.track is not None:
+            data["track"] = self.track
+        return data
+
+
+class CounterSample(Span):
+    """One sample of a modeled counter series (KV-FIFO occupancy)."""
+
+    __slots__ = ()
+    kind = "counter"
 
 
 class _NullSpan:
@@ -124,6 +148,8 @@ class NullTracer:
     so instrumentation costs one method call on hot paths."""
 
     spans: list = []
+    tracks = False
+    sim_cursor = 0.0
 
     @contextmanager
     def span(self, name: str, **attrs) -> Iterator[_NullSpan]:
@@ -133,7 +159,7 @@ class NullTracer:
         return _NULL_SPAN
 
     def record_sim_span(self, name: str, sim_start: float, sim_end: float,
-                        **attrs) -> _NullSpan:
+                        track: Optional[str] = None, **attrs) -> _NullSpan:
         return _NULL_SPAN
 
     def mint_context(self) -> Optional[TraceContext]:
@@ -168,13 +194,25 @@ class Tracer:
     keep_spans:
         Retain finished spans in :attr:`spans` (on by default; turn off
         for long streaming runs to bound memory).
+    tracks:
+        Also record the pipeline simulator's per-module intervals and
+        FIFO counters (tens of thousands per benchmark; off by default).
+    max_events:
+        Retain at most this many records; later ones are counted in
+        :attr:`dropped_events` (and still streamed to the sink).
     """
 
     def __init__(self, sim_clock=None, sink_path: Optional[str] = None,
-                 sink: Optional[IO[str]] = None, keep_spans: bool = True):
+                 sink: Optional[IO[str]] = None, keep_spans: bool = True,
+                 tracks: bool = False,
+                 max_events: int = DEFAULT_MAX_EVENTS):
         self.sim_clock = sim_clock
         self.spans: list[Span] = []
         self.keep_spans = keep_spans
+        self.tracks = tracks
+        self.max_events = max_events
+        self.dropped_events = 0
+        self._sim_cursor = 0.0
         self._ids = itertools.count(1)
         self._trace_ids = itertools.count(1)
         self._lock = threading.Lock()
@@ -245,27 +283,46 @@ class Tracer:
         finally:
             stack.pop()
 
-    def _new_span(self, name: str, attrs: dict) -> Span:
+    def _new_span(self, name: str, attrs: dict, cls=Span) -> Span:
         parent = self.current_span
         if parent is not None:
-            return Span(next(self._ids), parent.span_id, name, attrs,
-                        trace_id=parent.trace_id)
+            return cls(next(self._ids), parent.span_id, name, attrs,
+                       trace_id=parent.trace_id)
         ctx_stack = self._ctx_stack()
         if ctx_stack:
             ctx = ctx_stack[-1]
-            return Span(next(self._ids), ctx.span_id, name, attrs,
-                        trace_id=ctx.trace_id)
-        return Span(next(self._ids), None, name, attrs)
+            return cls(next(self._ids), ctx.span_id, name, attrs,
+                       trace_id=ctx.trace_id)
+        return cls(next(self._ids), None, name, attrs)
 
     def _sim_now(self) -> Optional[float]:
         return self.sim_clock.now if self.sim_clock is not None else None
 
+    @property
+    def sim_cursor(self) -> float:
+        """End of the latest modeled record: where the next
+        :meth:`phase` starts.  Never moves backward."""
+        return self._sim_cursor
+
     def _record(self, span: Span) -> None:
         with self._lock:
+            if span.track is not None and span.end_sim > self._sim_cursor:
+                self._sim_cursor = span.end_sim
             if self.keep_spans:
-                self.spans.append(span)
+                if len(self.spans) < self.max_events:
+                    self.spans.append(span)
+                else:
+                    self.dropped_events += 1
             if self._sink is not None:
                 self._sink.write(json.dumps(span.to_dict()) + "\n")
+
+    def clear(self) -> None:
+        """Forget retained records and rewind the modeled clock: the
+        next run starts a fresh timeline (the sink keeps streaming)."""
+        with self._lock:
+            self.spans = []
+            self.dropped_events = 0
+            self._sim_cursor = 0.0
 
     # ------------------------------------------------------------------
     # Recording API
@@ -288,27 +345,35 @@ class Tracer:
 
     def phase(self, name: str, seconds: float, **attrs) -> Span:
         """Record a *modeled* phase under the current span: a completed
-        child whose duration comes from a cost model (PCIe DMA time,
-        kernel cycles → seconds) rather than from a clock."""
-        span = self._new_span(name, attrs)
-        now = time.perf_counter()
-        span.start_wall = span.end_wall = now
-        span.start_sim = span.end_sim = self._sim_now()
-        span.sim_seconds = float(seconds)
-        self._record(span)
-        return span
+        child whose duration comes from a cost model (marshal, PCIe DMA,
+        a software merge) rather than from a clock.  It starts at the
+        modeled cursor, on the track of its own name."""
+        with self._lock:
+            start = self._sim_cursor
+            self._sim_cursor = start + seconds
+        return self._record_sim(name, start, start + seconds, name, attrs)
 
     def record_sim_span(self, name: str, sim_start: float, sim_end: float,
-                        **attrs) -> Span:
-        """Record a completed span positioned on the simulated timeline
-        (used by the discrete-event system simulator, whose phases do
-        not occupy wall-clock time)."""
-        span = self._new_span(name, attrs)
-        now = time.perf_counter()
-        span.start_wall = span.end_wall = now
-        span.start_sim = float(sim_start)
-        span.end_sim = float(sim_end)
-        span.sim_seconds = float(sim_end) - float(sim_start)
+                        track: Optional[str] = None, **attrs) -> Span:
+        """Record a completed span positioned on the modeled clock (the
+        pipeline simulator's intervals, the discrete-event simulator's
+        flushes and compactions), on ``track`` (default: its name)."""
+        return self._record_sim(name, sim_start, sim_end, track or name,
+                                attrs)
+
+    def counter(self, name: str, sim_at: float, value: float) -> None:
+        """One sample of the modeled counter series ``name``."""
+        self._record_sim(name, sim_at, sim_at, name, {"value": value},
+                         CounterSample)
+
+    def _record_sim(self, name: str, start: float, end: float, track: str,
+                    attrs: dict, cls=Span) -> Span:
+        span = self._new_span(name, attrs, cls)
+        span.start_wall = span.end_wall = time.perf_counter()
+        span.start_sim = float(start)
+        span.end_sim = float(end)
+        span.sim_seconds = span.end_sim - span.start_sim
+        span.track = track
         self._record(span)
         return span
 
@@ -325,9 +390,11 @@ class Tracer:
 
     def write_chrome_trace(self, path: str) -> None:
         """Dump retained spans as a Chrome trace-event file."""
+        trace = spans_to_chrome_trace(
+            [span.to_dict() for span in self.spans],
+            dropped_events=self.dropped_events)
         with open(path, "w") as handle:
-            json.dump(spans_to_chrome_trace(
-                [span.to_dict() for span in self.spans]), handle)
+            handle.write(json.dumps(trace))  # dumps: the C encoder
 
     def close(self) -> None:
         if self._sink is not None and self._owns_sink:
@@ -335,40 +402,87 @@ class Tracer:
         self._sink = None
 
 
-def spans_to_chrome_trace(events: list[dict]) -> dict:
+def spans_to_chrome_trace(events: list[dict],
+                          dropped_events: int = 0) -> dict:
     """Convert span dicts (from :meth:`Tracer.spans` / a JSONL sink) to
-    the Chrome trace-event format.
+    the Chrome trace-event format (Perfetto / ``chrome://tracing``).
 
-    Spans are placed on the wall-clock timeline relative to the earliest
-    span; modeled phases (zero wall duration, ``sim_seconds`` set) render
-    with their modeled duration.  Each event's ``args`` carries the
-    span's attrs plus ``trace``/``span``/``parent`` ids, so Perfetto can
-    filter one compaction's host/DMA/kernel spans by trace id."""
-    spans = [e for e in events if e.get("type") == "span"]
-    origin = min((s["start_wall"] for s in spans), default=0.0)
+    Wall-clock spans are placed on process ``host``, track ``spans``,
+    relative to the earliest one.  Modeled records (those with a
+    ``track``) are placed on process ``model`` at their modeled-clock
+    microseconds, one named track per module or phase (plus a lane per
+    concurrent interval), sorted by time; counter samples become
+    ``"C"`` events.  Each span's ``args`` carries
+    its attrs plus ``trace``/``span``/``parent`` ids, so Perfetto can
+    filter one compaction's host/DMA/kernel spans by trace id.
+    ``dropped_events`` (records a full tracer did not keep) is reported
+    in ``otherData``."""
+    origin = min((e["start_wall"] for e in events
+                  if e.get("type") == "span" and e.get("track") is None),
+                 default=0.0)
     trace_events: list[dict] = [
         {"ph": "M", "pid": "host", "name": "process_name",
          "args": {"name": "repro tracer"}},
     ]
-    for span in spans:
-        wall = span.get("wall_seconds") or 0.0
-        dur_us = wall * 1e6
-        if dur_us <= 0 and span.get("sim_seconds"):
-            dur_us = span["sim_seconds"] * 1e6
+    modeled: list[dict] = []
+    for span in events:
+        track = span.get("track")
+        if span.get("type") == "counter":
+            modeled.append({"ph": "C", "pid": "model", "name": track,
+                            "ts": span["start_sim"] * 1e6,
+                            "args": span["attrs"]})
+            continue
+        if span.get("type") != "span":
+            continue
         args = dict(span.get("attrs") or {})
-        args["span"] = span.get("id")
-        args["parent"] = span.get("parent")
-        args["trace"] = span.get("trace")
-        trace_events.append({
-            "ph": "X", "pid": "host", "tid": "spans",
-            "name": span.get("name", "?"),
-            "ts": (span["start_wall"] - origin) * 1e6,
-            "dur": dur_us,
-            "args": args,
-        })
+        args.update(span=span.get("id"), parent=span.get("parent"),
+                    trace=span.get("trace"))
+        if track is None:
+            trace_events.append({
+                "ph": "X", "pid": "host", "tid": "spans",
+                "name": span.get("name", "?"),
+                "ts": (span["start_wall"] - origin) * 1e6,
+                "dur": (span.get("wall_seconds") or 0.0) * 1e6,
+                "args": args})
+            continue
+        modeled.append({
+            "ph": "X", "pid": "model", "tid": track,
+            "name": span.get("name", "?"), "ts": span["start_sim"] * 1e6,
+            "dur": (span["end_sim"] - span["start_sim"]) * 1e6,
+            "args": args})
+    modeled.sort(key=lambda e: (e["ts"], e.get("dur", 0.0)))
+    # Concurrent work on one track (parallel compactions in the system
+    # simulator, two threads' kernel runs) gets a further lane, so no
+    # lane's intervals overlap.
+    lane_ends: dict[str, list[float]] = {}
+    threads: list[str] = []
+    for event in modeled:
+        if event["ph"] != "X":
+            continue
+        ends = lane_ends.setdefault(event["tid"], [])
+        lane = next((i for i, end in enumerate(ends)
+                     if end <= event["ts"] + 1e-6), len(ends))
+        if lane == len(ends):
+            ends.append(0.0)
+            threads.append(event["tid"] + (f" #{lane + 1}" if lane else ""))
+        ends[lane] = event["ts"] + event["dur"]
+        if lane:
+            event["tid"] += f" #{lane + 1}"
+    if modeled:
+        trace_events.append({"ph": "M", "pid": "model",
+                             "name": "process_name",
+                             "args": {"name": "modeled clock"}})
+        trace_events.extend(
+            {"ph": "M", "pid": "model", "tid": thread,
+             "name": "thread_name", "args": {"name": thread}}
+            for thread in threads)
+        trace_events.extend(modeled)
+    other = {"source": "repro.obs.tracing"}
+    if dropped_events:
+        other["dropped_events"] = dropped_events
     return {"traceEvents": trace_events,
             "displayTimeUnit": "ms",
-            "otherData": {"source": "repro.obs.tracing"}}
+            "otherData": other}
 
 
 def read_jsonl(path: str) -> list[dict]:

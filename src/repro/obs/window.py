@@ -7,7 +7,8 @@ time-sliced fixed-bucket histograms over a clock (wall by default, a
 simulated clock in the discrete-event simulators): observations land in
 the slice covering ``now``, reads merge the slices still inside the
 window, and slices older than the window are recycled in place — memory
-is O(slices × buckets) regardless of rate.
+is O(slices × buckets) regardless of rate.  A read may ask for a
+trailing sub-window (the SLO engine's burn windows).
 
 Percentiles are computed from the merged cumulative bucket counts with
 linear interpolation inside the winning bucket, so for a fixed window
@@ -20,8 +21,10 @@ scrapes pay the merge cost, not the hot path.
 
 from __future__ import annotations
 
+import math
 import threading
 import time
+from bisect import bisect_left
 from typing import Optional, Sequence
 
 from collections import deque
@@ -71,6 +74,10 @@ class WindowedHistogram:
         Width of the window observations remain visible for.
     slices:
         Ring granularity; expiry resolution is ``window / slices``.
+    slice_seconds:
+        Slice width given directly instead of ``slices``: the ring then
+        holds one slice more than the window, so a caller's slot
+        boundaries are exactly its own.
     buckets:
         Ascending upper bounds (defaults to the registry's
         ``SECONDS_BUCKETS``).
@@ -89,9 +96,11 @@ class WindowedHistogram:
     def __init__(self, window_seconds: float = 60.0, slices: int = 6,
                  buckets: Optional[Sequence[float]] = None, clock=None,
                  exemplar_threshold: Optional[float] = None,
-                 exemplar_capacity: int = 16):
-        if window_seconds <= 0:
-            raise InvalidArgumentError("window_seconds must be positive")
+                 exemplar_capacity: int = 16,
+                 slice_seconds: Optional[float] = None):
+        if window_seconds <= 0 or (slice_seconds is not None
+                                   and slice_seconds <= 0):
+            raise InvalidArgumentError("window and slice must be positive")
         if slices <= 0:
             raise InvalidArgumentError("slices must be positive")
         if exemplar_capacity <= 0:
@@ -101,7 +110,11 @@ class WindowedHistogram:
                              else SECONDS_BUCKETS)
         if any(b2 <= b1 for b1, b2 in zip(self.buckets, self.buckets[1:])):
             raise InvalidArgumentError("buckets must be strictly ascending")
-        self._slice_seconds = self.window_seconds / slices
+        if slice_seconds is None:
+            self._slice_seconds = self.window_seconds / slices
+        else:
+            self._slice_seconds = float(slice_seconds)
+            slices = math.ceil(self.window_seconds / slice_seconds) + 1
         self._clock = clock if clock is not None else time.monotonic
         self._lock = threading.Lock()
         self._ring = [_Slice(len(self.buckets)) for _ in range(slices)]
@@ -122,7 +135,7 @@ class WindowedHistogram:
                 trace_id: Optional[str] = None) -> None:
         now = self._clock()
         slot = int(now / self._slice_seconds)
-        index = self._bucket_index(value)
+        index = bisect_left(self.buckets, value)  # upper bounds (le)
         with self._lock:
             entry = self._slice_for(slot)
             entry.counts[index] += 1
@@ -138,33 +151,28 @@ class WindowedHistogram:
         with self._lock:
             return list(self._exemplars)
 
-    def _bucket_index(self, value: float) -> int:
-        # bisect over a short tuple; buckets are upper bounds (le).
-        lo, hi = 0, len(self.buckets)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if self.buckets[mid] < value:
-                lo = mid + 1
-            else:
-                hi = mid
-        return lo
-
     # ------------------------------------------------------------------
     # Reading
     # ------------------------------------------------------------------
 
-    def _live_slices(self) -> list[_Slice]:
+    def _live_slices(self, window_seconds: Optional[float]
+                     ) -> list[_Slice]:
         now_slot = int(self._clock() / self._slice_seconds)
-        oldest = now_slot - len(self._ring) + 1
+        span = len(self._ring)
+        if window_seconds is not None:
+            span = min(span, math.ceil(window_seconds / self._slice_seconds))
+        oldest = now_slot - span + 1
         return [entry for entry in self._ring
                 if oldest <= entry.slot <= now_slot]
 
-    def snapshot(self) -> tuple[list[int], float, int]:
-        """Merged ``(bucket_counts, sum, count)`` of the live window."""
+    def snapshot(self, window_seconds: Optional[float] = None
+                 ) -> tuple[list[int], float, int]:
+        """Merged ``(bucket_counts, sum, count)`` of the live window, or
+        of its trailing ``window_seconds`` (whole slices)."""
         with self._lock:
             merged = [0] * (len(self.buckets) + 1)
             total_sum, total_count = 0.0, 0
-            for entry in self._live_slices():
+            for entry in self._live_slices(window_seconds):
                 for i, n in enumerate(entry.counts):
                     merged[i] += n
                 total_sum += entry.sum

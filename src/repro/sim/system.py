@@ -189,6 +189,9 @@ class SystemSimulator:
         tracer = obs.current_tracer()
         #: None when spans would go to the no-op tracer
         self._tracer = None if isinstance(tracer, obs.NullTracer) else tracer
+        #: This run's time 0 on the tracer's modeled clock: consecutive
+        #: simulations follow each other instead of overlapping.
+        self._trace_origin = tracer.sim_cursor
         registry = obs.current_registry()
         self._stall_hist = None
         self._stall_window = None
@@ -282,6 +285,11 @@ class SystemSimulator:
             heapq.heappush(self._inflight, (finish, self._scheduled,
                                             _Inflight(finish, task)))
 
+    def _trace_span(self, name: str, start: float, end: float,
+                    **attrs) -> None:
+        self._tracer.record_sim_span(name, self._trace_origin + start,
+                                     self._trace_origin + end, **attrs)
+
     def _run_software_task(self, task: ModelCompactionTask, now: float,
                            on_writer_core: bool) -> float:
         duration = self.cpu.system_compaction_seconds(
@@ -302,10 +310,10 @@ class SystemSimulator:
                                              task.output_bytes)
         finish = max(core_end, write_done)
         if self._tracer is not None:
-            self._tracer.record_sim_span(
-                "sim.compaction", start, finish, route="software",
-                level=task.level, input_bytes=task.input_bytes,
-                on_writer_core=on_writer_core)
+            self._trace_span("sim.compaction", start, finish,
+                             route="software", level=task.level,
+                             input_bytes=task.input_bytes,
+                             on_writer_core=on_writer_core)
         return finish
 
     def _run_fpga_task(self, task: ModelCompactionTask, now: float) -> float:
@@ -333,11 +341,12 @@ class SystemSimulator:
         self.result.pcie_seconds += pcie_in + pcie_out
         finish = max(out_ready, write_done)
         if self._tracer is not None:
-            self._tracer.record_sim_span(
-                "sim.compaction", start, finish, route="fpga", unit=unit,
-                level=task.level, input_bytes=task.input_bytes,
-                kernel_seconds=kernel, pcie_seconds=pcie_in + pcie_out,
-                marshal_seconds=marshal)
+            self._trace_span("sim.compaction", start, finish, route="fpga",
+                             unit=unit, level=task.level,
+                             input_bytes=task.input_bytes,
+                             kernel_seconds=kernel,
+                             pcie_seconds=pcie_in + pcie_out,
+                             marshal_seconds=marshal)
         return finish
 
     # ------------------------------------------------------------------
@@ -385,8 +394,8 @@ class SystemSimulator:
         self.result.memtables_flushed += 1
         self._on_flush(start, flush_finish)
         if self._tracer is not None:
-            self._tracer.record_sim_span(
-                "sim.flush", start, flush_finish, bytes=self._l0_file_bytes)
+            self._trace_span("sim.flush", start, flush_finish,
+                             bytes=self._l0_file_bytes)
         self.model.add_l0_file(self._l0_file_bytes)
         self._schedule_compactions(flush_finish)
 

@@ -32,7 +32,8 @@ def fig12_outputs(tmp_path_factory):
     trace_path = str(tmp / "t.jsonl")
     assert bench_main(["fig12", "--scale", "0.05",
                        "--metrics-out", metrics_path,
-                       "--trace-out", trace_path]) == 0
+                       "--trace-out", trace_path,
+                       "--profile", str(tmp / "p.json")]) == 0
     return metrics_path, trace_path
 
 
@@ -48,31 +49,40 @@ class TestBenchAcceptance:
 
     def test_trace_spans_nest(self, fig12_outputs):
         _, trace_path = fig12_outputs
-        events = read_jsonl(trace_path)
-        assert events, "trace is empty"
-        by_id = {e["id"]: e for e in events}
-        compactions = [e for e in events if e["name"] == "compaction"]
-        assert compactions
-        kernels = [e for e in events if e["name"] == "phase:kernel"]
-        assert kernels
-        for kernel in kernels:
-            assert by_id[kernel["parent"]]["name"] == "compaction"
+        check_spans_nest(read_jsonl(trace_path))
 
     def test_phase_totals_match_metrics_within_1pct(self, fig12_outputs):
         metrics_path, trace_path = fig12_outputs
-        events = read_jsonl(trace_path)
-        traced = sum(e["sim_seconds"] for e in events
-                     if e["name"] == "phase:kernel")
-        with open(metrics_path) as handle:
-            parsed = parse_prometheus_text(handle.read())
-        reported = sum(
-            parsed["samples"]["fpga_pipeline_kernel_seconds_total"].values())
-        assert reported > 0
-        assert traced == pytest.approx(reported, rel=0.01)
+        check_kernel_totals(read_jsonl(trace_path), metrics_path)
+
+
+def check_spans_nest(events):
+    assert events, "trace is empty"
+    by_id = {e["id"]: e for e in events}
+    compactions = [e for e in events if e["name"] == "compaction"]
+    assert compactions
+    kernels = [e for e in events if e["name"] == "kernel_run"]
+    assert kernels
+    for kernel in kernels:
+        assert by_id[kernel["parent"]]["name"] == "compaction"
+
+
+def check_kernel_totals(events, metrics_path):
+    traced = sum(e["sim_seconds"] for e in events
+                 if e["name"] == "kernel_run")
+    with open(metrics_path) as handle:
+        parsed = parse_prometheus_text(handle.read())
+    reported = sum(
+        parsed["samples"]["fpga_pipeline_kernel_seconds_total"].values())
+    assert reported > 0
+    assert traced == pytest.approx(reported, rel=0.01)
 
 
 @pytest.fixture(scope="module")
 def fig12_timeline_outputs(tmp_path_factory):
+    """One run with every sink on: the Chrome trace, the profile and the
+    bench JSON, plus the JSONL span stream and the metrics dump the one
+    tracer and registry feed beside them."""
     tmp = tmp_path_factory.mktemp("fig12timeline")
     trace_path = str(tmp / "t.trace.json")
     profile_path = str(tmp / "p.json")
@@ -80,8 +90,35 @@ def fig12_timeline_outputs(tmp_path_factory):
     assert bench_main(["fig12", "--scale", "0.05",
                        "--chrome-trace", trace_path,
                        "--profile", profile_path,
-                       "--bench-json", bench_path]) == 0
+                       "--bench-json", bench_path,
+                       "--trace-out", str(tmp / "t.jsonl"),
+                       "--metrics-out", str(tmp / "m.prom")]) == 0
     return trace_path, profile_path, bench_path
+
+
+class TestBothSinks:
+    """``--trace-out`` and ``--chrome-trace`` together: one tracer
+    streams the JSONL and exports the Chrome file of the same run."""
+
+    def test_jsonl_nests_and_totals_match(self, fig12_timeline_outputs):
+        trace_path, _, _ = fig12_timeline_outputs
+        tmp = os.path.dirname(trace_path)
+        events = read_jsonl(os.path.join(tmp, "t.jsonl"))
+        check_spans_nest(events)
+        check_kernel_totals(events, os.path.join(tmp, "m.prom"))
+        # The per-module intervals and FIFO samples are in the stream.
+        assert sum(1 for e in events if e["type"] == "counter") > 0
+        assert any(e.get("track") == "decoder[8]" for e in events)
+
+    def test_profile_needs_no_event_recording(self, fig12_outputs,
+                                              fig12_timeline_outputs):
+        """``--profile`` reads only the registry: without
+        ``--chrome-trace`` it writes the same report as beside it."""
+        metrics_path, _ = fig12_outputs
+        _, with_chrome, _ = fig12_timeline_outputs
+        without = os.path.join(os.path.dirname(metrics_path), "p.json")
+        with open(without) as a, open(with_chrome) as b:
+            assert json.load(a) == json.load(b)
 
 
 class TestChromeTraceAcceptance:
@@ -292,7 +329,8 @@ class TestLsmCli:
         assert routes
         for route in routes:
             assert by_id[route["parent"]]["name"] == "compaction"
-        phases = [e for e in events if e["name"].startswith("phase:")]
+        phases = [e for e in events if e["name"].startswith("phase:")
+                  or e["name"] == "kernel_run"]
         assert phases
         traced = sum(p["sim_seconds"] for p in phases)
         reported = sum(samples["scheduler_phase_seconds_total"].values())

@@ -178,10 +178,11 @@ class TestDbTraceNesting:
         assert routes
         for route in routes:
             assert ids[route.parent_id].name == "compaction"
-        phases = [s for s in tracer.spans if s.name.startswith("phase:")]
+        phases = [s for s in tracer.spans if s.name.startswith("phase:")
+                  or s.name == "kernel_run"]
         assert {ids[p.parent_id].name for p in phases} \
             == {"compaction.route"}
         # Modeled kernel time in the trace equals the scheduler's total.
         kernel = sum(p.sim_seconds for p in phases
-                     if p.name == "phase:kernel")
+                     if p.name == "kernel_run")
         assert kernel == pytest.approx(scheduler.stats.fpga_kernel_seconds)

@@ -14,10 +14,10 @@ from repro.obs.slo import (
     BurnPolicy,
     SloEngine,
     SloSpec,
-    WindowedCounter,
     build_engine,
     parse_slo_specs,
 )
+from repro.obs.window import WindowedHistogram
 
 
 class FakeClock:
@@ -91,32 +91,55 @@ class TestSpecParsing:
             ])
 
 
+def good_bad_ring(horizon_seconds, slice_seconds, clock):
+    """The ring :class:`SloEngine` keeps per (spec, tenant): good
+    operations observe 0.0, bad ones 1.0."""
+    return WindowedHistogram(horizon_seconds, buckets=(0.0,), clock=clock,
+                             slice_seconds=slice_seconds)
+
+
+def add(ring, good=0, bad=0):
+    for _ in range(good):
+        ring.observe(0.0)
+    for _ in range(bad):
+        ring.observe(1.0)
+
+
+def totals(ring, window_seconds):
+    (good, bad), _, _ = ring.snapshot(window_seconds)
+    return good, bad
+
+
 class TestWindowedCounter:
+    """The windowed good/bad counter: :mod:`repro.obs.window`'s slot
+    ring as the engine builds it."""
+
     def test_windowed_totals(self):
         clock = FakeClock()
-        counter = WindowedCounter(horizon_seconds=60.0, slice_seconds=1.0,
-                                  clock=clock)
-        counter.add(good=5, bad=1)
+        ring = good_bad_ring(horizon_seconds=60.0, slice_seconds=1.0,
+                             clock=clock)
+        add(ring, good=5, bad=1)
         clock.now = 30.0
-        counter.add(good=3)
-        assert counter.totals(60.0) == (8, 1)
+        add(ring, good=3)
+        assert totals(ring, 60.0) == (8, 1)
         # A 10 s window only sees the recent slice.
-        assert counter.totals(10.0) == (3, 0)
+        assert totals(ring, 10.0) == (3, 0)
 
     def test_slices_expire_past_horizon(self):
         clock = FakeClock()
-        counter = WindowedCounter(horizon_seconds=10.0, slice_seconds=1.0,
-                                  clock=clock)
-        counter.add(bad=7)
+        ring = good_bad_ring(horizon_seconds=10.0, slice_seconds=1.0,
+                             clock=clock)
+        add(ring, bad=7)
         clock.now = 100.0
-        counter.add(good=1)
-        assert counter.totals(10.0) == (1, 0)
+        add(ring, good=1)
+        assert totals(ring, 10.0) == (1, 0)
 
     def test_bad_fraction_none_when_empty(self):
-        counter = WindowedCounter(10.0, 1.0, FakeClock())
-        assert counter.bad_fraction(10.0) is None
-        counter.add(good=1, bad=1)
-        assert counter.bad_fraction(10.0) == pytest.approx(0.5)
+        ring = good_bad_ring(10.0, 1.0, FakeClock())
+        assert ring.snapshot(10.0)[2] == 0
+        add(ring, good=1, bad=1)
+        good, bad = totals(ring, 10.0)
+        assert bad / (good + bad) == pytest.approx(0.5)
 
 
 def make_engine(clock, registry=None, journal=None):
