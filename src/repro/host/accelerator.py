@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 
 from repro.host.batch_merge import BatchMergeEngine
 from repro.host.device import FcaeDevice
-from repro.lsm.compaction import OutputTable, compact_tables
+from repro.lsm.compaction import OutputTable, compact_tables, input_streams
 from repro.lsm.internal import MARK_FIELDS_SIZE, InternalKeyComparator
 from repro.lsm.options import Options
 from repro.lsm.version import CompactionSpec
@@ -111,8 +111,9 @@ class BackendResult:
     wall_seconds: float
     #: Modeled per-phase attribution folded into
     #: ``scheduler_phase_seconds_total`` (marshal/pcie_in/kernel/
-    #: pcie_out for the device, software/batch for host merges).  The
-    #: backend records the same phases as spans on its tracer.
+    #: pcie_out for the device, software for the CPU merge; the batch
+    #: merge models nothing).  The backend records the same phases as
+    #: spans on its tracer.
     phase_seconds: dict[str, float] = field(default_factory=dict)
 
 
@@ -121,6 +122,10 @@ class AcceleratorBackend(ABC):
 
     #: Registry key, ``Options.accelerator`` value and metric label.
     name: str
+    #: The affine law :meth:`estimate_seconds` prices a task with.
+    wall_model: WallCostModel
+    #: Supplies the workload's key/value lengths to that estimate.
+    options: Options
 
     def can_run(self, spec: CompactionSpec) -> bool:
         """Capability check — ``False`` excludes the backend from
@@ -128,9 +133,12 @@ class AcceleratorBackend(ABC):
         numpy)."""
         return True
 
-    @abstractmethod
     def estimate_seconds(self, spec: CompactionSpec) -> float:
         """Predicted wall-clock seconds to execute ``spec`` here."""
+        pairs = estimate_pairs(spec.total_input_bytes,
+                               self.options.key_length,
+                               self.options.value_length)
+        return self.wall_model.merge_seconds(spec.total_input_bytes, pairs)
 
     @abstractmethod
     def run(self, spec: CompactionSpec, input_tables: list,
@@ -139,23 +147,11 @@ class AcceleratorBackend(ABC):
         retry/fallback machinery to absorb."""
 
 
-def _device_streams(spec: CompactionSpec, input_tables: list,
-                    parent_tables: list) -> list[list]:
-    """Paper §IV step 2: L0 files are separate streams (they overlap),
-    sorted-level inputs and parents concatenate into one stream each."""
-    if spec.level == 0:
-        streams = [[t] for t in input_tables]
-    else:
-        streams = [input_tables] if input_tables else []
-    if parent_tables:
-        streams.append(parent_tables)
-    return streams
-
-
 class CpuBackend(AcceleratorBackend):
     """The streaming software merge — the reference executor."""
 
     name = "cpu"
+    wall_model = CPU_WALL_MODEL
 
     def __init__(self, options: Options, comparator: InternalKeyComparator,
                  cpu_model: CpuCostModel, tracer=None):
@@ -163,12 +159,6 @@ class CpuBackend(AcceleratorBackend):
         self.comparator = comparator
         self.cpu_model = cpu_model
         self.tracer = resolve_tracer(tracer)
-
-    def estimate_seconds(self, spec: CompactionSpec) -> float:
-        pairs = estimate_pairs(spec.total_input_bytes,
-                               self.options.key_length,
-                               self.options.value_length)
-        return CPU_WALL_MODEL.merge_seconds(spec.total_input_bytes, pairs)
 
     def run(self, spec: CompactionSpec, input_tables: list,
             parent_tables: list, drop_deletions: bool) -> BackendResult:
@@ -197,24 +187,19 @@ class FpgaSimBackend(AcceleratorBackend):
     """The paper's FCAE device behind the backend interface."""
 
     name = "fpga-sim"
+    wall_model = FPGA_SIM_WALL_MODEL
 
     def __init__(self, device: FcaeDevice, tracer=None):
         self.device = device
+        self.options = device.options
         self.tracer = resolve_tracer(tracer)
 
     def can_run(self, spec: CompactionSpec) -> bool:
         return spec.fpga_input_count() <= self.device.config.num_inputs
 
-    def estimate_seconds(self, spec: CompactionSpec) -> float:
-        options = self.device.options
-        pairs = estimate_pairs(spec.total_input_bytes,
-                               options.key_length, options.value_length)
-        return FPGA_SIM_WALL_MODEL.merge_seconds(spec.total_input_bytes,
-                                                 pairs)
-
     def run(self, spec: CompactionSpec, input_tables: list,
             parent_tables: list, drop_deletions: bool) -> BackendResult:
-        streams = _device_streams(spec, input_tables, parent_tables)
+        streams = input_streams(spec.level, input_tables, parent_tables)
         start = time.perf_counter()
         result = self.device.compact(streams, drop_deletions,
                                      tracer=self.tracer)
@@ -233,46 +218,36 @@ class BatchBackend(AcceleratorBackend):
     """The LUDA-style batched merge behind the backend interface."""
 
     name = "batch"
+    wall_model = BATCH_WALL_MODEL
 
     def __init__(self, options: Options, comparator: InternalKeyComparator,
-                 fault_injector=None, tracer=None):
+                 fault_injector=None):
         self.options = options
         self.engine = BatchMergeEngine(options, comparator)
         self.fault_injector = fault_injector
-        self.tracer = resolve_tracer(tracer)
 
     def can_run(self, spec: CompactionSpec) -> bool:
         return self.engine.vectorized
-
-    def estimate_seconds(self, spec: CompactionSpec) -> float:
-        pairs = estimate_pairs(spec.total_input_bytes,
-                               self.options.key_length,
-                               self.options.value_length)
-        return BATCH_WALL_MODEL.merge_seconds(spec.total_input_bytes, pairs)
 
     def run(self, spec: CompactionSpec, input_tables: list,
             parent_tables: list, drop_deletions: bool) -> BackendResult:
         if self.fault_injector is not None:
             self.fault_injector.check(spec.total_input_bytes,
                                       backend=self.name)
-        streams = _device_streams(spec, input_tables, parent_tables)
+        streams = input_streams(spec.level, input_tables, parent_tables)
         start = time.perf_counter()
         stats = self.engine.compact(streams, drop_deletions)
-        wall = time.perf_counter() - start
-        self.tracer.phase("phase:batch", wall,
-                          bytes=spec.total_input_bytes, level=spec.level)
         return BackendResult(outputs=stats.outputs,
                              input_bytes=spec.total_input_bytes,
-                             wall_seconds=wall,
-                             phase_seconds={"batch": wall})
+                             wall_seconds=time.perf_counter() - start)
 
 
 def make_backends(device: FcaeDevice, options: Options,
                   comparator: InternalKeyComparator,
                   cpu_model: CpuCostModel,
                   tracer=None) -> dict[str, AcceleratorBackend]:
-    """The scheduler's standard backend registry; every backend records
-    its modeled phases on ``tracer``.
+    """The scheduler's standard backend registry; the cpu and fpga-sim
+    backends record their modeled phases on ``tracer``.
 
     The batch backend shares the device's fault injector (when one is
     attached) so a fault schedule exercises every accelerator path.
@@ -281,5 +256,5 @@ def make_backends(device: FcaeDevice, options: Options,
         CpuBackend(options, comparator, cpu_model, tracer=tracer),
         FpgaSimBackend(device, tracer=tracer),
         BatchBackend(options, comparator,
-                     fault_injector=device.fault_injector, tracer=tracer),
+                     fault_injector=device.fault_injector),
     )}

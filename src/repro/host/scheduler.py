@@ -2,7 +2,8 @@
 
 The scheduler is an :class:`LsmDB`-compatible compaction executor that
 routes each merge compaction to one of the registered
-:mod:`repro.host.accelerator` backends per ``Options.accelerator``:
+:mod:`repro.host.accelerator` backends per ``Options.accelerator``, and
+returns the output tables with the route that ran them:
 
 * ``"fpga-sim"`` (default) keeps the paper's Fig 6 policy: offload to
   the pipeline-sim device when the compaction's input-stream count fits
@@ -26,14 +27,14 @@ compaction raised them.  Statistics land in a
 :class:`repro.obs.MetricsRegistry` — the per-backend
 ``scheduler_backend_*`` families, per-phase time, the PCIe share — with
 :class:`SchedulerStats` as a read-only view.  Each routed task also
-emits a ``compaction.route`` trace span with per-phase children
-(marshal → pcie_in → kernel → pcie_out, software, or batch), so a JSONL
-trace reconstructs exactly where offload time went.
+emits a ``compaction.route`` trace span with the modeled phases as
+children (marshal → pcie_in → kernel → pcie_out, or software; a batch
+merge is wall time only), so a JSONL trace reconstructs exactly where
+offload time went.
 """
 
 from __future__ import annotations
 
-import threading
 import time
 from typing import Optional
 
@@ -49,7 +50,7 @@ from repro.lsm.compaction import OutputTable
 from repro.lsm.internal import InternalKeyComparator
 from repro.lsm.options import Options
 from repro.lsm.version import CompactionSpec
-from repro.obs import merge_counts, resolve_registry, resolve_tracer
+from repro.obs import resolve_registry, resolve_tracer
 from repro.obs.events import record
 from repro.obs.names import SchedulerMetrics
 from repro.obs.registry import MetricsRegistry
@@ -65,9 +66,8 @@ class SchedulerStats:
     families.  The paper's fpga/software split (Fig 6, Table VIII) is a
     view derived from them — fpga = the fpga-sim backend, software =
     every in-process merge (cpu + batch); values are re-read from the
-    registry on each access.  ``as_dict`` / :meth:`merge` let exposition
-    and multi-scheduler reports iterate fields instead of hand-copying
-    them.
+    registry on each access.  ``as_dict`` lets exposition iterate
+    fields instead of hand-copying them.
     """
 
     #: Integer routing fields and float phase-timing fields, in
@@ -169,12 +169,6 @@ class SchedulerStats:
         return {field: getattr(self, field)
                 for field in SchedulerStats.FIELDS}
 
-    @staticmethod
-    def merge(*stats: "SchedulerStats | dict") -> dict[str, float]:
-        """Field-wise sum across schedulers (multi-card aggregation)."""
-        return merge_counts(
-            s if isinstance(s, dict) else s.as_dict() for s in stats)
-
     def __repr__(self) -> str:
         inner = ", ".join(f"{k}={v}" for k, v in self.as_dict().items())
         return f"SchedulerStats({inner})"
@@ -184,7 +178,10 @@ class CompactionScheduler:
     """Pluggable executor for :class:`repro.lsm.db.LsmDB`.
 
     Pass an instance as ``LsmDB(compaction_executor=scheduler)``; it then
-    receives every merge compaction the database picks.
+    receives every merge compaction the database picks and returns
+    ``(outputs, route)``: the output tables and the backend that ran
+    them (``"cpu"``, ``"fpga-sim"``, ``"batch"``), or ``"fallback"``
+    when a faulting accelerator degraded to the CPU merge.
     """
 
     #: Device faults the retry/fallback machinery absorbs.  Anything
@@ -217,11 +214,6 @@ class CompactionScheduler:
         self._m = SchedulerMetrics(self.metrics,
                                    inst=self.metrics.instance_label())
         self.stats = SchedulerStats(self._m)
-        #: Route taken by the most recent task *on this thread* — the
-        #: driver's unit workers run tasks concurrently, so a plain
-        #: attribute would race (``LsmDB`` reads it for the journal's
-        #: ``backend`` field right after the executor returns).
-        self._local = threading.local()
         self.task_window = WindowedHistogram(
             window_seconds=self.TASK_WINDOW_SECONDS)
         publish_window(
@@ -229,13 +221,6 @@ class CompactionScheduler:
             "Sliding-window compaction task duration quantiles.",
             self.task_window, inst=self._m.labels["inst"],
             tenant=self.TENANT)
-
-    def last_route(self) -> Optional[str]:
-        """Backend that ran the last task completed on the calling
-        thread: ``"cpu"``, ``"fpga-sim"``, ``"batch"`` — or
-        ``"fallback"`` when a faulting accelerator degraded to the CPU
-        merge."""
-        return getattr(self._local, "route", None)
 
     # ------------------------------------------------------------------
     # Routing
@@ -263,12 +248,11 @@ class CompactionScheduler:
 
     def __call__(self, spec: CompactionSpec, input_tables: list,
                  parent_tables: list,
-                 drop_deletions: bool) -> list[OutputTable]:
+                 drop_deletions: bool) -> tuple[list[OutputTable], str]:
         name = self.pick_backend(spec)
         backend = self.backends[name]
         self._m.backend_tasks[name].inc()
         self._m.task_input_bytes.observe(spec.total_input_bytes)
-        self._local.route = name
         start = time.perf_counter()
         try:
             with self.tracer.span(
@@ -276,8 +260,9 @@ class CompactionScheduler:
                     input_streams=spec.fpga_input_count()) as span:
                 if name == "cpu":
                     # The reference merge has no device faults to absorb.
-                    return self._run_backend(backend, spec, input_tables,
-                                             parent_tables, drop_deletions)
+                    return self._run_backend(
+                        backend, spec, input_tables, parent_tables,
+                        drop_deletions), name
                 return self._run_with_recovery(
                     backend, spec, input_tables, parent_tables,
                     drop_deletions, span)
@@ -288,7 +273,7 @@ class CompactionScheduler:
                            spec: CompactionSpec,
                            input_tables: list, parent_tables: list,
                            drop_deletions: bool,
-                           span) -> list[OutputTable]:
+                           span) -> tuple[list[OutputTable], str]:
         """Offload with bounded retry; degrade to the CPU merge when the
         accelerator keeps failing (LUDA's CPU fallback).
         Every backend produces byte-identical tables, so failover
@@ -296,8 +281,9 @@ class CompactionScheduler:
         attempt = 0
         while True:
             try:
-                return self._run_backend(backend, spec, input_tables,
-                                         parent_tables, drop_deletions)
+                return self._run_backend(
+                    backend, spec, input_tables, parent_tables,
+                    drop_deletions), backend.name
             except self.RECOVERABLE_FAULTS as error:
                 kind = self._fault_kind(error)
                 self._m.faults[kind].inc()
@@ -315,10 +301,9 @@ class CompactionScheduler:
                 record(journals, "fallback", kind=kind, level=spec.level,
                        source=backend.name, target="cpu")
                 span.set(fallback=True)
-                self._local.route = "fallback"
-                return self._run_backend(self.backends["cpu"], spec,
-                                         input_tables, parent_tables,
-                                         drop_deletions)
+                return self._run_backend(
+                    self.backends["cpu"], spec, input_tables,
+                    parent_tables, drop_deletions), "fallback"
 
     @staticmethod
     def _fault_kind(error: Exception) -> str:

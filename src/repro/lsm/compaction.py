@@ -16,6 +16,7 @@ streams of (internal key, value) pairs sorted newest-source-first, it:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Iterable, Iterator
 
 from repro.errors import CorruptionError
@@ -161,32 +162,27 @@ def table_sources(tables: Iterable) -> list[Iterator[KVPair]]:
 
 
 def concatenating_iterator(tables: Iterable) -> Iterator[KVPair]:
-    """Chain sorted, non-overlapping tables into one sorted stream.
+    """Chain sorted, non-overlapping tables into one sorted stream."""
+    return chain.from_iterable(tables)
 
-    This is the paper's §IV step 2: a sorted level's files "can be
-    concatenated as a big SSTable, and the number of input is one".
-    """
-    for table in tables:
-        yield from table
+
+def input_streams(level: int, inputs: list, parents: list) -> list[list]:
+    """Split a compaction's tables into merge streams (paper §IV step 2):
+    level-0 files may overlap, so each is its own stream; a sorted
+    level's files "can be concatenated as a big SSTable, and the number
+    of input is one", and so can the parents."""
+    streams = [[t] for t in inputs] if level == 0 else [inputs]
+    streams.append(parents)
+    return [stream for stream in streams if stream]
 
 
 def make_compaction_sources(
         level: int,
         input_tables: list,
         parent_tables: list) -> list[Iterator[KVPair]]:
-    """Build merge sources for a CompactionSpec's tables.
-
-    Level-0 inputs each become their own source (their ranges overlap);
-    inputs from sorted levels are concatenated, as are the parents.
-    """
-    sources: list[Iterator[KVPair]] = []
-    if level == 0:
-        sources.extend(iter(t) for t in input_tables)
-    elif input_tables:
-        sources.append(concatenating_iterator(input_tables))
-    if parent_tables:
-        sources.append(concatenating_iterator(parent_tables))
-    return sources
+    """Merge sources over :func:`input_streams`' split of the tables."""
+    return [concatenating_iterator(stream) for stream
+            in input_streams(level, input_tables, parent_tables)]
 
 
 def compact_tables(level: int, input_tables: list, parent_tables: list,

@@ -119,10 +119,17 @@ from repro.obs.registry import MetricsRegistry
 from repro.obs.report import render_db_report, render_level_stats
 
 #: A compaction executor turns (spec, input tables, parent tables,
-#: drop_deletions) into output table images.  ``repro.host`` provides the
+#: drop_deletions) into (output table images, route): the route names
+#: what ran the merge (``"cpu"``, ``"fpga-sim"``, ``"batch"``, or
+#: ``"fallback"`` after a fault-forced CPU merge) and becomes the
+#: compaction's journal ``backend``.  ``repro.host`` provides the
 #: FPGA-backed implementation.
 CompactionExecutor = Callable[
-    [CompactionSpec, list, list, bool], list[OutputTable]]
+    [CompactionSpec, list, list, bool], tuple[list[OutputTable], str]]
+
+#: Byte cap of one spliced group commit (LevelDB's 1 MiB): the leader
+#: stops collecting followers past this size.
+_GROUP_COMMIT_MAX_BYTES = 1 << 20
 
 
 #: All the commit path knows about an ``Options.wal_sync`` mode:
@@ -219,7 +226,10 @@ class LsmDB:
     env:
         Filesystem; defaults to an in-memory one.
     compaction_executor:
-        Override how merge compactions execute (CPU reference by default).
+        Override how merge compactions execute (CPU reference by
+        default): a :data:`CompactionExecutor`, called with
+        ``(spec, input_tables, parent_tables, drop_deletions)`` and
+        returning ``(outputs, route)``.
     auto_compact:
         Writers make room: swap a full memtable, get due flushes and
         compactions run.  Disable for manual control in tests and
@@ -589,13 +599,13 @@ class LsmDB:
         """Collect the leader's group from the queue front (mutex held).
 
         LevelDB's rule: cap the spliced record at
-        ``Options.group_commit_max_bytes``, and when the leader's own
+        :data:`_GROUP_COMMIT_MAX_BYTES`, and when the leader's own
         batch is small (≤128 KB) cap growth at +128 KB so a tiny write
         is never held hostage to a huge group."""
         front = self._writers[0]
         group = [front]
         total = front.batch.byte_size()
-        max_size = self.options.group_commit_max_bytes
+        max_size = _GROUP_COMMIT_MAX_BYTES
         if total <= 128 * 1024:
             max_size = min(max_size, total + 128 * 1024)
         for candidate in islice(self._writers, 1, None):
@@ -836,26 +846,14 @@ class LsmDB:
     def _cpu_executor(self, spec: CompactionSpec, input_tables: list,
                       parent_tables: list, drop_deletions: bool,
                       smallest_snapshot: Optional[int] = None
-                      ) -> list[OutputTable]:
+                      ) -> tuple[list[OutputTable], str]:
         """The CPU reference merge.  With ``smallest_snapshot`` it keeps,
         per user key, the newest version at or below every live snapshot
         (LevelDB's ``last_sequence_for_key`` rule)."""
-        return compact_tables(spec.level, input_tables, parent_tables,
-                              self.options, self.icmp, drop_deletions,
-                              smallest_snapshot=smallest_snapshot).outputs
-
-    def _executor_backend(self) -> str:
-        """Which backend ran the merge just executed on this thread.
-
-        The scheduler records the executing backend's name
-        (cpu|fpga-sim|batch, or "fallback" after a fault-forced CPU
-        merge) in thread-local state precisely so this read is safe with
-        multiple compaction units; executors without ``last_route`` are
-        the plain CPU reference merge."""
-        last_route = getattr(self.compaction_executor, "last_route", None)
-        if callable(last_route):
-            return last_route() or "cpu"
-        return "cpu"
+        stats = compact_tables(spec.level, input_tables, parent_tables,
+                               self.options, self.icmp, drop_deletions,
+                               smallest_snapshot=smallest_snapshot)
+        return stats.outputs, "cpu"
 
     def compact_once(self, level_hint: Optional[int] = None) -> bool:
         """Pick and execute one merge compaction; returns False when no
@@ -949,15 +947,13 @@ class LsmDB:
             # (the FPGA engine keeps only the newest version per key, so
             # offloading here could drop versions a snapshot still needs).
             self._m.snapshot_merges.inc()
-            outputs = self._cpu_executor(
+            outputs, backend = self._cpu_executor(
                 spec, input_tables, parent_tables, drop, smallest_snapshot)
             ep.set(snapshot_merge=True,
                    smallest_snapshot=smallest_snapshot)
-            backend = "cpu"
         else:
-            outputs = self.compaction_executor(
+            outputs, backend = self.compaction_executor(
                 spec, input_tables, parent_tables, drop)
-            backend = self._executor_backend()
 
         # Write, durably close and open the outputs *before* taking the
         # mutex: fsyncing N tables under it would stall every writer (the

@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.errors import InvalidArgumentError
+from repro.lsm.compaction import input_streams
 from repro.lsm.internal import InternalKeyComparator, extract_user_key
 from repro.lsm.options import (
     L0_COMPACTION_TRIGGER,
@@ -405,11 +406,6 @@ class CompactionSpec:
                 + sum(f.file_size for f in self.parents))
 
     def fpga_input_count(self) -> int:
-        """Number of FPGA input streams this compaction needs.
-
-        Per the paper's §IV step 2: level-0 files may mutually overlap, so
-        each is its own input; sorted levels concatenate into one input.
-        """
-        if self.level == 0:
-            return len(self.inputs) + (1 if self.parents else 0)
-        return (1 if self.inputs else 0) + (1 if self.parents else 0)
+        """Number of FPGA input streams this compaction needs: the length
+        of :func:`~repro.lsm.compaction.input_streams` over its files."""
+        return len(input_streams(self.level, self.inputs, self.parents))

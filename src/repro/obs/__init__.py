@@ -64,7 +64,6 @@ from repro.obs.registry import (
     Histogram,
     MetricFamily,
     MetricsRegistry,
-    merge_counts,
 )
 from repro.obs.tracing import (
     NULL_TRACER,
@@ -311,7 +310,6 @@ __all__ = [
     "flag_sinks",
     "install",
     "journals",
-    "merge_counts",
     "names",
     "parse_prometheus_text",
     "parse_slo_specs",

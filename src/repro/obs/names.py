@@ -22,7 +22,6 @@ from repro.obs.registry import (
     BYTES_BUCKETS,
     SECONDS_BUCKETS,
     MetricsRegistry,
-    merge_counts,
 )
 
 #: Group-commit batch-count buckets (batches per spliced WAL record).
@@ -105,7 +104,7 @@ FAMILIES: tuple[tuple, ...] = (
     # -- Compaction scheduler (Fig 6 / Table VIII) --------------------
     ("scheduler_phase_seconds_total", "counter",
      "Modeled seconds per offload phase "
-     "(marshal|pcie_in|kernel|pcie_out|software|batch).", None),
+     "(marshal|pcie_in|kernel|pcie_out|software).", None),
     ("scheduler_backend_tasks_total", "counter",
      "Merge compactions by executor backend (cpu|fpga-sim|batch).", None),
     ("scheduler_backend_input_bytes_total", "counter",
@@ -439,12 +438,6 @@ class DbStats:
         """Counter fields as a plain dict, in :data:`FIELDS` order."""
         return {field: getattr(self, field) for field in DbStats.FIELDS}
 
-    @staticmethod
-    def merge(*stats: "DbStats | dict") -> dict[str, int]:
-        """Field-wise sum across databases (shard aggregation)."""
-        return merge_counts(
-            s if isinstance(s, dict) else s.as_dict() for s in stats)
-
     def __repr__(self) -> str:
         inner = ", ".join(f"{k}={v}" for k, v in self.as_dict().items())
         return f"DbStats({inner})"
@@ -453,8 +446,7 @@ class DbStats:
 class SchedulerMetrics:
     """The compaction scheduler's bound children."""
 
-    PHASES = ("marshal", "pcie_in", "kernel", "pcie_out", "software",
-              "batch")
+    PHASES = ("marshal", "pcie_in", "kernel", "pcie_out", "software")
     BACKENDS = ("cpu", "fpga-sim", "batch")
 
     def __init__(self, registry: MetricsRegistry, inst: str):

@@ -20,7 +20,7 @@ import itertools
 import re
 import threading
 from bisect import bisect_left
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from repro.analysis import watchdog as lockwatch
 from repro.errors import InvalidArgumentError
@@ -367,12 +367,3 @@ class MetricsRegistry:
                 out[family.name] = entries
         return out
 
-
-def merge_counts(dicts: Iterable[dict]) -> dict:
-    """Sum plain ``{field: number}`` dicts field-wise (the ``merge``
-    support behind ``DbStats.merge`` / ``SchedulerStats.merge``)."""
-    merged: dict = {}
-    for d in dicts:
-        for key, value in d.items():
-            merged[key] = merged.get(key, 0) + value
-    return merged

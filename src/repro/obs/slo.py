@@ -266,14 +266,15 @@ class SloEngine:
         pass their virtual clock.
     eval_interval:
         Minimum clock seconds between self-triggered evaluations.
-    exemplar_min_interval:
-        Per-(spec, tenant) rate limit on ``exemplar`` journal events so
-        a storm of violations does not flood the journal.
     """
 
+    #: Per-(spec, tenant) rate limit, in clock seconds, on ``exemplar``
+    #: journal events so a storm of violations does not flood the
+    #: journal.
+    EXEMPLAR_MIN_INTERVAL = 1.0
+
     def __init__(self, specs, registry=None, journals=(), clock=None,
-                 eval_interval: float = 1.0,
-                 exemplar_min_interval: float = 1.0):
+                 eval_interval: float = 1.0):
         self.specs = parse_slo_specs(specs)
         if not self.specs:
             raise InvalidArgumentError("SloEngine needs >= 1 spec")
@@ -281,7 +282,6 @@ class SloEngine:
         self._journals = tuple(journals)
         self._clock = clock if clock is not None else time.monotonic
         self._eval_interval = float(eval_interval)
-        self._exemplar_min_interval = float(exemplar_min_interval)
         self._lock = threading.Lock()
         shortest = min(p.short_seconds for s in self.specs
                        for p in s.policies)
@@ -363,7 +363,7 @@ class SloEngine:
                     now = self._clock()
                     key = (index, tenant)
                     last = self._last_exemplar.get(key, float("-inf"))
-                    if now - last >= self._exemplar_min_interval:
+                    if now - last >= self.EXEMPLAR_MIN_INTERVAL:
                         self._last_exemplar[key] = now
                         emit_exemplars.append(
                             {"slo": spec.name, "tenant": tenant,

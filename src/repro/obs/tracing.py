@@ -5,8 +5,7 @@ flush → compaction pick → route → fpga kernel/pcie/marshal or software
 merge — against **both** clocks that matter in this repo:
 
 * **wall clock** (``time.perf_counter``): what the host actually spent;
-* **simulated time**: either read from a clock object attached to the
-  tracer, or *modeled*: a record a cost model or simulator places on a
+* **modeled time**: a record a cost model or simulator places on a
   ``track`` of the modeled clock (a pipeline module, a device phase, a
   ``sim.*`` activity).  A monotonic cursor stitches modeled records into
   one contiguous timeline: :meth:`Tracer.phase` starts at it, and every
@@ -21,9 +20,8 @@ in memory for assertions.  The schema per line::
      "start_sim": ..., "end_sim": ..., "sim_seconds": ...,
      "attrs": {"cycles": 1000.0}, "track": "kernel"}
 
-``sim_seconds`` is the modeled duration when one was recorded, else the
-simulated-clock interval, else ``null``; only modeled records have a
-``track``.  A ``"type": "counter"`` record is one sample (``attrs.value``
+The ``*_sim`` fields are ``null`` on a wall-clock span; only modeled
+records have them and a ``track``.  A ``"type": "counter"`` record is one sample (``attrs.value``
 at ``start_sim``) of a counter series.
 
 **Trace propagation.**  Work that crosses threads — a write kicks the
@@ -92,9 +90,6 @@ class Span:
         return self.end_wall - self.start_wall
 
     def to_dict(self) -> dict:
-        sim_seconds = self.sim_seconds
-        if sim_seconds is None and self.start_sim is not None:
-            sim_seconds = (self.end_sim or self.start_sim) - self.start_sim
         data = {
             "type": self.kind,
             "id": self.span_id,
@@ -106,7 +101,7 @@ class Span:
             "wall_seconds": self.wall_seconds,
             "start_sim": self.start_sim,
             "end_sim": self.end_sim,
-            "sim_seconds": sim_seconds,
+            "sim_seconds": self.sim_seconds,
             "attrs": self.attrs,
         }
         if self.track is not None:
@@ -184,9 +179,6 @@ class Tracer:
 
     Parameters
     ----------
-    sim_clock:
-        Anything with a ``.now`` float attribute; when present, spans
-        record simulated start/end timestamps alongside wall-clock ones.
     sink_path / sink:
         Stream finished spans to a file as JSON lines.  ``sink_path`` is
         opened (and closed by :meth:`close`); ``sink`` is any writable
@@ -202,11 +194,10 @@ class Tracer:
         :attr:`dropped_events` (and still streamed to the sink).
     """
 
-    def __init__(self, sim_clock=None, sink_path: Optional[str] = None,
+    def __init__(self, sink_path: Optional[str] = None,
                  sink: Optional[IO[str]] = None, keep_spans: bool = True,
                  tracks: bool = False,
                  max_events: int = DEFAULT_MAX_EVENTS):
-        self.sim_clock = sim_clock
         self.spans: list[Span] = []
         self.keep_spans = keep_spans
         self.tracks = tracks
@@ -295,9 +286,6 @@ class Tracer:
                        trace_id=ctx.trace_id)
         return cls(next(self._ids), None, name, attrs)
 
-    def _sim_now(self) -> Optional[float]:
-        return self.sim_clock.now if self.sim_clock is not None else None
-
     @property
     def sim_cursor(self) -> float:
         """End of the latest modeled record: where the next
@@ -333,14 +321,12 @@ class Tracer:
         """Open a nested span; attributes may be added via ``span.set``."""
         span = self._new_span(name, attrs)
         span.start_wall = time.perf_counter()
-        span.start_sim = self._sim_now()
         self._stack().append(span)
         try:
             yield span
         finally:
             self._stack().pop()
             span.end_wall = time.perf_counter()
-            span.end_sim = self._sim_now()
             self._record(span)
 
     def phase(self, name: str, seconds: float, **attrs) -> Span:

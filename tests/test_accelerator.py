@@ -36,6 +36,7 @@ from repro.lsm.internal import (
 from repro.lsm.options import Options
 from repro.lsm.sstable import TableBuilder, TableReader
 from repro.lsm.version import CompactionSpec, FileMetaData
+from repro.obs import Tracer
 from repro.obs.events import EventJournal
 from repro.util.comparator import BytewiseComparator
 
@@ -128,10 +129,11 @@ class TestCrossBackendEquality:
             run_options = dataclasses.replace(options, accelerator=name)
             device = FcaeDevice(CONFIG_9_INPUT, run_options)
             scheduler = CompactionScheduler(device, run_options)
-            outputs[name] = output_bytes(
-                scheduler(spec, readers, [], drop_deletions=True))
+            tables, route = scheduler(spec, readers, [],
+                                      drop_deletions=True)
+            outputs[name] = output_bytes(tables)
             ran_on = routed_to(name, no_numpy)
-            assert scheduler.last_route() == ran_on
+            assert route == ran_on
             assert scheduler.stats.backend_tasks[ran_on] == 1
         assert outputs["cpu"] == outputs["fpga-sim"] == outputs["batch"]
         assert outputs["cpu"]  # non-empty
@@ -298,10 +300,9 @@ class TestRouting:
         readers = [TableReader(img, ICMP, options) for img in images]
         spec = spec_for(images, readers)
         assert not scheduler.backends["batch"].can_run(spec)
-        got = output_bytes(scheduler(spec, readers, [],
-                                     drop_deletions=True))
-        assert got == reference
-        assert scheduler.last_route() == "cpu"
+        tables, route = scheduler(spec, readers, [], drop_deletions=True)
+        assert output_bytes(tables) == reference
+        assert route == "cpu"
         assert scheduler.stats.backend_tasks == {
             "cpu": 1, "fpga-sim": 0, "batch": 0}
         assert scheduler.stats.fpga_fallbacks == 0
@@ -331,20 +332,20 @@ class TestFaultFallback:
         readers = [TableReader(img, ICMP, options) for img in images]
         spec = spec_for(images, readers)
         with obs.scoped(events=journal):
-            got = output_bytes(scheduler(spec, readers, [],
-                                         drop_deletions=True))
+            tables, route = scheduler(spec, readers, [],
+                                      drop_deletions=True)
 
-        assert got == reference
+        assert output_bytes(tables) == reference
         if routed_to(accelerator, no_numpy) == "cpu":
             # Declined before it ran: nothing to fault, nothing to fail
             # over from.
-            assert scheduler.last_route() == "cpu"
+            assert route == "cpu"
             assert scheduler.stats.fpga_fallbacks == 0
             assert injector.injected_faults == 0
             assert not [e for e in journal.events
                         if e["type"] in ("fault", "retry", "fallback")]
             return
-        assert scheduler.last_route() == "fallback"
+        assert route == "fallback"
         assert scheduler.stats.fpga_fallbacks == 1
         assert injector.faults_by_backend == {accelerator: 2}
 
@@ -377,6 +378,25 @@ class TestFaultFallback:
         assert stats.software_tasks == 1
         assert stats.fpga_tasks == 0
 
+    @pytest.mark.skipif(batch_merge._np is None,
+                        reason="without numpy the batch backend declines")
+    def test_batch_merge_puts_nothing_on_the_modeled_clock(self):
+        """A batch merge is measured wall time, not a modeled interval:
+        under a tracer it records no modeled span and leaves the modeled
+        cursor where it was; its seconds stay in the backend family."""
+        options = small_options(accelerator="batch")
+        images = overlapping_l0_tables(options)
+        tracer = Tracer()
+        scheduler = CompactionScheduler(FcaeDevice(CONFIG_9_INPUT, options),
+                                        options, tracer=tracer)
+        readers = [TableReader(img, ICMP, options) for img in images]
+        _, route = scheduler(spec_for(images, readers), readers, [],
+                             drop_deletions=True)
+        assert route == "batch"
+        assert tracer.sim_cursor == 0.0
+        assert [s.name for s in tracer.spans if s.track is not None] == []
+        assert scheduler.stats.backend_seconds["batch"] > 0
+
     def test_paper_split_is_a_view_of_the_backend_counters(self):
         """One fpga-sim task, one batch (or, without numpy, cpu) task and
         one fault-forced fallback through one scheduler: the fpga /
@@ -392,9 +412,9 @@ class TestFaultFallback:
             scheduler.options = dataclasses.replace(
                 options, accelerator=accelerator)
             readers = [TableReader(img, ICMP, options) for img in images]
-            scheduler(spec_for(images, readers), readers, [],
-                      drop_deletions=True)
-            return scheduler.last_route()
+            _, route = scheduler(spec_for(images, readers), readers, [],
+                                 drop_deletions=True)
+            return route
 
         assert run("fpga-sim") == "fpga-sim"
         in_process = run("batch")

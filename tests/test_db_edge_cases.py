@@ -463,7 +463,7 @@ class ParkedMerge:
             self.entered.set()
             assert self.release.wait(timeout=30)
         return compact_tables(spec.level, input_tables, parent_tables,
-                              self.options, self.icmp, drop).outputs
+                              self.options, self.icmp, drop).outputs, "cpu"
 
 
 def returns_within(call, seconds=1.0):

@@ -112,15 +112,3 @@ class TestDictViews:
         assert data["writes"] == 1
         assert data["reads"] == 1
         assert all(isinstance(v, int) for v in data.values())
-
-    def test_merge_sums_fieldwise(self, db):
-        from repro.lsm.db import DbStats
-
-        other = LsmDB("otherdb", Options(), env=MemEnv())
-        db.put(b"a", b"1")
-        other.put(b"b", b"22")
-        other.put(b"c", b"333")
-        merged = DbStats.merge(db.stats, other.stats)
-        assert merged["writes"] == 3
-        assert merged["write_bytes"] == (db.stats.write_bytes
-                                         + other.stats.write_bytes)

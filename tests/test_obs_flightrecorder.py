@@ -5,6 +5,7 @@ exposition, and device faults reach the DB's own journal."""
 
 import json
 import random
+from collections import Counter
 
 import pytest
 
@@ -250,6 +251,15 @@ class TestDeviceFaultsReachTheDbJournal:
         assert len(fallbacks) == scheduler.stats.fpga_fallbacks
         assert all("backend" in e for e in faults)
         assert all("source" in e and "target" in e for e in fallbacks)
+        # Each compaction's journal ``backend`` is the route its executor
+        # returned; a failover counts against the backend it tried.
+        routes = Counter(e["backend"] for e in own
+                         if e["type"] == "compaction_finish")
+        tasks = scheduler.stats.backend_tasks
+        assert routes == Counter({
+            "fallback": scheduler.stats.fpga_fallbacks,
+            "fpga-sim": tasks["fpga-sim"] - scheduler.stats.fpga_fallbacks,
+            "cpu": tasks["cpu"]})
 
     def test_each_journal_gets_each_line_once(self):
         installed = EventJournal(keep_events=True)

@@ -1,4 +1,4 @@
-"""Metrics registry: counters, gauges, histograms, families, merging."""
+"""Metrics registry: counters, gauges, histograms, families."""
 
 import math
 import threading
@@ -10,7 +10,6 @@ from repro.obs.registry import (
     BYTES_BUCKETS,
     MetricsRegistry,
     SECONDS_BUCKETS,
-    merge_counts,
 )
 
 
@@ -140,8 +139,3 @@ class TestThreadSafety:
         for t in threads:
             t.join()
         assert counter.value == 40_000
-
-
-def test_merge_counts():
-    merged = merge_counts([{"a": 1, "b": 2}, {"b": 3, "c": 4.5}])
-    assert merged == {"a": 1, "b": 5, "c": 4.5}

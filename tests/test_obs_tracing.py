@@ -62,19 +62,6 @@ class TestSpans:
         assert span.end_sim == 3.5
         assert span.sim_seconds == 1.5
 
-    def test_sim_clock_intervals(self):
-        class FakeClock:
-            now = 0.0
-
-        clock = FakeClock()
-        tracer = Tracer(sim_clock=clock)
-        with tracer.span("s"):
-            clock.now = 4.0
-        data = tracer.spans[0].to_dict()
-        assert data["start_sim"] == 0.0
-        assert data["end_sim"] == 4.0
-        assert data["sim_seconds"] == 4.0
-
 
 class TestJsonl:
     def test_round_trip(self, tmp_path):
