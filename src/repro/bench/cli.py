@@ -42,7 +42,6 @@ import time
 from repro.bench import (
     ablation,
     backends,
-    driver,
     fsync,
     hotpath,
     slo,
@@ -83,7 +82,6 @@ EXPERIMENTS = {
     "fig16": fig16.run,
     "ablation": ablation.run,
     "backends": backends.run,
-    "driver": driver.run,
     "fsync": fsync.run,
     "hotpath": hotpath.run,
     "slo": slo.run,
@@ -94,7 +92,7 @@ EXPERIMENTS = {
 ALL_ORDER = ("table5", "fig9", "fig10", "table6", "fig11", "table7",
              "fig12", "fig13", "fig14", "table8", "fig15a", "fig15b",
              "fig15c", "fig15d", "fig16", "ablation", "write_pause", "slo",
-             "driver", "fsync", "hotpath", "backends")
+             "fsync", "hotpath", "backends")
 
 #: BENCH_*.json schema version understood by tools/check_regression.py.
 BENCH_SCHEMA = 1

@@ -25,12 +25,12 @@ import signal
 import struct
 import subprocess
 import sys
-import threading
 import time
 from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
+from repro.analysis import watchdog as lockwatch
 from repro.compress import snappy
 from repro.errors import CorruptionError
 from repro.util.varint import decode_varint32
@@ -140,8 +140,8 @@ class BlockEncoder:
 
     def __init__(self) -> None:
         # Held to send or read; a split holds it for its whole stream.
-        self._lock = threading.Lock()
-        self._stats_lock = threading.Lock()
+        self._lock = lockwatch.make_lock("encoder.lock")
+        self._stats_lock = lockwatch.make_lock("encoder.stats")
         self._proc = None
         self._ready = self._broken = False
         self._sequence = self._pipe_bytes = 0

@@ -15,8 +15,6 @@
   interface and the cpu / fpga-sim / batch registry.
 * :mod:`repro.host.batch_merge` — the LUDA-style vectorized batched
   merge engine (decode-all, numpy merge order, bulk re-encode).
-* :mod:`repro.host.driver` — the asynchronous compaction driver: flush
-  worker plus ``num_units`` unit workers behind a bounded task queue.
 * :mod:`repro.host.faults` — deterministic fault injection for the
   offload path.
 """
@@ -31,7 +29,6 @@ from repro.host.accelerator import (
 )
 from repro.host.batch_merge import BatchMergeEngine
 from repro.host.device import DeviceResult, FcaeDevice
-from repro.host.driver import CompactionDriver
 from repro.host.faults import FaultInjector
 from repro.host.pcie import PcieModel
 from repro.host.scheduler import CompactionScheduler, SchedulerStats
@@ -41,7 +38,6 @@ __all__ = [
     "BackendResult",
     "BatchBackend",
     "BatchMergeEngine",
-    "CompactionDriver",
     "CompactionScheduler",
     "CpuBackend",
     "DeviceResult",

@@ -2,8 +2,8 @@
 
 A :class:`FaultInjector` attaches to :class:`repro.host.device.FcaeDevice`
 and makes ``compact`` fail in controlled ways, so the scheduler's retry /
-software-fallback machinery (and the driver's "never surface a device
-fault to a writer" guarantee) can be exercised deterministically:
+software-fallback machinery (and its "never surface a device fault to a
+writer" guarantee) can be exercised deterministically:
 
 * ``protocol_error_every=N`` — every Nth offload raises
   :class:`~repro.errors.FpgaProtocolError` (a MetaOut contract

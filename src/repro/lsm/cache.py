@@ -5,10 +5,10 @@ Capacity is accounted in bytes of cached payload.  Eviction is strict LRU,
 implemented over an ordered dict; hit/miss counters are exposed because
 the read-path experiments report them.
 
-The cache is thread-safe: readers on foreground threads and the
-background compaction driver's workers share one instance, so every
-structural operation, the ``hits`` / ``misses`` tallies included, holds a
-private lock (the bound obs counters carry their own registry lock).
+The cache is thread-safe: readers and the threads running flush and
+merge steps beside them share one instance, so every structural
+operation, the ``hits`` / ``misses`` tallies included, holds a private
+lock (the bound obs counters carry their own registry lock).
 """
 
 from __future__ import annotations

@@ -13,36 +13,25 @@ makes room (:meth:`LsmDB._make_room_for_write_locked`, LevelDB's
 then swap, so a failed rotation changes nothing — and from then on a
 *step* is due: :meth:`LsmDB.flush_immutable` while there is an immutable
 memtable, else :meth:`LsmDB.compact_once` while the version needs it.
-When to swap, when a writer stalls and what a failure means do not depend
-on who executes a step; that is the one switch,
-:meth:`LsmDB._maintain_locked`:
+The thread that finds a step due runs it (:meth:`LsmDB._maintain_locked`),
+in a loop, and releases the mutex around each step — so readers,
+``snapshot()``, stats and queueing writers go on meanwhile.  A failure
+raises to that caller, and the step is due again at the next call.
+Timing questions (the paper's Fig 6 overlap, its Compaction Units) are
+answered by the discrete-event simulator in :mod:`repro.sim`.
 
-* **no workers** (default): the thread that finds a step due runs it, in
-  a loop, and releases the mutex around each step exactly as a worker
-  runs it — so readers, ``snapshot()``, stats and queueing writers go on
-  meanwhile.  A failure raises to that caller.  Timing questions are
-  answered by the discrete-event simulator in :mod:`repro.sim`.
+A writer's swap *seals* the memtable it swaps out, the codec helper
+builds its table meanwhile, and the next swap, ``flush()``,
+``compact_range()`` or ``close()`` *lands* it (one ``no_workers`` stall).
 
-  A writer's swap *seals* the memtable it swaps out, the codec helper
-  builds its table meanwhile, and the next swap, ``flush()``,
-  ``compact_range()`` or ``close()`` *lands* it (one ``no_workers`` stall).
-* **a driver** (``background_compaction=True``): the paper's Fig 6
-  workflow on real threads.  A step is a token for
-  :class:`repro.host.driver.CompactionDriver`'s flush worker or one of its
-  ``num_units`` unit workers; a writer with room goes on, one without
-  waits on ``_cond`` — LevelDB's L0 slowdown (one short wait per write)
-  and stop (block until an L0 compaction lands) triggers.  A worker's
-  failure is parked and surfaces to writers as ``DBStateError``.
-
-Either way a blocked writer is one stall episode: one
-``lsm_write_stall_seconds`` observation, one ``stall_start`` /
-``stall_finish`` pair, one ``write.stall`` span.  Since steps run beside
-each other (a commit leader's, a ``flush()`` or ``compact_range()``
-caller's, the workers'), each claims what it works on under the mutex:
-a flush the immutable memtable (``_flushing``), a merge its files
-(``_busy``).  A caller whose step finds its work claimed waits on
-``_cond`` for the claim to clear, and :meth:`LsmDB.close` waits for
-every claimed step to finish.
+A blocked writer is one stall episode: one ``lsm_write_stall_seconds``
+observation, one ``stall_start`` / ``stall_finish`` pair, one
+``write.stall`` span.  Since steps run beside each other (a commit
+leader's, a ``flush()`` or ``compact_range()`` caller's), each claims
+what it works on under the mutex: a flush the immutable memtable
+(``_flushing``), a merge its files (``_busy``).  A caller whose step
+finds its work claimed waits on ``_cond`` for the claim to clear, and
+:meth:`LsmDB.close` waits for every claimed step to finish.
 
 Every public operation is safe to call from multiple threads:
 state mutations hold ``_mutex``; ``get`` and ``scan`` take no lock — they
@@ -95,7 +84,6 @@ from repro.lsm.internal import (
 from repro.lsm.iterator import merging_iterator
 from repro.lsm.memtable import MemTable
 from repro.lsm.options import (
-    L0_SLOWDOWN_TRIGGER,
     L0_STOP_TRIGGER,
     NUM_LEVELS,
     Options,
@@ -233,7 +221,7 @@ class LsmDB:
     auto_compact:
         Writers make room: swap a full memtable, get due flushes and
         compactions run.  Disable for manual control in tests and
-        offload demos (nothing runs unless asked); a driver implies it.
+        offload demos (nothing runs unless asked).
     metrics:
         A :class:`repro.obs.MetricsRegistry` to publish into; defaults to
         the process-wide registry installed by :func:`repro.obs.install`
@@ -242,14 +230,6 @@ class LsmDB:
         A :class:`repro.obs.Tracer` for flush/compaction/stall spans;
         defaults to the installed tracer, else a no-op.  Each of those
         spans is also written to :attr:`journals`.
-    background_compaction:
-        Run flushes and merge compactions on background threads via a
-        :class:`repro.host.driver.CompactionDriver`; the write path then
-        throttles (L0 slowdown/stop) instead of running them itself.
-    num_units:
-        Number of concurrent compaction workers (the paper's Compaction
-        Units) and the bound of the driver's task queue.  Only meaningful
-        with ``background_compaction=True``.
     """
 
     def __init__(self, dbname: str = "db", options: Optional[Options] = None,
@@ -257,9 +237,7 @@ class LsmDB:
                  compaction_executor: Optional[CompactionExecutor] = None,
                  auto_compact: bool = True,
                  metrics: Optional[MetricsRegistry] = None,
-                 tracer=None,
-                 background_compaction: bool = False,
-                 num_units: int = 1):
+                 tracer=None):
         self.options = options or Options()
         self.env = env or MemEnv()
         self.dbname = dbname
@@ -279,7 +257,7 @@ class LsmDB:
         #: How merge compactions execute (the CPU reference merge
         #: unless the caller passed a scheduler).
         self.compaction_executor = compaction_executor or self._cpu_executor
-        self.auto_compact = auto_compact or background_compaction
+        self.auto_compact = auto_compact
         self._mem = MemTable(self.icmp)  # guarded_by: _mutex
         self._imm: Optional[MemTable] = None  # guarded_by: _mutex
         #: What ``get`` / ``scan`` read, without the mutex: republished
@@ -318,11 +296,6 @@ class LsmDB:
         #: Live snapshot sequences → refcount (satellite: snapshot
         #: registry; compaction consults ``min``).
         self._snapshots: dict[int, int] = {}  # guarded_by: _mutex
-        #: First unrecoverable background failure; surfaced to writers.
-        self._bg_error: Optional[BaseException] = None  # guarded_by: _mutex
-        #: What a write gives the workers once L0 crosses the slowdown
-        #: trigger (LevelDB sleeps 1ms; kept short for tests).
-        self.slowdown_sleep_seconds = 0.001
 
         self.env.create_dir(dbname)
         #: The per-directory flight recorder, with
@@ -350,14 +323,9 @@ class LsmDB:
                                      self.journals)
         self._opened_monotonic = time.monotonic()
 
-        #: Who runs maintenance steps; None (this thread) through recovery.
-        self._driver = None
         self._recover()
         with self._mutex:
             self._new_log_locked()
-        if background_compaction:
-            from repro.host.driver import CompactionDriver
-            self._driver = CompactionDriver(self, num_units=num_units)
 
     # ------------------------------------------------------------------
     # Recovery & manifest
@@ -427,9 +395,14 @@ class LsmDB:
         dest = self.env.new_writable_file(manifest_name)
         LogWriter(dest).add_record(snapshot)
         self._durable_close(dest)
-        current = self.env.new_writable_file(current_file_name(self.dbname))
-        current.append(manifest_name.encode())
-        self._durable_close(current)
+        # Point CURRENT at it by renaming a durable temp over it: a failed
+        # write leaves the old pointer, and the old MANIFEST, in place.
+        current = current_file_name(self.dbname)
+        temp_name = current + ".tmp"
+        temp = self.env.new_writable_file(temp_name)
+        temp.append(manifest_name.encode())
+        self._durable_close(temp)
+        self.env.rename_file(temp_name, current)
         # Retire older manifests.
         for name in self.env.list_dir(self.dbname):
             number = parse_manifest_number(name)
@@ -505,12 +478,6 @@ class LsmDB:
     def slo_engine(self):
         """The DB's :class:`repro.obs.slo.SloEngine`, or None."""
         return self._ops.slo if self._ops is not None else None
-
-    def _check_bg_error_locked(self) -> None:
-        if self._bg_error is not None:
-            raise DBStateError(
-                f"background maintenance failed: {self._bg_error!r}"
-            ) from self._bg_error
 
     def write(self, batch: WriteBatch,
               tenant: Optional[str] = None) -> None:
@@ -628,28 +595,23 @@ class LsmDB:
 
     def _make_room_for_write_locked(self) -> None:
         """LevelDB's ``MakeRoomForWrite`` (mutex held): what every leader
-        does before it builds its group, whoever runs the steps.
+        does before it builds its group.
 
-        * the memtable has room → hand over whatever is due (with L0 at
-          the slowdown trigger, giving the workers a moment) and go on;
+        * the memtable has room → run whatever is due and go on;
         * memtable full and its predecessor sealed → land that, go round;
         * memtable full but the previous one still unflushed → stall;
         * memtable full and L0 at the stop trigger → stall until an L0
           compaction lands;
-        * otherwise swap the memtable (sealing it, with no driver) and go
-          round: the fresh one has room.
+        * otherwise swap the memtable (sealing it) and go round: the fresh
+          one has room.
         """
         while True:
-            self._check_bg_error_locked()
             if (self._mem.approximate_memory_usage
                     < self.options.write_buffer_size):
                 if self._maintenance_due_locked():
-                    slow = (self.versions.current.num_files(0)
-                            >= L0_SLOWDOWN_TRIGGER)
                     self._maintain_locked(
                         lambda: not self._maintenance_due_locked(),
-                        reason="no_workers",
-                        patience=self.slowdown_sleep_seconds if slow else 0)
+                        reason="no_workers")
                 return
             if self._sealed is not None:
                 self._land_locked()
@@ -661,8 +623,7 @@ class LsmDB:
                     self.versions.current.num_files(0) < L0_STOP_TRIGGER)
             else:
                 self._swap_memtable_locked()
-                if (self._driver is None and self._imm.approximate_memory_usage
-                        in _SEAL_BYTES):
+                if self._imm.approximate_memory_usage in _SEAL_BYTES:
                     self._seal_locked()
                 continue
             self._maintain_locked(done, reason)
@@ -678,63 +639,36 @@ class LsmDB:
             reason="no_workers", land=True)
 
     def _maintain_locked(self, done, reason: Optional[str] = None,
-                         patience: Optional[float] = None,
                          land: bool = False) -> None:
-        """Get maintenance steps run until ``done()`` holds (mutex held):
-        the one place that knows who runs them.
+        """Run maintenance steps on this thread until ``done()`` holds
+        (mutex held).
 
         A step is :meth:`flush_immutable` while there is an immutable
-        memtable, else :meth:`compact_once`.
-
-        * With a driver a step is a token for its workers.  The caller
-          re-kicks (a full queue drops tokens) and waits on ``_cond``
-          until ``done()``; a caller that has room passes ``patience``
-          instead — kick, wait at most that long, go on.  A worker's
-          failure is parked in ``_bg_error`` and raised here.
-        * With no workers the caller is the worker, whatever its
-          patience: it runs the steps in this loop, releasing the mutex
-          around each one (:meth:`_run_step`).  A step whose work another
-          thread's step claimed waits on ``_cond`` for it; one with
-          nothing to do and no step running ends the loop; one that
-          fails raises to the caller, nothing parked, due again next call.
-          A sealed memtable is landed only with ``land``.
+        memtable, else :meth:`compact_once`; each runs with the mutex
+        released (:meth:`_run_step`).  A step whose work another thread's
+        step claimed waits on ``_cond`` for it; one with nothing to do and
+        no step running ends the loop; one that fails raises to the
+        caller, due again next call.  A sealed memtable is landed only
+        with ``land``.
 
         ``reason`` names the write stall of a writer blocked here until
         ``done()``: the whole episode is one observation.
         """
-        driver = self._driver
         ctx = self.tracer.current_context()
         if ctx is None:
             ctx = self.tracer.mint_context()
-
-        def kick() -> None:
-            if self._imm is not None:
-                driver.kick_flush(ctx)
-            if self.versions.needs_compaction():
-                driver.kick(ctx=ctx)
-
-        if driver is not None and patience is not None:
-            kick()
-            if patience:
-                self._cond.wait(timeout=patience)
-            return
         with self.tracer.activate(ctx), self._stall_episode(reason, ctx):
-            while (not done() and self._bg_error is None
-                   and not self._closed):
-                if driver is not None:
-                    kick()
-                    self._cond.wait(timeout=0.05)
-                elif not self._run_step(flush=self._imm is not None and (
+            while not done() and not self._closed:
+                if not self._run_step(flush=self._imm is not None and (
                         land or self._sealed is None)):
                     if not (self._flushing or self._busy):
                         break
                     self._cond.wait()  # another thread's step has it
-        self._check_bg_error_locked()
 
     def _run_step(self, flush: bool) -> bool:
         """Run one maintenance step on this thread, which holds the
-        mutex: released for the step, as a worker runs it, and taken
-        back before this returns or raises."""
+        mutex: released for the step, and taken back before this returns
+        or raises."""
         self._mutex.release()
         try:
             return self.flush_immutable() if flush else self.compact_once()
@@ -747,9 +681,9 @@ class LsmDB:
         not a writer's wait, nothing is recorded).
 
         The episode's trace context is carried by the stall span, the
-        ``stall_*`` events, and the maintenance work done or kicked
-        meanwhile — so a tail-latency exemplar recorded right after the
-        stall resolves back to this episode in the journal."""
+        ``stall_*`` events, and the maintenance work done meanwhile — so
+        a tail-latency exemplar recorded right after the stall resolves
+        back to this episode in the journal."""
         if reason is None:
             yield
             return
@@ -858,13 +792,10 @@ class LsmDB:
     def compact_once(self, level_hint: Optional[int] = None) -> bool:
         """Pick and execute one merge compaction; returns False when no
         compaction is due (or every candidate's files are already being
-        compacted by another unit, or background maintenance already
-        failed).  ``level_hint=0`` forces a level-0 pick, as L0 at the
-        stop trigger does by itself."""
+        compacted by another thread's step).  ``level_hint=0`` forces a
+        level-0 pick, as L0 at the stop trigger does by itself."""
         self._check_open()
         with self._mutex:
-            if self._bg_error is not None:
-                return False
             with self.tracer.span("compaction.pick", db=self.dbname) as span:
                 spec = self._pick_compaction_locked(level_hint)
                 span.set(picked=spec is not None)
@@ -888,7 +819,7 @@ class LsmDB:
         level-0 compaction so stalled writers unblock; otherwise the
         version set's score-based pick decides.  Picks overlapping the
         busy-set are discarded — those files are already being compacted
-        and the worker that finishes them asks again.
+        and the caller that finishes them asks again.
         """
         versions = self.versions
         l0_files = versions.current.num_files(0)
@@ -909,12 +840,11 @@ class LsmDB:
         """Execute ``spec`` through the configured executor and install
         the result.
 
-        The merge itself runs outside the DB mutex (so ``num_units``
-        background workers overlap with the write path and each other);
-        reader capture before and version-edit install after both hold
-        it.  Callers beside other workers must guarantee the spec's files
-        are not concurrently compacted (:meth:`compact_once`'s busy-set
-        does)."""
+        The merge itself runs outside the DB mutex (so readers, queueing
+        writers and other callers' steps go on meanwhile); reader capture
+        before and version-edit install after both hold it.  Callers
+        beside other steps must guarantee the spec's files are not
+        concurrently compacted (:meth:`compact_once`'s busy-set does)."""
         with episode(self.tracer, self.journals, "compaction",
                      db=self.dbname, level=spec.level,
                      output_level=spec.output_level, reason=spec.reason,
@@ -1018,8 +948,7 @@ class LsmDB:
             self._cond.notify_all()
         return new_metas
 
-    # -- Maintenance entry points: all the background driver calls, and
-    # -- the steps a DB with no workers runs itself ---------------------
+    # -- Maintenance steps: what ``_maintain_locked`` runs ---------------
 
     def flush_immutable(self) -> bool:
         """Seal (unless a writer's swap did) and land the immutable
@@ -1091,30 +1020,6 @@ class LsmDB:
                 self._write_manifest()
                 self._retire_old_logs()
                 self._m.refresh_levels(self.versions.current)
-
-    def maintenance_failed(self, error: BaseException) -> None:
-        """Park the first background failure and wake any throttled
-        writers so they surface it instead of hanging."""
-        with self._mutex:
-            if self._bg_error is None:
-                self._bg_error = error
-            self._cond.notify_all()
-
-    def maintenance_pending(self) -> set[str]:
-        """What is still owed, for the driver: ``{"failed"}`` (a parked
-        error — nothing more will run), else any of ``"flush"`` (the
-        immutable memtable awaits its flush: a closing driver drains
-        it) and ``"compaction"`` (a level is over budget: a worker that
-        finished a step asks for another)."""
-        with self._mutex:
-            if self._bg_error is not None:
-                return {"failed"}
-            pending = set()
-            if self._imm is not None:
-                pending.add("flush")
-            if self.versions.needs_compaction():
-                pending.add("compaction")
-            return pending
 
     def compact_range(self) -> None:
         """Flush, then compact until no level is over budget and no
@@ -1331,10 +1236,6 @@ class LsmDB:
         failure leaves it to its WAL segment, for the next open), close."""
         if self._closed:
             return
-        if self._driver is not None:
-            # Drain pending background work first (workers need the
-            # mutex, so this must run without holding it), then stop.
-            self._driver.close()
         with self._mutex:
             if self._closed:
                 return
@@ -1344,7 +1245,7 @@ class LsmDB:
             while (self._writers or self._wal_writing or self._flushing
                    or self._busy):
                 self._writers_cond.wait(timeout=0.05)
-            if self._sealed is not None and self._bg_error is None:
+            if self._sealed is not None:
                 try:
                     self._land_locked()
                 except Exception:  # noqa: BLE001 - the WAL still holds it

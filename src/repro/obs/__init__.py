@@ -10,10 +10,10 @@ substrate those numbers flow through:
 * :mod:`repro.obs.names` — the canonical family table (``lsm_*``,
   ``scheduler_*``, ``fpga_pcie_*``, ``fpga_pipeline_*``) and binders;
 * :mod:`repro.obs.tracing` — nested spans over wall-clock and modeled
-  time, streamed as JSONL, with trace-context propagation across the
-  async driver's thread boundaries; the pipeline simulator's per-module
-  intervals and FIFO counters on the modeled clock (opt-in), and the one
-  Chrome trace-event exporter (Perfetto / ``chrome://tracing``);
+  time, streamed as JSONL, with trace-context propagation across
+  threads; the pipeline simulator's per-module intervals and FIFO
+  counters on the modeled clock (opt-in), and the one Chrome
+  trace-event exporter (Perfetto / ``chrome://tracing``);
 * :mod:`repro.obs.events` — the flight recorder: an append-only JSONL
   event journal of flushes, compactions, stalls and faults (each
   flush, compaction or stall one episode span), with a replay loader;

@@ -62,8 +62,8 @@ FAMILIES: tuple[tuple, ...] = (
      "(1 = no batching win).", GROUP_BUCKETS),
     ("lsm_write_stall_seconds", "histogram",
      "Foreground write-path time blocked on maintenance, per episode: "
-     "the writer running due flushes/compactions itself (no workers), "
-     "or waiting on a driver's (memtable handoff, L0 stop).",
+     "the leader running due flushes/compactions, or waiting out one "
+     "another thread runs (memtable handoff, L0 stop).",
      SECONDS_BUCKETS),
     ("lsm_snapshots_live", "gauge",
      "Snapshot handles currently registered (compaction preserves "
@@ -157,13 +157,6 @@ FAMILIES: tuple[tuple, ...] = (
      "non-zero value is a bug.", None),
     ("lockwatch_long_holds", "gauge",
      "Lock holds exceeding the watchdog's long-hold threshold.", None),
-    # -- Background compaction driver (paper Fig 6's task queue) ------
-    ("driver_queue_depth", "gauge",
-     "Compaction tasks queued for the driver's units.", None),
-    ("driver_tasks_total", "counter",
-     "Tasks the background driver completed, by kind "
-     "(flush|compaction); a token that found nothing to do or whose "
-     "task failed is not counted.", None),
     # -- PCIe link (Table VIII) ---------------------------------------
     ("fpga_pcie_transfers_total", "counter",
      "DMA transfers by direction (in|out).", None),
@@ -474,21 +467,6 @@ class SchedulerMetrics:
             registry, "scheduler_retries_total", **self.labels)
         self.fallbacks = _counter(
             registry, "scheduler_fallbacks_total", **self.labels)
-
-
-class DriverMetrics:
-    """The background compaction driver's bound children."""
-
-    KINDS = ("flush", "compaction")
-
-    def __init__(self, registry: MetricsRegistry, inst: str):
-        self.registry = registry
-        self.labels = {"inst": inst}
-        self.queue_depth = _gauge(
-            registry, "driver_queue_depth", **self.labels)
-        self.tasks = {kind: _counter(
-            registry, "driver_tasks_total", kind=kind, **self.labels)
-            for kind in self.KINDS}
 
 
 def stall_histogram(registry: MetricsRegistry, **labels):

@@ -24,15 +24,15 @@ The ``*_sim`` fields are ``null`` on a wall-clock span; only modeled
 records have them and a ``track``.  A ``"type": "counter"`` record is one sample (``attrs.value``
 at ``start_sim``) of a counter series.
 
-**Trace propagation.**  Work that crosses threads — a write kicks the
-background driver, a worker picks and runs the compaction — would
-otherwise produce disconnected span trees.  :meth:`Tracer.mint_context`
-captures a :class:`TraceContext` (a fresh trace id plus the minting
-span, if any); the driver carries it through its queues and the worker
-re-activates it with :meth:`Tracer.activate`.  Spans opened under an
-active remote context inherit its ``trace`` id and parent the minting
-span, so one compaction's host/DMA/kernel spans stitch under a single
-trace id across threads.
+**Trace propagation.**  Work that belongs to one episode — a stalled
+write, the flushes and merges it runs meanwhile, a tail-latency exemplar
+recorded after — would otherwise produce disconnected span trees.
+:meth:`Tracer.mint_context` captures a :class:`TraceContext` (a fresh
+trace id plus the minting span, if any), and :meth:`Tracer.activate`
+makes it current around that work, on this thread or another one.
+Spans opened under an active context inherit its ``trace`` id and
+parent the minting span, so one compaction's host/DMA/kernel spans
+stitch under a single trace id.
 """
 
 from __future__ import annotations

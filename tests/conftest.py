@@ -49,7 +49,7 @@ def _lock_watchdog(request):
     """Enable the runtime lock-order watchdog for concurrency tests.
 
     The watchdog wrappers are created lazily (``lockwatch.make_lock``),
-    so enabling here instruments every DB/driver/server the test builds.
+    so enabling here instruments every DB/server the test builds.
     A detected lock-order cycle fails the test at teardown even if the
     interleaving never actually deadlocked on this run.
     """

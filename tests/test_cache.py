@@ -119,8 +119,9 @@ class TestCounters:
 
 class TestThreadSafety:
     def test_concurrent_put_get_erase(self):
-        """The cache is shared by background flush/compaction workers;
-        hammer it from several threads and check it stays consistent."""
+        """The cache is shared by readers and flush/merge steps on other
+        threads; hammer it from several threads and check it stays
+        consistent."""
         import threading
 
         cache = LRUCache(4096)

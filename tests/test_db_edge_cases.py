@@ -1,6 +1,7 @@
 """DB edge cases: binary keys, big values, degraded configurations."""
 
 import errno
+import os
 import random
 import sys
 import threading
@@ -9,7 +10,7 @@ import time
 import pytest
 
 from repro import obs
-from repro.errors import DBStateError, NotFoundError
+from repro.errors import NotFoundError
 from repro.lsm import LsmDB, Options, WriteBatch
 from repro.lsm.compaction import compact_tables
 from repro.lsm.env import MemEnv
@@ -137,13 +138,6 @@ class FlakyEnv(MemEnv):
         return super().new_writable_file(name)
 
 
-#: Who runs maintenance steps: the caller, or a driver's workers.  A step
-#: that fails on the caller's thread raises to it, and the next call
-#: retries it; a worker's failure is parked, and writers and ``flush()``
-#: get ``DBStateError`` from then on, until a reopen.
-WHO_RUNS = pytest.mark.parametrize("background", [False, True],
-                                   ids=["no-workers", "driver"])
-
 VALUE = b"v" * 64
 
 
@@ -193,15 +187,11 @@ def assert_reopens_clean(env, name, options, expected):
 
 class TestLogRotationFailure:
     """A WAL segment that cannot be created costs nothing: the old
-    segment stays open and active and the memtable is not swapped.
-    Rotation runs on the calling thread whoever runs the steps."""
+    segment stays open and active and the memtable is not swapped."""
 
-    @WHO_RUNS
-    def test_failed_rotation_in_flush_changes_nothing(self, options,
-                                                      background):
+    def test_failed_rotation_in_flush_changes_nothing(self, options):
         env = FlakyEnv(".log")
-        db = LsmDB("rot", options, env=env, auto_compact=False,
-                   background_compaction=background)
+        db = LsmDB("rot", options, env=env, auto_compact=False)
         expected = {key(i): VALUE for i in range(100)}
         for k, v in expected.items():
             db.put(k, v)
@@ -222,14 +212,12 @@ class TestLogRotationFailure:
         db.close()
         assert_reopens_clean(env, "rot", options, expected)
 
-    @WHO_RUNS
-    def test_failed_rotation_on_the_write_path(self, options, background):
+    def test_failed_rotation_on_the_write_path(self, options):
         """The leader that finds the memtable full rotates before it
         swaps: its put gets the error and is not committed, the next
         one makes room and goes through."""
         env = FlakyEnv(".log")
-        db = LsmDB("rot-w", options, env=env,
-                   background_compaction=background)
+        db = LsmDB("rot-w", options, env=env)
         expected = fill_memtable(db)
         env.fail_next = 1
         with pytest.raises(OSError, match="injected"):
@@ -253,42 +241,27 @@ class TestFlushFailure:
     stays readable throughout, the partial table is removed, and the
     immutable memtable stays where it is, its flush still due."""
 
-    def fail_one_flush(self, db, env, background):
+    def fail_one_flush(self, db, env):
         env.fail_next = 1
-        with pytest.raises(DBStateError if background else OSError):
+        with pytest.raises(OSError):
             db.flush()
         assert env.fail_next == 0  # the table's creation did fail
         assert table_files(env, db.dbname) == live_tables(db)
 
     def test_failed_flush_strands_no_writes(self, options):
-        self.check_failed_flush(options, background=False)
-
-    def test_failed_flush_by_a_worker_is_parked(self, options):
-        self.check_failed_flush(options, background=True)
-
-    def check_failed_flush(self, options, background):
         env = FlakyEnv(".ldb")
-        db = LsmDB("flaky", options, env=env, auto_compact=False,
-                   background_compaction=background)
+        db = LsmDB("flaky", options, env=env, auto_compact=False)
         expected = {key(i): VALUE for i in range(200)}
         for k, v in expected.items():
             db.put(k, v)
-        self.fail_one_flush(db, env, background)
+        self.fail_one_flush(db, env)
         assert db.level_file_counts()[0] == 0
         assert_serves(db, expected)
-        if background:
-            # Parked: nothing more runs on this handle.
-            with pytest.raises(DBStateError):
-                db.put(b"late", b"x")
-            with pytest.raises(DBStateError):
-                db.flush()
-            assert_serves(db, expected)
-        else:
-            # The retry flushes exactly what the failed flush held.
-            db.flush()
-            assert db.level_file_counts()[0] == 1
-            assert table_files(env, "flaky") == live_tables(db)
-            assert_serves(db, expected)
+        # The retry flushes exactly what the failed flush held.
+        db.flush()
+        assert db.level_file_counts()[0] == 1
+        assert table_files(env, "flaky") == live_tables(db)
+        assert_serves(db, expected)
         db.close()
         assert_reopens_clean(env, "flaky", options, expected)
 
@@ -296,7 +269,7 @@ class TestFlushFailure:
         env = FlakyEnv(".ldb")
         db = LsmDB("flaky2", options, env=env, auto_compact=False)
         db.put(b"before", b"1")
-        self.fail_one_flush(db, env, background=False)
+        self.fail_one_flush(db, env)
         db.put(b"after", b"2")
         assert_serves(db, {b"before": b"1", b"after": b"2"})
         db.flush()
@@ -312,7 +285,7 @@ class TestFlushFailure:
         db = LsmDB("flaky3", options, env=env, auto_compact=False)
         for i in range(50):
             db.put(key(i), VALUE)
-        self.fail_one_flush(db, env, background=False)
+        self.fail_one_flush(db, env)
         assert table_files(env, "flaky3") == set()
 
     def test_failed_flush_on_the_write_path_is_retried(self, options):
@@ -362,7 +335,7 @@ class TestFlushFailure:
                 for _ in range(40):
                     db.put(key(committed[0]), VALUE)
                     committed[0] += 1
-                self.fail_one_flush(db, env, background=False)
+                self.fail_one_flush(db, env)
                 assert db.get(key(committed[0] - 1)) == VALUE
             db.flush()
         finally:
@@ -374,6 +347,46 @@ class TestFlushFailure:
         assert db.level_file_counts()[0] == 2
         assert table_files(env, "flaky4") == live_tables(db)
         assert len(dict(db.scan())) == committed[0] == 240
+
+
+class PointerFailEnv(MemEnv):
+    """MemEnv whose next write of the ``CURRENT`` pointer, once armed,
+    fails with EIO, whichever file the pointer is written through."""
+
+    def __init__(self):
+        super().__init__()
+        self.armed = False
+
+    def new_writable_file(self, name):
+        dest = super().new_writable_file(name)
+        if self.armed and os.path.basename(name).startswith("CURRENT"):
+            self.armed = False
+
+            def append(data):
+                raise OSError(errno.EIO, f"injected EIO writing {name}")
+            dest.append = append
+        return dest
+
+
+class TestManifestInstallFailure:
+    def test_failed_current_write_loses_nothing(self, options):
+        """An install whose ``CURRENT`` write fails leaves the previous
+        pointer, and the MANIFEST it names, in place: the DB reopens and
+        every acknowledged write reads back."""
+        env = PointerFailEnv()
+        db = LsmDB("ptr", options, env=env, auto_compact=False)
+        expected = {}
+        for i in range(200):
+            expected[key(i)] = VALUE
+            db.put(key(i), VALUE)
+            if i == 99:
+                db.flush()  # the first MANIFEST and CURRENT
+        env.armed = True
+        with pytest.raises(OSError, match="injected"):
+            db.flush()
+        assert not env.armed  # the pointer's write did fail
+        db.close()
+        assert_reopens_clean(env, "ptr", options, expected)
 
 
 class TableSyncFailEnv(MemEnv):
@@ -399,20 +412,12 @@ class TestCompactionFailure:
     @pytest.mark.parametrize("fail_at", [1, 2])
     def test_failed_compaction_leaves_no_orphan_table(self, options,
                                                       fail_at):
-        self.check_failed_compaction(options, fail_at, background=False)
-
-    @pytest.mark.parametrize("fail_at", [1, 2])
-    def test_failed_compaction_by_a_worker_is_parked(self, options, fail_at):
-        self.check_failed_compaction(options, fail_at, background=True)
-
-    def check_failed_compaction(self, options, fail_at, background):
         """An output table whose durable close fails is removed along
         with the outputs already written, the DB keeps serving every
-        key, and a retry of the compaction — on this handle when the
-        caller ran it, after a reopen when a worker did — succeeds."""
+        key, and a retry of the compaction on the same handle
+        succeeds."""
         env = TableSyncFailEnv()
-        db = LsmDB("orphan", options, env=env, auto_compact=False,
-                   background_compaction=background)
+        db = LsmDB("orphan", options, env=env, auto_compact=False)
         rng = random.Random(fail_at)
         expected = {}
         for table in range(4):
@@ -426,18 +431,13 @@ class TestCompactionFailure:
         before = live_tables(db)
         assert len(before) == 4 and table_files(env, "orphan") == before
         env.fail_at = fail_at
-        with pytest.raises(DBStateError if background else OSError):
+        with pytest.raises(OSError):
             db.compact_range()
         assert env.fail_at == 0  # the armed sync did fire
         assert live_tables(db) == before
         assert table_files(env, "orphan") == before
         assert_serves(db, expected)
 
-        if background:
-            with pytest.raises(DBStateError):
-                db.put(b"late", b"x")
-            db.close()
-            db = LsmDB("orphan", options, env=env, auto_compact=False)
         db.compact_range()
         assert db.level_file_counts()[0] == 0
         assert table_files(env, "orphan") == live_tables(db)
@@ -491,9 +491,8 @@ def fill_level0(db):
 
 
 class TestStepsRunWithoutTheMutex:
-    """With no workers the caller runs a step the way a worker does: with
-    the DB mutex released.  Other callers read, report and queue beside
-    it; steps on different threads never do the same work twice; and
+    """The caller runs a step with the DB mutex released.  Other callers
+    read, report and queue beside it; steps on different threads never do the same work twice; and
     ``close()`` waits for a step still running on a caller's thread."""
 
     def test_other_callers_are_not_blocked_by_a_running_merge(self, options):

@@ -1,10 +1,12 @@
-"""Background compaction driver: concurrency, throttling, fault recovery.
+"""The write path under concurrency: throttling, fault recovery.
 
-Covers the asynchronous write path end to end: flush/compaction workers
-installing under the DB mutex, real L0 throttling, concurrent readers
-and scanners against a writing database, and the scheduler's software
-fallback under injected device faults (no lost or duplicated keys, no
-exception ever reaching a writer).
+Covers maintenance run by the threads that find it due, end to end:
+flushes and merges installing under the DB mutex, the L0 stop trigger,
+concurrent readers and scanners against a writing database, and the
+scheduler's software fallback under injected device faults (no lost or
+duplicated keys, no device fault ever reaching a writer).  The file
+keeps the name it had when a thread driver ran these steps, so its
+tests keep their ids.
 """
 
 import threading
@@ -17,14 +19,11 @@ from repro import obs
 from repro.errors import DBStateError, NotFoundError
 from repro.fpga.config import CONFIG_9_INPUT
 from repro.host.device import FcaeDevice
-from repro.host.driver import CompactionDriver
 from repro.host.faults import FaultInjector
 from repro.host.scheduler import CompactionScheduler
 from repro.lsm.db import LsmDB
 from repro.lsm.env import MemEnv
-from repro.lsm.faultenv import SlowSyncEnv
 from repro.lsm.options import L0_STOP_TRIGGER, Options
-from repro.obs import NULL_TRACER
 from repro.obs.events import EventJournal
 from repro.obs.registry import MetricsRegistry
 from repro.util.comparator import BytewiseComparator
@@ -38,10 +37,9 @@ def small_options(**overrides):
     return Options(**base)
 
 
-def make_bg_db(name, num_units=1, **kwargs):
+def make_db(name, **kwargs):
     return LsmDB(name, small_options(), env=MemEnv(),
-                 metrics=MetricsRegistry(),
-                 background_compaction=True, num_units=num_units, **kwargs)
+                 metrics=MetricsRegistry(), **kwargs)
 
 
 def family_total(registry, name, **match):
@@ -66,10 +64,8 @@ def value(i):
 
 
 class TestBackgroundBasics:
-    @pytest.mark.parametrize("num_units", [1, 2],
-                             ids=["units1", "units2"])
-    def test_fillrandom_complete_and_sorted(self, num_units):
-        with make_bg_db("bg-basic", num_units) as db:
+    def test_fillrandom_complete_and_sorted(self):
+        with make_db("bg-basic") as db:
             n = 1200
             for i in range(n):
                 db.put(key(i * 37 % n), value(i * 37 % n))
@@ -80,23 +76,8 @@ class TestBackgroundBasics:
             for i in range(0, n, 97):
                 assert db.get(key(i)) == value(i)
 
-    def test_driver_metrics_and_stalls(self):
-        with make_bg_db("bg-metrics") as db:
-            for i in range(1500):
-                db.put(key(i), value(i))
-            db.compact_range()
-            assert family_total(db.metrics, "driver_tasks_total",
-                                kind="flush") > 0
-            assert family_total(db.metrics, "driver_tasks_total",
-                                kind="compaction") > 0
-            assert db.stats.flushes > 0
-            assert db.stats.compactions > 0
-            # Stall episodes (imm backlog / L0 stop) land in the
-            # histogram, one observation per episode.
-            assert db._m.stall_seconds.count == db.stall_events
-
     def test_flush_blocks_until_installed(self):
-        with make_bg_db("bg-flush") as db:
+        with make_db("bg-flush") as db:
             for i in range(100):
                 db.put(key(i), value(i))
             db.flush()
@@ -104,105 +85,13 @@ class TestBackgroundBasics:
             assert db.versions.current.num_files(0) >= 1
 
     def test_close_drains_pending_work(self):
-        db = make_bg_db("bg-close")
+        db = make_db("bg-close")
         for i in range(800):
             db.put(key(i), value(i))
         db.close()
         assert db._imm is None
         with pytest.raises(DBStateError):
             db.put(b"late", b"x")
-
-    def test_num_units_validation(self):
-        with pytest.raises(ValueError):
-            CompactionDriver(object(), num_units=0)
-
-
-class StubDB:
-    """Exactly what :class:`CompactionDriver` may ask of its DB: the
-    four maintenance entry points plus ``tracer``/``metrics``/``dbname``
-    — no mutex, no underscore attribute."""
-
-    dbname = "stub"
-    tracer = NULL_TRACER
-
-    def __init__(self):
-        self.metrics = MetricsRegistry()
-        self.imm_pending = False
-        self.flushes = 0
-        self.hints = []
-        self.failures = []
-        self.fail_next = None
-
-    def flush_immutable(self):
-        if not self.imm_pending:
-            return False
-        self.flushes += 1
-        self.imm_pending = False
-        return True
-
-    def compact_once(self, level_hint):
-        if self.fail_next is not None:
-            error, self.fail_next = self.fail_next, None
-            raise error
-        self.hints.append(level_hint)
-        return True
-
-    def maintenance_failed(self, error):
-        self.failures.append(error)
-
-    def maintenance_pending(self):
-        if self.failures:
-            return {"failed"}
-        return {"flush"} if self.imm_pending else set()
-
-
-def wait_idle(driver, timeout=10.0):
-    deadline = time.monotonic() + timeout
-    while not driver.idle():
-        assert time.monotonic() < deadline, "driver never went idle"
-        time.sleep(0.001)
-
-
-class TestDriverAgainstStub:
-    def test_kick_runs_one_compaction_with_the_hint(self):
-        db = StubDB()
-        driver = CompactionDriver(db, num_units=2)
-        driver.kick(level=0)
-        wait_idle(driver)
-        driver.kick()
-        wait_idle(driver)
-        driver.close()
-        assert db.hints == [0, None]
-        assert family_total(db.metrics, "driver_tasks_total",
-                            kind="compaction") == 2
-        # Closed: further kicks are dropped, not queued.
-        driver.kick()
-        assert driver.idle()
-
-    def test_close_drains_the_pending_flush(self):
-        db = StubDB()
-        driver = CompactionDriver(db)
-        db.imm_pending = True  # swapped, but the kick got lost
-        driver.close()
-        assert db.flushes == 1 and not db.imm_pending
-        assert all(not thread.is_alive() for thread in driver._threads)
-
-    def test_failure_is_parked_and_the_worker_survives(self):
-        db = StubDB()
-        driver = CompactionDriver(db)
-        boom = RuntimeError("boom")
-        db.fail_next = boom
-        driver.kick()
-        wait_idle(driver)
-        assert db.failures == [boom]
-        driver.kick(level=0)  # same worker thread, still serving
-        wait_idle(driver)
-        assert db.hints == [0]
-        db.imm_pending = True
-        started = time.monotonic()
-        driver.close()  # a parked failure ends the drain at once
-        assert time.monotonic() - started < 5.0
-        assert db.flushes == 0
 
 
 class CountingComparator(BytewiseComparator):
@@ -235,7 +124,7 @@ class TestScan:
         """Memtables are iterated lazily next to four writers (no copy
         under the mutex): every scan must still be one consistent cut —
         per writer, exactly a prefix of what it committed in order."""
-        db = make_bg_db("bg-prefix", num_units=2)
+        db = make_db("bg-prefix")
         writers, per_writer = 4, 500
         errors = []
         done = threading.Event()
@@ -280,10 +169,8 @@ class TestScan:
 
 
 class TestConcurrency:
-    @pytest.mark.parametrize("num_units", [1, 2],
-                             ids=["units1", "units2"])
-    def test_concurrent_put_get_scan(self, num_units):
-        db = make_bg_db("bg-conc", num_units)
+    def test_concurrent_put_get_scan(self):
+        db = make_db("bg-conc")
         n = 1500
         errors = []
         done = threading.Event()
@@ -332,7 +219,7 @@ class TestConcurrency:
         db.close()
 
     def test_scan_during_write_is_snapshot_consistent(self):
-        db = make_bg_db("bg-scan", num_units=2)
+        db = make_db("bg-scan")
         for i in range(400):
             db.put(key(i), value(i))
         stop = threading.Event()
@@ -373,13 +260,13 @@ class TestConcurrency:
 class TestThrottling:
     def test_l0_stop_trigger_blocks_then_recovers(self):
         """Drive L0 over the stop trigger with compactions disabled, then
-        let the driver relieve it: the writer must have stalled (counted
-        + histogram) and L0 must drop below the trigger."""
-        db = make_bg_db("bg-stop")
+        let the writer relieve it: the writer must have stalled (counted
+        + histogram) at the stop trigger and L0 must drop below it."""
+        journal = EventJournal(keep_events=True)
+        with obs.scoped(events=journal):
+            db = make_db("bg-stop")
         try:
-            # Stall the units by keeping the task queue unpicked: pause
-            # via the DB's pick (the driver only schedules) returning
-            # None until released.
+            # Pause merges: the DB's pick returns None until released.
             real_pick = db._pick_compaction_locked
             db._pick_compaction_locked = lambda hint: None
             for i in range(4000):
@@ -387,14 +274,15 @@ class TestThrottling:
                 if db.versions.current.num_files(0) >= L0_STOP_TRIGGER:
                     break
             assert db.versions.current.num_files(0) >= L0_STOP_TRIGGER
-            # Keep the units paused until the writer actually blocks:
-            # releasing the pick first lets a queued token relieve L0
-            # before the next memtable fills, and no stall is recorded.
+
+            # Keep merges paused until the writer stalls at the stop
+            # trigger; from then on each of its steps picks an L0 merge.
             def release_after_stall():
-                while db.stall_events == 0 and not db._closed:
+                while not db._closed and not any(
+                        event.get("reason") == "l0_stop"
+                        for event in list(journal.events)):
                     time.sleep(0.001)
                 db._pick_compaction_locked = real_pick
-                db._driver.kick(level=0)
 
             releaser = threading.Thread(target=release_after_stall)
             releaser.start()
@@ -403,6 +291,7 @@ class TestThrottling:
             for i in range(4000, 5200):
                 db.put(key(i), value(i))
             releaser.join(timeout=30)
+            assert not releaser.is_alive()
             assert db.stall_events > 0
             assert db._m.stall_seconds.count > 0
             db.compact_range()
@@ -426,8 +315,7 @@ class TestFaultInjection:
         options = small_options()
 
         software = LsmDB("sw-ref", options, env=MemEnv(),
-                         metrics=MetricsRegistry(),
-                         background_compaction=True)
+                         metrics=MetricsRegistry())
         self._load(software, n)
         reference = list(software.scan())
         software.close()
@@ -439,8 +327,7 @@ class TestFaultInjection:
         scheduler = CompactionScheduler(device, options, metrics=registry,
                                         max_retries=0)
         faulty = LsmDB("fpga-faulty", options, env=MemEnv(),
-                       metrics=registry, compaction_executor=scheduler,
-                       background_compaction=True)
+                       metrics=registry, compaction_executor=scheduler)
         self._load(faulty, n)
         result = list(faulty.scan())
 
@@ -463,81 +350,10 @@ class TestFaultInjection:
         scheduler = CompactionScheduler(device, options, metrics=registry,
                                         max_retries=1)
         db = LsmDB("fpga-retry", options, env=MemEnv(), metrics=registry,
-                   compaction_executor=scheduler,
-                   background_compaction=True)
+                   compaction_executor=scheduler)
         self._load(db, 1200)
         assert injector.injected_faults > 0
         assert scheduler.stats.fpga_retries == injector.injected_faults
         assert scheduler.stats.fpga_fallbacks == 0
         assert len(list(db.scan())) == 1200
         db.close()
-
-    def test_unrecoverable_failure_surfaces_as_db_error(self):
-        """A non-device error in the executor must park the DB in a
-        failed state (writers raise DBStateError), not hang or vanish."""
-        def broken_executor(spec, inputs, parents, drop):
-            raise RuntimeError("boom")
-
-        db = LsmDB("bg-broken", small_options(), env=MemEnv(),
-                   metrics=MetricsRegistry(),
-                   compaction_executor=broken_executor,
-                   background_compaction=True)
-        with pytest.raises(DBStateError):
-            for i in range(20_000):
-                db.put(key(i), value(i))
-        db.close()
-
-
-class SlowTableSyncEnv(SlowSyncEnv):
-    """``sync()`` sleeps — a wait with the GIL released, what a disk or
-    a device gives — and the thread that created each table is
-    recorded."""
-
-    def __init__(self, seconds):
-        super().__init__(sync_latency=seconds)
-        self.table_threads = []
-
-    def new_writable_file(self, name):
-        if name.endswith(".ldb"):
-            self.table_threads.append(threading.current_thread().name)
-        return super().new_writable_file(name)
-
-
-class TestStallComparison:
-    def test_background_stall_time_below_synchronous(self):
-        """The paper's claim is overlap of *waiting* (Fig 6): with no
-        workers every table sync is the writer's stall; with a driver
-        the writer never builds a table, stalls only for the reasons
-        LevelDB names, and for less time.  (Compute does not overlap
-        under the GIL, so a comparison without a real wait is a coin
-        flip on the interpreter's switch interval.)"""
-        n = 2500
-
-        def run(**kwargs):
-            env = SlowTableSyncEnv(seconds=0.003)
-            journal = EventJournal(keep_events=True)
-            with obs.scoped(events=journal):
-                db = LsmDB("stall-cmp", small_options(), env=env,
-                           metrics=MetricsRegistry(), **kwargs)
-            for i in range(n):
-                db.put(key(i), value(i))
-            stalled = db.stats.stall_seconds
-            tables = list(env.table_threads)
-            assert db.stats.stall_episodes == db.stall_events > 0
-            db.compact_range()
-            db.close()
-            reasons = {event["reason"] for event in journal.events
-                       if event["type"] == "stall_start"}
-            return stalled, reasons, tables
-
-        writer = threading.current_thread().name
-        alone_stall, alone_reasons, alone_tables = run()
-        bg_stall, bg_reasons, bg_tables = run(background_compaction=True,
-                                              num_units=2)
-        assert alone_reasons == {"no_workers"}
-        assert set(alone_tables) == {writer}
-        assert bg_reasons <= {"imm_full", "l0_stop"}
-        assert bg_tables and writer not in bg_tables
-        # Every table's sync was the lone writer's wait.
-        assert alone_stall >= 0.003 * len(alone_tables)
-        assert bg_stall < alone_stall

@@ -1,12 +1,13 @@
 """Flight-recorder concurrency: the journal and the windowed histograms
-are hammered from many threads (and from the background driver's real
-worker threads) without losing events, tearing JSONL lines, or breaking
-percentile monotonicity."""
+are hammered from many threads (and from a DB's maintenance steps run
+on several threads) without losing events, tearing JSONL lines, or
+breaking percentile monotonicity."""
 
 import io
 import json
 import random
 import threading
+import time
 
 from repro.lsm.db import LsmDB
 from repro.lsm.env import OsEnv
@@ -84,20 +85,38 @@ class TestWindowUnderThreads:
         assert quantiles[0] > 0.0
 
 
-class TestJournalThroughDriverWorkers:
-    def test_background_workers_share_one_journal(self, tmp_path):
-        """A background-compaction DB with two units writes flush,
-        compaction and stall events from three different threads plus the
-        writer; the on-disk journal must still be gap-free and
+class TestJournalThroughCallerThreads:
+    def test_callers_share_one_journal(self, tmp_path):
+        """Flush, compaction and stall events come from the writer and
+        from a second thread calling ``flush()`` / ``compact_range()``
+        beside it; the on-disk journal must still be gap-free and
         replayable."""
         options = Options(write_buffer_size=8 * 1024, event_journal=True,
                           latency_window_seconds=60.0)
-        db = LsmDB(str(tmp_path / "db"), options=options, env=OsEnv(),
-                   auto_compact=False, background_compaction=True,
-                   num_units=2)
+        db = LsmDB(str(tmp_path / "db"), options=options, env=OsEnv())
+        writing = threading.Event()
+        writing.set()
+        errors = []
+
+        def maintain():
+            try:
+                while writing.is_set():
+                    db.flush()
+                    db.compact_range()
+                    time.sleep(0.005)
+            except Exception as error:  # noqa: BLE001
+                errors.append(error)
+
+        maintainer = threading.Thread(target=maintain)
+        maintainer.start()
         rng = random.Random(11)
-        for _ in range(4000):
-            db.put(f"k{rng.randrange(2500):08d}".encode(), bytes(64))
+        try:
+            for _ in range(4000):
+                db.put(f"k{rng.randrange(2500):08d}".encode(), bytes(64))
+        finally:
+            writing.clear()
+            maintainer.join(timeout=60)
+        assert not maintainer.is_alive() and errors == []
         db.compact_range()
         live_amp = {row["level"]: row["write_amp"]
                     for row in db.level_amplification()}

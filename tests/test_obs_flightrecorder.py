@@ -5,6 +5,8 @@ exposition, and device faults reach the DB's own journal."""
 
 import json
 import random
+import threading
+import time
 from collections import Counter
 
 import pytest
@@ -109,12 +111,31 @@ class TestOpScoring:
 
 class TestReplayEqualsLiveRegistry:
     def test_fillrandom_with_background_compaction(self, registry):
+        """A second thread runs ``compact_range()`` beside the writer,
+        whose own writes run the maintenance they find due."""
         journal = EventJournal(keep_events=True)
         with obs.scoped(events=journal):
-            db = LsmDB("wadb", small_options(), metrics=registry,
-                       auto_compact=False, background_compaction=True,
-                       num_units=2)
-        fill(db)
+            db = LsmDB("wadb", small_options(), metrics=registry)
+        writing = threading.Event()
+        writing.set()
+        errors = []
+
+        def maintain():
+            try:
+                while writing.is_set():
+                    db.compact_range()
+                    time.sleep(0.005)
+            except Exception as error:  # noqa: BLE001
+                errors.append(error)
+
+        maintainer = threading.Thread(target=maintain)
+        maintainer.start()
+        try:
+            fill(db)
+        finally:
+            writing.clear()
+            maintainer.join(timeout=60)
+        assert not maintainer.is_alive() and errors == []
         db.compact_range()
 
         live_total = db.stats.write_amplification
@@ -133,7 +154,6 @@ class TestReplayEqualsLiveRegistry:
                     for level, amp in summary.per_level_write_amp().items()
                     if amp}
         assert replayed == pytest.approx(live_levels)
-        # The byte-level accounting matches the registry counters too.
         for level, amp_bytes in summary.level_write_bytes.items():
             assert amp_bytes == level_bytes[level]
 
@@ -143,10 +163,25 @@ class TestReplayEqualsLiveRegistry:
             db = LsmDB("syncdb", small_options(), metrics=registry)
         fill(db, entries=2500)
         db.flush()
+
+        live_levels = {row["level"]: row["write_amp"]
+                       for row in db.level_amplification()
+                       if row["write_amp"]}
+        level_bytes = {row["level"]: row["write_bytes"]
+                       for row in db.level_amplification()}
         db.close()
+
         summary = replay(journal.events)
+        assert summary.compactions > 0 and summary.flushes > 0
         assert summary.write_amplification == pytest.approx(
             db.stats.write_amplification, abs=1e-9)
+        replayed = {level: amp
+                    for level, amp in summary.per_level_write_amp().items()
+                    if amp}
+        assert replayed == pytest.approx(live_levels)
+        # The byte-level accounting matches the registry counters too.
+        for level, amp_bytes in summary.level_write_bytes.items():
+            assert amp_bytes == level_bytes[level]
 
 
 class TestLevelStatsProperty:

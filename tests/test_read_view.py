@@ -35,16 +35,9 @@ def tiny_options(**overrides):
     return Options(**base)
 
 
-def open_db(name, mode, env=None):
-    """``mode`` is ``"inline"`` or the background driver's unit count."""
-    kwargs = ({} if mode == "inline"
-              else dict(background_compaction=True, num_units=mode))
+def open_db(name, env=None):
     return LsmDB(name, tiny_options(), env=env or MemEnv(),
-                 metrics=MetricsRegistry(), **kwargs)
-
-
-MODES = pytest.mark.parametrize(
-    "mode", ["inline", 1, 2], ids=["inline", "units1", "units2"])
+                 metrics=MetricsRegistry())
 
 
 def key(i):
@@ -74,9 +67,8 @@ def load(db, count):
 # (4) get and scan do not wait for the mutex
 # ----------------------------------------------------------------------
 
-@MODES
-def test_reads_complete_while_the_mutex_is_held(mode):
-    db = open_db("held", mode)
+def test_reads_complete_while_the_mutex_is_held():
+    db = open_db("held")
     load(db, 300)
     db.put(key(7), value(7, 2))  # one answer comes from the memtable
     holding, release = threading.Event(), threading.Event()
@@ -118,9 +110,8 @@ def test_reads_complete_while_the_mutex_is_held(mode):
 # (5) linearizable enough beside one writer
 # ----------------------------------------------------------------------
 
-@MODES
-def test_readers_and_scanner_beside_a_version_bumping_writer(mode):
-    db = open_db("linear", mode)
+def test_readers_and_scanner_beside_a_version_bumping_writer():
+    db = open_db("linear")
     keys, puts = 64, 1500
     #: per key: the version the writer is about to put / has had acked
     issued = [0] * keys
@@ -199,10 +190,9 @@ def test_readers_and_scanner_beside_a_version_bumping_writer(mode):
 # (6) an iterator outlives every file it reads
 # ----------------------------------------------------------------------
 
-@MODES
-def test_iterator_survives_compaction_deleting_its_files(mode):
+def test_iterator_survives_compaction_deleting_its_files():
     env = MemEnv()
-    db = open_db("iter", mode, env=env)
+    db = open_db("iter", env=env)
     load(db, 400)
     expected = [(key(i), value(i)) for i in range(400)]
     before = table_numbers(db)
@@ -233,7 +223,7 @@ def test_iterator_survives_compaction_deleting_its_files(mode):
 # ----------------------------------------------------------------------
 
 def test_superseded_readers_are_freed_with_their_last_user():
-    db = open_db("leak", "inline")
+    db = open_db("leak")
     load(db, 400)
     old = [weakref.ref(reader) for reader in db._view.tables.values()]
     assert len(old) >= 3

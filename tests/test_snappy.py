@@ -361,8 +361,8 @@ def test_on_disk_bytes_pinned(compress):
 
 
 def test_concurrent_compress_matches_serial():
-    """Flush and compaction-unit threads compress concurrently in driver
-    mode: the numpy leg may share no mutable scratch between calls."""
+    """Flush and merge steps on different threads compress concurrently:
+    the numpy leg may share no mutable scratch between calls."""
     inputs = [sstable_block(11, 28), low_entropy(12, 3, 4096)]
     serial = [snappy.compress(data) for data in inputs]
     results: list[list[bytes]] = [[], []]

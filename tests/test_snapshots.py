@@ -2,6 +2,7 @@
 
 import hashlib
 import random
+import threading
 
 import pytest
 
@@ -207,20 +208,37 @@ class TestSnapshotCompaction:
         # snapshot-preserving one.
         assert db._m.snapshot_merges.value == 0
 
-    def test_snapshot_under_background_compaction(self, options):
+    def test_snapshot_under_concurrent_compaction(self, options):
+        """Merges run by a second thread calling ``compact_range()``
+        beside the writer keep what the snapshot reads."""
         from repro.obs.registry import MetricsRegistry
 
         db = LsmDB("snap-bg", options, env=MemEnv(),
-                   metrics=MetricsRegistry(),
-                   background_compaction=True)
+                   metrics=MetricsRegistry())
+        writing = threading.Event()
+        errors = []
+
+        def compact_while_writing():
+            try:
+                while writing.is_set():
+                    db.compact_range()
+            except Exception as error:  # noqa: BLE001
+                errors.append(error)
+
+        compactor = threading.Thread(target=compact_while_writing)
         try:
             for i in range(300):
                 db.put(f"k{i:04d}".encode(), b"old" * 8)
             snap = db.snapshot()
+            writing.set()
+            compactor.start()
             for round_ in range(4):
                 for i in range(300):
                     db.put(f"k{i:04d}".encode(),
                            f"new{round_}".encode() * 8)
+            writing.clear()
+            compactor.join(timeout=60)
+            assert not compactor.is_alive() and errors == []
             db.compact_range()
             for i in range(0, 300, 23):
                 key = f"k{i:04d}".encode()
@@ -228,6 +246,7 @@ class TestSnapshotCompaction:
                 assert db.get(key) == b"new3" * 8
             snap.close()
         finally:
+            writing.clear()
             db.close()
 
 

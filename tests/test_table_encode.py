@@ -551,40 +551,3 @@ def test_a_second_builder_encodes_on_its_own(two_cpus):
     assert first == EXPECTED
     assert block_encoder.stats()["helper_blocks"] > 0
     block_encoder.close()
-
-
-def test_units2_driver_beside_flush_worker(two_cpus, monkeypatch):
-    """Two compaction units and the flush worker build tables at once:
-    whichever holds the helper shares its blocks, the others compress
-    their own, and every table is what the streaming builder writes."""
-    block_encoder = _Encoder()
-    monkeypatch.setattr(sstable, "block_encoder", block_encoder)
-    assert block_encoder.start(timeout=60.0)
-    env = _KeepingEnv()
-    options = Options(write_buffer_size=64 << 10, sstable_size=32 << 10,
-                      max_level0_size=128 << 10)
-    rng = random.Random(5)
-    with LsmDB("units2", options, env=env, background_compaction=True,
-               num_units=2) as db:
-        for _ in range(6000):
-            key = b"%016d" % rng.randrange(4000)
-            db.put(key, _value(rng, key))
-        db.compact_range()
-        report = db.property("repro.stats")
-        tables = dict(env.retired)
-        for name in env.list_dir("units2"):
-            if name.endswith(".ldb"):
-                tables[name] = env.read_file(os.path.join("units2", name))
-    assert len(tables) > 10
-    for name, image in tables.items():
-        dest = _BufferFile()
-        builder = TableBuilder(options, dest, BYTEWISE)
-        for key, value in TableReader(image, BYTEWISE, options):
-            builder.add(key, value)
-        builder.finish()
-        assert bytes(dest.data) == image, name
-    stats = block_encoder.stats()
-    assert stats["failures"] == 0
-    assert stats["helper_blocks"] > 0 and stats["host_blocks"] > 0
-    assert "block encoder (process):" in report
-    block_encoder.close()

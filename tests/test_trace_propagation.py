@@ -1,7 +1,7 @@
-"""Trace-context propagation: a span id minted at the write kick flows
-through the driver's queue into worker threads, the scheduler and the
-device, stitching one compaction's host/DMA/kernel spans under a single
-trace id."""
+"""Trace-context propagation: a span id minted where a writer stalls
+flows into the flushes and merges it runs, the scheduler and the device,
+stitching one compaction's host/DMA/kernel spans under a single trace
+id."""
 
 import json
 
@@ -54,14 +54,12 @@ class TestContextApi:
         assert span.trace_id is None
 
 
-class TestDriverPropagation:
-    def test_background_cascade_shares_one_trace(self):
-        """Flushes kicked by the writer and the compactions they cascade
-        into all land on a trace minted at the write kick."""
+class TestDbPropagation:
+    def test_flush_and_merge_spans_carry_a_trace(self):
+        """Flushes run by the writer and the compactions they cascade
+        into all land on a trace minted where the writer stalled."""
         tracer = Tracer(keep_spans=True)
-        db = LsmDB("tracedb", small_options(), tracer=tracer,
-                   auto_compact=False, background_compaction=True,
-                   num_units=2)
+        db = LsmDB("tracedb", small_options(), tracer=tracer)
         for i in range(3000):
             db.put(f"k{i % 1200:08d}".encode(), b"v" * 64)
         db.compact_range()
