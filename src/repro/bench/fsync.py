@@ -1,7 +1,7 @@
 """WAL sync policy sweep: throughput across the durability spectrum.
 
 Eight concurrent writers hammer one DB per ``wal_sync`` mode over a
-:class:`~repro.lsm.faultenv.SlowSyncEnv` (1 ms modeled fsync — a
+:class:`~repro.lsm.env.MemEnv` that charges a 1 ms modeled fsync (a
 datacenter SSD flush), so the rows show the real cost structure the
 modes trade against:
 
@@ -29,7 +29,7 @@ import time
 
 from repro.bench.common import ExperimentResult
 from repro.lsm.db import LsmDB
-from repro.lsm.faultenv import SlowSyncEnv
+from repro.lsm.env import MemEnv
 from repro.lsm.options import Options, WAL_SYNC_MODES
 
 WRITERS = 8
@@ -40,7 +40,7 @@ SYNC_LATENCY = 1e-3
 
 
 def _run_mode(mode: str, ops_per_writer: int) -> dict:
-    env = SlowSyncEnv(sync_latency=SYNC_LATENCY)
+    env = MemEnv(sync_seconds=SYNC_LATENCY)
     options = Options(
         wal_sync=mode,
         wal_sync_interval_seconds=0.01,

@@ -276,7 +276,6 @@ class LsmDB:
         #: A writer's seal of ``_imm`` until claimed; the last landed.
         self._sealed: Optional[_Seal] = None  # guarded_by: _mutex
         self._last_landed: Optional[_Seal] = None  # guarded_by: _mutex
-        self.stall_events = 0
         self.stats = DbStats(self._m)
         #: Never held across a maintenance step, whoever runs it, and
         #: never taken twice by one thread.  Instrumented by the lock
@@ -687,7 +686,6 @@ class LsmDB:
         if reason is None:
             yield
             return
-        self.stall_events += 1
         self._c["stalls"].inc()
         start = time.perf_counter()
         try:
@@ -1185,7 +1183,6 @@ class LsmDB:
         ``level``, ``files``, ``bytes``, ``write_bytes``, ``read_bytes``,
         ``write_amp``, ``space_amp`` and ``read_amp`` keys (defined at
         :meth:`repro.obs.names.LsmMetrics.level_amplification`)."""
-        self._check_open()
         with self._mutex:
             return self._m.level_amplification(self.versions.current)
 
@@ -1198,7 +1195,6 @@ class LsmDB:
         ``repro.approximate-memory-usage`` (live memtable bytes).
         Raises :class:`NotFoundError` for unknown properties.
         """
-        self._check_open()
         # The reports take the mutex per read and read the event journal
         # from the env: rendered with the mutex free.
         if name == "repro.stats":

@@ -4,7 +4,10 @@ The database performs all file I/O through an :class:`Env`, in the style of
 LevelDB's ``Env``.  Two implementations are provided:
 
 * :class:`MemEnv` — an in-memory filesystem, used by tests and by the FPGA
-  offload examples so runs are hermetic and fast;
+  offload examples so runs are hermetic and fast.  It keeps each file's
+  page-cache and stable-storage tiers apart, so a test can crash it and
+  check what the WAL's fsync policies keep, and it can charge a modeled
+  fsync latency (``bench fsync``);
 * :class:`OsEnv` — thin wrapper over the real filesystem.
 
 Both expose whole-file and append-style handles sufficient for SSTables,
@@ -15,10 +18,11 @@ from __future__ import annotations
 
 import os
 import threading
+import time
 from abc import ABC, abstractmethod
 from typing import Iterable
 
-from repro.errors import NotFoundError
+from repro.errors import InvalidArgumentError, NotFoundError
 
 
 class WritableFile(ABC):
@@ -82,69 +86,147 @@ class Env(ABC):
     def create_dir(self, path: str) -> None: ...
 
 
+#: Crash kinds understood by :meth:`MemEnv.crash`.
+CRASH_KINDS = ("process", "power")
+
+
+class _MemFile:
+    """One file's three-tier contents: ``data[:synced]`` is on stable
+    storage, ``data[synced:flushed]`` in the OS page cache,
+    ``data[flushed:]`` in the (volatile-on-process-death) userspace
+    buffer of the writing handle."""
+
+    __slots__ = ("data", "flushed", "synced")
+
+    def __init__(self) -> None:
+        self.data = bytearray()
+        self.flushed = 0
+        self.synced = 0
+
+
 class _MemWritableFile(WritableFile):
-    def __init__(self, store: dict[str, bytearray], name: str,
-                 append: bool = False):
-        self._store = store
+    def __init__(self, env: "MemEnv", name: str, state: _MemFile):
+        self._env = env
         self._name = name
-        if not append or name not in store:
-            self._store[name] = bytearray()
+        self._state = state
+        self._epoch = env._epoch
         self._closed = False
-        #: Number of ``sync()`` calls — the in-memory store is always
-        #: "durable", but tests assert fsync policies through this.
-        self.sync_count = 0
+
+    def _check_live(self) -> None:
+        if self._closed:
+            raise ValueError(f"write to closed file {self._name}")
+        if self._epoch != self._env._epoch:
+            raise ValueError(
+                f"stale handle to {self._name}: the environment crashed")
 
     def append(self, data: bytes) -> None:
-        if self._closed:
-            raise ValueError(f"append to closed file {self._name}")
-        self._store[self._name] += data
+        with self._env._lock:
+            self._check_live()
+            self._state.data += data
 
     def flush(self) -> None:
-        pass
+        with self._env._lock:
+            self._check_live()
+            self._state.flushed = len(self._state.data)
 
     def sync(self) -> None:
-        self.sync_count += 1
+        env = self._env
+        if env.sync_seconds > 0:
+            # Outside the lock: reads and other files' syncs go on
+            # meanwhile, as beside a device's flush.
+            time.sleep(env.sync_seconds)
+        with env._lock:
+            self._check_live()
+            state = self._state
+            state.flushed = state.synced = len(state.data)
+            env.syncs += 1
 
     def close(self) -> None:
-        self._closed = True
+        with self._env._lock:
+            if not self._closed and self._epoch == self._env._epoch:
+                # Closing drains the userspace buffer into the page
+                # cache (what a real close does); it does NOT fsync.
+                self._state.flushed = len(self._state.data)
+            self._closed = True
 
     @property
     def size(self) -> int:
-        return len(self._store[self._name])
+        return len(self._state.data)
 
 
 class MemEnv(Env):
-    """In-memory filesystem keyed by normalized path strings.
+    """In-memory filesystem keyed by normalized path strings, with
+    injectable process and power crashes.
 
-    Directory-level operations (create/delete/rename/list) are guarded by
-    a lock so background flush/compaction workers can create and retire
-    files while another thread lists the directory.
+    Each file models the three tiers a real write traverses: ``append``
+    lands in the writing handle's userspace buffer, ``flush`` (and
+    ``close``) drains it to the page cache, ``sync`` to stable storage.
+    :meth:`crash` truncates every file to the tier that survives.  Every
+    ``sync`` waits ``sync_seconds`` first, a modeled fsync latency that
+    makes the WAL sync modes' throughput trade-off measurable without a
+    disk.  Directory operations (create, delete, rename) are immediately
+    durable.  One lock guards the file map and the tiers, so a writer's
+    thread can create and retire files while another lists the
+    directory.
     """
 
-    def __init__(self) -> None:
-        self._files: dict[str, bytearray] = {}
-        self._dirs: set[str] = set()
+    def __init__(self, sync_seconds: float = 0.0) -> None:
+        self._files: dict[str, _MemFile] = {}
         self._lock = threading.Lock()
+        self._epoch = 0
+        self.sync_seconds = sync_seconds
+        #: Total ``sync()`` calls across all files.
+        self.syncs = 0
 
     @staticmethod
     def _norm(name: str) -> str:
         return os.path.normpath(name)
 
-    def new_writable_file(self, name: str) -> WritableFile:
+    def crash(self, kind: str = "process") -> None:
+        """Simulate a crash, truncating files to the surviving tier.
+
+        ``"process"`` (a SIGKILL) keeps everything flushed to the page
+        cache, so only open files' userspace buffers are lost;
+        ``"power"`` keeps only synced bytes.  Every outstanding handle
+        goes stale: writing through it raises, like a dead process.
+        """
+        if kind not in CRASH_KINDS:
+            raise InvalidArgumentError(
+                f"unknown crash kind {kind!r} (expected one of "
+                f"{', '.join(CRASH_KINDS)})")
         with self._lock:
-            return _MemWritableFile(self._files, self._norm(name))
+            for state in self._files.values():
+                keep = state.flushed if kind == "process" else state.synced
+                del state.data[keep:]
+                state.flushed = len(state.data)
+                state.synced = min(state.synced, len(state.data))
+            self._epoch += 1
+
+    def new_writable_file(self, name: str) -> WritableFile:
+        name = self._norm(name)
+        with self._lock:
+            state = self._files[name] = _MemFile()
+            return _MemWritableFile(self, name, state)
 
     def new_appendable_file(self, name: str) -> WritableFile:
+        name = self._norm(name)
         with self._lock:
-            return _MemWritableFile(self._files, self._norm(name),
-                                    append=True)
+            state = self._files.get(name)
+            if state is None:
+                state = self._files[name] = _MemFile()
+            return _MemWritableFile(self, name, state)
+
+    def _state(self, name: str) -> _MemFile:
+        """``name``'s state; the caller holds the lock."""
+        state = self._files.get(name)
+        if state is None:
+            raise NotFoundError(name)
+        return state
 
     def read_file(self, name: str) -> bytes:
         name = self._norm(name)
         with self._lock:
-            if name not in self._files:
-                raise NotFoundError(name)
-            return bytes(self._files[name])
+            return bytes(self._state(name).data)
 
     def file_exists(self, name: str) -> bool:
         with self._lock:
@@ -153,23 +235,20 @@ class MemEnv(Env):
     def file_size(self, name: str) -> int:
         name = self._norm(name)
         with self._lock:
-            if name not in self._files:
-                raise NotFoundError(name)
-            return len(self._files[name])
+            return len(self._state(name).data)
 
     def delete_file(self, name: str) -> None:
         name = self._norm(name)
         with self._lock:
-            if name not in self._files:
-                raise NotFoundError(name)
+            self._state(name)
             del self._files[name]
 
     def rename_file(self, src: str, dst: str) -> None:
         src, dst = self._norm(src), self._norm(dst)
         with self._lock:
-            if src not in self._files:
-                raise NotFoundError(src)
-            self._files[dst] = self._files.pop(src)
+            state = self._state(src)
+            del self._files[src]
+            self._files[dst] = state
 
     def list_dir(self, path: str) -> list[str]:
         prefix = self._norm(path) + os.sep
@@ -182,7 +261,7 @@ class MemEnv(Env):
         return sorted(seen)
 
     def create_dir(self, path: str) -> None:
-        self._dirs.add(self._norm(path))
+        pass
 
 
 class _OsWritableFile(WritableFile):

@@ -13,8 +13,9 @@ buffer acknowledged data.
 Backpressure: each gate watches the shard's ``lsm_write_stall_seconds``
 histogram and compares stalled-time deltas against wall time.  When the
 shard spends more than ``stall_threshold`` of its recent window stalled
-(L0 at the slowdown/stop trigger), writes get ``BUSY`` instead of
-queueing without bound — the client retries, and reads stay unaffected.
+(on a memtable flush, or on L0 at the stop trigger: the engine has no
+slowdown throttle), writes get ``BUSY`` instead of queueing without
+bound — the client retries, and reads stay unaffected.
 """
 
 from __future__ import annotations

@@ -14,7 +14,7 @@ import enum
 import random
 from typing import Iterator
 
-from repro.errors import InvalidArgumentError, NotFoundError
+from repro.errors import InvalidArgumentError
 
 
 class FillMode(enum.Enum):
@@ -57,13 +57,6 @@ class DbBench:
                      else self._random.randrange(self.num_entries))
             yield self.key_for(index), self.value_for(index)
 
-    def read_keys(self, count: int, random_order: bool = True
-                  ) -> Iterator[bytes]:
-        for i in range(count):
-            index = (self._random.randrange(self.num_entries)
-                     if random_order else i)
-            yield self.key_for(index)
-
     # ------------------------------------------------------------------
     # Driving a real database
     # ------------------------------------------------------------------
@@ -75,61 +68,6 @@ class DbBench:
             db.put(key, value)
             written += len(key) + len(value)
         return written
-
-    def run_readrandom(self, db, count: int) -> tuple[int, int]:
-        """Random point reads; returns (found, missing)."""
-        found = missing = 0
-        for key in self.read_keys(count):
-            try:
-                db.get(key)
-                found += 1
-            except NotFoundError:
-                missing += 1
-        return found, missing
-
-    def run_readseq(self, db, count: int) -> int:
-        """Sequential scan of up to ``count`` entries; returns entries
-        read (db_bench's ``readseq``)."""
-        read = 0
-        for _ in db.scan():
-            read += 1
-            if read >= count:
-                break
-        return read
-
-    def run_readmissing(self, db, count: int) -> int:
-        """Point reads for keys guaranteed absent (db_bench's
-        ``readmissing``) — exercises the bloom-filter negative path.
-        Returns the number of (expected) misses."""
-        missing = 0
-        for i in range(count):
-            # db_bench appends a suffix so the key can never exist.
-            key = self.key_for(self._random.randrange(
-                self.num_entries)) + b"."
-            try:
-                db.get(key)
-            except NotFoundError:
-                missing += 1
-        return missing
-
-    def run_overwrite(self, db, count: int) -> int:
-        """Random re-puts over the existing keyspace (db_bench's
-        ``overwrite``); returns bytes written."""
-        written = 0
-        for i in range(count):
-            index = self._random.randrange(self.num_entries)
-            key = self.key_for(index)
-            value = self.value_for(index + count)
-            db.put(key, value)
-            written += len(key) + len(value)
-        return written
-
-    def run_deleterandom(self, db, count: int) -> int:
-        """Random deletes (db_bench's ``deleterandom``)."""
-        for _ in range(count):
-            db.delete(self.key_for(self._random.randrange(
-                self.num_entries)))
-        return count
 
     @property
     def user_bytes(self) -> int:

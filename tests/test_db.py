@@ -64,6 +64,12 @@ class TestCrud:
             db.put(b"k", b"v")
         with pytest.raises(DBStateError):
             db.get(b"k")
+        with pytest.raises(DBStateError):
+            list(db.scan())
+        with pytest.raises(DBStateError):
+            db.snapshot()
+        with pytest.raises(DBStateError):
+            db.flush()
 
 
 class TestFlushAndCompaction:

@@ -75,7 +75,7 @@ class TestCounters:
         db.auto_compact = True
         db.put(b"trigger", b"x")
         assert db.stats.stalls >= 1
-        assert db.stats.stalls == db.stall_events
+        assert db.stats.stalls == db.stats.stall_episodes
 
 
 class TestCacheCounters:
@@ -112,3 +112,23 @@ class TestDictViews:
         assert data["writes"] == 1
         assert data["reads"] == 1
         assert all(isinstance(v, int) for v in data.values())
+
+
+class TestClosedDb:
+    def test_stats_after_close_include_the_landed_flush(self):
+        """``close()`` lands the last sealed memtable; the read-only
+        stats views still answer afterwards and count that flush."""
+        db = LsmDB("closed", Options(write_buffer_size=64 << 10),
+                   env=MemEnv())
+        for i in range(3000):
+            db.put(f"k{i:08d}".encode(), b"v" * 100)
+        flushes = db.stats.flushes
+        before = db.level_amplification()[0]
+        text = db.property("repro.levelstats")
+        db.close()
+        assert db.stats.flushes == flushes + 1
+        after = db.level_amplification()[0]
+        assert after["files"] == before["files"] + 1
+        assert after["write_bytes"] > before["write_bytes"]
+        assert db.property("repro.levelstats") != text
+        assert db.property("repro.num-files-at-level0") == str(after["files"])

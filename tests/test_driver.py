@@ -292,7 +292,7 @@ class TestThrottling:
                 db.put(key(i), value(i))
             releaser.join(timeout=30)
             assert not releaser.is_alive()
-            assert db.stall_events > 0
+            assert db.stats.stalls > 0
             assert db._m.stall_seconds.count > 0
             db.compact_range()
             assert db.versions.current.num_files(0) < L0_STOP_TRIGGER

@@ -21,7 +21,7 @@ import pytest
 
 from repro.errors import InvalidArgumentError, NotFoundError
 from repro.lsm import LsmDB, Options, WriteBatch
-from repro.lsm.faultenv import CrashEnv, SlowSyncEnv
+from repro.lsm.env import MemEnv
 from repro.lsm.internal import parse_internal_key
 from repro.lsm.options import WAL_SYNC_MODES
 
@@ -67,7 +67,7 @@ class TestCrashMatrix:
     @pytest.mark.parametrize("mode", WAL_SYNC_MODES)
     @pytest.mark.parametrize("crash", ["process", "power"])
     def test_recovery_contract(self, mode, crash):
-        env = CrashEnv()
+        env = MemEnv()
         # A huge interval = the worst case for "interval" (no timer
         # fires during the run, so power loss may cost everything
         # unsynced); "flush"'s promise is unaffected.
@@ -88,7 +88,7 @@ class TestCrashMatrix:
     def test_none_mode_demonstrates_the_seed_hole(self):
         """The original bug: acknowledged writes sitting in Python's
         userspace buffer vanish on a mere process kill."""
-        env = CrashEnv()
+        env = MemEnv()
         options = make_options("none")
         db = LsmDB("cdb", options, env=env)
         acked = write_acked(db, 50)
@@ -100,7 +100,7 @@ class TestCrashMatrix:
     def test_flush_mode_plugs_it(self):
         """Satellite: even the minimal mode flushes before the ack, so
         a process crash loses nothing acknowledged."""
-        env = CrashEnv()
+        env = MemEnv()
         options = make_options("flush")
         db = LsmDB("cdb", options, env=env)
         acked = write_acked(db, 50)
@@ -110,7 +110,7 @@ class TestCrashMatrix:
         db2.close()
 
     def test_interval_zero_syncs_every_write(self):
-        env = CrashEnv()
+        env = MemEnv()
         options = make_options("interval", wal_sync_interval_seconds=0.0)
         db = LsmDB("cdb", options, env=env)
         acked = write_acked(db, 40)
@@ -122,7 +122,7 @@ class TestCrashMatrix:
     def test_interval_window_bounds_the_loss(self):
         """Everything acknowledged before the last fsync survives a
         power loss; only the post-sync window is at risk."""
-        env = CrashEnv()
+        env = MemEnv()
         options = make_options("interval", wal_sync_interval_seconds=3600.0)
         db = LsmDB("cdb", options, env=env)
         acked = write_acked(db, 30)
@@ -138,7 +138,7 @@ class TestCrashMatrix:
     def test_crash_after_flush_keeps_tables(self):
         """Flushed SSTables + manifest survive a power loss (they are
         fsynced before install), so only WAL tail is ever at risk."""
-        env = CrashEnv()
+        env = MemEnv()
         options = make_options(
             "flush", write_buffer_size=4 * 1024, sstable_size=8 * 1024,
             block_size=512, max_level0_size=64 * 1024)
@@ -152,12 +152,12 @@ class TestCrashMatrix:
 
     def test_unknown_crash_kind_rejected(self):
         with pytest.raises(InvalidArgumentError):
-            CrashEnv().crash("meteor")
+            MemEnv().crash("meteor")
 
 
 class TestGroupCommit:
     def test_concurrent_acks_all_survive_power_loss(self):
-        env = CrashEnv()
+        env = MemEnv()
         options = make_options("group")
         db = LsmDB("gdb", options, env=env)
         acked_per_thread = [[] for _ in range(8)]
@@ -184,7 +184,7 @@ class TestGroupCommit:
     def test_groups_amortize_syncs(self):
         """With a slow fsync and concurrent writers, the leader splices
         multiple batches per sync: strictly fewer syncs than commits."""
-        env = SlowSyncEnv(sync_latency=2e-3)
+        env = MemEnv(sync_seconds=2e-3)
         options = make_options("group")
         db = LsmDB("gdb", options, env=env)
 
@@ -208,7 +208,7 @@ class TestGroupCommit:
     def test_batch_sequences_are_contiguous_across_group(self):
         """A spliced group commits with contiguous sequences; reopening
         replays every member batch."""
-        env = CrashEnv()
+        env = MemEnv()
         options = make_options("group")
         db = LsmDB("gdb", options, env=env)
         batch = WriteBatch()
@@ -226,7 +226,7 @@ class TestGroupCommit:
         db2.close()
 
     def test_always_mode_syncs_every_commit(self):
-        env = SlowSyncEnv(sync_latency=0.0)
+        env = MemEnv()
         options = make_options("always")
         db = LsmDB("adb", options, env=env)
         write_acked(db, 20)
@@ -240,11 +240,11 @@ class TestOneCommitPath:
 
     @pytest.mark.parametrize("mode", ["interval", "always", "group"])
     def test_get_does_not_wait_behind_an_fsync(self, mode):
-        env = SlowSyncEnv(sync_latency=0.0)
+        env = MemEnv()
         options = make_options(mode, wal_sync_interval_seconds=0.0)
         db = LsmDB("rdb", options, env=env)
         db.put(b"seen", b"1")
-        env.sync_latency = 0.3
+        env.sync_seconds = 0.3
         writer = threading.Thread(target=db.put, args=(b"slow", b"2"))
         writer.start()
         time.sleep(0.05)  # the writer is inside its fsync by now
@@ -262,19 +262,19 @@ class TestOneCommitPath:
         while it fsyncs.  A flush must wait it out *before* swapping the
         memtable: swapping first would land the batch in the new
         memtable and then retire the segment holding its only record."""
-        env = SlowSyncEnv(CrashEnv(), sync_latency=0.0)
+        env = MemEnv()
         options = make_options(mode)
         db = LsmDB("fdb", options, env=env)
         db.put(b"before", b"0")
-        env.sync_latency = 0.3
+        env.sync_seconds = 0.3
         writer = threading.Thread(target=db.put, args=(b"inflight", b"1"))
         writer.start()
         time.sleep(0.05)  # the writer is inside its fsync by now
-        env.sync_latency = 0.0
+        env.sync_seconds = 0.0
         db.flush()
         writer.join(timeout=10)
         assert not writer.is_alive()
-        env.inner.crash("power")
+        env.crash("power")
         db2 = LsmDB("fdb", options, env=env)
         assert db2.get(b"before") == b"0"
         assert db2.get(b"inflight") == b"1"
@@ -287,7 +287,7 @@ class TestOneCommitPath:
         acknowledged key is readable, and fsyncs are counted per commit
         (``always``), per group (``group``) or never (``none``/``flush``)."""
         writers, per_writer = 8, 40
-        env = SlowSyncEnv(sync_latency=1e-4)
+        env = MemEnv(sync_seconds=1e-4)
         options = make_options(mode, wal_sync_interval_seconds=3600.0)
         db = LsmDB("qdb", options, env=env)
         errors = []
@@ -335,7 +335,7 @@ class TestWalSeeding:
     def test_reopened_wal_segment_appends_cleanly(self):
         """A WAL segment reopened for append (via the seeded block
         offset) replays both generations of records."""
-        env = CrashEnv()
+        env = MemEnv()
         options = make_options("flush")
         db = LsmDB("wdb", options, env=env)
         acked = write_acked(db, 10)

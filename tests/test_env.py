@@ -139,7 +139,7 @@ class TestSync:
         handle.append(b"x")
         handle.sync()
         handle.sync()
-        assert handle.sync_count == 2
+        assert fs.syncs == 2
         handle.close()
 
 

