@@ -84,15 +84,6 @@ class LRUCache:
         if self._usage_gauge is not None:
             self._usage_gauge.set(usage)
 
-    def erase(self, key: Hashable) -> None:
-        with self._lock:
-            value = self._entries.pop(key, None)
-            if value is not None:
-                self._usage -= len(value)
-            usage = self._usage
-        if value is not None and self._usage_gauge is not None:
-            self._usage_gauge.set(usage)
-
     def clear(self) -> None:
         with self._lock:
             self._entries.clear()

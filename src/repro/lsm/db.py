@@ -11,12 +11,14 @@ Maintenance is one path.  Before it builds its group the commit leader
 makes room (:meth:`LsmDB._make_room_for_write_locked`, LevelDB's
 ``MakeRoomForWrite``): a full memtable is swapped out — rotate the WAL,
 then swap, so a failed rotation changes nothing — and from then on a
-*step* is due: :meth:`LsmDB.flush_immutable` while there is an immutable
-memtable, else :meth:`LsmDB.compact_once` while the version needs it.
-The thread that finds a step due runs it (:meth:`LsmDB._maintain_locked`),
-in a loop, and releases the mutex around each step — so readers,
-``snapshot()``, stats and queueing writers go on meanwhile.  A failure
-raises to that caller, and the step is due again at the next call.
+*step* is due: a flush while there is an immutable memtable, else a
+merge while the version needs it.  The thread that finds a step due runs
+it (:meth:`LsmDB._maintain_locked`), in a loop, and releases the mutex
+around each step — so readers, ``snapshot()``, stats and queueing writers
+go on meanwhile.  A failure raises to that caller, and the step is due
+again at the next call.  As in LevelDB, which never schedules a second
+background compaction, a DB runs one step at a time: a caller that finds
+one running waits on ``_cond`` for it, and so does :meth:`LsmDB.close`.
 Timing questions (the paper's Fig 6 overlap, its Compaction Units) are
 answered by the discrete-event simulator in :mod:`repro.sim`.
 
@@ -26,12 +28,7 @@ builds its table meanwhile, and the next swap, ``flush()``,
 
 A blocked writer is one stall episode: one ``lsm_write_stall_seconds``
 observation, one ``stall_start`` / ``stall_finish`` pair, one
-``write.stall`` span.  Since steps run beside each other (a commit
-leader's, a ``flush()`` or ``compact_range()`` caller's), each claims
-what it works on under the mutex: a flush the immutable memtable
-(``_flushing``), a merge its files (``_busy``).  A caller whose step
-finds its work claimed waits on ``_cond`` for the claim to clear, and
-:meth:`LsmDB.close` waits for every claimed step to finish.
+``write.stall`` span.
 
 Every public operation is safe to call from multiple threads:
 state mutations hold ``_mutex``; ``get`` and ``scan`` take no lock — they
@@ -218,10 +215,6 @@ class LsmDB:
         default): a :data:`CompactionExecutor`, called with
         ``(spec, input_tables, parent_tables, drop_deletions)`` and
         returning ``(outputs, route)``.
-    auto_compact:
-        Writers make room: swap a full memtable, get due flushes and
-        compactions run.  Disable for manual control in tests and
-        offload demos (nothing runs unless asked).
     metrics:
         A :class:`repro.obs.MetricsRegistry` to publish into; defaults to
         the process-wide registry installed by :func:`repro.obs.install`
@@ -235,7 +228,6 @@ class LsmDB:
     def __init__(self, dbname: str = "db", options: Optional[Options] = None,
                  env: Optional[Env] = None,
                  compaction_executor: Optional[CompactionExecutor] = None,
-                 auto_compact: bool = True,
                  metrics: Optional[MetricsRegistry] = None,
                  tracer=None):
         self.options = options or Options()
@@ -257,7 +249,6 @@ class LsmDB:
         #: How merge compactions execute (the CPU reference merge
         #: unless the caller passed a scheduler).
         self.compaction_executor = compaction_executor or self._cpu_executor
-        self.auto_compact = auto_compact
         self._mem = MemTable(self.icmp)  # guarded_by: _mutex
         self._imm: Optional[MemTable] = None  # guarded_by: _mutex
         #: What ``get`` / ``scan`` read, without the mutex: republished
@@ -268,12 +259,9 @@ class LsmDB:
         self._log: Optional[LogWriter] = None  # guarded_by: _mutex
         self._log_file = None  # guarded_by: _mutex
         self._log_number = 0  # guarded_by: _mutex
-        #: File numbers owned by in-flight compactions: a pick touching
-        #: one is discarded, which keeps concurrent outputs disjoint.
-        self._busy: set[int] = set()  # guarded_by: _mutex
-        #: True while a flush of ``_imm`` runs: one flush per memtable.
-        self._flushing = False  # guarded_by: _mutex
-        #: A writer's seal of ``_imm`` until claimed; the last landed.
+        #: True while a maintenance step runs (:meth:`_run_step_locked`).
+        self._stepping = False  # guarded_by: _mutex
+        #: A writer's seal of ``_imm`` until its flush; the last landed.
         self._sealed: Optional[_Seal] = None  # guarded_by: _mutex
         self._last_landed: Optional[_Seal] = None  # guarded_by: _mutex
         self.stats = DbStats(self._m)
@@ -281,11 +269,10 @@ class LsmDB:
         #: never taken twice by one thread.  Instrumented by the lock
         #: watchdog when REPRO_LOCK_WATCHDOG=1.
         self._mutex = lockwatch.make_lock("lsm.mutex")
+        #: Signalled when a commit group, a WAL append or a step ends.
         self._cond = lockwatch.make_condition(self._mutex)
-        #: Writer queue: front is the leader, the rest wait on
-        #: ``_writers_cond``.
+        #: Writer queue: front is the leader, the rest wait on ``_cond``.
         self._writers: deque[_Writer] = deque()  # guarded_by: _mutex
-        self._writers_cond = lockwatch.make_condition(self._mutex)
         #: True while the leader runs WAL I/O outside the mutex; nothing
         #: swaps the memtable or rotates the log meanwhile (the leader's
         #: batch would land in the new memtable while its record sits in
@@ -504,18 +491,17 @@ class LsmDB:
         with self._mutex:
             self._writers.append(writer)
             while not writer.done and self._writers[0] is not writer:
-                self._writers_cond.wait()
+                self._cond.wait()
             if writer.done:
                 if writer.error is not None:
                     raise writer.error
                 return
             # This thread leads the commit.
-            if self.auto_compact:
-                try:
-                    self._make_room_for_write_locked()
-                except BaseException as exc:
-                    self._finish_group_locked([writer], exc)
-                    raise
+            try:
+                self._make_room_for_write_locked()
+            except BaseException as exc:
+                self._finish_group_locked([writer], exc)
+                raise
             group = self._build_group_locked() if grow else [writer]
             if len(group) == 1:
                 spliced = batch
@@ -590,7 +576,7 @@ class LsmDB:
             assert popped is member
             member.error = error
             member.done = True
-        self._writers_cond.notify_all()
+        self._cond.notify_all()
 
     def _make_room_for_write_locked(self) -> None:
         """LevelDB's ``MakeRoomForWrite`` (mutex held): what every leader
@@ -642,13 +628,11 @@ class LsmDB:
         """Run maintenance steps on this thread until ``done()`` holds
         (mutex held).
 
-        A step is :meth:`flush_immutable` while there is an immutable
-        memtable, else :meth:`compact_once`; each runs with the mutex
-        released (:meth:`_run_step`).  A step whose work another thread's
-        step claimed waits on ``_cond`` for it; one with nothing to do and
-        no step running ends the loop; one that fails raises to the
-        caller, due again next call.  A sealed memtable is landed only
-        with ``land``.
+        A step is a flush while there is an immutable memtable, else a
+        merge (:meth:`_run_step_locked`).  While another thread's step
+        runs this waits on ``_cond`` for it; a step with nothing to do
+        ends the loop; one that fails raises to the caller, due again
+        next call.  A sealed memtable is landed only with ``land``.
 
         ``reason`` names the write stall of a writer blocked here until
         ``done()``: the whole episode is one observation.
@@ -658,21 +642,27 @@ class LsmDB:
             ctx = self.tracer.mint_context()
         with self.tracer.activate(ctx), self._stall_episode(reason, ctx):
             while not done() and not self._closed:
-                if not self._run_step(flush=self._imm is not None and (
+                if self._stepping:
+                    self._cond.wait()
+                elif not self._run_step_locked(self._imm is not None and (
                         land or self._sealed is None)):
-                    if not (self._flushing or self._busy):
-                        break
-                    self._cond.wait()  # another thread's step has it
+                    break
 
-    def _run_step(self, flush: bool) -> bool:
-        """Run one maintenance step on this thread, which holds the
-        mutex: released for the step, and taken back before this returns
-        or raises."""
+    def _run_step_locked(self, flush: bool,
+                         level_hint: Optional[int] = None) -> bool:
+        """Run one maintenance step on this thread (mutex held, no step
+        running): :meth:`_flush_step` or :meth:`_merge_step`, with the
+        mutex released and ``_stepping`` set meanwhile; the mutex is
+        taken back before this returns or raises."""
+        self._stepping = True
         self._mutex.release()
         try:
-            return self.flush_immutable() if flush else self.compact_once()
+            return self._flush_step() if flush else self._merge_step(
+                level_hint)
         finally:
             self._mutex.acquire()
+            self._stepping = False
+            self._cond.notify_all()
 
     @contextmanager
     def _stall_episode(self, reason: Optional[str], ctx) -> Iterator[None]:
@@ -742,7 +732,7 @@ class LsmDB:
                 if self._wal_writing:
                     # A leader is mid-append (see ``_wal_writing``):
                     # wait it out, then look again.
-                    self._writers_cond.wait()
+                    self._cond.wait()
                 else:
                     self._swap_memtable_locked()
 
@@ -788,26 +778,15 @@ class LsmDB:
         return stats.outputs, "cpu"
 
     def compact_once(self, level_hint: Optional[int] = None) -> bool:
-        """Pick and execute one merge compaction; returns False when no
-        compaction is due (or every candidate's files are already being
-        compacted by another thread's step).  ``level_hint=0`` forces a
-        level-0 pick, as L0 at the stop trigger does by itself."""
-        self._check_open()
+        """Pick and execute one merge compaction, after any step already
+        running; returns False when none is due.  ``level_hint=0``
+        forces a level-0 pick, as L0 at the stop trigger does by
+        itself."""
         with self._mutex:
-            with self.tracer.span("compaction.pick", db=self.dbname) as span:
-                spec = self._pick_compaction_locked(level_hint)
-                span.set(picked=spec is not None)
-            if spec is None:
-                return False
-            files = [meta.number for meta in spec.inputs + spec.parents]
-            self._busy.update(files)
-        try:
-            self.run_compaction(spec)
-        finally:
-            with self._mutex:
-                self._busy.difference_update(files)
-                self._cond.notify_all()
-        return True
+            while self._stepping:
+                self._cond.wait()
+            self._check_open()  # after the wait: a close() may end it
+            return self._run_step_locked(False, level_hint)
 
     def _pick_compaction_locked(self, level_hint: Optional[int]
                                 ) -> Optional[CompactionSpec]:
@@ -815,42 +794,38 @@ class LsmDB:
 
         A level-0 hint (or L0 at the stop trigger) prefers a forced
         level-0 compaction so stalled writers unblock; otherwise the
-        version set's score-based pick decides.  Picks overlapping the
-        busy-set are discarded — those files are already being compacted
-        and the caller that finishes them asks again.
+        version set's score-based pick decides.
         """
         versions = self.versions
         l0_files = versions.current.num_files(0)
         if (level_hint == 0 or l0_files >= L0_STOP_TRIGGER) and l0_files:
             spec = versions.pick_compaction(level=0)
-            if spec is not None and not self._overlaps_busy_locked(spec):
+            if spec is not None:
                 return spec
-        spec = versions.pick_compaction()  # None unless a score is >= 1
-        if spec is None or self._overlaps_busy_locked(spec):
-            return None
-        return spec
+        return versions.pick_compaction()  # None unless a score is >= 1
 
-    def _overlaps_busy_locked(self, spec: CompactionSpec) -> bool:
-        return any(meta.number in self._busy
-                   for meta in spec.inputs + spec.parents)
+    # -- Maintenance steps: what ``_run_step_locked`` runs ----------------
 
-    def run_compaction(self, spec: CompactionSpec) -> list[FileMetaData]:
-        """Execute ``spec`` through the configured executor and install
-        the result.
+    def _merge_step(self, level_hint: Optional[int]) -> bool:
+        """Pick a merge and run it; False when none is due.
 
-        The merge itself runs outside the DB mutex (so readers, queueing
-        writers and other callers' steps go on meanwhile); reader capture
-        before and version-edit install after both hold it.  Callers
-        beside other steps must guarantee the spec's files are not
-        concurrently compacted (:meth:`compact_once`'s busy-set does)."""
+        The merge itself runs outside the DB mutex (so readers and
+        queueing writers go on meanwhile); the pick, reader capture
+        before and version-edit install after hold it."""
+        with self._mutex:
+            with self.tracer.span("compaction.pick", db=self.dbname) as span:
+                spec = self._pick_compaction_locked(level_hint)
+                span.set(picked=spec is not None)
+        if spec is None:
+            return False
         with episode(self.tracer, self.journals, "compaction",
                      db=self.dbname, level=spec.level,
                      output_level=spec.output_level, reason=spec.reason,
                      input_bytes=spec.total_input_bytes) as ep:
-            return self._run_compaction(spec, ep)
+            self._run_compaction(spec, ep)
+        return True
 
-    def _run_compaction(self, spec: CompactionSpec,
-                        ep) -> list[FileMetaData]:
+    def _run_compaction(self, spec: CompactionSpec, ep) -> None:
         base_bytes = sum(m.file_size for m in spec.inputs)
         parent_bytes = sum(m.file_size for m in spec.parents)
         with self._mutex:
@@ -943,41 +918,24 @@ class LsmDB:
                         table_file_name(self.dbname, old.number))
                 self._write_manifest()
             self._m.refresh_levels(self.versions.current)
-            self._cond.notify_all()
-        return new_metas
 
-    # -- Maintenance steps: what ``_maintain_locked`` runs ---------------
-
-    def flush_immutable(self) -> bool:
+    def _flush_step(self) -> bool:
         """Seal (unless a writer's swap did) and land the immutable
-        memtable as a level-0 table; False when there is none, another
-        thread's flush has it, or the DB is closed.
+        memtable as a level-0 table; False when there is none.
 
         The table is built (or the helper's checked), written and opened
         with no mutex taken — the memtable is immutable — so writes go on
-        into the fresh memtable; only the claim and the install lock.  On
-        failure the partial file is removed and ``_imm`` stays, unsealed:
-        readable, its WAL segment retained, its flush still due.
+        into the fresh memtable; only taking the seal and the install
+        lock.  On failure the partial file is removed and ``_imm`` stays,
+        unsealed: readable, its WAL segment retained, its flush still due.
         """
         with self._mutex:
             imm = self._imm
-            if imm is None or self._flushing or self._closed:
+            if imm is None:
                 return False
-            self._flushing = True
             seal, self._sealed = self._sealed, None
             if seal is None:
                 seal = _Seal(self.versions.new_file_number())
-        try:
-            self._write_level0_table(imm, seal)
-        finally:
-            with self._mutex:
-                self._flushing = False
-                self._cond.notify_all()
-        return True
-
-    def _write_level0_table(self, imm: MemTable, seal: _Seal) -> None:
-        """Write ``imm`` as table ``seal.number`` and install it (the
-        claimed body of :meth:`flush_immutable`)."""
         number = seal.number
         name = table_file_name(self.dbname, number)
 
@@ -1018,15 +976,16 @@ class LsmDB:
                 self._write_manifest()
                 self._retire_old_logs()
                 self._m.refresh_levels(self.versions.current)
+        return True
 
     def compact_range(self) -> None:
-        """Flush, then compact until no level is over budget and no
-        compaction is running (full maintenance, ``auto_compact`` or
-        not)."""
+        """Flush, then compact until no level is over budget and no step
+        is running."""
         self.flush()
         with self._mutex:
             self._maintain_locked(
-                lambda: not (self._maintenance_due_locked() or self._busy))
+                lambda: not (self._maintenance_due_locked()
+                             or self._stepping))
 
     # ------------------------------------------------------------------
     # Read path
@@ -1236,11 +1195,10 @@ class LsmDB:
             if self._closed:
                 return
             # Let queued group commits drain (every writer in the queue
-            # has been promised an acknowledgement or an error) and steps
-            # running on callers' threads install or clean up.
-            while (self._writers or self._wal_writing or self._flushing
-                   or self._busy):
-                self._writers_cond.wait(timeout=0.05)
+            # has been promised an acknowledgement or an error) and a
+            # step running on a caller's thread install or clean up.
+            while self._writers or self._wal_writing or self._stepping:
+                self._cond.wait()
             if self._sealed is not None:
                 try:
                     self._land_locked()

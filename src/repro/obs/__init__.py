@@ -72,7 +72,6 @@ from repro.obs.tracing import (
     TraceContext,
     Tracer,
     read_jsonl,
-    span_children,
     spans_to_chrome_trace,
 )
 from repro.obs.events import (
@@ -82,7 +81,6 @@ from repro.obs.events import (
     open_episode_journals,
     record,
     replay,
-    replay_file,
 )
 from repro.obs.window import (
     WindowedHistogram,
@@ -322,11 +320,9 @@ __all__ = [
     "render_level_stats",
     "run_dashboard",
     "replay",
-    "replay_file",
     "resolve_registry",
     "resolve_tracer",
     "scoped",
-    "span_children",
     "spans_to_chrome_trace",
     "to_prometheus_text",
     "uninstall",

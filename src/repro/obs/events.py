@@ -55,7 +55,6 @@ from typing import IO, Iterator, Optional
 from repro.analysis import watchdog as lockwatch
 from repro.errors import InvalidArgumentError
 from repro.obs.schema import EVENT_SCHEMA, SCHEMA_VERSION
-from repro.obs.tracing import read_jsonl
 
 #: Every event type the journal accepts.
 EVENT_TYPES = frozenset(EVENT_SCHEMA)
@@ -321,9 +320,3 @@ def replay(events: list[dict]) -> JournalSummary:
                           if f == finish_type][0]
             _bump(summary.unbalanced, start_type, pending)
     return summary
-
-
-def replay_file(path: str) -> JournalSummary:
-    """Convenience: :func:`~repro.obs.tracing.read_jsonl` then
-    :func:`replay`."""
-    return replay(read_jsonl(path))

@@ -170,52 +170,16 @@ class SloSpec:
 
     @classmethod
     def from_dict(cls, data: dict) -> "SloSpec":
-        """Build a spec from a plain mapping.
-
-        Policies come either as ``policies = [{name=..., short_seconds=...,
-        long_seconds=..., factor=...}, ...]`` or as flat scalar keys
-        (``fast_short``/``fast_long``/``fast_factor`` and the ``slow_*``
-        trio) overriding single fields of the default policies."""
-        data = dict(data)
-        policies = data.pop("policies", None)
-        if policies is not None:
-            built = tuple(
-                p if isinstance(p, BurnPolicy) else BurnPolicy(
-                    p["name"], p["short_seconds"], p["long_seconds"],
-                    p["factor"])
-                for p in policies)
-        else:
-            built = _policies_from_flat(data)
+        """Build a spec from a plain mapping of the constructor's
+        keywords (``policies`` as ``[{name=..., short_seconds=...,
+        long_seconds=..., factor=...}, ...]``)."""
         known = ("name", "objective", "target", "threshold_seconds",
-                 "op", "tenant")
+                 "op", "tenant", "policies")
         unknown = set(data) - set(known)
         if unknown:
             raise InvalidArgumentError(
                 f"unknown SLO spec keys: {sorted(unknown)}")
-        return cls(policies=built,
-                   **{key: data[key] for key in known if key in data})
-
-
-def _policies_from_flat(data: dict) -> tuple:
-    """Pop ``fast_*``/``slow_*`` scalar keys into policies; absent keys
-    fall back to the matching default window/factor."""
-    out = []
-    touched = False
-    for default in DEFAULT_POLICIES:
-        prefix = default.name
-        short = data.pop(f"{prefix}_short", None)
-        long_ = data.pop(f"{prefix}_long", None)
-        factor = data.pop(f"{prefix}_factor", None)
-        if short is None and long_ is None and factor is None:
-            out.append(default)
-            continue
-        touched = True
-        out.append(BurnPolicy(
-            prefix,
-            default.short_seconds if short is None else float(short),
-            default.long_seconds if long_ is None else float(long_),
-            default.factor if factor is None else float(factor)))
-    return tuple(out) if touched else DEFAULT_POLICIES
+        return cls(**data)
 
 
 def parse_slo_specs(specs) -> tuple:

@@ -367,13 +367,6 @@ class Tracer:
     # Output
     # ------------------------------------------------------------------
 
-    def write_jsonl(self, path: str) -> None:
-        """Dump retained spans as JSON lines (appending, so two runs
-        sharing a path concatenate instead of clobbering)."""
-        with open(path, "a") as handle:
-            for span in self.spans:
-                handle.write(json.dumps(span.to_dict()) + "\n")
-
     def write_chrome_trace(self, path: str) -> None:
         """Dump retained spans as a Chrome trace-event file."""
         trace = spans_to_chrome_trace(
@@ -480,8 +473,3 @@ def read_jsonl(path: str) -> list[dict]:
             if line:
                 events.append(json.loads(line))
     return events
-
-
-def span_children(events: list[dict], parent_id: int) -> list[dict]:
-    """Direct children of ``parent_id`` within one trace."""
-    return [e for e in events if e.get("parent") == parent_id]

@@ -225,13 +225,3 @@ class LsmShapeModel:
     def total_bytes(self) -> int:
         return self.l0_bytes + sum(self.level_bytes)
 
-    def expected_depth_for(self, total_bytes: int) -> int:
-        """Levels a dataset of ``total_bytes`` will occupy."""
-        level, budget = 1, self.options.max_level0_size
-        remaining = total_bytes
-        while remaining > budget and level < NUM_LEVELS - 1:
-            remaining -= budget
-            level += 1
-            budget *= self.options.leveling_ratio
-        return level
-

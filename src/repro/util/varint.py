@@ -107,20 +107,6 @@ class VarintCursor:
         self.buf = buf
         self.pos = pos
 
-    def next32(self) -> int:
-        """Decode the varint32 at the cursor and advance past it."""
-        buf = self.buf
-        pos = self.pos
-        try:
-            byte = buf[pos]
-        except IndexError:
-            raise CorruptionError("truncated or overlong varint") from None
-        if byte < 0x80:
-            self.pos = pos + 1
-            return byte
-        value, self.pos = _decode(buf, pos, MAX_VARINT32_BYTES, _UINT32_MAX)
-        return value
-
     def next64(self) -> int:
         """Decode the varint64 at the cursor and advance past it."""
         buf = self.buf

@@ -109,18 +109,6 @@ class TestDegradedConfigurations:
         assert list(db.scan()) == []
 
 
-class TestAutoCompactOff:
-    def test_manual_maintenance_only(self, options):
-        db = LsmDB("manual", options, env=MemEnv(), auto_compact=False)
-        for i in range(3000):
-            db.put(f"k{i:08d}".encode(), b"x" * 40)
-        # Nothing flushed automatically.
-        assert db.level_file_counts() == [0] * 7
-        assert db.get(b"k00001500") == b"x" * 40  # served from memtable
-        db.flush()
-        assert db.level_file_counts()[0] == 1
-
-
 class FlakyEnv(MemEnv):
     """MemEnv whose next ``fail_next`` creations of a file ending in
     ``suffix`` fail (``.ldb``: a flush's table; ``.log``: a WAL
@@ -191,7 +179,7 @@ class TestLogRotationFailure:
 
     def test_failed_rotation_in_flush_changes_nothing(self, options):
         env = FlakyEnv(".log")
-        db = LsmDB("rot", options, env=env, auto_compact=False)
+        db = LsmDB("rot", options, env=env)
         expected = {key(i): VALUE for i in range(100)}
         for k, v in expected.items():
             db.put(k, v)
@@ -250,7 +238,7 @@ class TestFlushFailure:
 
     def test_failed_flush_strands_no_writes(self, options):
         env = FlakyEnv(".ldb")
-        db = LsmDB("flaky", options, env=env, auto_compact=False)
+        db = LsmDB("flaky", options, env=env)
         expected = {key(i): VALUE for i in range(200)}
         for k, v in expected.items():
             db.put(k, v)
@@ -267,7 +255,7 @@ class TestFlushFailure:
 
     def test_writes_after_failed_flush_not_lost(self, options):
         env = FlakyEnv(".ldb")
-        db = LsmDB("flaky2", options, env=env, auto_compact=False)
+        db = LsmDB("flaky2", options, env=env)
         db.put(b"before", b"1")
         self.fail_one_flush(db, env)
         db.put(b"after", b"2")
@@ -282,7 +270,7 @@ class TestFlushFailure:
 
     def test_partial_table_file_removed(self, options):
         env = FlakyEnv(".ldb")
-        db = LsmDB("flaky3", options, env=env, auto_compact=False)
+        db = LsmDB("flaky3", options, env=env)
         for i in range(50):
             db.put(key(i), VALUE)
         self.fail_one_flush(db, env)
@@ -313,7 +301,7 @@ class TestFlushFailure:
         outlives every failed flush of it, and the retry's view holds
         every committed write too."""
         env = FlakyEnv(".ldb")
-        db = LsmDB("flaky4", options, env=env, auto_compact=False)
+        db = LsmDB("flaky4", options, env=env)
         committed = [0]
         stop = threading.Event()
         errors = []
@@ -374,7 +362,7 @@ class TestManifestInstallFailure:
         pointer, and the MANIFEST it names, in place: the DB reopens and
         every acknowledged write reads back."""
         env = PointerFailEnv()
-        db = LsmDB("ptr", options, env=env, auto_compact=False)
+        db = LsmDB("ptr", options, env=env)
         expected = {}
         for i in range(200):
             expected[key(i)] = VALUE
@@ -417,7 +405,7 @@ class TestCompactionFailure:
         key, and a retry of the compaction on the same handle
         succeeds."""
         env = TableSyncFailEnv()
-        db = LsmDB("orphan", options, env=env, auto_compact=False)
+        db = LsmDB("orphan", options, env=env)
         rng = random.Random(fail_at)
         expected = {}
         for table in range(4):
@@ -492,7 +480,7 @@ def fill_level0(db):
 
 class TestStepsRunWithoutTheMutex:
     """The caller runs a step with the DB mutex released.  Other callers
-    read, report and queue beside it; steps on different threads never do the same work twice; and
+    read, report and queue beside it; a DB runs one step at a time; and
     ``close()`` waits for a step still running on a caller's thread."""
 
     def test_other_callers_are_not_blocked_by_a_running_merge(self, options):
@@ -527,6 +515,35 @@ class TestStepsRunWithoutTheMutex:
         assert not writer_a.is_alive() and not writer_b.is_alive()
         assert db.level_file_counts()[0] == 0
         assert_serves(db, {**expected, b"a": VALUE, b"b": VALUE})
+        db.close()
+
+    def test_one_step_at_a_time(self, options):
+        """A flush asked for while a merge runs waits for the merge."""
+        merge = ParkedMerge(options)
+        db = LsmDB("onestep", options, env=MemEnv(),
+                   compaction_executor=merge)
+        for table in range(2):
+            db.put(key(table), VALUE)
+            db.flush()
+        merge.armed = True
+        merger = threading.Thread(target=db.compact_once, args=(0,))
+        flusher = threading.Thread(target=db.flush)
+        merger.start()
+        try:
+            assert merge.entered.wait(timeout=10)
+            db.put(b"late", VALUE)
+            flusher.start()
+            flusher.join(0.5)
+            assert flusher.is_alive(), "a flush ran beside a merge"
+            assert db.stats.flushes == 2
+        finally:
+            merge.release.set()
+            merger.join(timeout=10)
+            if flusher.ident is not None:
+                flusher.join(timeout=10)
+        assert not merger.is_alive() and not flusher.is_alive()
+        assert db.stats.flushes == 3 and db.stats.compactions == 1
+        assert db.get(b"late") == VALUE
         db.close()
 
     def test_concurrent_callers_flush_each_memtable_once(self, options):
@@ -599,8 +616,7 @@ class TestStepsRunWithoutTheMutex:
     def test_close_waits_for_a_running_step(self, options):
         env = MemEnv()
         merge = ParkedMerge(options)
-        db = LsmDB("closing", options, env=env, compaction_executor=merge,
-                   auto_compact=False)
+        db = LsmDB("closing", options, env=env, compaction_executor=merge)
         expected = fill_level0(db)
         merge.armed = True
         step = threading.Thread(target=db.compact_range)

@@ -62,7 +62,9 @@ class TestCounters:
         from repro.lsm.options import L0_STOP_TRIGGER
 
         db = LsmDB("stalldb", options, env=MemEnv())
-        db.auto_compact = False
+        # Hold merges off while L0 fills (an instance attribute shadows
+        # the method until the ``del``).
+        db.versions.needs_compaction = lambda: False
         for batch in range(L0_STOP_TRIGGER):
             for i in range(200):
                 db.put(f"k{batch:03d}{i:07d}".encode(), b"x" * 40)
@@ -72,7 +74,7 @@ class TestCounters:
         # maintenance: full memtable + full L0 is the stop condition.
         for i in range(600):
             db.put(f"z{i:09d}".encode(), b"x" * 40)
-        db.auto_compact = True
+        del db.versions.needs_compaction
         db.put(b"trigger", b"x")
         assert db.stats.stalls >= 1
         assert db.stats.stalls == db.stats.stall_episodes

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.compress import snappy
 from repro.errors import InvalidArgumentError
 from repro.lsm import LsmDB, Options
 from repro.lsm.env import MemEnv
@@ -28,6 +29,13 @@ class TestGeneration:
     def test_value_geometry(self):
         bench = DbBench(10, value_length=128)
         assert len(bench.value_for(3)) == 128
+
+    def test_values_compress_about_half(self):
+        """A block of values must not compress away: ``lsm fill``'s
+        write amplification reads below 1 when it does."""
+        bench = DbBench(1000, value_length=128)
+        block = b"".join(bench.value_for(i) for i in range(30))
+        assert len(snappy.compress(block)) >= 0.4 * len(block)
 
     def test_user_bytes(self):
         bench = DbBench(10, key_length=16, value_length=84)

@@ -135,8 +135,3 @@ class TestSteadyState:
                     break
                 model.apply(task)
         assert model.total_bytes() == pytest.approx(ingested, rel=0.01)
-
-    def test_depth_estimate(self):
-        model = LsmShapeModel(options())
-        assert model.expected_depth_for(5 << 20) == 1
-        assert model.expected_depth_for(1 << 30) >= 3

@@ -16,7 +16,6 @@ from repro.obs.events import (
     episode,
     record,
     replay,
-    replay_file,
 )
 from repro.obs.schema import EVENT_SCHEMA
 from repro.obs.tracing import NULL_TRACER, Tracer, read_jsonl
@@ -227,15 +226,3 @@ class TestReplay:
         assert summary.unbalanced == {"compaction_start": 1,
                                       "flush_finish": 1}
         assert summary.flushes == 1  # still counted, just flagged
-
-    def test_replay_file_roundtrip(self, tmp_path):
-        path = str(tmp_path / "events.jsonl")
-        journal = EventJournal(sink_path=path)
-        for event in self._journal().events[1:]:
-            fields = {k: v for k, v in event.items()
-                      if k not in ("v", "seq", "ts", "type")}
-            journal.emit(event["type"], **fields)
-        journal.close()
-        summary = replay_file(path)
-        assert summary.flushes == 1 and summary.compactions == 1
-        assert summary.write_amplification == (100 + 90) / 120

@@ -231,7 +231,7 @@ def test_compaction_reads_leave_the_block_cache_alone():
     options = Options(write_buffer_size=16 * 1024, sstable_size=8 * 1024,
                       max_level0_size=32 * 1024,
                       block_cache_capacity=1 << 20)
-    db = LsmDB("cachedb", options, env=MemEnv(), auto_compact=False)
+    db = LsmDB("cachedb", options, env=MemEnv())
     rng = random.Random(3)
     keys = []
     for _ in range(6):

@@ -53,19 +53,6 @@ class TestSpecParsing:
             with pytest.raises(InvalidArgumentError):
                 SloSpec("bad", "availability", target=target)
 
-    def test_from_dict_flat_policy_keys(self):
-        spec = SloSpec.from_dict({
-            "name": "api", "objective": "latency", "target": 0.999,
-            "threshold_seconds": 0.005, "fast_short": 2.0,
-            "fast_factor": 8.0})
-        fast = spec.policies[0]
-        assert fast.name == "fast"
-        assert fast.short_seconds == 2.0
-        assert fast.factor == 8.0
-        # untouched keys keep the Google-SRE default
-        assert fast.long_seconds == DEFAULT_POLICIES[0].long_seconds
-        assert spec.policies[1] == DEFAULT_POLICIES[1]
-
     def test_from_dict_rejects_unknown_keys(self):
         with pytest.raises(InvalidArgumentError, match="unknown"):
             SloSpec.from_dict({"name": "x", "objective": "availability",

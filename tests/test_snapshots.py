@@ -14,7 +14,7 @@ from repro.lsm.env import MemEnv
 
 @pytest.fixture
 def db(options):
-    return LsmDB("snapdb", options, env=MemEnv(), auto_compact=False)
+    return LsmDB("snapdb", options, env=MemEnv())
 
 
 class TestSnapshotGet:

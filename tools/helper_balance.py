@@ -72,7 +72,7 @@ def main() -> int:
         setattr(owner, attr, wrapped)
 
     timing(LsmDB, "_seal_locked", "seal")
-    timing(LsmDB, "_write_level0_table", "land")
+    timing(LsmDB, "_flush_step", "land")
     timing(BatchMergeEngine, "_bulk_decode", "bulk_decode")
 
     workload = workloads.WORKLOADS[args.workload]
