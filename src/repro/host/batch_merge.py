@@ -9,16 +9,23 @@ re-encode the survivors.  This module is that engine on numpy:
 1. **Bulk decode** — read and check every data block of every input
    (bounds, checksum under ``paranoid_checks``), decompress them on two
    cores (:meth:`~repro.compress.encoder.BlockEncoder.decode`) and
-   materialize (internal key, value) lists per the normal block codec.
-2. **Vectorized merge** — pad the user keys into one ``(n, W)`` byte
-   matrix viewed as big-endian u64 columns; ``np.lexsort`` over (key
-   columns, key length, inverted trailer) yields exactly the internal-key
-   order.  Shadowed entries are consecutive rows with equal user keys;
+   append each entry :class:`~repro.lsm.block.Block` parses to one
+   buffer of raw keys and values, with a uint32 array of the length of
+   each key and each value.
+2. **Vectorized merge** — gather the user keys from the buffer, a byte
+   column at a time, into one zero-padded ``(n, W)`` matrix viewed as
+   big-endian u64 columns; ``np.lexsort`` over (key columns, key
+   length, inverted trailer) yields exactly the internal-key order.
+   Shadowed entries are consecutive rows with equal user keys;
    tombstones are rows whose trailer type byte is ``TYPE_DELETION`` —
-   both reduce to boolean masks (LUDA's validity check).
-3. **Bulk encode** — hand the survivors to the table writer every
-   executor shares (:func:`~repro.lsm.compaction.build_output_tables`:
-   cut, then compress on two cores, then lay out).
+   both reduce to boolean masks (LUDA's validity check).  It holds the
+   survivors' (key start, key end, value end) offsets.
+3. **Bulk encode** — slice the survivors out of the buffer one at a
+   time into the table writer every executor shares
+   (:func:`~repro.lsm.compaction.build_output_tables`: cut, then
+   compress on two cores, then lay out).  The slicing generator holds
+   the buffer's last reference, so it is freed before the last table
+   is copied out: a merge's traced peak is about 2.3× its raw input.
 
 The output is byte-identical to :func:`repro.lsm.compaction.compact`
 over the same tables — the equality suite in ``tests/test_accelerator.py``
@@ -32,6 +39,10 @@ sends the task to ``cpu`` instead.
 """
 
 from __future__ import annotations
+
+from array import array
+from itertools import chain
+from typing import Iterator
 
 from repro.compress.encoder import block_encoder
 from repro.errors import CorruptionError, InvalidArgumentError
@@ -79,74 +90,89 @@ class BatchMergeEngine:
                 "the batch merge engine needs numpy and a bytewise "
                 "comparator; route through CompactionScheduler, which "
                 "sends such tasks to the cpu backend")
-        keys, values = self._bulk_decode(
+        data, lengths = self._bulk_decode(
             [t for stream in streams for t in stream])
         stats = CompactionStats()
-        n = len(keys)
-        if n == 0:
+        if not lengths:
             return stats
-        survivors, dropped_shadowed, dropped_tombstones = _merge_order(
-            keys, drop_deletions)
-        stats.input_pairs = n
-        stats.dropped_shadowed = dropped_shadowed
-        stats.dropped_tombstones = dropped_tombstones
-        stats.output_pairs = len(survivors)
-        stats.input_bytes = sum(map(len, keys)) + sum(map(len, values))
-        picks = survivors.tolist()  # plain ints index lists fastest
-        stats.outputs = build_output_tables(
-            ((keys[i], values[i]) for i in picks), self.options,
-            self.comparator)
-        stats.output_bytes = sum(
-            len(keys[i]) + len(values[i]) for i in picks)
+        stats.input_pairs = len(lengths) // 2
+        stats.input_bytes = len(data)
+        spans, stats.dropped_shadowed, stats.dropped_tombstones = (
+            _merge_order(data, lengths, drop_deletions))
+        stats.output_pairs = spans.shape[1]
+        stats.output_bytes = int((spans[2] - spans[0]).sum())
+        survivors = _slices(data, spans)
+        # The generator now holds the only reference to the entries: they
+        # go once the last survivor is cut, before the last table is
+        # copied out.
+        del data, lengths
+        stats.outputs = build_output_tables(survivors, self.options,
+                                            self.comparator)
         return stats
 
-    def _bulk_decode(self, tables: list) -> tuple[list, list]:
-        """Decode every entry of every table."""
+    def _bulk_decode(self, tables: list) -> tuple[bytearray, array]:
+        """Every entry of every table in one buffer, each key followed
+        by its value, and the length of each key and each value."""
         verify = self.options.paranoid_checks
         payloads = (_block_payload(table.image, handle, verify)
                     for table in tables
                     for _, handle in table.index_entries())
-        keys: list = []
-        values: list = []
+        data = bytearray()
+        lengths = array("I")
         for _, raw in block_encoder.decode(payloads):
-            for key, value in Block(raw):
-                keys.append(key)
-                values.append(value)
-        return keys, values
+            fields = list(chain.from_iterable(Block(raw)))
+            data += b"".join(fields)
+            lengths.extend(map(len, fields))
+        return data, lengths
 
 
-def _merge_order(keys: list, drop_deletions: bool):
-    """Vectorized merge order + validity masks over internal keys.
-
-    Returns (survivor indices into ``keys`` in output order, shadowed
-    count, dropped-tombstone count).
+def _slices(data: bytearray, spans) -> Iterator[tuple[bytes, bytes]]:
+    """``(key, value)`` of each survivor, copied out of ``data`` one at a
+    time: ``spans``' rows are their key starts, key ends and value ends.
     """
-    n = len(keys)
-    lens = _np.fromiter(map(len, keys), dtype=_np.int64, count=n)
-    if int(lens.min()) < MARK_FIELDS_SIZE:
-        raise CorruptionError("internal key shorter than mark fields")
-    ulens = lens - MARK_FIELDS_SIZE
-    flat = _np.frombuffer(b"".join(keys), dtype=_np.uint8)
-    starts = _np.zeros(n, dtype=_np.int64)
-    starts[1:] = _np.cumsum(lens)[:-1]
+    # The caller's last reference, replaced by a copy: slicing ``bytes``
+    # costs a third of a memoryview's slice-and-copy.
+    data = bytes(data)
+    starts, mids, stops = map(memoryview, spans)
+    yield from zip(map(data.__getitem__, map(slice, starts, mids)),
+                   map(data.__getitem__, map(slice, mids, stops)))
 
-    # User keys, right-zero-padded into big-endian u64 columns: the
-    # column-major compare order equals bytewise order, with equal-prefix
-    # ties broken by key length (a proper prefix sorts first).
+
+def _merge_order(data: bytearray, lengths: array, drop_deletions: bool):
+    """Vectorized merge order + validity masks over the internal keys
+    of :meth:`BatchMergeEngine._bulk_decode`'s buffer.
+
+    Returns (a ``(3, m)`` array of the survivors' key starts, key ends
+    and value ends, in output order; shadowed count; dropped-tombstone
+    count).
+    """
+    flat = _np.frombuffer(data, dtype=_np.uint8)
+    bounds = _np.cumsum(_np.frombuffer(lengths, dtype=_np.uint32),
+                        dtype=_np.int64)
+    key_ends, value_ends = bounds[0::2], bounds[1::2]
+    starts = _np.zeros_like(key_ends)
+    starts[1:] = value_ends[:-1]
+    n = len(starts)
+    ulens = key_ends - starts - MARK_FIELDS_SIZE
+    if int(ulens.min()) < 0:
+        raise CorruptionError("internal key shorter than mark fields")
+
+    # User keys, right-zero-padded into big-endian u64 columns, built a
+    # byte column at a time: the column-major compare order equals
+    # bytewise order, with equal-prefix ties broken by key length (a
+    # proper prefix sorts first).
     maxw = int(ulens.max())
-    width = maxw + (-maxw) % 8
-    mat = _np.zeros((n, width), dtype=_np.uint8)
-    col = _np.arange(maxw)
-    umask = col[None, :] < ulens[:, None]
-    idx = starts[:, None] + col[None, :]
-    mat[:, :maxw][umask] = flat[idx[umask]]
+    mat = _np.zeros((n, maxw + (-maxw) % 8), dtype=_np.uint8)
+    for j in range(maxw):
+        rows = _np.flatnonzero(ulens > j)
+        mat[rows, j] = flat[starts[rows] + j]
     ucols = mat.view(">u8")
 
     # Trailer = fixed64 LE (sequence << 8 | type) at each key's end.
-    tr_idx = (starts + ulens)[:, None] + _np.arange(8)[None, :]
-    powers = _np.uint64(1) << (_np.uint64(8)
-                               * _np.arange(8, dtype=_np.uint64))
-    trailer = flat[tr_idx].astype(_np.uint64) @ powers
+    marks = _np.empty((n, MARK_FIELDS_SIZE), dtype=_np.uint8)
+    for j in range(MARK_FIELDS_SIZE):
+        marks[:, j] = flat[key_ends - MARK_FIELDS_SIZE + j]
+    trailer = marks.view("<u8")[:, 0]
 
     # Internal-key order: user key asc, then sequence/type desc.
     sort_keys = [_np.iinfo(_np.uint64).max - trailer, ulens]
@@ -165,4 +191,6 @@ def _merge_order(keys: list, drop_deletions: bool):
         is_deletion = (trailer[order] & _np.uint64(0xFF)) == TYPE_DELETION
         dropped_tombstones = int((keep & is_deletion).sum())
         keep &= ~is_deletion
-    return (order[keep], int(shadowed.sum()), dropped_tombstones)
+    picks = order[keep]
+    spans = _np.stack((starts[picks], key_ends[picks], value_ends[picks]))
+    return spans, int(shadowed.sum()), dropped_tombstones

@@ -151,9 +151,10 @@ class _Writer:
 class _ReadView(NamedTuple):
     """Everything a read needs, frozen at one publish (RocksDB's
     SuperVersion).  ``tables`` maps exactly ``version``'s file numbers to
-    their open readers.  A view is never edited: state changes publish a
-    new one, and a superseded table is freed when the last view or live
-    scan naming it is — CPython's reference count is the unref."""
+    their open readers (none once the DB is closed).  A view is never
+    edited: state changes publish a new one, and a superseded table is
+    freed when the last view or live scan naming it is — CPython's
+    reference count is the unref."""
 
     mem: MemTable
     imm: Optional[MemTable]
@@ -892,15 +893,16 @@ class LsmDB:
             self._c["compactions"].inc()
             self._c["compaction_input_bytes"].inc(spec.total_input_bytes)
             self._c["compaction_output_bytes"].inc(output_bytes)
-            self._m.add_level_write(spec.output_level, output_bytes)
+            write_bytes = (floor.write_bytes
+                           or int(self._c["write_bytes"].value))
+            self._m.add_level_write(spec.output_level, output_bytes,
+                                    write_bytes)
             self._m.add_level_read(spec.level, base_bytes)
             if parent_bytes:
                 self._m.add_level_read(spec.output_level, parent_bytes)
             ep.set(backend=backend, output_bytes=output_bytes,
                    output_tables=len(outputs), input_bytes_base=base_bytes,
-                   input_bytes_parent=parent_bytes,
-                   write_bytes=floor.write_bytes
-                   or int(self._c["write_bytes"].value))
+                   input_bytes_parent=parent_bytes, write_bytes=write_bytes)
             with self.tracer.span("compaction.install"):
                 edit = VersionEdit()
                 for meta in spec.inputs:
@@ -966,11 +968,12 @@ class LsmDB:
                 self.versions.apply(edit)
                 self._c["flushes"].inc()
                 self._c["flush_bytes"].inc(stats.file_bytes)
-                self._m.add_level_write(0, stats.file_bytes)
-                ep.set(bytes=stats.file_bytes,
-                       write_bytes=seal.write_bytes
-                       or int(self._c["write_bytes"].value))
-                self._last_landed = seal
+                write_bytes = (seal.write_bytes
+                               or int(self._c["write_bytes"].value))
+                self._m.add_level_write(0, stats.file_bytes, write_bytes)
+                ep.set(bytes=stats.file_bytes, write_bytes=write_bytes)
+                # Its build is done: keep no hold on the image it sent.
+                self._last_landed = seal._replace(request=None, check=None)
                 self._imm = None
                 self._publish_view_locked({number: reader})
                 self._write_manifest()
@@ -1188,7 +1191,8 @@ class LsmDB:
 
     def close(self) -> None:
         """Drain writes and running steps, land a sealed memtable (a
-        failure leaves it to its WAL segment, for the next open), close."""
+        failure leaves it to its WAL segment, for the next open), close,
+        and let the table readers and cached blocks go."""
         if self._closed:
             return
         with self._mutex:
@@ -1206,6 +1210,11 @@ class LsmDB:
                     pass
             if self._log_file is not None:
                 self._log_file.close()
+            # A closed handle answers property() and level_amplification()
+            # from version metadata: its tables and cached blocks can go.
+            self._view = self._view._replace(tables={})
+            if self.block_cache is not None:
+                self.block_cache.clear()
             lockwatch.get().detach_journal(self.journals)
             if self._own_journal is not None:
                 self._own_journal.close()

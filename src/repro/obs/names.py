@@ -274,14 +274,22 @@ class LsmMetrics:
         self.snapshot_merges = _counter(
             registry, "lsm_snapshot_merges_total", **self.labels)
         self._level_write_bytes: dict[int, object] = {}
+        #: User write bytes the per-level W-Amp divides by: the largest
+        #: figure a landed flush or merge fixed (and journaled), so a
+        #: replay of the journal so far gives the same rows; at open,
+        #: what a shared registry already counted.
+        self.landed_write_bytes = int(self.counters["write_bytes"].value)
         self._level_read_bytes: dict[int, object] = {}
         self._level_gauges: dict[tuple[str, int], object] = {}
 
     def value(self, field: str) -> float:
         return self.counters[field].value
 
-    def add_level_write(self, level: int, nbytes: int) -> None:
-        """Bytes installed into ``level`` (flush or compaction output)."""
+    def add_level_write(self, level: int, nbytes: int,
+                        write_bytes: int) -> None:
+        """Bytes installed into ``level`` (flush or compaction output),
+        with the user write bytes its journal line carries."""
+        self.landed_write_bytes = max(self.landed_write_bytes, write_bytes)
         counter = self._level_write_bytes.get(level)
         if counter is None:
             counter = self._level_write_bytes[level] = _counter(
@@ -311,14 +319,16 @@ class LsmMetrics:
         :class:`repro.lsm.version.Version`), one dict per level:
 
         * write amp: bytes installed into the level (flush output for
-          L0, compaction output below) over user write bytes — the
-          per-level decomposition of ``DbStats.write_amplification``;
+          L0, compaction output below) over :attr:`landed_write_bytes`
+          -- the user bytes the last landing fixed, which
+          ``DbStats.write_amplification`` matches once the last write
+          has landed;
         * space amp: level bytes over the bytes of the last non-empty
           level (the logical dataset size estimate);
         * read amp: sorted runs a point lookup may touch — the L0 file
           count, and 1 for any non-empty deeper level.
         """
-        write_bytes = self.counters["write_bytes"].value
+        write_bytes = self.landed_write_bytes
         sizes = [version.level_bytes(level)
                  for level in range(len(version.files))]
         last_bytes = next((size for size in reversed(sizes) if size), 0)

@@ -148,6 +148,7 @@ class TestScan:
                                 if kv[0].startswith(b"w%d-" % w)]
                         assert mine == [(wkey(w, i), value(i))
                                         for i in range(len(mine))]
+                    time.sleep(0)  # hand the writers the GIL
             except Exception as error:  # noqa: BLE001
                 errors.append(error)
 

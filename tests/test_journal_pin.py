@@ -125,13 +125,17 @@ def test_inline_journal_is_pinned():
     assert db.stats.compactions > 0 and db.stats.stalls > 0
     assert _digest(own) == INLINE_DIGEST
     assert not replay(own).unbalanced
-    # Replay gives each level the bytes the live registry counted.  (Its
-    # W-Amp divides by the user bytes fixed at each seal, not by every
-    # byte written since.)
+    # Mid-run (the last sealed memtable not yet landed), replay of the
+    # journal so far gives each level the bytes the live registry
+    # counted, and the same W-Amp: both divide by the user bytes the
+    # last landing fixed, not by every byte written since.
     summary = replay(own[:live["lines"]])
     assert {level: amount for level, amount
             in summary.level_write_bytes.items() if amount} \
         == live["write_bytes"]
+    assert {level: amp for level, amp
+            in summary.per_level_write_amp().items() if amp} \
+        == pytest.approx(live["write_amp"], rel=1e-12)
 
 
 def test_driver_journal_invariants():

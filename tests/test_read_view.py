@@ -241,3 +241,22 @@ def test_superseded_readers_are_freed_with_their_last_user():
     del iterator
     assert all(ref() is None for ref in old), "superseded readers leaked"
     db.close()
+
+
+def test_a_closed_db_lets_its_readers_and_cached_blocks_go():
+    """``close()`` drops the table readers and empties the block cache
+    while the handle itself may stay referenced (as a benchmark that
+    reopens the directory keeps it); the metadata views still answer."""
+    db = open_db("closed")
+    load(db, 400)
+    assert db.get(key(3)) == value(3)  # something in the block cache
+    readers = [weakref.ref(reader) for reader in db._view.tables.values()]
+    assert len(readers) >= 3 and len(db.block_cache)
+    rows = db.level_amplification()
+    db.close()
+    assert all(ref() is None for ref in readers), "a closed DB kept tables"
+    assert len(db.block_cache) == 0 and db.block_cache.usage == 0
+    assert db.level_amplification() == rows
+    assert db.property("repro.num-files-at-level0") == str(rows[0]["files"])
+    assert "level" in db.property("repro.levelstats")
+    assert "block_cache" in db.property("repro.stats")
