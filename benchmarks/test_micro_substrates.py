@@ -40,7 +40,7 @@ def _image(entries):
     for key, value in entries:
         builder.add(key, value)
     builder.finish()
-    return bytes(dest.data)
+    return dest.getvalue()
 
 
 def test_micro_snappy_compress(benchmark):

@@ -54,7 +54,7 @@ def build_image(run, options, icmp) -> bytes:
     for key, value in run:
         builder.add(key, value)
     builder.finish()
-    return bytes(dest.data)
+    return dest.getvalue()
 
 
 def main() -> None:

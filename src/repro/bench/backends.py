@@ -89,7 +89,7 @@ def _merge_inputs(per_table: int, value_len: int, options: Options,
                                             sequence, kind), value)
             sequence += 1
         builder.finish()
-        images.append(bytes(dest.data))
+        images.append(dest.getvalue())
     return images
 
 

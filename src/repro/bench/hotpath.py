@@ -89,7 +89,7 @@ def _table_image(entries: list[tuple[bytes, bytes]]) -> bytes:
     for key, value in entries:
         builder.add(key, value)
     builder.finish()
-    return bytes(dest.data)
+    return dest.getvalue()
 
 
 def _merge_inputs(per_table: int, seed: int = 11

@@ -34,15 +34,12 @@ class DramStats:
 class Dram:
     """Byte-addressable device memory with bounds checking."""
 
-    def __init__(self, size: int = 16 * 1024 * 1024 * 1024,
-                 materialize: bool = False):
-        # A sparse region map avoids allocating 16 GB; `materialize`
-        # forces a flat bytearray for small test memories.
+    def __init__(self, size: int = 16 * 1024 * 1024 * 1024):
         self.size = size
         self.stats = DramStats()
-        self._flat: bytearray | None = bytearray(size) if materialize else None
-        # Sparse mode: disjoint regions sorted by start, as two aligned
-        # lists so a read finds its region with one bisect.
+        # A sparse region map avoids allocating 16 GB: disjoint regions
+        # sorted by start, as two aligned lists so a read finds its
+        # region with one bisect.
         self._starts: list[int] = []
         self._images: list[bytes] = []
 
@@ -57,9 +54,7 @@ class Dram:
         self._check(offset, len(data))
         self.stats.write_requests += 1
         self.stats.write_bytes += len(data)
-        if self._flat is not None:
-            self._flat[offset:offset + len(data)] = data
-        elif data:
+        if data:
             self._place(offset, data if isinstance(data, bytes)
                         else bytes(data))
 
@@ -87,8 +82,6 @@ class Dram:
         self._check(offset, length)
         self.stats.read_requests += 1
         self.stats.read_bytes += length
-        if self._flat is not None:
-            return bytes(self._flat[offset:offset + length])
         index = bisect_right(self._starts, offset) - 1
         if index >= 0:
             start = self._starts[index]

@@ -60,7 +60,7 @@ class Encoder:
             return
         table_stats = self._builder.finish()
         self.outputs.append(OutputTable(
-            data=bytes(self._dest.data),
+            data=self._dest.getvalue(),
             smallest=self._builder.smallest_key,
             largest=self._builder.largest_key,
             stats=table_stats,

@@ -7,16 +7,14 @@
 * :mod:`repro.host.device` — :class:`FcaeDevice`: marshal -> DMA ->
   kernel -> DMA -> install, with a per-phase timing breakdown.
 * :mod:`repro.host.scheduler` — the compaction-thread workflow of Fig 6,
-  generalised to N accelerator backends: route each task to the forced
-  or argmin-cost backend, fall back to the CPU merge on injected device
-  faults after bounded retries, and account for the flush/kernel
-  overlap the co-design enables.
+  generalised to N accelerator backends: route each task to the device
+  (when it fits) or to the argmin-cost backend, fall back to the CPU
+  merge on a device fault after one retry, and account for the
+  flush/kernel overlap the co-design enables.
 * :mod:`repro.host.accelerator` — the :class:`AcceleratorBackend`
   interface and the cpu / fpga-sim / batch registry.
 * :mod:`repro.host.batch_merge` — the LUDA-style vectorized batched
   merge engine (decode-all, numpy merge order, bulk re-encode).
-* :mod:`repro.host.faults` — deterministic fault injection for the
-  offload path.
 """
 
 from repro.host.accelerator import (
@@ -29,7 +27,6 @@ from repro.host.accelerator import (
 )
 from repro.host.batch_merge import BatchMergeEngine
 from repro.host.device import DeviceResult, FcaeDevice
-from repro.host.faults import FaultInjector
 from repro.host.pcie import PcieModel
 from repro.host.scheduler import CompactionScheduler, SchedulerStats
 
@@ -41,7 +38,6 @@ __all__ = [
     "CompactionScheduler",
     "CpuBackend",
     "DeviceResult",
-    "FaultInjector",
     "FcaeDevice",
     "FpgaSimBackend",
     "make_backends",

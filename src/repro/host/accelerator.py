@@ -90,12 +90,10 @@ BATCH_WALL_MODEL = WallCostModel(fixed_seconds=2.5e-3,
 
 
 def estimate_pairs(input_bytes: int, user_key_length: int,
-                   value_length: int,
-                   pair_overhead_bytes: int = 3) -> int:
+                   value_length: int) -> int:
     """Entries a compaction of ``input_bytes`` holds, from the workload's
     configured key/value lengths (block headers ~3 bytes/entry)."""
-    pair_bytes = (user_key_length + MARK_FIELDS_SIZE + value_length
-                  + pair_overhead_bytes)
+    pair_bytes = user_key_length + MARK_FIELDS_SIZE + value_length + 3
     return max(1, input_bytes // pair_bytes)
 
 
@@ -120,7 +118,7 @@ class BackendResult:
 class AcceleratorBackend(ABC):
     """One compaction executor the scheduler can route a task to."""
 
-    #: Registry key, ``Options.accelerator`` value and metric label.
+    #: Registry key and metric label.
     name: str
     #: The affine law :meth:`estimate_seconds` prices a task with.
     wall_model: WallCostModel
@@ -220,20 +218,15 @@ class BatchBackend(AcceleratorBackend):
     name = "batch"
     wall_model = BATCH_WALL_MODEL
 
-    def __init__(self, options: Options, comparator: InternalKeyComparator,
-                 fault_injector=None):
+    def __init__(self, options: Options, comparator: InternalKeyComparator):
         self.options = options
         self.engine = BatchMergeEngine(options, comparator)
-        self.fault_injector = fault_injector
 
     def can_run(self, spec: CompactionSpec) -> bool:
         return self.engine.vectorized
 
     def run(self, spec: CompactionSpec, input_tables: list,
             parent_tables: list, drop_deletions: bool) -> BackendResult:
-        if self.fault_injector is not None:
-            self.fault_injector.check(spec.total_input_bytes,
-                                      backend=self.name)
         streams = input_streams(spec.level, input_tables, parent_tables)
         start = time.perf_counter()
         stats = self.engine.compact(streams, drop_deletions)
@@ -247,14 +240,9 @@ def make_backends(device: FcaeDevice, options: Options,
                   cpu_model: CpuCostModel,
                   tracer=None) -> dict[str, AcceleratorBackend]:
     """The scheduler's standard backend registry; the cpu and fpga-sim
-    backends record their modeled phases on ``tracer``.
-
-    The batch backend shares the device's fault injector (when one is
-    attached) so a fault schedule exercises every accelerator path.
-    """
+    backends record their modeled phases on ``tracer``."""
     return {backend.name: backend for backend in (
         CpuBackend(options, comparator, cpu_model, tracer=tracer),
         FpgaSimBackend(device, tracer=tracer),
-        BatchBackend(options, comparator,
-                     fault_injector=device.fault_injector),
+        BatchBackend(options, comparator),
     )}

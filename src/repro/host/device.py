@@ -73,26 +73,18 @@ class FcaeDevice:
     the ``fpga_pipeline_*`` families into the same registry."""
 
     def __init__(self, config: FpgaConfig, options: Options | None = None,
-                 pcie: PcieModel | None = None,
-                 cpu_model: CpuCostModel | None = None,
-                 dram_size: int = 16 * 1024 * 1024 * 1024,
-                 metrics=None, fault_injector=None):
+                 metrics=None):
         from repro import obs
         from repro.obs.names import PcieMetrics
 
         self.config = config
-        #: Optional :class:`repro.host.faults.FaultInjector`; when set,
-        #: ``compact`` consults it before touching device memory, so an
-        #: injected fault leaves no partial DMA/trace state behind.
-        self.fault_injector = fault_injector
         self.options = options or Options()
         self.metrics = (metrics if metrics is not None
                         else obs.current_registry())
         self.engine = CompactionEngine(config, self.options,
                                        metrics=self.metrics)
-        self.pcie = pcie or PcieModel()
-        self.cpu_model = cpu_model or CpuCostModel()
-        self.dram_size = dram_size
+        self.pcie = PcieModel()
+        self.cpu_model = CpuCostModel()
         self._pcie_metrics = (PcieMetrics(self.metrics)
                               if self.metrics is not None else None)
 
@@ -111,13 +103,9 @@ class FcaeDevice:
         """
         from repro import obs
 
-        if self.fault_injector is not None:
-            self.fault_injector.check(
-                sum(t.file_size for tables in inputs for t in tables),
-                backend="fpga-sim")
         tracer = obs.resolve_tracer(tracer)
 
-        dram = Dram(size=self.dram_size)
+        dram = Dram()
         image = marshal_inputs(dram, self.config, inputs)
         input_bytes = image.total_bytes
         marshal_seconds = self.cpu_model.offload_seconds(input_bytes)
@@ -128,7 +116,7 @@ class FcaeDevice:
         engine_result = self.engine.run(dram, image.layouts, drop_deletions,
                                         tracer=tracer)
 
-        output_base = self.dram_size // 2
+        output_base = dram.size // 2
         meta_out_image, output_bytes = write_outputs(
             dram, self.config, engine_result.outputs, output_base)
         pcie_out = self.pcie.transfer_seconds(output_bytes)

@@ -132,8 +132,7 @@ class InputMemoryImage:
 
 
 def marshal_inputs(dram: Dram, config: FpgaConfig,
-                   inputs: list[list[TableReader]],
-                   base_offset: int = 0) -> InputMemoryImage:
+                   inputs: list[list[TableReader]]) -> InputMemoryImage:
     """Lay out input SSTables in device DRAM per Fig 7/8.
 
     Returns the engine-consumable layouts plus the DMA byte count.
@@ -152,11 +151,9 @@ def marshal_inputs(dram: Dram, config: FpgaConfig,
     meta_entries: list[list[MetaInEntry]] = []
     layouts: list[list[SSTableLayout]] = []
 
-    index_region = base_offset
-    index_cursor = index_region
+    index_cursor = 0
     index_total = sum(len(img) for imgs in index_images for img in imgs)
-    data_region = align_up(index_region + index_total + 4096, config.w_in)
-    data_cursor = data_region
+    data_cursor = align_up(index_total + 4096, config.w_in)
 
     total_dma = 0
     for tables, images in zip(inputs, index_images):

@@ -12,16 +12,14 @@ returns the output tables with the route that ran them:
   level 0 it is the number of overlapping L0 files plus one — and run
   the software merge otherwise ("when S_0 > N - 1, the compaction task
   will be processed completely by the software");
-* ``"cpu"`` / ``"batch"`` force one executor (``"batch"`` likewise
-  degrades to the software merge when it cannot run — no numpy);
 * ``"auto"`` picks the argmin of the backends' wall-clock cost models
   (:func:`pick_backend`), excluding backends that cannot run the task.
 
 Accelerator results are verified against the storage contract (sorted,
 disjoint output ranges), and recoverable faults from *any* accelerator
-go through bounded retry before failing over to the CPU merge — output
-bytes are identical either way, so fallback never changes the key
-space.  The ``fault`` / ``retry`` / ``fallback`` journal lines go where
+get one retry before failing over to the CPU merge — output bytes are
+identical either way, so fallback never changes the key space.  The
+``fault`` / ``retry`` / ``fallback`` journal lines go where
 :func:`repro.obs.journals` says: into the journals of the DB whose
 compaction raised them.  Statistics land in a
 :class:`repro.obs.MetricsRegistry` — the per-backend
@@ -187,6 +185,8 @@ class CompactionScheduler:
     #: Device faults the retry/fallback machinery absorbs.  Anything
     #: else (corruption, resource misconfiguration) still propagates.
     RECOVERABLE_FAULTS = (FpgaProtocolError, FpgaTimeoutError)
+    #: Retries of a faulting accelerator before the CPU fallback.
+    MAX_RETRIES = 1
 
     #: Compaction is house work, so its task window carries a tenant
     #: label too: dashboards list it next to the user tenants instead of
@@ -197,7 +197,6 @@ class CompactionScheduler:
     def __init__(self, device: FcaeDevice, options: Options | None = None,
                  metrics: Optional[MetricsRegistry] = None,
                  tracer=None,
-                 max_retries: int = 1,
                  backends: Optional[dict[str, AcceleratorBackend]] = None):
         self.device = device
         self.options = options or device.options
@@ -209,7 +208,6 @@ class CompactionScheduler:
         if "cpu" not in self.backends:
             raise ValueError("backend registry must include 'cpu' "
                              "(the terminal fallback target)")
-        self.max_retries = max(0, max_retries)
         self.metrics = resolve_registry(metrics)
         self._m = SchedulerMetrics(self.metrics,
                                    inst=self.metrics.instance_label())
@@ -229,22 +227,19 @@ class CompactionScheduler:
     def pick_backend(self, spec: CompactionSpec) -> str:
         """Backend ``spec`` will route to under ``Options.accelerator``.
 
-        Forced modes return their backend, degraded to ``"cpu"`` when
-        it cannot run the task (``"fpga-sim"`` when the input-stream
-        count exceeds the engine's N — Fig 6's branch; ``"batch"``
-        without numpy); ``"auto"`` returns the argmin of the capable
-        backends' wall-clock cost estimates.
+        ``"fpga-sim"`` returns the device, or ``"cpu"`` when the
+        input-stream count exceeds the engine's N (Fig 6's branch);
+        ``"auto"`` returns the argmin of the capable backends'
+        wall-clock cost estimates.
         """
-        mode = self.options.accelerator
-        if mode == "auto":
+        if self.options.accelerator == "auto":
             capable = [backend for backend in self.backends.values()
                        if backend.can_run(spec)]
             return min(capable,
                        key=lambda b: b.estimate_seconds(spec)).name
-        backend = self.backends[mode if mode in self.backends else "cpu"]
-        if not backend.can_run(spec):
-            return "cpu"
-        return backend.name
+        if self.backends["fpga-sim"].can_run(spec):
+            return "fpga-sim"
+        return "cpu"
 
     def __call__(self, spec: CompactionSpec, input_tables: list,
                  parent_tables: list,
@@ -274,12 +269,11 @@ class CompactionScheduler:
                            input_tables: list, parent_tables: list,
                            drop_deletions: bool,
                            span) -> tuple[list[OutputTable], str]:
-        """Offload with bounded retry; degrade to the CPU merge when the
-        accelerator keeps failing (LUDA's CPU fallback).
+        """Offload with :data:`MAX_RETRIES` retries; degrade to the CPU
+        merge when the accelerator keeps failing (LUDA's CPU fallback).
         Every backend produces byte-identical tables, so failover
         preserves the key space exactly."""
-        attempt = 0
-        while True:
+        for attempt in range(1, self.MAX_RETRIES + 2):
             try:
                 return self._run_backend(
                     backend, spec, input_tables, parent_tables,
@@ -289,21 +283,18 @@ class CompactionScheduler:
                 self._m.faults[kind].inc()
                 journals = obs.journals()
                 record(journals, "fault", kind=kind, level=spec.level,
-                       attempt=attempt + 1, backend=backend.name)
-                span.set(fault=kind, attempts=attempt + 1)
-                if attempt < self.max_retries:
-                    attempt += 1
+                       attempt=attempt, backend=backend.name)
+                span.set(fault=kind, attempts=attempt)
+                if attempt <= self.MAX_RETRIES:
                     self._m.retries.inc()
                     record(journals, "retry", kind=kind, level=spec.level,
                            attempt=attempt, backend=backend.name)
-                    continue
-                self._m.fallbacks.inc()
-                record(journals, "fallback", kind=kind, level=spec.level,
-                       source=backend.name, target="cpu")
-                span.set(fallback=True)
-                return self._run_backend(
-                    self.backends["cpu"], spec, input_tables,
-                    parent_tables, drop_deletions), "fallback"
+        self._m.fallbacks.inc()
+        record(journals, "fallback", kind=kind, level=spec.level,
+               source=backend.name, target="cpu")
+        span.set(fallback=True)
+        return self._run_backend(self.backends["cpu"], spec, input_tables,
+                                 parent_tables, drop_deletions), "fallback"
 
     @staticmethod
     def _fault_kind(error: Exception) -> str:

@@ -128,7 +128,7 @@ def build_output_tables(entries: Iterator[KVPair], options: Options,
     """Encode merged entries into >= 0 SSTable images, rolling over at
     ``Options.sstable_size`` (cut -> encode -> lay out:
     :func:`repro.lsm.sstable.build_tables`)."""
-    return [OutputTable(data=bytes(dest.data), smallest=builder.smallest_key,
+    return [OutputTable(data=dest.getvalue(), smallest=builder.smallest_key,
                         largest=builder.largest_key, stats=builder.stats)
             for builder, dest in build_tables(
                 entries, options, comparator, _BufferFile,

@@ -23,6 +23,7 @@ deviation in DESIGN.md.
 
 from __future__ import annotations
 
+import io
 import json
 import struct
 from bisect import bisect_left
@@ -83,19 +84,12 @@ class TableStats:
     file_bytes: int = 0
 
 
-class _BufferFile:
-    """Minimal in-memory WritableFile for building table images."""
+class _BufferFile(io.BytesIO):
+    """Minimal in-memory WritableFile for building table images.
+    ``getvalue()`` hands the image over without copying it (CPython's
+    ``BytesIO`` gives up its buffer), so a finished table is held once."""
 
-    def __init__(self) -> None:
-        self.data = bytearray()
-
-    def append(self, data: bytes) -> None:
-        self.data += data
-
-    def flush(self) -> None:
-        pass
-
-    close = flush
+    append = io.BytesIO.write
 
 
 class BlockCutter:
@@ -342,7 +336,7 @@ def build_table(entries: Iterable[tuple[bytes, bytes]], options: Options,
     dest = _BufferFile()
     [(builder, _)] = build_tables(entries, options, comparator,
                                   lambda: dest)
-    return bytes(dest.data), builder
+    return dest.getvalue(), builder
 
 
 #: The options a table's bytes depend on (a build request's first part),

@@ -54,6 +54,7 @@ from typing import IO, Iterator, Optional
 
 from repro.analysis import watchdog as lockwatch
 from repro.errors import InvalidArgumentError
+from repro.obs.names import write_amplification
 from repro.obs.schema import EVENT_SCHEMA, SCHEMA_VERSION
 
 #: Every event type the journal accepts.
@@ -236,12 +237,7 @@ class JournalSummary:
 
     @property
     def write_amplification(self) -> float:
-        """(flush + compaction output) / user bytes — same definition as
-        ``DbStats.write_amplification``."""
-        if self.write_bytes == 0:
-            return 0.0
-        return (self.flush_bytes + self.compaction_output_bytes) \
-            / self.write_bytes
+        return write_amplification(self)
 
     def per_level_write_amp(self) -> dict:
         """{level: bytes written into level / user write bytes}."""

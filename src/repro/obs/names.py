@@ -368,6 +368,15 @@ class LsmMetrics:
                 gauge.set(row[field])
 
 
+def write_amplification(stats) -> float:
+    """(flushed + compacted) bytes per user byte written, of
+    :class:`DbStats` or a journal summary; 0.0 before any write."""
+    if stats.write_bytes == 0:
+        return 0.0
+    return ((stats.flush_bytes + stats.compaction_output_bytes)
+            / stats.write_bytes)
+
+
 class DbStats:
     """Operational counters, in the spirit of LevelDB's
     ``GetProperty("leveldb.stats")``.
@@ -395,11 +404,7 @@ class DbStats:
 
     @property
     def write_amplification(self) -> float:
-        """(flushed + compacted) bytes per user byte written."""
-        if self.write_bytes == 0:
-            return 0.0
-        return ((self.flush_bytes + self.compaction_output_bytes)
-                / self.write_bytes)
+        return write_amplification(self)
 
     @property
     def block_cache_hit_ratio(self) -> float:

@@ -210,8 +210,8 @@ class SloEngine:
     against every matching spec and bucket it good/bad.  Evaluation
     (:meth:`evaluate`) recomputes burn rates, updates the gauges, and
     emits ``slo_alert`` journal events on firing/resolved transitions;
-    :meth:`record` self-triggers it at most every ``eval_interval``
-    clock seconds so callers never need a background thread.
+    :meth:`record` self-triggers it every :attr:`EVAL_INTERVAL` clock
+    seconds at most, so callers never need a background thread.
 
     Parameters
     ----------
@@ -228,24 +228,23 @@ class SloEngine:
     clock:
         Seconds callable (defaults to ``time.monotonic``); simulators
         pass their virtual clock.
-    eval_interval:
-        Minimum clock seconds between self-triggered evaluations.
     """
+
+    #: Minimum clock seconds between self-triggered evaluations.
+    EVAL_INTERVAL = 1.0
 
     #: Per-(spec, tenant) rate limit, in clock seconds, on ``exemplar``
     #: journal events so a storm of violations does not flood the
     #: journal.
     EXEMPLAR_MIN_INTERVAL = 1.0
 
-    def __init__(self, specs, registry=None, journals=(), clock=None,
-                 eval_interval: float = 1.0):
+    def __init__(self, specs, registry=None, journals=(), clock=None):
         self.specs = parse_slo_specs(specs)
         if not self.specs:
             raise InvalidArgumentError("SloEngine needs >= 1 spec")
         self._registry = registry
         self._journals = tuple(journals)
         self._clock = clock if clock is not None else time.monotonic
-        self._eval_interval = float(eval_interval)
         self._lock = threading.Lock()
         shortest = min(p.short_seconds for s in self.specs
                        for p in s.policies)
@@ -337,7 +336,7 @@ class SloEngine:
         for fields in emit_exemplars:
             record(self._journals, "exemplar", **fields)
         now = self._clock()
-        if now - self._last_eval >= self._eval_interval:
+        if now - self._last_eval >= self.EVAL_INTERVAL:
             self.evaluate()
 
     # -- evaluation -----------------------------------------------------
@@ -440,8 +439,8 @@ class SloEngine:
             return sorted({tenant for _, tenant in self._rings})
 
 
-def build_engine(specs, registry=None, journals=(), clock=None,
-                 **kwargs) -> Optional[SloEngine]:
+def build_engine(specs, registry=None, journals=(), clock=None
+                 ) -> Optional[SloEngine]:
     """``SloEngine`` when ``specs`` is non-empty, else ``None`` — the
     shape instrumented code wants (one ``is None`` check on the hot
     path when SLOs are not configured)."""
@@ -449,4 +448,4 @@ def build_engine(specs, registry=None, journals=(), clock=None,
     if not specs:
         return None
     return SloEngine(specs, registry=registry, journals=journals,
-                     clock=clock, **kwargs)
+                     clock=clock)

@@ -52,8 +52,8 @@ class TraceContext(NamedTuple):
     span_id: Optional[int]
 
 
-#: Default cap on retained records (tens of MB of Chrome JSON).
-DEFAULT_MAX_EVENTS = 250_000
+#: Cap on retained records (tens of MB of Chrome JSON).
+MAX_EVENTS = 250_000
 
 
 class Span:
@@ -189,19 +189,17 @@ class Tracer:
     tracks:
         Also record the pipeline simulator's per-module intervals and
         FIFO counters (tens of thousands per benchmark; off by default).
-    max_events:
-        Retain at most this many records; later ones are counted in
-        :attr:`dropped_events` (and still streamed to the sink).
+
+    At most :data:`MAX_EVENTS` records are retained; later ones are
+    counted in :attr:`dropped_events` (and still streamed to the sink).
     """
 
     def __init__(self, sink_path: Optional[str] = None,
                  sink: Optional[IO[str]] = None, keep_spans: bool = True,
-                 tracks: bool = False,
-                 max_events: int = DEFAULT_MAX_EVENTS):
+                 tracks: bool = False):
         self.spans: list[Span] = []
         self.keep_spans = keep_spans
         self.tracks = tracks
-        self.max_events = max_events
         self.dropped_events = 0
         self._sim_cursor = 0.0
         self._ids = itertools.count(1)
@@ -297,7 +295,7 @@ class Tracer:
             if span.track is not None and span.end_sim > self._sim_cursor:
                 self._sim_cursor = span.end_sim
             if self.keep_spans:
-                if len(self.spans) < self.max_events:
+                if len(self.spans) < MAX_EVENTS:
                     self.spans.append(span)
                 else:
                     self.dropped_events += 1

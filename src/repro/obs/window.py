@@ -32,6 +32,12 @@ from collections import deque
 from repro.errors import InvalidArgumentError
 from repro.obs.registry import SECONDS_BUCKETS, Exemplar, MetricsRegistry
 
+#: Ring slices of a window given by its width alone: expiry resolution
+#: is ``window / SLICES``.
+SLICES = 6
+#: Traced tail samples a window retains (the most recent).
+EXEMPLAR_CAPACITY = 16
+
 #: Quantiles published by default and their label values.
 DEFAULT_QUANTILES = (0.5, 0.95, 0.99, 0.999)
 
@@ -72,12 +78,10 @@ class WindowedHistogram:
     ----------
     window_seconds:
         Width of the window observations remain visible for.
-    slices:
-        Ring granularity; expiry resolution is ``window / slices``.
     slice_seconds:
-        Slice width given directly instead of ``slices``: the ring then
-        holds one slice more than the window, so a caller's slot
-        boundaries are exactly its own.
+        Slice width given directly: the ring then holds one slice more
+        than the window, so a caller's slot boundaries are exactly its
+        own.
     buckets:
         Ascending upper bounds (defaults to the registry's
         ``SECONDS_BUCKETS``).
@@ -89,29 +93,25 @@ class WindowedHistogram:
         Observations at or above this value that carry a ``trace_id``
         are retained as :class:`~repro.obs.registry.Exemplar` tail
         samples (bounded ring of the most recent
-        ``exemplar_capacity``).  ``None`` keeps every traced
+        :data:`EXEMPLAR_CAPACITY`).  ``None`` keeps every traced
         observation; the threshold normally comes from an SLO spec.
     """
 
-    def __init__(self, window_seconds: float = 60.0, slices: int = 6,
+    def __init__(self, window_seconds: float = 60.0,
                  buckets: Optional[Sequence[float]] = None, clock=None,
                  exemplar_threshold: Optional[float] = None,
-                 exemplar_capacity: int = 16,
                  slice_seconds: Optional[float] = None):
         if window_seconds <= 0 or (slice_seconds is not None
                                    and slice_seconds <= 0):
             raise InvalidArgumentError("window and slice must be positive")
-        if slices <= 0:
-            raise InvalidArgumentError("slices must be positive")
-        if exemplar_capacity <= 0:
-            raise InvalidArgumentError("exemplar_capacity must be positive")
         self.window_seconds = float(window_seconds)
         self.buckets = tuple(buckets if buckets is not None
                              else SECONDS_BUCKETS)
         if any(b2 <= b1 for b1, b2 in zip(self.buckets, self.buckets[1:])):
             raise InvalidArgumentError("buckets must be strictly ascending")
         if slice_seconds is None:
-            self._slice_seconds = self.window_seconds / slices
+            slices = SLICES
+            self._slice_seconds = self.window_seconds / SLICES
         else:
             self._slice_seconds = float(slice_seconds)
             slices = math.ceil(self.window_seconds / slice_seconds) + 1
@@ -119,7 +119,7 @@ class WindowedHistogram:
         self._lock = threading.Lock()
         self._ring = [_Slice(len(self.buckets)) for _ in range(slices)]
         self.exemplar_threshold = exemplar_threshold
-        self._exemplars: deque = deque(maxlen=exemplar_capacity)
+        self._exemplars: deque = deque(maxlen=EXEMPLAR_CAPACITY)
 
     # ------------------------------------------------------------------
     # Recording

@@ -74,8 +74,7 @@ class KVService:
                  options: Optional[Options] = None,
                  env: Optional[Env] = None,
                  split_keys: Optional[Sequence[bytes]] = None,
-                 stall_threshold: float = 0.5,
-                 compaction_executor=None):
+                 stall_threshold: float = 0.5):
         if num_shards < 1:
             raise InvalidArgumentError("num_shards must be >= 1")
         self.root = root
@@ -91,8 +90,7 @@ class KVService:
             self.router = RangeRouter.uniform(num_shards)
         self.env.create_dir(root)
         self.shards = [
-            LsmDB(f"{root}/shard-{i:02d}", self.options, env=self.env,
-                  compaction_executor=compaction_executor)
+            LsmDB(f"{root}/shard-{i:02d}", self.options, env=self.env)
             for i in range(num_shards)
         ]
         self.gates = [ShardGate(db, stall_threshold=stall_threshold)

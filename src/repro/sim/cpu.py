@@ -25,6 +25,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+#: File bytes per pair beyond key and value (varint lengths, restarts).
+PAIR_OVERHEAD_BYTES = 4
+
 
 @dataclass(frozen=True)
 class CpuCostModel:
@@ -91,10 +94,9 @@ class CpuCostModel:
         return cost
 
     def compaction_speed_mbps(self, user_key_length: int, value_length: int,
-                              num_inputs: int = 2,
-                              pair_overhead_bytes: int = 4) -> float:
+                              num_inputs: int = 2) -> float:
         """The paper's metric for the CPU baseline (Table V column 1)."""
-        pair_file_bytes = user_key_length + value_length + pair_overhead_bytes
+        pair_file_bytes = user_key_length + value_length + PAIR_OVERHEAD_BYTES
         seconds = self.merge_pair_seconds(user_key_length + 8, value_length,
                                           num_inputs)
         return pair_file_bytes / seconds / 1e6
@@ -108,11 +110,10 @@ class CpuCostModel:
         return input_bytes / (speed * 1e6)
 
     def system_merge_speed_mbps(self, user_key_length: int,
-                                value_length: int,
-                                pair_overhead_bytes: int = 4) -> float:
+                                value_length: int) -> float:
         """In-tree LevelDB compaction bandwidth (see the calibration note
         on ``system_merge_per_byte``)."""
-        pair_file_bytes = user_key_length + value_length + pair_overhead_bytes
+        pair_file_bytes = user_key_length + value_length + PAIR_OVERHEAD_BYTES
         pair_bytes = user_key_length + 8 + value_length
         seconds = (self.system_merge_fixed_per_pair
                    + self.system_merge_per_byte * pair_bytes)

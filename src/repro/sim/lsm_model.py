@@ -14,8 +14,8 @@ implements over real file metadata:
   budget; one file plus its expected key-range overlap of level i+1 —
   about ``ratio + 1`` files once the child level is populated — joins.
 
-Survival fractions model the duplicate/tombstone shrink the Validity
-Check performs.
+Survival fractions (:data:`L0_SURVIVAL`, :data:`DEEP_SURVIVAL`) model
+the duplicate/tombstone shrink the Validity Check performs.
 """
 
 from __future__ import annotations
@@ -30,6 +30,11 @@ from repro.lsm.options import (
     NUM_LEVELS,
     Options,
 )
+
+#: Shares of input bytes a merge keeps: of the L0 files in an L0 -> L1
+#: merge (the L1 overlap survives whole), and of a deeper merge's input.
+L0_SURVIVAL = 0.92
+DEEP_SURVIVAL = 0.98
 
 
 @dataclass
@@ -64,9 +69,7 @@ class LevelModelStats:
 class LsmShapeModel:
     """Level byte/file accounting with LevelDB's trigger rules."""
 
-    def __init__(self, options: Options,
-                 l0_survival: float = 0.92,
-                 deep_survival: float = 0.98):
+    def __init__(self, options: Options):
         self.options = options
         #: Level byte budgets, index = level (0 unused: file-count limited).
         self._budgets = [0] + [options.max_bytes_for_level(level)
@@ -77,8 +80,6 @@ class LsmShapeModel:
         self.l0_files = 0
         self.l0_bytes = 0
         self.level_bytes = [0] * NUM_LEVELS  # index 0 unused (l0_* above)
-        self.l0_survival = l0_survival
-        self.deep_survival = deep_survival
         self.stats = LevelModelStats()
         #: levels with a compaction in flight (prevents double-picking)
         self._busy_levels: set[int] = set()
@@ -169,7 +170,7 @@ class LsmShapeModel:
             # Every L0 file spans the key space, so all of L1 overlaps.
             overlap = self.level_bytes[1]
             input_bytes = l0_bytes + overlap
-            output_bytes = int(l0_bytes * self.l0_survival + overlap)
+            output_bytes = int(l0_bytes * L0_SURVIVAL + overlap)
             self.l0_files = 0
             self.l0_bytes = 0
             self.level_bytes[1] -= overlap
@@ -196,7 +197,7 @@ class LsmShapeModel:
         coverage = file_bytes / max(1, self.level_bytes[level])
         overlap = min(child, int(coverage * child) + (sstable if child else 0))
         input_bytes = file_bytes + overlap
-        output_bytes = int(input_bytes * self.deep_survival)
+        output_bytes = int(input_bytes * DEEP_SURVIVAL)
         self.level_bytes[level] -= file_bytes
         self.level_bytes[level + 1] -= overlap
         return ModelCompactionTask(

@@ -49,6 +49,12 @@ SLOWDOWN_SLEEP_SECONDS = 1e-3
 #: Per-entry storage overhead (varints, restarts, WAL record framing).
 ENTRY_OVERHEAD_BYTES = 12
 
+#: Block-cache bytes of the open-loop simulator: a tenant's reads hit
+#: cache on this share of its keyspace.
+OPEN_LOOP_CACHE_BYTES = 64e6
+#: Width of the open-loop per-tenant latency windows, in simulated s.
+OPEN_LOOP_WINDOW_SECONDS = 60.0
+
 
 @dataclass(frozen=True)
 class SystemConfig:
@@ -594,7 +600,7 @@ class TenantSpec:
         (``uniform`` | ``zipfian`` | ``latest``).
     record_count:
         Keyspace size the distribution samples over (drives the cache
-        hit rate together with ``cache_bytes``).
+        hit rate together with :data:`OPEN_LOOP_CACHE_BYTES`).
     seed:
         Per-tenant RNG seed (arrivals, op mix and key choice).
     """
@@ -681,8 +687,7 @@ class OpenLoopResult:
 class _TenantState:
     """Runtime RNG + key-chooser + stats for one tenant."""
 
-    def __init__(self, spec: TenantSpec, entry_bytes: int,
-                 cache_bytes: float):
+    def __init__(self, spec: TenantSpec, entry_bytes: int):
         from repro.workloads import (LatestGenerator, UniformGenerator,
                                      YCSB_WORKLOADS, ZipfianGenerator)
         self.spec = spec
@@ -692,7 +697,7 @@ class _TenantState:
         distribution = spec.distribution or mix.distribution
         self.distribution = distribution
         db_bytes = spec.record_count * entry_bytes
-        cached_fraction = min(1.0, cache_bytes / max(1, db_bytes))
+        cached_fraction = min(1.0, OPEN_LOOP_CACHE_BYTES / max(1, db_bytes))
         self.hot_count = max(1, int(cached_fraction * spec.record_count))
         if distribution == "zipfian":
             self.generator = ZipfianGenerator(spec.record_count,
@@ -741,9 +746,7 @@ class OpenLoopSimulator(SystemSimulator):
     """
 
     def __init__(self, config: SystemConfig, tenants,
-                 duration_seconds: float, slo_specs=(),
-                 cache_bytes: float = 64e6,
-                 latency_window_seconds: float = 60.0):
+                 duration_seconds: float, slo_specs=()):
         super().__init__(config)
         self.tenants = tuple(tenants)
         if not self.tenants:
@@ -754,9 +757,7 @@ class OpenLoopSimulator(SystemSimulator):
         if duration_seconds <= 0:
             raise InvalidArgumentError("duration_seconds must be positive")
         self.duration_seconds = float(duration_seconds)
-        self.cache_bytes = cache_bytes
         self._registry = obs.current_registry()
-        self._latency_window_seconds = latency_window_seconds
         self.slo = None
         if slo_specs:
             from repro.obs.slo import build_engine
@@ -859,7 +860,7 @@ class OpenLoopSimulator(SystemSimulator):
                 "Sliding-window open-loop arrival-to-completion latency "
                 "quantiles on *simulated* time, by tenant/op/quantile — "
                 "coordinated-omission free (includes queueing delay).",
-                self._latency_window_seconds, op, tenant=tenant,
+                OPEN_LOOP_WINDOW_SECONDS, op, tenant=tenant,
                 slo=self.slo, clock=lambda: self._writer_clock,
                 sim=self.config.mode)
         return window
@@ -933,8 +934,7 @@ class OpenLoopSimulator(SystemSimulator):
                            / self.config.disk_read_bandwidth + 150e-6)
 
         entry_bytes = self._entry_bytes
-        states = [_TenantState(spec, entry_bytes, self.cache_bytes)
-                  for spec in self.tenants]
+        states = [_TenantState(spec, entry_bytes) for spec in self.tenants]
 
         # (arrival time, tiebreak, tenant index) min-heap of next
         # arrivals — one outstanding arrival per tenant stream.
@@ -976,12 +976,8 @@ class OpenLoopSimulator(SystemSimulator):
 
 
 def simulate_open_loop(config: SystemConfig, tenants,
-                       duration_seconds: float, slo_specs=(),
-                       cache_bytes: float = 64e6,
-                       latency_window_seconds: float = 60.0
+                       duration_seconds: float, slo_specs=()
                        ) -> OpenLoopResult:
     """Run the open-loop multi-tenant simulation and return measurements."""
-    return OpenLoopSimulator(
-        config, tenants, duration_seconds, slo_specs=slo_specs,
-        cache_bytes=cache_bytes,
-        latency_window_seconds=latency_window_seconds).run()
+    return OpenLoopSimulator(config, tenants, duration_seconds,
+                             slo_specs=slo_specs).run()

@@ -129,7 +129,7 @@ def build_table_image(entries, options, icmp) -> bytes:
     for key, value in entries:
         builder.add(key, value)
     builder.finish()
-    return bytes(dest.data)
+    return dest.getvalue()
 
 
 @pytest.fixture

@@ -23,12 +23,20 @@ import repro.host.batch_merge as batch_merge
 from repro import obs
 from repro.errors import InvalidArgumentError
 from repro.fpga.config import CONFIG_9_INPUT
-from repro.host.accelerator import AcceleratorBackend, BackendResult
+from repro.host.accelerator import (
+    AcceleratorBackend,
+    BackendResult,
+    make_backends,
+)
 from repro.host.batch_merge import BatchMergeEngine
 from repro.host.device import FcaeDevice
-from repro.host.faults import FaultInjector
 from repro.host.scheduler import CompactionScheduler
-from repro.lsm.compaction import _BufferFile, compact, table_sources
+from repro.lsm.compaction import (
+    _BufferFile,
+    build_output_tables,
+    compact,
+    table_sources,
+)
 from repro.lsm.internal import (
     InternalKeyComparator,
     TYPE_DELETION,
@@ -40,7 +48,10 @@ from repro.lsm.sstable import TableBuilder, TableReader
 from repro.lsm.version import CompactionSpec, FileMetaData
 from repro.obs import Tracer
 from repro.obs.events import EventJournal
+from repro.obs.registry import MetricsRegistry
 from repro.util.comparator import BytewiseComparator
+
+from tests.faulting_backend import FaultingBackend, pinned_registry
 
 ICMP = InternalKeyComparator(BytewiseComparator())
 
@@ -67,8 +78,21 @@ def no_numpy(request, monkeypatch):
 
 
 def routed_to(name: str, no_numpy: bool) -> str:
-    """Backend a task forced to ``name`` actually runs on."""
+    """Backend a task pinned to ``name`` actually runs on."""
     return "cpu" if name == "batch" and no_numpy else name
+
+
+def pinned_scheduler(name, options, metrics=None, **schedule):
+    """A scheduler whose every task goes to ``name`` when it can run it,
+    else to ``cpu``; ``schedule`` makes ``name`` fault (see
+    :func:`tests.faulting_backend.pinned_registry`).  Returns the
+    scheduler and the faulting wrapper."""
+    options = dataclasses.replace(options, accelerator="auto")
+    device = FcaeDevice(CONFIG_9_INPUT, options)
+    backends, faulting = pinned_registry(device, options, name,
+                                         **schedule)
+    return CompactionScheduler(device, options, metrics=metrics,
+                               backends=backends), faulting
 
 
 def build_table(entries, options) -> bytes:
@@ -77,7 +101,7 @@ def build_table(entries, options) -> bytes:
     for key, value in entries:
         builder.add(key, value)
     builder.finish()
-    return bytes(dest.data)
+    return dest.getvalue()
 
 
 def overlapping_l0_tables(options, num_tables=3, per_table=120,
@@ -128,9 +152,7 @@ class TestCrossBackendEquality:
         for name in BACKEND_NAMES:
             readers = [TableReader(img, ICMP, options) for img in images]
             spec = spec_for(images, readers)
-            run_options = dataclasses.replace(options, accelerator=name)
-            device = FcaeDevice(CONFIG_9_INPUT, run_options)
-            scheduler = CompactionScheduler(device, run_options)
+            scheduler, _ = pinned_scheduler(name, options)
             tables, route = scheduler(spec, readers, [],
                                       drop_deletions=True)
             outputs[name] = output_bytes(tables)
@@ -262,6 +284,31 @@ class TestMergeMemory:
         assert peak / stats.input_bytes <= self.PEAK_PER_INPUT_BYTE
 
 
+class TestTableBuildMemory:
+    """A finished table image is handed over, not copied: building one
+    table of about 1 MiB peaks at its image plus the buffer's slack."""
+
+    #: 1.21 now; 2.09 while the image was copied out of a bytearray.
+    PEAK_PER_IMAGE_BYTE = 1.4
+
+    def test_one_table_build_peaks_near_its_image(self):
+        # No filter: its per-entry keys are a cost of their own.
+        options = small_options(sstable_size=8 << 20)
+        rng = random.Random(3)
+        entries = [(encode_internal_key(b"%016d" % k, 1, TYPE_VALUE),
+                    rng.randbytes(128))
+                   for k in sorted(rng.sample(range(10 ** 9), 6500))]
+        build_output_tables(iter(entries[:100]), options, ICMP)  # imports
+        tracemalloc.start()
+        try:
+            [table] = build_output_tables(iter(entries), options, ICMP)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(table.data) > 900_000
+        assert peak / len(table.data) < self.PEAK_PER_IMAGE_BYTE
+
+
 class _StubBackend(AcceleratorBackend):
     def __init__(self, name, estimate, capable=True):
         self.name = name
@@ -312,10 +359,15 @@ class TestRouting:
         assert scheduler.pick_backend(self._spec()) == "cpu"
 
     def test_forced_mode_wins_over_cost(self):
-        scheduler = self._scheduler("cpu", {"cpu": 99.0,
-                                            "fpga-sim": 1.0,
-                                            "batch": 1.0})
-        assert scheduler.pick_backend(self._spec()) == "cpu"
+        scheduler = self._scheduler("fpga-sim", {"cpu": 1.0,
+                                                 "fpga-sim": 99.0,
+                                                 "batch": 1.0})
+        assert scheduler.pick_backend(self._spec()) == "fpga-sim"
+
+    @pytest.mark.parametrize("mode", ["cpu", "batch"])
+    def test_only_auto_and_fpga_sim_are_modes(self, mode):
+        with pytest.raises(InvalidArgumentError, match="accelerator"):
+            small_options(accelerator=mode)
 
     def test_forced_fpga_degrades_to_cpu_when_incapable(self):
         scheduler = self._scheduler(
@@ -334,16 +386,21 @@ class TestRouting:
     @pytest.mark.parametrize("accelerator", ["batch", "auto"])
     def test_without_numpy_batch_declines_to_cpu(self, monkeypatch,
                                                  accelerator):
+        """``auto`` over the standard registry, and a registry pinned
+        to ``batch``: either way the declined task runs on ``cpu``."""
         monkeypatch.setattr(batch_merge, "_np", None)
-        options = small_options(accelerator=accelerator)
+        options = small_options(accelerator="auto")
         images = overlapping_l0_tables(options)
         readers = [TableReader(img, ICMP, options) for img in images]
         reference = output_bytes(compact(
             table_sources(readers), options, ICMP,
             drop_deletions=True).outputs)
 
-        scheduler = CompactionScheduler(
-            FcaeDevice(CONFIG_9_INPUT, options), options)
+        if accelerator == "batch":
+            scheduler, _ = pinned_scheduler("batch", options)
+        else:
+            scheduler = CompactionScheduler(
+                FcaeDevice(CONFIG_9_INPUT, options), options)
         readers = [TableReader(img, ICMP, options) for img in images]
         spec = spec_for(images, readers)
         assert not scheduler.backends["batch"].can_run(spec)
@@ -356,13 +413,14 @@ class TestRouting:
 
 
 class TestFaultFallback:
-    """An injected fault on any accelerator fails over to the CPU merge
-    with byte-identical output, tagged with the source backend."""
+    """A fault on any accelerator is retried once, then fails over to
+    the CPU merge with byte-identical output, tagged with the source
+    backend."""
 
     @pytest.mark.parametrize("accelerator", ["fpga-sim", "batch"])
     def test_fallback_preserves_bytes_and_tags_backend(
             self, no_numpy, accelerator):
-        options = small_options(accelerator=accelerator)
+        options = small_options()
         images = overlapping_l0_tables(options)
 
         # Reference: the plain CPU merge.
@@ -371,11 +429,9 @@ class TestFaultFallback:
             table_sources(readers), options, ICMP,
             drop_deletions=True).outputs)
 
-        injector = FaultInjector(protocol_error_every=1)
-        device = FcaeDevice(CONFIG_9_INPUT, options,
-                            fault_injector=injector)
+        scheduler, faulting = pinned_scheduler(accelerator, options,
+                                               protocol_error_every=1)
         journal = EventJournal(keep_events=True)
-        scheduler = CompactionScheduler(device, options, max_retries=1)
         readers = [TableReader(img, ICMP, options) for img in images]
         spec = spec_for(images, readers)
         with obs.scoped(events=journal):
@@ -388,13 +444,14 @@ class TestFaultFallback:
             # over from.
             assert route == "cpu"
             assert scheduler.stats.fpga_fallbacks == 0
-            assert injector.injected_faults == 0
+            assert faulting.injected_faults == 0
             assert not [e for e in journal.events
                         if e["type"] in ("fault", "retry", "fallback")]
             return
         assert route == "fallback"
         assert scheduler.stats.fpga_fallbacks == 1
-        assert injector.faults_by_backend == {accelerator: 2}
+        assert scheduler.stats.fpga_retries == 1
+        assert faulting.faults_by_kind["protocol"] == 2
 
         fallbacks = [e for e in journal.events
                      if e["type"] == "fallback"]
@@ -403,12 +460,46 @@ class TestFaultFallback:
         assert fallbacks[0]["target"] == "cpu"
         faults = [e for e in journal.events if e["type"] == "fault"]
         assert {e["backend"] for e in faults} == {accelerator}
+        retries = [e for e in journal.events if e["type"] == "retry"]
+        assert [e["backend"] for e in retries] == [accelerator]
+
+    @pytest.mark.parametrize("accelerator", ["fpga-sim", "batch"])
+    @pytest.mark.parametrize("kind,schedule", [
+        ("protocol", {"protocol_error_every": 1}),
+        ("timeout", {"timeout_every": 1}),
+        ("dma", {"dma_error_rate": 1.0})], ids=["protocol", "timeout", "dma"])
+    def test_each_fault_kind_is_counted(self, accelerator, kind,
+                                        schedule):
+        """``scheduler_faults_total{kind}`` counts the attempt and its
+        retry; the task then falls back with the reference bytes."""
+        if accelerator == "batch" and batch_merge._np is None:
+            pytest.skip("without numpy the batch backend declines")
+        options = small_options()
+        images = overlapping_l0_tables(options)
+        readers = [TableReader(img, ICMP, options) for img in images]
+        reference = output_bytes(compact(
+            table_sources(readers), options, ICMP,
+            drop_deletions=True).outputs)
+        registry = MetricsRegistry()
+        scheduler, faulting = pinned_scheduler(accelerator, options,
+                                               metrics=registry, **schedule)
+        readers = [TableReader(img, ICMP, options) for img in images]
+        tables, route = scheduler(spec_for(images, readers), readers, [],
+                                  drop_deletions=True)
+        assert (route, output_bytes(tables)) == ("fallback", reference)
+        assert faulting.faults_by_kind[kind] == 2
+        [family] = [f for f in registry.collect()
+                    if f.name == "scheduler_faults_total"]
+        faults = {dict(child.labels)["kind"]: child.value
+                  for child in family.children.values()}
+        assert faults == {**dict.fromkeys(faults, 0), kind: 2}
+        assert scheduler.stats.fpga_retries == 1
+        assert scheduler.stats.fpga_fallbacks == 1
 
     def test_fault_free_batch_route_counts(self, no_numpy):
-        options = small_options(accelerator="batch")
+        options = small_options()
         images = overlapping_l0_tables(options)
-        device = FcaeDevice(CONFIG_9_INPUT, options)
-        scheduler = CompactionScheduler(device, options)
+        scheduler, _ = pinned_scheduler("batch", options)
         readers = [TableReader(img, ICMP, options) for img in images]
         spec = spec_for(images, readers)
         scheduler(spec, readers, [], drop_deletions=True)
@@ -431,11 +522,11 @@ class TestFaultFallback:
         """A batch merge is measured wall time, not a modeled interval:
         under a tracer it records no modeled span and leaves the modeled
         cursor where it was; its seconds stay in the backend family."""
-        options = small_options(accelerator="batch")
+        options = small_options()
         images = overlapping_l0_tables(options)
         tracer = Tracer()
-        scheduler = CompactionScheduler(FcaeDevice(CONFIG_9_INPUT, options),
-                                        options, tracer=tracer)
+        with obs.scoped(tracer=tracer):
+            scheduler, _ = pinned_scheduler("batch", options)
         readers = [TableReader(img, ICMP, options) for img in images]
         _, route = scheduler(spec_for(images, readers), readers, [],
                              drop_deletions=True)
@@ -447,13 +538,15 @@ class TestFaultFallback:
     def test_paper_split_is_a_view_of_the_backend_counters(self):
         """One fpga-sim task, one batch (or, without numpy, cpu) task and
         one fault-forced fallback through one scheduler: the fpga /
-        software fields equal sums over the per-backend counters."""
+        software fields equal sums over the per-backend counters.
+        ``auto`` never picks fpga-sim here (its cost model is above
+        cpu's), so it runs the in-process merge."""
         options = small_options()
         images = overlapping_l0_tables(options)
-        injector = FaultInjector()
-        device = FcaeDevice(CONFIG_9_INPUT, options,
-                            fault_injector=injector)
-        scheduler = CompactionScheduler(device, options, max_retries=1)
+        device = FcaeDevice(CONFIG_9_INPUT, options)
+        backends = make_backends(device, options, ICMP, device.cpu_model)
+        fpga = backends["fpga-sim"] = FaultingBackend(backends["fpga-sim"])
+        scheduler = CompactionScheduler(device, options, backends=backends)
 
         def run(accelerator):
             scheduler.options = dataclasses.replace(
@@ -464,9 +557,9 @@ class TestFaultFallback:
             return route
 
         assert run("fpga-sim") == "fpga-sim"
-        in_process = run("batch")
+        in_process = run("auto")
         assert in_process in ("batch", "cpu")
-        injector.timeout_every = 1  # the attempt and its retry fault
+        fpga.timeout_every = 1  # the attempt and its retry fault
         assert run("fpga-sim") == "fallback"
 
         stats = scheduler.stats

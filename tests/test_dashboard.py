@@ -23,8 +23,7 @@ def storming_engine(registry):
                        {"name": "fast", "short_seconds": 10.0,
                         "long_seconds": 60.0, "factor": 5.0}])
     clock = FakeClock()
-    engine = SloEngine((spec,), registry=registry, clock=clock,
-                       eval_interval=1.0)
+    engine = SloEngine((spec,), registry=registry, clock=clock)
     for step in range(40):
         clock.now = step * 0.5
         engine.record("put", 0.5, tenant="gold")

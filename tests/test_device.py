@@ -2,10 +2,8 @@
 
 import pytest
 
-from repro.errors import FpgaDmaError
 from repro.fpga.config import CONFIG_2_INPUT
 from repro.host.device import FcaeDevice
-from repro.host.faults import FaultInjector
 from repro.host.pcie import PcieModel
 from repro.lsm.internal import InternalKeyComparator
 from repro.lsm.sstable import TableReader
@@ -18,8 +16,7 @@ ICMP = InternalKeyComparator(BytewiseComparator())
 
 @pytest.fixture
 def device(plain_options):
-    return FcaeDevice(CONFIG_2_INPUT, plain_options,
-                      dram_size=1 << 26)
+    return FcaeDevice(CONFIG_2_INPUT, plain_options)
 
 
 def reader_for(entries, plain_options):
@@ -68,17 +65,6 @@ class TestCompact:
         entries = make_entries(600, seed=7, value_size=100)
         result = device.compact([[reader_for(entries, plain_options)]])
         assert 0 < result.pcie_fraction < 0.3
-
-    def test_injected_dma_fault_names_the_input_bytes(self, plain_options):
-        device = FcaeDevice(CONFIG_2_INPUT, plain_options,
-                            dram_size=1 << 26,
-                            fault_injector=FaultInjector(dma_error_rate=1.0))
-        readers = [reader_for(make_entries(100, seed=seed), plain_options)
-                   for seed in (8, 9)]
-        total = sum(reader.file_size for reader in readers)
-        expected = rf"\({total} bytes, fpga-sim\)"
-        with pytest.raises(FpgaDmaError, match=expected):
-            device.compact([readers[:1], readers[1:]])
 
 
 class TestPcieModel:

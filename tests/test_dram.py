@@ -41,12 +41,6 @@ class TestAccess:
         assert data[2:6] == b"aaaa"
         assert data[12:16] == b"bbbb"
 
-    def test_materialized_mode(self):
-        dram = Dram(size=256, materialize=True)
-        dram.write(0, b"xy")
-        dram.write(1, b"z")  # overwrites the 'y'
-        assert dram.read(0, 2) == b"xz"
-
     def test_out_of_bounds_write(self):
         dram = Dram(size=16)
         with pytest.raises(FpgaProtocolError):
@@ -98,14 +92,19 @@ class TestLastWriterWins:
            st.lists(st.tuples(st.integers(0, 320), st.integers(0, 64)),
                     min_size=1, max_size=8))
     def test_sparse_reads_as_flat(self, writes, reads):
-        sparse, flat = Dram(size=320), Dram(size=320, materialize=True)
+        sparse, flat = Dram(size=320), bytearray(320)
         for offset, data, mutable in writes:
-            for dram in (sparse, flat):
-                dram.write(offset, bytearray(data) if mutable else data)
+            sparse.write(offset, bytearray(data) if mutable else data)
+            flat[offset:offset + len(data)] = data
+        read_bytes = 0
         for offset, length in reads:
             length = min(length, 320 - offset)
-            assert sparse.read(offset, length) == flat.read(offset, length)
-        assert sparse.stats == flat.stats
+            assert sparse.read(offset, length) == flat[offset:offset + length]
+            read_bytes += length
+        assert sparse.stats == DramStats(
+            read_requests=len(reads), read_bytes=read_bytes,
+            write_requests=len(writes),
+            write_bytes=sum(len(data) for _, data, _ in writes))
 
 
 class TestDmaByReference:

@@ -19,7 +19,6 @@ from repro import obs
 from repro.errors import DBStateError, NotFoundError
 from repro.fpga.config import CONFIG_9_INPUT
 from repro.host.device import FcaeDevice
-from repro.host.faults import FaultInjector
 from repro.host.scheduler import CompactionScheduler
 from repro.lsm.db import LsmDB
 from repro.lsm.env import MemEnv
@@ -27,6 +26,8 @@ from repro.lsm.options import L0_STOP_TRIGGER, Options
 from repro.obs.events import EventJournal
 from repro.obs.registry import MetricsRegistry
 from repro.util.comparator import BytewiseComparator
+
+from tests.faulting_backend import FAULTING, pinned_registry
 
 
 def small_options(**overrides):
@@ -302,59 +303,63 @@ class TestThrottling:
 
 
 class TestFaultInjection:
+    """Device faults inside a live DB's merges, from a faulting
+    ``fpga-sim`` and a faulting ``batch`` backend in turn."""
+
     def _load(self, db, n):
         for i in range(n):
             db.put(key(i), value(i))
         db.compact_range()
 
-    def test_every_nth_fpga_task_fails_no_lost_keys(self):
-        """Every 2nd offload raises; with retries disabled each fault
-        becomes one software fallback.  The resulting key space must be
-        identical to a software-only database and no exception may reach
-        a writer."""
-        n = 1800
-        options = small_options()
+    def _faulty(self, name, accelerator, **schedule):
+        options = small_options(accelerator="auto")
+        registry = MetricsRegistry()
+        device = FcaeDevice(CONFIG_9_INPUT, options, metrics=registry)
+        backends, faulting = pinned_registry(device, options,
+                                             accelerator, **schedule)
+        scheduler = CompactionScheduler(device, options, metrics=registry,
+                                        backends=backends)
+        db = LsmDB(name, options, env=MemEnv(), metrics=registry,
+                   compaction_executor=scheduler)
+        return db, scheduler, faulting, registry
 
-        software = LsmDB("sw-ref", options, env=MemEnv(),
+    def test_every_nth_fpga_task_fails_no_lost_keys(self):
+        """Every offload raises, so each task's attempt and its retry
+        fault and the task falls back to the software merge.  The
+        resulting key space must be identical to a software-only
+        database and no exception may reach a writer."""
+        n = 1800
+        software = LsmDB("sw-ref", small_options(), env=MemEnv(),
                          metrics=MetricsRegistry())
         self._load(software, n)
         reference = list(software.scan())
         software.close()
 
-        injector = FaultInjector(protocol_error_every=2)
-        registry = MetricsRegistry()
-        device = FcaeDevice(CONFIG_9_INPUT, options, metrics=registry,
-                            fault_injector=injector)
-        scheduler = CompactionScheduler(device, options, metrics=registry,
-                                        max_retries=0)
-        faulty = LsmDB("fpga-faulty", options, env=MemEnv(),
-                       metrics=registry, compaction_executor=scheduler)
-        self._load(faulty, n)
-        result = list(faulty.scan())
-
-        assert result == reference
-        assert injector.injected_faults > 0
-        assert scheduler.stats.fpga_fallbacks == injector.injected_faults
-        assert scheduler.stats.fpga_faults == injector.injected_faults
-        assert family_total(registry, "scheduler_fallbacks_total") \
-            == injector.injected_faults
-        faulty.close()
+        for accelerator in FAULTING:
+            faulty, scheduler, faulting, registry = self._faulty(
+                f"{accelerator}-faulty", accelerator,
+                protocol_error_every=1)
+            self._load(faulty, n)
+            assert list(faulty.scan()) == reference
+            stats = scheduler.stats
+            assert stats.fpga_fallbacks > 0
+            assert faulting.injected_faults == 2 * stats.fpga_fallbacks
+            assert stats.fpga_faults == faulting.injected_faults
+            assert stats.fpga_retries == stats.fpga_fallbacks
+            assert stats.backend_tasks[accelerator] == stats.fpga_fallbacks
+            assert family_total(registry, "scheduler_fallbacks_total") \
+                == stats.fpga_fallbacks
+            faulty.close()
 
     def test_retries_absorb_periodic_faults(self):
         """With one retry, an every-3rd-task fault schedule never needs
-        the software fallback (the retry is a new device task)."""
-        options = small_options()
-        injector = FaultInjector(timeout_every=3)
-        registry = MetricsRegistry()
-        device = FcaeDevice(CONFIG_9_INPUT, options, metrics=registry,
-                            fault_injector=injector)
-        scheduler = CompactionScheduler(device, options, metrics=registry,
-                                        max_retries=1)
-        db = LsmDB("fpga-retry", options, env=MemEnv(), metrics=registry,
-                   compaction_executor=scheduler)
-        self._load(db, 1200)
-        assert injector.injected_faults > 0
-        assert scheduler.stats.fpga_retries == injector.injected_faults
-        assert scheduler.stats.fpga_fallbacks == 0
-        assert len(list(db.scan())) == 1200
-        db.close()
+        the software fallback (the retry is a new backend run)."""
+        for accelerator in FAULTING:
+            db, scheduler, faulting, _ = self._faulty(
+                f"{accelerator}-retry", accelerator, timeout_every=3)
+            self._load(db, 1200)
+            assert faulting.injected_faults > 0
+            assert scheduler.stats.fpga_retries == faulting.injected_faults
+            assert scheduler.stats.fpga_fallbacks == 0
+            assert len(list(db.scan())) == 1200
+            db.close()

@@ -9,6 +9,7 @@ from repro.lsm.options import (
     L0_STOP_TRIGGER,
     Options,
 )
+from repro.sim import lsm_model
 from repro.sim.lsm_model import LsmShapeModel
 
 
@@ -123,8 +124,10 @@ class TestSteadyState:
         large = run(1024)   # 4 GB
         assert large > small > 1.0
 
-    def test_total_bytes_conserved_up_to_survival(self):
-        model = LsmShapeModel(options(), l0_survival=1.0, deep_survival=1.0)
+    def test_total_bytes_conserved_up_to_survival(self, monkeypatch):
+        monkeypatch.setattr(lsm_model, "L0_SURVIVAL", 1.0)
+        monkeypatch.setattr(lsm_model, "DEEP_SURVIVAL", 1.0)
+        model = LsmShapeModel(options())
         ingested = 0
         for _ in range(128):
             model.add_l0_file(MEM)

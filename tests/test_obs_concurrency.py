@@ -56,7 +56,7 @@ class TestWindowUnderThreads:
     SAMPLES_PER_THREAD = 2000
 
     def test_counts_complete_and_percentiles_monotone(self):
-        window = WindowedHistogram(window_seconds=3600.0, slices=4)
+        window = WindowedHistogram(window_seconds=3600.0)
         rng_seed = 1234
 
         def hammer(thread_no):

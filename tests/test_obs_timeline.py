@@ -13,6 +13,7 @@ from repro.fpga.config import FpgaConfig
 from repro.fpga.engine import simulate_synthetic
 from repro.fpga.pipeline_sim import PipelineTimer
 from repro.lsm.options import Options
+from repro.obs import tracing
 from repro.obs.tracing import Tracer, spans_to_chrome_trace
 from repro.sim.system import SystemConfig, simulate_fillrandom
 
@@ -65,8 +66,9 @@ class TestRecorder:
         assert (phase.start_sim, phase.end_sim) == (10.0, 11.5)
         assert tracer.sim_cursor == 11.5
 
-    def test_bounded_memory_drops_and_counts(self):
-        tracer = Tracer(max_events=2)
+    def test_bounded_memory_drops_and_counts(self, monkeypatch):
+        monkeypatch.setattr(tracing, "MAX_EVENTS", 2)
+        tracer = Tracer()
         for i in range(5):
             tracer.record_sim_span("e", float(i), float(i + 1), track="t")
         assert len(tracer.spans) == 2
@@ -224,8 +226,7 @@ class TestHostMerging:
                   [reader_for(make_entries(80, seed=2, seq_base=1))]]
         tracer = Tracer(tracks=True)
         with obs.scoped(tracer=tracer):
-            device = FcaeDevice(config(), plain_options,
-                                dram_size=1 << 26)
+            device = FcaeDevice(config(), plain_options)
             result = device.compact(inputs)
         phases = [s for s in tracer.spans if s.name.startswith("phase:")]
         assert [s.name for s in phases] == [

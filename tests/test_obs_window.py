@@ -9,6 +9,8 @@ from repro.errors import InvalidArgumentError
 from repro.obs.exposition import to_prometheus_text
 from repro.obs.registry import MetricsRegistry
 from repro.obs.window import (
+    EXEMPLAR_CAPACITY,
+    SLICES,
     WindowedHistogram,
     nearest_rank,
     publish_window,
@@ -82,8 +84,7 @@ class TestNearestRank:
 class TestExpiry:
     def test_observations_age_out_of_the_window(self):
         clock = FakeClock()
-        window = WindowedHistogram(window_seconds=60.0, slices=6,
-                                   clock=clock)
+        window = WindowedHistogram(window_seconds=60.0, clock=clock)
         window.observe(0.5)
         assert window.count == 1
         clock.now = 120.0  # two windows later: slice is stale
@@ -92,7 +93,7 @@ class TestExpiry:
 
     def test_window_reflects_only_recent_slices(self):
         clock = FakeClock()
-        window = WindowedHistogram(window_seconds=60.0, slices=6,
+        window = WindowedHistogram(window_seconds=60.0,
                                    buckets=(0.01, 0.1, 1.0, 10.0),
                                    clock=clock)
         for _ in range(100):
@@ -105,13 +106,12 @@ class TestExpiry:
 
     def test_stale_slot_recycled_in_place(self):
         clock = FakeClock()
-        window = WindowedHistogram(window_seconds=6.0, slices=3,
-                                   clock=clock)
-        for step in range(12):
-            clock.now = float(step)
+        window = WindowedHistogram(window_seconds=3.0, clock=clock)
+        for step in range(24):
+            clock.now = step / 2
             window.observe(0.01)
-        # Ring holds `slices` slots regardless of elapsed time.
-        assert len(window._ring) == 3
+        # Ring holds SLICES slots regardless of elapsed time.
+        assert len(window._ring) == SLICES
         assert window.count <= 6
 
 
@@ -120,7 +120,7 @@ class TestValidation:
         with pytest.raises(InvalidArgumentError):
             WindowedHistogram(window_seconds=0)
         with pytest.raises(InvalidArgumentError):
-            WindowedHistogram(slices=0)
+            WindowedHistogram(slice_seconds=0)
         with pytest.raises(InvalidArgumentError):
             WindowedHistogram(buckets=(2.0, 1.0))
 
@@ -196,11 +196,12 @@ class TestExemplars:
         assert traces == ["slow"]
 
     def test_capacity_keeps_most_recent(self):
-        window = WindowedHistogram(exemplar_capacity=4)
-        for step in range(10):
+        window = WindowedHistogram()
+        for step in range(EXEMPLAR_CAPACITY + 4):
             window.observe(0.5, trace_id=f"t-{step}")
         traces = [e.trace_id for e in window.exemplars()]
-        assert traces == ["t-6", "t-7", "t-8", "t-9"]
+        assert traces == [f"t-{step}" for step
+                          in range(4, EXEMPLAR_CAPACITY + 4)]
 
     def test_exemplar_timestamps_use_window_clock(self):
         clock = FakeClock()

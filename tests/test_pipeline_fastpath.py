@@ -152,7 +152,7 @@ def build_image(keys, seq0=1, value_len=100):
         builder.add(encode_internal_key(key, seq0 + i, TYPE_VALUE),
                     bytes(value_len))
     builder.finish()
-    return bytes(dest.data)
+    return dest.getvalue()
 
 
 class TestEngineIdentity:

@@ -34,6 +34,7 @@ from repro.lsm.filenames import event_journal_file_name
 from repro.lsm.options import Options
 from repro.obs.registry import MetricsRegistry
 
+from tests.faulting_backend import pinned_registry
 from tests.test_journal_pin import _projection
 
 
@@ -57,9 +58,12 @@ def _run(ops: int = 8000, batch: bool = False) -> dict:
     env = _KeepingEnv()
     options = Options(event_journal=True, write_buffer_size=32 * 1024,
                       sstable_size=16 * 1024,
-                      accelerator="batch" if batch else "fpga-sim")
-    executor = (CompactionScheduler(FcaeDevice(CONFIG_9_INPUT, options),
-                                    options) if batch else None)
+                      accelerator="auto" if batch else "fpga-sim")
+    executor = None
+    if batch:
+        device = FcaeDevice(CONFIG_9_INPUT, options)
+        backends, _ = pinned_registry(device, options, "batch")
+        executor = CompactionScheduler(device, options, backends=backends)
     db = LsmDB("sealdb", options, env=env, metrics=MetricsRegistry(),
                compaction_executor=executor)
     rng = random.Random(7)

@@ -136,7 +136,7 @@ def make_engine(clock, registry=None, journal=None):
                         "long_seconds": 60.0, "factor": 5.0}])
     return SloEngine((spec,), registry=registry,
                      journals=() if journal is None else (journal,),
-                     clock=clock, eval_interval=1.0)
+                     clock=clock)
 
 
 class TestSloEngine:

@@ -34,7 +34,7 @@ class TestBuilder:
         stats = builder.finish()
         assert stats.num_entries == 300
         assert stats.num_data_blocks > 1
-        assert stats.file_bytes == len(dest.data)
+        assert stats.file_bytes == len(dest.getvalue())
         assert stats.raw_value_bytes == sum(len(v) for _, v in entries)
 
     def test_out_of_order_rejected(self, options, icmp):

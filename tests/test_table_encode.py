@@ -210,12 +210,12 @@ def _streaming_tables(entries, options, icmp) -> list:
         builder.add(key, value)
         if builder.file_size >= options.sstable_size:
             builder.finish()
-            outputs.append((bytes(dest.data), builder.smallest_key,
+            outputs.append((dest.getvalue(), builder.smallest_key,
                             builder.largest_key))
             builder = None
     if builder is not None:
         builder.finish()
-        outputs.append((bytes(dest.data), builder.smallest_key,
+        outputs.append((dest.getvalue(), builder.smallest_key,
                         builder.largest_key))
     return outputs
 
