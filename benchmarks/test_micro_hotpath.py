@@ -15,13 +15,12 @@ existed before it; 627,835 / 457 us against 102,426 / 40 us after):
 * ``bloom_build_190`` — >= 5x faster than that parent (measured 11x:
   the numpy leg of ``create_filter``)
 
-``sstable_build``, ``cpu_merge_4way`` and ``batch_merge_4way`` (whose
-seed value was a hand-rounded 37,000 us) are re-recorded from a run of
+``sstable_build`` and ``cpu_merge_4way`` are re-recorded from a run of
 the commit before table writing became cut -> encode -> lay out:
-5,061 / 19,422 / 13,255 us.  No floor: the rows write without
-compression, so they time the cutter and the layout, not the encoder
-(``sstable_build`` / ``cpu_merge_4way`` measured 1.00x / 1.05x over 8
-alternating pairs), and the no-slower rule below holds them.  The
+5,061 / 19,422 us.  No floor: the rows write without compression, so
+they time the cutter and the layout, not the encoder (``sstable_build``
+/ ``cpu_merge_4way`` measured 1.00x / 1.05x over 8 alternating pairs),
+and the no-slower rule below holds them.  The
 ``encode_blocks_120*`` rows are the median of five runs of that change.
 ``block_seek`` is the change that made block searches compare native
 sort keys (448 / 482 us at its parent, 246 / 243 us after, run
@@ -42,12 +41,9 @@ rows as they are now — 2,626.6 us (41 us a block) at 4 KiB and
 must compress 120 blocks >= 1.1x faster than this thread alone (with
 two or more CPUs; with fewer the encoder starts no helper).
 
-``batch_merge_4way`` is additionally gated *within the same run*: the
-vectorized batched merge must beat the streaming CPU merge on the same
-workload (skipped without numpy, where the batch backend declines and
-the bench emits no row for it).  ``snappy_compress_4k`` is gated the
-same way against ``snappy_compress_4k_scalar``: the numpy leg of the
-block compressor must stay >= 2x the scalar loop it is checked against.
+``snappy_compress_4k`` is gated the same way against
+``snappy_compress_4k_scalar``: the numpy leg of the block compressor
+must stay >= 2x the scalar loop it is checked against.
 
 Every other row only has to be *no slower* than seed (within noise).
 The baseline file is the contract: re-baselining means deliberately
@@ -81,14 +77,6 @@ SPEEDUP_FLOORS = {
 #: Ungated rows may be up to this much slower than seed before failing
 #: (wall-clock noise allowance on a shared CI box).
 NOISE_REL_TOL = 0.35
-
-#: Same-run floor: the vectorized batched merge vs the streaming CPU
-#: merge on the hotpath workload (~96 B values; the margin widens with
-#: value size — see BENCH_backends.json).  Measured 1.3-1.6x on one
-#: sandbox, where it was 1.9-2.4x before the CPU merge became a
-#: ``heapq.merge`` over sort keys (the batch engine did not slow down);
-#: gated at 1.1x for shared-runner noise.
-BATCH_MERGE_MIN_SPEEDUP = 1.1
 
 #: Same-run floor: `snappy.compress`'s numpy leg vs its scalar leg on one
 #: 4 KiB half-compressible data block.  Measured 2.7-2.9x; the block
@@ -142,20 +130,6 @@ def test_speedup_floor(measured, bench, floor):
     assert speedup >= floor, (
         f"{bench}: {speedup:.2f}x over seed ({base[bench]}us -> "
         f"{run[bench]}us), floor is {floor}x")
-
-
-def test_batch_merge_beats_cpu_merge(measured):
-    from repro.host.batch_merge import BatchMergeEngine
-
-    if not BatchMergeEngine(hotpath.OPTIONS, hotpath.ICMP).vectorized:
-        pytest.skip("numpy absent: the batch backend declines, so "
-                    "there is no batch_merge_4way row to gate")
-    _, run = measured
-    ratio = run["cpu_merge_4way"] / run["batch_merge_4way"]
-    assert ratio >= BATCH_MERGE_MIN_SPEEDUP, (
-        f"batch_merge_4way only {ratio:.2f}x faster than cpu_merge_4way "
-        f"({run['cpu_merge_4way']}us vs {run['batch_merge_4way']}us), "
-        f"floor is {BATCH_MERGE_MIN_SPEEDUP}x")
 
 
 def test_snappy_numpy_leg_beats_scalar_leg(measured):

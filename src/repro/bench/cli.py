@@ -41,7 +41,6 @@ import time
 
 from repro.bench import (
     ablation,
-    backends,
     fsync,
     hotpath,
     slo,
@@ -81,7 +80,6 @@ EXPERIMENTS = {
     "fig15d": fig15.run_d,
     "fig16": fig16.run,
     "ablation": ablation.run,
-    "backends": backends.run,
     "fsync": fsync.run,
     "hotpath": hotpath.run,
     "slo": slo.run,
@@ -92,7 +90,7 @@ EXPERIMENTS = {
 ALL_ORDER = ("table5", "fig9", "fig10", "table6", "fig11", "table7",
              "fig12", "fig13", "fig14", "table8", "fig15a", "fig15b",
              "fig15c", "fig15d", "fig16", "ablation", "write_pause", "slo",
-             "fsync", "hotpath", "backends")
+             "fsync", "hotpath")
 
 #: BENCH_*.json schema version understood by tools/check_regression.py.
 BENCH_SCHEMA = 1

@@ -41,7 +41,6 @@ from repro.compress import snappy
 from repro.compress.encoder import BlockEncoder
 from repro.errors import NotFoundError
 from repro.fpga.engine import CompactionEngine, simulate_synthetic
-from repro.host.batch_merge import BatchMergeEngine
 from repro.lsm.block import Block, BlockBuilder
 from repro.lsm.compaction import _BufferFile, compact, table_sources
 from repro.lsm.db import LsmDB
@@ -314,17 +313,6 @@ def run(scale: float = 1.0) -> ExperimentResult:
 
     _add(result, "cpu_merge_4way", merge_4way, merge_bytes,
          repeat, warmup)
-
-    # -- the same merge through the batched (LUDA-style) engine --------
-    batch_engine = BatchMergeEngine(OPTIONS, ICMP)
-    if batch_engine.vectorized:  # else the backend declines: no row
-        def batch_4way():
-            stats = batch_engine.compact([[r] for r in merge_readers],
-                                         drop_deletions=True)
-            assert stats.input_pairs == 4 * n_merge
-
-        _add(result, "batch_merge_4way", batch_4way, merge_bytes,
-             repeat, warmup)
 
     # -- pipeline timing simulator -------------------------------------
     config = two_input_config(16)

@@ -1,10 +1,9 @@
 """Codec helper: the store's codec work shared with a second core.
 
-One helper process serves three requests: **compress** and
-**decompress** split a stream of blocks with the caller (``encode``,
-``decode``: the helper takes chunks from a window's head, the caller
-works from its tail), **build** makes a sealed memtable's table while the
-writer goes on (``submit``, ``finish``).
+One helper process serves two requests: **compress** splits a stream of
+blocks with the caller (``encode``: the helper takes chunks from a
+window's head, the caller works from its tail), **build** makes a sealed
+memtable's table while the writer goes on (``submit``, ``finish``).
 
 The helper is ``sys.executable -c`` running :func:`_serve` (stdlib and
 snappy; :mod:`repro.lsm.sstable` from its first build), SIGINT ignored,
@@ -53,14 +52,12 @@ _PIPE_BYTES = 1 << 20  # asked for: room for a sealed memtable's request
 # Frames: header, ``count`` little-endian u32 lengths, the parts.
 _REQUEST = struct.Struct("<4sQI")    # kind, sequence, part count
 _ANSWER = struct.Struct("<4sQId")    # ... and the helper's seconds
-_COMPRESS, _DECOMPRESS, _BUILD = b"FCEq", b"FCEd", b"FCEb"
+_COMPRESS, _BUILD = b"FCEq", b"FCEb"
 _ANSWER_MAGIC, _READY = b"FCEa", b"FCEr"
 
 #: Request kinds, and their caller and helper units and seconds keys.
 _COUNTERS = {
     _COMPRESS: ("host_blocks", "host_s", "helper_blocks", "helper_s"),
-    _DECOMPRESS: ("host_decompress_blocks", "host_decompress_s",
-                  "helper_decompress_blocks", "helper_decompress_s"),
     _BUILD: ("host_build_tables", "host_build_s", "helper_build_tables",
              "helper_build_s"),
 }
@@ -96,8 +93,7 @@ def _serve() -> None:
                 from repro.lsm.sstable import serve_build
                 outs = serve_build(parts)
             else:
-                outs = [(snappy.compress if kind == _COMPRESS
-                         else snappy.decompress)(part) for part in parts]
+                outs = list(map(snappy.compress, parts))
             sink.write(b"".join([
                 _ANSWER.pack(_ANSWER_MAGIC, sequence, len(outs),
                              time.perf_counter() - start),
@@ -156,14 +152,7 @@ class BlockEncoder:
                ) -> Iterator[tuple[Sequence, bytes]]:
         """Yield ``(block, snappy.compress(block[0]))`` for each of
         ``blocks`` (pulled on this thread), in order."""
-        return self._split(blocks, _COMPRESS)
-
-    def decode(self, blocks: Iterable[Sequence]
-               ) -> Iterator[tuple[Sequence, bytes]]:
-        """Yield ``(block, raw)`` for each ``(payload, compressed)`` of
-        ``blocks`` (pulled on this thread), in order: ``raw`` is
-        ``snappy.decompress(payload)``, or ``payload`` if not compressed."""
-        return self._split(blocks, _DECOMPRESS)
+        return self._split(blocks)
 
     def can_take(self, size: int) -> bool:
         """Whether a build request of ~``size`` bytes may be submitted."""
@@ -247,37 +236,24 @@ class BlockEncoder:
     def _may_share(self) -> bool:
         return not (self._broken or _IN_HELPER) and _cpus() >= 2
 
-    def _split(self, blocks, kind: bytes):
+    def _split(self, blocks):
         if not self._may_share() or not self._lock.acquire(blocking=False):
             for block in blocks:
-                yield block, self._work(kind, block)
+                yield block, self._work(block)
             return
         try:
-            yield from self._shared(iter(blocks), kind)
+            yield from self._shared(iter(blocks))
         finally:
             self._lock.release()
 
-    def _work(self, kind: bytes, block) -> bytes:
-        """One block done on the calling thread, and accounted."""
-        if kind == _DECOMPRESS and not block[1]:
-            return block[0]
+    def _work(self, block) -> bytes:
+        """One block compressed on the calling thread, and accounted."""
         start = time.perf_counter()
-        out = (snappy.compress if kind == _COMPRESS else snappy.decompress)(
-            block[0])
-        units, seconds = _COUNTERS[kind][:2]
-        self._account(**{units: 1, seconds: time.perf_counter() - start})
+        out = snappy.compress(block[0])
+        self._account(host_blocks=1, host_s=time.perf_counter() - start)
         return out
 
-    @staticmethod
-    def _slot(block, kind: bytes) -> list:
-        """A window slot; its size is the raw length."""
-        if kind == _COMPRESS:
-            return [block, None, False, len(block[0])]
-        if not block[1]:
-            return [block, block[0], False, 0]
-        return [block, None, False, decode_varint32(block[0], 0)[0]]
-
-    def _shared(self, source, kind: bytes):
+    def _shared(self, source):
         window: deque = deque()
         exhausted = False
         limit = min(_FIRST_CHUNK, _CHUNK_BLOCKS)
@@ -288,13 +264,14 @@ class BlockEncoder:
                 slot = window.popleft()
                 yield slot[0], slot[1]
             if len(self._in_flight) < _IN_FLIGHT and self._guarded(
-                    self._offload, window, kind, limit, exhausted):
+                    self._offload, window, limit, exhausted):
                 limit = max(1, limit // 2) if exhausted else _CHUNK_BLOCKS
             if not exhausted and len(window) < _WINDOW:
                 block = next(source, None)
                 exhausted = block is None
                 if block is not None:
-                    window.append(self._slot(block, kind))
+                    # A window slot; its size is the raw length.
+                    window.append([block, None, False, len(block[0])])
                 continue
             if not window:
                 return
@@ -303,7 +280,7 @@ class BlockEncoder:
             if slot is None:  # all that is left is with the helper
                 self._guarded(self._collect, True)
             else:
-                slot[1] = self._work(kind, slot[0])
+                slot[1] = self._work(slot[0])
 
     def _guarded(self, step, *args):
         """``step(*args)``; None, the helper failed, if it broke a rule."""
@@ -313,7 +290,7 @@ class BlockEncoder:
             self._fail()
             return None
 
-    def _offload(self, window: deque, kind: bytes, limit: int,
+    def _offload(self, window: deque, limit: int,
                  exhausted: bool) -> Optional[_Request]:
         """Send up to ``limit`` blocks from the window's head: full chunks
         while the source lasts, then no more than keeps the helper's
@@ -340,7 +317,8 @@ class BlockEncoder:
             del chunk[max(0, (left - queued) // 2):]
         if not chunk or self._broken or not self._helper_ready():
             return None
-        request = self._send_request(kind, [slot[0][0] for slot in chunk],
+        request = self._send_request(_COMPRESS,
+                                     [slot[0][0] for slot in chunk],
                                      chunk, len(chunk))
         for slot in chunk:
             slot[2] = True
@@ -467,8 +445,6 @@ class BlockEncoder:
             raise _HelperFailure("answer does not match its request")
         lengths = list(struct.unpack(f"<{count}I", self._read(4 * count)))
         sizes = [slot[3] for slot in slots or ()]
-        if request.kind == _DECOMPRESS and lengths != sizes:
-            raise _HelperFailure("raw length does not match preamble")
         if sum(lengths) > (snappy.max_compressed_length(sum(sizes))
                            if request.kind == _COMPRESS
                            else 2 * request.size + (64 << 10)):
@@ -482,14 +458,13 @@ class BlockEncoder:
             request.answer = outs
             self._account(helper_build_tables=1, helper_build_s=seconds)
             return
-        if request.kind == _COMPRESS:
-            for size, out in zip(sizes, outs):
-                try:
-                    preamble = decode_varint32(out, 0)[0]
-                except CorruptionError:
-                    preamble = -1
-                if preamble != size:
-                    raise _HelperFailure("preamble does not match its block")
+        for size, out in zip(sizes, outs):
+            try:
+                preamble = decode_varint32(out, 0)[0]
+            except CorruptionError:
+                preamble = -1
+            if preamble != size:
+                raise _HelperFailure("preamble does not match its block")
         for slot, out in zip(slots, outs):
             slot[1] = out
         self._account(**{units: count, seconds_key: seconds})

@@ -1,4 +1,4 @@
-"""Compaction-thread workflow (paper Fig 6, generalized to N backends).
+"""Compaction-thread workflow (paper Fig 6).
 
 The scheduler is an :class:`LsmDB`-compatible compaction executor that
 routes each merge compaction to one of the registered
@@ -12,13 +12,13 @@ returns the output tables with the route that ran them:
   level 0 it is the number of overlapping L0 files plus one — and run
   the software merge otherwise ("when S_0 > N - 1, the compaction task
   will be processed completely by the software");
-* ``"auto"`` picks the argmin of the backends' wall-clock cost models
-  (:func:`pick_backend`), excluding backends that cannot run the task.
+* ``"auto"`` runs every merge on the ``cpu`` backend, the reference
+  merge.
 
-Accelerator results are verified against the storage contract (sorted,
-disjoint output ranges), and recoverable faults from *any* accelerator
-get one retry before failing over to the CPU merge — output bytes are
-identical either way, so fallback never changes the key space.  The
+Device results are verified against the storage contract (sorted,
+disjoint output ranges), and recoverable device faults get one retry
+before failing over to the CPU merge — output bytes are identical
+either way, so fallback never changes the key space.  The
 ``fault`` / ``retry`` / ``fallback`` journal lines go where
 :func:`repro.obs.journals` says: into the journals of the DB whose
 compaction raised them.  Statistics land in a
@@ -26,14 +26,14 @@ compaction raised them.  Statistics land in a
 ``scheduler_backend_*`` families, per-phase time, the PCIe share — with
 :class:`SchedulerStats` as a read-only view.  Each routed task also
 emits a ``compaction.route`` trace span with the modeled phases as
-children (marshal → pcie_in → kernel → pcie_out, or software; a batch
-merge is wall time only), so a JSONL trace reconstructs exactly where
-offload time went.
+children (marshal → pcie_in → kernel → pcie_out, or software), so a
+JSONL trace reconstructs exactly where offload time went.
 """
 
 from __future__ import annotations
 
 import time
+from collections import Counter
 from typing import Optional
 
 from repro import obs
@@ -58,14 +58,15 @@ from repro.obs.window import WindowedHistogram, publish_window
 class SchedulerStats:
     """Routing and timing view over the scheduler's registry metrics.
 
-    Routing is accounted once, per *backend* (cpu | fpga-sim | batch):
+    Routing is accounted once, per *backend* (cpu | fpga-sim):
     :attr:`backend_tasks` / :attr:`backend_input_bytes` /
     :attr:`backend_seconds` mirror the ``scheduler_backend_*`` metric
-    families.  The paper's fpga/software split (Fig 6, Table VIII) is a
-    view derived from them — fpga = the fpga-sim backend, software =
-    every in-process merge (cpu + batch); values are re-read from the
-    registry on each access.  ``as_dict`` lets exposition iterate
-    fields instead of hand-copying them.
+    families, each a :class:`collections.Counter`, so a backend that
+    never ran (or is not registered) reads 0.  The paper's fpga/software
+    split (Fig 6, Table VIII) is a view of them — fpga = the fpga-sim
+    backend, software = the cpu merge; values are re-read from the
+    registry on each access.  ``as_dict`` lets exposition iterate fields
+    instead of hand-copying them.
     """
 
     #: Integer routing fields and float phase-timing fields, in
@@ -83,23 +84,23 @@ class SchedulerStats:
     # -- per-backend family --------------------------------------------
 
     @property
-    def backend_tasks(self) -> dict[str, int]:
+    def backend_tasks(self) -> Counter:
         """Tasks executed per backend (``scheduler_backend_tasks_total``)."""
-        return {backend: int(counter.value) for backend, counter
-                in self._metrics.backend_tasks.items()}
+        return Counter({backend: int(counter.value) for backend, counter
+                        in self._metrics.backend_tasks.items()})
 
     @property
-    def backend_input_bytes(self) -> dict[str, int]:
-        return {backend: int(counter.value) for backend, counter
-                in self._metrics.backend_input_bytes.items()}
+    def backend_input_bytes(self) -> Counter:
+        return Counter({backend: int(counter.value) for backend, counter
+                        in self._metrics.backend_input_bytes.items()})
 
     @property
-    def backend_seconds(self) -> dict[str, float]:
+    def backend_seconds(self) -> Counter:
         """Measured wall seconds per backend."""
-        return {backend: counter.value for backend, counter
-                in self._metrics.backend_seconds.items()}
+        return Counter({backend: counter.value for backend, counter
+                        in self._metrics.backend_seconds.items()})
 
-    # -- the paper's split (fpga = fpga-sim, software = cpu + batch) ---
+    # -- the paper's split (fpga = fpga-sim, software = cpu) -----------
 
     @property
     def fpga_tasks(self) -> int:
@@ -107,8 +108,7 @@ class SchedulerStats:
 
     @property
     def software_tasks(self) -> int:
-        tasks = self.backend_tasks
-        return tasks["cpu"] + tasks["batch"]
+        return self.backend_tasks["cpu"]
 
     @property
     def fpga_input_bytes(self) -> int:
@@ -116,8 +116,7 @@ class SchedulerStats:
 
     @property
     def software_input_bytes(self) -> int:
-        input_bytes = self.backend_input_bytes
-        return input_bytes["cpu"] + input_bytes["batch"]
+        return self.backend_input_bytes["cpu"]
 
     @property
     def fpga_faults(self) -> int:
@@ -178,8 +177,8 @@ class CompactionScheduler:
     Pass an instance as ``LsmDB(compaction_executor=scheduler)``; it then
     receives every merge compaction the database picks and returns
     ``(outputs, route)``: the output tables and the backend that ran
-    them (``"cpu"``, ``"fpga-sim"``, ``"batch"``), or ``"fallback"``
-    when a faulting accelerator degraded to the CPU merge.
+    them (``"cpu"``, ``"fpga-sim"``), or ``"fallback"`` when a faulting
+    device degraded to the CPU merge.
     """
 
     #: Device faults the retry/fallback machinery absorbs.  Anything
@@ -229,15 +228,10 @@ class CompactionScheduler:
 
         ``"fpga-sim"`` returns the device, or ``"cpu"`` when the
         input-stream count exceeds the engine's N (Fig 6's branch);
-        ``"auto"`` returns the argmin of the capable backends'
-        wall-clock cost estimates.
+        ``"auto"`` returns ``"cpu"``.
         """
-        if self.options.accelerator == "auto":
-            capable = [backend for backend in self.backends.values()
-                       if backend.can_run(spec)]
-            return min(capable,
-                       key=lambda b: b.estimate_seconds(spec)).name
-        if self.backends["fpga-sim"].can_run(spec):
+        if (self.options.accelerator == "fpga-sim"
+                and self.backends["fpga-sim"].can_run(spec)):
             return "fpga-sim"
         return "cpu"
 
@@ -270,7 +264,7 @@ class CompactionScheduler:
                            drop_deletions: bool,
                            span) -> tuple[list[OutputTable], str]:
         """Offload with :data:`MAX_RETRIES` retries; degrade to the CPU
-        merge when the accelerator keeps failing (LUDA's CPU fallback).
+        merge when the device keeps failing (Fig 6's software path).
         Every backend produces byte-identical tables, so failover
         preserves the key space exactly."""
         for attempt in range(1, self.MAX_RETRIES + 2):

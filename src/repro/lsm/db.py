@@ -105,10 +105,9 @@ from repro.obs.report import render_db_report, render_level_stats
 
 #: A compaction executor turns (spec, input tables, parent tables,
 #: drop_deletions) into (output table images, route): the route names
-#: what ran the merge (``"cpu"``, ``"fpga-sim"``, ``"batch"``, or
-#: ``"fallback"`` after a fault-forced CPU merge) and becomes the
-#: compaction's journal ``backend``.  ``repro.host`` provides the
-#: FPGA-backed implementation.
+#: what ran the merge (``"cpu"``, ``"fpga-sim"``, or ``"fallback"``
+#: after a fault-forced CPU merge) and becomes the compaction's journal
+#: ``backend``.  ``repro.host`` provides the FPGA-backed implementation.
 CompactionExecutor = Callable[
     [CompactionSpec, list, list, bool], tuple[list[OutputTable], str]]
 

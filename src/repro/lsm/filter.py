@@ -9,7 +9,7 @@ needs no out-of-band metadata.
 ``create_filter`` has two legs that write the same bytes: a scalar loop,
 and — with numpy, from ``_BULK_MIN_KEYS`` keys on — one that hashes keys
 of equal length as columns of a byte matrix and sets all ``n * k`` probe
-bits in one scatter (the LUDA idiom of ``repro.host.batch_merge``).
+bits in one scatter (LUDA's data-parallel idiom, arXiv 2004.03054).
 """
 
 from __future__ import annotations

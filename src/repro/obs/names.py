@@ -106,12 +106,11 @@ FAMILIES: tuple[tuple, ...] = (
      "Modeled seconds per offload phase "
      "(marshal|pcie_in|kernel|pcie_out|software).", None),
     ("scheduler_backend_tasks_total", "counter",
-     "Merge compactions by executor backend (cpu|fpga-sim|batch).", None),
+     "Merge compactions by executor backend (cpu|fpga-sim).", None),
     ("scheduler_backend_input_bytes_total", "counter",
      "Compaction input bytes by executor backend.", None),
     ("scheduler_backend_seconds_total", "counter",
-     "Measured wall-clock seconds executing merges, by backend — the "
-     "quantity the routing cost models estimate.", None),
+     "Measured wall-clock seconds executing merges, by backend.", None),
     ("scheduler_task_input_bytes", "histogram",
      "Distribution of per-task compaction input sizes.", BYTES_BUCKETS),
     ("scheduler_faults_total", "counter",
@@ -455,7 +454,7 @@ class SchedulerMetrics:
     """The compaction scheduler's bound children."""
 
     PHASES = ("marshal", "pcie_in", "kernel", "pcie_out", "software")
-    BACKENDS = ("cpu", "fpga-sim", "batch")
+    BACKENDS = ("cpu", "fpga-sim")
 
     def __init__(self, registry: MetricsRegistry, inst: str):
         self.registry = registry

@@ -1,11 +1,10 @@
 """A compaction backend that faults on a schedule, for the scheduler's
 retry / fallback tests.
 
-The program has no fault hooks: a test wraps one of the registry's
-backends in :class:`FaultingBackend` and hands the registry to
+The program has no fault hooks: a test wraps the registry's ``fpga-sim``
+backend in :class:`FaultingBackend` and hands the registry to
 ``CompactionScheduler(backends=...)`` — the seam the routing tests use
-for their stub backends — so faults come from the backend that ran,
-whichever it is.
+for their stub backends — so faults come from the backend that ran.
 """
 
 from __future__ import annotations
@@ -13,14 +12,9 @@ from __future__ import annotations
 import random
 import threading
 
-import repro.host.batch_merge as batch_merge
 from repro.errors import FpgaDmaError, FpgaProtocolError, FpgaTimeoutError
 from repro.host.accelerator import AcceleratorBackend, make_backends
 from repro.lsm.internal import InternalKeyComparator
-
-#: Accelerators a faulting backend stands in for (batch needs numpy).
-FAULTING = ("fpga-sim",) + (("batch",) if batch_merge._np is not None
-                            else ())
 
 
 class FaultingBackend(AcceleratorBackend):
@@ -30,23 +24,17 @@ class FaultingBackend(AcceleratorBackend):
     ``protocol_error_every=3`` runs 3, 6, 9, ... fail.  A run matching
     several schedules raises the first of (protocol, timeout, dma) — one
     fault per run, so injected faults equal failed attempts.  DMA faults
-    come from a fixed-seed RNG, so runs replay.  ``estimate`` replaces the
-    inner backend's cost estimate (0.0 makes ``auto`` pick it for every
-    task it can run).
+    come from a fixed-seed RNG, so runs replay.
     """
 
     def __init__(self, inner: AcceleratorBackend,
                  protocol_error_every: int = 0, timeout_every: int = 0,
-                 dma_error_rate: float = 0.0,
-                 estimate: float | None = None):
+                 dma_error_rate: float = 0.0):
         self.inner = inner
         self.name = inner.name
-        self.options = inner.options
-        self.wall_model = inner.wall_model
         self.protocol_error_every = protocol_error_every
         self.timeout_every = timeout_every
         self.dma_error_rate = dma_error_rate
-        self.estimate = estimate
         self._rng = random.Random(0)
         self._lock = threading.Lock()
         self.runs = 0
@@ -58,11 +46,6 @@ class FaultingBackend(AcceleratorBackend):
 
     def can_run(self, spec) -> bool:
         return self.inner.can_run(spec)
-
-    def estimate_seconds(self, spec) -> float:
-        if self.estimate is not None:
-            return self.estimate
-        return self.inner.estimate_seconds(spec)
 
     def run(self, spec, input_tables, parent_tables, drop_deletions):
         self._check(spec.total_input_bytes)
@@ -92,15 +75,15 @@ class FaultingBackend(AcceleratorBackend):
         raise error
 
 
-def pinned_registry(device, options, name: str,
-                    **schedule) -> tuple[dict, FaultingBackend]:
-    """A registry of ``cpu`` (the fallback target) and backend ``name``
-    wrapped in a :class:`FaultingBackend` with ``schedule`` and a zero
-    estimate: ``auto`` then routes every task ``name`` can run to it and
-    the rest to ``cpu``, and ``fpga-sim`` mode does the same when
-    ``name`` is ``"fpga-sim"``.  Returns the registry and the wrapper."""
+def faulting_registry(device, options,
+                      **schedule) -> tuple[dict, FaultingBackend]:
+    """The standard registry with its ``fpga-sim`` backend wrapped in a
+    :class:`FaultingBackend` with ``schedule``: a scheduler in
+    ``fpga-sim`` mode routes every task the device can run to it, and
+    the rest to ``cpu``.  Returns the registry and the wrapper."""
     backends = make_backends(device, options,
                              InternalKeyComparator(options.comparator),
                              device.cpu_model)
-    faulting = FaultingBackend(backends[name], estimate=0.0, **schedule)
-    return {"cpu": backends["cpu"], name: faulting}, faulting
+    faulting = backends["fpga-sim"] = FaultingBackend(backends["fpga-sim"],
+                                                      **schedule)
+    return backends, faulting

@@ -1,17 +1,17 @@
-"""Accelerator backends: cross-backend byte-identity, bulk-codec
-round-trips, cost-model routing and fault-forced failover.
+"""Accelerator backends: cross-backend byte-identity, routing, merge
+memory and fault-forced failover.
 
-The core contract under test: every backend (streaming CPU merge,
-pipeline-sim device, LUDA-style batched merge) produces
-**byte-identical** output SSTables for the same inputs, so routing and
-fault failover are pure performance decisions that never change the key
-space.  Without numpy the batch backend declines and its tasks run on
-``cpu`` — same bytes again.
+The core contract under test: both backends (the streaming CPU merge and
+the pipeline-sim device) produce **byte-identical** output SSTables for
+the same inputs, so routing and fault failover are pure performance
+decisions that never change the key space — with numpy, and with the
+snappy, CRC32C and bloom kernels on their scalar legs.
 """
 
 import dataclasses
 import functools
 import hashlib
+import importlib
 import random
 import tracemalloc
 
@@ -19,8 +19,8 @@ import pytest
 
 from hypothesis import given, settings, strategies as st
 
-import repro.host.batch_merge as batch_merge
 from repro import obs
+from repro.compress import snappy
 from repro.errors import InvalidArgumentError
 from repro.fpga.config import CONFIG_9_INPUT
 from repro.host.accelerator import (
@@ -28,7 +28,6 @@ from repro.host.accelerator import (
     BackendResult,
     make_backends,
 )
-from repro.host.batch_merge import BatchMergeEngine
 from repro.host.device import FcaeDevice
 from repro.host.scheduler import CompactionScheduler
 from repro.lsm.compaction import (
@@ -43,19 +42,21 @@ from repro.lsm.internal import (
     TYPE_VALUE,
     encode_internal_key,
 )
+from repro.lsm import filter as bloom_kernel
 from repro.lsm.options import Options
 from repro.lsm.sstable import TableBuilder, TableReader
 from repro.lsm.version import CompactionSpec, FileMetaData
-from repro.obs import Tracer
 from repro.obs.events import EventJournal
 from repro.obs.registry import MetricsRegistry
 from repro.util.comparator import BytewiseComparator
 
-from tests.faulting_backend import FaultingBackend, pinned_registry
+from tests.faulting_backend import FaultingBackend, faulting_registry
 
 ICMP = InternalKeyComparator(BytewiseComparator())
+# The package re-exports the function under the module's name.
+crc_kernel = importlib.import_module("repro.util.crc32c")
 
-BACKEND_NAMES = ("cpu", "fpga-sim", "batch")
+BACKEND_NAMES = ("cpu", "fpga-sim")
 
 
 def small_options(**overrides) -> Options:
@@ -65,32 +66,30 @@ def small_options(**overrides) -> Options:
     return Options(**base)
 
 
-# The ids predate the decline-to-cpu rule; kept so node ids stay stable.
+# "fallback" names the kernels' scalar fallback legs.
 @pytest.fixture(params=[False, True], ids=["numpy", "fallback"])
 def no_numpy(request, monkeypatch):
     """Run with numpy as installed (skipped when it is not) and with it
-    hidden from the batch engine, which then declines every task."""
+    hidden from the snappy, CRC32C and bloom kernels, which then take
+    their scalar legs."""
     if request.param:
-        monkeypatch.setattr(batch_merge, "_np", None)
-    elif batch_merge._np is None:
-        pytest.skip("numpy not installed; only the decline path exists")
+        for kernel in (snappy, crc_kernel, bloom_kernel):
+            monkeypatch.setattr(kernel, "_np", None)
+    elif snappy._np is None:
+        pytest.skip("numpy not installed; only the scalar legs exist")
     return request.param
 
 
-def routed_to(name: str, no_numpy: bool) -> str:
-    """Backend a task pinned to ``name`` actually runs on."""
-    return "cpu" if name == "batch" and no_numpy else name
-
-
-def pinned_scheduler(name, options, metrics=None, **schedule):
-    """A scheduler whose every task goes to ``name`` when it can run it,
-    else to ``cpu``; ``schedule`` makes ``name`` fault (see
-    :func:`tests.faulting_backend.pinned_registry`).  Returns the
+def scheduler_for(name, options, metrics=None, **schedule):
+    """A scheduler whose every task goes to backend ``name`` when it can
+    run it, else to ``cpu``: ``auto`` for ``cpu``, ``fpga-sim`` mode for
+    the device, which ``schedule`` makes fault (see
+    :func:`tests.faulting_backend.faulting_registry`).  Returns the
     scheduler and the faulting wrapper."""
-    options = dataclasses.replace(options, accelerator="auto")
+    options = dataclasses.replace(
+        options, accelerator="auto" if name == "cpu" else "fpga-sim")
     device = FcaeDevice(CONFIG_9_INPUT, options)
-    backends, faulting = pinned_registry(device, options, name,
-                                         **schedule)
+    backends, faulting = faulting_registry(device, options, **schedule)
     return CompactionScheduler(device, options, metrics=metrics,
                                backends=backends), faulting
 
@@ -125,14 +124,20 @@ def overlapping_l0_tables(options, num_tables=3, per_table=120,
     return images
 
 
-def spec_for(images, readers, level=0) -> CompactionSpec:
+def file_metas(images, readers, first_number=0) -> list[FileMetaData]:
     files = []
-    for number, (image, reader) in enumerate(zip(images, readers)):
+    for number, (image, reader) in enumerate(zip(images, readers),
+                                             first_number):
         entries = list(reader)
         files.append(FileMetaData(number=number, file_size=len(image),
                                   smallest=entries[0][0],
                                   largest=entries[-1][0]))
-    return CompactionSpec(level=level, inputs=files, parents=[])
+    return files
+
+
+def spec_for(images, readers, level=0) -> CompactionSpec:
+    return CompactionSpec(level=level, inputs=file_metas(images, readers),
+                          parents=[])
 
 
 def output_bytes(outputs) -> list[bytes]:
@@ -140,7 +145,7 @@ def output_bytes(outputs) -> list[bytes]:
 
 
 class TestCrossBackendEquality:
-    """All three backends splice byte-identical output tables."""
+    """Both backends splice byte-identical output tables."""
 
     @pytest.mark.parametrize("compression,bloom", [("none", 0),
                                                    ("snappy", 10)])
@@ -152,51 +157,47 @@ class TestCrossBackendEquality:
         for name in BACKEND_NAMES:
             readers = [TableReader(img, ICMP, options) for img in images]
             spec = spec_for(images, readers)
-            scheduler, _ = pinned_scheduler(name, options)
+            scheduler, _ = scheduler_for(name, options)
             tables, route = scheduler(spec, readers, [],
                                       drop_deletions=True)
             outputs[name] = output_bytes(tables)
-            ran_on = routed_to(name, no_numpy)
-            assert route == ran_on
-            assert scheduler.stats.backend_tasks[ran_on] == 1
-        assert outputs["cpu"] == outputs["fpga-sim"] == outputs["batch"]
+            assert route == name
+            assert scheduler.stats.backend_tasks[name] == 1
+        assert outputs["cpu"] == outputs["fpga-sim"]
         assert outputs["cpu"]  # non-empty
 
-    def test_batch_engine_matches_compact_with_parents(self, no_numpy):
+    def test_backends_match_compact_with_parents(self, no_numpy):
+        """Two L0 tables over a parent table, tombstones kept: each
+        backend writes what the streaming merge over all three writes."""
         options = small_options()
         images = overlapping_l0_tables(options, num_tables=2)
         parent = build_table(
             [(encode_internal_key(f"{k:08d}".encode(), 1, TYPE_VALUE),
               b"old" * 8) for k in range(0, 100_000, 500)], options)
 
-        readers = [TableReader(img, ICMP, options) for img in images]
-        parent_reader = TableReader(parent, ICMP, options)
-        reference = compact(
-            table_sources(readers + [parent_reader]), options, ICMP,
-            drop_deletions=False)
+        def readers():
+            return ([TableReader(img, ICMP, options) for img in images],
+                    [TableReader(parent, ICMP, options)])
 
-        readers = [TableReader(img, ICMP, options) for img in images]
-        streams = [[r] for r in readers] + [[TableReader(parent, ICMP,
-                                                         options)]]
-        engine = BatchMergeEngine(options, ICMP)
-        if not engine.vectorized:
-            # Nothing else to run: the engine says so instead of merging
-            # some other way.
-            with pytest.raises(InvalidArgumentError, match="numpy"):
-                engine.compact(streams, drop_deletions=False)
-            return
-        got = engine.compact(streams, drop_deletions=False)
-        assert output_bytes(got.outputs) == output_bytes(
-            reference.outputs)
-        assert got.input_pairs == reference.input_pairs
-        assert got.dropped_shadowed == reference.dropped_shadowed
+        inputs, parents = readers()
+        reference = output_bytes(compact(
+            table_sources(inputs + parents), options, ICMP,
+            drop_deletions=False).outputs)
+        for name in BACKEND_NAMES:
+            inputs, parents = readers()
+            spec = CompactionSpec(
+                level=0, inputs=file_metas(images, inputs),
+                parents=file_metas([parent], parents, len(images)))
+            scheduler, _ = scheduler_for(name, options)
+            tables, route = scheduler(spec, inputs, parents,
+                                      drop_deletions=False)
+            assert route == name
+            assert output_bytes(tables) == reference
 
 
-@pytest.mark.skipif(batch_merge._np is None,
-                    reason="drives the batch engine directly; needs numpy")
 class TestBulkCodecRoundTrip:
-    """Hypothesis: the batch engine's bulk decode → merge-order → bulk
-    re-encode agrees with the streaming merge on arbitrary entry sets."""
+    """Hypothesis: the device's block decode → merge → re-encode agrees
+    with the streaming merge on arbitrary entry sets."""
 
     @staticmethod
     def _entry_lists():
@@ -232,22 +233,23 @@ class TestBulkCodecRoundTrip:
             table_sources([TableReader(img, ICMP, options)
                            for img in images]),
             options, ICMP, drop_deletions=drop)
-        got = BatchMergeEngine(options, ICMP).compact(
-            [[TableReader(img, ICMP, options)] for img in images],
-            drop_deletions=drop)
+        readers = [TableReader(img, ICMP, options) for img in images]
+        device = FcaeDevice(CONFIG_9_INPUT, options)
+        backend = make_backends(device, options, ICMP,
+                                device.cpu_model)["fpga-sim"]
+        got = backend.run(spec_for(images, readers), readers, [],
+                          drop_deletions=drop)
         assert output_bytes(got.outputs) == output_bytes(
             reference.outputs)
 
 
-@pytest.mark.skipif(batch_merge._np is None,
-                    reason="drives the batch engine directly; needs numpy")
 class TestMergeMemory:
-    """What one batch merge allocates while it runs, per raw input byte
-    (key plus value bytes): the decode buffer, the offset arrays and the
-    tables being written, not an object per entry."""
+    """What one cpu merge allocates while it runs, per raw input byte
+    (key plus value bytes): the merge heap streams its inputs, so the
+    peak is the tables being written, not an object per entry."""
 
-    #: 2.26 now; 3.87 while every key and value was a ``bytes`` object.
-    PEAK_PER_INPUT_BYTE = 3.0
+    #: 1.79 now (2.26 for the retired numpy batch merge).
+    PEAK_PER_INPUT_BYTE = 2.2
 
     @staticmethod
     def _value(key: bytes, version: int) -> bytes:
@@ -270,12 +272,16 @@ class TestMergeMemory:
                     self._value(key, rng.choice((1, 1, 2, 3)))))
                 sequence += 1
             images.append(build_table(entries, options))
-        streams = [[TableReader(img, ICMP, options)] for img in images]
-        engine = BatchMergeEngine(options, ICMP)
-        engine.compact(streams, drop_deletions=False)  # imports, helper
+        readers = [TableReader(img, ICMP, options) for img in images]
+
+        def merge():
+            return compact(table_sources(readers), options, ICMP,
+                           drop_deletions=False)
+
+        merge()  # imports, helper
         tracemalloc.start()
         try:
-            stats = engine.compact(streams, drop_deletions=False)
+            stats = merge()
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -310,32 +316,25 @@ class TestTableBuildMemory:
 
 
 class _StubBackend(AcceleratorBackend):
-    def __init__(self, name, estimate, capable=True):
+    def __init__(self, name, capable=True):
         self.name = name
-        self._estimate = estimate
         self._capable = capable
-        self.ran = 0
 
     def can_run(self, spec):
         return self._capable
 
-    def estimate_seconds(self, spec):
-        return self._estimate
-
     def run(self, spec, input_tables, parent_tables, drop_deletions):
-        self.ran += 1
         return BackendResult(outputs=[], input_bytes=0, wall_seconds=0.0)
 
 
 class TestRouting:
     @staticmethod
-    def _scheduler(accelerator, estimates, capable=None):
+    def _scheduler(accelerator, capable=None):
         options = small_options(accelerator=accelerator)
         device = FcaeDevice(CONFIG_9_INPUT, options)
         capable = capable or {}
-        backends = {name: _StubBackend(name, estimate,
-                                       capable.get(name, True))
-                    for name, estimate in estimates.items()}
+        backends = {name: _StubBackend(name, capable.get(name, True))
+                    for name in BACKEND_NAMES}
         return CompactionScheduler(device, options, backends=backends)
 
     @staticmethod
@@ -347,21 +346,17 @@ class TestRouting:
         return CompactionSpec(level=0, inputs=[meta], parents=[])
 
     def test_auto_picks_argmin_cost(self):
-        scheduler = self._scheduler("auto", {"cpu": 3.0,
-                                             "fpga-sim": 2.0,
-                                             "batch": 1.0})
-        assert scheduler.pick_backend(self._spec()) == "batch"
-
-    def test_auto_skips_incapable_backend(self):
-        scheduler = self._scheduler(
-            "auto", {"cpu": 3.0, "fpga-sim": 2.0, "batch": 1.0},
-            capable={"batch": False, "fpga-sim": False})
+        """With one in-process merge there is no cost to weigh: ``auto``
+        picks ``cpu`` over a registry whose every backend can run the
+        task, the device included."""
+        scheduler = self._scheduler("auto")
+        assert scheduler.backends["fpga-sim"].can_run(self._spec())
         assert scheduler.pick_backend(self._spec()) == "cpu"
 
     def test_forced_mode_wins_over_cost(self):
-        scheduler = self._scheduler("fpga-sim", {"cpu": 1.0,
-                                                 "fpga-sim": 99.0,
-                                                 "batch": 1.0})
+        """``fpga-sim`` mode offloads what fits, though in-process the
+        device costs more wall time than ``cpu`` (Fig 6's branch)."""
+        scheduler = self._scheduler("fpga-sim")
         assert scheduler.pick_backend(self._spec()) == "fpga-sim"
 
     @pytest.mark.parametrize("mode", ["cpu", "batch"])
@@ -370,9 +365,7 @@ class TestRouting:
             small_options(accelerator=mode)
 
     def test_forced_fpga_degrades_to_cpu_when_incapable(self):
-        scheduler = self._scheduler(
-            "fpga-sim", {"cpu": 1.0, "fpga-sim": 1.0, "batch": 1.0},
-            capable={"fpga-sim": False})
+        scheduler = self._scheduler("fpga-sim", capable={"fpga-sim": False})
         assert scheduler.pick_backend(self._spec()) == "cpu"
 
     def test_registry_requires_cpu(self):
@@ -380,44 +373,16 @@ class TestRouting:
         device = FcaeDevice(CONFIG_9_INPUT, options)
         with pytest.raises(ValueError):
             CompactionScheduler(device, options,
-                                backends={"batch": _StubBackend(
-                                    "batch", 1.0)})
-
-    @pytest.mark.parametrize("accelerator", ["batch", "auto"])
-    def test_without_numpy_batch_declines_to_cpu(self, monkeypatch,
-                                                 accelerator):
-        """``auto`` over the standard registry, and a registry pinned
-        to ``batch``: either way the declined task runs on ``cpu``."""
-        monkeypatch.setattr(batch_merge, "_np", None)
-        options = small_options(accelerator="auto")
-        images = overlapping_l0_tables(options)
-        readers = [TableReader(img, ICMP, options) for img in images]
-        reference = output_bytes(compact(
-            table_sources(readers), options, ICMP,
-            drop_deletions=True).outputs)
-
-        if accelerator == "batch":
-            scheduler, _ = pinned_scheduler("batch", options)
-        else:
-            scheduler = CompactionScheduler(
-                FcaeDevice(CONFIG_9_INPUT, options), options)
-        readers = [TableReader(img, ICMP, options) for img in images]
-        spec = spec_for(images, readers)
-        assert not scheduler.backends["batch"].can_run(spec)
-        tables, route = scheduler(spec, readers, [], drop_deletions=True)
-        assert output_bytes(tables) == reference
-        assert route == "cpu"
-        assert scheduler.stats.backend_tasks == {
-            "cpu": 1, "fpga-sim": 0, "batch": 0}
-        assert scheduler.stats.fpga_fallbacks == 0
+                                backends={"fpga-sim": _StubBackend(
+                                    "fpga-sim")})
 
 
 class TestFaultFallback:
-    """A fault on any accelerator is retried once, then fails over to
-    the CPU merge with byte-identical output, tagged with the source
-    backend."""
+    """A device fault is retried once, then fails over to the CPU merge
+    with byte-identical output, tagged with the source backend."""
 
-    @pytest.mark.parametrize("accelerator", ["fpga-sim", "batch"])
+    # One accelerator; the parameter keeps the node ids.
+    @pytest.mark.parametrize("accelerator", ["fpga-sim"])
     def test_fallback_preserves_bytes_and_tags_backend(
             self, no_numpy, accelerator):
         options = small_options()
@@ -429,8 +394,8 @@ class TestFaultFallback:
             table_sources(readers), options, ICMP,
             drop_deletions=True).outputs)
 
-        scheduler, faulting = pinned_scheduler(accelerator, options,
-                                               protocol_error_every=1)
+        scheduler, faulting = scheduler_for(accelerator, options,
+                                            protocol_error_every=1)
         journal = EventJournal(keep_events=True)
         readers = [TableReader(img, ICMP, options) for img in images]
         spec = spec_for(images, readers)
@@ -439,15 +404,6 @@ class TestFaultFallback:
                                       drop_deletions=True)
 
         assert output_bytes(tables) == reference
-        if routed_to(accelerator, no_numpy) == "cpu":
-            # Declined before it ran: nothing to fault, nothing to fail
-            # over from.
-            assert route == "cpu"
-            assert scheduler.stats.fpga_fallbacks == 0
-            assert faulting.injected_faults == 0
-            assert not [e for e in journal.events
-                        if e["type"] in ("fault", "retry", "fallback")]
-            return
         assert route == "fallback"
         assert scheduler.stats.fpga_fallbacks == 1
         assert scheduler.stats.fpga_retries == 1
@@ -463,7 +419,8 @@ class TestFaultFallback:
         retries = [e for e in journal.events if e["type"] == "retry"]
         assert [e["backend"] for e in retries] == [accelerator]
 
-    @pytest.mark.parametrize("accelerator", ["fpga-sim", "batch"])
+    # One accelerator; the parameter keeps the node ids.
+    @pytest.mark.parametrize("accelerator", ["fpga-sim"])
     @pytest.mark.parametrize("kind,schedule", [
         ("protocol", {"protocol_error_every": 1}),
         ("timeout", {"timeout_every": 1}),
@@ -472,8 +429,6 @@ class TestFaultFallback:
                                         schedule):
         """``scheduler_faults_total{kind}`` counts the attempt and its
         retry; the task then falls back with the reference bytes."""
-        if accelerator == "batch" and batch_merge._np is None:
-            pytest.skip("without numpy the batch backend declines")
         options = small_options()
         images = overlapping_l0_tables(options)
         readers = [TableReader(img, ICMP, options) for img in images]
@@ -481,8 +436,8 @@ class TestFaultFallback:
             table_sources(readers), options, ICMP,
             drop_deletions=True).outputs)
         registry = MetricsRegistry()
-        scheduler, faulting = pinned_scheduler(accelerator, options,
-                                               metrics=registry, **schedule)
+        scheduler, faulting = scheduler_for(accelerator, options,
+                                            metrics=registry, **schedule)
         readers = [TableReader(img, ICMP, options) for img in images]
         tables, route = scheduler(spec_for(images, readers), readers, [],
                                   drop_deletions=True)
@@ -497,50 +452,31 @@ class TestFaultFallback:
         assert scheduler.stats.fpga_fallbacks == 1
 
     def test_fault_free_batch_route_counts(self, no_numpy):
-        options = small_options()
+        """A fault-free ``auto`` task the device could take runs on
+        ``cpu``, with numpy or without; the backend counters read 0 for
+        every backend that did not run, ``batch`` included."""
+        options = small_options(accelerator="auto")
         images = overlapping_l0_tables(options)
-        scheduler, _ = pinned_scheduler("batch", options)
+        scheduler = CompactionScheduler(FcaeDevice(CONFIG_9_INPUT, options),
+                                        options)
         readers = [TableReader(img, ICMP, options) for img in images]
         spec = spec_for(images, readers)
-        scheduler(spec, readers, [], drop_deletions=True)
+        assert scheduler.backends["fpga-sim"].can_run(spec)
+        _, route = scheduler(spec, readers, [], drop_deletions=True)
+        assert route == "cpu"
         stats = scheduler.stats
-        ran_on = routed_to("batch", no_numpy)
-        idle = ({"cpu", "batch"} - {ran_on}).pop()
-        assert stats.backend_tasks[ran_on] == 1
-        assert stats.backend_tasks[idle] == 0
-        assert stats.backend_input_bytes[ran_on] == sum(
-            len(img) for img in images)
-        assert stats.backend_seconds[ran_on] > 0
-        # Either way it is an in-process merge: the software side of the
-        # paper's fpga/software split.
-        assert stats.software_tasks == 1
-        assert stats.fpga_tasks == 0
-
-    @pytest.mark.skipif(batch_merge._np is None,
-                        reason="without numpy the batch backend declines")
-    def test_batch_merge_puts_nothing_on_the_modeled_clock(self):
-        """A batch merge is measured wall time, not a modeled interval:
-        under a tracer it records no modeled span and leaves the modeled
-        cursor where it was; its seconds stay in the backend family."""
-        options = small_options()
-        images = overlapping_l0_tables(options)
-        tracer = Tracer()
-        with obs.scoped(tracer=tracer):
-            scheduler, _ = pinned_scheduler("batch", options)
-        readers = [TableReader(img, ICMP, options) for img in images]
-        _, route = scheduler(spec_for(images, readers), readers, [],
-                             drop_deletions=True)
-        assert route == "batch"
-        assert tracer.sim_cursor == 0.0
-        assert [s.name for s in tracer.spans if s.track is not None] == []
-        assert scheduler.stats.backend_seconds["batch"] > 0
+        assert stats.backend_tasks == {"cpu": 1, "fpga-sim": 0}
+        assert stats.backend_tasks["batch"] == 0
+        assert stats.backend_input_bytes["cpu"] == sum(map(len, images))
+        assert stats.backend_seconds["cpu"] > 0
+        # The paper's fpga/software split: an in-process merge is
+        # software.
+        assert (stats.software_tasks, stats.fpga_tasks) == (1, 0)
 
     def test_paper_split_is_a_view_of_the_backend_counters(self):
-        """One fpga-sim task, one batch (or, without numpy, cpu) task and
-        one fault-forced fallback through one scheduler: the fpga /
-        software fields equal sums over the per-backend counters.
-        ``auto`` never picks fpga-sim here (its cost model is above
-        cpu's), so it runs the in-process merge."""
+        """One fpga-sim task, one cpu task (``auto``) and one
+        fault-forced fallback through one scheduler: the fpga /
+        software fields equal the per-backend counters."""
         options = small_options()
         images = overlapping_l0_tables(options)
         device = FcaeDevice(CONFIG_9_INPUT, options)
@@ -557,20 +493,19 @@ class TestFaultFallback:
             return route
 
         assert run("fpga-sim") == "fpga-sim"
-        in_process = run("auto")
-        assert in_process in ("batch", "cpu")
+        assert run("auto") == "cpu"
         fpga.timeout_every = 1  # the attempt and its retry fault
         assert run("fpga-sim") == "fallback"
 
         stats = scheduler.stats
         tasks, nbytes = stats.backend_tasks, stats.backend_input_bytes
-        assert tasks["fpga-sim"] == 2 and tasks[in_process] == 1
+        assert tasks == {"fpga-sim": 2, "cpu": 1}
         assert stats.fpga_fallbacks == 1
         assert stats.fpga_tasks == tasks["fpga-sim"]
-        assert stats.software_tasks == tasks["cpu"] + tasks["batch"]
+        assert stats.software_tasks == tasks["cpu"]
         assert stats.fpga_input_bytes == nbytes["fpga-sim"] > 0
-        assert stats.software_input_bytes == nbytes["cpu"] + nbytes["batch"]
+        assert stats.software_input_bytes == nbytes["cpu"]
         # The fallback's bytes ran on cpu, so they count as software.
-        assert nbytes["cpu"] > 0
+        assert nbytes["cpu"] > sum(map(len, images))
         assert (stats.fpga_tasks + stats.software_tasks
                 == sum(tasks.values()))

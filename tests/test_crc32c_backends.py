@@ -1,23 +1,24 @@
-"""Block checksums through the ``batch`` backend: it has no CRC path of
-its own, so its output and its corruption check are the reader's and the
-builder's."""
+"""Block checksums through each registered compaction backend: none has a
+CRC path of its own, so its output and its corruption check are the
+reader's and the builder's."""
 
 import pytest
 
 from repro.errors import CorruptionError
-from repro.host.batch_merge import BatchMergeEngine
+from repro.fpga.config import CONFIG_9_INPUT
+from repro.host.accelerator import make_backends
+from repro.host.device import FcaeDevice
 from repro.lsm.compaction import compact, table_sources
 from repro.lsm.internal import InternalKeyComparator
 from repro.lsm.options import Options
 from repro.lsm.sstable import TableReader
+from repro.lsm.version import CompactionSpec, FileMetaData
 from repro.util.comparator import BytewiseComparator
 from tests.conftest import build_table_image, make_entries
 
 ICMP = InternalKeyComparator(BytewiseComparator())
 
-pytestmark = pytest.mark.skipif(
-    not BatchMergeEngine(Options(), ICMP).vectorized,
-    reason="numpy absent: the batch backend declines every task")
+BACKENDS = ("cpu", "fpga-sim")
 
 
 def overlapping_tables(options: Options, tables: int = 3) -> list[bytes]:
@@ -29,25 +30,40 @@ def overlapping_tables(options: Options, tables: int = 3) -> list[bytes]:
         for run in range(tables)]
 
 
+def run_backend(name: str, options: Options, images: list[bytes],
+                readers: list, drop_deletions: bool):
+    """The registry's ``name`` backend over ``readers`` as one L0 task."""
+    device = FcaeDevice(CONFIG_9_INPUT, options)
+    backend = make_backends(device, options, ICMP, device.cpu_model)[name]
+    files = [FileMetaData(number, len(image), b"", b"")
+             for number, image in enumerate(images)]
+    spec = CompactionSpec(level=0, inputs=files, parents=[])
+    assert backend.can_run(spec)
+    return backend.run(spec, readers, [], drop_deletions).outputs
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("compression", ["none", "snappy"])
-def test_batch_output_equals_compact_with_paranoid_checks(compression):
+def test_output_equals_compact_with_paranoid_checks(compression, backend):
     options = Options(compression=compression, block_size=1024,
                       sstable_size=2 * 1024, paranoid_checks=True)
     images = overlapping_tables(options)
     readers = [TableReader(image, ICMP, options) for image in images]
     expected = compact(table_sources(readers), options, ICMP,
                        drop_deletions=True)
-    batched = BatchMergeEngine(options, ICMP).compact(
-        [[reader] for reader in readers], drop_deletions=True)
+    readers = [TableReader(image, ICMP, options) for image in images]
+    outputs = run_backend(backend, options, images, readers,
+                          drop_deletions=True)
     assert len(expected.outputs) > 1
-    assert ([bytes(t.data) for t in batched.outputs]
+    assert ([bytes(t.data) for t in outputs]
             == [bytes(t.data) for t in expected.outputs])
-    # Every checksum the batch engine wrote verifies on a paranoid read.
-    for table in batched.outputs:
+    # Every checksum the backend wrote verifies on a paranoid read.
+    for table in outputs:
         assert sum(1 for _ in TableReader(table.data, ICMP, options)) > 0
 
 
-def test_flipped_bit_in_an_input_block_raises_from_batch_backend():
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_flipped_bit_in_an_input_block_raises(backend):
     options = Options(compression="none", paranoid_checks=True)
     images = overlapping_tables(options, tables=2)
     readers = [TableReader(image, ICMP, options) for image in images]
@@ -56,6 +72,6 @@ def test_flipped_bit_in_an_input_block_raises_from_batch_backend():
     damaged[first_block.offset + first_block.size // 2] ^= 0x04
     # Index, filter and footer are intact: the table still opens.
     readers[1] = TableReader(bytes(damaged), ICMP, options)
-    with pytest.raises(CorruptionError, match="checksum"):
-        BatchMergeEngine(options, ICMP).compact(
-            [[reader] for reader in readers], drop_deletions=False)
+    with pytest.raises(CorruptionError, match="block checksum mismatch"):
+        run_backend(backend, options, images, readers,
+                    drop_deletions=False)

@@ -27,7 +27,7 @@ from repro.obs.events import EventJournal
 from repro.obs.registry import MetricsRegistry
 from repro.util.comparator import BytewiseComparator
 
-from tests.faulting_backend import FAULTING, pinned_registry
+from tests.faulting_backend import faulting_registry
 
 
 def small_options(**overrides):
@@ -304,19 +304,18 @@ class TestThrottling:
 
 class TestFaultInjection:
     """Device faults inside a live DB's merges, from a faulting
-    ``fpga-sim`` and a faulting ``batch`` backend in turn."""
+    ``fpga-sim`` backend."""
 
     def _load(self, db, n):
         for i in range(n):
             db.put(key(i), value(i))
         db.compact_range()
 
-    def _faulty(self, name, accelerator, **schedule):
-        options = small_options(accelerator="auto")
+    def _faulty(self, name, **schedule):
+        options = small_options(accelerator="fpga-sim")
         registry = MetricsRegistry()
         device = FcaeDevice(CONFIG_9_INPUT, options, metrics=registry)
-        backends, faulting = pinned_registry(device, options,
-                                             accelerator, **schedule)
+        backends, faulting = faulting_registry(device, options, **schedule)
         scheduler = CompactionScheduler(device, options, metrics=registry,
                                         backends=backends)
         db = LsmDB(name, options, env=MemEnv(), metrics=registry,
@@ -335,31 +334,28 @@ class TestFaultInjection:
         reference = list(software.scan())
         software.close()
 
-        for accelerator in FAULTING:
-            faulty, scheduler, faulting, registry = self._faulty(
-                f"{accelerator}-faulty", accelerator,
-                protocol_error_every=1)
-            self._load(faulty, n)
-            assert list(faulty.scan()) == reference
-            stats = scheduler.stats
-            assert stats.fpga_fallbacks > 0
-            assert faulting.injected_faults == 2 * stats.fpga_fallbacks
-            assert stats.fpga_faults == faulting.injected_faults
-            assert stats.fpga_retries == stats.fpga_fallbacks
-            assert stats.backend_tasks[accelerator] == stats.fpga_fallbacks
-            assert family_total(registry, "scheduler_fallbacks_total") \
-                == stats.fpga_fallbacks
-            faulty.close()
+        faulty, scheduler, faulting, registry = self._faulty(
+            "fpga-faulty", protocol_error_every=1)
+        self._load(faulty, n)
+        assert list(faulty.scan()) == reference
+        stats = scheduler.stats
+        assert stats.fpga_fallbacks > 0
+        assert faulting.injected_faults == 2 * stats.fpga_fallbacks
+        assert stats.fpga_faults == faulting.injected_faults
+        assert stats.fpga_retries == stats.fpga_fallbacks
+        assert stats.backend_tasks["fpga-sim"] == stats.fpga_fallbacks
+        assert family_total(registry, "scheduler_fallbacks_total") \
+            == stats.fpga_fallbacks
+        faulty.close()
 
     def test_retries_absorb_periodic_faults(self):
         """With one retry, an every-3rd-task fault schedule never needs
         the software fallback (the retry is a new backend run)."""
-        for accelerator in FAULTING:
-            db, scheduler, faulting, _ = self._faulty(
-                f"{accelerator}-retry", accelerator, timeout_every=3)
-            self._load(db, 1200)
-            assert faulting.injected_faults > 0
-            assert scheduler.stats.fpga_retries == faulting.injected_faults
-            assert scheduler.stats.fpga_fallbacks == 0
-            assert len(list(db.scan())) == 1200
-            db.close()
+        db, scheduler, faulting, _ = self._faulty("fpga-retry",
+                                                  timeout_every=3)
+        self._load(db, 1200)
+        assert faulting.injected_faults > 0
+        assert scheduler.stats.fpga_retries == faulting.injected_faults
+        assert scheduler.stats.fpga_fallbacks == 0
+        assert len(list(db.scan())) == 1200
+        db.close()

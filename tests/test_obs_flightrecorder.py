@@ -26,7 +26,7 @@ from repro.obs.exposition import to_prometheus_text
 from repro.obs.registry import MetricsRegistry
 from repro.obs import names
 
-from tests.faulting_backend import FAULTING, pinned_registry
+from tests.faulting_backend import faulting_registry
 
 
 def small_options(**overrides):
@@ -256,18 +256,17 @@ class TestWindowedExposition:
 
 class TestDeviceFaultsReachTheDbJournal:
     """A fault the scheduler absorbs inside a DB's compaction lands in
-    that DB's own journal (and in an installed one), once per journal,
-    whichever accelerator raised it."""
+    that DB's own journal (and in an installed one), once per journal."""
 
-    def _run(self, accelerator, installed=None):
+    def _run(self, installed=None):
         env = MemEnv()
         options = Options(event_journal=True, write_buffer_size=32 * 1024,
-                          sstable_size=16 * 1024, accelerator="auto")
+                          sstable_size=16 * 1024, accelerator="fpga-sim")
         device = FcaeDevice(CONFIG_9_INPUT, options)
         rng = random.Random(7)
         with obs.scoped(events=installed):
-            backends, _ = pinned_registry(device, options, accelerator,
-                                          protocol_error_every=1)
+            backends, _ = faulting_registry(device, options,
+                                            protocol_error_every=1)
             scheduler = CompactionScheduler(device, options,
                                             backends=backends)
             db = LsmDB("faultdb", options, env=env,
@@ -281,30 +280,28 @@ class TestDeviceFaultsReachTheDbJournal:
         return scheduler, own
 
     def test_faults_and_fallbacks_in_the_db_journal(self):
-        for accelerator in FAULTING:
-            scheduler, own = self._run(accelerator)
-            stats = scheduler.stats
-            faults = [e for e in own if e["type"] == "fault"]
-            retries = [e for e in own if e["type"] == "retry"]
-            fallbacks = [e for e in own if e["type"] == "fallback"]
-            assert stats.fpga_fallbacks > 0
-            assert len(faults) == stats.fpga_faults
-            assert len(retries) == stats.fpga_retries
-            assert len(fallbacks) == stats.fpga_fallbacks
-            assert {e["backend"] for e in faults + retries} \
-                == {accelerator}
-            assert {(e["source"], e["target"]) for e in fallbacks} \
-                == {(accelerator, "cpu")}
-            # Each compaction's journal ``backend`` is the route its
-            # executor returned; a failover counts against the backend
-            # it tried.
-            routes = Counter(e["backend"] for e in own
-                             if e["type"] == "compaction_finish")
-            tasks = stats.backend_tasks
-            assert routes == Counter({
-                "fallback": stats.fpga_fallbacks,
-                accelerator: tasks[accelerator] - stats.fpga_fallbacks,
-                "cpu": tasks["cpu"]})
+        scheduler, own = self._run()
+        stats = scheduler.stats
+        faults = [e for e in own if e["type"] == "fault"]
+        retries = [e for e in own if e["type"] == "retry"]
+        fallbacks = [e for e in own if e["type"] == "fallback"]
+        assert stats.fpga_fallbacks > 0
+        assert len(faults) == stats.fpga_faults
+        assert len(retries) == stats.fpga_retries
+        assert len(fallbacks) == stats.fpga_fallbacks
+        assert {e["backend"] for e in faults + retries} == {"fpga-sim"}
+        assert {(e["source"], e["target"]) for e in fallbacks} \
+            == {("fpga-sim", "cpu")}
+        # Each compaction's journal ``backend`` is the route its
+        # executor returned; a failover counts against the backend it
+        # tried.
+        routes = Counter(e["backend"] for e in own
+                         if e["type"] == "compaction_finish")
+        tasks = stats.backend_tasks
+        assert routes == Counter({
+            "fallback": stats.fpga_fallbacks,
+            "fpga-sim": tasks["fpga-sim"] - stats.fpga_fallbacks,
+            "cpu": tasks["cpu"]})
 
     def test_each_journal_gets_each_line_once(self):
         recovery = ("fault", "retry", "fallback")
@@ -312,10 +309,9 @@ class TestDeviceFaultsReachTheDbJournal:
         def lines(events):
             return [(e["type"], e.get("attempt"), e.get("level"))
                     for e in events if e["type"] in recovery]
-        for accelerator in FAULTING:
-            installed = EventJournal(keep_events=True)
-            scheduler, own = self._run(accelerator, installed)
-            assert lines(own) == lines(installed.events)
-            assert len(lines(own)) == (scheduler.stats.fpga_faults
-                                       + scheduler.stats.fpga_retries
-                                       + scheduler.stats.fpga_fallbacks)
+        installed = EventJournal(keep_events=True)
+        scheduler, own = self._run(installed)
+        assert lines(own) == lines(installed.events)
+        assert len(lines(own)) == (scheduler.stats.fpga_faults
+                                   + scheduler.stats.fpga_retries
+                                   + scheduler.stats.fpga_fallbacks)

@@ -1,11 +1,8 @@
-"""Sealed memtables built on the codec helper, and merge inputs
-decompressed on it.
+"""Sealed memtables built on the codec helper.
 
 A writer's swap seals the memtable it swaps out and sends its entries to
 the helper, which builds the table while the writer goes on; the next
-swap lands it.  A batch merge sends its input blocks' snappy payloads to
-the helper and decompresses from the tail itself.  None of it may change
-what the store writes: the tables, the MANIFEST, the projected journal
+swap lands it.  None of it may change what the store writes: the tables, the MANIFEST, the projected journal
 and the stats after ``close()`` are a helper-less run's, whether the
 helper takes every request, breaks the protocol on one, or is killed --
 and a broken helper is counted once, reaped, and never started again.
@@ -22,10 +19,6 @@ import pytest
 
 from repro.compress import encoder
 from repro.compress.encoder import BlockEncoder
-from repro.fpga.config import CONFIG_9_INPUT
-from repro.host import batch_merge
-from repro.host.device import FcaeDevice
-from repro.host.scheduler import CompactionScheduler
 from repro.lsm import db as db_module
 from repro.lsm import sstable
 from repro.lsm.db import LsmDB
@@ -34,7 +27,6 @@ from repro.lsm.filenames import event_journal_file_name
 from repro.lsm.options import Options
 from repro.obs.registry import MetricsRegistry
 
-from tests.faulting_backend import pinned_registry
 from tests.test_journal_pin import _projection
 
 
@@ -51,28 +43,21 @@ class _KeepingEnv(MemEnv):
         super().delete_file(name)
 
 
-def _run(ops: int = 8000, batch: bool = False) -> dict:
-    """``tests/test_journal_pin.py``'s inline op stream; with ``batch``,
-    its first ``ops`` operations with values snappy can halve, merged
-    through the ``batch`` backend.  What the closed DB left behind."""
+def _run(ops: int = 8000, compressible: bool = False) -> dict:
+    """``tests/test_journal_pin.py``'s inline op stream; with
+    ``compressible``, its first ``ops`` operations with values snappy can
+    halve.  What the closed DB left behind."""
     env = _KeepingEnv()
     options = Options(event_journal=True, write_buffer_size=32 * 1024,
-                      sstable_size=16 * 1024,
-                      accelerator="auto" if batch else "fpga-sim")
-    executor = None
-    if batch:
-        device = FcaeDevice(CONFIG_9_INPUT, options)
-        backends, _ = pinned_registry(device, options, "batch")
-        executor = CompactionScheduler(device, options, backends=backends)
-    db = LsmDB("sealdb", options, env=env, metrics=MetricsRegistry(),
-               compaction_executor=executor)
+                      sstable_size=16 * 1024)
+    db = LsmDB("sealdb", options, env=env, metrics=MetricsRegistry())
     rng = random.Random(7)
     for _ in range(ops):
         key = b"key%08d" % rng.randrange(20000)
         if rng.random() < 0.1:
             db.delete(key)
         else:
-            db.put(key, rng.randbytes(50) + bytes(50) if batch
+            db.put(key, rng.randbytes(50) + bytes(50) if compressible
                    else rng.randbytes(100))
     db.close()
     files = {name: env.read_file(os.path.join("sealdb", name))
@@ -134,8 +119,7 @@ while len(head := source.read(e._REQUEST.size)) == e._REQUEST.size:
     lengths = struct.unpack(f"<{{count}}I", source.read(4 * count))
     parts = [source.read(n) for n in lengths]
     outs = (serve_build(parts) if kind == e._BUILD else
-            [(snappy.compress if kind == e._COMPRESS
-              else snappy.decompress)(p) for p in parts])
+            [snappy.compress(p) for p in parts])
     if kind == {kind!r}:
 {behaviour}
     sink.write(e._ANSWER.pack(e._ANSWER_MAGIC, sequence, len(outs), 0.0)
@@ -152,14 +136,9 @@ _DRILLS = {
     ("build", "killed"): _KILLED,
     ("build", "bad_length"): "        outs[0] = outs[0][:-1]",
     ("build", "bad_crc"): "        outs[0] = b'\\xff' + outs[0][1:]",
-    # A decompress answer: one raw block per payload.
-    ("decompress", "killed"): _KILLED,
-    ("decompress", "bad_length"): "        outs = outs[:-1]",
-    ("decompress", "wrong_preamble"):
-        "        outs = [raw + b'x' for raw in outs]",
 }
 
-_KINDS = {"build": encoder._BUILD, "decompress": encoder._DECOMPRESS}
+_KINDS = {"build": encoder._BUILD}
 
 
 class _Encoder(BlockEncoder):
@@ -189,27 +168,24 @@ def reference():
     """The drills' op stream with no helper."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(encoder, "_cpus", lambda: 1)
-        return _run(ops=3000, batch=True)
+        return _run(ops=3000, compressible=True)
 
 
-@pytest.mark.parametrize("kind,failure", [
-    pytest.param(kind, failure, marks=pytest.mark.skipif(
-        kind == "decompress" and batch_merge._np is None,
-        reason="batch merges, which decompress, need numpy"))
-    for kind, failure in sorted(_DRILLS)])
+@pytest.mark.parametrize("kind,failure", sorted(_DRILLS))
 def test_a_broken_helper_changes_nothing(reference, monkeypatch, kind,
                                          failure):
     monkeypatch.setattr(encoder, "_cpus", lambda: 2)
     monkeypatch.setattr(encoder, "_DEADLINE_FLOOR_S", 0.5)
     block_encoder = _Encoder(kind, failure)
-    for module in (db_module, sstable, batch_merge):
+    for module in (db_module, sstable):
         monkeypatch.setattr(module, "block_encoder", block_encoder)
     assert block_encoder.start(timeout=60.0)
-    if kind == "build":  # warm, and slow alone: every landing waits for
-        block_encoder._counts.update(  # its answer, so each is checked
-            helper_build_tables=1, host_build_tables=1, host_build_s=60.0)
+    # Warm, and slow alone: every landing waits for its answer, so each
+    # is checked.
+    block_encoder._counts.update(
+        helper_build_tables=1, host_build_tables=1, host_build_s=60.0)
     before = block_encoder.stats()
-    _same_program(_run(ops=3000, batch=True), reference)
+    _same_program(_run(ops=3000, compressible=True), reference)
     stats = block_encoder.stats()
     assert stats["failures"] == 1
     assert len(block_encoder.pids) == 1
@@ -217,11 +193,7 @@ def test_a_broken_helper_changes_nothing(reference, monkeypatch, kind,
         os.waitpid(block_encoder.pids[0], os.WNOHANG)
     assert block_encoder.start(timeout=1.0) is False
     assert len(block_encoder.pids) == 1
-    if kind == "build":
-        assert stats["host_build_tables"] > before["host_build_tables"]
-    else:
-        assert stats["helper_decompress_blocks"] == 0
-        assert stats["host_decompress_blocks"] > 0
+    assert stats["host_build_tables"] > before["host_build_tables"]
 
 
 # ----------------------------------------------------------------------

@@ -2,19 +2,19 @@
 """Split a workload's codec work between the writer and the codec helper.
 
 The benchmark reports one ``ops_per_ref_s``; this tool says how the
-writer's table builds, merge-input decodes and block compression were
-shared with the helper process, and what the writer still pays::
+writer's table builds and block compression were shared with the helper
+process, and what the writer still pays::
 
     python3 tools/helper_balance.py --workload fill_random --seed 1
 
 It runs the untraced pass of one ``benchmarks/e2e`` workload in this
 process and prints, for the timed phase: the seconds the writer waited
 on the helper, the units (blocks or tables) and seconds of each request
-kind on either side, the milliseconds per flush the writer spent sealing
-a memtable and landing its table, and the seconds of ``_bulk_decode``;
-then the seconds of the workload DB's ``close()``, which lands the last
-sealed memtable and the merges it owes.  Timings are one untraced run's:
-use them to split a gain, not as a baseline.
+kind on either side, and the milliseconds per flush the writer spent
+sealing a memtable and landing its table; then the seconds of the
+workload DB's ``close()``, which lands the last sealed memtable and the
+merges it owes.  Timings are one untraced run's: use them to split a
+gain, not as a baseline.
 """
 
 from __future__ import annotations
@@ -31,8 +31,6 @@ sys.path[:0] = [os.path.join(ROOT, "src"),
 #: Request kind -> (caller units, caller s, helper units, helper s).
 KINDS = {
     "compress": ("host_blocks", "host_s", "helper_blocks", "helper_s"),
-    "decompress": ("host_decompress_blocks", "host_decompress_s",
-                   "helper_decompress_blocks", "helper_decompress_s"),
     "build": ("host_build_tables", "host_build_s", "helper_build_tables",
               "helper_build_s"),
 }
@@ -48,7 +46,6 @@ def main() -> int:
     import worker
     import workloads
     from repro.compress.encoder import block_encoder
-    from repro.host.batch_merge import BatchMergeEngine
     from repro.lsm.db import LsmDB
 
     seconds: dict = {}
@@ -73,7 +70,6 @@ def main() -> int:
 
     timing(LsmDB, "_seal_locked", "seal")
     timing(LsmDB, "_flush_step", "land")
-    timing(BatchMergeEngine, "_bulk_decode", "bulk_decode")
 
     workload = workloads.WORKLOADS[args.workload]
     run, close = workload.run, LsmDB.close
@@ -110,7 +106,7 @@ def main() -> int:
     for kind, (units, units_s, helper, helper_s) in KINDS.items():
         print(f"  {kind:<11} {phase[units]:>8} {phase[units_s]:7.3f} "
               f"{phase[helper]:>8} {phase[helper_s]:7.3f}")
-    for label in ("seal", "land", "bulk_decode"):
+    for label in ("seal", "land"):
         calls, total = seconds.get(label, (0, 0.0))
         per = f"{total / calls * 1e3:6.2f} ms each" if calls else ""
         print(f"  {label:<11} {calls:>5} calls {total:7.3f} s {per}")
