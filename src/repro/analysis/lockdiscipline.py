@@ -21,9 +21,10 @@ LD002 ``guarded-attr-escape``
 LD003 ``blocking-under-mutex``
     A direct blocking call (``sync()``/``fsync``, socket I/O,
     ``time.sleep``, ``select.select``, or an ``Env`` reading a whole file
-    or creating one: ``read_file`` / ``new_writable_file`` /
-    ``new_appendable_file`` on a receiver named ``env``) while a mutex is
-    held — the bug class group commit exists to avoid.  Error severity;
+    or opening one: ``read_file`` / ``new_writable_file`` /
+    ``new_appendable_file`` / ``new_random_access_file`` on a receiver
+    named ``env``) while a mutex is held — the bug class group commit
+    exists to avoid.  Error severity;
     waivable with ``# lint: waive[LD003] reason`` when the hold is the
     documented contract (e.g. ``wal_sync="always"``).
 
@@ -69,6 +70,7 @@ _BLOCKING_ENV_ATTRS = {
     "read_file": "env read_file (whole-file read)",
     "new_writable_file": "env new_writable_file (file create)",
     "new_appendable_file": "env new_appendable_file (file open)",
+    "new_random_access_file": "env new_random_access_file (file open)",
 }
 
 #: module-level blocking calls: (module name, attr) -> description

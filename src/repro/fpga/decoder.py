@@ -24,6 +24,7 @@ from typing import Iterator, NamedTuple
 from repro.errors import FpgaProtocolError
 from repro.fpga.dram import Dram
 from repro.lsm.block import Block, BlockBuilder
+from repro.lsm.env import RandomAccessFile
 from repro.lsm.sstable import (
     BLOCK_TRAILER_SIZE,
     BlockHandle,
@@ -49,9 +50,9 @@ class SSTableLayout:
     data_size: int
 
 
-def extract_index_image(image: bytes, reader: TableReader) -> bytes:
+def extract_index_image(reader: TableReader) -> bytes:
     """Rebuild a standalone index block image for Index Block Memory
-    from ``reader``, the table over ``image``."""
+    from ``reader``'s decoded index."""
     builder = BlockBuilder(1)
     for key, handle in reader.index_entries():
         builder.add(key, handle.encode())
@@ -97,8 +98,8 @@ class DataBlockDecoder:
         if handle.offset + length > table.data_size:
             raise FpgaProtocolError("data block handle outside input region")
         raw = self._dram.read(table.data_offset + handle.offset, length)
-        return list(Block(_read_block(raw, BlockHandle(0, handle.size),
-                                      True)))
+        return list(Block(_read_block(
+            RandomAccessFile(raw), BlockHandle(0, handle.size), True)))
 
 
 class DecoderChain:

@@ -2,8 +2,8 @@
 
 One ``compact`` call performs the paper's §IV workflow steps 3-7:
 
-3. read input SSTables into host memory (the caller supplies
-   :class:`TableReader`\\ s whose images are already resident),
+3. read input SSTables into host memory (the marshaller reads each
+   :class:`TableReader`'s image once, from its file or its bytes),
 4. DMA the input memory image (MetaIn + index + data regions) to card
    DRAM,
 5-6. run the hardware engine, which streams results back to card DRAM,

@@ -144,7 +144,7 @@ def marshal_inputs(dram: Dram, config: FpgaConfig,
             f"{len(inputs)} inputs exceed engine N={config.num_inputs}")
 
     index_images: list[list[bytes]] = [
-        [extract_index_image(reader.image, reader) for reader in tables]
+        [extract_index_image(reader) for reader in tables]
         for tables in inputs]
 
     # Region sizing: [MetaIn][Index Block Memory][Data Block Memory].
@@ -160,25 +160,28 @@ def marshal_inputs(dram: Dram, config: FpgaConfig,
         table_entries = []
         table_layouts = []
         for reader, index_image in zip(tables, images):
+            # One read of the table (a whole-file pread when the reader
+            # is file-backed); DRAM keeps it by reference.
+            image = reader.image
             data_cursor = align_up(data_cursor, config.w_in)
-            dram.write(data_cursor, reader.image)
+            dram.write(data_cursor, image)
             dram.write(index_cursor, index_image)
-            total_dma += len(reader.image) + len(index_image)
+            total_dma += len(image) + len(index_image)
             layout = SSTableLayout(
                 index_offset=index_cursor,
                 index_size=len(index_image),
                 data_offset=data_cursor,
-                data_size=len(reader.image),
+                data_size=len(image),
             )
             table_layouts.append(layout)
             table_entries.append(MetaInEntry(
                 index_offset=index_cursor,
                 index_size=len(index_image),
                 data_offset=data_cursor,
-                data_size=len(reader.image),
+                data_size=len(image),
             ))
             index_cursor += len(index_image)
-            data_cursor += len(reader.image)
+            data_cursor += len(image)
         meta_entries.append(table_entries)
         layouts.append(table_layouts)
 

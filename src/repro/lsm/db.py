@@ -335,11 +335,8 @@ class LsmDB:
         if snapshot is None:
             return
         self.versions.restore_snapshot(snapshot)
-        opened = {
-            meta.number: self._open_table(
-                meta.number,
-                self.env.read_file(table_file_name(self.dbname, meta.number)))
-            for files in self.versions.current.files for meta in files}
+        opened = {meta.number: self._open_table(meta.number)
+                  for files in self.versions.current.files for meta in files}
         with self._mutex:
             self._publish_view_locked(opened)
 
@@ -748,9 +745,11 @@ class LsmDB:
     # Compaction
     # ------------------------------------------------------------------
 
-    def _open_table(self, number: int, image: bytes) -> TableReader:
-        return TableReader(image, self.icmp, self.options, self.block_cache,
-                           number)
+    def _open_table(self, number: int) -> TableReader:
+        """Open table ``number`` from its durably written file."""
+        return TableReader(self.env.new_random_access_file(
+            table_file_name(self.dbname, number)), self.icmp, self.options,
+            self.block_cache, number)
 
     def _publish_view_locked(
             self, opened: Optional[dict[int, TableReader]] = None) -> None:
@@ -874,7 +873,7 @@ class LsmDB:
                 dest = self.env.new_writable_file(name)
                 dest.append(output.data)
                 self._durable_close(dest)
-                opened[number] = self._open_table(number, output.data)
+                opened[number] = self._open_table(number)
                 new_metas.append(FileMetaData(
                     number, len(output.data),
                     output.smallest, output.largest))
@@ -913,7 +912,7 @@ class LsmDB:
                 self.versions.apply(edit)
                 self._publish_view_locked(opened)
                 # Safe while views and scans still read the inputs: a
-                # TableReader never goes back to its file.
+                # TableReader's open handle reads on after the unlink.
                 for old in spec.inputs + spec.parents:
                     self.env.delete_file(
                         table_file_name(self.dbname, old.number))
@@ -943,19 +942,18 @@ class LsmDB:
         def build_here():
             # A non-empty memtable, no size cut: exactly one table.
             image, builder = build_table(imm, self.options, self.icmp)
-            return (self._open_table(number, image), builder.stats,
-                    builder.smallest_key, builder.largest_key)
+            return (image, builder.stats, builder.smallest_key,
+                    builder.largest_key)
 
         with episode(self.tracer, self.journals, "flush", db=self.dbname,
                      table=number) as ep:
             try:
-                reader, stats, smallest, largest = block_encoder.finish(
-                    seal.request, lambda answer: seal.check(
-                        answer, lambda image: self._open_table(number, image)),
-                    build_here)
+                image, stats, smallest, largest = block_encoder.finish(
+                    seal.request, seal.check, build_here)
                 dest = self.env.new_writable_file(name)
-                dest.append(reader.image)
+                dest.append(image)
                 self._durable_close(dest)
+                reader = self._open_table(number)
             except BaseException:
                 if self.env.file_exists(name):
                     self.env.delete_file(name)

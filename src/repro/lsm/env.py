@@ -10,8 +10,9 @@ LevelDB's ``Env``.  Two implementations are provided:
   fsync latency (``bench fsync``);
 * :class:`OsEnv` — thin wrapper over the real filesystem.
 
-Both expose whole-file and append-style handles sufficient for SSTables,
-WAL segments and MANIFEST files.
+Both expose whole-file, append-style and positional-read handles: WAL
+segments and MANIFEST files are read whole, SSTables a block at a time
+through :meth:`Env.new_random_access_file` (``pread`` on :class:`OsEnv`).
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from __future__ import annotations
 import os
 import threading
 import time
+import weakref
 from abc import ABC, abstractmethod
 from typing import Iterable
 
@@ -52,6 +54,19 @@ class WritableFile(ABC):
     def size(self) -> int: ...
 
 
+class RandomAccessFile:
+    """A file read by position: ``size``, ``read(offset, n)`` (short at
+    the end of the file) and ``image``, the whole file.  This one holds
+    the image in memory and reads slices of it, without copying it."""
+
+    def __init__(self, image: bytes):
+        self.image = image
+        self.size = len(image)
+
+    def read(self, offset: int, n: int) -> bytes:
+        return self.image[offset:offset + n]
+
+
 class Env(ABC):
     """Filesystem facade used by the database."""
 
@@ -66,6 +81,12 @@ class Env(ABC):
 
     @abstractmethod
     def read_file(self, name: str) -> bytes: ...
+
+    def new_random_access_file(self, name: str) -> RandomAccessFile:
+        """Open ``name`` for positional reads.  Default: its whole image,
+        read once through :meth:`read_file` and held by the handle, so
+        the handle reads on after the file is deleted."""
+        return RandomAccessFile(self.read_file(name))
 
     @abstractmethod
     def file_exists(self, name: str) -> bool: ...
@@ -290,6 +311,26 @@ class _OsWritableFile(WritableFile):
         return self._size
 
 
+class _OsRandomAccessFile(RandomAccessFile):
+    """One ``os.open`` descriptor read with ``os.pread``; it closes when
+    the handle is freed, so an unlinked file stays readable until then."""
+
+    def __init__(self, name: str):
+        try:
+            self._fd = fd = os.open(name, os.O_RDONLY)
+        except FileNotFoundError as exc:
+            raise NotFoundError(name) from exc
+        weakref.finalize(self, os.close, fd)
+        self.size = os.fstat(fd).st_size
+
+    def read(self, offset: int, n: int) -> bytes:
+        return os.pread(self._fd, n, offset)
+
+    @property
+    def image(self) -> bytes:
+        return self.read(0, self.size)
+
+
 class OsEnv(Env):
     """Real-filesystem environment."""
 
@@ -305,6 +346,9 @@ class OsEnv(Env):
                 return handle.read()
         except FileNotFoundError as exc:
             raise NotFoundError(name) from exc
+
+    def new_random_access_file(self, name: str) -> RandomAccessFile:
+        return _OsRandomAccessFile(name)
 
     def file_exists(self, name: str) -> bool:
         return os.path.exists(name)

@@ -6,16 +6,20 @@ derived by repeatedly adding a 17-bit rotation delta.  The generated
 filter bytes are appended with a trailing byte recording ``k`` so a reader
 needs no out-of-band metadata.
 
-``create_filter`` has two legs that write the same bytes: a scalar loop,
-and — with numpy, from ``_BULK_MIN_KEYS`` keys on — one that hashes keys
-of equal length as columns of a byte matrix and sets all ``n * k`` probe
-bits in one scatter (LUDA's data-parallel idiom, arXiv 2004.03054).
+A filter is built from its keys' 32-bit hashes (:func:`hash_keys`, which
+a table builder calls as keys arrive, so it keeps 4 bytes per key, not
+the key).  Hashing and :meth:`BloomFilterPolicy.filter_from_hashes` each
+have two legs that give the same values: a scalar loop, and — with
+numpy, from ``_BULK_MIN_KEYS`` keys on — one that hashes keys of equal
+length as columns of a byte matrix and sets each round of probe bits in
+one scatter (LUDA's data-parallel idiom, arXiv 2004.03054).
 """
 
 from __future__ import annotations
 
 import math
 import struct
+from array import array
 from typing import Iterable
 
 _SEED = 0xBC9F1D34
@@ -84,6 +88,14 @@ def _hash_many(keys: list[bytes]):
     return _np.concatenate(hashes)
 
 
+def hash_keys(keys: list[bytes]) -> array:
+    """Every key's ``_leveldb_hash`` as an ``array('I')``, in no
+    particular order."""
+    if _np is not None and len(keys) >= _BULK_MIN_KEYS:
+        return array("I", _hash_many(keys).tobytes())
+    return array("I", map(_leveldb_hash, keys))
+
+
 class BloomFilterPolicy:
     """Builds and probes per-table bloom filters."""
 
@@ -99,29 +111,31 @@ class BloomFilterPolicy:
         return "leveldb.BuiltinBloomFilter2"
 
     def create_filter(self, keys: Iterable[bytes]) -> bytes:
-        keys = list(keys)
-        bits = max(64, len(keys) * self.bits_per_key)
+        return self.filter_from_hashes(hash_keys(list(keys)))
+
+    def filter_from_hashes(self, hashes: array) -> bytes:
+        """The filter over the keys whose :func:`hash_keys` these are."""
+        bits = max(64, len(hashes) * self.bits_per_key)
         nbytes = (bits + 7) // 8
         bits = nbytes * 8
-        if _np is not None and len(keys) >= _BULK_MIN_KEYS:
-            h = _hash_many(keys)
+        if _np is not None and len(hashes) >= _BULK_MIN_KEYS:
+            h = _np.frombuffer(hashes, dtype=_np.uint32)
             delta = (h >> 17) | (h << 15)
-            probes = (h[:, None] + delta[:, None] * _np.arange(
-                self._k, dtype=_np.uint32)) % _np.uint32(bits)
             bitmap = _np.zeros(bits, dtype=_np.uint8)
-            bitmap[probes.ravel()] = 1
+            for _ in range(self._k):  # one probe per key a round
+                bitmap[h % _np.uint32(bits)] = 1
+                h = h + delta
             return (_np.packbits(bitmap, bitorder="little").tobytes()
                     + bytes((self._k,)))
-        array = bytearray(nbytes)
-        for key in keys:
-            h = _leveldb_hash(key)
+        bitmap = bytearray(nbytes)
+        for h in hashes:
             delta = ((h >> 17) | (h << 15)) & _U32
             for _ in range(self._k):
                 bit = h % bits
-                array[bit // 8] |= 1 << (bit % 8)
+                bitmap[bit // 8] |= 1 << (bit % 8)
                 h = (h + delta) & _U32
-        array.append(self._k)
-        return bytes(array)
+        bitmap.append(self._k)
+        return bytes(bitmap)
 
     #: The one hash a lookup needs: compute it once per key, then probe
     #: every table's filter with :meth:`hash_may_match`.

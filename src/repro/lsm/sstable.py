@@ -26,6 +26,7 @@ from __future__ import annotations
 import io
 import json
 import struct
+from array import array
 from bisect import bisect_left
 from dataclasses import astuple, dataclass
 from itertools import chain, starmap
@@ -36,8 +37,8 @@ from repro.compress.encoder import block_encoder
 from repro.errors import CorruptionError, InvalidArgumentError
 from repro.lsm.block import Block, BlockBuilder
 from repro.lsm.cache import LRUCache
-from repro.lsm.env import WritableFile
-from repro.lsm.filter import BloomFilterPolicy
+from repro.lsm.env import RandomAccessFile, WritableFile
+from repro.lsm.filter import BloomFilterPolicy, hash_keys
 from repro.lsm.internal import MARK_FIELDS_SIZE, InternalKeyComparator
 from repro.lsm.options import Options
 from repro.util.coding import decode_fixed32, encode_fixed32
@@ -51,6 +52,11 @@ BLOCK_TRAILER_SIZE = 5
 
 COMPRESSION_NONE = 0
 COMPRESSION_SNAPPY = 1
+
+#: A table builder hashes its filter keys this many at a time: one numpy
+#: call per batch, not per block (a 28-key call costs 8x its share of a
+#: whole table's), and a few dozen KB of keys held, not the table's.
+_FILTER_HASH_BATCH = 1024
 
 
 @dataclass(frozen=True, slots=True)
@@ -163,7 +169,9 @@ class TableBuilder:
         self._pending_handle: Optional[BlockHandle] = None
         self._offset = 0
         self._closed = False
+        # Filter keys wait here until a batch is hashed into 4 bytes each.
         self._filter_keys: list[bytes] = []
+        self._filter_hashes = array("I")
         self._filter_policy = (BloomFilterPolicy(options.bloom_bits_per_key)
                                if options.bloom_bits_per_key > 0 else None)
         self.stats = TableStats()
@@ -205,6 +213,8 @@ class TableBuilder:
         self._largest = last
         if self._filter_policy is not None:
             self._filter_keys += filter_keys
+            if len(self._filter_keys) >= _FILTER_HASH_BATCH:
+                self._hash_filter_keys()
         stats = self.stats
         stats.num_entries += entries
         stats.raw_key_bytes += key_bytes
@@ -212,6 +222,10 @@ class TableBuilder:
         self._pending_handle = self._write_block(contents, compressed)
         stats.num_data_blocks += 1
         stats.data_bytes = self._offset
+
+    def _hash_filter_keys(self) -> None:
+        self._filter_hashes += hash_keys(self._filter_keys)
+        self._filter_keys = []
 
     def _write_block(self, contents: bytes,
                      compressed: Optional[bytes] = None) -> BlockHandle:
@@ -255,8 +269,10 @@ class TableBuilder:
             self._pending_handle = None
 
         metaindex = BlockBuilder(1)
-        if self._filter_policy is not None and self._filter_keys:
-            filter_data = self._filter_policy.create_filter(self._filter_keys)
+        self._hash_filter_keys()
+        if self._filter_policy is not None and self._filter_hashes:
+            filter_data = self._filter_policy.filter_from_hashes(
+                self._filter_hashes)
             filter_handle = self._write_block(filter_data)
             metaindex.add(f"filter.{self._filter_policy.name}".encode(),
                           filter_handle.encode())
@@ -344,14 +360,16 @@ def build_table(entries: Iterable[tuple[bytes, bytes]], options: Options,
 _BUILD_OPTIONS = ("block_size", "block_restart_interval",
                   "bloom_bits_per_key", "compression")
 _BUILD_STATS = struct.Struct("<7Q")
+_BYTEWISE = InternalKeyComparator(BytewiseComparator())
 
 
 def build_request(entries: Iterable[tuple[bytes, bytes]],
                   options: Options) -> tuple[list, Callable]:
     """A memtable's entries as a codec helper build request's parts, and
-    the answer's ``check(answer, open_table)``: the opened table, stats,
-    first and last key; it raises unless the image opens, its data
-    blocks' CRCs verify and its stats and keys are what was sent."""
+    the answer's ``check(answer)``: the table image, stats, first and
+    last key; it raises unless the image opens (in bytewise order, which
+    the helper builds in), its data blocks' CRCs verify and its stats and
+    keys are what was sent."""
     parts = [json.dumps([getattr(options, name)
                          for name in _BUILD_OPTIONS]).encode()]
     parts.extend(chain.from_iterable(entries))
@@ -359,18 +377,18 @@ def build_request(entries: Iterable[tuple[bytes, bytes]],
     expect = (len(keys), sum(map(len, keys)), sum(map(len, parts[2::2])),
               keys[0], keys[-1])
 
-    def check(answer: list, open_table: Callable[[bytes], "TableReader"]):
+    def check(answer: list):
         image, packed, smallest, largest = answer
         stats = TableStats(*_BUILD_STATS.unpack(packed))
-        reader = open_table(image)
-        handles = [handle for _, handle in reader.index_entries()]
+        file = RandomAccessFile(image)
+        handles = TableReader(file, _BYTEWISE, options)._handles
         for handle in handles:
-            _block_payload(image, handle, True)
+            _block_payload(file, handle, True)
         if ((stats.num_entries, stats.raw_key_bytes, stats.raw_value_bytes,
              smallest, largest) != expect or stats.file_bytes != len(image)
                 or stats.num_data_blocks != len(handles)):
             raise CorruptionError("build answer does not match its request")
-        return reader, stats, smallest, largest
+        return image, stats, smallest, largest
 
     return parts, check
 
@@ -378,67 +396,69 @@ def build_request(entries: Iterable[tuple[bytes, bytes]],
 def serve_build(parts: list) -> list:
     """The helper's side of a :func:`build_request`."""
     options = Options(**dict(zip(_BUILD_OPTIONS, json.loads(parts[0]))))
-    image, builder = build_table(
-        zip(parts[1::2], parts[2::2]), options,
-        InternalKeyComparator(BytewiseComparator()))
+    image, builder = build_table(zip(parts[1::2], parts[2::2]), options,
+                                 _BYTEWISE)
     return [image, _BUILD_STATS.pack(*astuple(builder.stats)),
             builder.smallest_key, builder.largest_key]
 
 
-def _block_payload(data: bytes, handle: BlockHandle,
+def _block_payload(file: RandomAccessFile, handle: BlockHandle,
                    verify: bool) -> tuple[bytes, bool]:
-    """One block's stored payload and whether it is snappy-compressed:
-    bounds- and type-checked, CRC-checked with ``verify``."""
-    end = handle.offset + handle.size + BLOCK_TRAILER_SIZE
-    if end > len(data):
+    """One block's stored payload, read through ``file`` with its
+    trailer, and whether it is snappy-compressed: bounds- and
+    type-checked, CRC-checked with ``verify``."""
+    size = handle.size
+    data = file.read(handle.offset, size + BLOCK_TRAILER_SIZE)
+    if len(data) != size + BLOCK_TRAILER_SIZE:
         raise CorruptionError("block handle overruns file")
-    payload = data[handle.offset:handle.offset + handle.size]
-    block_type = data[handle.offset + handle.size]
+    block_type = data[size]
     if verify:
-        stored = unmask_crc(decode_fixed32(data, handle.offset + handle.size + 1))
+        stored = unmask_crc(decode_fixed32(data, size + 1))
         # Payload and type byte are adjacent in the file: checksum them in
         # place over one zero-copy view.
-        checked = crc32c(memoryview(data)[
-            handle.offset:handle.offset + handle.size + 1])
-        if checked != stored:
+        if crc32c(memoryview(data)[:size + 1]) != stored:
             raise CorruptionError("block checksum mismatch")
     if block_type not in (COMPRESSION_NONE, COMPRESSION_SNAPPY):
         raise CorruptionError(f"unknown block compression type {block_type}")
-    return payload, block_type == COMPRESSION_SNAPPY
+    return data[:size], block_type == COMPRESSION_SNAPPY
 
 
-def _read_block(data: bytes, handle: BlockHandle, verify: bool) -> bytes:
-    """Extract and (if needed) decompress one block payload."""
-    payload, compressed = _block_payload(data, handle, verify)
+def _read_block(file: RandomAccessFile, handle: BlockHandle,
+                verify: bool) -> bytes:
+    """Read and (if needed) decompress one block payload."""
+    payload, compressed = _block_payload(file, handle, verify)
     return snappy.decompress(payload) if compressed else payload
 
 
 class TableReader:
-    """Random and sequential access over an SSTable image.
+    """Random and sequential access over an SSTable read through
+    ``file``, an :meth:`Env.new_random_access_file` handle or a table
+    image (``bytes``, read in place).
 
     ``file_number`` namespaces entries in the shared block cache.
 
     Immutable once constructed and safe to share between threads: the
-    index and filter are decoded (and checksummed) here, data blocks come
-    out of ``data`` on demand, and the ``Env`` is never touched — which is
-    why :class:`repro.lsm.db.LsmDB` may delete a compacted-away file while
-    readers still hold its table.  A reader that fetches blocks from the
-    file instead (pread) must defer that deletion to the last unref.
+    footer, index and filter are read (and checksummed) here, data blocks
+    on demand.  The reader keeps its handle open, so a compacted-away
+    file it reads may be deleted: an ``OsEnv`` descriptor keeps reading
+    an unlinked file, and an in-memory handle holds its own image.
     """
 
-    def __init__(self, data: bytes, comparator: Comparator,
+    def __init__(self, file, comparator: Comparator,
                  options: Optional[Options] = None,
                  block_cache: Optional[LRUCache] = None,
                  file_number: int = 0):
-        self._data = data
+        if isinstance(file, (bytes, bytearray, memoryview)):
+            file = RandomAccessFile(file)
+        self._file = file
         self._comparator = comparator
         self._sort_key = comparator.sort_key
         self._options = options or Options()
         self._cache = block_cache
         self._file_number = file_number
-        if len(data) < FOOTER_SIZE:
+        if file.size < FOOTER_SIZE:
             raise CorruptionError("file too short for footer")
-        footer = data[-FOOTER_SIZE:]
+        footer = file.read(file.size - FOOTER_SIZE, FOOTER_SIZE)
         magic = int.from_bytes(footer[-8:], "little")
         if magic != TABLE_MAGIC:
             raise CorruptionError("bad table magic")
@@ -449,7 +469,7 @@ class TableReader:
         self._index_keys: list[bytes] = []
         self._handles: list[BlockHandle] = []
         for key, handle_bytes in Block(_read_block(
-                data, index_handle, self._options.paranoid_checks)):
+                file, index_handle, self._options.paranoid_checks)):
             self._index_keys.append(key)
             self._handles.append(BlockHandle.decode(handle_bytes, 0)[0])
         self._index_order = list(map(self._sort_key, self._index_keys))
@@ -460,22 +480,23 @@ class TableReader:
 
     def _load_filter(self, metaindex_handle: BlockHandle) -> Optional[bytes]:
         metaindex = Block(_read_block(
-            self._data, metaindex_handle, self._options.paranoid_checks))
+            self._file, metaindex_handle, self._options.paranoid_checks))
         for key, value in metaindex:
             if key.startswith(b"filter."):
                 handle, _ = BlockHandle.decode(value, 0)
-                return _read_block(self._data, handle,
+                return _read_block(self._file, handle,
                                    self._options.paranoid_checks)
         return None
 
     @property
     def file_size(self) -> int:
-        return len(self._data)
+        return self._file.size
 
     @property
     def image(self) -> bytes:
-        """The raw file bytes (what the host DMA-copies to the device)."""
-        return self._data
+        """The raw file bytes (what the host DMA-copies to the device),
+        read whole on each call; a bytes image is returned as it is."""
+        return self._file.image
 
     def _block_contents(self, handle: BlockHandle) -> bytes:
         cache_key = (self._file_number, handle.offset)
@@ -483,7 +504,7 @@ class TableReader:
             cached = self._cache.get(cache_key)
             if cached is not None:
                 return cached
-        contents = _read_block(self._data, handle,
+        contents = _read_block(self._file, handle,
                                self._options.paranoid_checks)
         if self._cache is not None:
             self._cache.put(cache_key, contents)
@@ -523,7 +544,7 @@ class TableReader:
         """Iteration past the block cache: a merge's input must not evict
         what readers use (LevelDB's ``fill_cache = false``)."""
         for handle in self._handles:
-            yield from Block(_read_block(self._data, handle,
+            yield from Block(_read_block(self._file, handle,
                                          self._options.paranoid_checks))
 
     def iter_from(self, target: bytes) -> Iterator[tuple[bytes, bytes]]:

@@ -86,6 +86,38 @@ class TestFiles:
         assert fs.list_dir(root) == ["a", "b", "c"]
 
 
+class TestRandomAccess:
+    def test_positional_reads_and_image(self, env):
+        fs, root = env
+        fs.create_dir(root)
+        handle = fs.new_writable_file(f"{root}/t")
+        handle.append(b"0123456789")
+        handle.close()
+        table = fs.new_random_access_file(f"{root}/t")
+        assert table.size == 10
+        assert table.read(3, 4) == b"3456"
+        assert table.read(8, 4) == b"89"  # short at the end of the file
+        assert table.image == b"0123456789"
+
+    def test_reads_on_after_the_file_is_deleted(self, env):
+        """What lets compaction delete a table that readers still hold:
+        an OsEnv descriptor reads an unlinked file, an in-memory handle
+        holds its own image."""
+        fs, root = env
+        fs.create_dir(root)
+        handle = fs.new_writable_file(f"{root}/t")
+        handle.append(b"abcdef")
+        handle.close()
+        table = fs.new_random_access_file(f"{root}/t")
+        fs.delete_file(f"{root}/t")
+        assert table.read(1, 3) == b"bcd" and table.image == b"abcdef"
+
+    def test_open_missing_raises(self, env):
+        fs, root = env
+        with pytest.raises(NotFoundError):
+            fs.new_random_access_file(f"{root}/ghost")
+
+
 class TestAppendable:
     def test_appendable_preserves_content(self, env):
         fs, root = env

@@ -97,7 +97,7 @@ class TestEngineProtocol:
         from repro.host.memory import extract_index_image
         from repro.lsm.sstable import TableReader
         reader = TableReader(image, ICMP, plain_options)
-        index = extract_index_image(image, reader)
+        index = extract_index_image(reader)
         dram.write(len(image) + 64, index)
         bad_layout = SSTableLayout(index_offset=len(image) + 64,
                                    index_size=len(index),

@@ -2,6 +2,7 @@
 
 import hashlib
 import random
+from array import array
 
 import pytest
 from hypothesis import given, settings
@@ -114,3 +115,20 @@ def test_filter_accepts_any_iterable():
     keys = [b"k%d" % i for i in range(40)]
     policy = BloomFilterPolicy(10)
     assert policy.create_filter(iter(keys)) == policy.create_filter(keys)
+
+
+@pytest.mark.parametrize("bulk_min", [1, 12, 1 << 30],
+                         ids=["bulk", "default", "scalar"])
+def test_filter_from_batched_hashes_is_the_filter_of_all_keys(monkeypatch,
+                                                              bulk_min):
+    """A table builder hashes its filter keys a batch at a time and
+    builds the filter from the joined hashes: the same bytes as one
+    ``create_filter`` over every key, on either leg."""
+    monkeypatch.setattr(filter_module, "_BULK_MIN_KEYS", bulk_min)
+    rng = random.Random(5)
+    keys = [rng.randbytes(rng.randrange(1, 24)) for _ in range(700)]
+    policy = BloomFilterPolicy(10)
+    hashes = array("I")
+    for start in range(0, len(keys), 64):
+        hashes += filter_module.hash_keys(keys[start:start + 64])
+    assert policy.filter_from_hashes(hashes) == policy.create_filter(keys)

@@ -37,7 +37,7 @@ def load_layout(image: bytes, plain_options):
     from repro.lsm.sstable import TableReader
 
     reader = TableReader(image, ICMP, plain_options)
-    index_image = extract_index_image(image, reader)
+    index_image = extract_index_image(reader)
     dram = Dram(size=1 << 22)
     dram.write(0, image)
     dram.write(len(image) + 64, index_image)

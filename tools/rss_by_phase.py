@@ -16,7 +16,9 @@ took and the current and peak RSS after it:
   ``verify``;
 * ``fill_random``: set-up, each ``LsmDB._merge_step`` that merged (in
   the timed phase, then in ``verify``'s close and reopen), the timed
-  phase and ``verify``.
+  phase and ``verify``;
+* ``read_while_writing``: set-up (a load through merges and a reopen),
+  the timed phase (writer and reader) and ``verify``.
 
 The RSS figures use the benchmark's own readings (``harness.rss_mb``
 and ``peak_rss_mb``, which divides ``ru_maxrss`` KiB by 1000), so the
@@ -39,7 +41,7 @@ ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
 sys.path[:0] = [os.path.join(ROOT, "src"),
                 os.path.join(ROOT, "benchmarks", "e2e")]
 
-WORKLOADS = ("offload_model", "fill_random")
+WORKLOADS = ("offload_model", "fill_random", "read_while_writing")
 
 
 def main() -> int:
@@ -87,9 +89,10 @@ def main() -> int:
             f"L{self.options.value_length}"))
         after(workload, "_run", lambda self, _: "system sweep")
     else:
-        merges = itertools.count(1)
-        after(LsmDB, "_merge_step", lambda self, merged: (
-            f"merge {next(merges)}" if merged else None))
+        if workload is workloads.FillRandom:
+            merges = itertools.count(1)
+            after(LsmDB, "_merge_step", lambda self, merged: (
+                f"merge {next(merges)}" if merged else None))
         after(workload, "run", lambda self, _: "timed phase")
     after(workload, "verify", lambda self, _: "verify")
 
