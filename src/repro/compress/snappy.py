@@ -44,11 +44,16 @@ position and applies the same word test.  ``{p : prev[p] >= 0 and
 (word[prev[p]] == word[p] or prev[prev[p]] >= 0)}`` is a superset of the
 positions where the test can pass (a chain of one unequal word cannot), and
 a position that does not match only lengthens the pending literal.
+
+The decoder is one loop, :func:`decompress_into`, which can stop at an
+output length and resume later (a point lookup decodes a data block only
+up to its entry); :func:`decompress` runs it to the end.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
+from typing import Optional
 
 from repro.errors import CorruptionError
 from repro.util.varint import decode_varint32, encode_varint32
@@ -263,7 +268,19 @@ def decompress(data: bytes) -> bytes:
     """
     expected, pos = decode_varint32(data, 0)
     out = bytearray()
-    size = 0
+    decompress_into(data, pos, out, expected)
+    return bytes(out)
+
+
+def decompress_into(data: bytes, pos: int, out: bytearray, expected: int,
+                    stop: Optional[int] = None) -> int:
+    """Decode ``data`` from input position ``pos`` onto ``out`` (the
+    output so far) until it holds ``stop`` bytes (None: all), and return
+    the input position to resume from.  That the output ends at the
+    preamble length ``expected`` is checked when the input is used up."""
+    if stop is None:
+        stop = expected + 1
+    size = len(out)
     n = len(data)
     while pos < n:
         tag = data[pos]
@@ -310,11 +327,13 @@ def decompress(data: bytes) -> bytes:
                 chunk = (out[size - offset:]
                          * (length // offset + 1))[:length]
         size += length
-        if size > expected:
-            raise CorruptionError(
-                f"decompressed length passes preamble {expected}")
         out += chunk
-    if size != expected:
+        if size >= stop:
+            if size > expected:
+                raise CorruptionError(
+                    f"decompressed length passes preamble {expected}")
+            break
+    if pos >= n and size != expected:
         raise CorruptionError(
             f"decompressed length {size} != preamble {expected}")
-    return bytes(out)
+    return pos

@@ -288,9 +288,9 @@ class LsmDB:
         #: ``Options.event_journal``.
         self._own_journal: Optional[EventJournal] = None
         if self.options.event_journal:
-            self._own_journal = EventJournal(
-                sink=_EnvTextSink(self.env.new_appendable_file(
-                    event_journal_file_name(dbname))))
+            self._journal_sink = _EnvTextSink(self.env.new_appendable_file(
+                event_journal_file_name(dbname)))
+            self._own_journal = EventJournal(sink=self._journal_sink)
         #: Where this DB's episodes and SLO lines go: its own journal
         #: plus the one installed at open (``--events-out``).
         self.journals = obs.journals(self._own_journal)
@@ -943,17 +943,21 @@ class LsmDB:
             # A non-empty memtable, no size cut: exactly one table.
             image, builder = build_table(imm, self.options, self.icmp)
             return (image, builder.stats, builder.smallest_key,
-                    builder.largest_key)
+                    builder.largest_key,
+                    TableReader(image, self.icmp, self.options))
 
         with episode(self.tracer, self.journals, "flush", db=self.dbname,
                      table=number) as ep:
             try:
-                image, stats, smallest, largest = block_encoder.finish(
-                    seal.request, seal.check, build_here)
+                image, stats, smallest, largest, reader = (
+                    block_encoder.finish(seal.request, seal.check,
+                                         build_here))
                 dest = self.env.new_writable_file(name)
                 dest.append(image)
                 self._durable_close(dest)
-                reader = self._open_table(number)
+                # The reader that opened the image reads the file now.
+                reader.rebind(self.env.new_random_access_file(name),
+                              self.block_cache, number)
             except BaseException:
                 if self.env.file_exists(name):
                     self.env.delete_file(name)
@@ -1215,6 +1219,7 @@ class LsmDB:
             lockwatch.get().detach_journal(self.journals)
             if self._own_journal is not None:
                 self._own_journal.close()
+                self._journal_sink.close()
             self._closed = True
             self._cond.notify_all()
 

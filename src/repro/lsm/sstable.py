@@ -44,7 +44,7 @@ from repro.lsm.options import Options
 from repro.util.coding import decode_fixed32, encode_fixed32
 from repro.util.comparator import BytewiseComparator, Comparator
 from repro.util.crc32c import crc32c, mask_crc, unmask_crc
-from repro.util.varint import VarintCursor, encode_varint64
+from repro.util.varint import VarintCursor, decode_varint32, encode_varint64
 
 TABLE_MAGIC = 0xDB4775248B80FB57
 FOOTER_SIZE = 48
@@ -367,9 +367,10 @@ def build_request(entries: Iterable[tuple[bytes, bytes]],
                   options: Options) -> tuple[list, Callable]:
     """A memtable's entries as a codec helper build request's parts, and
     the answer's ``check(answer)``: the table image, stats, first and
-    last key; it raises unless the image opens (in bytewise order, which
-    the helper builds in), its data blocks' CRCs verify and its stats and
-    keys are what was sent."""
+    last key, and the :class:`TableReader` that opened the image (in
+    bytewise order, which the helper builds in); it raises unless the
+    image opens, its data blocks' CRCs verify and its stats and keys are
+    what was sent."""
     parts = [json.dumps([getattr(options, name)
                          for name in _BUILD_OPTIONS]).encode()]
     parts.extend(chain.from_iterable(entries))
@@ -381,14 +382,14 @@ def build_request(entries: Iterable[tuple[bytes, bytes]],
         image, packed, smallest, largest = answer
         stats = TableStats(*_BUILD_STATS.unpack(packed))
         file = RandomAccessFile(image)
-        handles = TableReader(file, _BYTEWISE, options)._handles
-        for handle in handles:
+        reader = TableReader(file, _BYTEWISE, options)
+        for handle in reader._handles:
             _block_payload(file, handle, True)
         if ((stats.num_entries, stats.raw_key_bytes, stats.raw_value_bytes,
              smallest, largest) != expect or stats.file_bytes != len(image)
-                or stats.num_data_blocks != len(handles)):
+                or stats.num_data_blocks != len(reader._handles)):
             raise CorruptionError("build answer does not match its request")
-        return image, stats, smallest, largest
+        return image, stats, smallest, largest, reader
 
     return parts, check
 
@@ -430,6 +431,86 @@ def _read_block(file: RandomAccessFile, handle: BlockHandle,
     return snappy.decompress(payload) if compressed else payload
 
 
+class _PartialBlock:
+    """A snappy data block that a lookup decoded only up to its answer:
+    the payload, the input position reached and the output so far.  The
+    block cache charges its full length; it is never changed once
+    cached (:meth:`finish` decodes the rest onto a copy)."""
+
+    __slots__ = ("payload", "pos", "out", "size")
+
+    def __init__(self, payload: bytes, pos: int, out: bytearray, size: int):
+        self.payload, self.pos, self.out, self.size = payload, pos, out, size
+
+    def __len__(self) -> int:
+        return self.size
+
+    def finish(self) -> bytes:
+        out = bytearray(self.out)
+        snappy.decompress_into(self.payload, self.pos, out, self.size)
+        return bytes(out)
+
+
+def _seek_partial(payload: bytes, compressed: bool, target: bytes,
+                  comparator: Comparator, bytewise: bool) -> tuple:
+    """``(Block(raw).seek(target, comparator), what to cache)`` for a
+    stored block, decoding a snappy ``payload`` only until the first
+    entry >= ``target`` is complete.  An entry it does not parse inline
+    (the restart array's is an empty key delta) ends the scan: the rest
+    is decoded and ``Block.seek`` answers (DESIGN.md "Read path")."""
+    if not compressed:
+        return Block(payload).seek(target, comparator), payload
+    size, pos = decode_varint32(payload, 0)  # the snappy preamble
+    out = bytearray()
+    decode = snappy.decompress_into
+    pos = decode(payload, pos, out, size, 4)
+    if bytewise:
+        user_target = target[:-MARK_FIELDS_SIZE]
+        trailer = int.from_bytes(target[-MARK_FIELDS_SIZE:], "little")
+    else:
+        sort_key = comparator.sort_key
+        sort_target = sort_key(target)
+    offset = 0
+    key = b""
+    try:
+        while True:
+            shared = out[offset]
+            non_shared = out[offset + 1]
+            value_len = out[offset + 2]
+            start = offset + 3
+            if (shared | non_shared | value_len) >= 0x80:
+                if (shared | non_shared) >= 0x80 or out[start] >= 0x80:
+                    break
+                value_len = value_len & 0x7F | out[start] << 7
+                start += 1
+            if not non_shared or shared > len(key):
+                break
+            key_end = start + non_shared
+            offset = key_end + value_len
+            if len(out) < offset + 4:  # this entry and the next header
+                pos = decode(payload, pos, out, size, offset + 4)
+                if len(out) < offset:
+                    break
+            key = key[:shared] + out[start:key_end]
+            if bytewise:
+                if len(key) < MARK_FIELDS_SIZE:
+                    break
+                user_key = key[:-MARK_FIELDS_SIZE]
+                if user_key < user_target or (
+                        user_key == user_target and int.from_bytes(
+                            key[-MARK_FIELDS_SIZE:], "little") > trailer):
+                    continue
+            elif sort_key(key) < sort_target:
+                continue
+            return ((key, bytes(out[key_end:offset])),
+                    _PartialBlock(payload, pos, out, size))
+    except IndexError:
+        pass
+    decode(payload, pos, out, size)
+    block = bytes(out)
+    return Block(block).seek(target, comparator), block
+
+
 class TableReader:
     """Random and sequential access over an SSTable read through
     ``file``, an :meth:`Env.new_random_access_file` handle or a table
@@ -453,6 +534,8 @@ class TableReader:
         self._file = file
         self._comparator = comparator
         self._sort_key = comparator.sort_key
+        self._bytewise = (isinstance(comparator, InternalKeyComparator)
+                          and comparator.bytewise)
         self._options = options or Options()
         self._cache = block_cache
         self._file_number = file_number
@@ -498,16 +581,32 @@ class TableReader:
         read whole on each call; a bytes image is returned as it is."""
         return self._file.image
 
+    def rebind(self, file: RandomAccessFile,
+               block_cache: Optional[LRUCache], file_number: int) -> None:
+        """Before the reader is shared: read the same bytes through
+        ``file`` (its image durably written), into ``block_cache``."""
+        self._file = file
+        self._cache = block_cache
+        self._file_number = file_number
+
+    def _cached_block(self, cache_key: tuple) -> Optional[bytes]:
+        """The cached block, or None.  One a lookup decoded in part is
+        decoded in full and replaces its entry at the same charge (two
+        readers racing only repeat the work)."""
+        cached = None if self._cache is None else self._cache.get(cache_key)
+        if type(cached) is _PartialBlock:
+            cached = cached.finish()
+            self._cache.put(cache_key, cached)
+        return cached
+
     def _block_contents(self, handle: BlockHandle) -> bytes:
         cache_key = (self._file_number, handle.offset)
-        if self._cache is not None:
-            cached = self._cache.get(cache_key)
-            if cached is not None:
-                return cached
-        contents = _read_block(self._file, handle,
-                               self._options.paranoid_checks)
-        if self._cache is not None:
-            self._cache.put(cache_key, contents)
+        contents = self._cached_block(cache_key)
+        if contents is None:
+            contents = _read_block(self._file, handle,
+                                   self._options.paranoid_checks)
+            if self._cache is not None:
+                self._cache.put(cache_key, contents)
         return contents
 
     def key_may_match(self, user_key: bytes,
@@ -528,12 +627,22 @@ class TableReader:
         reads one block.  That entry is the table's first >= ``target``
         whenever the two share a user key.  ``None`` also means that
         ``target`` fell between a block's last key and its shortened
-        separator, where the next entry has a later user key."""
+        separator, where the next entry has a later user key.  A block
+        read on a cache miss is decoded only as far as the answer."""
         i = bisect_left(self._index_order, self._sort_key(target))
         if i == len(self._handles):
             return None
-        return Block(self._block_contents(self._handles[i])).seek(
-            target, self._comparator)
+        handle = self._handles[i]
+        cache_key = (self._file_number, handle.offset)
+        block = self._cached_block(cache_key)
+        if block is not None:
+            return Block(block).seek(target, self._comparator)
+        found, block = _seek_partial(*_block_payload(
+            self._file, handle, self._options.paranoid_checks), target,
+            self._comparator, self._bytewise)
+        if self._cache is not None:
+            self._cache.put(cache_key, block)
+        return found
 
     def __iter__(self) -> Iterator[tuple[bytes, bytes]]:
         """Yield every (internal key, value) in order."""

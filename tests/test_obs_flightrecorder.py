@@ -3,10 +3,14 @@ registry's per-level write-amplification, ``repro.levelstats`` reports
 the amplification table, windowed percentiles reach the Prometheus
 exposition, and device faults reach the DB's own journal."""
 
+import gc
 import json
+import os
 import random
+import sys
 import threading
 import time
+import warnings
 from collections import Counter
 
 import pytest
@@ -18,7 +22,7 @@ from repro.host.device import FcaeDevice
 from repro.host.scheduler import CompactionScheduler
 from repro.lsm.batch import WriteBatch
 from repro.lsm.db import LsmDB
-from repro.lsm.env import MemEnv
+from repro.lsm.env import MemEnv, OsEnv
 from repro.lsm.filenames import event_journal_file_name
 from repro.lsm.options import Options
 from repro.obs.events import EventJournal, replay
@@ -315,3 +319,34 @@ class TestDeviceFaultsReachTheDbJournal:
         assert len(lines(own)) == (scheduler.stats.fpga_faults
                                    + scheduler.stats.fpga_retries
                                    + scheduler.stats.fpga_fallbacks)
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
+                    reason="counts descriptors in /proc")
+def test_close_closes_the_db_journal_file(tmp_path, monkeypatch):
+    """``close()`` closes the ``EVENTS.jsonl`` handle the DB opened: its
+    descriptor is gone at once, and dropping the DB warns of nothing."""
+    unraisable = []
+    monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
+    path = str(tmp_path / "db")
+
+    def journal_fds():
+        names = []
+        for fd in os.listdir("/proc/self/fd"):
+            try:
+                names.append(os.readlink(f"/proc/self/fd/{fd}"))
+            except OSError:  # the listing's own descriptor
+                pass
+        return [n for n in names if n == event_journal_file_name(path)]
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        db = LsmDB(path, Options(event_journal=True), env=OsEnv(),
+                   metrics=MetricsRegistry())
+        db.put(b"k", b"v")
+        assert journal_fds()
+        db.close()
+        assert journal_fds() == []
+        del db
+        gc.collect()
+    assert unraisable == []

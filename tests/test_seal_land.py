@@ -226,3 +226,49 @@ def test_compaction_reads_leave_the_block_cache_alone():
     assert len(list(db.scan())) == len(set(keys))
     assert len(cache) > len(cached)
     db.close()
+
+
+# ----------------------------------------------------------------------
+# A landed table is parsed once
+# ----------------------------------------------------------------------
+
+class _CountingTablesEnv(MemEnv):
+    """Counts the tables a DB writes."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.tables_written = 0
+
+    def new_writable_file(self, name: str):
+        self.tables_written += name.endswith(".ldb")
+        return super().new_writable_file(name)
+
+
+@pytest.mark.parametrize("cpus", [2, 1], ids=["helper", "no_helper"])
+def test_each_landed_table_is_opened_once(monkeypatch, cpus):
+    """The reader that opened a flushed table's image (the helper
+    answer's check, or a local build) reads its file from then on: one
+    ``TableReader.__init__`` per table written, merge outputs included."""
+    monkeypatch.setattr(encoder, "_cpus", lambda: cpus)
+    opened = []
+    init = sstable.TableReader.__init__
+
+    def counting_init(self, *args, **kwargs):
+        opened.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(sstable.TableReader, "__init__", counting_init)
+    before = encoder.block_encoder.stats()["helper_build_tables"]
+    env = _CountingTablesEnv()
+    options = Options(write_buffer_size=32 * 1024, sstable_size=16 * 1024)
+    db = LsmDB("oncedb", options, env=env, metrics=MetricsRegistry())
+    rng = random.Random(11)
+    for i in range(4000):
+        db.put(b"key%08d" % rng.randrange(20000), rng.randbytes(100))
+        if i == 0 and cpus > 1:
+            assert encoder.block_encoder.start(timeout=60.0)
+    db.close()
+    assert db.stats.flushes > 5 and db.stats.compactions > 0
+    assert len(opened) == env.tables_written
+    helped = encoder.block_encoder.stats()["helper_build_tables"] - before
+    assert (helped > 0) == (cpus > 1)

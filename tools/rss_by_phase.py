@@ -18,7 +18,10 @@ took and the current and peak RSS after it:
   the timed phase, then in ``verify``'s close and reopen), the timed
   phase and ``verify``;
 * ``read_while_writing``: set-up (a load through merges and a reopen),
-  the timed phase (writer and reader) and ``verify``.
+  the timed phase (writer and reader) and ``verify``;
+* ``read_random``: set-up (a load, then a reopen with a 128 KiB block
+  cache, about 1/13 of the tables), the timed phase (the gets) and
+  ``verify`` (the close).
 
 The RSS figures use the benchmark's own readings (``harness.rss_mb``
 and ``peak_rss_mb``, which divides ``ru_maxrss`` KiB by 1000), so the
@@ -41,7 +44,8 @@ ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
 sys.path[:0] = [os.path.join(ROOT, "src"),
                 os.path.join(ROOT, "benchmarks", "e2e")]
 
-WORKLOADS = ("offload_model", "fill_random", "read_while_writing")
+WORKLOADS = ("offload_model", "fill_random", "read_while_writing",
+             "read_random")
 
 
 def main() -> int:
