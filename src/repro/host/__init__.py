@@ -8,8 +8,9 @@
   kernel -> DMA -> install, with a per-phase timing breakdown.
 * :mod:`repro.host.scheduler` — the compaction-thread workflow of Fig 6:
   route each task to the device (when it fits) or to the CPU merge,
-  fall back to the CPU merge on a device fault after one retry, and
-  account for the flush/kernel overlap the co-design enables.
+  and fall back to the CPU merge on a device fault after one retry.
+  The flush/kernel overlap the co-design enables is accounted in the
+  system simulator (:mod:`repro.sim.system`), not here.
 * :mod:`repro.host.accelerator` — the :class:`AcceleratorBackend`
   interface and the cpu / fpga-sim registry.
 """

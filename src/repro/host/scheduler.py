@@ -32,7 +32,6 @@ JSONL trace reconstructs exactly where offload time went.
 
 from __future__ import annotations
 
-import time
 from collections import Counter
 from typing import Optional
 
@@ -52,7 +51,6 @@ from repro.obs import resolve_registry, resolve_tracer
 from repro.obs.events import record
 from repro.obs.names import SchedulerMetrics
 from repro.obs.registry import MetricsRegistry
-from repro.obs.window import WindowedHistogram, publish_window
 
 
 class SchedulerStats:
@@ -187,12 +185,6 @@ class CompactionScheduler:
     #: Retries of a faulting accelerator before the CPU fallback.
     MAX_RETRIES = 1
 
-    #: Compaction is house work, so its task window carries a tenant
-    #: label too: dashboards list it next to the user tenants instead of
-    #: in an unlabeled bucket.
-    TENANT = "system"
-    TASK_WINDOW_SECONDS = 60.0
-
     def __init__(self, device: FcaeDevice, options: Options | None = None,
                  metrics: Optional[MetricsRegistry] = None,
                  tracer=None,
@@ -211,13 +203,6 @@ class CompactionScheduler:
         self._m = SchedulerMetrics(self.metrics,
                                    inst=self.metrics.instance_label())
         self.stats = SchedulerStats(self._m)
-        self.task_window = WindowedHistogram(
-            window_seconds=self.TASK_WINDOW_SECONDS)
-        publish_window(
-            self.metrics, "scheduler_task_window_seconds",
-            "Sliding-window compaction task duration quantiles.",
-            self.task_window, inst=self._m.labels["inst"],
-            tenant=self.TENANT)
 
     # ------------------------------------------------------------------
     # Routing
@@ -242,21 +227,17 @@ class CompactionScheduler:
         backend = self.backends[name]
         self._m.backend_tasks[name].inc()
         self._m.task_input_bytes.observe(spec.total_input_bytes)
-        start = time.perf_counter()
-        try:
-            with self.tracer.span(
-                    "compaction.route", route=name, level=spec.level,
-                    input_streams=spec.fpga_input_count()) as span:
-                if name == "cpu":
-                    # The reference merge has no device faults to absorb.
-                    return self._run_backend(
-                        backend, spec, input_tables, parent_tables,
-                        drop_deletions), name
-                return self._run_with_recovery(
+        with self.tracer.span(
+                "compaction.route", route=name, level=spec.level,
+                input_streams=spec.fpga_input_count()) as span:
+            if name == "cpu":
+                # The reference merge has no device faults to absorb.
+                return self._run_backend(
                     backend, spec, input_tables, parent_tables,
-                    drop_deletions, span)
-        finally:
-            self.task_window.observe(time.perf_counter() - start)
+                    drop_deletions), name
+            return self._run_with_recovery(
+                backend, spec, input_tables, parent_tables,
+                drop_deletions, span)
 
     def _run_with_recovery(self, backend: AcceleratorBackend,
                            spec: CompactionSpec,

@@ -167,8 +167,8 @@ def cmd_top(args) -> int:
     with _open_db(args) as db:
         iterations = 1 if args.once else (args.iterations or None)
         try:
-            run_dashboard(db.metrics, db=db, engine=db.slo_engine,
-                          interval=args.interval, iterations=iterations)
+            run_dashboard(db.metrics, db=db, interval=args.interval,
+                          iterations=iterations)
         except KeyboardInterrupt:
             pass
     return 0

@@ -291,22 +291,19 @@ class LsmDB:
             self._journal_sink = _EnvTextSink(self.env.new_appendable_file(
                 event_journal_file_name(dbname)))
             self._own_journal = EventJournal(sink=self._journal_sink)
-        #: Where this DB's episodes and SLO lines go: its own journal
-        #: plus the one installed at open (``--events-out``).
+        #: Where this DB's episodes go: its own journal plus the one
+        #: installed at open (``--events-out``).
         self.journals = obs.journals(self._own_journal)
         if lockwatch.enabled():
             # Route lock-cycle / long-hold reports into this DB's
             # journals (last opened DB wins; diagnostics, not state).
             lockwatch.get().attach_journal(self.journals)
 
-        #: Per-op latency windows, tenant counters and SLO scoring (the
-        #: engine emits slo_alert / exemplar events into this DB's
-        #: journal); None unless ``Options.latency_window_seconds`` or
-        #: ``Options.slo_specs`` turn them on, so the disabled hot path
-        #: stays a single check.
+        #: Per-op latency windows; None unless
+        #: ``Options.latency_window_seconds`` turns them on, so the
+        #: disabled hot path stays a single check.
         self._ops = OpObserver.build(self.options, self.metrics,
-                                     self._m.labels, self.tracer,
-                                     self.journals)
+                                     self._m.labels)
         self._opened_monotonic = time.monotonic()
 
         self._recover()
@@ -418,27 +415,22 @@ class LsmDB:
         if self._closed:
             raise DBStateError("database is closed")
 
-    def _observed(self, op: str, tenant: Optional[str], call, *args):
+    def _observed(self, op: str, call, *args):
         """``call(*args)`` as foreground operation ``op``, timed by the
         observer when there is one."""
         if self._ops is None:
             return call(*args)
-        return self._ops.timed(op, tenant, call, *args)
+        return self._ops.timed(op, call, *args)
 
-    def put(self, key: bytes, value: bytes,
-            tenant: Optional[str] = None) -> None:
+    def put(self, key: bytes, value: bytes) -> None:
         batch = WriteBatch()
         batch.put(key, value)
-        self._observed("put", tenant, self.write, batch, tenant)
+        self._observed("put", self.write, batch)
 
-    def delete(self, key: bytes, tenant: Optional[str] = None) -> None:
+    def delete(self, key: bytes) -> None:
         batch = WriteBatch()
         batch.delete(key)
-        self._observed("delete", tenant, self.write, batch, tenant)
-
-    def tenant_op_counts(self) -> dict:
-        """``{tenant: {op: count}}`` for every tenant-attributed op."""
-        return self._ops.tenant_op_counts() if self._ops is not None else {}
+        self.write(batch)
 
     def latency_window(self, op: str):
         """The sliding latency window of ``op`` (``get`` / ``put`` /
@@ -457,20 +449,14 @@ class LsmDB:
             return 0
         return self.env.read_file(name).count(b'"type": "journal_open"')
 
-    @property
-    def slo_engine(self):
-        """The DB's :class:`repro.obs.slo.SloEngine`, or None."""
-        return self._ops.slo if self._ops is not None else None
-
-    def write(self, batch: WriteBatch,
-              tenant: Optional[str] = None) -> None:
+    def write(self, batch: WriteBatch) -> None:
         """Commit a batch: WAL append + persist per ``Options.wal_sync``,
         then memtable insert.  The write is acknowledged (this method
         returns) only after the WAL bytes have reached the durability
         point the configured mode promises."""
         self._check_open()
         if len(batch):
-            self._observed("write", tenant, self._commit, batch)
+            self._observed("write", self._commit, batch)
 
     def _commit(self, batch: WriteBatch) -> None:
         """The one commit path (LevelDB's ``DBImpl::Write``).
@@ -637,7 +623,7 @@ class LsmDB:
         ctx = self.tracer.current_context()
         if ctx is None:
             ctx = self.tracer.mint_context()
-        with self.tracer.activate(ctx), self._stall_episode(reason, ctx):
+        with self.tracer.activate(ctx), self._stall_episode(reason):
             while not done() and not self._closed:
                 if self._stepping:
                     self._cond.wait()
@@ -662,14 +648,12 @@ class LsmDB:
             self._cond.notify_all()
 
     @contextmanager
-    def _stall_episode(self, reason: Optional[str], ctx) -> Iterator[None]:
+    def _stall_episode(self, reason: Optional[str]) -> Iterator[None]:
         """Account the enclosed wait as one write stall (no ``reason``:
         not a writer's wait, nothing is recorded).
 
         The episode's trace context is carried by the stall span, the
-        ``stall_*`` events, and the maintenance work done meanwhile — so
-        a tail-latency exemplar recorded right after the stall resolves
-        back to this episode in the journal."""
+        ``stall_*`` events, and the maintenance work done meanwhile."""
         if reason is None:
             yield
             return
@@ -681,8 +665,6 @@ class LsmDB:
                 yield
         finally:
             self._m.stall_seconds.observe(time.perf_counter() - start)
-            if ctx is not None and self._ops is not None:
-                self._ops.note_stall(ctx.trace_id)
 
     def _swap_memtable_locked(self) -> None:
         """Rotate the WAL, then make the active memtable immutable
@@ -1031,8 +1013,7 @@ class LsmDB:
         """Sequence of the oldest live snapshot (mutex held), or None."""
         return min(self._snapshots) if self._snapshots else None
 
-    def get(self, key: bytes, snapshot: "Snapshot | None" = None,
-            tenant: Optional[str] = None) -> bytes:
+    def get(self, key: bytes, snapshot: "Snapshot | None" = None) -> bytes:
         """Return the value of ``key`` (newest, or as of ``snapshot``).
 
         Raises :class:`NotFoundError` when absent or deleted.  Takes no
@@ -1042,7 +1023,7 @@ class LsmDB:
         self._check_open()
         if snapshot is not None:
             snapshot._check_owner(self)
-        return self._observed("get", tenant, self._get, key, snapshot)
+        return self._observed("get", self._get, key, snapshot)
 
     def _get(self, key: bytes, snapshot: "Snapshot | None") -> bytes:
         # Two attribute loads, no mutex — the view first, then the

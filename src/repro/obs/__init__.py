@@ -21,13 +21,15 @@ substrate those numbers flow through:
 * :mod:`repro.obs.window` — the slot-stamped sliding-window ring:
   per-interval tail latency (p50/p95/p99/p999) and the SLO engine's
   good/bad counts;
-* :mod:`repro.obs.opobserver` — the store's per-operation telemetry
-  (latency windows, tenant counters, SLO scoring), off its mutex;
+* :mod:`repro.obs.opobserver` — the store's per-operation latency
+  windows (``get`` / ``put`` / ``write``), off its mutex;
 * :mod:`repro.obs.exposition` — Prometheus text format (and a parser);
 * :mod:`repro.obs.report` — the LevelDB-style ``repro.stats`` /
   ``repro.levelstats`` properties;
 * :mod:`repro.obs.slo` — declarative SLO specs, per-tenant error-budget
-  accounting and multi-window burn-rate alerts over the journal;
+  accounting and multi-window burn-rate alerts for the open-loop
+  simulator (``fcae-bench slo``), whose ``exemplar`` journal lines walk
+  a tail latency back to the flush, merge or stall that caused it;
 * :mod:`repro.obs.dashboard` — the ``lsm top`` terminal dashboard
   rendered from registry snapshots;
 * :mod:`repro.obs.profile` — critical-path attribution of kernel runs
@@ -59,7 +61,6 @@ from repro.obs.registry import (
     SECONDS_BUCKETS,
     CallbackGauge,
     Counter,
-    Exemplar,
     Gauge,
     Histogram,
     MetricFamily,
@@ -284,7 +285,6 @@ __all__ = [
     "CallbackGauge",
     "Counter",
     "EventJournal",
-    "Exemplar",
     "FlagSinks",
     "Gauge",
     "Histogram",

@@ -1,14 +1,13 @@
 """Live terminal dashboard — ``lsm top`` / ``python -m repro.bench --top``.
 
 Renders a point-in-time view of the observability surface from a
-:class:`~repro.obs.registry.MetricsRegistry` snapshot: per-tenant SLO
-burn-rate gauges and error budgets, windowed latency quantiles, the
-per-level amplification table, stall episodes, and backend routing.
-Everything is read from the registry (plus an optional live ``LsmDB``
-for the level table and an optional :class:`~repro.obs.slo.SloEngine`
-for firing-alert markers), so the dashboard is a pure view: rendering
-never mutates state and works headless (``--once``) without a TTY for
-CI smoke checks.
+:class:`~repro.obs.registry.MetricsRegistry` snapshot: SLO burn-rate
+gauges and error budgets, windowed latency quantiles, the per-level
+amplification table, stall episodes, and backend routing.  Everything
+is read from the registry (plus an optional live ``LsmDB`` for the
+level table), so the dashboard is a pure view: rendering never mutates
+state and works headless (``--once``) without a TTY for CI smoke
+checks.
 """
 
 from __future__ import annotations
@@ -32,33 +31,20 @@ def _fmt_seconds(value: float) -> str:
     return f"{value * 1e6:6.1f}us"
 
 
-def _fmt_count(value: float) -> str:
-    if value >= 1e9:
-        return f"{value / 1e9:.2f}G"
-    if value >= 1e6:
-        return f"{value / 1e6:.2f}M"
-    if value >= 1e3:
-        return f"{value / 1e3:.2f}k"
-    return str(int(value))
-
-
 def _section(lines: list[str], title: str) -> None:
     if lines and lines[-1] != "":
         lines.append("")
     lines.append(title)
 
 
-def _slo_section(lines: list[str], snapshot: dict, engine) -> None:
+def _slo_section(lines: list[str], snapshot: dict) -> None:
     burns = snapshot.get("slo_burn_rate", {})
     budgets = snapshot.get("slo_error_budget_remaining", {})
     if not burns and not budgets:
         return
-    # Without an engine we cannot tell firing from quiet — show "-"
-    # rather than a false "ok".
-    firing = set(engine.firing()) if engine is not None else None
     _section(lines, "slo burn rates:")
     lines.append(f"  {'slo':<18} {'tenant':<10} {'policy':<6} "
-                 f"{'short':>8} {'long':>8} {'budget':>8}  state")
+                 f"{'short':>8} {'long':>8} {'budget':>8}")
     # group short/long pairs per (slo, tenant, policy)
     table: dict[tuple, dict] = {}
     for key, value in burns.items():
@@ -73,31 +59,11 @@ def _slo_section(lines: list[str], snapshot: dict, engine) -> None:
         windows = table[(slo, tenant, policy)]
         budget = budget_by.get((slo, tenant))
         budget_cell = f"{budget:8.2%}" if budget is not None else f"{'-':>8}"
-        if firing is None:
-            state = "-"
-        else:
-            state = "FIRING" if (slo, tenant, policy) in firing else "ok"
         lines.append(
             f"  {slo:<18} {tenant:<10} {policy:<6} "
             f"{windows.get('short', 0.0):8.2f} "
             f"{windows.get('long', 0.0):8.2f} "
-            f"{budget_cell}  {state}")
-
-
-def _tenant_section(lines: list[str], snapshot: dict) -> None:
-    ops = snapshot.get("lsm_tenant_ops_total", {})
-    if not ops:
-        return
-    per_tenant: dict[str, dict[str, float]] = {}
-    for key, value in ops.items():
-        labels = _labels(key)
-        per_tenant.setdefault(labels.get("tenant", "?"), {})[
-            labels.get("op", "?")] = value
-    _section(lines, "tenant ops:")
-    for tenant in sorted(per_tenant):
-        parts = "  ".join(f"{op}={_fmt_count(n)}"
-                          for op, n in sorted(per_tenant[tenant].items()))
-        lines.append(f"  {tenant:<12} {parts}")
+            f"{budget_cell}")
 
 
 def _latency_section(lines: list[str], snapshot: dict) -> None:
@@ -183,15 +149,14 @@ def _routing_section(lines: list[str], snapshot: dict) -> None:
                      f"({share:.1%})")
 
 
-def render_dashboard(registry, db=None, engine=None,
+def render_dashboard(registry, db=None,
                      uptime_seconds: Optional[float] = None) -> str:
     """One dashboard frame as plain text (no ANSI — safe headless)."""
     snapshot = registry.snapshot()
     lines: list[str] = ["lsm top"]
     if uptime_seconds is not None:
         lines[0] += f" — uptime {uptime_seconds:.1f}s"
-    _slo_section(lines, snapshot, engine)
-    _tenant_section(lines, snapshot)
+    _slo_section(lines, snapshot)
     _latency_section(lines, snapshot)
     _levels_section(lines, snapshot, db)
     _stall_section(lines, snapshot)
@@ -202,7 +167,7 @@ def render_dashboard(registry, db=None, engine=None,
     return "\n".join(lines) + "\n"
 
 
-def run_dashboard(registry, db=None, engine=None, interval: float = 1.0,
+def run_dashboard(registry, db=None, interval: float = 1.0,
                   iterations: Optional[int] = None, out=None,
                   clock=None, sleep=None) -> None:
     """Refresh loop behind ``lsm top``.
@@ -217,7 +182,7 @@ def run_dashboard(registry, db=None, engine=None, interval: float = 1.0,
     started = clock()
     count = 0
     while iterations is None or count < iterations:
-        frame = render_dashboard(registry, db=db, engine=engine,
+        frame = render_dashboard(registry, db=db,
                                  uptime_seconds=clock() - started)
         if iterations != 1 and count > 0:
             out.write(CLEAR)

@@ -8,14 +8,9 @@ via :meth:`MetricsRegistry.describe` but never sampled still emit their
 headers, so a scrape of a fresh process already advertises the full
 metric surface.
 
-Histogram buckets that captured an :class:`~repro.obs.registry.Exemplar`
-append it in OpenMetrics exemplar syntax::
-
-    lsm_op_latency_seconds_bucket{le="0.25"} 7 # {trace_id="42"} 0.18 17.5
-
 ``parse_prometheus_text`` is the inverse for the subset this repo emits —
 enough for tests and the benchmark acceptance check, not a general
-scraper.  Parsed exemplars come back under the ``"exemplars"`` key.
+scraper.
 """
 
 from __future__ import annotations
@@ -24,16 +19,7 @@ import math
 import re
 from typing import Iterable
 
-from repro.obs.registry import (Exemplar, Histogram, MetricFamily,
-                                MetricsRegistry)
-
-
-def _exemplar_text(exemplar: Exemplar) -> str:
-    suffix = (f' # {{trace_id="{_escape_label_value(exemplar.trace_id)}"}}'
-              f" {format_value(exemplar.value)}")
-    if exemplar.ts is not None:
-        suffix += f" {format_value(exemplar.ts)}"
-    return suffix
+from repro.obs.registry import Histogram, MetricFamily, MetricsRegistry
 
 
 def _escape_label_value(value: str) -> str:
@@ -76,16 +62,12 @@ def _render_family(lines: list[str], family: MetricFamily,
     for labels, child in family.children.items():
         if family.kind == "histogram":
             assert isinstance(child, Histogram)
-            exemplars = child.exemplars()
-            for index, (bound, cumulative) in enumerate(
-                    child.cumulative_counts()):
+            for bound, cumulative in child.cumulative_counts():
                 le = "+Inf" if bound == math.inf else format_value(bound)
-                exemplar = exemplars.get(index)
                 lines.append(
                     f"{family.name}_bucket"
                     f"{_label_text(labels, (('le', le),))}"
-                    f" {cumulative}"
-                    f"{_exemplar_text(exemplar) if exemplar else ''}")
+                    f" {cumulative}")
             lines.append(f"{family.name}_sum{_label_text(labels)} "
                          f"{format_value(child.sum)}")
             lines.append(f"{family.name}_count{_label_text(labels)} "
@@ -139,8 +121,6 @@ _SAMPLE_RE = re.compile(
     r"^(?P<name>[a-zA-Z_:][a-zA-Z0-9_:]*)"
     r"(?:\{(?P<labels>[^}]*)\})?"
     r"\s+(?P<value>\S+)"
-    r"(?:\s+#\s+\{(?P<exlabels>[^}]*)\}\s+(?P<exvalue>\S+)"
-    r"(?:\s+(?P<exts>\S+))?)?"
     r"\s*$")
 _LABEL_PAIR_RE = re.compile(r'([a-zA-Z_][a-zA-Z0-9_]*)="((?:[^"\\]|\\.)*)"')
 
@@ -154,18 +134,14 @@ def parse_prometheus_text(text: str) -> dict:
     """Parse exposition text into::
 
         {"families": {name: kind}, "samples":
-            {series_name: {label_tuple: value}},
-         "exemplars": {series_name: {label_tuple: Exemplar}}}
+            {series_name: {label_tuple: value}}}
 
     Histogram series keep their expanded ``_bucket``/``_sum``/``_count``
-    names.  OpenMetrics exemplar suffixes on bucket lines are parsed into
-    ``Exemplar`` objects keyed the same way as the samples.  Raises
-    ``ValueError`` on malformed sample lines, which is what makes it
-    usable as a "the dump is parseable" check.
+    names.  Raises ``ValueError`` on malformed sample lines, which is
+    what makes it usable as a "the dump is parseable" check.
     """
     families: dict[str, str] = {}
     samples: dict[str, dict[tuple[tuple[str, str], ...], float]] = {}
-    exemplars: dict[str, dict[tuple[tuple[str, str], ...], Exemplar]] = {}
     for lineno, line in enumerate(text.splitlines(), 1):
         line = line.strip()
         if not line:
@@ -193,14 +169,4 @@ def parse_prometheus_text(text: str) -> dict:
                  else float(raw_value))
         name = match.group("name")
         samples.setdefault(name, {})[labels] = value
-        if match.group("exlabels") is not None:
-            ex_pairs = dict(
-                (key, _unescape(val)) for key, val
-                in _LABEL_PAIR_RE.findall(match.group("exlabels")))
-            raw_ts = match.group("exts")
-            exemplars.setdefault(name, {})[labels] = Exemplar(
-                float(match.group("exvalue")),
-                ex_pairs.get("trace_id", ""),
-                float(raw_ts) if raw_ts is not None else None)
-    return {"families": families, "samples": samples,
-            "exemplars": exemplars}
+    return {"families": families, "samples": samples}

@@ -93,8 +93,6 @@ FAMILIES: tuple[tuple, ...] = (
     ("lsm_op_latency_window_seconds", "gauge",
      "Sliding-window operation latency quantiles, by op "
      "(get|put|write) and quantile (p50|p95|p99|p999).", None),
-    ("lsm_tenant_ops_total", "counter",
-     "Operations by tenant and op (get|put|delete|write).", None),
     ("lsm_block_cache_hits_total", "counter",
      "Block cache hits.", None),
     ("lsm_block_cache_misses_total", "counter",
@@ -121,9 +119,6 @@ FAMILIES: tuple[tuple, ...] = (
     ("scheduler_fallbacks_total", "counter",
      "Offloaded tasks degraded to the software merge after the device "
      "kept failing.", None),
-    ("scheduler_task_window_seconds", "gauge",
-     "Sliding-window compaction task duration quantiles, by quantile "
-     "(p50|p95|p99|p999).", None),
     ("sim_stall_window_seconds", "gauge",
      "Sliding-window write-stall quantiles on *simulated* time, by sim "
      "mode and quantile (p50|p95|p99|p999).", None),

@@ -129,30 +129,10 @@ class CallbackGauge:
         return None if value is None else float(value)
 
 
-class Exemplar:
-    """One tail sample attached to a histogram bucket (OpenMetrics
-    exemplars): the observed value plus the trace id active when it was
-    recorded, so "p999 violated" resolves to a concrete journal trace.
-    ``ts`` is optional — exposition omits the timestamp when absent,
-    which also keeps golden-file tests deterministic."""
-
-    __slots__ = ("value", "trace_id", "ts")
-
-    def __init__(self, value: float, trace_id: str,
-                 ts: Optional[float] = None):
-        self.value = float(value)
-        self.trace_id = str(trace_id)
-        self.ts = ts
-
-    def __repr__(self) -> str:
-        return f"Exemplar({self.value!r}, trace_id={self.trace_id!r})"
-
-
 class Histogram:
     """Fixed-bucket histogram with cumulative counts, Prometheus-style."""
 
-    __slots__ = ("labels", "buckets", "_lock", "_counts", "_sum", "_count",
-                 "_exemplars")
+    __slots__ = ("labels", "buckets", "_lock", "_counts", "_sum", "_count")
 
     def __init__(self, labels: tuple[tuple[str, str], ...],
                  lock: threading.Lock, buckets: Sequence[float]):
@@ -162,25 +142,13 @@ class Histogram:
         self._counts = [0] * (len(self.buckets) + 1)  # last slot is +Inf
         self._sum = 0.0
         self._count = 0
-        #: bucket index -> latest Exemplar (only buckets that ever saw a
-        #: traced observation have an entry).
-        self._exemplars: dict[int, Exemplar] = {}
 
-    def observe(self, value: float, trace_id: Optional[str] = None,
-                ts: Optional[float] = None) -> None:
+    def observe(self, value: float) -> None:
         index = bisect_left(self.buckets, value)
         with self._lock:
             self._counts[index] += 1
             self._sum += value
             self._count += 1
-            if trace_id is not None:
-                self._exemplars[index] = Exemplar(value, trace_id, ts)
-
-    def exemplars(self) -> dict[int, Exemplar]:
-        """``{bucket_index: latest Exemplar}`` (index ``len(buckets)`` is
-        the +Inf bucket)."""
-        with self._lock:
-            return dict(self._exemplars)
 
     @property
     def sum(self) -> float:

@@ -48,14 +48,6 @@ def render_db_report(db) -> str:
     lines.append(f"write_amplification: {stats.write_amplification:.3f}")
     lines.append("")
     lines.extend(_counter_block("counters:", stats.as_dict()))
-    tenant_ops = db.tenant_op_counts()
-    if tenant_ops:
-        lines.append("")
-        lines.extend(_counter_block(
-            "tenant ops:",
-            {f"{tenant}/{op}": n
-             for tenant, ops in sorted(tenant_ops.items())
-             for op, n in sorted(ops.items())}))
 
     cache = db.block_cache
     if cache is not None:

@@ -6,8 +6,7 @@ answer to "are we violating the SLO, and how fast?":
 
 * :class:`SloSpec` — a declarative objective: *latency* ("99% of gets
   under 5 ms") or *availability* ("99.9% of ops succeed"), scoped to an
-  operation and a tenant (``"*"`` wildcards).  Specs parse from plain
-  dicts and ride into the store via ``Options.slo_specs``.
+  operation and a tenant (``"*"`` wildcards).
 * :class:`SloEngine` — per-(spec, tenant) good/bad accounting over
   :mod:`repro.obs.window`'s sliding slot ring, Google-SRE-style
   **multi-window multi-burn-rate** alerting (the default policies pair
@@ -17,9 +16,9 @@ answer to "are we violating the SLO, and how fast?":
   trace id are emitted as ``exemplar`` events, closing the loop from
   "p99 violated" to the compaction or stall span that caused it.
 
-The engine runs on a pluggable clock: wall time in a live store,
-simulated time in the discrete-event simulators — burn windows slide on
-modeled seconds, so a 5-minute fast burn can be exercised in
+The engine runs on a pluggable clock: wall time by default, simulated
+time in the open-loop simulator (``fcae-bench slo``) — burn windows
+slide on modeled seconds, so a 5-minute fast burn can be exercised in
 milliseconds of real time.
 
 Burn rate follows the SRE workbook definition::
@@ -147,8 +146,8 @@ class SloSpec:
                                   else float(threshold_seconds))
         self.op = str(op)
         self.tenant = str(tenant)
-        # Accept dict policies everywhere (not just from_dict) so call
-        # sites can write literal policy tables inline.
+        # Accept dict policies so call sites can write literal policy
+        # tables inline.
         self.policies = tuple(
             p if isinstance(p, BurnPolicy) else BurnPolicy(
                 p["name"], p["short_seconds"], p["long_seconds"],
@@ -168,34 +167,18 @@ class SloSpec:
                 f"target={self.target}, op={self.op!r}, "
                 f"tenant={self.tenant!r})")
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "SloSpec":
-        """Build a spec from a plain mapping of the constructor's
-        keywords (``policies`` as ``[{name=..., short_seconds=...,
-        long_seconds=..., factor=...}, ...]``)."""
-        known = ("name", "objective", "target", "threshold_seconds",
-                 "op", "tenant", "policies")
-        unknown = set(data) - set(known)
-        if unknown:
-            raise InvalidArgumentError(
-                f"unknown SLO spec keys: {sorted(unknown)}")
-        return cls(**data)
-
 
 def parse_slo_specs(specs) -> tuple:
-    """Normalize a heterogeneous sequence of ``SloSpec`` / dict entries
-    (what ``Options.slo_specs`` accepts) into a tuple of specs."""
-    out = []
+    """``specs`` (:class:`SloSpec` instances) as a tuple, checking that
+    their names are unique."""
+    out = tuple(specs)
     seen = set()
-    for entry in specs:
-        spec = (entry if isinstance(entry, SloSpec)
-                else SloSpec.from_dict(entry))
+    for spec in out:
         if spec.name in seen:
             raise InvalidArgumentError(
                 f"duplicate SLO spec name {spec.name!r}")
         seen.add(spec.name)
-        out.append(spec)
-    return tuple(out)
+    return out
 
 
 # ----------------------------------------------------------------------
@@ -216,8 +199,7 @@ class SloEngine:
     Parameters
     ----------
     specs:
-        ``SloSpec`` instances (or dicts; normalized via
-        :func:`parse_slo_specs`).
+        ``SloSpec`` instances (names checked by :func:`parse_slo_specs`).
     registry:
         Optional :class:`~repro.obs.registry.MetricsRegistry`; when set,
         the engine publishes ``slo_events_total``, ``slo_burn_rate``,
@@ -266,16 +248,6 @@ class SloEngine:
         self.alert_log: list = []
 
     # -- recording ------------------------------------------------------
-
-    def threshold_for(self, op: str,
-                      tenant: str = "*") -> Optional[float]:
-        """Tightest latency threshold any matching spec applies — what a
-        windowed histogram should use as its exemplar threshold."""
-        thresholds = [s.threshold_seconds for s in self.specs
-                      if s.objective == "latency"
-                      and s.threshold_seconds is not None
-                      and s.matches(op, tenant)]
-        return min(thresholds) if thresholds else None
 
     def _ring_for(self, index: int, tenant: str) -> WindowedHistogram:
         """The ``(spec, tenant)`` good/bad ring: it covers the longest
@@ -432,11 +404,6 @@ class SloEngine:
                 (self.specs[index].name, tenant, policy)
                 for (index, tenant, policy), live
                 in self._alert_state.items() if live)
-
-    def tenants(self) -> list[str]:
-        """Tenants that have recorded at least one scored operation."""
-        with self._lock:
-            return sorted({tenant for _, tenant in self._rings})
 
 
 def build_engine(specs, registry=None, journals=(), clock=None

@@ -25,8 +25,8 @@ records have them and a ``track``.  A ``"type": "counter"`` record is one sample
 at ``start_sim``) of a counter series.
 
 **Trace propagation.**  Work that belongs to one episode — a stalled
-write, the flushes and merges it runs meanwhile, a tail-latency exemplar
-recorded after — would otherwise produce disconnected span trees.
+write and the flushes and merges it runs meanwhile — would otherwise
+produce disconnected span trees.
 :meth:`Tracer.mint_context` captures a :class:`TraceContext` (a fresh
 trace id plus the minting span, if any), and :meth:`Tracer.activate`
 makes it current around that work, on this thread or another one.

@@ -1,7 +1,7 @@
 """Sliding-window histograms: tail latency per interval, not per run.
 
 The cumulative histograms in :mod:`repro.obs.registry` answer "what was
-p99 over the whole run"; the auto-tuner and SLO accounting need "what is
+p99 over the whole run"; ``lsm top`` and SLO accounting need "what is
 p99 *right now*".  A :class:`WindowedHistogram` keeps a ring of
 time-sliced fixed-bucket histograms over a clock (wall by default, a
 simulated clock in the discrete-event simulators): observations land in
@@ -27,16 +27,12 @@ import time
 from bisect import bisect_left
 from typing import Optional, Sequence
 
-from collections import deque
-
 from repro.errors import InvalidArgumentError
-from repro.obs.registry import SECONDS_BUCKETS, Exemplar, MetricsRegistry
+from repro.obs.registry import SECONDS_BUCKETS, MetricsRegistry
 
 #: Ring slices of a window given by its width alone: expiry resolution
 #: is ``window / SLICES``.
 SLICES = 6
-#: Traced tail samples a window retains (the most recent).
-EXEMPLAR_CAPACITY = 16
 
 #: Quantiles published by default and their label values.
 DEFAULT_QUANTILES = (0.5, 0.95, 0.99, 0.999)
@@ -89,17 +85,10 @@ class WindowedHistogram:
         Callable returning seconds; defaults to ``time.monotonic``.
         Simulators pass a reader of their virtual clock so windows slide
         on modeled time.
-    exemplar_threshold:
-        Observations at or above this value that carry a ``trace_id``
-        are retained as :class:`~repro.obs.registry.Exemplar` tail
-        samples (bounded ring of the most recent
-        :data:`EXEMPLAR_CAPACITY`).  ``None`` keeps every traced
-        observation; the threshold normally comes from an SLO spec.
     """
 
     def __init__(self, window_seconds: float = 60.0,
                  buckets: Optional[Sequence[float]] = None, clock=None,
-                 exemplar_threshold: Optional[float] = None,
                  slice_seconds: Optional[float] = None):
         if window_seconds <= 0 or (slice_seconds is not None
                                    and slice_seconds <= 0):
@@ -118,8 +107,6 @@ class WindowedHistogram:
         self._clock = clock if clock is not None else time.monotonic
         self._lock = threading.Lock()
         self._ring = [_Slice(len(self.buckets)) for _ in range(slices)]
-        self.exemplar_threshold = exemplar_threshold
-        self._exemplars: deque = deque(maxlen=EXEMPLAR_CAPACITY)
 
     # ------------------------------------------------------------------
     # Recording
@@ -131,25 +118,14 @@ class WindowedHistogram:
             entry.reset(slot)
         return entry
 
-    def observe(self, value: float,
-                trace_id: Optional[str] = None) -> None:
-        now = self._clock()
-        slot = int(now / self._slice_seconds)
+    def observe(self, value: float) -> None:
+        slot = int(self._clock() / self._slice_seconds)
         index = bisect_left(self.buckets, value)  # upper bounds (le)
         with self._lock:
             entry = self._slice_for(slot)
             entry.counts[index] += 1
             entry.sum += value
             entry.count += 1
-            if trace_id is not None and (
-                    self.exemplar_threshold is None
-                    or value >= self.exemplar_threshold):
-                self._exemplars.append(Exemplar(value, trace_id, now))
-
-    def exemplars(self) -> list[Exemplar]:
-        """Most recent traced tail samples, oldest first."""
-        with self._lock:
-            return list(self._exemplars)
 
     # ------------------------------------------------------------------
     # Reading
@@ -249,22 +225,14 @@ def publish_window(registry: MetricsRegistry, name: str, help_text: str,
 
 def open_op_window(registry: MetricsRegistry, name: str, help_text: str,
                    window_seconds: float, op: str,
-                   tenant: Optional[str] = None, slo=None, clock=None,
+                   tenant: Optional[str] = None, clock=None,
                    **labels) -> WindowedHistogram:
     """Create and publish one operation-latency window.
 
-    Its exemplar threshold is the tightest latency threshold ``slo`` (a
-    :class:`repro.obs.slo.SloEngine`, or None) applies to ``op`` for
-    ``tenant`` (any tenant when None); its quantiles publish as ``name``
-    labelled ``op`` (and ``tenant`` when given) plus ``labels``.  Shared
-    by the store (wall clock) and the open-loop simulator (``clock``
-    reads simulated time)."""
-    threshold = None
-    if slo is not None:
-        threshold = slo.threshold_for(
-            op, tenant if tenant is not None else "*")
-    window = WindowedHistogram(window_seconds=window_seconds, clock=clock,
-                               exemplar_threshold=threshold)
+    Its quantiles publish as ``name`` labelled ``op`` (and ``tenant``
+    when given) plus ``labels``.  Shared by the store (wall clock) and
+    the open-loop simulator (``clock`` reads simulated time)."""
+    window = WindowedHistogram(window_seconds=window_seconds, clock=clock)
     if tenant is not None:
         labels["tenant"] = tenant
     publish_window(registry, name, help_text, window, op=op, **labels)

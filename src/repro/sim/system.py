@@ -861,7 +861,7 @@ class OpenLoopSimulator(SystemSimulator):
                 "quantiles on *simulated* time, by tenant/op/quantile — "
                 "coordinated-omission free (includes queueing delay).",
                 OPEN_LOOP_WINDOW_SECONDS, op, tenant=tenant,
-                slo=self.slo, clock=lambda: self._writer_clock,
+                clock=lambda: self._writer_clock,
                 sim=self.config.mode)
         return window
 
@@ -883,7 +883,7 @@ class OpenLoopSimulator(SystemSimulator):
         self._pending_stall_trace = None
         window = self._tenant_window(state.spec.name, op)
         if window is not None:
-            window.observe(latency, trace_id=trace)
+            window.observe(latency)
         if self.slo is not None:
             self.slo.record(op, latency, tenant=state.spec.name,
                             trace_id=trace)

@@ -17,7 +17,8 @@ class FakeClock:
 
 
 def storming_engine(registry):
-    """An engine whose one SLO is firing, gauges published."""
+    """An engine whose one SLO burns past its factor, gauges
+    published."""
     spec = SloSpec("api", "latency", target=0.99, threshold_seconds=0.01,
                    op="put", policies=[
                        {"name": "fast", "short_seconds": 10.0,
@@ -41,30 +42,21 @@ class TestRenderDashboard:
         frame = render_dashboard(MetricsRegistry(), uptime_seconds=12.34)
         assert "uptime 12.3s" in frame
 
-    def test_firing_slo_marked(self):
-        registry = MetricsRegistry()
-        engine = storming_engine(registry)
-        frame = render_dashboard(registry, engine=engine)
-        assert "slo burn rates:" in frame
-        row = next(line for line in frame.splitlines()
-                   if line.strip().startswith("api"))
-        assert "FIRING" in row
-
-    def test_burn_rows_without_engine_show_unknown_state(self):
-        # The bench --top path renders from a bare registry; without an
-        # engine the firing state is unknowable, not "ok".
+    def test_burn_rows_show_both_windows_and_budget(self):
+        # Rendered from the registry alone, as bench --top does.
         registry = MetricsRegistry()
         storming_engine(registry)
         frame = render_dashboard(registry)
+        assert "slo burn rates:" in frame
         row = next(line for line in frame.splitlines()
                    if line.strip().startswith("api"))
-        assert row.rstrip().endswith("-")
-        assert "FIRING" not in row
+        slo, tenant, policy, short, long, budget = row.split()
+        assert (slo, tenant, policy) == ("api", "gold", "fast")
+        assert float(short) >= 5.0 and float(long) >= 5.0
+        assert budget.endswith("%")
 
-    def test_tenant_and_routing_sections(self):
+    def test_routing_section(self):
         registry = MetricsRegistry()
-        registry.counter("lsm_tenant_ops_total", "Tenant ops.",
-                         tenant="gold", op="put").inc(1500)
         registry.counter("scheduler_backend_tasks_total", "Tasks.",
                          backend="fpga-sim").inc(2)
         registry.counter("scheduler_backend_tasks_total",
@@ -72,8 +64,6 @@ class TestRenderDashboard:
         registry.counter("scheduler_backend_tasks_total",
                          backend="cpu").inc(1)
         frame = render_dashboard(registry)
-        assert "tenant ops:" in frame
-        assert "put=1.50k" in frame
         assert "compaction routing:" in frame
         routing = frame[frame.index("compaction routing:"):].splitlines()
         assert [line.split() for line in routing[1:4]] == [

@@ -84,60 +84,6 @@ class TestParser:
         assert to_prometheus_text(reg, reg) == to_prometheus_text(reg)
 
 
-class TestExemplars:
-    def build_registry(self):
-        reg = MetricsRegistry()
-        hist = reg.histogram("ex_latency_seconds", "Latency.",
-                             buckets=(0.1, 1.0))
-        hist.observe(0.05)
-        hist.observe(0.5, trace_id="trace-slow", ts=12.5)
-        hist.observe(5.0, trace_id="trace-tail")
-        return reg
-
-    def test_openmetrics_exemplar_syntax(self):
-        text = to_prometheus_text(self.build_registry())
-        tail = next(line for line in text.splitlines()
-                    if 'le="+Inf"' in line)
-        assert tail.endswith('# {trace_id="trace-tail"} 5')
-        mid = next(line for line in text.splitlines() if 'le="1"' in line)
-        assert '# {trace_id="trace-slow"} 0.5 12.5' in mid
-        # The fast bucket observed without a trace carries no exemplar.
-        fast = next(line for line in text.splitlines()
-                    if 'le="0.1"' in line)
-        assert "#" not in fast
-
-    def test_parser_returns_exemplars(self):
-        parsed = parse_prometheus_text(
-            to_prometheus_text(self.build_registry()))
-        exemplars = parsed["exemplars"]["ex_latency_seconds_bucket"]
-        by_le = {dict(key)["le"]: ex for key, ex in exemplars.items()}
-        assert by_le["+Inf"].trace_id == "trace-tail"
-        assert by_le["+Inf"].value == pytest.approx(5.0)
-        assert by_le["+Inf"].ts is None
-        assert by_le["1"].ts == pytest.approx(12.5)
-        # Sample values are unaffected by the exemplar suffix.
-        samples = parse_prometheus_text(
-            to_prometheus_text(self.build_registry()))["samples"]
-        assert samples["ex_latency_seconds_bucket"][
-            (("le", "+Inf"),)] == 3.0
-
-    def test_round_trip_rerender_matches(self):
-        # parse -> values survive; exemplar text parses as valid lines
-        # even for exposition consumers unaware of the syntax extension.
-        text = to_prometheus_text(self.build_registry())
-        parsed = parse_prometheus_text(text)
-        assert parsed["families"]["ex_latency_seconds"] == "histogram"
-
-    def test_latest_exemplar_per_bucket_wins(self):
-        reg = MetricsRegistry()
-        hist = reg.histogram("w_seconds", "w", buckets=(1.0,))
-        hist.observe(0.5, trace_id="first")
-        hist.observe(0.6, trace_id="second")
-        text = to_prometheus_text(reg)
-        line = next(l for l in text.splitlines() if 'le="1"' in l)
-        assert 'trace_id="second"' in line
-
-
 class TestRegisterAll:
     def test_full_surface_advertised_without_samples(self):
         reg = MetricsRegistry()

@@ -54,64 +54,48 @@ def registry():
 
 
 class TestStatsReport:
-    def test_uptime_segments_and_tenant_ops(self, registry):
-        db = LsmDB("repdb", small_options(latency_window_seconds=60.0,
-                                          event_journal=True),
+    def test_uptime_and_journal_segments(self, registry):
+        db = LsmDB("repdb", small_options(event_journal=True),
                    metrics=registry)
-        db.put(b"a", b"1", tenant="gold")
-        db.put(b"b", b"2", tenant="batch")
-        db.get(b"a", tenant="gold")
-        report = db.property("repro.stats")
-        assert "uptime_seconds:" in report
-        assert "journal_segments: 1" in report
-        assert "tenant ops:" in report
-        assert "gold/put" in report
-        assert "gold/get" in report
-        # a put is also a write at the batch layer, and both are
-        # attributed to the tenant
-        counts = db.tenant_op_counts()
-        assert counts["gold"] == {"write": 1, "put": 1, "get": 1}
-        assert counts["batch"] == {"write": 1, "put": 1}
-
-    def test_untenanted_db_omits_tenant_block(self, registry):
-        db = LsmDB("plaindb", small_options(), metrics=registry)
         db.put(b"a", b"1")
         report = db.property("repro.stats")
         assert "uptime_seconds:" in report
-        assert "journal_segments: 0" in report
-        assert "tenant ops:" not in report
+        assert "journal_segments: 1" in report
+        plain = LsmDB("plaindb", small_options(), metrics=registry)
+        plain.put(b"a", b"1")
+        assert "journal_segments: 0" in plain.property("repro.stats")
 
 
 class TestOpScoring:
     def test_failure_scored_once_against_the_outermost_op(self, registry):
-        """A put is timed around the write it makes: a success is a good
-        put and a good write, a failure one bad op — not two."""
-        db = LsmDB("slodb", small_options(slo_specs=[
-            {"name": "avail", "objective": "availability",
-             "target": 0.99}]), metrics=registry)
+        """A put is timed around the write it makes: a success is one
+        put and one write observation, a failure one observation of the
+        outermost op — not two."""
+        db = LsmDB("opdb", small_options(latency_window_seconds=60.0),
+                   metrics=registry)
 
-        def scored(outcome):
-            return registry.get_value("slo_events_total", slo="avail",
-                                      tenant="default", outcome=outcome)
+        def counts():
+            return {op: db.latency_window(op).count
+                    for op in ("put", "write", "get")}
 
         db.put(b"a", b"1")
-        assert (scored("good"), scored("bad")) == (2, 0)
+        assert counts() == {"put": 1, "write": 1, "get": 0}
 
         def torn_append(record):
             raise OSError("disk gone")
         db._log.add_record = torn_append
         with pytest.raises(OSError):
             db.put(b"b", b"2")
-        assert (scored("good"), scored("bad")) == (2, 1)
+        assert counts() == {"put": 2, "write": 1, "get": 0}
         batch = WriteBatch()
         batch.put(b"c", b"3")
         with pytest.raises(OSError):
             db.write(batch)
-        assert (scored("good"), scored("bad")) == (2, 2)
-        # an absent key is a good get, not an availability failure
+        assert counts() == {"put": 2, "write": 2, "get": 0}
+        # an absent key is one get like any other
         with pytest.raises(NotFoundError):
             db.get(b"b")
-        assert (scored("good"), scored("bad")) == (3, 2)
+        assert counts() == {"put": 2, "write": 2, "get": 1}
 
 
 class TestReplayEqualsLiveRegistry:

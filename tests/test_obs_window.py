@@ -9,7 +9,6 @@ from repro.errors import InvalidArgumentError
 from repro.obs.exposition import to_prometheus_text
 from repro.obs.registry import MetricsRegistry
 from repro.obs.window import (
-    EXEMPLAR_CAPACITY,
     SLICES,
     WindowedHistogram,
     nearest_rank,
@@ -177,35 +176,3 @@ class TestPublication:
         clock.now = 600.0  # every slice expired: samples vanish again
         assert "idle_window_seconds{" not in to_prometheus_text(registry)
 
-
-class TestExemplars:
-    def test_capture_requires_trace(self):
-        window = WindowedHistogram()
-        window.observe(0.5)
-        window.observe(0.5, trace_id="t-1")
-        exemplars = window.exemplars()
-        assert len(exemplars) == 1
-        assert exemplars[0].trace_id == "t-1"
-        assert exemplars[0].value == pytest.approx(0.5)
-
-    def test_threshold_filters_fast_ops(self):
-        window = WindowedHistogram(exemplar_threshold=0.1)
-        window.observe(0.001, trace_id="fast")
-        window.observe(0.5, trace_id="slow")
-        traces = [e.trace_id for e in window.exemplars()]
-        assert traces == ["slow"]
-
-    def test_capacity_keeps_most_recent(self):
-        window = WindowedHistogram()
-        for step in range(EXEMPLAR_CAPACITY + 4):
-            window.observe(0.5, trace_id=f"t-{step}")
-        traces = [e.trace_id for e in window.exemplars()]
-        assert traces == [f"t-{step}" for step
-                          in range(4, EXEMPLAR_CAPACITY + 4)]
-
-    def test_exemplar_timestamps_use_window_clock(self):
-        clock = FakeClock()
-        clock.now = 42.0
-        window = WindowedHistogram(clock=clock)
-        window.observe(0.5, trace_id="t")
-        assert window.exemplars()[0].ts == pytest.approx(42.0)

@@ -6,7 +6,9 @@ view, beside a writer, flushes and compactions.
   never goes back in time, never sees the future, never loses an
   acknowledged key; scans are sorted, duplicate-free cuts;
 * an iterator outlives the files it reads (compaction deletes its
-  inputs at install; a ``TableReader`` never goes back to its file);
+  inputs at install; the reader's open handle reads on after the
+  unlink: the descriptor on ``OsEnv``, the handle's own image on
+  ``MemEnv``);
 * superseded tables are freed with the last view or iterator naming
   them — no ref-count of our own, so no leak to find later.
 """

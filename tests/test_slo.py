@@ -1,4 +1,4 @@
-"""SLO engine: spec parsing (dicts, flat policies), windowed good/bad
+"""SLO engine: spec parsing (inline dict policies), windowed good/bad
 accounting, multi-window burn-rate alert transitions on a fake clock,
 exemplar journal events."""
 
@@ -53,11 +53,6 @@ class TestSpecParsing:
             with pytest.raises(InvalidArgumentError):
                 SloSpec("bad", "availability", target=target)
 
-    def test_from_dict_rejects_unknown_keys(self):
-        with pytest.raises(InvalidArgumentError, match="unknown"):
-            SloSpec.from_dict({"name": "x", "objective": "availability",
-                               "target": 0.9, "typo_key": 1})
-
     def test_inline_dict_policies(self):
         spec = SloSpec("x", "latency", threshold_seconds=0.1, policies=[
             {"name": "only", "short_seconds": 1.0, "long_seconds": 5.0,
@@ -73,8 +68,8 @@ class TestSpecParsing:
     def test_parse_specs_rejects_duplicates(self):
         with pytest.raises(InvalidArgumentError, match="duplicate"):
             parse_slo_specs([
-                {"name": "a", "objective": "availability", "target": 0.9},
-                {"name": "a", "objective": "availability", "target": 0.5},
+                SloSpec("a", "availability", target=0.9),
+                SloSpec("a", "availability", target=0.5),
             ])
 
 
@@ -176,13 +171,18 @@ class TestSloEngine:
 
     def test_tenants_burn_independently(self):
         clock = FakeClock()
-        engine = make_engine(clock)
+        registry = MetricsRegistry()
+        engine = make_engine(clock, registry=registry)
         for step in range(40):
             clock.now = step * 0.5
             engine.record("put", 0.5, tenant="noisy")
             engine.record("put", 0.001, tenant="quiet")
         assert engine.firing() == [("api", "noisy", "fast")]
-        assert engine.tenants() == ["noisy", "quiet"]
+        events = {tuple(sorted(dict(key).items())): n for key, n
+                  in registry.snapshot()["slo_events_total"].items()}
+        assert events == {
+            (("outcome", "bad"), ("slo", "api"), ("tenant", "noisy")): 40,
+            (("outcome", "good"), ("slo", "api"), ("tenant", "quiet")): 40}
 
     def test_alert_and_exemplar_events_in_journal(self):
         clock = FakeClock()
@@ -219,16 +219,6 @@ class TestSloEngine:
         events = snapshot["slo_events_total"]
         assert sum(events.values()) == 40
 
-    def test_threshold_for_picks_tightest_match(self):
-        specs = (
-            SloSpec("loose", "latency", threshold_seconds=1.0, op="*"),
-            SloSpec("tight", "latency", threshold_seconds=0.01, op="put"),
-            SloSpec("avail", "availability", target=0.9),
-        )
-        engine = SloEngine(specs, clock=FakeClock())
-        assert engine.threshold_for("put") == pytest.approx(0.01)
-        assert engine.threshold_for("get") == pytest.approx(1.0)
-
     def test_availability_objective_ignores_latency(self):
         spec = SloSpec("up", "availability", target=0.9, policies=[
             {"name": "only", "short_seconds": 10.0, "long_seconds": 10.0,
@@ -249,5 +239,4 @@ class TestSloEngine:
         assert build_engine(()) is None
         assert build_engine(None) is None
         assert build_engine(
-            ({"name": "x", "objective": "availability",
-              "target": 0.9},)) is not None
+            (SloSpec("x", "availability", target=0.9),)) is not None
