@@ -12,9 +12,10 @@ checks the winner's mark fields:
   the Key-Value Transfer module.
 
 Both work on :meth:`InternalKeyComparator.sort_key` values, computed
-once per key by the Decoder: ``(user part, -trailer)``, whose native
-order is the internal-key order and whose user parts are equal exactly
-when the user comparator returns 0.
+once per key by the Decoder: ``(user key, -trailer)``, whose native
+order is the internal-key order.  User keys compare as bytes, as the
+hardware's compare tree does over ``L_key``-byte keys; two are the same
+key exactly when their bytes are equal.
 
 The round costs ``(2 + ceil(log2 N)) * L_key`` cycles — key read,
 compare tree, existence check (Table II/III) — charged by the engine's

@@ -25,13 +25,13 @@ from repro.errors import FpgaProtocolError
 from repro.fpga.dram import Dram
 from repro.lsm.block import Block, BlockBuilder
 from repro.lsm.env import RandomAccessFile
+from repro.lsm.internal import InternalKeyComparator
 from repro.lsm.sstable import (
     BLOCK_TRAILER_SIZE,
     BlockHandle,
     TableReader,
     _read_block,
 )
-from repro.util.comparator import Comparator
 
 
 @dataclass(frozen=True)
@@ -99,7 +99,7 @@ class DataBlockDecoder:
             raise FpgaProtocolError("data block handle outside input region")
         raw = self._dram.read(table.data_offset + handle.offset, length)
         return list(Block(_read_block(
-            RandomAccessFile(raw), BlockHandle(0, handle.size), True)))
+            RandomAccessFile(raw), BlockHandle(0, handle.size))))
 
 
 class DecoderChain:
@@ -111,7 +111,7 @@ class DecoderChain:
     tables."""
 
     def __init__(self, dram: Dram, tables: list[SSTableLayout],
-                 comparator: Comparator):
+                 comparator: InternalKeyComparator):
         self.index_decoder = IndexBlockDecoder(dram, tables)
         self.data_decoder = DataBlockDecoder(dram)
         self._sort_key = comparator.sort_key

@@ -31,8 +31,9 @@ import struct
 from typing import Iterator, Optional
 
 from repro.errors import CorruptionError
+from repro.lsm.internal import InternalKeyComparator
 from repro.util.coding import decode_fixed32
-from repro.util.comparator import Comparator
+from repro.util.comparator import BytewiseComparator
 from repro.util.varint import decode_varint32, encode_varint32
 
 
@@ -227,7 +228,8 @@ class Block:
         return restarts[lo]
 
     def seek(self, target: bytes,
-             comparator: Comparator) -> Optional[tuple[bytes, bytes]]:
+             comparator: InternalKeyComparator | BytewiseComparator
+             ) -> Optional[tuple[bytes, bytes]]:
         """First entry with key >= ``target`` under ``comparator``: the
         first item of :meth:`iter_from`, found by one direct loop that
         rebuilds keys along a single restart interval and slices only
@@ -275,7 +277,8 @@ class Block:
         return None
 
     def iter_from(self, target: bytes,
-                  comparator: Comparator) -> Iterator[tuple[bytes, bytes]]:
+                  comparator: InternalKeyComparator | BytewiseComparator
+                  ) -> Iterator[tuple[bytes, bytes]]:
         """Iterate entries with key >= ``target``."""
         sort_key = comparator.sort_key
         target = sort_key(target)

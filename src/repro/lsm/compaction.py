@@ -81,8 +81,6 @@ def merge_entries(sources: Iterable[Iterator[KVPair]],
     # Sequence of the previous (newer) entry for the current user key;
     # MAX_SEQUENCE marks "no newer entry seen yet".
     last_sequence_for_key = MAX_SEQUENCE
-    user_cmp = comparator.user_comparator.compare
-    bytewise = comparator.bytewise
     for internal_key, value in merging_iterator(sources, comparator.sort_key):
         if stats is not None:
             stats.input_pairs += 1
@@ -97,9 +95,7 @@ def merge_entries(sources: Iterable[Iterator[KVPair]],
         if value_type not in (TYPE_VALUE, TYPE_DELETION):
             raise CorruptionError(f"unknown value type byte {value_type:#x}")
         sequence = trailer >> 8
-        if last_user_key is None or (
-                user_key != last_user_key if bytewise
-                else user_cmp(user_key, last_user_key) != 0):
+        if user_key != last_user_key:
             last_user_key = user_key
             last_sequence_for_key = MAX_SEQUENCE
         if last_sequence_for_key <= smallest_snapshot:

@@ -684,8 +684,7 @@ class LsmDB:
         """Seal the memtable a writer just swapped out (mutex held), and
         send its entries to the codec helper when it can take them."""
         request = check = None
-        if self.icmp.bytewise and block_encoder.can_take(
-                self._imm.approximate_memory_usage):
+        if block_encoder.can_take(self._imm.approximate_memory_usage):
             parts, check = build_request(self._imm, self.options)
             request = block_encoder.submit(parts)
         self._sealed = _Seal(self.versions.new_file_number(),
@@ -1091,17 +1090,16 @@ class LsmDB:
             reader = view.tables[meta.number]
             sources.append(reader.iter_from(lookup) if lookup is not None
                            else iter(reader))
-        user_cmp = self.options.comparator.compare
         last_user: Optional[bytes] = None
         for internal_key, value in merging_iterator(sources,
                                                     self.icmp.sort_key):
             user_key = extract_user_key(internal_key)
-            if end is not None and user_cmp(user_key, end) >= 0:
+            if end is not None and user_key >= end:
                 return
             parsed = parse_internal_key(internal_key)
             if parsed.sequence > visible_sequence:
                 continue  # newer than the snapshot: invisible
-            if last_user is not None and user_cmp(user_key, last_user) == 0:
+            if user_key == last_user:
                 continue
             last_user = user_key
             if parsed.is_deletion:

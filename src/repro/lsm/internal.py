@@ -6,9 +6,9 @@ sequence number that orders versions of the same user key, and a one-byte
 value type distinguishing live values from deletion tombstones.  The FPGA
 Comparer's Validity Check inspects exactly these fields.
 
-Internal keys sort by user key ascending, then by sequence *descending*
-(newest first), then by type descending — so a merge scan meets the newest
-version of each user key first.
+Internal keys sort by user key ascending (bytewise, as ``bytes`` do), then
+by sequence *descending* (newest first), then by type descending — so a
+merge scan meets the newest version of each user key first.
 """
 
 from __future__ import annotations
@@ -16,9 +16,9 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 
-from repro.errors import CorruptionError
+from repro.errors import CorruptionError, InvalidArgumentError
 from repro.util.coding import decode_fixed64, encode_fixed64
-from repro.util.comparator import BytewiseComparator, Comparator
+from repro.util.comparator import BytewiseComparator
 
 #: A live key/value entry.
 TYPE_VALUE = 0x1
@@ -91,29 +91,23 @@ def extract_user_key(internal_key: bytes) -> bytes:
     return internal_key[:-MARK_FIELDS_SIZE]
 
 
-class InternalKeyComparator(Comparator):
-    """Orders internal keys: user key asc, then sequence/type desc.
+class InternalKeyComparator:
+    """Orders internal keys: user key asc (bytewise), then sequence/type
+    desc.
 
     :meth:`compare` defines the order; :meth:`sort_key` maps a key to a
     value whose native ``<`` is that order, so the ordered containers
     (skiplist, merge heap, table builder) and the table and block
-    searches compare in C.
+    searches compare in C.  User keys order as ``bytes``: the one
+    argument must be a :class:`BytewiseComparator`, which supplies the
+    index-key shortening.
     """
 
-    def __init__(self, user_comparator: Comparator):
+    def __init__(self, user_comparator: BytewiseComparator):
+        if type(user_comparator) is not BytewiseComparator:
+            raise InvalidArgumentError(
+                f"user keys order bytewise; got {user_comparator!r}")
         self.user_comparator = user_comparator
-        self._bytewise = type(user_comparator) is BytewiseComparator
-        self._user_sort_key = user_comparator.sort_key
-
-    @property
-    def name(self) -> str:
-        return "leveldb.InternalKeyComparator"
-
-    @property
-    def bytewise(self) -> bool:
-        """True when user keys order exactly as ``bytes`` do, so callers
-        may compare them natively (``<``, ``bisect``, array sorts)."""
-        return self._bytewise
 
     def sort_key(self, internal_key: bytes) -> tuple:
         """``sort_key(a) < sort_key(b)`` iff ``compare(a, b) < 0``, and
@@ -122,22 +116,15 @@ class InternalKeyComparator(Comparator):
         size = len(internal_key) - MARK_FIELDS_SIZE
         if size < 0:
             raise CorruptionError("internal key shorter than mark fields")
-        user_key = internal_key[:size]
-        return (user_key if self._bytewise else self._user_sort_key(user_key),
-                -_unpack_trailer(internal_key, size)[0])
+        return internal_key[:size], -_unpack_trailer(internal_key, size)[0]
 
     def compare(self, a: bytes, b: bytes) -> int:
         if len(a) < MARK_FIELDS_SIZE or len(b) < MARK_FIELDS_SIZE:
             raise CorruptionError("internal key shorter than mark fields")
         a_user = a[:-MARK_FIELDS_SIZE]
         b_user = b[:-MARK_FIELDS_SIZE]
-        if self._bytewise:
-            if a_user != b_user:
-                return -1 if a_user < b_user else 1
-        else:
-            result = self.user_comparator.compare(a_user, b_user)
-            if result != 0:
-                return result
+        if a_user != b_user:
+            return -1 if a_user < b_user else 1
         a_trailer = decode_fixed64(a, len(a) - MARK_FIELDS_SIZE)
         b_trailer = decode_fixed64(b, len(b) - MARK_FIELDS_SIZE)
         if a_trailer > b_trailer:
@@ -150,8 +137,7 @@ class InternalKeyComparator(Comparator):
         user_start = extract_user_key(start)
         user_limit = extract_user_key(limit)
         tmp = self.user_comparator.find_shortest_separator(user_start, user_limit)
-        if (len(tmp) < len(user_start)
-                and self.user_comparator.compare(user_start, tmp) < 0):
+        if len(tmp) < len(user_start) and user_start < tmp:
             # A physically shorter separator exists; give it the maximum
             # possible trailer so it sorts before all entries of that key.
             tmp += encode_fixed64(
@@ -162,8 +148,7 @@ class InternalKeyComparator(Comparator):
     def find_short_successor(self, key: bytes) -> bytes:
         user_key = extract_user_key(key)
         tmp = self.user_comparator.find_short_successor(user_key)
-        if (len(tmp) < len(user_key)
-                and self.user_comparator.compare(user_key, tmp) < 0):
+        if len(tmp) < len(user_key) and user_key < tmp:
             tmp += encode_fixed64(
                 pack_sequence_and_type(MAX_SEQUENCE, VALUE_TYPE_FOR_SEEK))
             return tmp

@@ -7,8 +7,8 @@ expected.  The implementation is deterministic given the seed, which keeps
 tests and the simulators reproducible.
 
 Keys order by their own ``<`` — there is no comparator callback — so a
-descent is native comparisons only.  Callers with a custom order store a
-sort key (:meth:`repro.lsm.internal.InternalKeyComparator.sort_key`).
+descent is native comparisons only.  The memtable stores each internal
+key's sort key (:meth:`repro.lsm.internal.InternalKeyComparator.sort_key`).
 """
 
 from __future__ import annotations

@@ -42,7 +42,7 @@ from repro.lsm.filter import BloomFilterPolicy, hash_keys
 from repro.lsm.internal import MARK_FIELDS_SIZE, InternalKeyComparator
 from repro.lsm.options import Options
 from repro.util.coding import decode_fixed32, encode_fixed32
-from repro.util.comparator import BytewiseComparator, Comparator
+from repro.util.comparator import BytewiseComparator
 from repro.util.crc32c import crc32c, mask_crc, unmask_crc
 from repro.util.varint import VarintCursor, decode_varint32, encode_varint64
 
@@ -322,14 +322,12 @@ def build_tables(entries: Iterable[tuple[bytes, bytes]], options: Options,
         encoded = block_encoder.encode(cut())
     else:
         encoded = ((block, None) for block in cut())
-    user_compare = comparator.user_comparator.compare
     builder = ended_on = None
     for block, compressed in encoded:
         # A full table is finished at the first block that starts a new
         # user key: the versions of one key a snapshot merge keeps must
         # share a table, or the level's user-key ranges overlap.
-        if ended_on is not None and user_compare(
-                block[1][:-MARK_FIELDS_SIZE], ended_on) != 0:
+        if ended_on is not None and block[1][:-MARK_FIELDS_SIZE] != ended_on:
             builder.finish()
             yield builder, dest
             builder = None
@@ -360,17 +358,16 @@ def build_table(entries: Iterable[tuple[bytes, bytes]], options: Options,
 _BUILD_OPTIONS = ("block_size", "block_restart_interval",
                   "bloom_bits_per_key", "compression")
 _BUILD_STATS = struct.Struct("<7Q")
-_BYTEWISE = InternalKeyComparator(BytewiseComparator())
+_ICMP = InternalKeyComparator(BytewiseComparator())
 
 
 def build_request(entries: Iterable[tuple[bytes, bytes]],
                   options: Options) -> tuple[list, Callable]:
     """A memtable's entries as a codec helper build request's parts, and
     the answer's ``check(answer)``: the table image, stats, first and
-    last key, and the :class:`TableReader` that opened the image (in
-    bytewise order, which the helper builds in); it raises unless the
-    image opens, its data blocks' CRCs verify and its stats and keys are
-    what was sent."""
+    last key, and the :class:`TableReader` that opened the image; it
+    raises unless the image opens, its data blocks' CRCs verify and its
+    stats and keys are what was sent."""
     parts = [json.dumps([getattr(options, name)
                          for name in _BUILD_OPTIONS]).encode()]
     parts.extend(chain.from_iterable(entries))
@@ -382,9 +379,9 @@ def build_request(entries: Iterable[tuple[bytes, bytes]],
         image, packed, smallest, largest = answer
         stats = TableStats(*_BUILD_STATS.unpack(packed))
         file = RandomAccessFile(image)
-        reader = TableReader(file, _BYTEWISE, options)
+        reader = TableReader(file, _ICMP, options)
         for handle in reader._handles:
-            _block_payload(file, handle, True)
+            _block_payload(file, handle)
         if ((stats.num_entries, stats.raw_key_bytes, stats.raw_value_bytes,
              smallest, largest) != expect or stats.file_bytes != len(image)
                 or stats.num_data_blocks != len(reader._handles)):
@@ -398,36 +395,34 @@ def serve_build(parts: list) -> list:
     """The helper's side of a :func:`build_request`."""
     options = Options(**dict(zip(_BUILD_OPTIONS, json.loads(parts[0]))))
     image, builder = build_table(zip(parts[1::2], parts[2::2]), options,
-                                 _BYTEWISE)
+                                 _ICMP)
     return [image, _BUILD_STATS.pack(*astuple(builder.stats)),
             builder.smallest_key, builder.largest_key]
 
 
-def _block_payload(file: RandomAccessFile, handle: BlockHandle,
-                   verify: bool) -> tuple[bytes, bool]:
+def _block_payload(file: RandomAccessFile,
+                   handle: BlockHandle) -> tuple[bytes, bool]:
     """One block's stored payload, read through ``file`` with its
-    trailer, and whether it is snappy-compressed: bounds- and
-    type-checked, CRC-checked with ``verify``."""
+    trailer, and whether it is snappy-compressed: bounds-, CRC- and
+    type-checked."""
     size = handle.size
     data = file.read(handle.offset, size + BLOCK_TRAILER_SIZE)
     if len(data) != size + BLOCK_TRAILER_SIZE:
         raise CorruptionError("block handle overruns file")
     block_type = data[size]
-    if verify:
-        stored = unmask_crc(decode_fixed32(data, size + 1))
-        # Payload and type byte are adjacent in the file: checksum them in
-        # place over one zero-copy view.
-        if crc32c(memoryview(data)[:size + 1]) != stored:
-            raise CorruptionError("block checksum mismatch")
+    stored = unmask_crc(decode_fixed32(data, size + 1))
+    # Payload and type byte are adjacent in the file: checksum them in
+    # place over one zero-copy view.
+    if crc32c(memoryview(data)[:size + 1]) != stored:
+        raise CorruptionError("block checksum mismatch")
     if block_type not in (COMPRESSION_NONE, COMPRESSION_SNAPPY):
         raise CorruptionError(f"unknown block compression type {block_type}")
     return data[:size], block_type == COMPRESSION_SNAPPY
 
 
-def _read_block(file: RandomAccessFile, handle: BlockHandle,
-                verify: bool) -> bytes:
+def _read_block(file: RandomAccessFile, handle: BlockHandle) -> bytes:
     """Read and (if needed) decompress one block payload."""
-    payload, compressed = _block_payload(file, handle, verify)
+    payload, compressed = _block_payload(file, handle)
     return snappy.decompress(payload) if compressed else payload
 
 
@@ -452,7 +447,7 @@ class _PartialBlock:
 
 
 def _seek_partial(payload: bytes, compressed: bool, target: bytes,
-                  comparator: Comparator, bytewise: bool) -> tuple:
+                  comparator: InternalKeyComparator) -> tuple:
     """``(Block(raw).seek(target, comparator), what to cache)`` for a
     stored block, decoding a snappy ``payload`` only until the first
     entry >= ``target`` is complete.  An entry it does not parse inline
@@ -464,12 +459,8 @@ def _seek_partial(payload: bytes, compressed: bool, target: bytes,
     out = bytearray()
     decode = snappy.decompress_into
     pos = decode(payload, pos, out, size, 4)
-    if bytewise:
-        user_target = target[:-MARK_FIELDS_SIZE]
-        trailer = int.from_bytes(target[-MARK_FIELDS_SIZE:], "little")
-    else:
-        sort_key = comparator.sort_key
-        sort_target = sort_key(target)
+    user_target = target[:-MARK_FIELDS_SIZE]
+    trailer = int.from_bytes(target[-MARK_FIELDS_SIZE:], "little")
     offset = 0
     key = b""
     try:
@@ -492,15 +483,12 @@ def _seek_partial(payload: bytes, compressed: bool, target: bytes,
                 if len(out) < offset:
                     break
             key = key[:shared] + out[start:key_end]
-            if bytewise:
-                if len(key) < MARK_FIELDS_SIZE:
-                    break
-                user_key = key[:-MARK_FIELDS_SIZE]
-                if user_key < user_target or (
-                        user_key == user_target and int.from_bytes(
-                            key[-MARK_FIELDS_SIZE:], "little") > trailer):
-                    continue
-            elif sort_key(key) < sort_target:
+            if len(key) < MARK_FIELDS_SIZE:
+                break
+            user_key = key[:-MARK_FIELDS_SIZE]
+            if user_key < user_target or (
+                    user_key == user_target and int.from_bytes(
+                        key[-MARK_FIELDS_SIZE:], "little") > trailer):
                 continue
             return ((key, bytes(out[key_end:offset])),
                     _PartialBlock(payload, pos, out, size))
@@ -525,7 +513,7 @@ class TableReader:
     an unlinked file, and an in-memory handle holds its own image.
     """
 
-    def __init__(self, file, comparator: Comparator,
+    def __init__(self, file, comparator: InternalKeyComparator,
                  options: Optional[Options] = None,
                  block_cache: Optional[LRUCache] = None,
                  file_number: int = 0):
@@ -534,8 +522,6 @@ class TableReader:
         self._file = file
         self._comparator = comparator
         self._sort_key = comparator.sort_key
-        self._bytewise = (isinstance(comparator, InternalKeyComparator)
-                          and comparator.bytewise)
         self._options = options or Options()
         self._cache = block_cache
         self._file_number = file_number
@@ -551,8 +537,7 @@ class TableReader:
         # a lookup bisects) and the data-block handles, index-aligned.
         self._index_keys: list[bytes] = []
         self._handles: list[BlockHandle] = []
-        for key, handle_bytes in Block(_read_block(
-                file, index_handle, self._options.paranoid_checks)):
+        for key, handle_bytes in Block(_read_block(file, index_handle)):
             self._index_keys.append(key)
             self._handles.append(BlockHandle.decode(handle_bytes, 0)[0])
         self._index_order = list(map(self._sort_key, self._index_keys))
@@ -562,13 +547,11 @@ class TableReader:
             else BloomFilterPolicy.geometry(self._filter_data))
 
     def _load_filter(self, metaindex_handle: BlockHandle) -> Optional[bytes]:
-        metaindex = Block(_read_block(
-            self._file, metaindex_handle, self._options.paranoid_checks))
+        metaindex = Block(_read_block(self._file, metaindex_handle))
         for key, value in metaindex:
             if key.startswith(b"filter."):
                 handle, _ = BlockHandle.decode(value, 0)
-                return _read_block(self._file, handle,
-                                   self._options.paranoid_checks)
+                return _read_block(self._file, handle)
         return None
 
     @property
@@ -603,8 +586,7 @@ class TableReader:
         cache_key = (self._file_number, handle.offset)
         contents = self._cached_block(cache_key)
         if contents is None:
-            contents = _read_block(self._file, handle,
-                                   self._options.paranoid_checks)
+            contents = _read_block(self._file, handle)
             if self._cache is not None:
                 self._cache.put(cache_key, contents)
         return contents
@@ -637,9 +619,8 @@ class TableReader:
         block = self._cached_block(cache_key)
         if block is not None:
             return Block(block).seek(target, self._comparator)
-        found, block = _seek_partial(*_block_payload(
-            self._file, handle, self._options.paranoid_checks), target,
-            self._comparator, self._bytewise)
+        found, block = _seek_partial(
+            *_block_payload(self._file, handle), target, self._comparator)
         if self._cache is not None:
             self._cache.put(cache_key, block)
         return found
@@ -653,8 +634,7 @@ class TableReader:
         """Iteration past the block cache: a merge's input must not evict
         what readers use (LevelDB's ``fill_cache = false``)."""
         for handle in self._handles:
-            yield from Block(_read_block(self._file, handle,
-                                         self._options.paranoid_checks))
+            yield from Block(_read_block(self._file, handle))
 
     def iter_from(self, target: bytes) -> Iterator[tuple[bytes, bytes]]:
         """Yield entries with internal key >= ``target`` in order: start

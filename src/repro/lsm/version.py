@@ -67,15 +67,13 @@ class Version:
     """Immutable snapshot of the level structure: level 0 in file-number
     order, every deeper level sorted by smallest key and disjoint (what
     :meth:`VersionSet.apply` installs).  Lookups go through a search
-    index built from those lists on first use — safe without a lock,
-    because racing builders compute the same value."""
+    index over user keys (compared as ``bytes``) built from those lists
+    on first use — safe without a lock, because racing builders compute
+    the same value."""
 
-    def __init__(self, comparator: InternalKeyComparator,
-                 files: Optional[list[list[FileMetaData]]] = None):
-        self.comparator = comparator
+    def __init__(self, files: Optional[list[list[FileMetaData]]] = None):
         self.files: list[list[FileMetaData]] = (
             files if files is not None else [[] for _ in range(NUM_LEVELS)])
-        self._user_sort_key = comparator.user_comparator.sort_key
         self._index: Optional[tuple] = None
 
     def num_files(self, level: int) -> int:
@@ -95,7 +93,6 @@ class Version:
         For level 0 the search is *transitive*, like LevelDB: overlapping a
         file widens the range, because L0 files may overlap one another.
         """
-        user_cmp = self.comparator.user_comparator
         result: list[FileMetaData] = []
         files = list(self.files[level])
         i = 0
@@ -103,21 +100,17 @@ class Version:
             meta = files[i]
             i += 1
             file_small, file_large = meta.user_range()
-            if largest_user is not None and user_cmp.compare(
-                    file_small, largest_user) > 0:
+            if largest_user is not None and file_small > largest_user:
                 continue
-            if smallest_user is not None and user_cmp.compare(
-                    file_large, smallest_user) < 0:
+            if smallest_user is not None and file_large < smallest_user:
                 continue
             result.append(meta)
             if level == 0:
                 expanded = False
-                if (smallest_user is not None
-                        and user_cmp.compare(file_small, smallest_user) < 0):
+                if smallest_user is not None and file_small < smallest_user:
                     smallest_user = file_small
                     expanded = True
-                if (largest_user is not None
-                        and user_cmp.compare(file_large, largest_user) > 0):
+                if largest_user is not None and file_large > largest_user:
                     largest_user = file_large
                     expanded = True
                 if expanded:
@@ -134,18 +127,15 @@ class Version:
         the query, scaled by the overlap fraction assuming uniform keys
         within a table.
         """
-        user_cmp = self.comparator.user_comparator.compare
-        if user_cmp(start, end) >= 0:
+        if start >= end:
             return 0
         total = 0
         for files in self.files:
             for meta in files:
                 file_small, file_large = meta.user_range()
-                if (user_cmp(file_large, start) < 0
-                        or user_cmp(file_small, end) >= 0):
+                if file_large < start or file_small >= end:
                     continue
-                contained = (user_cmp(start, file_small) <= 0
-                             and user_cmp(file_large, end) < 0)
+                contained = start <= file_small and file_large < end
                 if contained:
                     total += meta.file_size
                 else:
@@ -156,23 +146,18 @@ class Version:
         return total
 
     def _build_index(self) -> tuple:
-        """Set and return ``_index = (level0, deeper)`` over user sort
-        keys: level 0 newest-first as ``(smallest, largest, (0, file))``,
-        and for every non-empty deeper level ``(largests, smallests,
-        (level, file) pairs)``."""
-        user_sort_key = self._user_sort_key
-
-        def user_range(f: FileMetaData) -> tuple:
-            return tuple(map(user_sort_key, f.user_range()))
-
+        """Set and return ``_index = (level0, deeper)`` over user keys:
+        level 0 newest-first as ``(smallest, largest, (0, file))``, and
+        for every non-empty deeper level ``(largests, smallests, (level,
+        file) pairs)``."""
         # Newer L0 files have larger file numbers.
-        level0 = [(*user_range(f), (0, f)) for f in sorted(
+        level0 = [(*f.user_range(), (0, f)) for f in sorted(
             self.files[0], key=lambda f: f.number, reverse=True)]
         deeper = []
         for level in range(1, NUM_LEVELS):
             files = self.files[level]
             if files:
-                smallests, largests = zip(*map(user_range, files))
+                smallests, largests = zip(*(f.user_range() for f in files))
                 deeper.append((largests, smallests,
                                [(level, f) for f in files]))
         self._index = (level0, deeper)
@@ -183,11 +168,11 @@ class Version:
         newest-first search order: L0 newest→oldest, then deeper levels
         (disjoint: at most one file each, found by binary search)."""
         level0, deeper = self._index or self._build_index()
-        key = self._user_sort_key(user_key)
-        result = [hit for small, large, hit in level0 if small <= key <= large]
+        result = [hit for small, large, hit in level0
+                  if small <= user_key <= large]
         for largests, smallests, hits in deeper:
-            i = bisect_left(largests, key)
-            if i < len(hits) and smallests[i] <= key:
+            i = bisect_left(largests, user_key)
+            if i < len(hits) and smallests[i] <= user_key:
                 result.append(hits[i])
         return result
 
@@ -196,10 +181,6 @@ class Version:
         """Files that may hold a user key in ``[start, end)`` (``None`` =
         unbounded), in :meth:`files_for_key`'s order."""
         level0, deeper = self._index or self._build_index()
-        if start is not None:
-            start = self._user_sort_key(start)
-        if end is not None:
-            end = self._user_sort_key(end)
         result = [f for small, large, (_level, f) in level0
                   if (start is None or large >= start)
                   and (end is None or small < end)]
@@ -217,7 +198,7 @@ class VersionSet:
     def __init__(self, options: Options, comparator: InternalKeyComparator):
         self.options = options
         self.comparator = comparator
-        self._install(Version(comparator))
+        self._install(Version())
         self._next_file_number = 1
         self.compact_pointer: list[bytes] = [b""] * NUM_LEVELS
         self.last_sequence = 0
@@ -248,7 +229,7 @@ class VersionSet:
             new_files[level].sort(key=lambda f: sort_key(f.smallest))
             self._check_disjoint(new_files[level], level)
         new_files[0].sort(key=lambda f: f.number)
-        return self._install(Version(self.comparator, new_files))
+        return self._install(Version(new_files))
 
     def _install(self, version: Version) -> Version:
         """Make ``version`` current and score it: ``_score`` is the
@@ -307,9 +288,8 @@ class VersionSet:
         self.reuse_file_number(next_file - 1)
 
     def _check_disjoint(self, files: list[FileMetaData], level: int) -> None:
-        user_cmp = self.comparator.user_comparator
         for prev, cur in zip(files, files[1:]):
-            if user_cmp.compare(prev.user_range()[1], cur.user_range()[0]) >= 0:
+            if prev.user_range()[1] >= cur.user_range()[0]:
                 raise InvalidArgumentError(
                     f"overlapping files in level {level}: "
                     f"#{prev.number} and #{cur.number}")

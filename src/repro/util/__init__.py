@@ -1,6 +1,7 @@
 """Low-level wire-format primitives shared by the LSM store and the FPGA
 engine: variable-length integers, fixed-width little-endian coding, the
-masked CRC32C used by LevelDB's file formats, and byte-string comparators.
+masked CRC32C used by LevelDB's file formats, and the bytewise key order
+every user key sorts by.
 """
 
 from repro.util.coding import (
@@ -11,7 +12,7 @@ from repro.util.coding import (
     get_length_prefixed_slice,
     put_length_prefixed_slice,
 )
-from repro.util.comparator import BytewiseComparator, Comparator
+from repro.util.comparator import BytewiseComparator
 from repro.util.crc32c import crc32c, crc32c_many, mask_crc, unmask_crc
 from repro.util.varint import (
     MAX_VARINT32_BYTES,
@@ -24,7 +25,6 @@ from repro.util.varint import (
 
 __all__ = [
     "BytewiseComparator",
-    "Comparator",
     "MAX_VARINT32_BYTES",
     "MAX_VARINT64_BYTES",
     "crc32c",

@@ -1,65 +1,36 @@
-"""Key comparators.
+"""Bytewise key order.
 
-The store orders user keys with a pluggable :class:`Comparator`; the default
-is bytewise (memcmp) order, matching LevelDB.  Comparators also provide the
-two key-shortening hooks LevelDB uses to keep index blocks small:
-``find_shortest_separator`` and ``find_short_successor``.
+User keys order as ``bytes`` do (memcmp order): LevelDB's default, and
+what the FPGA Comparer's compare tree computes over ``L_key``-byte keys.
+There is no other user order.  :class:`BytewiseComparator` names that
+order and provides the two key-shortening hooks LevelDB uses to keep
+index blocks small: ``find_shortest_separator`` and
+``find_short_successor``.
 
-Lookups and ordered containers never call :meth:`Comparator.compare`
-per step: they map keys through :meth:`Comparator.sort_key` and compare
-the results natively (``<``, ``bisect``), so a bytewise order costs
-nothing beyond ``bytes`` comparison.
+Lookups and ordered containers never call :meth:`BytewiseComparator.compare`
+per step: they map keys through ``sort_key`` and compare the results
+natively (``<``, ``bisect``).
 """
 
 from __future__ import annotations
 
-from abc import ABC, abstractmethod
-from functools import cmp_to_key
 
-
-class Comparator(ABC):
-    """Total order over byte-string user keys."""
-
-    @property
-    @abstractmethod
-    def name(self) -> str:
-        """Identity of the order; persisted and checked when reopening."""
-
-    @abstractmethod
-    def compare(self, a: bytes, b: bytes) -> int:
-        """Return <0, 0 or >0 as ``a`` sorts before, equal to, after ``b``."""
-
-    def sort_key(self, key: bytes):
-        """A value whose native order is this order: ``sort_key(a) <
-        sort_key(b)`` iff ``compare(a, b) < 0``, equal iff it is 0."""
-        return cmp_to_key(self.compare)(key)
-
-    def find_shortest_separator(self, start: bytes, limit: bytes) -> bytes:
-        """Return a key ``k`` with ``start <= k < limit`` that is as short
-        as possible; used for index-block keys.  May return ``start``."""
-        return start
-
-    def find_short_successor(self, key: bytes) -> bytes:
-        """Return a short key ``k >= key``.  May return ``key``."""
-        return key
-
-
-class BytewiseComparator(Comparator):
+class BytewiseComparator:
     """Lexicographic order on raw bytes — LevelDB's default."""
 
-    @property
-    def name(self) -> str:
-        return "leveldb.BytewiseComparator"
-
     def compare(self, a: bytes, b: bytes) -> int:
+        """Return <0, 0 or >0 as ``a`` sorts before, equal to, after ``b``."""
         if a == b:
             return 0
         return -1 if a < b else 1
 
     def sort_key(self, key: bytes) -> bytes:
+        """A value whose native order is this order: the key itself."""
         return key
 
     def find_shortest_separator(self, start: bytes, limit: bytes) -> bytes:
+        """Return a key ``k`` with ``start <= k < limit`` that is as short
+        as possible; used for index-block keys.  May return ``start``."""
         # Shorten `start` to the common prefix plus one incremented byte,
         # provided the result still sorts strictly below `limit`.
         min_len = min(len(start), len(limit))
@@ -75,6 +46,7 @@ class BytewiseComparator(Comparator):
         return start
 
     def find_short_successor(self, key: bytes) -> bytes:
+        """Return a short key ``k >= key``.  May return ``key``."""
         for i, byte in enumerate(key):
             if byte != 0xFF:
                 return key[:i] + bytes([byte + 1])

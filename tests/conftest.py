@@ -1,4 +1,4 @@
-"""Shared fixtures: small-geometry options, comparators, table builders."""
+"""Shared fixtures: small-geometry options, the comparator, table builders."""
 
 from __future__ import annotations
 
@@ -16,19 +16,6 @@ from repro.lsm.internal import (
 )
 from repro.lsm.options import Options
 from repro.lsm.sstable import TableBuilder
-from repro.util.comparator import Comparator
-
-
-class ReverseComparator(Comparator):
-    """Bytewise order, reversed: a user order ``bytes`` do not have, for
-    the comparator-driven paths (version index, sort keys)."""
-
-    @property
-    def name(self) -> str:
-        return "test.ReverseComparator"
-
-    def compare(self, a: bytes, b: bytes) -> int:
-        return (a < b) - (a > b)
 
 
 #: Concurrency-heavy modules where the lock-order watchdog rides along:

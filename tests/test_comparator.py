@@ -22,9 +22,6 @@ class TestCompare:
     def test_byte_order_unsigned(self):
         assert CMP.compare(b"\x7f", b"\x80") < 0
 
-    def test_name(self):
-        assert CMP.name == "leveldb.BytewiseComparator"
-
 
 class TestShortestSeparator:
     def test_shortens_to_prefix_plus_one(self):

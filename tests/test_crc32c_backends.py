@@ -46,7 +46,7 @@ def run_backend(name: str, options: Options, images: list[bytes],
 @pytest.mark.parametrize("compression", ["none", "snappy"])
 def test_output_equals_compact_with_paranoid_checks(compression, backend):
     options = Options(compression=compression, block_size=1024,
-                      sstable_size=2 * 1024, paranoid_checks=True)
+                      sstable_size=2 * 1024)
     images = overlapping_tables(options)
     readers = [TableReader(image, ICMP, options) for image in images]
     expected = compact(table_sources(readers), options, ICMP,
@@ -64,7 +64,7 @@ def test_output_equals_compact_with_paranoid_checks(compression, backend):
 
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_flipped_bit_in_an_input_block_raises(backend):
-    options = Options(compression="none", paranoid_checks=True)
+    options = Options(compression="none")
     images = overlapping_tables(options, tables=2)
     readers = [TableReader(image, ICMP, options) for image in images]
     _, first_block = readers[1].index_entries()[0]

@@ -25,7 +25,6 @@ from repro.lsm.env import MemEnv
 from repro.lsm.options import L0_STOP_TRIGGER, Options
 from repro.obs.events import EventJournal
 from repro.obs.registry import MetricsRegistry
-from repro.util.comparator import BytewiseComparator
 
 from tests.faulting_backend import faulting_registry
 
@@ -95,30 +94,39 @@ class TestBackgroundBasics:
             db.put(b"late", b"x")
 
 
-class CountingComparator(BytewiseComparator):
-    """Bytewise order that counts user-key comparisons."""
+class CountingTarget:
+    """A skiplist search target that counts the comparisons made against
+    it: the descent's ``node.key < target`` reflects to ``__gt__``."""
 
-    calls = 0
+    def __init__(self, sort_key):
+        self.sort_key = sort_key
+        self.calls = 0
 
-    def compare(self, a, b):
+    def __gt__(self, other):
         self.calls += 1
-        return super().compare(a, b)
+        return other < self.sort_key
 
 
 class TestScan:
     def test_scan_seeks_the_memtable(self):
         """A late ``start`` costs O(log n + rows) comparisons, not a
         walk over everything before it."""
-        comparator = CountingComparator()
-        db = LsmDB("seekdb", Options(comparator=comparator), env=MemEnv())
+        db = LsmDB("seekdb", Options(), env=MemEnv())
         n = 3000
         for i in range(n):
             db.put(key(i), value(i))
-        comparator.calls = 0
+        targets = []
+
+        def counting_sort_key(internal_key):
+            targets.append(CountingTarget(db.icmp.sort_key(internal_key)))
+            return targets[-1]
+
+        db._mem._sort_key = counting_sort_key
         rows = list(islice(db.scan(start=key(n - 100)), 10))
         assert [k for k, _ in rows] == [key(i)
                                         for i in range(n - 100, n - 90)]
-        assert comparator.calls < 100  # the walk made ~n of them
+        [target] = targets  # one seek
+        assert 0 < target.calls < 100  # a walk would make ~n of them
         db.close()
 
     def test_scans_beside_writers_see_committed_prefixes(self):

@@ -20,7 +20,7 @@ from repro.lsm.internal import (
 from repro.lsm.options import Options
 from repro.util.comparator import BytewiseComparator
 
-from tests.conftest import ReverseComparator, build_table_image
+from tests.conftest import build_table_image
 
 ICMP = InternalKeyComparator(BytewiseComparator())
 
@@ -91,27 +91,6 @@ class TestFunctional:
         result = engine.run_on_images(images, drop_deletions=True)
         oracle = compact([iter(r) for r in runs], plain_options, ICMP,
                          drop_deletions=True)
-        assert [o.data for o in result.outputs] == [
-            o.data for o in oracle.outputs]
-
-    @pytest.mark.parametrize("drop_deletions", [False, True])
-    def test_matches_cpu_under_user_comparator(self, drop_deletions):
-        """Under a user order ``bytes`` do not have, selection and
-        shadowing follow the comparator, as the CPU merge does."""
-        options = Options(block_size=512, sstable_size=4096,
-                          compression="none", bloom_bits_per_key=0,
-                          comparator=ReverseComparator())
-        icmp = InternalKeyComparator(options.comparator)
-        runs = [sorted(make_run(50 + i, 150, base, key_space=400),
-                       key=lambda pair: icmp.sort_key(pair[0]))
-                for i, base in enumerate((20_000, 10_000, 1))]
-        engine = CompactionEngine(CONFIG_9_INPUT, options)
-        result = engine.run_on_images(
-            [[build_table_image(r, options, icmp)] for r in runs],
-            drop_deletions=drop_deletions)
-        oracle = compact([iter(r) for r in runs], options, icmp,
-                         drop_deletions=drop_deletions)
-        assert result.timing.pairs_dropped > 0
         assert [o.data for o in result.outputs] == [
             o.data for o in oracle.outputs]
 

@@ -12,23 +12,11 @@ from repro.lsm.internal import (
     TYPE_VALUE,
     encode_internal_key,
 )
-from repro.util.comparator import BytewiseComparator, Comparator
+from repro.util.comparator import BytewiseComparator
 
 from tests.conftest import build_table_image, make_entries
 
 ICMP = InternalKeyComparator(BytewiseComparator())
-
-
-class CaseInsensitiveComparator(Comparator):
-    """Orders user keys ignoring ASCII case: distinct bytes, equal keys."""
-
-    @property
-    def name(self) -> str:
-        return "test.CaseInsensitiveComparator"
-
-    def compare(self, a: bytes, b: bytes) -> int:
-        a, b = a.lower(), b.lower()
-        return (a > b) - (a < b)
 
 
 def load_layout(image: bytes, plain_options):
@@ -103,18 +91,6 @@ class TestComparer:
         assert check.check(ICMP.sort_key(newer)) is False
         assert check.check(ICMP.sort_key(older)) is True
         assert check.dropped_shadowed == 1
-
-    def test_validity_shadowing_follows_user_comparator(self):
-        """User keys the comparator calls equal shadow each other even
-        when their bytes differ."""
-        icmp = InternalKeyComparator(CaseInsensitiveComparator())
-        check = ValidityCheck(drop_deletions=False)
-        assert check.check(icmp.sort_key(
-            encode_internal_key(b"KEY", 9, TYPE_VALUE))) is False
-        assert check.check(icmp.sort_key(
-            encode_internal_key(b"key", 3, TYPE_VALUE))) is True
-        assert check.check(icmp.sort_key(
-            encode_internal_key(b"kez", 2, TYPE_VALUE))) is False
 
     def test_validity_drops_tombstone_at_bottom(self):
         check = ValidityCheck(drop_deletions=True)

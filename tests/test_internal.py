@@ -18,7 +18,6 @@ from repro.lsm.internal import (
     parse_internal_key,
 )
 from repro.util.comparator import BytewiseComparator
-from tests.conftest import ReverseComparator
 
 ICMP = InternalKeyComparator(BytewiseComparator())
 
@@ -122,26 +121,19 @@ INTERNAL_KEYS = st.builds(
 
 class TestSortKey:
     @settings(max_examples=300, deadline=None)
-    @given(st.sampled_from([BytewiseComparator(), ReverseComparator()]),
-           INTERNAL_KEYS, INTERNAL_KEYS)
-    def test_native_order_is_compare(self, user_comparator, a, b):
-        icmp = InternalKeyComparator(user_comparator)
-        order = icmp.compare(a, b)
-        key_a, key_b = icmp.sort_key(a), icmp.sort_key(b)
+    @given(INTERNAL_KEYS, INTERNAL_KEYS)
+    def test_native_order_is_compare(self, a, b):
+        order = ICMP.compare(a, b)
+        key_a, key_b = ICMP.sort_key(a), ICMP.sort_key(b)
         assert (key_a < key_b) == (order < 0)
         assert (key_a == key_b) == (order == 0)
         assert (key_a > key_b) == (order > 0)
 
-    def test_bytewise_property(self):
-        assert ICMP.bytewise
-        assert not InternalKeyComparator(ReverseComparator()).bytewise
-
     def test_short_key_rejected_like_compare(self):
         short = b"\x00" * (MARK_FIELDS_SIZE - 1)
         good = encode_internal_key(b"k", 1, TYPE_VALUE)
-        for icmp in (ICMP, InternalKeyComparator(ReverseComparator())):
-            with pytest.raises(CorruptionError):
-                icmp.compare(short, good)
-            with pytest.raises(CorruptionError):
-                icmp.sort_key(short)
-            assert icmp.sort_key(good[-MARK_FIELDS_SIZE:]) is not None
+        with pytest.raises(CorruptionError):
+            ICMP.compare(short, good)
+        with pytest.raises(CorruptionError):
+            ICMP.sort_key(short)
+        assert ICMP.sort_key(good[-MARK_FIELDS_SIZE:]) is not None

@@ -1,14 +1,16 @@
-"""Options validation and derived level budgets."""
+"""Options validation, derived level budgets and the one key order."""
 
 import pytest
 
 from repro.errors import InvalidArgumentError
+from repro.lsm.internal import InternalKeyComparator
 from repro.lsm.options import (
     L0_COMPACTION_TRIGGER,
     L0_SLOWDOWN_TRIGGER,
     L0_STOP_TRIGGER,
     Options,
 )
+from repro.util.comparator import BytewiseComparator
 
 
 class TestDefaults:
@@ -76,3 +78,25 @@ class TestLevelBudgets:
     def test_level_zero_has_no_byte_budget(self):
         with pytest.raises(InvalidArgumentError):
             Options().max_bytes_for_level(0)
+
+
+class TestOneKeyOrder:
+    def test_user_keys_order_bytewise_only(self):
+        """User keys order as bytes, and every block read checks its CRC:
+        neither is a setting.  ``Options().comparator`` still names the
+        order, for callers that build an ``InternalKeyComparator`` from
+        it."""
+
+        class Reversed(BytewiseComparator):
+            def compare(self, a, b):
+                return -super().compare(a, b)
+
+        with pytest.raises(TypeError):
+            Options(comparator=BytewiseComparator())
+        with pytest.raises(TypeError):
+            Options(paranoid_checks=False)
+        assert type(Options().comparator) is BytewiseComparator
+        InternalKeyComparator(Options().comparator)
+        for other in (Reversed(), object(), None):
+            with pytest.raises(InvalidArgumentError):
+                InternalKeyComparator(other)

@@ -29,10 +29,9 @@ from repro.lsm.internal import (
 from repro.lsm.options import Options
 from repro.lsm.sstable import TableReader, _PartialBlock, _seek_partial
 from repro.util.comparator import BytewiseComparator
-from tests.conftest import ReverseComparator, build_table_image
+from tests.conftest import build_table_image
 
 BYTEWISE = InternalKeyComparator(BytewiseComparator())
-REVERSE = InternalKeyComparator(ReverseComparator())
 
 #: Value lengths of one- and two-byte varints (128 B is the first of
 #: those); :func:`blocks` may give one key a value of >= 16 KiB (three).
@@ -41,10 +40,9 @@ _VALUE_SIZES = st.sampled_from([0, 7, 127, 128, 300])
 
 @st.composite
 def blocks(draw):
-    """``(comparator, restart interval, sorted entries)`` for one block:
-    user keys sharing prefixes, some of >= 128 bytes, each in one to
-    three versions."""
-    comparator = draw(st.sampled_from([BYTEWISE, REVERSE]))
+    """``(restart interval, sorted entries)`` for one block: user keys
+    sharing prefixes, some of >= 128 bytes, each in one to three
+    versions."""
     prefix = draw(st.sampled_from([b"", b"k", b"p" * 130]))
     suffixes = draw(st.lists(st.text("abc", min_size=1, max_size=5),
                              min_size=1, max_size=20, unique=True))
@@ -58,12 +56,12 @@ def blocks(draw):
             entries.append((encode_internal_key(user_key, sequence,
                                                 TYPE_VALUE),
                             bytes([n % 5 + 1]) * size))
-    entries.sort(key=lambda entry: comparator.sort_key(entry[0]))
+    entries.sort(key=lambda entry: BYTEWISE.sort_key(entry[0]))
     interval = draw(st.sampled_from([1, 16]))
-    return comparator, interval, entries
+    return interval, entries
 
 
-def targets(comparator, entries):
+def targets(entries):
     """Lookup keys before the first entry, equal to each, between them,
     after the last, and between the last and the index separator."""
     users = {key[:-8] for key, _ in entries}
@@ -78,7 +76,7 @@ def targets(comparator, entries):
         sequence = int.from_bytes(key[-8:], "little") >> 8
         found += [encode_internal_key(key[:-8], sequence + delta, TYPE_VALUE)
                   for delta in (-1, 1)]
-    found.append(comparator.find_short_successor(keys[-1]))
+    found.append(BYTEWISE.find_short_successor(keys[-1]))
     return found
 
 
@@ -92,20 +90,18 @@ def build_block(interval, entries) -> bytes:
 @settings(max_examples=80, deadline=None)
 @given(blocks())
 def test_partial_lookup_answers_as_block_seek(block):
-    comparator, interval, entries = block
+    interval, entries = block
     raw = build_block(interval, entries)
     payload = snappy.compress(raw)
-    for target in targets(comparator, entries):
-        expected = Block(raw).seek(target, comparator)
-        for bytewise in {comparator.bytewise, False}:
-            found, cached = _seek_partial(payload, True, target, comparator,
-                                          bytewise)
-            assert found == expected
-            assert len(cached) == len(raw)
-            if type(cached) is _PartialBlock:
-                assert cached.finish() == raw
-            else:
-                assert cached == raw
+    for target in targets(entries):
+        expected = Block(raw).seek(target, BYTEWISE)
+        found, cached = _seek_partial(payload, True, target, BYTEWISE)
+        assert found == expected
+        assert len(cached) == len(raw)
+        if type(cached) is _PartialBlock:
+            assert cached.finish() == raw
+        else:
+            assert cached == raw
 
 
 @settings(max_examples=40, deadline=None)
@@ -113,17 +109,17 @@ def test_partial_lookup_answers_as_block_seek(block):
 def test_table_get_answers_as_block_seek(block, compression):
     """Through ``TableReader.get``, one block per table, stored snappy
     compressed or uncompressed."""
-    comparator, interval, entries = block
+    interval, entries = block
     options = Options(block_size=1 << 24, sstable_size=1 << 24,
                       block_restart_interval=interval,
                       compression=compression, bloom_bits_per_key=0)
     raw = build_block(interval, entries)
-    image = build_table_image(entries, options, comparator)
+    image = build_table_image(entries, options, BYTEWISE)
     cache = LRUCache(1 << 30)
-    reader = TableReader(image, comparator, options, cache)
-    for target in targets(comparator, entries):
-        expected = Block(raw).seek(target, comparator)
-        assert TableReader(image, comparator, options).get(target) \
+    reader = TableReader(image, BYTEWISE, options, cache)
+    for target in targets(entries):
+        expected = Block(raw).seek(target, BYTEWISE)
+        assert TableReader(image, BYTEWISE, options).get(target) \
             == expected
         assert reader.get(target) == expected
     assert cache.usage == len(raw)

@@ -1,17 +1,15 @@
-"""Searches by native sort key: blocks, tables and the DB against linear
-references, under bytewise, reversed and internal-key orders."""
+"""Searches by native sort key: blocks and tables against linear
+references, under the bytewise and internal-key orders."""
 
 from __future__ import annotations
 
 import functools
-import random
 import struct
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.errors import CorruptionError, NotFoundError
+from repro.errors import CorruptionError
 from repro.lsm import LsmDB
 from repro.lsm.block import Block, BlockBuilder
 from repro.lsm.env import MemEnv
@@ -26,12 +24,13 @@ from repro.lsm.internal import (
 )
 from repro.lsm.options import Options
 from repro.lsm.sstable import TableReader
+from repro.util.coding import encode_fixed32
 from repro.util.comparator import BytewiseComparator
-from tests.conftest import ReverseComparator, build_table_image
+from repro.util.crc32c import crc32c, mask_crc
+from tests.conftest import build_table_image
 
 BYTEWISE = BytewiseComparator()
-REVERSE = ReverseComparator()
-USER_COMPARATORS = [BYTEWISE, REVERSE]
+ICMP = InternalKeyComparator(BYTEWISE)
 
 #: Few distinct bytes, so keys share prefixes, are proper prefixes of one
 #: another and carry ``\x00`` / ``\xff`` anywhere.
@@ -46,12 +45,11 @@ INTERNAL_KEYS = st.builds(encode_internal_key, USER_KEYS,
 
 @st.composite
 def orders(draw):
-    """``(comparator, key strategy)``: a user order over user keys, or
-    the internal-key order over either user order."""
-    user_comparator = draw(st.sampled_from(USER_COMPARATORS))
+    """``(comparator, key strategy)``: the bytewise order over user
+    keys, or the internal-key order over internal keys."""
     if draw(st.booleans()):
-        return user_comparator, USER_KEYS
-    return InternalKeyComparator(user_comparator), INTERNAL_KEYS
+        return BYTEWISE, USER_KEYS
+    return ICMP, INTERNAL_KEYS
 
 
 def sorted_by(comparator, keys):
@@ -65,8 +63,10 @@ def suffix_from(comparator, entries, target):
 
 class TestComparatorSortKey:
     @settings(max_examples=100, deadline=None)
-    @given(st.sampled_from(USER_COMPARATORS), USER_KEYS, USER_KEYS)
-    def test_native_order_is_compare(self, comparator, a, b):
+    @given(orders(), st.data())
+    def test_native_order_is_compare(self, order, data):
+        comparator, keys = order
+        a, b = data.draw(keys), data.draw(keys)
         order = comparator.compare(a, b)
         key_a, key_b = comparator.sort_key(a), comparator.sort_key(b)
         assert (key_a < key_b) == (order < 0)
@@ -104,23 +104,20 @@ def table_options(restart_interval: int) -> Options:
                    compression="none", bloom_bits_per_key=0)
 
 
-#: A user key after every drawn one: longer than any ``\xff`` run drawn
-#: (bytewise), or the empty key (reversed).
-PAST_LAST = {BYTEWISE.name: b"\xff" * 6, REVERSE.name: b""}
+#: A user key after every drawn one: longer than any ``\xff`` run drawn.
+PAST_LAST = b"\xff" * 6
 
 
 class TestTableSearch:
     @settings(max_examples=80, deadline=None)
-    @given(st.sampled_from(USER_COMPARATORS), st.data(),
-           st.sampled_from([1, 16]))
+    @given(st.data(), st.sampled_from([1, 16]))
     def test_get_and_iter_from_match_first_entry_at_or_after(
-            self, user_comparator, data, restart_interval):
-        icmp = InternalKeyComparator(user_comparator)
+            self, data, restart_interval):
         options = table_options(restart_interval)
-        ordered = sorted_by(icmp, data.draw(
+        ordered = sorted_by(ICMP, data.draw(
             st.sets(INTERNAL_KEYS, min_size=1, max_size=60)))
         entries = [(k, b"value-%d" % i) for i, k in enumerate(ordered)]
-        reader = TableReader(build_table_image(entries, options, icmp), icmp,
+        reader = TableReader(build_table_image(entries, options, ICMP), ICMP,
                              options)
         assert list(reader) == entries
         # Every stored key, lookup keys for stored and drawn user keys at
@@ -129,10 +126,9 @@ class TestTableSearch:
         user_keys |= data.draw(st.sets(USER_KEYS, max_size=4))
         targets = set(ordered) | {make_lookup_key(u, s)
                                   for u in user_keys for s in SEQUENCES}
-        targets.add(encode_internal_key(PAST_LAST[user_comparator.name], 0,
-                                        TYPE_DELETION))
+        targets.add(encode_internal_key(PAST_LAST, 0, TYPE_DELETION))
         for target in targets:
-            expected = suffix_from(icmp, entries, target)
+            expected = suffix_from(ICMP, entries, target)
             assert list(reader.iter_from(target)) == expected
             # ``get`` reads one block: it may miss the first entry >=
             # ``target`` only when that entry has a later user key.
@@ -144,11 +140,10 @@ class TestTableSearch:
                 assert found == (expected[0] if expected else None)
 
     def test_target_past_last_key(self):
-        icmp = InternalKeyComparator(BYTEWISE)
         options = table_options(16)
         entries = [(encode_internal_key(b"k%03d" % i, 1, TYPE_VALUE), b"v")
                    for i in range(100)]
-        reader = TableReader(build_table_image(entries, options, icmp), icmp,
+        reader = TableReader(build_table_image(entries, options, ICMP), ICMP,
                              options)
         assert len(reader.index_entries()) > 10
         past = make_lookup_key(b"l", MAX_SEQUENCE)
@@ -197,7 +192,7 @@ class TestCorruption:
             list(block.iter_from(target, BYTEWISE))
 
     def test_unknown_value_type_is_corruption_on_get(self):
-        options = replace(table_options(16), paranoid_checks=False)
+        options = table_options(16)
         env = MemEnv()
         with LsmDB("typedb", options, env=env) as db:
             db.put(b"key", b"value")
@@ -209,9 +204,16 @@ class TestCorruption:
                    if name.endswith(".ldb")]
         path = f"typedb/{table}"
         image = bytearray(env.read_file(path))
-        # The mark fields' low byte, set to a type no writer emits.
-        image[image.index(encode_internal_key(b"key", 1, TYPE_VALUE))
-              + len(b"key")] = 0x05
+        # The mark fields' low byte, set to a type no writer emits; the
+        # block's CRC is re-stamped, so the type check is what raises.
+        at = image.index(encode_internal_key(b"key", 1, TYPE_VALUE))
+        image[at + len(b"key")] = 0x05
+        [handle] = [handle for _, handle in TableReader(
+            bytes(image), ICMP, options).index_entries()
+            if handle.offset <= at < handle.offset + handle.size]
+        end = handle.offset + handle.size
+        image[end + 1:end + 5] = encode_fixed32(
+            mask_crc(crc32c(bytes(image[handle.offset:end + 1]))))
         out = env.new_writable_file(path)
         out.append(bytes(image))
         out.close()
@@ -220,34 +222,3 @@ class TestCorruption:
                                match="unknown value type byte 0x5"):
                 db.get(b"key")
 
-
-def test_reverse_ordered_db_across_flushes_and_merges():
-    options = Options(block_size=512, sstable_size=8 * 1024,
-                      write_buffer_size=16 * 1024, max_level0_size=64 * 1024,
-                      block_cache_capacity=64 * 1024, comparator=REVERSE)
-    rng = random.Random(5)
-    model: dict[bytes, bytes] = {}
-
-    def check(db):
-        for key in (b"%05d" % n for n in range(800)):
-            if key in model:
-                assert db.get(key) == model[key]
-            else:
-                with pytest.raises(NotFoundError):
-                    db.get(key)
-        assert [k for k, _ in db.scan()] == sorted(model, reverse=True)
-
-    with LsmDB("reversedb", options, env=MemEnv()) as db:
-        for i in range(3000):
-            key = b"%05d" % rng.randrange(800)
-            if i % 7 == 0:
-                db.delete(key)
-                model.pop(key, None)
-            else:
-                model[key] = b"%d" % i * 12
-                db.put(key, model[key])
-            if i == 1500:
-                check(db)
-        db.compact_range()
-        assert sum(db.level_file_counts()[1:]) > 0
-        check(db)

@@ -147,13 +147,3 @@ class TestCorruption:
         reader = TableReader(bytes(image), icmp, options)
         with pytest.raises(CorruptionError):
             list(reader)
-
-    def test_paranoid_off_skips_crc(self, icmp, options, table_factory):
-        # Without paranoid checks a flipped byte may surface as garbage or
-        # a snappy error, but the CRC itself is not consulted.
-        from dataclasses import replace
-        relaxed = replace(options, paranoid_checks=False)
-        entries = make_entries(10)
-        image = build_table_image(entries, relaxed, icmp)
-        reader = TableReader(image, icmp, relaxed)
-        assert list(reader) == entries

@@ -11,7 +11,6 @@ process, intact: one failure counted, the child reaped, no helper again.
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import os
 import random
@@ -40,10 +39,7 @@ from repro.lsm.options import Options
 from repro.lsm.sstable import TableBuilder, TableReader
 from repro.util.comparator import BytewiseComparator
 
-from tests.conftest import ReverseComparator
-
 BYTEWISE = InternalKeyComparator(BytewiseComparator())
-REVERSE = InternalKeyComparator(ReverseComparator())
 
 
 # ----------------------------------------------------------------------
@@ -56,10 +52,9 @@ def _value(rng: random.Random, key: bytes) -> bytes:
     return head + hashlib.shake_128(head + key).digest(60) + head[-1:] * 60
 
 
-def _entries(count: int, seed: int, icmp=BYTEWISE) -> list:
+def _entries(count: int, seed: int) -> list:
     rng = random.Random(seed)
-    users = sorted({b"%016d" % rng.randrange(10 ** 7) for _ in range(count)},
-                   key=functools.cmp_to_key(icmp.user_comparator.compare))
+    users = sorted({b"%016d" % rng.randrange(10 ** 7) for _ in range(count)})
     return [(encode_internal_key(user, sequence, TYPE_VALUE),
              _value(rng, user))
             for sequence, user in enumerate(users, 1)]
@@ -115,8 +110,6 @@ CORPORA = {
         _entries(1500, 4), _options(bloom_bits_per_key=0), BYTEWISE),
     "restart_interval_1": lambda: (
         _entries(1500, 5), _options(block_restart_interval=1), BYTEWISE),
-    "reverse_comparator": lambda: (
-        _entries(1500, 6, REVERSE), _options(), REVERSE),
 }
 
 #: sha256 of each corpus's output tables, computed with the streaming
@@ -139,8 +132,6 @@ CORPUS_DIGESTS = {
         "fccc3b69deea94546759946003724e26d4cf09af8368060890765943254e3407",
     "restart_interval_1":
         "11cdf0703f0b44ef42dccbf14b03c88bdff67517b7c3ee46ef53e7db44c88d9f",
-    "reverse_comparator":
-        "cbe6a66673dccc0afdf3612be100cf3f4effac6c575712415b9129d0876926be",
 }
 
 #: sha256 of every table :func:`_db_tables` writes, computed the same way.

@@ -1,7 +1,5 @@
 """Version set: level bookkeeping, overlap queries, compaction picking."""
 
-import functools
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -20,7 +18,6 @@ from repro.lsm.version import (
     VersionSet,
 )
 from repro.util.comparator import BytewiseComparator
-from tests.conftest import ReverseComparator
 
 
 def ikey(user: bytes, seq: int = 1) -> bytes:
@@ -60,15 +57,10 @@ class TestApply:
         smalls = [f.user_range()[0] for f in versions.current.files[1]]
         assert smalls == sorted(smalls)
 
-    @pytest.mark.parametrize("user_cmp, smalls", [
+    def test_sorted_levels_follow_the_comparator(self, versions):
         # As raw bytes, "a\x00" + mark fields sorts before "a" + mark
         # fields: a level sorted that way fails its overlap check.
-        (BytewiseComparator(), [b"a", b"a\x00"]),
-        (ReverseComparator(), [b"z", b"a"]),
-    ])
-    def test_sorted_levels_follow_the_comparator(self, user_cmp, smalls):
-        versions = VersionSet(Options(max_level0_size=10_000),
-                              InternalKeyComparator(user_cmp))
+        smalls = [b"a", b"a\x00"]
         edit = VersionEdit()
         for number, small in reversed(list(enumerate(smalls, 1))):
             edit.add_file(1, meta(number, small, small))
@@ -203,17 +195,14 @@ class TestPicking:
 def linear_files_for_key(version, user_key):
     """``Version.files_for_key`` as it was before the search index: the
     oracle, kept here only."""
-    user_cmp = version.comparator.user_comparator
     level0 = [f for f in version.files[0]
-              if user_cmp.compare(f.user_range()[0], user_key) <= 0
-              and user_cmp.compare(user_key, f.user_range()[1]) <= 0]
+              if f.user_range()[0] <= user_key <= f.user_range()[1]]
     level0.sort(key=lambda f: f.number, reverse=True)
     result = [(0, f) for f in level0]
     for level in range(1, NUM_LEVELS):
         for candidate in version.files[level]:
             small, large = candidate.user_range()
-            if (user_cmp.compare(small, user_key) <= 0
-                    and user_cmp.compare(user_key, large) <= 0):
+            if small <= user_key <= large:
                 result.append((level, candidate))
                 break
     return result
@@ -222,16 +211,15 @@ def linear_files_for_key(version, user_key):
 def linear_files_in_range(version, start, end):
     """Every file whose user range meets ``[start, end)``, in the order
     ``LsmDB.scan`` used to open them."""
-    user_cmp = version.comparator.user_comparator.compare
     result = []
     for level, files in enumerate(version.files):
         if level == 0:
             files = sorted(files, key=lambda f: f.number, reverse=True)
         for candidate in files:
             small, large = candidate.user_range()
-            if start is not None and user_cmp(large, start) < 0:
+            if start is not None and large < start:
                 continue
-            if end is not None and user_cmp(small, end) >= 0:
+            if end is not None and small >= end:
                 continue
             result.append(candidate)
     return result
@@ -242,22 +230,18 @@ USER_KEYS = st.binary(min_size=0, max_size=3)
 
 @st.composite
 def layouts(draw):
-    """(comparator, files per level, probe keys): overlapping L0 files,
-    sorted disjoint deeper levels, and probes that include every
-    boundary plus random keys below, between and above them."""
-    user_cmp = draw(st.sampled_from([BytewiseComparator(),
-                                     ReverseComparator()]))
-    order = functools.cmp_to_key(user_cmp.compare)
+    """(files per level, probe keys): overlapping L0 files, sorted
+    disjoint deeper levels, and probes that include every boundary plus
+    random keys below, between and above them."""
     number = iter(range(1, 1000))
     files = [[] for _ in range(NUM_LEVELS)]
     bounds = set()
     for _ in range(draw(st.integers(0, 4))):
-        small, large = sorted(draw(st.tuples(USER_KEYS, USER_KEYS)),
-                              key=order)
+        small, large = sorted(draw(st.tuples(USER_KEYS, USER_KEYS)))
         files[0].append(meta(next(number), small, large))
         bounds.update((small, large))
     for level in range(1, draw(st.integers(1, 4))):
-        cuts = sorted(draw(st.sets(USER_KEYS, max_size=8)), key=order)
+        cuts = sorted(draw(st.sets(USER_KEYS, max_size=8)))
         cuts = cuts[:len(cuts) - len(cuts) % 2]
         widths = draw(st.lists(st.booleans(), min_size=len(cuts) // 2,
                                max_size=len(cuts) // 2))
@@ -266,17 +250,16 @@ def layouts(draw):
             small, large = cuts[i], cuts[i] if single else cuts[i + 1]
             files[level].append(meta(next(number), small, large))
             bounds.update((small, large))
-    probes = sorted(bounds | draw(st.sets(USER_KEYS, max_size=6)),
-                    key=order)
-    return user_cmp, files, probes
+    probes = sorted(bounds | draw(st.sets(USER_KEYS, max_size=6)))
+    return files, probes
 
 
 class TestSearchIndex:
     @settings(max_examples=150, deadline=None)
     @given(layouts())
     def test_files_for_key_matches_linear_scan(self, layout):
-        user_cmp, files, probes = layout
-        version = Version(InternalKeyComparator(user_cmp), files)
+        files, probes = layout
+        version = Version(files)
         for probe in probes:
             assert (version.files_for_key(probe)
                     == linear_files_for_key(version, probe))
@@ -284,8 +267,8 @@ class TestSearchIndex:
     @settings(max_examples=100, deadline=None)
     @given(layouts())
     def test_files_in_range_matches_linear_scan(self, layout):
-        user_cmp, files, probes = layout
-        version = Version(InternalKeyComparator(user_cmp), files)
+        files, probes = layout
+        version = Version(files)
         for start in [None] + probes:
             for end in [None] + probes:
                 assert (version.files_in_range(start, end)
